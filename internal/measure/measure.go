@@ -1,12 +1,18 @@
 // Package measure reimplements the paper's monitoring tool (Fig. 2):
-// for each site in the round's randomized order, a worker (at most 25
-// run in parallel, "to avoid bandwidth and processing bottlenecks")
-// queries A and AAAA records, downloads the main page over both
-// families for dual-stack sites, declares the pages identical when
-// byte counts are within 6%, and then repeats downloads per family
-// until the average download time's 95% confidence interval is within
-// 10% of the mean. Converged results, DNS outcomes, and AS-path
-// snapshots land in a store.DB.
+// for each site, a worker (at most 25 run in parallel, "to avoid
+// bandwidth and processing bottlenecks") queries A and AAAA records,
+// downloads the main page over both families for dual-stack sites,
+// declares the pages identical when byte counts are within 6%, and
+// then repeats downloads per family until the average download time's
+// 95% confidence interval is within 10% of the mean. Converged
+// results, DNS outcomes, and AS-path snapshots land in a store.DB.
+//
+// The round's list is visited in a random order at block granularity:
+// workers claim contiguous blocks of the list in a per-round shuffled
+// order and walk each block in list order, so for a list in site-id
+// order neighbouring visits share cache lines in every per-site table;
+// each worker writes a block's site rows and DNS rows to the store in
+// one batch per block.
 //
 // The engine is generic over a Fetcher: the simulation fetcher drives
 // netsim over BGP paths; the livenet fetcher speaks real DNS and HTTP
@@ -18,6 +24,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"v6web/internal/alexa"
@@ -213,27 +220,53 @@ type roundAcc struct {
 	_    [5]uint64 // pad to a cache line so workers don't false-share
 }
 
+// Dispatch block bounds for RunRound. A block walks neighbouring
+// entries of the caller's slice; core passes its site lists in
+// ascending id order, so up to maxBlock of them stream through
+// adjacent slots of every per-site table (the catalogue's site
+// pointers, the store's site-row columns and DNS runs) instead of
+// landing on a random cache line each. minBlock amortizes a block's
+// fixed cost: one claim and two store flushes that each pass over
+// every lock shard.
+const (
+	minBlock = 64
+	maxBlock = 1024
+)
+
+// blockSize sizes a round's dispatch blocks: between minBlock and
+// maxBlock sites, and no more than a quarter of a worker's share, so
+// a small round (V6-Day's few thousand participants) is still
+// randomized at a fine grain and balanced across workers when its
+// slow dual-stack sites cluster.
+func blockSize(sites, workers int) int {
+	return max(minBlock, min(maxBlock, sites/(4*workers)))
+}
+
 // RunRound monitors every site once. date stamps the samples; tFrac
 // in [0,1] positions the round within the study for the simulated
-// substrate. The site order is randomized per round ("to avoid
-// time-of-day biases").
+// substrate. The visit order is randomized per round ("to avoid
+// time-of-day biases") at block granularity: sites is cut into
+// contiguous blocks (see blockSize), the blocks are dispatched to the
+// workers in a per-(seed, round) random order, and each block is
+// walked in slice order. A worker flushes a block's site rows and DNS
+// rows to the store once, at the block's end.
 //
-// Stats and the destination-AS set are accumulated per worker and
-// merged after the round: the per-site path is free of the global
-// mutex the original design serialized every worker through.
+// Visit order is not observable in the results: every random draw is
+// derived per (seed, round, site), so results do not depend on which
+// worker visits a site or when. Stats and the destination-AS set are
+// accumulated per worker and merged after the round: the per-site path
+// is free of the global mutex the original design serialized every
+// worker through.
 func (m *Monitor) RunRound(round int, date time.Time, tFrac float64, sites []SiteRef) RoundStats {
-	order := make([]int, len(sites))
+	bs := blockSize(len(sites), m.cfg.Workers)
+	order := make([]int, (len(sites)+bs-1)/bs)
 	for i := range order {
 		order[i] = i
 	}
 	shuffleRng := rand.New(rand.NewSource(int64(det.Mix(uint64(m.cfg.Seed), uint64(round), 0x0BDE))))
 	shuffleRng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 
-	// Sites are dispatched in contiguous chunks of the shuffled order,
-	// bounding channel operations; the per-(seed,round,site) RNG
-	// derivation keeps results independent of worker assignment.
-	const chunk = 64
-	jobs := make(chan [2]int, len(order)/chunk+1)
+	var next atomic.Int64 // index into order of the next block to claim
 	accs := make([]roundAcc, m.cfg.Workers)
 
 	var wg sync.WaitGroup
@@ -246,18 +279,25 @@ func (m *Monitor) RunRound(round int, date time.Time, tFrac float64, sites []Sit
 			// site up or in what order.
 			src := det.NewSource(0)
 			rng := rand.New(src)
-			// The DNS buffer holds at most one chunk and is flushed into
-			// the store's delta encoder per chunk, so the worker never
-			// accumulates a round's worth of rows: the single-stack
-			// majority collapses into run-length counters immediately.
-			dnsBuf := make([]store.DNSRow, 0, chunk)
-			for rg := range jobs {
-				dnsBuf = dnsBuf[:0]
-				for _, idx := range order[rg[0]:rg[1]] {
-					src.Reseed(uint64(m.cfg.Seed), uint64(round), uint64(sites[idx].ID), 0xF00D)
-					res := m.monitorSite(sites[idx], round, date, tFrac, rng)
+			// The buffers hold at most one block and are flushed into the
+			// store per block, so the worker never accumulates a round's
+			// worth of rows: the single-stack majority collapses into
+			// run-length counters immediately.
+			dnsBuf := make([]store.DNSRow, 0, bs)
+			siteBuf := make([]store.CanonicalSite, 0, bs)
+			for {
+				k := int(next.Add(1) - 1)
+				if k >= len(order) {
+					return
+				}
+				lo := order[k] * bs
+				dnsBuf, siteBuf = dnsBuf[:0], siteBuf[:0]
+				for _, ref := range sites[lo:min(lo+bs, len(sites))] {
+					src.Reseed(uint64(m.cfg.Seed), uint64(round), uint64(ref.ID), 0xF00D)
+					res := m.monitorSite(ref, round, date, tFrac, rng)
 					if res.hasDNS {
 						dnsBuf = append(dnsBuf, res.dns)
+						siteBuf = append(siteBuf, store.CanonicalSite{Site: ref.ID, FirstRank: ref.FirstRank, V4AS: res.v4AS, V6AS: res.v6AS})
 					}
 					if res.dual {
 						acc.st.Dual++
@@ -281,18 +321,11 @@ func (m *Monitor) RunRound(round int, date time.Time, tFrac float64, sites []Sit
 						acc.dest.add(res.v6AS)
 					}
 				}
+				m.db.EnsureCanonicalSites(siteBuf)
 				m.db.AddDNSBatch(m.cfg.Vantage, dnsBuf)
 			}
 		}(&accs[w])
 	}
-	for start := 0; start < len(order); start += chunk {
-		end := start + chunk
-		if end > len(order) {
-			end = len(order)
-		}
-		jobs <- [2]int{start, end}
-	}
-	close(jobs)
 	wg.Wait()
 
 	st := RoundStats{Round: round, Sites: len(sites)}
@@ -343,12 +376,12 @@ type siteResult struct {
 	v4AS      int
 	v6AS      int
 	dns       store.DNSRow
-	hasDNS    bool // dns holds this round's row (workers batch-insert)
+	hasDNS    bool // dns holds this round's row; the site row is due too (workers batch-insert both)
 }
 
-// monitorSite runs the Fig 2 phases for one site. The DNS row is
-// returned in the result rather than written here so workers can
-// batch their inserts.
+// monitorSite runs the Fig 2 phases for one site. The DNS row and the
+// site's origins are returned in the result rather than written here
+// so workers can batch their inserts.
 func (m *Monitor) monitorSite(ref SiteRef, round int, date time.Time, tFrac float64, rng *rand.Rand) siteResult {
 	out := siteResult{v4AS: -1, v6AS: -1}
 	var hasA, hasAAAA bool
@@ -365,7 +398,6 @@ func (m *Monitor) monitorSite(ref SiteRef, round int, date time.Time, tFrac floa
 	if m.resolver == nil && m.origins != nil {
 		out.v4AS, out.v6AS = m.origins.Origins(ref, date)
 	}
-	m.db.EnsureCanonicalSite(ref.ID, ref.FirstRank, out.v4AS, out.v6AS)
 	out.dns = store.DNSRow{Site: ref.ID, Round: round, HasA: hasA, HasAAAA: hasAAAA}
 	out.hasDNS = true
 	if !hasA || !hasAAAA {

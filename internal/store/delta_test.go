@@ -239,12 +239,14 @@ func TestColumnarConcurrentAppends(t *testing.T) {
 					batch = append(batch, DNSRow{Site: id, Round: r, HasA: true, HasAAAA: r > 10 && k%7 == 0})
 				}
 				db.AddDNSBatch("penn", batch)
+				var views []CanonicalSite
 				for k := alexa.SiteID(0); k < 200; k += 50 {
 					id := base + k
-					db.EnsureCanonicalSite(id, int(id)+1, 3, -1)
+					views = append(views, CanonicalSite{Site: id, FirstRank: int(id) + 1, V4AS: 3, V6AS: -1})
 					db.AddSample("penn", id, topo.V4, Sample{Round: r, MeanSpeed: 12, CIOK: true})
 					db.AddSample("penn", 1<<20+id%512, topo.V6, Sample{Round: r, MeanSpeed: 9, CIOK: true})
 				}
+				db.EnsureCanonicalSites(views)
 				if r%10 == 0 {
 					db.Samples("penn", base, topo.V4)
 					db.SeriesLen("penn", base, topo.V4)
@@ -276,7 +278,7 @@ func TestHostInterning(t *testing.T) {
 	db.Reserve(64, 0, 0)
 	db.PutSite(SiteRow{Site: 1, Host: alexa.HostName(1), FirstRank: 1, V4AS: 2, V6AS: -1})
 	db.PutSite(SiteRow{Site: 2, Host: "custom.example", FirstRank: 2, V4AS: 2, V6AS: -1})
-	db.EnsureCanonicalSite(3, 3, 4, -1)
+	db.EnsureCanonicalSites([]CanonicalSite{{Site: 3, FirstRank: 3, V4AS: 4, V6AS: -1}})
 	for id, want := range map[alexa.SiteID]string{1: alexa.HostName(1), 2: "custom.example", 3: alexa.HostName(3)} {
 		r, ok := db.Site(id)
 		if !ok || r.Host != want {

@@ -712,77 +712,77 @@ func (db *DB) PutSite(row SiteRow) {
 	sh.over[row.Site] = row
 }
 
-// EnsureSite records the monitor's current view of a site, writing
-// only when it differs from the stored row. host supplies the Host
-// column lazily so the hot path skips building the string for the
-// (overwhelmingly common) unchanged case. The resulting table is
-// identical to calling PutSite every round: last write wins and
-// writes carry the same values.
-func (db *DB) EnsureSite(id alexa.SiteID, firstRank, v4AS, v6AS int, host func(alexa.SiteID) string) {
-	if db.ensureUnchanged(id, firstRank, v4AS, v6AS) {
-		return
-	}
-	db.PutSite(SiteRow{Site: id, Host: host(id), FirstRank: firstRank, V4AS: v4AS, V6AS: v6AS})
+// CanonicalSite is the monitor's view of a site in one round: a site
+// row whose Host is the canonical alexa.HostName derivation.
+type CanonicalSite struct {
+	Site      alexa.SiteID
+	FirstRank int
+	V4AS      int
+	V6AS      int
 }
 
-// EnsureCanonicalSite is EnsureSite for sites whose Host is the
-// canonical alexa.HostName derivation — the monitoring hot path: one
-// lock acquisition, one range lookup, and for the (overwhelmingly
-// common) unchanged row three integer compares; no host string is
-// ever built for dense-range sites.
-func (db *DB) EnsureCanonicalSite(id alexa.SiteID, firstRank, v4AS, v6AS int) {
-	sh := db.siteShard(id)
-	table, slot := db.res.locate(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if table >= 0 {
-		cols := &sh.main
-		if table == 1 {
-			cols = &sh.ext
+// EnsureCanonicalSites records a monitor worker's buffered site views
+// — the monitoring hot path, flushed once per dispatch block beside
+// AddDNSBatch — taking each shard lock once per batch rather than once
+// per row. A row is written only where it differs from the stored one:
+// for the (overwhelmingly common) unchanged row that is three integer
+// compares, and no host string is ever built for dense-range sites.
+// The resulting table is identical to calling PutSite with the
+// canonical host for each view in slice order: last write wins.
+func (db *DB) EnsureCanonicalSites(rows []CanonicalSite) {
+	res := db.res
+	for i := range db.sites {
+		sh := &db.sites[i]
+		locked := false
+		for k := range rows {
+			if uint64(rows[k].Site)&(shards-1) != uint64(i) {
+				continue
+			}
+			if !locked {
+				sh.mu.Lock()
+				locked = true
+			}
+			sh.ensure(res, &rows[k])
 		}
-		if cols.present[slot] &&
-			cols.firstRank[slot] == int32(firstRank) &&
-			cols.v4[slot] == int32(v4AS) &&
-			cols.v6[slot] == int32(v6AS) {
+		if locked {
+			sh.mu.Unlock()
+		}
+	}
+}
+
+// ensure writes r's row unless the stored row already carries its
+// values (an existing non-canonical host then stays). Caller holds
+// sh.mu.
+func (sh *siteShard) ensure(res reservation, r *CanonicalSite) {
+	table, slot := res.locate(r.Site)
+	if table < 0 {
+		if prev, ok := sh.over[r.Site]; ok && prev.FirstRank == r.FirstRank && prev.V4AS == r.V4AS && prev.V6AS == r.V6AS {
 			return
 		}
-		if !cols.present[slot] {
-			cols.present[slot] = true
-			sh.n++
+		if sh.over == nil {
+			sh.over = make(map[alexa.SiteID]SiteRow)
 		}
-		cols.firstRank[slot] = int32(firstRank)
-		cols.v4[slot] = int32(v4AS)
-		cols.v6[slot] = int32(v6AS)
-		delete(sh.hostOver, id)
+		sh.over[r.Site] = SiteRow{Site: r.Site, Host: alexa.HostName(r.Site), FirstRank: r.FirstRank, V4AS: r.V4AS, V6AS: r.V6AS}
 		return
 	}
-	if prev, ok := sh.over[id]; ok && prev.FirstRank == firstRank && prev.V4AS == v4AS && prev.V6AS == v6AS {
+	cols := &sh.main
+	if table == 1 {
+		cols = &sh.ext
+	}
+	if cols.present[slot] &&
+		cols.firstRank[slot] == int32(r.FirstRank) &&
+		cols.v4[slot] == int32(r.V4AS) &&
+		cols.v6[slot] == int32(r.V6AS) {
 		return
 	}
-	if sh.over == nil {
-		sh.over = make(map[alexa.SiteID]SiteRow)
+	if !cols.present[slot] {
+		cols.present[slot] = true
+		sh.n++
 	}
-	sh.over[id] = SiteRow{Site: id, Host: alexa.HostName(id), FirstRank: firstRank, V4AS: v4AS, V6AS: v6AS}
-}
-
-// ensureUnchanged reports whether the stored row already carries the
-// given values (the skip condition shared by both Ensure paths).
-func (db *DB) ensureUnchanged(id alexa.SiteID, firstRank, v4AS, v6AS int) bool {
-	sh := db.siteShard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if table, slot := db.res.locate(id); table >= 0 {
-		cols := &sh.main
-		if table == 1 {
-			cols = &sh.ext
-		}
-		return cols.present[slot] &&
-			cols.firstRank[slot] == int32(firstRank) &&
-			cols.v4[slot] == int32(v4AS) &&
-			cols.v6[slot] == int32(v6AS)
-	}
-	prev, ok := sh.over[id]
-	return ok && prev.FirstRank == firstRank && prev.V4AS == v4AS && prev.V6AS == v6AS
+	cols.firstRank[slot] = int32(r.FirstRank)
+	cols.v4[slot] = int32(r.V4AS)
+	cols.v6[slot] = int32(r.V6AS)
+	delete(sh.hostOver, r.Site)
 }
 
 // Site returns a site row.
