@@ -275,8 +275,8 @@ func (m *Monitor) RunRound(round int, date time.Time, tFrac float64, sites []Sit
 		go func(acc *roundAcc) {
 			defer wg.Done()
 			// One reusable RNG per worker, reseeded per (seed, round,
-			// site) so results do not depend on which worker picks a
-			// site up or in what order.
+			// site) by monitorSite so results do not depend on which
+			// worker picks a site up or in what order.
 			src := det.NewSource(0)
 			rng := rand.New(src)
 			// The buffers hold at most one block and are flushed into the
@@ -293,8 +293,7 @@ func (m *Monitor) RunRound(round int, date time.Time, tFrac float64, sites []Sit
 				lo := order[k] * bs
 				dnsBuf, siteBuf = dnsBuf[:0], siteBuf[:0]
 				for _, ref := range sites[lo:min(lo+bs, len(sites))] {
-					src.Reseed(uint64(m.cfg.Seed), uint64(round), uint64(ref.ID), 0xF00D)
-					res := m.monitorSite(ref, round, date, tFrac, rng)
+					res := m.monitorSite(ref, round, date, tFrac, src, rng)
 					if res.hasDNS {
 						dnsBuf = append(dnsBuf, res.dns)
 						siteBuf = append(siteBuf, store.CanonicalSite{Site: ref.ID, FirstRank: ref.FirstRank, V4AS: res.v4AS, V6AS: res.v6AS})
@@ -379,10 +378,15 @@ type siteResult struct {
 	hasDNS    bool // dns holds this round's row; the site row is due too (workers batch-insert both)
 }
 
+// reseeder is the worker's reusable det source behind rng.
+type reseeder interface{ Reseed(parts ...uint64) }
+
 // monitorSite runs the Fig 2 phases for one site. The DNS row and the
 // site's origins are returned in the result rather than written here
-// so workers can batch their inserts.
-func (m *Monitor) monitorSite(ref SiteRef, round int, date time.Time, tFrac float64, rng *rand.Rand) siteResult {
+// so workers can batch their inserts. Only the download phases draw
+// from rng, so src is reseeded per (seed, round, site) once the site
+// is known to be dual-stack, sparing the single-stack majority.
+func (m *Monitor) monitorSite(ref SiteRef, round int, date time.Time, tFrac float64, src reseeder, rng *rand.Rand) siteResult {
 	out := siteResult{v4AS: -1, v6AS: -1}
 	var hasA, hasAAAA bool
 	var err error
@@ -404,6 +408,7 @@ func (m *Monitor) monitorSite(ref SiteRef, round int, date time.Time, tFrac floa
 		return out
 	}
 	out.dual = true
+	src.Reseed(uint64(m.cfg.Seed), uint64(round), uint64(ref.ID), 0xF00D)
 
 	// Phase 2: single download per family; compare byte counts.
 	first4, err4 := m.fetch.Fetch(ref, topo.V4, round, tFrac, rng)

@@ -632,18 +632,20 @@ func decodeSectionV1(db *DB, section byte, v Vantage, payload []byte) error {
 // appendSnapSites encodes every site row — dense ranges and overflow
 // ids alike — in ascending id order, using the shard-wire row format
 // with id deltas against the previous row (base -1). Decoded by
-// mergeShardSites over the full id range.
+// mergeShardSites over the full id range. Canonical hosts encode as
+// length zero straight from the columns; only hostOver exceptions and
+// overflow rows are compared against the derived name.
 func (db *DB) appendSnapSites(w *wbuf) int {
 	var rows wbuf
 	n := 0
 	prev := alexa.SiteID(-1)
-	db.forEachSite(func(r SiteRow) {
+	db.forEachStoredSite(func(r SiteRow, derived bool) {
 		rows.uvarint(uint64(r.Site - prev))
 		prev = r.Site
 		rows.uvarint(uint64(r.FirstRank))
 		rows.uvarint(uint64(r.V4AS + 1))
 		rows.uvarint(uint64(r.V6AS + 1))
-		if r.Host == alexa.HostName(r.Site) {
+		if derived || r.Host == alexa.HostName(r.Site) {
 			rows.uvarint(0)
 		} else {
 			rows.uvarint(uint64(len(r.Host)))

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -426,6 +427,112 @@ func TestLoadBinarySparseSnapshotSkipsReserve(t *testing.T) {
 	for name, data := range want {
 		if !bytes.Equal(data, got[name]) {
 			t.Errorf("%s differs for sparse snapshot", name)
+		}
+	}
+}
+
+// referenceSnapSites is the site-section payload as first specified:
+// every row through Sites() with its host string built, and a host
+// written out unless it equals the canonical alexa.HostName.
+func referenceSnapSites(db *DB) []byte {
+	var rows wbuf
+	prev := alexa.SiteID(-1)
+	all := db.Sites()
+	for _, r := range all {
+		rows.uvarint(uint64(r.Site - prev))
+		prev = r.Site
+		rows.uvarint(uint64(r.FirstRank))
+		rows.uvarint(uint64(r.V4AS + 1))
+		rows.uvarint(uint64(r.V6AS + 1))
+		if r.Host == alexa.HostName(r.Site) {
+			rows.uvarint(0)
+		} else {
+			rows.uvarint(uint64(len(r.Host)))
+			rows.bytes([]byte(r.Host))
+		}
+	}
+	var w wbuf
+	w.uvarint(uint64(len(all)))
+	w.bytes(rows.b)
+	return w.b
+}
+
+// TestSnapSitesMatchReferenceEncoder: the site section SaveBinary
+// writes from the columns is byte-equal to the reference encoder for a
+// database mixing canonical dense rows (main and extended, written by
+// PutSite and by the monitor's EnsureCanonicalSites), in-range custom
+// hosts, and overflow rows with canonical and custom hosts on both
+// sides of each dense range; LoadBinary round-trips it.
+func TestSnapSitesMatchReferenceEncoder(t *testing.T) {
+	const extBase = alexa.SiteID(1 << 20)
+	db := NewDB()
+	db.Reserve(200, extBase, 64)
+	for id := alexa.SiteID(0); id < 180; id += 3 {
+		db.PutSite(SiteRow{Site: id, Host: alexa.HostName(id), FirstRank: int(id) + 1, V4AS: int(id % 11), V6AS: -1})
+	}
+	var views []CanonicalSite
+	for id := alexa.SiteID(1); id < 60; id += 3 {
+		views = append(views, CanonicalSite{Site: id, FirstRank: int(id) + 2, V4AS: 4, V6AS: 5})
+	}
+	for id := extBase; id < extBase+40; id += 2 {
+		views = append(views, CanonicalSite{Site: id, V4AS: 6, V6AS: -1})
+	}
+	db.EnsureCanonicalSites(views)
+	db.PutSite(SiteRow{Site: 9, Host: "custom.example", FirstRank: 10, V4AS: 1, V6AS: 2})
+	db.PutSite(SiteRow{Site: 13, Host: "custom-new.example", FirstRank: 14, V4AS: 3, V6AS: -1})
+	db.PutSite(SiteRow{Site: extBase + 5, Host: "ext-custom.example", V4AS: 7, V6AS: 7})
+	for _, r := range []SiteRow{
+		{Site: 450, Host: alexa.HostName(450), FirstRank: 451, V4AS: 2, V6AS: -1},
+		{Site: 700, Host: "over.example", FirstRank: 701, V4AS: -1, V6AS: -1},
+		{Site: extBase + 100, Host: alexa.HostName(extBase + 100), V4AS: 8, V6AS: 9},
+		{Site: 1 << 30, Host: "far.example", V4AS: 0, V6AS: 0},
+	} {
+		db.PutSite(r)
+	}
+
+	want := referenceSnapSites(db)
+	for _, compress := range []bool{false, true} {
+		path := filepath.Join(t.TempDir(), "sites"+BinaryExt)
+		if err := db.SaveBinary(path, BinaryOptions{Compress: compress}); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, secs, _, err := parseBinSnapshot(path, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []byte
+		for _, s := range secs {
+			if s.section != ShardSites {
+				continue
+			}
+			got = data[s.off : s.off+s.clen]
+			if s.compressed {
+				if got, err = inflateSection(got, s.ulen); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("compress=%v: site section differs from the reference encoder:\n got %x\nwant %x", compress, got, want)
+		}
+		back, err := LoadBinary(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(back.Sites(), db.Sites()) {
+			t.Fatalf("compress=%v: site rows did not round-trip:\n%+v\nwant\n%+v", compress, back.Sites(), db.Sites())
+		}
+		for id, host := range map[alexa.SiteID]string{
+			9: "custom.example", 13: "custom-new.example", extBase + 5: "ext-custom.example",
+			450: alexa.HostName(450), 700: "over.example", 1 << 30: "far.example",
+		} {
+			if r, ok := back.Site(id); !ok || r.Host != host {
+				t.Fatalf("compress=%v: loaded site %d = %+v (found %v), want host %q", compress, id, r, ok, host)
+			}
 		}
 	}
 }

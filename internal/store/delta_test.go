@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 
 	"v6web/internal/alexa"
 	"v6web/internal/topo"
@@ -215,6 +216,146 @@ func TestReserveMigratesOverflow(t *testing.T) {
 		}
 	}()
 	db.Reserve(1024, extBase*2, 10)
+}
+
+// TestReserveGrowsInSteps grows a populated database's reservation step
+// by step over the main and extended ranges: jumps that reallocate the
+// columns, small steps that fit in their spare capacity, and steps that
+// cover overflow entries, which must migrate in. Every DNS history,
+// sample series and site row must survive each step, every column must
+// match the reservation, and every slot not holding a stored site must
+// be empty (no site row, no DNS history, no sample series).
+func TestReserveGrowsInSteps(t *testing.T) {
+	const extBase alexa.SiteID = 1 << 20
+	vantages := []Vantage{"penn", "seattle"}
+	db := NewDB()
+	db.Reserve(40, extBase, 24)
+	// In range from the start, then overflow ids that later steps cover,
+	// then ids no step reaches.
+	ids := []alexa.SiteID{0, 7, 39, 41, 77, 530, 2049, 9000, extBase, extBase + 23, extBase + 30, extBase + 600, extBase + 5000}
+	stored := make(map[alexa.SiteID]bool)
+	date := time.Date(2011, 3, 1, 0, 0, 0, 0, time.UTC)
+	for k, id := range ids {
+		stored[id] = true
+		host := alexa.HostName(id)
+		if k%4 == 1 {
+			host = fmt.Sprintf("custom-%d.example", k)
+		}
+		db.PutSite(SiteRow{Site: id, Host: host, FirstRank: k + 1, V4AS: k, V6AS: k%3 - 1})
+		for _, v := range vantages {
+			for r := 0; r < 6; r++ {
+				db.AddDNS(v, DNSRow{Site: id, Round: r, HasA: true, HasAAAA: r >= k%5, Identical: r%2 == 0})
+				db.AddSample(v, id, topo.Family(r%2), Sample{Round: r, Date: date.AddDate(0, 0, 7*r), PageBytes: 1000 + k, Downloads: r + 1, MeanSpeed: float64(k) + 0.5, CIOK: r > 1})
+			}
+		}
+	}
+	wantSites := db.Sites()
+	wantDNS := make(map[Vantage][]DNSRow)
+	wantSamples := make(map[Vantage][][]Sample)
+	for _, v := range vantages {
+		wantDNS[v] = db.DNS(v)
+		for _, id := range ids {
+			for _, fam := range []topo.Family{topo.V4, topo.V6} {
+				wantSamples[v] = append(wantSamples[v], db.Samples(v, id, fam))
+			}
+		}
+	}
+
+	for _, step := range []struct{ main, ext int }{
+		{48, 24}, {50, 31}, {90, 40}, {600, 60}, {604, 601}, {700, 700}, {2100, 701}, {2300, 800},
+	} {
+		db.Reserve(step.main, extBase, step.ext)
+		name := fmt.Sprintf("Reserve(%d, ext %d)", step.main, step.ext)
+		if got := db.Sites(); !reflect.DeepEqual(got, wantSites) {
+			t.Fatalf("%s: site rows changed:\n%+v\nwant\n%+v", name, got, wantSites)
+		}
+		for _, v := range vantages {
+			if got := db.DNS(v); !reflect.DeepEqual(got, wantDNS[v]) {
+				t.Fatalf("%s: %s DNS rows changed", name, v)
+			}
+			k := 0
+			for _, id := range ids {
+				for _, fam := range []topo.Family{topo.V4, topo.V6} {
+					if got := db.Samples(v, id, fam); !reflect.DeepEqual(got, wantSamples[v][k]) {
+						t.Fatalf("%s: %s samples of site %d fam %v changed", name, v, id, fam)
+					}
+					k++
+				}
+			}
+		}
+		checkReservedColumns(t, name, db, stored)
+	}
+}
+
+// checkReservedColumns asserts that every dense column of db spans
+// exactly its reservation, that no overflow entry lies inside it, and
+// that every slot whose id is not in stored is empty.
+func checkReservedColumns(t *testing.T, name string, db *DB, stored map[alexa.SiteID]bool) {
+	t.Helper()
+	res := db.res
+	ranges := []struct {
+		base alexa.SiteID
+		n    int
+	}{{0, res.main}, {res.extBase, res.ext}}
+	inRange := func(id alexa.SiteID) bool { table, _ := res.locate(id); return table >= 0 }
+	for i := range db.sites {
+		sh := &db.sites[i]
+		for id := range sh.over {
+			if inRange(id) {
+				t.Fatalf("%s: site %d left in the overflow map", name, id)
+			}
+		}
+		for table, cols := range []*siteCols{&sh.main, &sh.ext} {
+			n := slotsFor(ranges[table].n)
+			if len(cols.present) != n || len(cols.firstRank) != n || len(cols.v4) != n || len(cols.v6) != n {
+				t.Fatalf("%s: site shard %d table %d columns %d/%d/%d/%d long, want %d", name, i, table,
+					len(cols.present), len(cols.firstRank), len(cols.v4), len(cols.v6), n)
+			}
+			for slot := 0; slot < n; slot++ {
+				id := ranges[table].base + alexa.SiteID(slot<<shardBits+i)
+				if !stored[id] && (cols.present[slot] || cols.firstRank[slot] != 0 || cols.v4[slot] != 0 || cols.v6[slot] != 0) {
+					t.Fatalf("%s: empty site slot of id %d holds data", name, id)
+				}
+			}
+		}
+	}
+	for v, vt := range db.vantages {
+		for i := range vt.dns {
+			d, s := &vt.dns[i], &vt.samples[i]
+			for id := range d.over {
+				if inRange(id) {
+					t.Fatalf("%s: %s DNS history of %d left in the overflow map", name, v, id)
+				}
+			}
+			for f := 0; f < 2; f++ {
+				for id := range s.over[f] {
+					if inRange(id) {
+						t.Fatalf("%s: %s series of %d left in the overflow map", name, v, id)
+					}
+				}
+			}
+			for table, hist := range [][]dnsHist{d.main, d.ext} {
+				slots := [2]famSlots{s.main[0], s.main[1]}
+				if table == 1 {
+					slots = [2]famSlots{s.ext[0], s.ext[1]}
+				}
+				n := slotsFor(ranges[table].n)
+				if len(hist) != n || len(slots[0]) != n || len(slots[1]) != n {
+					t.Fatalf("%s: %s shard %d table %d columns %d/%d/%d long, want %d", name, v, i, table,
+						len(hist), len(slots[0]), len(slots[1]), n)
+				}
+				for slot := 0; slot < n; slot++ {
+					id := ranges[table].base + alexa.SiteID(slot<<shardBits+i)
+					if stored[id] {
+						continue
+					}
+					if hist[slot] != (dnsHist{}) || slots[0][slot] != -1 || slots[1][slot] != -1 {
+						t.Fatalf("%s: %s empty slot of id %d holds data", name, v, id)
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestColumnarConcurrentAppends exercises the columnar append path —

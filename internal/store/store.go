@@ -39,6 +39,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -115,6 +116,22 @@ func (r reservation) locate(id alexa.SiteID) (table int, slot int) {
 
 // slotsFor returns how many per-shard slots cover n dense ids.
 func slotsFor(n int) int { return (n + shards - 1) >> shardBits }
+
+// extend returns col grown to n entries, the new tail set to fill, in
+// one allocation step. Capacity grows as append's does, so a range
+// that grows a little every round (the main list's) stays amortized,
+// while a first reservation is allocated at its exact size.
+func extend[T any](col []T, n int, fill T) []T {
+	old := len(col)
+	if n <= old {
+		return col
+	}
+	col = slices.Grow(col, n-old)[:n]
+	for i := old; i < n; i++ {
+		col[i] = fill
+	}
+	return col
+}
 
 // --- DNS delta encoding ----------------------------------------------
 
@@ -328,11 +345,7 @@ func (p packedSample) sample(dates []time.Time) Sample {
 // famSlots maps dense site slots to series indices; -1 = no series.
 type famSlots []int32
 
-func (f *famSlots) grow(n int) {
-	for len(*f) < n {
-		*f = append(*f, -1)
-	}
-}
+func (f *famSlots) grow(n int) { *f = extend(*f, n, -1) }
 
 // sampleShard is one stripe of a vantage's sample table: per family,
 // a dense slot column over each reserved range (plus an overflow map)
@@ -427,12 +440,10 @@ type siteCols struct {
 }
 
 func (c *siteCols) grow(n int) {
-	for len(c.present) < n {
-		c.present = append(c.present, false)
-		c.firstRank = append(c.firstRank, 0)
-		c.v4 = append(c.v4, 0)
-		c.v6 = append(c.v6, 0)
-	}
+	c.present = extend(c.present, n, false)
+	c.firstRank = extend(c.firstRank, n, 0)
+	c.v4 = extend(c.v4, n, 0)
+	c.v6 = extend(c.v6, n, 0)
 }
 
 // siteShard is one stripe of the site-row table. Hosts equal to the
@@ -507,12 +518,8 @@ func (t *vantageTable) grow(res reservation) {
 	nMain, nExt := slotsFor(res.main), slotsFor(res.ext)
 	for i := range t.dns {
 		d := &t.dns[i]
-		for len(d.main) < nMain {
-			d.main = append(d.main, dnsHist{})
-		}
-		for len(d.ext) < nExt {
-			d.ext = append(d.ext, dnsHist{})
-		}
+		d.main = extend(d.main, nMain, dnsHist{})
+		d.ext = extend(d.ext, nExt, dnsHist{})
 		s := &t.samples[i]
 		for f := 0; f < 2; f++ {
 			s.main[f].grow(nMain)
@@ -681,20 +688,27 @@ func (sh *siteShard) putDense(res reservation, row SiteRow) {
 	}
 }
 
-// rowAt reconstructs the dense row at (cols, slot) for site id.
-// Caller holds sh.mu.
-func (sh *siteShard) rowAt(cols *siteCols, slot int, id alexa.SiteID) SiteRow {
-	host, ok := sh.hostOver[id]
-	if !ok {
-		host = alexa.HostName(id)
-	}
+// storedRow returns the dense row at (cols, slot) for site id as the
+// columns hold it: Host is set only for a hostOver exception, and
+// derived reports that the host is instead the canonical
+// alexa.HostName(id), left unbuilt. Caller holds sh.mu.
+func (sh *siteShard) storedRow(cols *siteCols, slot int, id alexa.SiteID) (row SiteRow, derived bool) {
+	host, custom := sh.hostOver[id]
 	return SiteRow{
 		Site:      id,
 		Host:      host,
 		FirstRank: int(cols.firstRank[slot]),
 		V4AS:      int(cols.v4[slot]),
 		V6AS:      int(cols.v6[slot]),
+	}, !custom
+}
+
+// withHost fills in a stored row's derived host.
+func withHost(row SiteRow, derived bool) SiteRow {
+	if derived {
+		row.Host = alexa.HostName(row.Site)
 	}
+	return row
 }
 
 // PutSite inserts or updates a site row.
@@ -798,7 +812,7 @@ func (db *DB) Site(id alexa.SiteID) (SiteRow, bool) {
 		if !cols.present[slot] {
 			return SiteRow{}, false
 		}
-		return sh.rowAt(cols, slot, id), true
+		return withHost(sh.storedRow(cols, slot, id)), true
 	}
 	r, ok := sh.over[id]
 	return r, ok
@@ -808,6 +822,14 @@ func (db *DB) Site(id alexa.SiteID) (SiteRow, bool) {
 // from the columnar tables without materializing the whole set. It
 // takes each shard lock once per visited site.
 func (db *DB) forEachSite(fn func(SiteRow)) {
+	db.forEachStoredSite(func(row SiteRow, derived bool) { fn(withHost(row, derived)) })
+}
+
+// forEachStoredSite is forEachSite over rows as stored (see
+// storedRow): a dense row with the canonical host arrives with derived
+// set and no Host, so a walker that can encode that case without the
+// string never builds it. Overflow rows carry their host.
+func (db *DB) forEachStoredSite(fn func(row SiteRow, derived bool)) {
 	// Overflow ids can interleave anywhere; gather and sort them once.
 	var over []alexa.SiteID
 	for i := range db.sites {
@@ -828,7 +850,7 @@ func (db *DB) forEachSite(fn func(SiteRow)) {
 			row, ok := sh.over[id]
 			sh.mu.Unlock()
 			if ok {
-				fn(row)
+				fn(row, false)
 			}
 			oi++
 		}
@@ -841,9 +863,9 @@ func (db *DB) forEachSite(fn func(SiteRow)) {
 			sh.mu.Lock()
 			cols := pick(sh)
 			if slot < len(cols.present) && cols.present[slot] {
-				row := sh.rowAt(cols, slot, id)
+				row, derived := sh.storedRow(cols, slot, id)
 				sh.mu.Unlock()
-				fn(row)
+				fn(row, derived)
 			} else {
 				sh.mu.Unlock()
 			}

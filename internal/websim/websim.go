@@ -8,8 +8,12 @@
 // participation, and the scheduled performance transitions and trends
 // behind Table 3's confidence failures.
 //
-// All attributes are pure functions of (seed, site id), computed
-// lazily and cached, so catalogues over millions of sites stay cheap.
+// All attributes are pure functions of (seed, site id, first rank),
+// computed lazily, so catalogues over millions of sites stay cheap: a
+// full Site is built and cached on first request (the measurement
+// requests one only for the dual-stack minority), while the DNS phase
+// reads the hosting summary, memoized in 8 bytes per visited id for
+// the never-adopting majority (see HostingOf).
 package websim
 
 import (
@@ -227,10 +231,11 @@ func (c Config) Validate() error {
 //
 // Site ids are dense (the ranked list mints them sequentially; the
 // extended population is a second dense range at a fixed base), so
-// the cache is a pair of index-addressed atomic pointer tables:
+// the cache is a pair of index-addressed tables of atomic pointers:
 // Site is a lock-free load on the hot path, with a compare-and-swap
-// on first materialization. Ids outside the reserved ranges fall back
-// to a mutex-guarded overflow map.
+// on first materialization. Each table also carries the hosting memo
+// over the same ids (see HostingOf). Ids outside the reserved ranges
+// fall back to a mutex-guarded overflow map.
 type Catalog struct {
 	cfg   Config
 	g     *topo.Graph
@@ -246,9 +251,9 @@ type Catalog struct {
 	v6stubCum []float64
 
 	// Index-addressed tables; see Reserve.
-	dense   []atomic.Pointer[Site] // ids [0, len(dense))
-	extBase alexa.SiteID           // base of the extended-id range
-	ext     []atomic.Pointer[Site] // ids [extBase, extBase+len(ext))
+	dense   siteTable    // ids [0, len(dense.sites))
+	extBase alexa.SiteID // base of the extended-id range
+	ext     siteTable    // ids [extBase, extBase+len(ext.sites))
 
 	count atomic.Int64 // materialized sites across all tables
 
@@ -318,50 +323,103 @@ func pick(cum []float64, u float64) int {
 	return lo
 }
 
+// Hosting-memo pages cover hostPageSize consecutive ids of a table.
+const (
+	hostPageBits = 12
+	hostPageSize = 1 << hostPageBits
+	hostPageMask = hostPageSize - 1
+)
+
+// hostPage memoizes the hosting of the never-adopting sites among
+// hostPageSize consecutive ids: V4AS+1 per id, 0 while unset.
+type hostPage [hostPageSize]atomic.Uint64
+
+// siteTable is one index-addressed id range: the Site cache and the
+// hosting memo's pages over the same ids. A page is allocated on its
+// first memoized id, so the memo costs memory only where the DNS phase
+// has visited single-stack sites.
+type siteTable struct {
+	sites []atomic.Pointer[Site]
+	pages []atomic.Pointer[hostPage]
+}
+
+// grow resizes t to n ids, carrying over every cached Site and memo
+// page.
+func (t *siteTable) grow(n int) {
+	sites := make([]atomic.Pointer[Site], n)
+	for i := range t.sites {
+		sites[i].Store(t.sites[i].Load())
+	}
+	pages := make([]atomic.Pointer[hostPage], (n+hostPageMask)>>hostPageBits)
+	for i := range t.pages {
+		pages[i].Store(t.pages[i].Load())
+	}
+	t.sites, t.pages = sites, pages
+}
+
+// memoized returns the memoized V4AS of the never-adopting site at
+// index i, if any.
+func (t *siteTable) memoized(i int) (v4AS int, ok bool) {
+	p := t.pages[i>>hostPageBits].Load()
+	if p == nil {
+		return 0, false
+	}
+	v := p[i&hostPageMask].Load()
+	return int(v) - 1, v != 0
+}
+
+// memoize records the V4AS of the never-adopting site at index i,
+// allocating its page on first use. Racing callers store the same
+// value (hosting is deterministic), so a lost race is harmless.
+func (t *siteTable) memoize(i, v4AS int) {
+	slot := &t.pages[i>>hostPageBits]
+	p := slot.Load()
+	if p == nil {
+		p = new(hostPage)
+		if !slot.CompareAndSwap(nil, p) {
+			p = slot.Load()
+		}
+	}
+	p[i&hostPageMask].Store(uint64(v4AS) + 1)
+}
+
 // Reserve sizes the index-addressed site tables: ids in [0, mainIDs)
 // and [extBase, extBase+extIDs) become lock-free. Growing preserves
-// already-materialized sites. Reserve must not run concurrently with
-// Site — call it between rounds (the orchestrator does) or before
-// monitoring starts.
+// already-materialized sites and memoized hosting. Reserve must not
+// run concurrently with Site or HostingOf — call it between rounds
+// (the orchestrator does) or before monitoring starts.
 func (c *Catalog) Reserve(mainIDs int, extBase alexa.SiteID, extIDs int) {
-	if mainIDs > len(c.dense) {
-		grown := make([]atomic.Pointer[Site], max(mainIDs, 2*len(c.dense)))
-		for i := range c.dense {
-			grown[i].Store(c.dense[i].Load())
-		}
-		c.dense = grown
+	if mainIDs > len(c.dense.sites) {
+		c.dense.grow(max(mainIDs, 2*len(c.dense.sites)))
 	}
-	if extIDs > 0 && (c.ext == nil || extBase != c.extBase || extIDs > len(c.ext)) {
-		if c.ext != nil && extBase != c.extBase {
+	if extIDs > 0 && (c.ext.sites == nil || extBase != c.extBase || extIDs > len(c.ext.sites)) {
+		if c.ext.sites != nil && extBase != c.extBase {
 			// Rebasing would orphan materialized sites and break the
 			// one-shared-pointer-per-id invariant.
 			panic("websim: Reserve with a different extended base")
 		}
-		grown := make([]atomic.Pointer[Site], extIDs)
-		for i := range c.ext {
-			grown[i].Store(c.ext[i].Load())
-		}
-		c.ext = grown
+		c.ext.grow(extIDs)
 		c.extBase = extBase
 	}
 }
 
-// slot returns the table entry for id, or nil when id is outside the
-// reserved ranges.
-func (c *Catalog) slot(id alexa.SiteID) *atomic.Pointer[Site] {
-	if id >= 0 && id < alexa.SiteID(len(c.dense)) {
-		return &c.dense[id]
+// locate returns the reserved table holding id and id's index in it,
+// or nil when id is outside the reserved ranges.
+func (c *Catalog) locate(id alexa.SiteID) (*siteTable, int) {
+	if id >= 0 && id < alexa.SiteID(len(c.dense.sites)) {
+		return &c.dense, int(id)
 	}
-	if c.ext != nil && id >= c.extBase && id < c.extBase+alexa.SiteID(len(c.ext)) {
-		return &c.ext[id-c.extBase]
+	if c.ext.sites != nil && id >= c.extBase && id < c.extBase+alexa.SiteID(len(c.ext.sites)) {
+		return &c.ext, int(id - c.extBase)
 	}
-	return nil
+	return nil, 0
 }
 
 // Site materializes (or returns the cached) description of a site.
 // firstRank is the site's rank at first appearance in the list.
 func (c *Catalog) Site(id alexa.SiteID, firstRank int) *Site {
-	if slot := c.slot(id); slot != nil {
+	if t, i := c.locate(id); t != nil {
+		slot := &t.sites[i]
 		if s := slot.Load(); s != nil {
 			return s
 		}
@@ -454,15 +512,27 @@ func (h Hosting) DualAtUnix(ns int64) bool {
 }
 
 // HostingOf returns the hosting summary of a site without
-// materializing (or caching) a Site for it. A site already in the
-// cache is read from it; otherwise the summary is recomputed from the
-// deterministic draws — a handful of hashes, no allocation. This is
-// the DNS query phase's fast path: the vast single-stack majority of
-// a paper-scale population never needs a Site built at all.
+// materializing a Site for it. This is the DNS query phase's fast
+// path: the vast single-stack majority of a paper-scale population
+// never needs a Site built at all, yet is queried every round.
+//
+// A site already in the cache is read from it. Otherwise a
+// never-adopting site (V6AS -1) in a reserved range is read from the
+// hosting memo, which holds its V4AS in 8 bytes per id on pages
+// allocated on first use; on a miss the summary is computed from the
+// deterministic draws and, for such a site, memoized. Adopting sites
+// (every World IPv6 Day participant among them) are recomputed on each
+// call and take no memo memory. Like the Site cache, the memo is keyed
+// on id alone: callers must pass each id the same firstRank on every
+// call (its rank at first appearance, as the orchestrator does).
 func (c *Catalog) HostingOf(id alexa.SiteID, firstRank int) Hosting {
-	if slot := c.slot(id); slot != nil {
-		if s := slot.Load(); s != nil {
+	t, i := c.locate(id)
+	if t != nil {
+		if s := t.sites[i].Load(); s != nil {
 			return Hosting{V4AS: s.V4AS, V6AS: s.V6AS, AdoptUnix: s.AdoptUnix}
+		}
+		if v4AS, ok := t.memoized(i); ok {
+			return Hosting{V4AS: v4AS, V6AS: -1}
 		}
 	} else {
 		c.mu.Lock()
@@ -476,6 +546,8 @@ func (c *Catalog) HostingOf(id alexa.SiteID, firstRank int) Hosting {
 	h := Hosting{V4AS: v4AS, V6AS: v6AS}
 	if adopts {
 		h.AdoptUnix = adoptTime.UnixNano()
+	} else if t != nil {
+		t.memoize(i, v4AS)
 	}
 	return h
 }

@@ -283,3 +283,127 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal("bad PageMedian accepted")
 	}
 }
+
+// freshHosting recomputes a site's hosting summary from the
+// deterministic draws alone, bypassing the Site cache and the memo.
+func freshHosting(c *Catalog, id alexa.SiteID, firstRank int) Hosting {
+	v4AS, v6AS, _, adoptTime, adopts := c.hosting(id, firstRank)
+	h := Hosting{V4AS: v4AS, V6AS: v6AS}
+	if adopts {
+		h.AdoptUnix = adoptTime.UnixNano()
+	}
+	return h
+}
+
+// memoPages counts the hosting-memo pages allocated across both
+// reserved tables.
+func memoPages(c *Catalog) int {
+	n := 0
+	for _, t := range []*siteTable{&c.dense, &c.ext} {
+		for i := range t.pages {
+			if t.pages[i].Load() != nil {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestHostingOfMemoMatchesHosting: HostingOf answers every id — dense,
+// extended and overflow, adopting or not, materialized or not — with
+// exactly the recomputed summary, on first and repeated calls and
+// across a Reserve growth between them.
+func TestHostingOfMemoMatchesHosting(t *testing.T) {
+	c := newCatalog(t, 600, 21)
+	const extBase = alexa.SiteID(1 << 40)
+	c.Reserve(3*hostPageSize, extBase, hostPageSize+100)
+
+	var ids []alexa.SiteID
+	for i := alexa.SiteID(0); i < 4*hostPageSize; i += 7 {
+		ids = append(ids, i) // dense, then past it (overflow until the growth)
+	}
+	for i := alexa.SiteID(0); i < 2*hostPageSize; i += 5 {
+		ids = append(ids, extBase+i) // extended, then past it
+	}
+	for i := alexa.SiteID(0); i < 300; i++ {
+		ids = append(ids, 1<<30+i) // overflow throughout
+	}
+	rank := func(id alexa.SiteID) int { return int(id%5000) + 1 }
+	// A few materialized sites: HostingOf must read them as is.
+	for _, id := range []alexa.SiteID{14, extBase + 10, 1<<30 + 3} {
+		c.Site(id, rank(id))
+	}
+
+	single, adopters := 0, 0
+	check := func(pass string) {
+		t.Helper()
+		for _, id := range ids {
+			want := freshHosting(c, id, rank(id))
+			if got := c.HostingOf(id, rank(id)); got != want {
+				t.Fatalf("%s: HostingOf(%d) = %+v, want %+v", pass, id, got, want)
+			}
+			if pass == "first" {
+				if want.V6AS < 0 {
+					single++
+				} else {
+					adopters++
+				}
+			}
+		}
+	}
+	check("first")
+	if single == 0 || adopters == 0 {
+		t.Fatalf("probe set has %d single-stack and %d adopting sites; need both", single, adopters)
+	}
+	pages := memoPages(c)
+	if pages == 0 {
+		t.Fatal("no memo page allocated for single-stack lookups")
+	}
+	check("repeat")
+	if got := memoPages(c); got != pages {
+		t.Fatalf("repeated lookups allocated pages: %d -> %d", pages, got)
+	}
+	c.Reserve(6*hostPageSize, extBase, 3*hostPageSize)
+	if got := memoPages(c); got != pages {
+		t.Fatalf("Reserve changed the memo: %d pages -> %d", pages, got)
+	}
+	check("after growth")
+	check("after growth, repeat")
+	if c.CachedCount() != 3 {
+		t.Fatalf("CachedCount = %d, want the 3 explicitly materialized sites", c.CachedCount())
+	}
+}
+
+// TestHostingOfAdoptersTakeNoMemo: adopting sites bypass the memo, so
+// a lookup set of adopters alone (World IPv6 Day's participants)
+// allocates no page; the first single-stack lookup allocates one.
+func TestHostingOfAdoptersTakeNoMemo(t *testing.T) {
+	c := newCatalog(t, 600, 22)
+	c.Reserve(20*hostPageSize, 1<<40, 2*hostPageSize)
+	var adopters []alexa.SiteID
+	single := alexa.SiteID(-1)
+	for id := alexa.SiteID(0); id < 20*hostPageSize; id++ {
+		if freshHosting(c, id, 50).V6AS >= 0 {
+			adopters = append(adopters, id)
+		} else if single < 0 {
+			single = id
+		}
+	}
+	if len(adopters) < 10 || single < 0 {
+		t.Fatalf("found %d adopters and single-stack id %d; widen the range", len(adopters), single)
+	}
+	for pass := 0; pass < 2; pass++ {
+		for _, id := range adopters {
+			if got, want := c.HostingOf(id, 50), freshHosting(c, id, 50); got != want {
+				t.Fatalf("HostingOf(%d) = %+v, want %+v", id, got, want)
+			}
+		}
+	}
+	if n := memoPages(c); n != 0 {
+		t.Fatalf("adopter-only lookups allocated %d memo pages", n)
+	}
+	c.HostingOf(single, 50)
+	if n := memoPages(c); n != 1 {
+		t.Fatalf("one single-stack lookup allocated %d memo pages, want 1", n)
+	}
+}
