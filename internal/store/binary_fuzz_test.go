@@ -198,4 +198,7 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 		writeSeed("FuzzDecodeSection", s.name,
 			fmt.Sprintf("byte(%q)", rune(s.section)), fmt.Sprintf("[]byte(%q)", s.payload))
 	}
+	for _, s := range csvFuzzSeeds(saveCSVBytes(t, binarySampleDB())) {
+		writeSeed("FuzzLoadCSV", s.name, fmt.Sprintf("byte(%q)", rune(s.file)), fmt.Sprintf("[]byte(%q)", s.data))
+	}
 }

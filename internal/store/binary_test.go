@@ -61,7 +61,7 @@ func binarySampleDB() *DB {
 }
 
 // saveCSVBytes saves db as CSV and returns the four files' contents.
-func saveCSVBytes(t *testing.T, db *DB) map[string][]byte {
+func saveCSVBytes(t testing.TB, db *DB) map[string][]byte {
 	t.Helper()
 	dir := t.TempDir()
 	if err := db.Save(dir); err != nil {

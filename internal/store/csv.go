@@ -2,6 +2,7 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/csv"
 	"errors"
 	"fmt"
@@ -13,6 +14,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"v6web/internal/alexa"
 	"v6web/internal/topo"
@@ -26,11 +29,20 @@ const (
 	pathsFile   = "paths.csv"
 )
 
+// The files' headers: Save writes them and Load requires them.
+var (
+	sitesHeader   = []string{"site", "host", "first_rank", "v4_as", "v6_as"}
+	dnsHeader     = []string{"vantage", "site", "round", "has_a", "has_aaaa", "identical"}
+	samplesHeader = []string{"vantage", "site", "family", "round", "date", "page_bytes", "downloads", "mean_speed", "ci_ok"}
+	pathsHeader   = []string{"vantage", "family", "dst", "round", "path"}
+)
+
 // Save writes the database as four CSV files under dir, creating it
 // if needed. Every file streams row by row through a bufio.Writer in
 // the tables' canonical iteration order — no sorted whole-table copy
 // is ever materialized, so saving a paper-scale database needs O(1)
-// extra memory.
+// extra memory. The bytes are those encoding/csv's Writer produces for
+// the same records.
 func (db *DB) Save(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -47,108 +59,171 @@ func (db *DB) Save(dir string) error {
 	return db.savePaths(filepath.Join(dir, pathsFile))
 }
 
-// csvStream is a row-at-a-time CSV writer: csv encoding on top of a
-// bufio.Writer on top of the file.
-type csvStream struct {
-	f   *os.File
-	bw  *bufio.Writer
-	w   *csv.Writer
-	err error
+// csvOut writes one CSV file a row at a time. A row is appended field
+// by field into one reused line buffer, each field followed by a
+// comma that endRow turns into the newline, and then copied into a
+// bufio.Writer on top of the file. Numbers, dates and booleans are
+// appended as encoding/csv would write their strconv text, which never
+// needs quoting; free-text fields go through appendField. Write errors
+// latch in the bufio.Writer; close reports the first one.
+type csvOut struct {
+	f    *os.File
+	bw   *bufio.Writer
+	line []byte
 }
 
-func newCSVStream(path string, header []string) (*csvStream, error) {
+func createCSV(path string, header []string) (*csvOut, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, err
 	}
-	bw := bufio.NewWriterSize(f, 1<<16)
-	s := &csvStream{f: f, bw: bw, w: csv.NewWriter(bw)}
-	if err := s.w.Write(header); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return s, nil
+	o := &csvOut{f: f, bw: bufio.NewWriterSize(f, 1<<16)}
+	o.bw.WriteString(strings.Join(header, ",") + "\n")
+	return o, nil
 }
 
-// row writes one record built from fields. Errors latch; close
-// reports the first one.
-func (s *csvStream) row(fields ...string) {
-	if s.err != nil {
-		return
-	}
-	s.err = s.w.Write(fields)
+// intField appends an integer field.
+func (o *csvOut) intField(n int) { o.line = append(strconv.AppendInt(o.line, int64(n), 10), ',') }
+
+// textField appends a free-text field.
+func (o *csvOut) textField(s string) { o.line = append(appendField(o.line, s), ',') }
+
+// endRow writes the buffered row and empties the buffer.
+func (o *csvOut) endRow() {
+	o.line[len(o.line)-1] = '\n'
+	o.bw.Write(o.line)
+	o.line = o.line[:0]
 }
 
-func (s *csvStream) close() error {
-	s.w.Flush()
-	if s.err == nil {
-		s.err = s.w.Error()
+func (o *csvOut) close() error {
+	err := o.bw.Flush()
+	if cerr := o.f.Close(); err == nil {
+		err = cerr
 	}
-	if err := s.bw.Flush(); s.err == nil {
-		s.err = err
+	return err
+}
+
+// appendField appends s encoded as encoding/csv's Writer encodes a
+// field: verbatim unless fieldNeedsQuotes, and otherwise escaped by a
+// csv.Writer, which quotes it and doubles its quotes.
+func appendField(dst []byte, s string) []byte {
+	if !fieldNeedsQuotes(s) {
+		return append(dst, s...)
 	}
-	if err := s.f.Close(); s.err == nil {
-		s.err = err
+	var buf bytes.Buffer
+	w := csv.NewWriter(&buf)
+	w.Write([]string{s}) // a one-field record into memory cannot fail
+	w.Flush()
+	return append(dst, buf.Bytes()[:buf.Len()-1]...) // drop the record's newline
+}
+
+// fieldNeedsQuotes is encoding/csv's Writer.fieldNeedsQuotes for the
+// ',' delimiter: a field is quoted if it holds a comma, quote, CR or
+// LF, starts with a Unicode space, or is exactly `\.`.
+func fieldNeedsQuotes(field string) bool {
+	if field == "" {
+		return false
 	}
-	return s.err
+	if field == `\.` {
+		return true
+	}
+	for i := 0; i < len(field); i++ {
+		if c := field[i]; c == '\n' || c == '\r' || c == '"' || c == ',' {
+			return true
+		}
+	}
+	r1, _ := utf8.DecodeRuneInString(field)
+	return unicode.IsSpace(r1)
+}
+
+// vantageField returns v encoded as a field, comma included: every
+// row of a vantage starts with it.
+func vantageField(v Vantage) []byte {
+	return append(appendField(nil, string(v)), ',')
 }
 
 func (db *DB) saveSites(path string) error {
-	s, err := newCSVStream(path, []string{"site", "host", "first_rank", "v4_as", "v6_as"})
+	o, err := createCSV(path, sitesHeader)
 	if err != nil {
 		return err
 	}
 	db.forEachSite(func(r SiteRow) {
-		s.row(strconv.FormatInt(int64(r.Site), 10), r.Host,
-			strconv.Itoa(r.FirstRank), strconv.Itoa(r.V4AS), strconv.Itoa(r.V6AS))
+		o.line = append(strconv.AppendInt(o.line, int64(r.Site), 10), ',')
+		o.textField(r.Host)
+		o.intField(r.FirstRank)
+		o.intField(r.V4AS)
+		o.intField(r.V6AS)
+		o.endRow()
 	})
-	return s.close()
+	return o.close()
 }
 
 func (db *DB) saveDNS(path string) error {
-	s, err := newCSVStream(path, []string{"vantage", "site", "round", "has_a", "has_aaaa", "identical"})
+	o, err := createCSV(path, dnsHeader)
 	if err != nil {
 		return err
 	}
+	// A row is its site's "vantage,site," prefix, the round, and one of
+	// eight outcome suffixes.
+	var outcome [dnsStateMask + 1][]byte
+	for s := range outcome {
+		outcome[s] = fmt.Appendf(nil, "%t,%t,%t,", s&dnsHasA != 0, s&dnsHasAAAA != 0, s&dnsIdentical != 0)
+	}
+	var prefix []byte
 	// The walker's canonical (site, round) order is the file's order:
 	// workers append concurrently, so equal databases must serialize to
 	// byte-identical files — checkpoint/resume correctness is verified
 	// by comparing saved CSVs.
 	for _, v := range db.Vantages() {
-		vs := string(v)
+		vf := vantageField(v)
+		prefix = prefix[:0]
+		var site alexa.SiteID
 		db.ForEachDNS(v, func(r DNSRow) {
-			s.row(vs, strconv.FormatInt(int64(r.Site), 10), strconv.Itoa(r.Round),
-				strconv.FormatBool(r.HasA), strconv.FormatBool(r.HasAAAA), strconv.FormatBool(r.Identical))
+			if len(prefix) == 0 || r.Site != site {
+				site = r.Site
+				prefix = append(strconv.AppendInt(append(prefix[:0], vf...), int64(site), 10), ',')
+			}
+			o.line = append(o.line, prefix...)
+			o.intField(r.Round)
+			o.line = append(o.line, outcome[dnsState(r.HasA, r.HasAAAA, r.Identical)]...)
+			o.endRow()
 		})
 	}
-	return s.close()
+	return o.close()
 }
 
 func (db *DB) saveSamples(path string) error {
-	s, err := newCSVStream(path, []string{"vantage", "site", "family", "round", "date", "page_bytes", "downloads", "mean_speed", "ci_ok"})
+	o, err := createCSV(path, samplesHeader)
 	if err != nil {
 		return err
 	}
 	for _, v := range db.Vantages() {
-		vs := string(v)
+		vf := vantageField(v)
 		db.ForEachSeries(v, func(site alexa.SiteID, fam topo.Family, ss []Sample) {
 			for _, smp := range ss {
-				s.row(vs, strconv.FormatInt(int64(site), 10), strconv.Itoa(int(fam)),
-					strconv.Itoa(smp.Round), smp.Date.UTC().Format(time.RFC3339),
-					strconv.Itoa(smp.PageBytes), strconv.Itoa(smp.Downloads),
-					strconv.FormatFloat(smp.MeanSpeed, 'g', 17, 64), strconv.FormatBool(smp.CIOK))
+				o.line = append(o.line, vf...)
+				o.line = append(strconv.AppendInt(o.line, int64(site), 10), ',')
+				o.intField(int(fam))
+				o.intField(smp.Round)
+				o.line = append(smp.Date.UTC().AppendFormat(o.line, time.RFC3339), ',')
+				o.intField(smp.PageBytes)
+				o.intField(smp.Downloads)
+				o.line = append(strconv.AppendFloat(o.line, smp.MeanSpeed, 'g', 17, 64), ',')
+				o.line = append(strconv.AppendBool(o.line, smp.CIOK), ',')
+				o.endRow()
 			}
 		})
 	}
-	return s.close()
+	return o.close()
 }
 
 func (db *DB) savePaths(path string) error {
-	s, err := newCSVStream(path, []string{"vantage", "family", "dst", "round", "path"})
+	o, err := createCSV(path, pathsHeader)
 	if err != nil {
 		return err
 	}
 	for _, v := range db.Vantages() {
+		vf := vantageField(v)
 		t := db.lookup(v)
 		t.pathMu.Lock()
 		keys := make([]famDstKey, 0, len(t.paths))
@@ -164,37 +239,23 @@ func (db *DB) savePaths(path string) error {
 		})
 		for _, k := range keys {
 			for _, snap := range t.paths[k] {
-				s.row(string(v), strconv.Itoa(int(k.fam)), strconv.Itoa(k.dst),
-					strconv.Itoa(snap.Round), joinInts(snap.Path))
+				o.line = append(o.line, vf...)
+				o.intField(int(k.fam))
+				o.intField(k.dst)
+				o.intField(snap.Round)
+				for i, as := range snap.Path {
+					if i > 0 {
+						o.line = append(o.line, ';')
+					}
+					o.line = strconv.AppendInt(o.line, int64(as), 10)
+				}
+				o.line = append(o.line, ',')
+				o.endRow()
 			}
 		}
 		t.pathMu.Unlock()
 	}
-	return s.close()
-}
-
-func joinInts(xs []int) string {
-	parts := make([]string, len(xs))
-	for i, x := range xs {
-		parts[i] = strconv.Itoa(x)
-	}
-	return strings.Join(parts, ";")
-}
-
-func splitInts(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, ";")
-	out := make([]int, len(parts))
-	for i, p := range parts {
-		v, err := strconv.Atoi(p)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
+	return o.close()
 }
 
 // ErrNoDatabase reports that a directory holds no saved database at
@@ -207,7 +268,10 @@ var ErrNoDatabase = errors.New("no saved database")
 // none of the database files returns ErrNoDatabase; a partially
 // written directory (some files missing, e.g. after an interrupted
 // Save) returns an error naming the missing files rather than
-// silently yielding an incomplete database.
+// silently yielding an incomplete database. Each file's header must be
+// the one Save writes, its boolean fields exactly true or false, and a
+// sample's family 0 (IPv4) or 1 (IPv6); a row that breaks one is an
+// error naming the file and row.
 func Load(dir string) (*DB, error) {
 	files := []string{sitesFile, dnsFile, samplesFile, pathsFile}
 	var missing []string
@@ -229,100 +293,97 @@ func Load(dir string) (*DB, error) {
 			dir, len(missing), len(files), strings.Join(missing, ", "))
 	}
 	db := NewDB()
-	if err := loadCSV(filepath.Join(dir, sitesFile), 5, func(rec []string) error {
-		site, err := strconv.ParseInt(rec[0], 10, 64)
+	if err := loadCSV(filepath.Join(dir, sitesFile), sitesHeader, func(rec [][]byte) error {
+		site, err := parseSiteID(rec[0])
 		if err != nil {
 			return err
 		}
-		fr, err := strconv.Atoi(rec[2])
+		fr, err := atoi(rec[2])
 		if err != nil {
 			return err
 		}
-		v4, err := strconv.Atoi(rec[3])
+		v4, err := atoi(rec[3])
 		if err != nil {
 			return err
 		}
-		v6, err := strconv.Atoi(rec[4])
+		v6, err := atoi(rec[4])
 		if err != nil {
 			return err
 		}
-		db.PutSite(SiteRow{Site: alexa.SiteID(site), Host: rec[1], FirstRank: fr, V4AS: v4, V6AS: v6})
+		db.PutSite(SiteRow{Site: site, Host: string(rec[1]), FirstRank: fr, V4AS: v4, V6AS: v6})
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	if err := loadCSV(filepath.Join(dir, dnsFile), 6, func(rec []string) error {
-		site, err := strconv.ParseInt(rec[1], 10, 64)
-		if err != nil {
-			return err
-		}
-		round, err := strconv.Atoi(rec[2])
-		if err != nil {
-			return err
-		}
-		db.AddDNS(Vantage(rec[0]), DNSRow{
-			Site: alexa.SiteID(site), Round: round,
-			HasA: rec[3] == "true", HasAAAA: rec[4] == "true", Identical: rec[5] == "true",
-		})
-		return nil
-	}); err != nil {
+	dns := dnsLoader{db: db}
+	if err := loadCSV(filepath.Join(dir, dnsFile), dnsHeader, dns.row); err != nil {
 		return nil, err
 	}
-	if err := loadCSV(filepath.Join(dir, samplesFile), 9, func(rec []string) error {
-		site, err := strconv.ParseInt(rec[1], 10, 64)
+	dns.flush()
+	var sampleV vantageCache
+	if err := loadCSV(filepath.Join(dir, samplesFile), samplesHeader, func(rec [][]byte) error {
+		site, err := parseSiteID(rec[1])
 		if err != nil {
 			return err
 		}
-		fam, err := strconv.Atoi(rec[2])
+		fam, err := atoi(rec[2])
 		if err != nil {
 			return err
 		}
-		round, err := strconv.Atoi(rec[3])
+		if fam != int(topo.V4) && fam != int(topo.V6) {
+			return fmt.Errorf("family %d is not %d (IPv4) or %d (IPv6)", fam, topo.V4, topo.V6)
+		}
+		round, err := atoi(rec[3])
 		if err != nil {
 			return err
 		}
-		date, err := time.Parse(time.RFC3339, rec[4])
+		date, err := time.Parse(time.RFC3339, string(rec[4]))
 		if err != nil {
 			return err
 		}
-		page, err := strconv.Atoi(rec[5])
+		page, err := atoi(rec[5])
 		if err != nil {
 			return err
 		}
-		dls, err := strconv.Atoi(rec[6])
+		dls, err := atoi(rec[6])
 		if err != nil {
 			return err
 		}
-		speed, err := strconv.ParseFloat(rec[7], 64)
+		speed, err := strconv.ParseFloat(string(rec[7]), 64)
 		if err != nil {
 			return err
 		}
-		db.AddSample(Vantage(rec[0]), alexa.SiteID(site), topo.Family(fam), Sample{
+		ciOK, err := parseFlag("ci_ok", rec[8])
+		if err != nil {
+			return err
+		}
+		db.AddSample(sampleV.of(rec[0]), site, topo.Family(fam), Sample{
 			Round: round, Date: date, PageBytes: page, Downloads: dls,
-			MeanSpeed: speed, CIOK: rec[8] == "true",
+			MeanSpeed: speed, CIOK: ciOK,
 		})
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	if err := loadCSV(filepath.Join(dir, pathsFile), 5, func(rec []string) error {
-		fam, err := strconv.Atoi(rec[1])
+	var pathV vantageCache
+	var path []int
+	if err := loadCSV(filepath.Join(dir, pathsFile), pathsHeader, func(rec [][]byte) error {
+		fam, err := atoi(rec[1])
 		if err != nil {
 			return err
 		}
-		dst, err := strconv.Atoi(rec[2])
+		dst, err := atoi(rec[2])
 		if err != nil {
 			return err
 		}
-		round, err := strconv.Atoi(rec[3])
+		round, err := atoi(rec[3])
 		if err != nil {
 			return err
 		}
-		p, err := splitInts(rec[4])
-		if err != nil {
+		if path, err = appendInts(path[:0], rec[4]); err != nil {
 			return err
 		}
-		db.AddPath(Vantage(rec[0]), topo.Family(fam), dst, round, p)
+		db.AddPath(pathV.of(rec[0]), topo.Family(fam), dst, round, path) // AddPath copies path
 		return nil
 	}); err != nil {
 		return nil, err
@@ -330,34 +391,288 @@ func Load(dir string) (*DB, error) {
 	return db, nil
 }
 
-// loadCSV streams a CSV file record by record — O(1) extra memory
-// regardless of file size. The record slice is reused (ReuseRecord);
-// field strings themselves are freshly allocated and safe to retain.
-func loadCSV(path string, fields int, fn func([]string) error) error {
+// dnsLoader decodes dns.csv rows. It holds back each run of rows for
+// one (vantage, site) — the file is in (site, round) order per vantage
+// — and records the run under one lock of the site's shard, with the
+// same result as AddDNS row by row.
+type dnsLoader struct {
+	db      *DB
+	vantage vantageCache
+	t       *vantageTable
+	run     []DNSRow
+}
+
+func (d *dnsLoader) row(rec [][]byte) error {
+	site, err := parseSiteID(rec[1])
+	if err != nil {
+		return err
+	}
+	round, err := atoi(rec[2])
+	if err != nil {
+		return err
+	}
+	hasA, err := parseFlag("has_a", rec[3])
+	if err != nil {
+		return err
+	}
+	hasAAAA, err := parseFlag("has_aaaa", rec[4])
+	if err != nil {
+		return err
+	}
+	identical, err := parseFlag("identical", rec[5])
+	if err != nil {
+		return err
+	}
+	if d.t == nil || !d.vantage.is(rec[0]) {
+		d.flush()
+		d.t = d.db.table(d.vantage.of(rec[0]))
+	} else if len(d.run) > 0 && d.run[0].Site != site {
+		d.flush()
+	}
+	d.run = append(d.run, DNSRow{Site: site, Round: round, HasA: hasA, HasAAAA: hasAAAA, Identical: identical})
+	return nil
+}
+
+// flush records the held-back run.
+func (d *dnsLoader) flush() {
+	if len(d.run) > 0 {
+		d.t.addSiteDNS(d.db.res, d.run)
+		d.run = d.run[:0]
+	}
+}
+
+// vantageCache turns vantage fields into Vantage strings, allocating
+// only when the field differs from the previous row's.
+type vantageCache struct {
+	v   Vantage
+	set bool
+}
+
+func (c *vantageCache) is(b []byte) bool { return c.set && string(b) == string(c.v) }
+
+func (c *vantageCache) of(b []byte) Vantage {
+	if !c.is(b) {
+		c.v, c.set = Vantage(b), true
+	}
+	return c.v
+}
+
+// parseDigits parses an optionally negative run of at most 18 decimal
+// digits, which cannot overflow; it reports false for anything else.
+func parseDigits(b []byte) (int64, bool) {
+	neg := len(b) > 0 && b[0] == '-'
+	if neg {
+		b = b[1:]
+	}
+	if len(b) == 0 || len(b) > 18 {
+		return 0, false
+	}
+	var n int64
+	for _, c := range b {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		n = n*10 + int64(c-'0')
+	}
+	if neg {
+		n = -n
+	}
+	return n, true
+}
+
+// atoi is strconv.Atoi over a field, skipping the string conversion
+// for plain digits.
+func atoi(b []byte) (int, error) {
+	if n, ok := parseDigits(b); ok {
+		return int(n), nil
+	}
+	return strconv.Atoi(string(b))
+}
+
+// parseSiteID is strconv.ParseInt(…, 10, 64) over a field, skipping
+// the string conversion for plain digits.
+func parseSiteID(b []byte) (alexa.SiteID, error) {
+	if n, ok := parseDigits(b); ok {
+		return alexa.SiteID(n), nil
+	}
+	n, err := strconv.ParseInt(string(b), 10, 64)
+	return alexa.SiteID(n), err
+}
+
+// parseFlag reads a boolean field, which Save writes as true or false.
+func parseFlag(column string, b []byte) (bool, error) {
+	switch string(b) {
+	case "true":
+		return true, nil
+	case "false":
+		return false, nil
+	}
+	return false, fmt.Errorf("%s %q is neither true nor false", column, b)
+}
+
+// appendInts appends the ';'-separated integers of a path field to
+// dst; an empty field is the empty path.
+func appendInts(dst []int, b []byte) ([]int, error) {
+	if len(b) == 0 {
+		return dst, nil
+	}
+	for {
+		field, rest, more := bytes.Cut(b, []byte{';'})
+		x, err := atoi(field)
+		if err != nil {
+			return dst, err
+		}
+		dst = append(dst, x)
+		if !more {
+			return dst, nil
+		}
+		b = rest
+	}
+}
+
+// loadCSV reads one file of a saved database: its first record must
+// equal header, and fn decodes every later one, which must have as
+// many fields. The fields passed to fn are valid only during the call.
+// Memory stays O(1) in the file size.
+func loadCSV(path string, header []string, fn func(rec [][]byte) error) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	r := csv.NewReader(bufio.NewReaderSize(f, 1<<16))
-	r.ReuseRecord = true
-	r.FieldsPerRecord = -1 // field counts are checked per row below
-	for i := 0; ; i++ {
-		rec, err := r.Read()
+	l := &csvLoader{name: filepath.Base(path), header: header, fn: fn}
+	err = l.scanPlain(f)
+	if errors.Is(err, errNeedsCSVReader) {
+		if _, err = f.Seek(0, io.SeekStart); err == nil {
+			err = l.scanCSV(f)
+		}
+	}
+	if err == nil && l.n == 0 {
+		err = fmt.Errorf("store: %s: no header, want %q", l.name, strings.Join(header, ","))
+	}
+	return err
+}
+
+// csvLoader feeds one file's records, in order, to its decoder. A byte
+// scanner splits plain lines on commas without copying them. The first
+// line holding a quote or a CR, or longer than the read buffer, hands
+// the file to encoding/csv's Reader from its start, which skips the
+// records already applied: quoted fields, CRLF line ends and parse
+// errors (with their positions) are csv.Reader's.
+type csvLoader struct {
+	name   string
+	header []string
+	fn     func(rec [][]byte) error
+	n      int // records applied, header included
+}
+
+// errNeedsCSVReader stops the byte scanner at a line it leaves to
+// encoding/csv.
+var errNeedsCSVReader = errors.New("line needs encoding/csv")
+
+// record applies the next record: the header check, then fn.
+func (l *csvLoader) record(rec [][]byte) error {
+	i := l.n
+	l.n++
+	if i == 0 {
+		return l.checkHeader(rec)
+	}
+	if len(rec) != len(l.header) {
+		return fmt.Errorf("store: %s row %d has %d fields, want %d", l.name, i, len(rec), len(l.header))
+	}
+	if err := l.fn(rec); err != nil {
+		return fmt.Errorf("store: %s row %d: %w", l.name, i, err)
+	}
+	return nil
+}
+
+func (l *csvLoader) checkHeader(rec [][]byte) error {
+	ok := len(rec) == len(l.header)
+	for i := 0; ok && i < len(rec); i++ {
+		ok = string(rec[i]) == l.header[i]
+	}
+	if ok {
+		return nil
+	}
+	return fmt.Errorf("store: %s: header %q, want %q", l.name, bytes.Join(rec, []byte{','}), strings.Join(l.header, ","))
+}
+
+// scanPlain applies records line by line until EOF or, returning
+// errNeedsCSVReader, the first line it cannot split itself. Like
+// csv.Reader it skips empty lines and accepts a last line without a
+// newline.
+func (l *csvLoader) scanPlain(r io.Reader) error {
+	br := bufio.NewReaderSize(r, 1<<16)
+	var fields [][]byte
+	for {
+		line, err := br.ReadSlice('\n')
+		switch {
+		case errors.Is(err, bufio.ErrBufferFull):
+			return errNeedsCSVReader
+		case err != nil && !errors.Is(err, io.EOF):
+			return fmt.Errorf("store: %s: %w", l.name, err)
+		}
+		if n := len(line); n > 0 && line[n-1] == '\n' {
+			line = line[:n-1]
+		}
+		if len(line) > 0 {
+			var plain bool
+			if fields, plain = splitPlain(line, fields[:0]); !plain {
+				return errNeedsCSVReader
+			}
+			if rerr := l.record(fields); rerr != nil {
+				return rerr
+			}
+		}
+		if err != nil {
+			return nil // EOF
+		}
+	}
+}
+
+// splitPlain splits line on commas into fields that share its bytes,
+// reporting false if the line holds a quote or a CR.
+func splitPlain(line []byte, fields [][]byte) ([][]byte, bool) {
+	start := 0
+	for i, c := range line {
+		if c > ',' { // digits and letters: the bytes of almost every field
+			continue
+		}
+		switch c {
+		case ',':
+			fields = append(fields, line[start:i])
+			start = i + 1
+		case '"', '\r':
+			return fields, false
+		}
+	}
+	return append(fields, line[start:]), true
+}
+
+// scanCSV reads the file from its start with csv.Reader, skipping the
+// records scanPlain already applied.
+func (l *csvLoader) scanCSV(r io.Reader) error {
+	cr := csv.NewReader(bufio.NewReaderSize(r, 1<<16))
+	cr.ReuseRecord = true
+	cr.FieldsPerRecord = -1 // field counts are checked per row
+	var fields [][]byte
+	for i, skip := 0, l.n; ; i++ {
+		rec, err := cr.Read()
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				return nil
 			}
-			return fmt.Errorf("store: %s: %w", filepath.Base(path), err)
+			return fmt.Errorf("store: %s: %w", l.name, err)
 		}
-		if i == 0 {
-			continue // header
+		if i < skip {
+			continue
 		}
-		if len(rec) != fields {
-			return fmt.Errorf("store: %s row %d has %d fields, want %d", filepath.Base(path), i, len(rec), fields)
+		fields = fields[:0]
+		for _, s := range rec {
+			fields = append(fields, []byte(s))
 		}
-		if err := fn(rec); err != nil {
-			return fmt.Errorf("store: %s row %d: %w", filepath.Base(path), i, err)
+		if err := l.record(fields); err != nil {
+			return err
 		}
 	}
 }

@@ -287,8 +287,17 @@ func (s *dnsShard) hist(res reservation, id alexa.SiteID, create bool) *dnsHist 
 // add records one DNS observation, reporting out-of-order rows the
 // caller must keep in the ooo log instead. Caller holds s.mu.
 func (s *dnsShard) add(res reservation, row DNSRow) (ooo bool) {
-	h := s.hist(res, row.Site, true)
-	nr, spill, outOfOrder := h.append(s.spill[row.Site], int32(row.Round), dnsState(row.HasA, row.HasAAAA, row.Identical))
+	return s.addTo(s.hist(res, row.Site, true), row)
+}
+
+// addTo is add with row.Site's history slot h already looked up.
+// Caller holds s.mu.
+func (s *dnsShard) addTo(h *dnsHist, row DNSRow) (ooo bool) {
+	var spillRuns []dnsRun
+	if h.run[1].state&dnsSpilled != 0 {
+		spillRuns = s.spill[row.Site]
+	}
+	nr, spill, outOfOrder := h.append(spillRuns, int32(row.Round), dnsState(row.HasA, row.HasAAAA, row.Identical))
 	if outOfOrder {
 		return true
 	}
@@ -901,6 +910,27 @@ func (t *vantageTable) addDNS(res reservation, row DNSRow) {
 	if ooo {
 		t.oooMu.Lock()
 		t.ooo = append(t.ooo, row)
+		t.oooMu.Unlock()
+	}
+}
+
+// addSiteDNS records rows — one site's, in order — under a single
+// lock of the site's shard, with the result of addDNS row by row. It
+// reuses rows to collect the out-of-order ones.
+func (t *vantageTable) addSiteDNS(res reservation, rows []DNSRow) {
+	sh := &t.dns[uint64(rows[0].Site)&(shards-1)]
+	sh.mu.Lock()
+	h := sh.hist(res, rows[0].Site, true)
+	ooo := rows[:0]
+	for _, row := range rows {
+		if sh.addTo(h, row) {
+			ooo = append(ooo, row)
+		}
+	}
+	sh.mu.Unlock()
+	if len(ooo) > 0 {
+		t.oooMu.Lock()
+		t.ooo = append(t.ooo, ooo...)
 		t.oooMu.Unlock()
 	}
 }
