@@ -61,10 +61,10 @@ func benchScenario(b *testing.B) *core.Scenario {
 		if benchErr != nil {
 			return
 		}
-		if benchErr = benchSc.Run(); benchErr != nil {
+		if benchErr = benchSc.RunContext(context.Background()); benchErr != nil {
 			return
 		}
-		benchErr = benchSc.RunWorldV6Day()
+		benchErr = benchSc.RunWorldV6DayContext(context.Background())
 	})
 	if benchErr != nil {
 		b.Fatal(benchErr)
@@ -338,10 +338,10 @@ func BenchmarkScenarioRun(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := s.Run(); err != nil {
+		if err := s.RunContext(context.Background()); err != nil {
 			b.Fatal(err)
 		}
-		if err := s.RunWorldV6Day(); err != nil {
+		if err := s.RunWorldV6DayContext(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -392,7 +392,7 @@ func BenchmarkFullStudy(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := s.Run(); err != nil {
+		if err := s.RunContext(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 		_ = s.Study().Table8()
@@ -425,10 +425,10 @@ func BenchmarkPaperScale(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := s.Run(); err != nil {
+		if err := s.RunContext(context.Background()); err != nil {
 			b.Fatal(err)
 		}
-		if err := s.RunWorldV6Day(); err != nil {
+		if err := s.RunWorldV6DayContext(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 		runtime.GC()
@@ -474,7 +474,7 @@ func BenchmarkShardedPaperScaleMini(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := s.RunWorldV6Day(); err != nil {
+		if err := s.RunWorldV6DayContext(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 		sites, _, _, _ := s.DB.Counts()
@@ -541,10 +541,11 @@ func diskBytes(b *testing.B, root string) float64 {
 	return float64(total)
 }
 
-// BenchmarkSnapshotSave times one full checkpoint write of the shared
-// bench database in each snapshot format; disk-bytes is the size the
-// save leaves behind. The binary format must beat CSV on both axes —
-// that gap is why checkpoints default to binary.
+// BenchmarkSnapshotSave times one full durable save of the shared
+// bench database in each serialization: CSV, the product format, and
+// binary, the checkpoint format. disk-bytes is the size the save
+// leaves behind; the binary format's lead on both axes is why it is
+// the only checkpoint format.
 func BenchmarkSnapshotSave(b *testing.B) {
 	b.ReportAllocs()
 	db := benchScenario(b).DB
@@ -576,7 +577,8 @@ func BenchmarkSnapshotSave(b *testing.B) {
 }
 
 // BenchmarkSnapshotLoad times materializing the same database back
-// from each format — the cost a resume pays before its first round.
+// from each format: binary is what a resume pays before its first
+// round, CSV what `v6report -db` pays.
 func BenchmarkSnapshotLoad(b *testing.B) {
 	b.ReportAllocs()
 	db := benchScenario(b).DB
@@ -628,7 +630,7 @@ func ablationScenario(b *testing.B, seed int64, mutate func(*core.Config)) *anal
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := s.Run(); err != nil {
+	if err := s.RunContext(context.Background()); err != nil {
 		b.Fatal(err)
 	}
 	return s.Study()
@@ -898,7 +900,7 @@ func BenchmarkMonitorScaling(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := s2.Run(); err != nil {
+				if err := s2.RunContext(context.Background()); err != nil {
 					b.Fatal(err)
 				}
 				_ = s
@@ -936,7 +938,7 @@ func BenchmarkMonitorScaling(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := s.Run(); err != nil {
+				if err := s.RunContext(context.Background()); err != nil {
 					b.Fatal(err)
 				}
 				_, dnsRows, samples, _ = s.DB.Counts()

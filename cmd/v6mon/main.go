@@ -9,10 +9,9 @@
 // interrupt loses at most the round in flight and a hard kill at
 // most the cadence. Restarting with -resume picks up from the last
 // checkpoint and produces byte-identical final CSVs to a
-// never-interrupted run. Checkpoints are written as binary .v6db
-// snapshots by default (-format csv keeps the old CSV checkpoints);
-// resume auto-detects either format, and the final measurement CSVs
-// are the same regardless.
+// never-interrupted run. Checkpoints are binary .v6db snapshots;
+// -resume also continues a campaign checkpointed as CSV by an earlier
+// build.
 //
 // The campaign's world can come from a declarative scenario pack
 // (-scenario, internal/scenario) instead of the shape flags: a
@@ -22,7 +21,7 @@
 // Usage:
 //
 //	v6mon -out data/ [-seed 42] [-ases 1500] [-sites 20000] [-rounds 35]
-//	      [-checkpoint-every 5] [-format binary|csv] [-q]
+//	      [-checkpoint-every 5] [-q]
 //	v6mon -out data/ -scenario world-ipv6-day              # a built-in pack
 //	v6mon -out data/ -scenario my.json -set topo.ases=500  # a pack file, scaled
 //	v6mon -out data/ -resume          # continue a killed campaign (same flags)
@@ -77,7 +76,6 @@ func main() {
 		every     = flag.Int("checkpoint-every", 5, "checkpoint after this many completed rounds (0 disables checkpointing; SIGINT checkpoints regardless)")
 		stopAfter = flag.Int("stop-after", 0, "checkpoint and exit after this round completes (0 runs to the end)")
 		shards    = flag.Int("shards", 1, "split the campaign across this many local worker processes (1 runs in-process)")
-		format    = flag.String("format", "binary", "checkpoint snapshot format: binary or csv (the final measurement CSVs are unaffected)")
 		faults    = flag.String("faults", "", "deterministic chaos plan, e.g. seed=7,fs=0.1,wire.cut=0.3 (unsharded runs take fs faults only and have no retry layer, so an injected checkpoint fault aborts the run)")
 		frameTime = flag.Duration("frame-timeout", 0, "sharded: max silence on a worker stream before the shard attempt is retried (0 uses the default watchdog; needs -shards > 1)")
 	)
@@ -101,12 +99,10 @@ func main() {
 		fatal(cfgErr)
 	}
 
-	ckptFormat, err := store.ParseSnapshotFormat(*format)
-	if err != nil {
-		fatal(err)
-	}
-
-	var fc *fault.Config
+	var (
+		fc  *fault.Config
+		err error
+	)
 	if *faults != "" {
 		fc, err = fault.ParseFlag(*faults)
 		if err != nil {
@@ -121,7 +117,7 @@ func main() {
 		if *resume || *stopAfter > 0 {
 			fatal(fmt.Errorf("-shards does not combine with -resume or -stop-after; workers resume from their own shard checkpoints, so just rerun the same command"))
 		}
-		runSharded(cfg, *out, *shards, *every, ckptFormat, fc, *frameTime, *quiet)
+		runSharded(cfg, *out, *shards, *every, fc, *frameTime, *quiet)
 		return
 	}
 	if *frameTime > 0 {
@@ -137,7 +133,6 @@ func main() {
 	defer stop()
 
 	ckpt := store.NewCheckpointBackend(*out)
-	ckpt.Format = ckptFormat
 	ckpt.Fingerprint = cfg.Fingerprint()
 	if fc != nil {
 		// Chaos drill for the checkpoint path: filesystem faults land
@@ -231,11 +226,11 @@ func main() {
 // runSharded is the -shards path: worker processes measure site-range
 // slices, the coordinator merges their frames, and everything after
 // the main study (World IPv6 Day, saving) runs locally as usual.
-func runSharded(cfg core.Config, out string, shards, every int, format store.SnapshotFormat, fc *fault.Config, frameTime time.Duration, quiet bool) {
+func runSharded(cfg core.Config, out string, shards, every int, fc *fault.Config, frameTime time.Duration, quiet bool) {
 	ctx, stop := cli.SignalContext()
 	defer stop()
 
-	opt := shard.Options{Workers: shards, CheckpointEvery: every, CheckpointFormat: format, Faults: fc}
+	opt := shard.Options{Workers: shards, CheckpointEvery: every, Faults: fc}
 	if frameTime > 0 {
 		opt.Retry.Timeout = frameTime
 	}

@@ -53,7 +53,6 @@ import (
 	"v6web/internal/cli"
 	"v6web/internal/daemon"
 	"v6web/internal/scenario"
-	"v6web/internal/store"
 )
 
 // campaignFlag is the repeatable -campaign value: "name=pack" with
@@ -98,17 +97,11 @@ func main() {
 		pace    = flag.Duration("round-every", 0, "pause between campaign rounds (the paper's weekly cadence, scaled; 0 runs rounds back-to-back)")
 		watch   = flag.Duration("watchdog", 0, "stuck-round deadline base: a round with no progress for this long (plus restart backoff) is abandoned and resumed from the last checkpoint (0 uses the default retry policy's timeout)")
 		renders = flag.Int("render-concurrency", 4, "max concurrent cold exhibit renders; beyond it requests are shed with 429")
-		format  = flag.String("format", "binary", "checkpoint snapshot format for newly added campaigns: binary or csv")
 		quiet   = flag.Bool("q", false, "suppress progress output")
 	)
 	var campaigns campaignFlags
 	flag.Var(&campaigns, "campaign", "campaign as name=pack[;key=value;...] (repeatable); pack is a built-in scenario name or a pack file, overrides are dotted spec paths")
 	flag.Parse()
-
-	ckptFormat, err := store.ParseSnapshotFormat(*format)
-	if err != nil {
-		fatal(err)
-	}
 
 	opt := daemon.Options{
 		Dir:               *data,
@@ -116,7 +109,6 @@ func main() {
 		CheckpointEvery:   *every,
 		RoundEvery:        *pace,
 		RenderConcurrency: *renders,
-		Format:            ckptFormat,
 	}
 	if *watch > 0 {
 		opt.Retry.Timeout = *watch

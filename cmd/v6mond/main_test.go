@@ -5,7 +5,7 @@ package main
 // where the kill lands next to a checkpoint commit — restart it with
 // no flags (discovery alone), and the resumed campaign must produce
 // final CSVs and served exhibit bytes byte-identical to a run that was
-// never interrupted. Both checkpoint snapshot formats are exercised.
+// never interrupted.
 
 import (
 	"bytes"
@@ -177,42 +177,40 @@ func TestKillAnywhereResumesByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(seed))
 	t.Logf("kill-timing seed %d", seed)
 
-	for _, format := range []string{"binary", "csv"} {
-		for trial := 0; trial < 2; trial++ {
-			name := fmt.Sprintf("%s/trial%d", format, trial)
-			data := filepath.Join(root, fmt.Sprintf("kill-%s-%d", format, trial))
+	for trial := 0; trial < 2; trial++ {
+		name := fmt.Sprintf("trial%d", trial)
+		data := filepath.Join(root, fmt.Sprintf("kill-%d", trial))
 
-			// Paced run so the kill lands inside a live campaign. Trial 0
-			// kills at a random instant; trial 1 kills the moment a round
-			// boundary is observed — right where checkpoint commit and
-			// version publish happen.
-			cmd, logs, base := startDaemon(t, bin, data,
-				"-campaign", killTestCampaign, "-format", format, "-round-every", "250ms")
-			if trial == 0 {
-				time.Sleep(time.Duration(rng.Int63n(int64(1200 * time.Millisecond))))
-			} else {
-				start := campaignRound(base)
-				deadline := time.Now().Add(30 * time.Second)
-				for campaignRound(base) <= start && time.Now().Before(deadline) {
-					time.Sleep(2 * time.Millisecond)
-				}
+		// Paced run so the kill lands inside a live campaign. Trial 0
+		// kills at a random instant; trial 1 kills the moment a round
+		// boundary is observed — right where checkpoint commit and
+		// version publish happen.
+		cmd, logs, base := startDaemon(t, bin, data,
+			"-campaign", killTestCampaign, "-round-every", "250ms")
+		if trial == 0 {
+			time.Sleep(time.Duration(rng.Int63n(int64(1200 * time.Millisecond))))
+		} else {
+			start := campaignRound(base)
+			deadline := time.Now().Add(30 * time.Second)
+			for campaignRound(base) <= start && time.Now().Before(deadline) {
+				time.Sleep(2 * time.Millisecond)
 			}
-			cmd.Process.Kill() // SIGKILL: no drain, no shutdown checkpoint
-			cmd.Wait()
-
-			// Restart with no campaign flags: discovery must find and
-			// resume (or finish) the campaign unaided.
-			cmd, logs, base = startDaemon(t, bin, data)
-			waitComplete(t, base, logs)
-			got := servedArtifacts(t, base, data)
-			for key, wantBytes := range want {
-				if !bytes.Equal(got[key], wantBytes) {
-					t.Errorf("%s: %s differs from uninterrupted run (%d vs %d bytes)",
-						name, key, len(got[key]), len(wantBytes))
-				}
-			}
-			drain(t, cmd, logs)
 		}
+		cmd.Process.Kill() // SIGKILL: no drain, no shutdown checkpoint
+		cmd.Wait()
+
+		// Restart with no campaign flags: discovery must find and
+		// resume (or finish) the campaign unaided.
+		cmd, logs, base = startDaemon(t, bin, data)
+		waitComplete(t, base, logs)
+		got := servedArtifacts(t, base, data)
+		for key, wantBytes := range want {
+			if !bytes.Equal(got[key], wantBytes) {
+				t.Errorf("%s: %s differs from uninterrupted run (%d vs %d bytes)",
+					name, key, len(got[key]), len(wantBytes))
+			}
+		}
+		drain(t, cmd, logs)
 	}
 }
 

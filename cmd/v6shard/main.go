@@ -13,7 +13,7 @@
 //
 //	v6shard coordinate -out data/ -shards 4 [-seed 42] [-ases 1500]
 //	        [-sites 20000] [-rounds 35] [-scenario pack [-set k=v]]
-//	        [-format binary|csv] [-faults plan] [-frame-timeout 5m] [-q]
+//	        [-faults plan] [-frame-timeout 5m] [-q]
 //	v6shard coordinate -out data/ -shards 8 -listen :9653
 //	v6shard worker -connect host:9653 [-dial-attempts 20]   # repeat per machine/core
 //
@@ -38,7 +38,6 @@ import (
 	"v6web/internal/fault"
 	"v6web/internal/scenario"
 	"v6web/internal/shard"
-	"v6web/internal/store"
 )
 
 func main() {
@@ -93,7 +92,6 @@ func coordinateMain(args []string) {
 		shards = fs.Int("shards", 4, "number of site-range shards / workers")
 		listen = fs.String("listen", "", "accept remote `v6shard worker -connect` processes on this address instead of spawning local workers")
 		every  = fs.Int("checkpoint-every", 2, "worker checkpoint cadence in rounds (0 disables; a failed worker then retries from scratch)")
-		format = fs.String("format", "binary", "worker checkpoint snapshot format: binary or csv (the final measurement CSVs are unaffected)")
 		quiet  = fs.Bool("q", false, "suppress progress output")
 		faults = fs.String("faults", "", "deterministic chaos plan, e.g. seed=7,fs=0.1,wire.cut=0.3 (see go doc v6web/internal/fault ParseFlag)")
 		ftime  = fs.Duration("frame-timeout", 0, "max silence on a worker stream before the shard attempt is abandoned and retried (0 uses the default watchdog)")
@@ -123,19 +121,13 @@ func coordinateMain(args []string) {
 		cfg = comp.Config
 	}
 
-	ckptFormat, err := store.ParseSnapshotFormat(*format)
-	if err != nil {
-		fatal(err)
-	}
-
 	ctx, stop := cli.SignalContext()
 	defer stop()
 
 	opt := shard.Options{
-		Workers:          *shards,
-		CheckpointEvery:  *every,
-		CheckpointFormat: ckptFormat,
-		Listen:           *listen,
+		Workers:         *shards,
+		CheckpointEvery: *every,
+		Listen:          *listen,
 	}
 	if *faults != "" {
 		fc, err := fault.ParseFlag(*faults)

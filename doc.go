@@ -27,11 +27,11 @@
 // had: Scenario.RunContext drives a resumable round cursor
 // (NextRound/RoundsDone) under a context, streams typed RoundEvents
 // to observers (core.WithObserver), and checkpoints completed rounds
-// (core.WithCheckpoint) to a pluggable storage backend
-// (store.Backend — plain CSV directories or the crash-safe,
-// append-only store.CheckpointBackend). A campaign killed at any
-// round resumes via core.Resume with final results byte-identical to
-// a never-interrupted run. The round is also the parallel unit:
+// (core.WithCheckpoint) to a storage backend (store.Backend,
+// implemented by the crash-safe, append-only log of binary snapshots,
+// store.CheckpointBackend). A campaign killed at any round resumes
+// via core.Resume with final results byte-identical to a
+// never-interrupted run. The round is also the parallel unit:
 // every started vantage (and the extended site population) monitors
 // concurrently on a bounded pool (core.Config.RoundWorkers), with
 // events, checkpoints, and CSVs byte-identical to the serial path —

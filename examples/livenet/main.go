@@ -107,10 +107,11 @@ func main() {
 	fmt.Printf("sites: %d   dual-stack: %d   measured: %d\n\n", st.Sites, st.Dual, st.Measured)
 
 	fmt.Printf("%-22s %12s %12s %8s  %s\n", "site", "IPv4 kB/s", "IPv6 kB/s", "v6/v4", "diagnosis")
+	snap := db.Freeze()
 	for _, sp := range sites {
 		host := measure.HostName(sp.id)
-		s4 := db.Samples("livenet", sp.id, topo.V4)
-		s6 := db.Samples("livenet", sp.id, topo.V6)
+		s4 := snap.Series("livenet", sp.id, topo.V4)
+		s6 := snap.Series("livenet", sp.id, topo.V6)
 		switch {
 		case len(s4) > 0 && len(s6) > 0:
 			ratio := s6[0].MeanSpeed / s4[0].MeanSpeed

@@ -46,11 +46,10 @@ func config() core.Config {
 }
 
 func save(s *core.Scenario, dir string) error {
-	b := &store.CSVBackend{Dir: dir}
-	if err := b.SaveSnapshot(store.SnapMain, s.DB); err != nil {
+	if err := s.DB.Save(filepath.Join(dir, store.SnapMain)); err != nil {
 		return err
 	}
-	return b.SaveSnapshot(store.SnapV6Day, s.V6DayDB)
+	return s.V6DayDB.Save(filepath.Join(dir, store.SnapV6Day))
 }
 
 func main() {
@@ -66,10 +65,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := ref.Run(); err != nil {
+	if err := ref.RunContext(context.Background()); err != nil {
 		log.Fatal(err)
 	}
-	if err := ref.RunWorldV6Day(); err != nil {
+	if err := ref.RunWorldV6DayContext(context.Background()); err != nil {
 		log.Fatal(err)
 	}
 	if err := save(ref, filepath.Join(root, "ref")); err != nil {
@@ -112,7 +111,7 @@ func main() {
 	if err := resumed.RunContext(context.Background(), core.WithBackend(backend), core.WithCheckpoint(1)); err != nil {
 		log.Fatal(err)
 	}
-	if err := resumed.RunWorldV6Day(); err != nil {
+	if err := resumed.RunWorldV6DayContext(context.Background()); err != nil {
 		log.Fatal(err)
 	}
 	if err := save(resumed, filepath.Join(root, "resumed")); err != nil {

@@ -166,13 +166,6 @@ type VantageAnalysis struct {
 	spCats map[int]ASCategory
 }
 
-// Analyze aggregates one vantage's measurements. It freezes its own
-// store snapshot; a study analyzing several vantages of one database
-// should Freeze once and call AnalyzeSnapshot per vantage instead.
-func Analyze(db *store.DB, v store.Vantage, th Thresholds) *VantageAnalysis {
-	return AnalyzeSnapshot(db.Freeze(), v, th)
-}
-
 // AnalyzeSnapshot aggregates one vantage's measurements in a single
 // pass over a frozen read view: per-site round pairing is a linear
 // merge of the two round-sorted series (no per-site map), site rows

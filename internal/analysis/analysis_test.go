@@ -107,7 +107,7 @@ func buildDB() *store.DB {
 
 func analyzeFixture(t *testing.T) *VantageAnalysis {
 	t.Helper()
-	return Analyze(buildDB(), "penn", DefaultThresholds())
+	return AnalyzeSnapshot(buildDB().Freeze(), "penn", DefaultThresholds())
 }
 
 func TestAggregateKeepsStableSites(t *testing.T) {
@@ -331,8 +331,8 @@ func TestTable8CrossChecks(t *testing.T) {
 	for id := alexa.SiteID(1); id <= 4; id++ {
 		addSeries(db, v2, id, flat(24, 44), flat(24, 43))
 	}
-	va1 := Analyze(db, "penn", DefaultThresholds())
-	va2 := Analyze(db, v2, DefaultThresholds())
+	va1 := AnalyzeSnapshot(db.Freeze(), "penn", DefaultThresholds())
+	va2 := AnalyzeSnapshot(db.Freeze(), v2, DefaultThresholds())
 	s := NewStudy(va1, va2)
 	rows := s.Table8()
 	for _, r := range rows {
@@ -421,8 +421,8 @@ func TestTable8NegativeCrossCheck(t *testing.T) {
 	for id := alexa.SiteID(1); id <= 4; id++ {
 		addSeries(db, v2, id, flat(24, 50), flat(24, 20)) // all badly worse
 	}
-	va1 := Analyze(db, "penn", DefaultThresholds())
-	va2 := Analyze(db, v2, DefaultThresholds())
+	va1 := AnalyzeSnapshot(db.Freeze(), "penn", DefaultThresholds())
+	va2 := AnalyzeSnapshot(db.Freeze(), v2, DefaultThresholds())
 	rows := NewStudy(va1, va2).Table8()
 	neg := 0
 	for _, r := range rows {
@@ -438,7 +438,7 @@ func TestClassUnknownWhenPathsMissing(t *testing.T) {
 	db.PutSite(store.SiteRow{Site: 1, FirstRank: 1, V4AS: 100, V6AS: 100})
 	addSeries(db, "penn", 1, flat(24, 50), flat(24, 50))
 	// No paths recorded at all.
-	va := Analyze(db, "penn", DefaultThresholds())
+	va := AnalyzeSnapshot(db.Freeze(), "penn", DefaultThresholds())
 	if len(va.Sites) != 1 {
 		t.Fatalf("%d sites", len(va.Sites))
 	}
@@ -462,7 +462,7 @@ func TestUnpairedRoundsIgnored(t *testing.T) {
 			db.AddSample("penn", 1, topo.V6, store.Sample{Round: r, MeanSpeed: 49, CIOK: true})
 		}
 	}
-	va := Analyze(db, "penn", DefaultThresholds())
+	va := AnalyzeSnapshot(db.Freeze(), "penn", DefaultThresholds())
 	if va.Sites[0].Rounds != 12 {
 		t.Fatalf("paired rounds %d, want 12", va.Sites[0].Rounds)
 	}
@@ -478,7 +478,7 @@ func TestCIFailedRoundsExcluded(t *testing.T) {
 		db.AddSample("penn", 1, topo.V4, store.Sample{Round: r, MeanSpeed: 50, CIOK: ok})
 		db.AddSample("penn", 1, topo.V6, store.Sample{Round: r, MeanSpeed: 49, CIOK: ok})
 	}
-	va := Analyze(db, "penn", DefaultThresholds())
+	va := AnalyzeSnapshot(db.Freeze(), "penn", DefaultThresholds())
 	if va.Sites[0].Rounds != 20 {
 		t.Fatalf("rounds %d, want 20 (CI-failed rounds excluded)", va.Sites[0].Rounds)
 	}

@@ -41,7 +41,7 @@ func betterDB() *store.DB {
 }
 
 func TestBetterV6Profile(t *testing.T) {
-	va := Analyze(betterDB(), "penn", DefaultThresholds())
+	va := AnalyzeSnapshot(betterDB().Freeze(), "penn", DefaultThresholds())
 	p := va.BetterV6()
 	if p.Total != 10 || p.Better != 3 {
 		t.Fatalf("profile: %+v", p)
@@ -62,7 +62,7 @@ func TestBetterV6Profile(t *testing.T) {
 }
 
 func TestBetterV6Empty(t *testing.T) {
-	va := Analyze(store.NewDB(), "penn", DefaultThresholds())
+	va := AnalyzeSnapshot(store.NewDB().Freeze(), "penn", DefaultThresholds())
 	p := va.BetterV6()
 	if p.Total != 0 || p.Better != 0 || p.MaxDeviation != 0 {
 		t.Fatalf("empty profile: %+v", p)

@@ -23,7 +23,7 @@ func TestV6FasterRoundOdds(t *testing.T) {
 		db.AddSample(v, 1, topo.V4, store.Sample{Round: r, MeanSpeed: 50, CIOK: true})
 		db.AddSample(v, 1, topo.V6, store.Sample{Round: r, MeanSpeed: v6, CIOK: true})
 	}
-	va := Analyze(db, v, DefaultThresholds())
+	va := AnalyzeSnapshot(db.Freeze(), v, DefaultThresholds())
 	if len(va.KeptSites()) != 1 {
 		t.Fatalf("kept %d", len(va.KeptSites()))
 	}
@@ -43,7 +43,7 @@ func TestV6FasterRoundOdds(t *testing.T) {
 
 func TestV6FasterMetricsEmpty(t *testing.T) {
 	db := store.NewDB()
-	va := Analyze(db, "penn", DefaultThresholds())
+	va := AnalyzeSnapshot(db.Freeze(), "penn", DefaultThresholds())
 	if va.V6FasterRoundOdds() != 0 || va.V6FasterMedianOdds() != 0 {
 		t.Fatal("empty study produced nonzero odds")
 	}
@@ -59,7 +59,7 @@ func TestV6FasterMedianOddsMajority(t *testing.T) {
 		db.AddSample(v, 1, topo.V4, store.Sample{Round: r, MeanSpeed: 50, CIOK: true})
 		db.AddSample(v, 1, topo.V6, store.Sample{Round: r, MeanSpeed: 53, CIOK: true})
 	}
-	va := Analyze(db, v, DefaultThresholds())
+	va := AnalyzeSnapshot(db.Freeze(), v, DefaultThresholds())
 	if m := va.V6FasterMedianOdds(); m != 1 {
 		t.Fatalf("median odds %v, want 1", m)
 	}

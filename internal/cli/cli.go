@@ -8,6 +8,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"time"
 
 	"v6web/internal/store"
@@ -34,19 +35,20 @@ func Fatal(tool string, err error) {
 }
 
 // SaveCompleted writes a finished campaign's product to dir: both
-// database snapshots plus the completion Meta (NextRound == Rounds,
+// databases as CSV plus the completion Meta (NextRound == Rounds,
 // Complete set) that marks the directory as final rather than a
-// resumable checkpoint. Every tool that finishes a campaign goes
-// through here so the completion contract cannot drift between them.
+// resumable checkpoint. A returned nil means the product survives
+// power loss, so callers may then delete the checkpoint log. Every
+// tool that finishes a campaign goes through here so the completion
+// contract cannot drift between them.
 func SaveCompleted(dir string, rounds int, fingerprint string, main, v6day *store.DB) error {
-	final := &store.CSVBackend{Dir: dir}
-	if err := final.SaveSnapshot(store.SnapMain, main); err != nil {
+	if err := main.Save(filepath.Join(dir, store.SnapMain)); err != nil {
 		return err
 	}
-	if err := final.SaveSnapshot(store.SnapV6Day, v6day); err != nil {
+	if err := v6day.Save(filepath.Join(dir, store.SnapV6Day)); err != nil {
 		return err
 	}
-	return final.SaveMeta(store.Meta{
+	return store.WriteMeta(dir, store.Meta{
 		NextRound:  rounds,
 		Rounds:     rounds,
 		ConfigHash: fingerprint,

@@ -8,6 +8,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -256,9 +257,11 @@ type Scenario struct {
 	next   int
 	ranV6D bool
 
-	// study memoizes the main analysis at its cursor position;
+	// study memoizes the main analysis at its cursor position and snap
+	// the frozen view it analyzed, which the extensions read too;
 	// v6dayStudy memoizes the side experiment's (immutable once run).
 	study      *analysis.Study
+	snap       *store.Snapshot
 	studyAt    int
 	v6dayStudy *analysis.Study
 }
@@ -489,26 +492,38 @@ func (s *Scenario) analyzedVantages() []VantagePoint {
 }
 
 // Study analyzes the main measurement DB across AS_PATH vantages.
-// The analysis is memoized per cursor position: every exhibit of a
-// finished campaign renders from one shared study instead of
-// re-scanning the store. Callers that mutate s.DB directly (rather
-// than through monitoring rounds) should use ComputeStudy.
+// The analysis and the snapshot it read are memoized per cursor
+// position: every exhibit of a finished campaign renders from one
+// shared study and one frozen view instead of re-scanning the store.
+// Callers that mutate s.DB directly (rather than through monitoring
+// rounds) should use ComputeStudy.
 func (s *Scenario) Study() *analysis.Study {
 	if s.study == nil || s.studyAt != s.next {
-		s.study = s.ComputeStudy()
+		s.snap = s.DB.Freeze()
+		s.study = s.studyOf(s.snap)
 		s.studyAt = s.next
 	}
 	return s.study
 }
 
-// ComputeStudy runs the full analysis pass unconditionally: one store
-// snapshot frozen once and shared by every vantage's single-pass
-// analysis. The per-vantage analyses are independent reads of the
-// frozen view, so they run on the round worker pool; results land in
-// roster-order slots, keeping the study deterministic.
+// snapshot returns the frozen view of the main DB that Study analyzed.
+func (s *Scenario) snapshot() *store.Snapshot {
+	s.Study()
+	return s.snap
+}
+
+// ComputeStudy runs the full analysis pass unconditionally over a
+// freshly frozen snapshot.
 func (s *Scenario) ComputeStudy() *analysis.Study {
+	return s.studyOf(s.DB.Freeze())
+}
+
+// studyOf analyzes every AS_PATH vantage of one frozen snapshot. The
+// per-vantage analyses are independent reads of the frozen view, so
+// they run on the round worker pool; results land in roster-order
+// slots, keeping the study deterministic.
+func (s *Scenario) studyOf(snap *store.Snapshot) *analysis.Study {
 	th := analysis.DefaultThresholds()
-	snap := s.DB.Freeze()
 	vps := s.analyzedVantages()
 	vas := make([]*analysis.VantageAnalysis, len(vps))
 	runTasks(s.roundWorkers(), len(vps), func(k int) {
@@ -560,11 +575,11 @@ func (s *Scenario) Fig3a() [6]float64 {
 // Fig3b returns, for the given vantage, the fraction of kept sites
 // with faster IPv6 in the main list and in the combined
 // main+extended population. AS_PATH vantages reuse the memoized
-// study; others are analyzed on the spot.
+// study; others are analyzed on the spot, over the study's snapshot.
 func (s *Scenario) Fig3b(v store.Vantage) (top1M, extended float64) {
 	va := s.Study().Vantage(v)
 	if va == nil {
-		va = analysis.Analyze(s.DB, v, analysis.DefaultThresholds())
+		va = analysis.AnalyzeSnapshot(s.snapshot(), v, analysis.DefaultThresholds())
 	}
 	top1M = va.V6FasterOdds(func(sa analysis.SiteAgg) bool { return sa.ID < ExtendedBase })
 	extended = va.V6FasterOdds(nil)
@@ -589,10 +604,10 @@ func (s *Scenario) Table1() []report.VantageInfo {
 // ReportAll runs the full study (if needed) and renders every table
 // and figure to w.
 func (s *Scenario) ReportAll(w io.Writer) error {
-	if err := s.Run(); err != nil {
+	if err := s.RunContext(context.TODO()); err != nil {
 		return err
 	}
-	if err := s.RunWorldV6Day(); err != nil {
+	if err := s.RunWorldV6DayContext(context.TODO()); err != nil {
 		return err
 	}
 	s.RenderExhibits(w, s.V6DayStudy(), nil)

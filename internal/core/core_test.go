@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -29,10 +30,10 @@ func runScenario(t *testing.T) *Scenario {
 		if scErr != nil {
 			return
 		}
-		if scErr = sc.Run(); scErr != nil {
+		if scErr = sc.RunContext(context.Background()); scErr != nil {
 			return
 		}
-		scErr = sc.RunWorldV6Day()
+		scErr = sc.RunWorldV6DayContext(context.Background())
 	})
 	if scErr != nil {
 		t.Fatal(scErr)
@@ -307,7 +308,7 @@ func TestReportAllRenders(t *testing.T) {
 func TestRunIdempotent(t *testing.T) {
 	s := runScenario(t)
 	_, _, samples, _ := s.DB.Counts()
-	if err := s.Run(); err != nil {
+	if err := s.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	_, _, samples2, _ := s.DB.Counts()
@@ -340,7 +341,7 @@ func TestPeeringParityAblation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Run(); err != nil {
+		if err := s.RunContext(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		for _, r := range s.Study().Table4() {

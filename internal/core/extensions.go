@@ -62,17 +62,17 @@ func (s *Scenario) pathTunnel(p []int) (tunneled bool, hidden int) {
 }
 
 // TunnelReport computes per-vantage tunnel statistics over the main
-// study. Run must have completed. The per-vantage analyses come from
-// the memoized study.
+// study. The campaign must have run. The per-vantage analyses and the
+// paths come from the memoized study and its snapshot.
 func (s *Scenario) TunnelReport() []TunnelStats {
-	study := s.Study()
+	study, snap := s.Study(), s.snapshot()
 	var out []TunnelStats
 	for _, vp := range s.analyzedVantages() {
 		ts := TunnelStats{Vantage: vp.Name}
 		// Prevalence across destination ASes.
 		var hiddenSum, tunneledPaths float64
-		for _, dst := range s.DB.PathDestinations(vp.Name, topo.V6) {
-			p := s.DB.LatestPath(vp.Name, topo.V6, dst)
+		for _, dst := range snap.PathDestinations(vp.Name, topo.V6) {
+			p := snap.LatestPath(vp.Name, topo.V6, dst)
 			if len(p) == 0 {
 				continue
 			}
@@ -93,7 +93,7 @@ func (s *Scenario) TunnelReport() []TunnelStats {
 			if site.V6AS < 0 {
 				continue
 			}
-			p := s.DB.LatestPath(vp.Name, topo.V6, site.V6AS)
+			p := snap.LatestPath(vp.Name, topo.V6, site.V6AS)
 			if len(p) == 0 {
 				continue
 			}
@@ -134,10 +134,11 @@ func WriteTunnelReport(w io.Writer, rows []TunnelStats) {
 // as vantages are added one at a time (AS_PATH vantages, config
 // order), showing the marginal coverage each new vantage buys.
 func (s *Scenario) CoverageGrowth() []int {
+	snap := s.snapshot()
 	seen := map[int]bool{}
 	var out []int
 	for _, vp := range s.analyzedVantages() {
-		for a := range s.DB.ASesCrossed(vp.Name, topo.V6) {
+		for a := range snap.ASesCrossed(vp.Name, topo.V6) {
 			seen[a] = true
 		}
 		out = append(out, len(seen))
@@ -196,8 +197,9 @@ func (s *Scenario) RunTracerouteCheck(vantage store.Vantage) (TracerouteCheck, e
 	if err != nil {
 		return out, err
 	}
-	for _, dst := range s.DB.PathDestinations(vantage, topo.V6) {
-		p := bgp.Path(s.DB.LatestPath(vantage, topo.V6, dst))
+	snap := s.snapshot()
+	for _, dst := range snap.PathDestinations(vantage, topo.V6) {
+		p := bgp.Path(snap.LatestPath(vantage, topo.V6, dst))
 		if len(p) < 2 {
 			continue
 		}

@@ -1,11 +1,9 @@
 package core
 
-// Checkpoint format migration: a campaign checkpointed in one
-// snapshot format must resume under a backend configured for the
-// other — the on-disk format is an implementation detail of the
-// checkpoint, never of the campaign. This is what lets a CSV-era
-// checkpoint survive an upgrade to the binary default (and a binary
-// checkpoint survive -format csv) with byte-identical final CSVs.
+// CSV-era checkpoints: builds before the binary-only checkpoint log
+// could commit each checkpoint's database as a CSV directory. A
+// campaign checkpointed that way must still resume with byte-identical
+// final CSVs, and its next checkpoint is binary.
 
 import (
 	"context"
@@ -31,110 +29,91 @@ func latestCheckpointDir(t *testing.T, dir string) string {
 	return names[len(names)-1]
 }
 
-// assertCheckpointFormat checks which serialization the newest
-// committed checkpoint actually holds.
-func assertCheckpointFormat(t *testing.T, dir string, format store.SnapshotFormat) {
-	t.Helper()
-	ck := latestCheckpointDir(t, dir)
-	binPath := filepath.Join(ck, store.SnapMain+store.BinaryExt)
-	csvPath := filepath.Join(ck, store.SnapMain, "sites.csv")
-	_, binErr := os.Stat(binPath)
-	_, csvErr := os.Stat(csvPath)
-	switch format {
-	case store.FormatBinary:
-		if binErr != nil || csvErr == nil {
-			t.Fatalf("%s: want a binary checkpoint, stat %s: %v, %s: %v", ck, binPath, binErr, csvPath, csvErr)
-		}
-	case store.FormatCSV:
-		if csvErr != nil || binErr == nil {
-			t.Fatalf("%s: want a CSV checkpoint, stat %s: %v, %s: %v", ck, csvPath, csvErr, binPath, binErr)
-		}
-	}
-}
-
-// TestResumeAcrossFormatsByteIdentical kills a campaign mid-run with
-// checkpoints in one format, resumes it under a backend configured
-// for the other format, and requires final CSVs byte-identical to an
-// uninterrupted run — in both directions, across three seeds. It also
-// pins that the resumed run's next commit really lands in the new
-// format (migration, not silent fallback).
+// TestResumeAcrossFormatsByteIdentical kills a campaign mid-run,
+// rewrites its newest checkpoint into the CSV layout (the .v6db's
+// database saved as <ck>/main), resumes it, and requires final CSVs
+// byte-identical to an uninterrupted run across three seeds. It also
+// pins that the resumed run's next commit is binary.
 func TestResumeAcrossFormatsByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("format migration property test in -short mode")
 	}
 	for _, seed := range []int64{11, 12, 13} {
 		seed := seed
-		cfg := runnerCfg(seed)
-		killAt := 2 + int(seed)%3
+		t.Run(fmt.Sprintf("seed=%d/csv-then-binary", seed), func(t *testing.T) {
+			cfg := runnerCfg(seed)
+			killAt := 2 + int(seed)%3
 
-		ref, err := NewScenario(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ref.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if err := ref.RunWorldV6Day(); err != nil {
-			t.Fatal(err)
-		}
-		refDir := t.TempDir()
-		saveCampaign(t, ref, refDir)
+			ref, err := NewScenario(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.RunContext(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.RunWorldV6DayContext(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			refDir := t.TempDir()
+			saveCampaign(t, ref, refDir)
 
-		for _, dir := range []struct {
-			name      string
-			killedIn  store.SnapshotFormat
-			resumedIn store.SnapshotFormat
-		}{
-			{name: "csv-then-binary", killedIn: store.FormatCSV, resumedIn: store.FormatBinary},
-			{name: "binary-then-csv", killedIn: store.FormatBinary, resumedIn: store.FormatCSV},
-		} {
-			t.Run(fmt.Sprintf("seed=%d/%s", seed, dir.name), func(t *testing.T) {
-				ckptDir := t.TempDir()
-				first := store.NewCheckpointBackend(ckptDir)
-				first.Format = dir.killedIn
-				first.Fingerprint = cfg.Fingerprint()
-				s1, err := NewScenario(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ctx, cancel := context.WithCancel(context.Background())
-				defer cancel()
-				err = s1.RunContext(ctx,
-					WithBackend(first), WithCheckpoint(1),
-					WithObserver(func(ev RoundEvent) {
-						if ev.Round == killAt {
-							cancel()
-						}
-					}))
-				if !errors.Is(err, context.Canceled) {
-					t.Fatalf("interrupted run returned %v, want context.Canceled", err)
-				}
-				assertCheckpointFormat(t, ckptDir, dir.killedIn)
+			ckptDir := t.TempDir()
+			first := store.NewCheckpointBackend(ckptDir)
+			first.Fingerprint = cfg.Fingerprint()
+			s1, err := NewScenario(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			err = s1.RunContext(ctx,
+				WithBackend(first), WithCheckpoint(1),
+				WithObserver(func(ev RoundEvent) {
+					if ev.Round == killAt {
+						cancel()
+					}
+				}))
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("interrupted run returned %v, want context.Canceled", err)
+			}
 
-				// Resume as a restarted process running the other format
-				// would: a fresh backend over the same directory.
-				second := store.NewCheckpointBackend(ckptDir)
-				second.Format = dir.resumedIn
-				second.Fingerprint = cfg.Fingerprint()
-				s2, err := Resume(cfg, second)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if s2.RoundsDone() != killAt+1 {
-					t.Fatalf("resumed at round %d, want %d", s2.RoundsDone(), killAt+1)
-				}
-				if err := s2.RunContext(context.Background(), WithBackend(second), WithCheckpoint(1)); err != nil {
-					t.Fatal(err)
-				}
-				assertCheckpointFormat(t, ckptDir, dir.resumedIn)
-				if err := s2.RunWorldV6Day(); err != nil {
-					t.Fatal(err)
-				}
-				resDir := t.TempDir()
-				saveCampaign(t, s2, resDir)
-				assertCampaignsIdentical(t, refDir, resDir,
-					fmt.Sprintf("seed %d %s killed at round %d", seed, dir.name, killAt))
-			})
-		}
+			ck := latestCheckpointDir(t, ckptDir)
+			bin := filepath.Join(ck, store.SnapMain+store.BinaryExt)
+			db, err := store.LoadBinary(bin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Save(filepath.Join(ck, store.SnapMain)); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Remove(bin); err != nil {
+				t.Fatal(err)
+			}
+
+			// Resume as a restarted process would: a fresh backend over
+			// the same directory.
+			second := store.NewCheckpointBackend(ckptDir)
+			second.Fingerprint = cfg.Fingerprint()
+			s2, err := Resume(cfg, second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s2.RoundsDone() != killAt+1 {
+				t.Fatalf("resumed at round %d, want %d", s2.RoundsDone(), killAt+1)
+			}
+			if err := s2.RunContext(context.Background(), WithBackend(second), WithCheckpoint(1)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := os.Stat(filepath.Join(latestCheckpointDir(t, ckptDir), store.SnapMain+store.BinaryExt)); err != nil {
+				t.Fatalf("next checkpoint is not binary: %v", err)
+			}
+			if err := s2.RunWorldV6DayContext(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			resDir := t.TempDir()
+			saveCampaign(t, s2, resDir)
+			assertCampaignsIdentical(t, refDir, resDir,
+				fmt.Sprintf("seed %d CSV-era checkpoint at round %d", seed, killAt))
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -45,10 +46,10 @@ func hashCampaignCSVs(t *testing.T, seed int64) map[string]string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(); err != nil {
+	if err := s.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.RunWorldV6Day(); err != nil {
+	if err := s.RunWorldV6DayContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/csv"
 	"fmt"
 	"os"
@@ -89,7 +90,7 @@ func TestOutageCampaignDegradedAndDeterministic(t *testing.T) {
 		if err := s.RunContext(t.Context(), WithObserver(func(ev RoundEvent) { evs = append(evs, ev) })); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.RunWorldV6Day(); err != nil {
+		if err := s.RunWorldV6DayContext(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		return s, evs

@@ -31,10 +31,10 @@ func TestParallelSerialCampaignsByteIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := s.Run(); err != nil {
+				if err := s.RunContext(context.Background()); err != nil {
 					t.Fatal(err)
 				}
-				if err := s.RunWorldV6Day(); err != nil {
+				if err := s.RunWorldV6DayContext(context.Background()); err != nil {
 					t.Fatal(err)
 				}
 				dir := t.TempDir()
@@ -69,7 +69,7 @@ func TestParallelRoundsRaceSmoke(t *testing.T) {
 	if err := s.RunContext(context.Background(), WithObserver(func(RoundEvent) { events++ })); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.RunWorldV6Day(); err != nil {
+	if err := s.RunWorldV6DayContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if events == 0 {

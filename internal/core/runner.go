@@ -86,13 +86,9 @@ func emit(observers []Observer, evs ...RoundEvent) {
 	}
 }
 
-// Run executes every remaining monitoring round. It is a thin compat
-// wrapper over RunContext and is idempotent: once all rounds have
-// executed, further calls are no-ops.
-func (s *Scenario) Run() error { return s.RunContext(context.Background()) }
-
 // RunContext executes monitoring rounds from the current cursor under
-// ctx. Cancellation is honored between rounds — a round is the atomic
+// ctx; once all rounds have executed, further calls are no-ops.
+// Cancellation is honored between rounds — a round is the atomic
 // unit of progress — and when checkpointing is enabled the completed
 // rounds are checkpointed before the context error is returned, so an
 // interrupted campaign loses at most the round in flight.
@@ -428,19 +424,14 @@ func Resume(cfg Config, b store.Backend) (*Scenario, error) {
 	return s, nil
 }
 
-// RunWorldV6Day executes the side experiment; compat wrapper over
-// RunWorldV6DayContext. Idempotent.
-func (s *Scenario) RunWorldV6Day() error {
-	return s.RunWorldV6DayContext(context.Background())
-}
-
 // RunWorldV6DayContext executes the World IPv6 Day side experiment:
 // the participants, monitored every 30 minutes on the day itself,
 // from the vantages for which the paper had data. Only observers are
 // honored among the options — the experiment is short and is not
 // checkpointed; it runs into a staging database that is folded into
 // V6DayDB only on completion, so a cancelled run leaves V6DayDB
-// untouched and can simply be re-run.
+// untouched and can simply be re-run. Once it has completed, further
+// calls are no-ops.
 //
 // Each participating vantage's 30-minute round sequence is one unit
 // of work on the same bounded pool as the main rounds; events are

@@ -27,11 +27,10 @@ func runnerCfg(seed int64) Config {
 // saveCampaign persists both databases the way v6mon does.
 func saveCampaign(t *testing.T, s *Scenario, dir string) {
 	t.Helper()
-	b := &store.CSVBackend{Dir: dir}
-	if err := b.SaveSnapshot(store.SnapMain, s.DB); err != nil {
+	if err := s.DB.Save(filepath.Join(dir, store.SnapMain)); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.SaveSnapshot(store.SnapV6Day, s.V6DayDB); err != nil {
+	if err := s.V6DayDB.Save(filepath.Join(dir, store.SnapV6Day)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -80,10 +79,10 @@ func TestKillResumeByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := ref.Run(); err != nil {
+			if err := ref.RunContext(context.Background()); err != nil {
 				t.Fatal(err)
 			}
-			if err := ref.RunWorldV6Day(); err != nil {
+			if err := ref.RunWorldV6DayContext(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 			refDir := t.TempDir()
@@ -127,7 +126,7 @@ func TestKillResumeByteIdentical(t *testing.T) {
 			if err := s2.RunContext(context.Background(), WithBackend(backend), WithCheckpoint(2)); err != nil {
 				t.Fatal(err)
 			}
-			if err := s2.RunWorldV6Day(); err != nil {
+			if err := s2.RunWorldV6DayContext(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 			resDir := t.TempDir()
@@ -151,10 +150,10 @@ func TestWithRoundsSplitEqualsFullRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ref.Run(); err != nil {
+	if err := ref.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := ref.RunWorldV6Day(); err != nil {
+	if err := ref.RunWorldV6DayContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	refDir := t.TempDir()
@@ -173,7 +172,7 @@ func TestWithRoundsSplitEqualsFullRun(t *testing.T) {
 	if err := s.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.RunWorldV6Day(); err != nil {
+	if err := s.RunWorldV6DayContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	gotDir := t.TempDir()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 )
 
@@ -24,7 +25,7 @@ func TestShapeAcrossSeeds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := s.Run(); err != nil {
+			if err := s.RunContext(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 			study := s.Study()

@@ -48,11 +48,10 @@ const (
 // pack, its on-disk home (manifest, checkpoint log, final CSVs), and
 // the atomically swapped serving state.
 type Campaign struct {
-	Name   string
-	dir    string
-	spec   *scenario.Spec
-	comp   scenario.Compiled
-	format store.SnapshotFormat
+	Name string
+	dir  string
+	spec *scenario.Spec
+	comp scenario.Compiled
 
 	// ck is the campaign's one checkpoint backend, shared by every
 	// attempt: each attempt Acquires a fenced write handle from it, so
@@ -76,17 +75,15 @@ type Campaign struct {
 	events   *broadcaster
 }
 
-func newCampaign(dir string, sp *scenario.Spec, comp scenario.Compiled, format store.SnapshotFormat) *Campaign {
+func newCampaign(dir string, sp *scenario.Spec, comp scenario.Compiled) *Campaign {
 	c := &Campaign{
 		Name:   filepath.Base(dir),
 		dir:    dir,
 		spec:   sp,
 		comp:   comp,
-		format: format,
 		ck:     store.NewCheckpointBackend(dir),
 		events: newBroadcaster(),
 	}
-	c.ck.Format = format
 	c.ck.Fingerprint = comp.Config.Fingerprint()
 	if len(comp.Exhibits) > 0 {
 		c.warmSet = make(map[string]bool, len(comp.Exhibits))
@@ -244,7 +241,7 @@ func (d *Daemon) attempt(ctx context.Context, c *Campaign, attempt int) error {
 		if err := s.Checkpoint(ck); err != nil {
 			return err
 		}
-		d.logf("campaign %s: starting (%d rounds, format %s)", c.Name, c.comp.Config.Rounds, c.format)
+		d.logf("campaign %s: starting (%d rounds)", c.Name, c.comp.Config.Rounds)
 	}
 	c.publish(epoch, buildVersion(s, nil, false, c.warmSet))
 	c.setState(StateRunning)
@@ -442,8 +439,7 @@ func (d *Daemon) runRounds(ctx context.Context, c *Campaign, epoch uint64, s *co
 // scenario (pure list/adoption state). Returns done=false when the
 // campaign has not completed.
 func (d *Daemon) openCompleted(c *Campaign, epoch uint64) (bool, error) {
-	final := &store.CSVBackend{Dir: c.dir}
-	meta, ok, err := final.LoadMeta()
+	meta, ok, err := store.ReadMeta(c.dir)
 	if err != nil || !ok || !meta.Complete {
 		return false, err
 	}

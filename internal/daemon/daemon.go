@@ -28,7 +28,6 @@ import (
 
 	"v6web/internal/fault"
 	"v6web/internal/scenario"
-	"v6web/internal/store"
 )
 
 // Options configures a Daemon. The zero value is usable: data under
@@ -60,10 +59,6 @@ type Options struct {
 	// it the API sheds load with 429 rather than queueing unboundedly.
 	// Warm (pre-rendered) exhibits bypass the limiter entirely.
 	RenderConcurrency int
-
-	// Format selects the checkpoint snapshot format for newly added
-	// campaigns (existing campaigns keep their registered format).
-	Format store.SnapshotFormat
 
 	// Log receives progress lines; nil discards them.
 	Log io.Writer
@@ -134,7 +129,7 @@ func (d *Daemon) Add(name, pack string, sets scenario.Overrides) (*Campaign, err
 	}
 	dir := filepath.Join(d.campaignsDir(), name)
 	if _, err := os.Stat(filepath.Join(dir, manifestFile)); err == nil {
-		oldSp, oldComp, format, err := readManifest(dir)
+		oldSp, oldComp, err := readManifest(dir)
 		if err != nil {
 			return nil, err
 		}
@@ -142,12 +137,12 @@ func (d *Daemon) Add(name, pack string, sets scenario.Overrides) (*Campaign, err
 			return nil, fmt.Errorf("daemon: campaign %s is registered with fingerprint %s; the given pack/overrides compile to %s — remove %s to start over",
 				name, want, got, dir)
 		}
-		return d.register(dir, oldSp, oldComp, format)
+		return d.register(dir, oldSp, oldComp)
 	}
-	if err := writeManifest(dir, sp, comp.Config.Fingerprint(), d.opt.Format); err != nil {
+	if err := writeManifest(dir, sp, comp.Config.Fingerprint()); err != nil {
 		return nil, err
 	}
-	return d.register(dir, sp, comp, d.opt.Format)
+	return d.register(dir, sp, comp)
 }
 
 // Discover scans the data directory for campaign manifests left by
@@ -173,26 +168,26 @@ func (d *Daemon) Discover() error {
 		if _, err := os.Stat(filepath.Join(dir, manifestFile)); err != nil {
 			continue
 		}
-		sp, comp, format, err := readManifest(dir)
+		sp, comp, err := readManifest(dir)
 		if err != nil {
 			d.logf("discover: quarantining campaign %s (manifest unusable, not serving it): %v", ent.Name(), err)
 			continue
 		}
-		if _, err := d.register(dir, sp, comp, format); err != nil {
+		if _, err := d.register(dir, sp, comp); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (d *Daemon) register(dir string, sp *scenario.Spec, comp scenario.Compiled, format store.SnapshotFormat) (*Campaign, error) {
+func (d *Daemon) register(dir string, sp *scenario.Spec, comp scenario.Compiled) (*Campaign, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	name := filepath.Base(dir)
 	if c, ok := d.campaigns[name]; ok {
 		return c, nil
 	}
-	c := newCampaign(dir, sp, comp, format)
+	c := newCampaign(dir, sp, comp)
 	d.campaigns[name] = c
 	d.order = append(d.order, name)
 	sort.Strings(d.order)

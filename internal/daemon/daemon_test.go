@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -192,7 +193,7 @@ func TestDaemonResumesCompletedCampaign(t *testing.T) {
 // campaign has published a version, then 200.
 func TestReadyzGatesOnFirstVersion(t *testing.T) {
 	d := newTestDaemon(t, Options{})
-	c, err := d.register(filepath.Join(t.TempDir(), "c1"), nil, scenario.Compiled{}, 0)
+	c, err := d.register(filepath.Join(t.TempDir(), "c1"), nil, scenario.Compiled{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +224,7 @@ func TestReadyzGatesOnFirstVersion(t *testing.T) {
 // with 429; warm exhibits bypass the limiter entirely.
 func TestLoadShedding(t *testing.T) {
 	d := newTestDaemon(t, Options{RenderConcurrency: 1})
-	c, err := d.register(filepath.Join(t.TempDir(), "c1"), nil, scenario.Compiled{}, 0)
+	c, err := d.register(filepath.Join(t.TempDir(), "c1"), nil, scenario.Compiled{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +260,7 @@ func TestLoadShedding(t *testing.T) {
 // TestEventStream: SSE delivers round events and terminates on drain.
 func TestEventStream(t *testing.T) {
 	d := newTestDaemon(t, Options{})
-	c, err := d.register(filepath.Join(t.TempDir(), "c1"), nil, scenario.Compiled{}, 0)
+	c, err := d.register(filepath.Join(t.TempDir(), "c1"), nil, scenario.Compiled{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +331,7 @@ func TestBroadcasterDropsWhenFull(t *testing.T) {
 // the progress clock is stale must abandon the attempt and fence its
 // epoch so stale publishes are dropped.
 func TestWatchdogAbandonsStaleAttempt(t *testing.T) {
-	c := newCampaign(filepath.Join(t.TempDir(), "c1"), nil, scenario.Compiled{}, 0)
+	c := newCampaign(filepath.Join(t.TempDir(), "c1"), nil, scenario.Compiled{})
 	epoch := c.epoch.Add(1)
 	c.progress.Store(time.Now().Add(-time.Hour).UnixNano())
 	err := watch(c, 50*time.Millisecond, make(chan error))
@@ -348,7 +349,7 @@ func TestWatchdogAbandonsStaleAttempt(t *testing.T) {
 // TestWatchdogLetsHealthyAttemptFinish: a fresh progress clock must not
 // trip the watchdog before the result arrives.
 func TestWatchdogLetsHealthyAttemptFinish(t *testing.T) {
-	c := newCampaign(filepath.Join(t.TempDir(), "c1"), nil, scenario.Compiled{}, 0)
+	c := newCampaign(filepath.Join(t.TempDir(), "c1"), nil, scenario.Compiled{})
 	result := make(chan error, 1)
 	go func() {
 		time.Sleep(30 * time.Millisecond)
@@ -378,7 +379,7 @@ func TestRecoveringCatchesPanic(t *testing.T) {
 // TestPublishSequenceAndFencing: publishes bump the serving sequence;
 // stale epochs are rejected without touching it.
 func TestPublishSequenceAndFencing(t *testing.T) {
-	c := newCampaign(filepath.Join(t.TempDir(), "c1"), nil, scenario.Compiled{}, 0)
+	c := newCampaign(filepath.Join(t.TempDir(), "c1"), nil, scenario.Compiled{})
 	epoch := c.epoch.Add(1)
 	for i := 1; i <= 3; i++ {
 		v := &Version{Round: i}
@@ -399,7 +400,9 @@ func TestPublishSequenceAndFencing(t *testing.T) {
 }
 
 // TestManifestRoundTrip: write, read back, and reject a spec that no
-// longer compiles to the registered fingerprint.
+// longer compiles to the registered fingerprint. A manifest as builds
+// with CSV checkpoints wrote it reads back the same: its "format"
+// field is ignored, and the campaign checkpoints binary.
 func TestManifestRoundTrip(t *testing.T) {
 	sp, err := scenario.LoadSpec("baseline-2011", tinyOverrides())
 	if err != nil {
@@ -409,29 +412,61 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	readBack := func(dir string) (*scenario.Spec, scenario.Compiled) {
+		t.Helper()
+		sp2, comp2, err := readManifest(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if comp2.Config.Fingerprint() != comp.Config.Fingerprint() {
+			t.Error("fingerprint changed across the manifest round trip")
+		}
+		if sp2.Name != sp.Name {
+			t.Errorf("name %q, want %q", sp2.Name, sp.Name)
+		}
+		return sp2, comp2
+	}
 	dir := filepath.Join(t.TempDir(), "c1")
-	if err := writeManifest(dir, sp, comp.Config.Fingerprint(), store.FormatBinary); err != nil {
+	if err := writeManifest(dir, sp, comp.Config.Fingerprint()); err != nil {
 		t.Fatal(err)
 	}
-	sp2, comp2, format, err := readManifest(dir)
+	readBack(dir)
+
+	spec, err := sp.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if format != store.FormatBinary {
-		t.Errorf("format %v, want binary", format)
+	csvEra, err := json.MarshalIndent(struct {
+		manifest
+		Format string `json:"format"`
+	}{manifest{Name: "c2", Spec: spec, Fingerprint: comp.Config.Fingerprint()}, "csv"}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if comp2.Config.Fingerprint() != comp.Config.Fingerprint() {
-		t.Error("fingerprint changed across the manifest round trip")
+	csvDir := filepath.Join(t.TempDir(), "c2")
+	if err := os.MkdirAll(csvDir, 0o755); err != nil {
+		t.Fatal(err)
 	}
-	if sp2.Name != sp.Name {
-		t.Errorf("name %q, want %q", sp2.Name, sp.Name)
+	if err := os.WriteFile(filepath.Join(csvDir, manifestFile), csvEra, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sp2, comp2 := readBack(csvDir)
+	c := newCampaign(csvDir, sp2, comp2)
+	if err := c.ck.SaveSnapshot(store.SnapMain, store.NewDB()); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ck.SaveMeta(store.Meta{Rounds: comp.Config.Rounds, ConfigHash: comp.Config.Fingerprint()}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(csvDir, "checkpoints", "ck-000000", store.SnapMain+store.BinaryExt)); err != nil {
+		t.Fatalf("CSV-era campaign did not checkpoint binary: %v", err)
 	}
 
 	// A fingerprint mismatch (spec edited under the campaign) is loud.
-	if err := writeManifest(dir, sp, "deadbeef", store.FormatBinary); err != nil {
+	if err := writeManifest(dir, sp, "deadbeef"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := readManifest(dir); err == nil || !strings.Contains(err.Error(), "fingerprint") {
+	if _, _, err := readManifest(dir); err == nil || !strings.Contains(err.Error(), "fingerprint") {
 		t.Fatalf("tampered manifest: %v, want fingerprint error", err)
 	}
 }
@@ -476,7 +511,7 @@ func TestWatchdogTickBounds(t *testing.T) {
 // incomplete one), so Seq order always matches round order even when a
 // fenced attempt's publish races the fence.
 func TestPublishRefusesRoundRegression(t *testing.T) {
-	c := newCampaign(filepath.Join(t.TempDir(), "c1"), nil, scenario.Compiled{}, 0)
+	c := newCampaign(filepath.Join(t.TempDir(), "c1"), nil, scenario.Compiled{})
 	epoch := c.epoch.Add(1)
 	if !c.publish(epoch, &Version{Round: 3}) {
 		t.Fatal("publish round 3 rejected")

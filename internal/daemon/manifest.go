@@ -14,7 +14,6 @@ import (
 	"path/filepath"
 
 	"v6web/internal/scenario"
-	"v6web/internal/store"
 )
 
 const manifestFile = "campaign.json"
@@ -23,7 +22,6 @@ type manifest struct {
 	Name        string          `json:"name"`
 	Spec        json.RawMessage `json:"spec"`
 	Fingerprint string          `json:"fingerprint"`
-	Format      string          `json:"format,omitempty"`
 }
 
 // writeManifest persists the campaign definition atomically and
@@ -31,7 +29,7 @@ type manifest struct {
 // so a crash (or power failure) mid-write leaves either the old
 // manifest or none, never a truncated or empty one that would block
 // discovery on the next start.
-func writeManifest(dir string, sp *scenario.Spec, fingerprint string, format store.SnapshotFormat) error {
+func writeManifest(dir string, sp *scenario.Spec, fingerprint string) error {
 	spec, err := sp.Encode()
 	if err != nil {
 		return err
@@ -40,7 +38,6 @@ func writeManifest(dir string, sp *scenario.Spec, fingerprint string, format sto
 		Name:        filepath.Base(dir),
 		Spec:        spec,
 		Fingerprint: fingerprint,
-		Format:      format.String(),
 	}
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
@@ -80,31 +77,30 @@ func writeManifest(dir string, sp *scenario.Spec, fingerprint string, format sto
 // readManifest loads and re-validates a campaign manifest: the spec
 // must parse and compile, and must still fingerprint to what was
 // registered — a hand-edited spec under existing checkpoints is a
-// loud error here rather than a resume failure later.
-func readManifest(dir string) (*scenario.Spec, scenario.Compiled, store.SnapshotFormat, error) {
+// loud error here rather than a resume failure later. Manifests from
+// builds that could checkpoint as CSV also carry a "format" field; it
+// is ignored: every campaign checkpoints binary, and its CSV-era
+// checkpoints still load.
+func readManifest(dir string) (*scenario.Spec, scenario.Compiled, error) {
 	data, err := os.ReadFile(filepath.Join(dir, manifestFile))
 	if err != nil {
-		return nil, scenario.Compiled{}, 0, err
+		return nil, scenario.Compiled{}, err
 	}
 	var m manifest
 	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, scenario.Compiled{}, 0, fmt.Errorf("daemon: manifest %s: %w", dir, err)
+		return nil, scenario.Compiled{}, fmt.Errorf("daemon: manifest %s: %w", dir, err)
 	}
 	sp, err := scenario.Parse(m.Spec)
 	if err != nil {
-		return nil, scenario.Compiled{}, 0, fmt.Errorf("daemon: manifest %s: %w", dir, err)
+		return nil, scenario.Compiled{}, fmt.Errorf("daemon: manifest %s: %w", dir, err)
 	}
 	comp, err := sp.Compile()
 	if err != nil {
-		return nil, scenario.Compiled{}, 0, fmt.Errorf("daemon: manifest %s: %w", dir, err)
+		return nil, scenario.Compiled{}, fmt.Errorf("daemon: manifest %s: %w", dir, err)
 	}
 	if fp := comp.Config.Fingerprint(); fp != m.Fingerprint {
-		return nil, scenario.Compiled{}, 0, fmt.Errorf(
+		return nil, scenario.Compiled{}, fmt.Errorf(
 			"daemon: manifest %s: spec compiles to fingerprint %s but was registered as %s — the spec changed under the campaign's checkpoints", dir, fp, m.Fingerprint)
 	}
-	format, err := store.ParseSnapshotFormat(m.Format)
-	if err != nil {
-		return nil, scenario.Compiled{}, 0, fmt.Errorf("daemon: manifest %s: %w", dir, err)
-	}
-	return sp, comp, format, nil
+	return sp, comp, nil
 }

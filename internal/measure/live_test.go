@@ -82,8 +82,9 @@ func TestLiveMonitoringEndToEnd(t *testing.T) {
 	}
 
 	// Site 1: v4 and v6 speeds should be in the same ballpark.
-	s4 := db.Samples("live", 1, topo.V4)
-	s6 := db.Samples("live", 1, topo.V6)
+	snap := db.Freeze()
+	s4 := snap.Series("live", 1, topo.V4)
+	s6 := snap.Series("live", 1, topo.V6)
 	if len(s4) != 1 || len(s6) != 1 {
 		t.Fatalf("site1 samples: %d/%d", len(s4), len(s6))
 	}
@@ -91,8 +92,8 @@ func TestLiveMonitoringEndToEnd(t *testing.T) {
 		t.Fatalf("speeds: %v %v", s4[0].MeanSpeed, s6[0].MeanSpeed)
 	}
 	// Site 2: v6 distinctly slower than v4.
-	b4 := db.Samples("live", 2, topo.V4)
-	b6 := db.Samples("live", 2, topo.V6)
+	b4 := snap.Series("live", 2, topo.V4)
+	b6 := snap.Series("live", 2, topo.V6)
 	if len(b4) != 1 || len(b6) != 1 {
 		t.Fatalf("site2 samples: %d/%d", len(b4), len(b6))
 	}
@@ -100,7 +101,7 @@ func TestLiveMonitoringEndToEnd(t *testing.T) {
 		t.Fatalf("shaped v6 not slower: v6=%v v4=%v", b6[0].MeanSpeed, b4[0].MeanSpeed)
 	}
 	// Site 3: v4-only, no v6 samples.
-	if len(db.Samples("live", 3, topo.V6)) != 0 {
+	if len(snap.Series("live", 3, topo.V6)) != 0 {
 		t.Fatal("v4-only site has v6 samples")
 	}
 	// DNS rows recorded for all.

@@ -138,9 +138,10 @@ func TestRunRoundRecordsSamples(t *testing.T) {
 	}
 	// Samples exist for both families with plausible speeds.
 	found := 0
+	snap := db.Freeze()
 	for _, ref := range refs {
-		s4 := db.Samples("penn", ref.ID, topo.V4)
-		s6 := db.Samples("penn", ref.ID, topo.V6)
+		s4 := snap.Series("penn", ref.ID, topo.V4)
+		s6 := snap.Series("penn", ref.ID, topo.V6)
 		if len(s4) == 1 && len(s6) == 1 {
 			found++
 			if s4[0].MeanSpeed <= 0 || s4[0].MeanSpeed > 1000 {
@@ -171,8 +172,9 @@ func TestRunRoundBeforeAdoption(t *testing.T) {
 	if st.Dual != 0 {
 		t.Fatalf("dual %d before adoption era", st.Dual)
 	}
+	snap := db.Freeze()
 	for _, ref := range refs {
-		if len(db.Samples("penn", ref.ID, topo.V6)) != 0 {
+		if len(snap.Series("penn", ref.ID, topo.V6)) != 0 {
 			t.Fatal("v6 samples before adoption")
 		}
 	}
@@ -187,10 +189,10 @@ func TestRunRoundDeterministic(t *testing.T) {
 		mon.RunRound(0, e.tl.End, 1.0, refs)
 		return db
 	}
-	a, b := run(), run()
+	a, b := run().Freeze(), run().Freeze()
 	for _, ref := range refs {
-		sa := a.Samples("penn", ref.ID, topo.V4)
-		sb := b.Samples("penn", ref.ID, topo.V4)
+		sa := a.Series("penn", ref.ID, topo.V4)
+		sb := b.Series("penn", ref.ID, topo.V4)
 		if len(sa) != len(sb) {
 			t.Fatal("sample counts differ across identical runs")
 		}
@@ -208,13 +210,14 @@ func TestPathsRecorded(t *testing.T) {
 	mon, _ := NewMonitor(DefaultConfig("penn", 4), e.fetch, db)
 	refs := e.dualRefs(25)
 	mon.RunRound(0, e.tl.End, 1.0, refs)
-	d4 := db.PathDestinations("penn", topo.V4)
-	d6 := db.PathDestinations("penn", topo.V6)
+	snap := db.Freeze()
+	d4 := snap.PathDestinations("penn", topo.V4)
+	d6 := snap.PathDestinations("penn", topo.V6)
 	if len(d4) == 0 || len(d6) == 0 {
 		t.Fatalf("paths not recorded: v4=%d v6=%d", len(d4), len(d6))
 	}
 	for _, dst := range d4 {
-		p := db.LatestPath("penn", topo.V4, dst)
+		p := snap.LatestPath("penn", topo.V4, dst)
 		if p[0] != e.fetch.VantageAS || p[len(p)-1] != dst {
 			t.Fatalf("malformed path %v to %d", p, dst)
 		}
@@ -230,9 +233,10 @@ func TestPathChangesHappen(t *testing.T) {
 		mon.RunRound(round, e.tl.End, 1.0, refs)
 	}
 	changed := 0
+	snap := db.Freeze()
 	for _, fam := range []topo.Family{topo.V4, topo.V6} {
-		for _, dst := range db.PathDestinations("penn", fam) {
-			if db.PathChanged("penn", fam, dst) {
+		for _, dst := range snap.PathDestinations("penn", fam) {
+			if snap.PathChanged("penn", fam, dst) {
 				changed++
 			}
 		}

@@ -102,7 +102,8 @@ func TestRunRoundDeterministicAcrossWorkerCounts(t *testing.T) {
 	if want.Dual == 0 || want.Measured == 0 || len(wantDNS) != n || len(wantSiteRows) != n {
 		t.Fatalf("degenerate reference round: %+v, %d DNS rows, %d site rows", want, len(wantDNS), len(wantSiteRows))
 	}
-	wantSites := wantDB.SampledSites("penn")
+	wantSnap := wantDB.Freeze()
+	wantSites := wantSnap.SampledSites("penn")
 	for _, order := range []struct {
 		name string
 		refs []SiteRef
@@ -124,13 +125,14 @@ func TestRunRoundDeterministicAcrossWorkerCounts(t *testing.T) {
 			// Value-level comparison: every stored sample must match, not
 			// just table sizes — this is what pins the per-(seed, round,
 			// site) RNG derivation against worker-dependent regressions.
-			gotSites := gotDB.SampledSites("penn")
+			gotSnap := gotDB.Freeze()
+			gotSites := gotSnap.SampledSites("penn")
 			if !slices.Equal(gotSites, wantSites) {
 				t.Fatalf("%s, workers=%d: sampled sites differ from Workers=1", order.name, workers)
 			}
 			for _, id := range wantSites {
 				for _, fam := range famBoth {
-					if gs, ws := gotDB.Samples("penn", id, fam), wantDB.Samples("penn", id, fam); !slices.Equal(gs, ws) {
+					if gs, ws := gotSnap.Series("penn", id, fam), wantSnap.Series("penn", id, fam); !slices.Equal(gs, ws) {
 						t.Fatalf("%s, workers=%d: site %d %v samples %+v, want %+v", order.name, workers, id, fam, gs, ws)
 					}
 				}

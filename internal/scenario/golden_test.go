@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -224,17 +225,16 @@ func runAndSave(t *testing.T, cfg core.Config, dir string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(); err != nil {
+	if err := s.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.RunWorldV6Day(); err != nil {
+	if err := s.RunWorldV6DayContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	b := &store.CSVBackend{Dir: dir}
-	if err := b.SaveSnapshot(store.SnapMain, s.DB); err != nil {
+	if err := s.DB.Save(filepath.Join(dir, store.SnapMain)); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.SaveSnapshot(store.SnapV6Day, s.V6DayDB); err != nil {
+	if err := s.V6DayDB.Save(filepath.Join(dir, store.SnapV6Day)); err != nil {
 		t.Fatal(err)
 	}
 }

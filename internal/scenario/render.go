@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -62,12 +63,12 @@ func Render(w io.Writer, s *core.Scenario, exhibits []string) error {
 		}
 		selected[ex] = true
 	}
-	if err := s.Run(); err != nil {
+	if err := s.RunContext(context.TODO()); err != nil {
 		return err
 	}
 	var v6day *analysis.Study
 	if needsV6Day(selected) {
-		if err := s.RunWorldV6Day(); err != nil {
+		if err := s.RunWorldV6DayContext(context.TODO()); err != nil {
 			return err
 		}
 		v6day = s.V6DayStudy()

@@ -69,7 +69,7 @@ func runChaos(t *testing.T, cfg core.Config, fc *fault.Config, k int) (string, *
 	if err != nil {
 		t.Fatalf("chaos campaign failed (must be recoverable): %v\n%s", err, log.String())
 	}
-	if err := s.RunWorldV6Day(); err != nil {
+	if err := s.RunWorldV6DayContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	return saveCampaign(t, s, "chaos"), st, log.String()
@@ -214,7 +214,7 @@ func TestWorkerConnectsBeforeCoordinatorListens(t *testing.T) {
 	if err := <-workerErr; err != nil {
 		t.Fatalf("worker: %v", err)
 	}
-	if err := s.RunWorldV6Day(); err != nil {
+	if err := s.RunWorldV6DayContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	assertCampaignsIdentical(t, refDir, saveCampaign(t, s, "late-listener"), "worker-before-listener")
@@ -283,7 +283,7 @@ func TestCoordinatorGracefulInterrupt(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resumed run: %v\n%s", err, rlog.String())
 	}
-	if err := s.RunWorldV6Day(); err != nil {
+	if err := s.RunWorldV6DayContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	assertCampaignsIdentical(t, refDir, saveCampaign(t, s, "resumed"), "after graceful interrupt")

@@ -37,10 +37,6 @@ type Options struct {
 	// (default 2); ignored when Dir is empty.
 	CheckpointEvery int
 
-	// CheckpointFormat selects the worker checkpoint serialization
-	// (default store.FormatBinary); ignored when Dir is empty.
-	CheckpointFormat store.SnapshotFormat
-
 	// Retry is the unified retry/backoff policy: Timeout bounds the
 	// silence between two frames from a worker before it is presumed
 	// dead, MaxAttempts bounds attempts per shard, and the backoff
@@ -147,7 +143,6 @@ func runSpecs(ctx context.Context, cfg core.Config, specs []Spec, opt Options) (
 		if opt.Dir != "" {
 			specs[i].CheckpointDir = filepath.Join(opt.Dir, fmt.Sprintf("shard-%02d", i))
 			specs[i].CheckpointEvery = opt.CheckpointEvery
-			specs[i].CheckpointFormat = opt.CheckpointFormat.String()
 		}
 	}
 	s, err := core.NewScenario(cfg)

@@ -46,11 +46,10 @@ var campaignFiles = []string{
 func saveCampaign(t *testing.T, s *core.Scenario, name string) string {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), name)
-	b := &store.CSVBackend{Dir: dir}
-	if err := b.SaveSnapshot(store.SnapMain, s.DB); err != nil {
+	if err := s.DB.Save(filepath.Join(dir, store.SnapMain)); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.SaveSnapshot(store.SnapV6Day, s.V6DayDB); err != nil {
+	if err := s.V6DayDB.Save(filepath.Join(dir, store.SnapV6Day)); err != nil {
 		t.Fatal(err)
 	}
 	return dir
@@ -82,10 +81,10 @@ func referenceRun(t *testing.T, cfg core.Config) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(); err != nil {
+	if err := s.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.RunWorldV6Day(); err != nil {
+	if err := s.RunWorldV6DayContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	return saveCampaign(t, s, "ref")
@@ -238,7 +237,7 @@ func TestShardedCampaignByteIdentical(t *testing.T) {
 				if st.Shards != k || st.WireBytes == 0 {
 					t.Errorf("k=%d: odd stats %+v", k, st)
 				}
-				if err := s.RunWorldV6Day(); err != nil {
+				if err := s.RunWorldV6DayContext(context.Background()); err != nil {
 					t.Fatal(err)
 				}
 				gotDir := saveCampaign(t, s, fmt.Sprintf("k%d", k))
@@ -266,8 +265,7 @@ func (k *killingConn) Read(b []byte) (int, error) {
 // TestWorkerKillRetried kills one real worker process (SIGKILL, as the
 // CI chaos job does) after its first rounds; the coordinator must
 // detect the dead stream, retry the shard — which resumes from the
-// shard checkpoint (binary-format by default) — and still produce
-// byte-identical CSVs.
+// shard checkpoint — and still produce byte-identical CSVs.
 func TestWorkerKillRetried(t *testing.T) {
 	if testing.Short() {
 		t.Skip("process-spawning retry test in -short mode")
@@ -298,7 +296,7 @@ func TestWorkerKillRetried(t *testing.T) {
 	if st.Retries < 1 {
 		t.Fatalf("want at least one retry, got %d\n%s", st.Retries, log.String())
 	}
-	if err := s.RunWorldV6Day(); err != nil {
+	if err := s.RunWorldV6DayContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	assertCampaignsIdentical(t, refDir, saveCampaign(t, s, "killed"), "after worker kill")

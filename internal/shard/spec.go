@@ -46,12 +46,6 @@ type Spec struct {
 	CheckpointDir   string `json:"checkpoint_dir,omitempty"`
 	CheckpointEvery int    `json:"checkpoint_every,omitempty"`
 
-	// CheckpointFormat selects the snapshot serialization of the
-	// worker's checkpoints: "binary" (or empty, the default) or "csv".
-	// Resume auto-detects, so a spec may change the format between
-	// attempts of the same shard.
-	CheckpointFormat string `json:"checkpoint_format,omitempty"`
-
 	// Faults, when set, is the deterministic fault plan the worker
 	// injects on its side of the boundary (checkpoint filesystem
 	// faults, duplicated round frames). The coordinator owns the plan

@@ -156,10 +156,7 @@ func runSpec(ctx context.Context, spec Spec, emit func(typ byte, payload []byte)
 		backend *store.CheckpointBackend
 	)
 	if spec.CheckpointDir != "" {
-		var err error
-		if backend, err = checkpointBackend(spec, inj); err != nil {
-			return err
-		}
+		backend = checkpointBackend(spec, inj)
 		s, dests = loadCheckpoint(cfg, spec, backend)
 	}
 	if s == nil {
@@ -235,24 +232,18 @@ func runSpec(ctx context.Context, spec Spec, emit func(typ byte, payload []byte)
 }
 
 // checkpointBackend builds the shard's checkpoint backend from the
-// spec: the format and the campaign fingerprint travel inside the
-// spec, so every attempt and resume of a shard uses the coordinator's
-// choice. A spec with an unknown format string is rejected before any
-// rounds run. When a fault plan is armed, the backend's commit points
-// consult the injector, scoped by (shard, attempt) so a retried
-// attempt draws fresh faults instead of replaying its predecessor's.
-func checkpointBackend(spec Spec, inj *fault.Injector) (*store.CheckpointBackend, error) {
-	format, err := store.ParseSnapshotFormat(spec.CheckpointFormat)
-	if err != nil {
-		return nil, fmt.Errorf("shard %d: %w", spec.Index, err)
-	}
+// spec: the campaign fingerprint travels inside the spec and is
+// stamped into every snapshot. When a fault plan is armed, the
+// backend's commit points consult the injector, scoped by (shard,
+// attempt) so a retried attempt draws fresh faults instead of
+// replaying its predecessor's.
+func checkpointBackend(spec Spec, inj *fault.Injector) *store.CheckpointBackend {
 	b := store.NewCheckpointBackend(spec.CheckpointDir)
-	b.Format = format
 	b.Fingerprint = spec.Fingerprint
 	if hook := inj.FSHook(uint64(spec.Index), uint64(spec.FaultAttempt)); hook != nil {
 		b.Hook = hook
 	}
-	return b, nil
+	return b
 }
 
 // loadCheckpoint tries to resume the shard from its checkpoint

@@ -54,7 +54,8 @@ type Backend interface {
 //
 //	"write"  a staged snapshot or metadata write, mid-stream (models
 //	         a short write / ENOSPC; nothing was committed)
-//	"sync"   the pre-commit fsync
+//	"sync"   a pre-commit fsync: the staged snapshot's, then the
+//	         metadata's
 //	"rename" the atomic commit rename itself
 //	"crash"  fires after the commit landed: the state IS durable, but
 //	         the caller is told it failed, as if the process died
@@ -64,19 +65,46 @@ type FaultHook func(op, path string) error
 
 const metaFile = "meta.json"
 
-func writeMetaFile(path string, m Meta) error {
+// WriteMeta durably replaces dir/meta.json: the file is staged,
+// fsynced and renamed into place, and dir is fsynced, so a returned
+// nil survives power loss.
+func WriteMeta(dir string, m Meta) error { return writeMeta(dir, m, nil) }
+
+// writeMeta is WriteMeta with the fault hook consulted at the fsync.
+func writeMeta(dir string, m Meta, hook FaultHook) error {
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return err
 	}
+	path := filepath.Join(dir, metaFile)
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
+	f, err := os.Create(tmp)
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	_, err = f.Write(append(data, '\n'))
+	if err == nil && hook != nil {
+		err = hook("sync", path)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return syncDir(dir)
 }
 
-func readMetaFile(path string) (Meta, bool, error) {
+// ReadMeta reads dir/meta.json; ok=false when it does not exist.
+func ReadMeta(dir string) (Meta, bool, error) {
+	path := filepath.Join(dir, metaFile)
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return Meta{}, false, nil
@@ -91,81 +119,10 @@ func readMetaFile(path string) (Meta, bool, error) {
 	return m, true, nil
 }
 
-// CSVBackend is the plain directory layout v6mon has always written:
-// one CSV database per snapshot name under Dir, plus Dir/meta.json.
-// Snapshots are rewritten in place, so a hard kill mid-write can
-// leave a partial database — use CheckpointBackend when checkpoints
-// must survive crashes at arbitrary points.
-type CSVBackend struct {
-	Dir string
-}
-
-// SaveSnapshot writes db as CSV under Dir/name.
-func (b *CSVBackend) SaveSnapshot(name string, db *DB) error {
-	return db.Save(filepath.Join(b.Dir, name))
-}
-
-// LoadSnapshot reads the CSV database under Dir/name.
-func (b *CSVBackend) LoadSnapshot(name string) (*DB, error) {
-	return Load(filepath.Join(b.Dir, name))
-}
-
-// SaveMeta atomically replaces Dir/meta.json.
-func (b *CSVBackend) SaveMeta(m Meta) error {
-	if err := os.MkdirAll(b.Dir, 0o755); err != nil {
-		return err
-	}
-	return writeMetaFile(filepath.Join(b.Dir, metaFile), m)
-}
-
-// LoadMeta reads Dir/meta.json; ok=false when it does not exist.
-func (b *CSVBackend) LoadMeta() (Meta, bool, error) {
-	return readMetaFile(filepath.Join(b.Dir, metaFile))
-}
-
-// SnapshotFormat selects how a CheckpointBackend serializes
-// snapshots.
-type SnapshotFormat int
-
-const (
-	// FormatBinary is the default checkpoint format: one .v6db file
-	// per snapshot (see BinaryBackend) — a direct dump of the columnar
-	// tables, so checkpoint and resume cost O(state changes) instead
-	// of O(rows) of CSV text.
-	FormatBinary SnapshotFormat = iota
-	// FormatCSV is the interchange format v6mon has always written.
-	// Final campaign products stay CSV regardless of this setting;
-	// only checkpoints are affected.
-	FormatCSV
-)
-
-func (f SnapshotFormat) String() string {
-	switch f {
-	case FormatBinary:
-		return "binary"
-	case FormatCSV:
-		return "csv"
-	}
-	return fmt.Sprintf("SnapshotFormat(%d)", int(f))
-}
-
-// ParseSnapshotFormat parses a -format flag value; the empty string
-// means the binary default.
-func ParseSnapshotFormat(s string) (SnapshotFormat, error) {
-	switch s {
-	case "", "binary":
-		return FormatBinary, nil
-	case "csv":
-		return FormatCSV, nil
-	}
-	return 0, fmt.Errorf("store: unknown snapshot format %q (want binary or csv)", s)
-}
-
-// loadSnapshotAuto loads base regardless of which format saved it:
-// the binary file when present, else the CSV directory. This is what
-// makes checkpoint directories format-migratable — a campaign
-// checkpointed by a CSV-era build resumes under the binary default,
-// and a binary checkpoint resumes under -format csv.
+// loadSnapshotAuto loads base from a committed checkpoint: the binary
+// file when present, else the CSV directory a CSV-era build wrote
+// there. Binary is the only format written; the CSV branch keeps
+// campaigns checkpointed by those builds resumable.
 func loadSnapshotAuto(base string) (*DB, error) {
 	bin := base + BinaryExt
 	if _, err := os.Stat(bin); err == nil {
@@ -187,11 +144,7 @@ type CheckpointBackend struct {
 	Dir  string // campaign root; checkpoints live under Dir/checkpoints
 	Keep int    // committed checkpoints to retain after a commit; <=0 keeps all
 
-	// Format selects the snapshot serialization inside each
-	// checkpoint directory (default binary). Loading auto-detects, so
-	// changing the format between runs of the same campaign is safe.
-	Format SnapshotFormat
-	// Fingerprint, when set, is stamped into binary snapshot headers.
+	// Fingerprint, when set, is stamped into the snapshot headers.
 	Fingerprint string
 	// Hook, when set, injects failures at the commit points (fault
 	// testing only; see FaultHook).
@@ -259,8 +212,8 @@ func (b *CheckpointBackend) stage() (string, error) {
 	return dir, nil
 }
 
-// SaveSnapshot stages db under the in-progress checkpoint, in the
-// backend's configured format.
+// SaveSnapshot stages db under the in-progress checkpoint as a
+// binary snapshot, name.v6db.
 func (b *CheckpointBackend) SaveSnapshot(name string, db *DB) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -272,22 +225,14 @@ func (b *CheckpointBackend) saveSnapshotLocked(name string, db *DB) error {
 	if err != nil {
 		return err
 	}
-	if b.Format == FormatCSV {
-		if b.Hook != nil {
-			if err := b.Hook("write", filepath.Join(dir, name)); err != nil {
-				return err
-			}
-		}
-		return db.Save(filepath.Join(dir, name))
-	}
 	return db.SaveBinary(filepath.Join(dir, name)+BinaryExt,
 		BinaryOptions{Compress: true, Fingerprint: b.Fingerprint, Hook: b.Hook})
 }
 
 // SaveMeta commits the staged checkpoint: the metadata is written
-// into the staging directory, which is then atomically renamed to its
-// sequence-numbered final name. Older checkpoints beyond Keep are
-// pruned afterwards.
+// and fsynced into the staging directory, which is then atomically
+// renamed to its sequence-numbered final name, and the rename is
+// fsynced. Older checkpoints beyond Keep are pruned afterwards.
 func (b *CheckpointBackend) SaveMeta(m Meta) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -304,7 +249,7 @@ func (b *CheckpointBackend) saveMetaLocked(m Meta) error {
 			return err
 		}
 	}
-	if err := writeMetaFile(filepath.Join(dir, metaFile), m); err != nil {
+	if err := writeMeta(dir, m, b.Hook); err != nil {
 		return err
 	}
 	if !b.scanned {
@@ -332,6 +277,9 @@ func (b *CheckpointBackend) saveMetaLocked(m Meta) error {
 	}
 	b.nextSeq++
 	b.pending = ""
+	if err := syncDir(b.root()); err != nil {
+		return err
+	}
 	if b.Hook != nil {
 		// "crash" fires after the commit landed: the new checkpoint is
 		// the one LoadMeta now serves, but the caller hears failure — a
@@ -387,11 +335,11 @@ func (b *CheckpointBackend) LoadMeta() (Meta, bool, error) {
 	if err != nil || dir == "" {
 		return Meta{}, false, err
 	}
-	return readMetaFile(filepath.Join(dir, metaFile))
+	return ReadMeta(dir)
 }
 
-// LoadSnapshot reads a snapshot from the newest committed checkpoint,
-// auto-detecting the format it was saved in.
+// LoadSnapshot reads a snapshot from the newest committed checkpoint
+// (see loadSnapshotAuto).
 func (b *CheckpointBackend) LoadSnapshot(name string) (*DB, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -809,68 +809,3 @@ func ReadBinaryInfo(path string) (BinaryInfo, error) {
 	}
 	return info, nil
 }
-
-// BinaryBackend stores each snapshot as a single binary columnar file
-// Dir/<name>.v6db — the delta-encoded sections the shard wire already
-// ships, wrapped in the checksummed, versioned container above. Saves
-// stage to a temp file and commit by atomic rename; loads memory-map
-// the file when the platform allows and verify every checksum before
-// decoding. CSVBackend remains the interchange format; this is the
-// checkpoint format.
-type BinaryBackend struct {
-	Dir         string
-	Compress    bool      // flate-compress sections that shrink
-	Fingerprint string    // optional config fingerprint stamped into snapshots
-	Hook        FaultHook // optional fault-injection hook at the commit points
-}
-
-// NewBinaryBackend returns a backend rooted at dir with compression
-// enabled.
-func NewBinaryBackend(dir string) *BinaryBackend {
-	return &BinaryBackend{Dir: dir, Compress: true}
-}
-
-func (b *BinaryBackend) snapPath(name string) string {
-	return filepath.Join(b.Dir, name+BinaryExt)
-}
-
-// SaveSnapshot writes db as Dir/name.v6db.
-func (b *BinaryBackend) SaveSnapshot(name string, db *DB) error {
-	if err := os.MkdirAll(b.Dir, 0o755); err != nil {
-		return err
-	}
-	return db.SaveBinary(b.snapPath(name),
-		BinaryOptions{Compress: b.Compress, Fingerprint: b.Fingerprint, Hook: b.Hook})
-}
-
-// LoadSnapshot reads Dir/name.v6db.
-func (b *BinaryBackend) LoadSnapshot(name string) (*DB, error) {
-	return LoadBinary(b.snapPath(name))
-}
-
-// SaveMeta atomically replaces Dir/meta.json.
-func (b *BinaryBackend) SaveMeta(m Meta) error {
-	if err := os.MkdirAll(b.Dir, 0o755); err != nil {
-		return err
-	}
-	path := filepath.Join(b.Dir, metaFile)
-	if b.Hook != nil {
-		if err := b.Hook("write", path); err != nil {
-			return err
-		}
-	}
-	if err := writeMetaFile(path, m); err != nil {
-		return err
-	}
-	if b.Hook != nil {
-		if err := b.Hook("crash", path); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// LoadMeta reads Dir/meta.json; ok=false when it does not exist.
-func (b *BinaryBackend) LoadMeta() (Meta, bool, error) {
-	return readMetaFile(filepath.Join(b.Dir, metaFile))
-}

@@ -13,8 +13,6 @@ import (
 	"v6web/internal/topo"
 )
 
-var _ Backend = (*BinaryBackend)(nil)
-
 // binarySampleDB builds a database exercising every encoding corner:
 // dense main and extended ranges, an overflow id, host overrides, DNS
 // run spills and out-of-order rows (including a duplicate round),
@@ -141,37 +139,23 @@ func TestBinarySaveDeterministic(t *testing.T) {
 	}
 }
 
-func TestBinaryBackendRoundTrip(t *testing.T) {
-	b := NewBinaryBackend(t.TempDir())
+// TestCheckpointBinaryInfo reads the header and index of a snapshot
+// CheckpointBackend committed: the fingerprint it was configured with
+// and the database's reserved id ranges.
+func TestCheckpointBinaryInfo(t *testing.T) {
+	b := NewCheckpointBackend(t.TempDir())
 	b.Fingerprint = "cafebabe"
-	if _, ok, err := b.LoadMeta(); err != nil || ok {
-		t.Fatalf("empty backend meta: ok=%v err=%v", ok, err)
-	}
-	if _, err := b.LoadSnapshot(SnapMain); !errors.Is(err, ErrNoDatabase) {
-		t.Fatalf("LoadSnapshot on empty backend: %v", err)
-	}
-	db := binarySampleDB()
-	if err := b.SaveSnapshot(SnapMain, db); err != nil {
+	if err := b.SaveSnapshot(SnapMain, binarySampleDB()); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.SaveMeta(Meta{NextRound: 7, Rounds: 35, ConfigHash: "cafebabe"}); err != nil {
 		t.Fatal(err)
 	}
-	meta, ok, err := b.LoadMeta()
-	if err != nil || !ok || meta.NextRound != 7 {
-		t.Fatalf("LoadMeta: %+v ok=%v err=%v", meta, ok, err)
-	}
-	loaded, err := b.LoadSnapshot(SnapMain)
+	ck, err := b.latest()
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, d1, sa1, p1 := db.Counts()
-	s2, d2, sa2, p2 := loaded.Counts()
-	if s1 != s2 || d1 != d2 || sa1 != sa2 || p1 != p2 {
-		t.Fatalf("snapshot counts: (%d %d %d %d) vs (%d %d %d %d)", s1, d1, sa1, p1, s2, d2, sa2, p2)
-	}
-
-	info, err := ReadBinaryInfo(filepath.Join(b.Dir, SnapMain+BinaryExt))
+	info, err := ReadBinaryInfo(filepath.Join(ck, SnapMain+BinaryExt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,71 +170,58 @@ func TestBinaryBackendRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCheckpointBackendFormatMigration: a checkpoint a CSV-era build
+// committed (a CSV directory where the .v6db now goes) still loads,
+// and the next checkpoint commits binary.
 func TestCheckpointBackendFormatMigration(t *testing.T) {
-	// A checkpoint committed in one format must load under a backend
-	// configured for the other: LoadSnapshot auto-detects per
-	// checkpoint directory, so switching -format mid-campaign is safe.
-	for _, first := range []SnapshotFormat{FormatCSV, FormatBinary} {
-		t.Run("from-"+first.String(), func(t *testing.T) {
-			dir := t.TempDir()
-			db := binarySampleDB()
-			want := saveCSVBytes(t, db)
+	t.Run("from-csv", func(t *testing.T) {
+		dir := t.TempDir()
+		db := binarySampleDB()
+		want := saveCSVBytes(t, db)
 
-			old := NewCheckpointBackend(dir)
-			old.Format = first
-			if err := old.SaveSnapshot(SnapMain, db); err != nil {
-				t.Fatal(err)
-			}
-			if err := old.SaveMeta(Meta{NextRound: 3, Rounds: 7, ConfigHash: "x"}); err != nil {
-				t.Fatal(err)
-			}
-
-			other := NewCheckpointBackend(dir)
-			other.Format = FormatBinary + FormatCSV - first
-			loaded, err := other.LoadSnapshot(SnapMain)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := saveCSVBytes(t, loaded)
-			for name, data := range want {
-				if !bytes.Equal(data, got[name]) {
-					t.Errorf("%s differs after %s-era checkpoint load", name, first)
-				}
-			}
-			// The next checkpoint commits in the new backend's format
-			// and still loads.
-			if err := other.SaveSnapshot(SnapMain, loaded); err != nil {
-				t.Fatal(err)
-			}
-			if err := other.SaveMeta(Meta{NextRound: 4, Rounds: 7, ConfigHash: "x"}); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := other.LoadSnapshot(SnapMain); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-func TestParseSnapshotFormat(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want SnapshotFormat
-		ok   bool
-	}{
-		{"", FormatBinary, true},
-		{"binary", FormatBinary, true},
-		{"csv", FormatCSV, true},
-		{"tsv", 0, false},
-	} {
-		got, err := ParseSnapshotFormat(tc.in)
-		if (err == nil) != tc.ok || (tc.ok && got != tc.want) {
-			t.Errorf("ParseSnapshotFormat(%q) = %v, %v", tc.in, got, err)
+		b := NewCheckpointBackend(dir)
+		if err := b.SaveSnapshot(SnapMain, db); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if FormatBinary.String() != "binary" || FormatCSV.String() != "csv" {
-		t.Errorf("String(): %v %v", FormatBinary, FormatCSV)
-	}
+		if err := b.SaveMeta(Meta{NextRound: 3, Rounds: 7, ConfigHash: "x"}); err != nil {
+			t.Fatal(err)
+		}
+		ck, err := b.latest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Save(filepath.Join(ck, SnapMain)); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Remove(filepath.Join(ck, SnapMain+BinaryExt)); err != nil {
+			t.Fatal(err)
+		}
+
+		resumed := NewCheckpointBackend(dir)
+		loaded, err := resumed.LoadSnapshot(SnapMain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := saveCSVBytes(t, loaded)
+		for name, data := range want {
+			if !bytes.Equal(data, got[name]) {
+				t.Errorf("%s differs after a CSV-era checkpoint load", name)
+			}
+		}
+		if err := resumed.SaveSnapshot(SnapMain, loaded); err != nil {
+			t.Fatal(err)
+		}
+		if err := resumed.SaveMeta(Meta{NextRound: 4, Rounds: 7, ConfigHash: "x"}); err != nil {
+			t.Fatal(err)
+		}
+		next, err := resumed.latest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadBinary(filepath.Join(next, SnapMain+BinaryExt)); err != nil {
+			t.Fatalf("next checkpoint is not binary: %v", err)
+		}
+	})
 }
 
 // TestBinaryVersionDecoders pins the version/compat policy: every

@@ -42,7 +42,9 @@ var (
 // the tables' canonical iteration order — no sorted whole-table copy
 // is ever materialized, so saving a paper-scale database needs O(1)
 // extra memory. The bytes are those encoding/csv's Writer produces for
-// the same records.
+// the same records. Each file is fsynced before it is closed and dir
+// after the last one, so a returned nil means the database survives
+// power loss.
 func (db *DB) Save(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -56,7 +58,10 @@ func (db *DB) Save(dir string) error {
 	if err := db.saveSamples(filepath.Join(dir, samplesFile)); err != nil {
 		return err
 	}
-	return db.savePaths(filepath.Join(dir, pathsFile))
+	if err := db.savePaths(filepath.Join(dir, pathsFile)); err != nil {
+		return err
+	}
+	return syncDir(dir)
 }
 
 // csvOut writes one CSV file a row at a time. A row is appended field
@@ -97,6 +102,9 @@ func (o *csvOut) endRow() {
 
 func (o *csvOut) close() error {
 	err := o.bw.Flush()
+	if err == nil {
+		err = o.f.Sync()
+	}
 	if cerr := o.f.Close(); err == nil {
 		err = cerr
 	}

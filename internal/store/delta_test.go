@@ -191,7 +191,7 @@ func TestReserveMigratesOverflow(t *testing.T) {
 	}
 	before := db.DNS("penn")
 	beforeSites := db.Sites()
-	beforeSamples := db.Samples("penn", 200, topo.V4)
+	beforeSamples := db.Freeze().Series("penn", 200, topo.V4)
 
 	db.Reserve(256, extBase, 100)
 
@@ -201,7 +201,7 @@ func TestReserveMigratesOverflow(t *testing.T) {
 	if got := db.Sites(); !reflect.DeepEqual(got, beforeSites) {
 		t.Fatalf("site rows changed across Reserve migration:\n%+v\nvs\n%+v", got, beforeSites)
 	}
-	if got := db.Samples("penn", 200, topo.V4); !reflect.DeepEqual(got, beforeSamples) {
+	if got := db.Freeze().Series("penn", 200, topo.V4); !reflect.DeepEqual(got, beforeSamples) {
 		t.Fatal("samples changed across Reserve migration")
 	}
 	// Growing further must keep everything again.
@@ -252,11 +252,12 @@ func TestReserveGrowsInSteps(t *testing.T) {
 	wantSites := db.Sites()
 	wantDNS := make(map[Vantage][]DNSRow)
 	wantSamples := make(map[Vantage][][]Sample)
+	snap := db.Freeze()
 	for _, v := range vantages {
 		wantDNS[v] = db.DNS(v)
 		for _, id := range ids {
 			for _, fam := range []topo.Family{topo.V4, topo.V6} {
-				wantSamples[v] = append(wantSamples[v], db.Samples(v, id, fam))
+				wantSamples[v] = append(wantSamples[v], snap.Series(v, id, fam))
 			}
 		}
 	}
@@ -269,6 +270,7 @@ func TestReserveGrowsInSteps(t *testing.T) {
 		if got := db.Sites(); !reflect.DeepEqual(got, wantSites) {
 			t.Fatalf("%s: site rows changed:\n%+v\nwant\n%+v", name, got, wantSites)
 		}
+		snap := db.Freeze()
 		for _, v := range vantages {
 			if got := db.DNS(v); !reflect.DeepEqual(got, wantDNS[v]) {
 				t.Fatalf("%s: %s DNS rows changed", name, v)
@@ -276,7 +278,7 @@ func TestReserveGrowsInSteps(t *testing.T) {
 			k := 0
 			for _, id := range ids {
 				for _, fam := range []topo.Family{topo.V4, topo.V6} {
-					if got := db.Samples(v, id, fam); !reflect.DeepEqual(got, wantSamples[v][k]) {
+					if got := snap.Series(v, id, fam); !reflect.DeepEqual(got, wantSamples[v][k]) {
 						t.Fatalf("%s: %s samples of site %d fam %v changed", name, v, id, fam)
 					}
 					k++
@@ -389,8 +391,9 @@ func TestColumnarConcurrentAppends(t *testing.T) {
 				}
 				db.EnsureCanonicalSites(views)
 				if r%10 == 0 {
-					db.Samples("penn", base, topo.V4)
-					db.SeriesLen("penn", base, topo.V4)
+					snap := db.Freeze()
+					snap.Series("penn", base, topo.V4)
+					snap.SeriesLen("penn", base, topo.V4)
 				}
 			}
 		}(w)

@@ -10,6 +10,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -40,20 +41,23 @@ func commit(b *CheckpointBackend, db *DB, round int) error {
 
 func TestCheckpointCommitFaultLeavesPreviousLoadable(t *testing.T) {
 	cases := []struct {
-		format SnapshotFormat
-		op     string
+		name string
+		hook FaultHook
 	}{
-		{FormatBinary, "write"},
-		{FormatBinary, "sync"},
-		{FormatBinary, "rename"},
-		{FormatCSV, "write"},
-		{FormatCSV, "rename"}, // CSV stages have no fsync point; rename guards the commit
+		{"binary-write", failOps("write")},
+		{"binary-sync", failOps("sync")},
+		{"binary-rename", failOps("rename")},
+		{"meta-sync", func(op, path string) error { // the snapshot's fsync succeeds
+			if op == "sync" && filepath.Base(path) == metaFile {
+				return fmt.Errorf("%w (%s on %s)", errBoom, op, path)
+			}
+			return nil
+		}},
 	}
 	for _, tc := range cases {
-		t.Run(fmt.Sprintf("%v-%s", tc.format, tc.op), func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			b := NewCheckpointBackend(dir)
-			b.Format = tc.format
 			db1 := backendSampleDB()
 			if err := commit(b, db1, 1); err != nil {
 				t.Fatal(err)
@@ -61,7 +65,7 @@ func TestCheckpointCommitFaultLeavesPreviousLoadable(t *testing.T) {
 
 			db2 := backendSampleDB()
 			db2.AddDNS("penn", DNSRow{Site: 2, Round: 1, HasA: true})
-			b.Hook = failOps(tc.op)
+			b.Hook = tc.hook
 			if err := commit(b, db2, 2); !errors.Is(err, errBoom) {
 				t.Fatalf("faulted commit returned %v, want injected failure", err)
 			}
@@ -69,7 +73,6 @@ func TestCheckpointCommitFaultLeavesPreviousLoadable(t *testing.T) {
 			// A fresh backend (the resuming process) must see checkpoint 1
 			// exactly as committed.
 			b2 := NewCheckpointBackend(dir)
-			b2.Format = tc.format
 			meta, ok, err := b2.LoadMeta()
 			if err != nil || !ok || meta.NextRound != 1 {
 				t.Fatalf("after faulted commit: meta=%+v ok=%v err=%v", meta, ok, err)

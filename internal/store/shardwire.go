@@ -266,7 +266,7 @@ func (db *DB) appendShardSamples(w *wbuf, v Vantage, lo, hi alexa.SiteID) int {
 	var rows wbuf
 	n := 0
 	prev := lo
-	for _, site := range db.SampledSites(v) {
+	for _, site := range db.sampledSites(v) {
 		if site < lo || site >= hi {
 			continue
 		}

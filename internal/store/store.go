@@ -1057,27 +1057,9 @@ func expandSeries(packed []packedSample, dates []time.Time) []Sample {
 	return out
 }
 
-// Samples returns the round-ordered samples for (vantage, site,
-// family).
-func (db *DB) Samples(v Vantage, site alexa.SiteID, fam topo.Family) []Sample {
-	t := db.lookup(v)
-	if t == nil {
-		return nil
-	}
-	dates := t.dateTable()
-	sh := &t.samples[uint64(site)&(shards-1)]
-	sh.mu.Lock()
-	var packed []packedSample
-	if idx := sh.seriesIdx(db.res, site, fam); idx >= 0 {
-		packed = append(packed, sh.series[idx]...)
-	}
-	sh.mu.Unlock()
-	return expandSeries(packed, dates)
-}
-
-// SampledSites returns the distinct site ids with samples at vantage
+// sampledSites returns the distinct site ids with samples at vantage
 // v, sorted.
-func (db *DB) SampledSites(v Vantage) []alexa.SiteID {
+func (db *DB) sampledSites(v Vantage) []alexa.SiteID {
 	t := db.lookup(v)
 	if t == nil {
 		return nil
@@ -1130,95 +1112,6 @@ func equalPath(a, b []int) bool {
 		}
 	}
 	return true
-}
-
-// PathAt returns the AS path to dst in effect at round, or nil.
-func (db *DB) PathAt(v Vantage, fam topo.Family, dst, round int) []int {
-	t := db.lookup(v)
-	if t == nil {
-		return nil
-	}
-	k := famDstKey{fam, dst}
-	t.pathMu.Lock()
-	defer t.pathMu.Unlock()
-	var cur []int
-	for _, s := range t.paths[k] {
-		if s.Round > round {
-			break
-		}
-		cur = s.Path
-	}
-	return append([]int(nil), cur...)
-}
-
-// LatestPath returns the most recent path to dst, or nil.
-func (db *DB) LatestPath(v Vantage, fam topo.Family, dst int) []int {
-	t := db.lookup(v)
-	if t == nil {
-		return nil
-	}
-	k := famDstKey{fam, dst}
-	t.pathMu.Lock()
-	defer t.pathMu.Unlock()
-	snaps := t.paths[k]
-	if len(snaps) == 0 {
-		return nil
-	}
-	return append([]int(nil), snaps[len(snaps)-1].Path...)
-}
-
-// PathChanged reports whether the path to dst changed during the
-// study (more than one stored snapshot).
-func (db *DB) PathChanged(v Vantage, fam topo.Family, dst int) bool {
-	t := db.lookup(v)
-	if t == nil {
-		return false
-	}
-	t.pathMu.Lock()
-	defer t.pathMu.Unlock()
-	return len(t.paths[famDstKey{fam, dst}]) > 1
-}
-
-// PathDestinations returns all destination ASes with a stored path for
-// (vantage, family), sorted.
-func (db *DB) PathDestinations(v Vantage, fam topo.Family) []int {
-	t := db.lookup(v)
-	if t == nil {
-		return nil
-	}
-	var out []int
-	t.pathMu.Lock()
-	for k := range t.paths {
-		if k.fam == fam {
-			out = append(out, k.dst)
-		}
-	}
-	t.pathMu.Unlock()
-	sort.Ints(out)
-	return out
-}
-
-// ASesCrossed returns the distinct ASes appearing on any stored path
-// for (vantage, family) — Table 2's "ASes crossed".
-func (db *DB) ASesCrossed(v Vantage, fam topo.Family) map[int]bool {
-	out := make(map[int]bool)
-	t := db.lookup(v)
-	if t == nil {
-		return out
-	}
-	t.pathMu.Lock()
-	defer t.pathMu.Unlock()
-	for k, snaps := range t.paths {
-		if k.fam != fam {
-			continue
-		}
-		for _, s := range snaps {
-			for _, a := range s.Path {
-				out[a] = true
-			}
-		}
-	}
-	return out
 }
 
 // Vantages returns every vantage with any stored data, sorted.

@@ -39,7 +39,8 @@ func TestSamplesOrdering(t *testing.T) {
 	db.AddSample("penn", 1, topo.V4, Sample{Round: 2, MeanSpeed: 20})
 	db.AddSample("penn", 1, topo.V6, Sample{Round: 1, MeanSpeed: 99})
 	db.AddSample("comcast", 1, topo.V4, Sample{Round: 1, MeanSpeed: 88})
-	got := db.Samples("penn", 1, topo.V4)
+	snap := db.Freeze()
+	got := snap.Series("penn", 1, topo.V4)
 	if len(got) != 3 {
 		t.Fatalf("%d samples", len(got))
 	}
@@ -48,10 +49,10 @@ func TestSamplesOrdering(t *testing.T) {
 			t.Fatalf("not round-ordered: %+v", got)
 		}
 	}
-	if len(db.Samples("penn", 1, topo.V6)) != 1 {
+	if len(snap.Series("penn", 1, topo.V6)) != 1 {
 		t.Fatal("family mixed up")
 	}
-	if len(db.Samples("penn", 2, topo.V4)) != 0 {
+	if len(snap.Series("penn", 2, topo.V4)) != 0 {
 		t.Fatal("site mixed up")
 	}
 }
@@ -61,7 +62,7 @@ func TestSampledSites(t *testing.T) {
 	db.AddSample("penn", 7, topo.V4, Sample{Round: 1})
 	db.AddSample("penn", 3, topo.V6, Sample{Round: 1})
 	db.AddSample("lu", 9, topo.V4, Sample{Round: 1})
-	got := db.SampledSites("penn")
+	got := db.Freeze().SampledSites("penn")
 	if len(got) != 2 || got[0] != 3 || got[1] != 7 {
 		t.Fatalf("sampled sites: %v", got)
 	}
@@ -72,25 +73,24 @@ func TestPathsCollapseAndHistory(t *testing.T) {
 	db.AddPath("penn", topo.V4, 50, 1, []int{0, 5, 50})
 	db.AddPath("penn", topo.V4, 50, 2, []int{0, 5, 50}) // identical: collapsed
 	db.AddPath("penn", topo.V4, 50, 5, []int{0, 9, 50}) // change
-	if !db.PathChanged("penn", topo.V4, 50) {
+	snap := db.Freeze()
+	if !snap.PathChanged("penn", topo.V4, 50) {
 		t.Fatal("change not detected")
 	}
-	if db.PathChanged("penn", topo.V6, 50) {
+	if snap.PathChanged("penn", topo.V6, 50) {
 		t.Fatal("phantom change")
 	}
-	if p := db.PathAt("penn", topo.V4, 50, 3); len(p) != 3 || p[1] != 5 {
-		t.Fatalf("path at round 3: %v", p)
+	hist := snap.view("penn").paths[famDstKey{topo.V4, 50}]
+	if len(hist) != 2 || hist[0].Round != 1 || hist[0].Path[1] != 5 || hist[1].Round != 5 || hist[1].Path[1] != 9 {
+		t.Fatalf("path history: %+v", hist)
 	}
-	if p := db.PathAt("penn", topo.V4, 50, 6); p[1] != 9 {
-		t.Fatalf("path at round 6: %v", p)
-	}
-	if p := db.LatestPath("penn", topo.V4, 50); p[1] != 9 {
+	if p := snap.LatestPath("penn", topo.V4, 50); p[1] != 9 {
 		t.Fatalf("latest path: %v", p)
 	}
-	if db.LatestPath("penn", topo.V4, 999) != nil {
+	if snap.LatestPath("penn", topo.V4, 999) != nil {
 		t.Fatal("phantom path")
 	}
-	if got := db.PathDestinations("penn", topo.V4); len(got) != 1 || got[0] != 50 {
+	if got := snap.PathDestinations("penn", topo.V4); len(got) != 1 || got[0] != 50 {
 		t.Fatalf("destinations: %v", got)
 	}
 }
@@ -99,7 +99,7 @@ func TestASesCrossed(t *testing.T) {
 	db := NewDB()
 	db.AddPath("penn", topo.V4, 50, 1, []int{0, 5, 50})
 	db.AddPath("penn", topo.V4, 60, 1, []int{0, 7, 60})
-	x := db.ASesCrossed("penn", topo.V4)
+	x := db.Freeze().ASesCrossed("penn", topo.V4)
 	for _, want := range []int{0, 5, 7, 50, 60} {
 		if !x[want] {
 			t.Fatalf("AS %d missing from crossed set %v", want, x)
@@ -156,14 +156,15 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if !ok || r.Host != "one.test" || r.V6AS != 4 {
 		t.Fatalf("site: %+v", r)
 	}
-	ss := got.Samples("penn", 1, topo.V4)
+	snap := got.Freeze()
+	ss := snap.Series("penn", 1, topo.V4)
 	if len(ss) != 1 || ss[0].MeanSpeed != 42.5 || !ss[0].Date.Equal(date) || !ss[0].CIOK {
 		t.Fatalf("sample: %+v", ss)
 	}
-	if p := got.LatestPath("penn", topo.V6, 4); len(p) != 3 || p[1] != 7 {
+	if p := snap.LatestPath("penn", topo.V6, 4); len(p) != 3 || p[1] != 7 {
 		t.Fatalf("path: %v", p)
 	}
-	if !got.PathChanged("penn", topo.V6, 4) {
+	if !snap.PathChanged("penn", topo.V6, 4) {
 		t.Fatal("path change lost")
 	}
 }
@@ -182,7 +183,7 @@ func TestConcurrentWrites(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				db.AddSample("penn", 1, topo.V4, Sample{Round: i})
 				db.AddPath("penn", topo.V4, w, i, []int{0, w})
-				db.Samples("penn", 1, topo.V4)
+				db.Freeze().Series("penn", 1, topo.V4)
 			}
 			done <- true
 		}(w)
@@ -190,7 +191,7 @@ func TestConcurrentWrites(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		<-done
 	}
-	if got := len(db.Samples("penn", 1, topo.V4)); got != 2000 {
+	if got := len(db.Freeze().Series("penn", 1, topo.V4)); got != 2000 {
 		t.Fatalf("lost samples: %d", got)
 	}
 }
@@ -260,10 +261,11 @@ func TestMerge(t *testing.T) {
 	if _, ok := a.Site(2); !ok {
 		t.Fatal("merged site missing")
 	}
-	if len(a.Samples("comcast", 1, topo.V4)) != 1 {
+	snap := a.Freeze()
+	if len(snap.Series("comcast", 1, topo.V4)) != 1 {
 		t.Fatal("merged samples missing")
 	}
-	if !a.PathChanged("penn", topo.V4, 9) {
+	if !snap.PathChanged("penn", topo.V4, 9) {
 		t.Fatal("merged path history lost the change")
 	}
 	// Self-merge and nil-merge are no-ops, not deadlocks.

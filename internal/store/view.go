@@ -10,12 +10,11 @@ import (
 
 // This file is the read path over the columnar tables. DNS history is
 // stored delta-encoded (see store.go), so every reader — the ForEach
-// iterators, the copying getters, CSV export, and frozen Snapshots —
-// goes through one shared walker that expands runs back to per-round
-// rows in canonical (site, round) order. Because the walker's order is
-// canonical rather than insertion order, equal databases always
-// iterate (and serialize) identically regardless of worker
-// interleaving.
+// iterators, CSV export, and frozen Snapshots — goes through one
+// shared walker that expands runs back to per-round rows in canonical
+// (site, round) order. Because the walker's order is canonical rather
+// than insertion order, equal databases always iterate (and
+// serialize) identically regardless of worker interleaving.
 
 // dnsView is the walker's input: captured table references with
 // optional per-site observation caps (set when freezing a Snapshot so
@@ -218,7 +217,7 @@ func (db *DB) ForEachSeries(v Vantage, fn func(site alexa.SiteID, fam topo.Famil
 		return
 	}
 	dates := t.dateTable()
-	for _, site := range db.SampledSites(v) {
+	for _, site := range db.sampledSites(v) {
 		sh := &t.samples[uint64(site)&(shards-1)]
 		for _, fam := range famBoth {
 			sh.mu.Lock()
@@ -235,22 +234,6 @@ func (db *DB) ForEachSeries(v Vantage, fn func(site alexa.SiteID, fam topo.Famil
 }
 
 var famBoth = [2]topo.Family{topo.V4, topo.V6}
-
-// SeriesLen returns how many samples are stored for (vantage, site,
-// family) without expanding the series.
-func (db *DB) SeriesLen(v Vantage, site alexa.SiteID, fam topo.Family) int {
-	t := db.lookup(v)
-	if t == nil {
-		return 0
-	}
-	sh := &t.samples[uint64(site)&(shards-1)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if idx := sh.seriesIdx(db.res, site, fam); idx >= 0 {
-		return len(sh.series[idx])
-	}
-	return 0
-}
 
 // Snapshot is an immutable read view of a database, taken once with
 // Freeze and then queried without further coordination. The view
@@ -284,7 +267,7 @@ type frozenVantage struct {
 
 // Freeze captures a Snapshot of the database: one short locked pass
 // per table, after which reads need no locks. Expanded sample series
-// come back round-sorted, matching what DB.Samples returns.
+// come back round-sorted, as DB.ForEachSeries returns them.
 func (db *DB) Freeze() *Snapshot {
 	snap := &Snapshot{db: db, vantages: make(map[Vantage]*frozenVantage)}
 	for v, t := range db.tables() {

@@ -142,7 +142,7 @@ func TestMetricsOnFreshScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(); err != nil {
+	if err := s.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	for name, m := range map[string]Metric{
