@@ -51,7 +51,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"v6web/internal/cli"
@@ -77,7 +76,7 @@ func main() {
 		stopAfter = flag.Int("stop-after", 0, "checkpoint and exit after this round completes (0 runs to the end)")
 		shards    = flag.Int("shards", 1, "split the campaign across this many local worker processes (1 runs in-process)")
 		faults    = flag.String("faults", "", "deterministic chaos plan, e.g. seed=7,fs=0.1,wire.cut=0.3 (unsharded runs take fs faults only and have no retry layer, so an injected checkpoint fault aborts the run)")
-		frameTime = flag.Duration("frame-timeout", 0, "sharded: max silence on a worker stream before the shard attempt is retried (0 uses the default watchdog; needs -shards > 1)")
+		frameTime = flag.Duration("frame-timeout", 0, "sharded: max silence on a worker stream, plus the retry backoff, before the shard attempt is retried (0 uses the default watchdog; needs -shards > 1)")
 	)
 	var sets scenario.Overrides
 	flag.Var(&sets, "set", "spec override as a dotted path, e.g. -set topo.ases=500 (repeatable; needs -scenario)")
@@ -89,12 +88,7 @@ func main() {
 		}
 		return
 	}
-	if *pack != "" {
-		if bad := cli.ExplicitFlags("seed", "ases", "sites", "rounds"); len(bad) > 0 {
-			fatal(fmt.Errorf("-%s applies only without -scenario; use -set spec overrides instead (e.g. -set topo.ases=500)", strings.Join(bad, ", -")))
-		}
-	}
-	cfg, cfgErr := resolveConfig(*pack, sets, *seed, *ases, *sites, *rounds, *quiet)
+	cfg, cfgErr := cli.ResolveConfig(flag.CommandLine, *pack, sets, *seed, *ases, *sites, *rounds, *quiet)
 	if cfgErr != nil {
 		fatal(cfgErr)
 	}
@@ -276,30 +270,6 @@ func runSharded(cfg core.Config, out string, shards, every int, fc *fault.Config
 	if !quiet {
 		fmt.Printf("saved to %s\n", out)
 	}
-}
-
-// resolveConfig builds the campaign config from a scenario pack (when
-// -scenario is given) or from the classic shape flags.
-func resolveConfig(pack string, sets scenario.Overrides, seed int64, ases, sites, rounds int, quiet bool) (core.Config, error) {
-	if pack == "" {
-		if len(sets) > 0 {
-			return core.Config{}, fmt.Errorf("-set overrides a scenario spec; it needs -scenario")
-		}
-		cfg := core.DefaultConfig(seed)
-		cfg.NASes = ases
-		cfg.ListSize = sites
-		cfg.Rounds = rounds
-		cfg.Vantages = core.ScaledVantages(rounds)
-		return cfg, nil
-	}
-	comp, err := scenario.LoadCompiled(pack, sets)
-	if err != nil {
-		return core.Config{}, err
-	}
-	if !quiet && comp.Name != "" {
-		fmt.Printf("scenario: %s — %s\n", comp.Name, comp.Doc)
-	}
-	return comp.Config, nil
 }
 
 // interrupted reports a graceful shutdown and exits: 0 when the

@@ -59,7 +59,7 @@ func main() {
 		fatal(errors.New("-set overrides a scenario spec; it needs -scenario"))
 	}
 	if *pack != "" {
-		if bad := cli.ExplicitFlags("seed", "ases", "sites"); len(bad) > 0 {
+		if bad := cli.ExplicitFlags(flag.CommandLine, "seed", "ases", "sites"); len(bad) > 0 {
 			fatal(fmt.Errorf("-%s applies only without -scenario; use -set spec overrides instead (e.g. -set topo.ases=500)", strings.Join(bad, ", -")))
 		}
 	}

@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"v6web/internal/cli"
-	"v6web/internal/core"
 	"v6web/internal/fault"
 	"v6web/internal/scenario"
 	"v6web/internal/shard"
@@ -67,11 +66,8 @@ func workerMain(args []string) {
 	fs.Parse(args)
 	var err error
 	if *connect != "" {
-		p := fault.DefaultRetryPolicy()
-		if *dialAttempts > 0 {
-			p.MaxAttempts = *dialAttempts
-		}
-		err = shard.ServeAddrRetry(*connect, p)
+		// Zero fields, -dial-attempts 0 included, take the defaults.
+		err = shard.ServeAddrRetry(*connect, fault.RetryPolicy{MaxAttempts: *dialAttempts})
 	} else {
 		err = shard.Serve(os.Stdin, os.Stdout)
 	}
@@ -94,31 +90,15 @@ func coordinateMain(args []string) {
 		every  = fs.Int("checkpoint-every", 2, "worker checkpoint cadence in rounds (0 disables; a failed worker then retries from scratch)")
 		quiet  = fs.Bool("q", false, "suppress progress output")
 		faults = fs.String("faults", "", "deterministic chaos plan, e.g. seed=7,fs=0.1,wire.cut=0.3 (see go doc v6web/internal/fault ParseFlag)")
-		ftime  = fs.Duration("frame-timeout", 0, "max silence on a worker stream before the shard attempt is abandoned and retried (0 uses the default watchdog)")
+		ftime  = fs.Duration("frame-timeout", 0, "max silence on a worker stream, plus the retry backoff, before the shard attempt is abandoned and retried (0 uses the default watchdog)")
 	)
 	var sets scenario.Overrides
 	fs.Var(&sets, "set", "spec override as a dotted path (repeatable; needs -scenario)")
 	fs.Parse(args)
 
-	var cfg core.Config
-	if *pack == "" {
-		if len(sets) > 0 {
-			fatal(fmt.Errorf("-set overrides a scenario spec; it needs -scenario"))
-		}
-		cfg = core.DefaultConfig(*seed)
-		cfg.NASes = *ases
-		cfg.ListSize = *sites
-		cfg.Rounds = *rounds
-		cfg.Vantages = core.ScaledVantages(*rounds)
-	} else {
-		comp, err := scenario.LoadCompiled(*pack, sets)
-		if err != nil {
-			fatal(err)
-		}
-		if !*quiet && comp.Name != "" {
-			fmt.Printf("scenario: %s — %s\n", comp.Name, comp.Doc)
-		}
-		cfg = comp.Config
+	cfg, err := cli.ResolveConfig(fs, *pack, sets, *seed, *ases, *sites, *rounds, *quiet)
+	if err != nil {
+		fatal(err)
 	}
 
 	ctx, stop := cli.SignalContext()

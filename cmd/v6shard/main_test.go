@@ -126,3 +126,18 @@ func TestCoordinateSigtermCheckpointsAndExitsZero(t *testing.T) {
 		}
 	}
 }
+
+// TestCoordinateRejectsShapeFlagsWithScenario: a scenario pack
+// replaces the shape flags, so setting one next to -scenario must fail
+// loudly, as it does in v6mon, instead of being silently ignored.
+func TestCoordinateRejectsShapeFlagsWithScenario(t *testing.T) {
+	bin := buildV6Shard(t)
+	out, err := exec.Command(bin, "coordinate", "-out", t.TempDir(),
+		"-scenario", "baseline-2011", "-shards", "2", "-seed", "999").CombinedOutput()
+	if err == nil {
+		t.Fatalf("-scenario with -seed exited 0:\n%s", out)
+	}
+	if !strings.Contains(string(out), "-seed") {
+		t.Errorf("error does not name -seed:\n%s", out)
+	}
+}

@@ -73,7 +73,7 @@ func main() {
 	var title string
 	var err error
 	if *over != "" {
-		if bad := cli.ExplicitFlags("sweep", "seed", "ases", "sites"); len(bad) > 0 {
+		if bad := cli.ExplicitFlags(flag.CommandLine, "sweep", "seed", "ases", "sites"); len(bad) > 0 {
 			fatal(fmt.Errorf("-%s applies only to the built-in sweeps; with -over, shape the world via -scenario and -set", strings.Join(bad, ", -")))
 		}
 		base, points, title, err = specSweep(*pack, sets, *over)

@@ -51,7 +51,7 @@ func main() {
 		// -parity is guarded too: silently stacking it on a pack's
 		// topology would print statistics for a world the pack's
 		// campaign never builds.
-		if bad := cli.ExplicitFlags("ases", "seed", "parity"); len(bad) > 0 {
+		if bad := cli.ExplicitFlags(flag.CommandLine, "ases", "seed", "parity"); len(bad) > 0 {
 			fatal(fmt.Errorf("-%s applies only without -scenario; use -set spec overrides instead (e.g. -set topo.v6_edge_parity=0.5)", strings.Join(bad, ", -")))
 		}
 	}

@@ -1,7 +1,8 @@
 // Package cli holds the few helpers the cmd tools share, so flag
 // conventions cannot drift between them: detection of explicitly set
 // flags (behind every tool's "-scenario replaces the shape flags"
-// conflict errors) and uniform fatal exits.
+// conflict errors), the campaign config the shape flags or a pack
+// resolve to, and uniform fatal exits.
 package cli
 
 import (
@@ -9,16 +10,19 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
+	"v6web/internal/core"
+	"v6web/internal/scenario"
 	"v6web/internal/store"
 )
 
-// ExplicitFlags returns which of the named flags the user set on the
-// command line (as opposed to leaving at their defaults).
-func ExplicitFlags(names ...string) []string {
+// ExplicitFlags returns which of the named flags the user set in fs
+// (as opposed to leaving at their defaults).
+func ExplicitFlags(fs *flag.FlagSet, names ...string) []string {
 	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	var out []string
 	for _, n := range names {
 		if set[n] {
@@ -26,6 +30,35 @@ func ExplicitFlags(names ...string) []string {
 		}
 	}
 	return out
+}
+
+// ResolveConfig builds a campaign config from a scenario pack (when
+// pack is given) or from the classic shape flags of fs, -seed, -ases,
+// -sites and -rounds, which a pack replaces: setting one of them next
+// to a pack is an error.
+func ResolveConfig(fs *flag.FlagSet, pack string, sets scenario.Overrides, seed int64, ases, sites, rounds int, quiet bool) (core.Config, error) {
+	if pack == "" {
+		if len(sets) > 0 {
+			return core.Config{}, fmt.Errorf("-set overrides a scenario spec; it needs -scenario")
+		}
+		cfg := core.DefaultConfig(seed)
+		cfg.NASes = ases
+		cfg.ListSize = sites
+		cfg.Rounds = rounds
+		cfg.Vantages = core.ScaledVantages(rounds)
+		return cfg, nil
+	}
+	if bad := ExplicitFlags(fs, "seed", "ases", "sites", "rounds"); len(bad) > 0 {
+		return core.Config{}, fmt.Errorf("-%s applies only without -scenario; use -set spec overrides instead (e.g. -set topo.ases=500)", strings.Join(bad, ", -"))
+	}
+	comp, err := scenario.LoadCompiled(pack, sets)
+	if err != nil {
+		return core.Config{}, err
+	}
+	if !quiet && comp.Name != "" {
+		fmt.Printf("scenario: %s — %s\n", comp.Name, comp.Doc)
+	}
+	return comp.Config, nil
 }
 
 // Fatal prints "tool: err" to stderr and exits 1.

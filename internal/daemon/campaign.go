@@ -5,22 +5,22 @@ package daemon
 // failure handling a long-lived service needs layered on top —
 // per-campaign panic isolation, a stuck-round watchdog, and
 // bounded-backoff restarts that resume from the last committed
-// checkpoint. The campaign runner itself cannot be cancelled mid-round
-// (a round is the atomic unit of progress), so the watchdog abandons a
-// stuck attempt instead: it fences the attempt off behind an epoch
-// counter (stale publishes and events are dropped) and starts a fresh
-// attempt from the checkpoint. The fence is enforced, not advisory:
-// the abandoned attempt's checkpoint-write handle is revoked under the
-// backend lock when the replacement acquires its own (so the two can
-// never interleave staged snapshots or collide on sequence numbers),
-// the version swap refuses round regression, and the completion tail
-// runs only in the attempt that still owns the epoch.
+// checkpoint. The attempt loop, its budget and its watchdog are
+// fault.RetryPolicy.Supervise's. A round cannot be cancelled (it is
+// the atomic unit of progress), so an abandoned attempt leaves its
+// round goroutine running, fenced off: it drops its publishes and
+// events once Attempt.Fenced reports the abandonment. The fence is
+// enforced, not advisory: the abandoned attempt's checkpoint-write
+// handle is revoked under the backend lock when the replacement
+// acquires its own (so the two can never interleave staged snapshots
+// or collide on sequence numbers), the version swap refuses round
+// regression, and the completion tail runs only in an attempt that
+// was never abandoned.
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"runtime/debug"
@@ -29,6 +29,7 @@ import (
 
 	"v6web/internal/cli"
 	"v6web/internal/core"
+	"v6web/internal/fault"
 	"v6web/internal/report"
 	"v6web/internal/scenario"
 	"v6web/internal/store"
@@ -66,9 +67,6 @@ type Campaign struct {
 
 	version  atomic.Pointer[Version]
 	seq      atomic.Uint64
-	epoch    atomic.Uint64
-	progress atomic.Int64 // UnixNano of the last liveness signal
-	lastDone atomic.Int64 // rounds completed per the last published version
 	restarts atomic.Uint64
 	state    atomic.Value // string
 	lastErr  atomic.Value // string
@@ -95,7 +93,6 @@ func newCampaign(dir string, sp *scenario.Spec, comp scenario.Compiled) *Campaig
 	}
 	c.state.Store(StateStarting)
 	c.lastErr.Store("")
-	c.touch()
 	return c
 }
 
@@ -107,31 +104,19 @@ func (c *Campaign) State() string { return c.state.Load().(string) }
 
 func (c *Campaign) setState(s string) { c.state.Store(s) }
 
-func (c *Campaign) touch() { c.progress.Store(time.Now().UnixNano()) }
-
-func (c *Campaign) sinceProgress() time.Duration {
-	return time.Duration(time.Now().UnixNano() - c.progress.Load())
-}
-
-// scope keys the campaign's deterministic backoff jitter stream.
-func (c *Campaign) scope() uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(c.Name))
-	return h.Sum64()
-}
-
-// publish swaps in a freshly built version — unless this attempt has
-// been fenced off by the watchdog, in which case the version is
-// dropped. The epoch check alone is advisory (a publish racing the
-// fence could land after the replacement attempt's), so the swap is a
-// compare-and-swap that refuses to replace a version with a higher
-// round (or a complete version with an incomplete one): served rounds
-// never regress, and Seq order always matches round order. A fenced
-// attempt's same-round version is byte-identical to the replacement's
-// by determinism, so an equal-round swap is harmless either way.
-func (c *Campaign) publish(epoch uint64, v *Version) bool {
+// publish swaps in a freshly built version and reports its round as
+// the attempt's progress — unless the attempt has been abandoned, in
+// which case the version is dropped. The fence check alone is advisory
+// (a publish racing the abandonment could land after the replacement
+// attempt's), so the swap is a compare-and-swap that refuses to
+// replace a version with a higher round (or a complete version with an
+// incomplete one): served rounds never regress, and Seq order always
+// matches round order. A fenced attempt's same-round version is
+// byte-identical to the replacement's by determinism, so an
+// equal-round swap is harmless either way.
+func (c *Campaign) publish(a *fault.Attempt, v *Version) bool {
 	for {
-		if c.epoch.Load() != epoch {
+		if a.Fenced() {
 			return false
 		}
 		cur := c.version.Load()
@@ -143,78 +128,53 @@ func (c *Campaign) publish(epoch uint64, v *Version) bool {
 			break
 		}
 	}
-	for {
-		old := c.lastDone.Load()
-		if int64(v.Round) <= old || c.lastDone.CompareAndSwap(old, int64(v.Round)) {
-			break
-		}
-	}
-	c.touch()
+	a.Advance(v.Round)
 	c.events.send(Event{Campaign: c.Name, Kind: "version", Round: v.Round, Seq: v.Seq})
 	return true
 }
 
-// supervise runs the campaign to completion (or terminal failure),
-// restarting failed attempts from the last committed checkpoint with
-// the retry policy's backoff. Attempts that made round progress reset
-// the attempt counter: a campaign that keeps advancing — however
-// haltingly — is never declared failed, while one that cannot complete
-// a single round within MaxAttempts tries is.
+// supervise runs the campaign to completion (or terminal failure)
+// under the retry policy, restarting failed attempts from the last
+// committed checkpoint. An attempt that published a new round renews
+// the budget, so only a campaign that cannot complete a single round
+// within MaxAttempts tries is declared failed.
 func (d *Daemon) supervise(ctx context.Context, c *Campaign) {
-	attempt := 0
-	for {
-		if ctx.Err() != nil {
-			c.setState(StateDrained)
-			return
-		}
-		before := c.lastDone.Load()
-		err := d.attempt(ctx, c, attempt)
-		if err == nil {
-			c.setState(StateComplete)
-			c.events.send(Event{Campaign: c.Name, Kind: "complete", Round: c.comp.Config.Rounds})
-			d.logf("campaign %s: complete (%d rounds)", c.Name, c.comp.Config.Rounds)
-			return
-		}
-		if ctx.Err() != nil {
-			// Drained: the attempt's shutdown checkpoint (or the last
-			// periodic one) is on disk; the next daemon start resumes.
-			c.setState(StateDrained)
-			d.logf("campaign %s: drained at round %d — checkpoint saved", c.Name, c.lastDone.Load())
-			return
-		}
+	err := d.retry.Supervise(ctx, func(a *fault.Attempt) error {
+		return d.attempt(ctx, c, a)
+	}, func(next int, err error) {
 		c.lastErr.Store(err.Error())
 		c.restarts.Add(1)
-		if c.lastDone.Load() > before {
-			attempt = 0
-		}
-		attempt++
-		if attempt >= d.retry.MaxAttempts {
-			c.setState(StateFailed)
-			d.logf("campaign %s: failed permanently after %d attempts without progress: %v", c.Name, attempt, err)
-			return
-		}
 		c.setState(StateBackoff)
-		d.logf("campaign %s: attempt failed (%v); retrying (attempt %d of %d)", c.Name, err, attempt+1, d.retry.MaxAttempts)
-		if werr := d.retry.Wait(ctx, attempt, c.scope()); werr != nil {
-			c.setState(StateDrained)
-			return
-		}
+		d.logf("campaign %s: attempt failed (%v); retrying (attempt %d of %d)", c.Name, err, next+1, d.retry.MaxAttempts)
+	})
+	switch {
+	case err == nil:
+		c.setState(StateComplete)
+		c.events.send(Event{Campaign: c.Name, Kind: "complete", Round: c.comp.Config.Rounds})
+		d.logf("campaign %s: complete (%d rounds)", c.Name, c.comp.Config.Rounds)
+	case ctx.Err() != nil:
+		// Drained: the attempt's shutdown checkpoint (or the last
+		// periodic one) is on disk; the next daemon start resumes.
+		c.setState(StateDrained)
+		d.logf("campaign %s: drained at round %d — checkpoint saved", c.Name, c.status().Round)
+	default:
+		c.lastErr.Store(err.Error())
+		c.setState(StateFailed)
+		d.logf("campaign %s: failed permanently after %d attempts without progress: %v", c.Name, d.retry.MaxAttempts, err)
 	}
 }
 
 // attempt runs one supervised attempt: open (or resume) the campaign,
-// publish a version for the committed state, then run rounds under the
-// watchdog. The round runner executes on its own goroutine so a panic
-// is contained and a wedged round can be abandoned; err classifies the
-// outcome (nil: campaign complete).
-func (d *Daemon) attempt(ctx context.Context, c *Campaign, attempt int) error {
-	epoch := c.epoch.Add(1)
-	c.touch()
-
+// publish a version for the committed state, then run rounds until
+// they finish or the watchdog abandons the attempt. The round runner
+// executes on its own goroutine so a panic is contained and a wedged
+// round can be left behind; err classifies the outcome (nil: campaign
+// complete).
+func (d *Daemon) attempt(ctx context.Context, c *Campaign, a *fault.Attempt) error {
 	// A campaign whose final CSVs are already on disk (completed in a
 	// previous daemon run) is served from them — no re-run, no
 	// checkpoint log needed.
-	if done, err := d.openCompleted(c, epoch); err != nil {
+	if done, err := d.openCompleted(c, a); err != nil {
 		return err
 	} else if done {
 		return nil
@@ -243,18 +203,22 @@ func (d *Daemon) attempt(ctx context.Context, c *Campaign, attempt int) error {
 		}
 		d.logf("campaign %s: starting (%d rounds)", c.Name, c.comp.Config.Rounds)
 	}
-	c.publish(epoch, buildVersion(s, nil, false, c.warmSet))
+	c.publish(a, buildVersion(s, nil, false, c.warmSet))
 	c.setState(StateRunning)
 
+	// The watchdog covers the rounds, from here on.
+	a.Beat()
 	result := make(chan error, 1)
 	go func() {
-		result <- recovering(func() error { return d.runRounds(ctx, c, epoch, s, ck) })
+		result <- recovering(func() error { return d.runRounds(ctx, c, a, s, ck) })
 	}()
-	// The watchdog deadline covers the pacing idle between rounds —
-	// nothing touches the progress clock while a paced campaign sleeps,
-	// and a healthy sleep must not read as a stuck round.
-	deadline := d.retry.WatchdogDeadline(attempt, c.scope()) + d.opt.RoundEvery
-	return watch(c, deadline, result)
+	select {
+	case err := <-result:
+		return err
+	case <-a.Abandoned():
+		return fmt.Errorf("watchdog: no progress within %v plus backoff at round %d — abandoning attempt",
+			d.retry.Timeout, c.status().Round)
+	}
 }
 
 // recovering runs fn with panics converted to errors, so a panicking
@@ -266,40 +230,6 @@ func recovering(fn func() error) (err error) {
 		}
 	}()
 	return fn()
-}
-
-// watch waits for the attempt to finish, abandoning it when its
-// progress clock goes stale past deadline: the attempt is fenced off
-// behind a fresh epoch and left to run out — rounds cannot be
-// cancelled, but everything the fenced attempt might still write is
-// gated (publishes and events on the epoch, checkpoints on the write
-// handle the replacement attempt revokes when it acquires its own).
-func watch(c *Campaign, deadline time.Duration, result chan error) error {
-	tick := time.NewTicker(watchdogTick(deadline))
-	defer tick.Stop()
-	for {
-		select {
-		case err := <-result:
-			return err
-		case <-tick.C:
-			if stale := c.sinceProgress(); stale > deadline {
-				c.epoch.Add(1)
-				return fmt.Errorf("watchdog: no progress for %v (deadline %v) at round %d — abandoning attempt",
-					stale.Round(time.Millisecond), deadline, c.lastDone.Load())
-			}
-		}
-	}
-}
-
-func watchdogTick(deadline time.Duration) time.Duration {
-	t := deadline / 8
-	if t < 25*time.Millisecond {
-		t = 25 * time.Millisecond
-	}
-	if t > time.Second {
-		t = time.Second
-	}
-	return t
 }
 
 // openScenario resumes from the checkpoint log when one exists, else
@@ -321,16 +251,12 @@ func openScenario(cfg core.Config, ck store.Backend) (*core.Scenario, bool, erro
 	return s, true, nil
 }
 
-// errFenced classifies an attempt the watchdog abandoned: the attempt
-// noticed its epoch was fenced off and stopped before mutating shared
-// campaign state. The supervisor never sees this error (it stopped
-// waiting when it fenced the attempt); it exists so the abandoned
+// errFenced classifies an attempt the watchdog abandoned: the attempt's
+// round goroutine noticed the fence and stopped before mutating shared
+// campaign state. The supervisor never sees this error (its try
+// returned when the attempt was abandoned); it exists so the abandoned
 // goroutine exits without writing.
 var errFenced = errors.New("daemon: attempt fenced by watchdog; stopping without writing")
-
-// fenced reports whether the attempt running under epoch has been
-// fenced off by the watchdog.
-func (c *Campaign) fenced(epoch uint64) bool { return c.epoch.Load() != epoch }
 
 // runRounds drives the round cursor to completion on the attempt
 // goroutine: each completed round is checkpointed on the configured
@@ -341,25 +267,25 @@ func (c *Campaign) fenced(epoch uint64) bool { return c.epoch.Load() != epoch }
 // honored between rounds with a shutdown checkpoint, mirroring
 // core.RunContext's contract.
 //
-// Every write to shared campaign state is gated on the watchdog's
-// epoch fence: checkpoints are checked here and again — atomically,
-// under the backend lock — by the attempt's fenced CheckpointWriter,
-// and the completion tail (final CSVs, checkpoint-log removal) is
-// reached only by the attempt that still owns the epoch. A fenced
-// attempt returns errFenced into a channel nobody reads and exits.
-func (d *Daemon) runRounds(ctx context.Context, c *Campaign, epoch uint64, s *core.Scenario, ck store.Backend) error {
+// Every write to shared campaign state is gated on the attempt's
+// fence: checkpoints are checked here and again — atomically, under
+// the backend lock — by the attempt's fenced CheckpointWriter, and the
+// completion tail (final CSVs, checkpoint-log removal) is reached only
+// by an attempt that was never abandoned. A fenced attempt returns
+// errFenced into a channel nobody reads and exits.
+func (d *Daemon) runRounds(ctx context.Context, c *Campaign, a *fault.Attempt, s *core.Scenario, ck store.Backend) error {
 	cfg := c.comp.Config
 	every := d.opt.CheckpointEvery
 	obs := func(ev core.RoundEvent) {
-		if c.fenced(epoch) {
+		if a.Fenced() {
 			return
 		}
-		c.touch()
+		a.Beat()
 		c.events.send(roundEvent(c.Name, "round", ev))
 	}
 	checkpointed := s.RoundsDone() // openScenario left a committed checkpoint at the cursor
 	for s.RoundsDone() < cfg.Rounds {
-		if c.fenced(epoch) {
+		if a.Fenced() {
 			return errFenced
 		}
 		if err := ctx.Err(); err != nil {
@@ -376,7 +302,7 @@ func (d *Daemon) runRounds(ctx context.Context, c *Campaign, epoch uint64, s *co
 		}
 		done := s.RoundsDone()
 		if done%every == 0 || done == cfg.Rounds {
-			if c.fenced(epoch) {
+			if a.Fenced() {
 				return errFenced
 			}
 			if err := s.Checkpoint(ck); err != nil {
@@ -384,7 +310,7 @@ func (d *Daemon) runRounds(ctx context.Context, c *Campaign, epoch uint64, s *co
 			}
 			checkpointed = done
 		}
-		c.publish(epoch, buildVersion(s, nil, false, c.warmSet))
+		c.publish(a, buildVersion(s, nil, false, c.warmSet))
 		if d.opt.RoundEvery > 0 && done < cfg.Rounds {
 			// The paper's weekly cadence, scaled: idle between rounds,
 			// cut short by a drain (handled at the loop top).
@@ -398,17 +324,17 @@ func (d *Daemon) runRounds(ctx context.Context, c *Campaign, epoch uint64, s *co
 	}
 
 	obs6 := func(ev core.RoundEvent) {
-		if c.fenced(epoch) {
+		if a.Fenced() {
 			return
 		}
-		c.touch()
+		a.Beat()
 		c.events.send(roundEvent(c.Name, "v6day-round", ev))
 	}
-	// Completion tail: only the attempt that still owns the epoch may
+	// Completion tail: only an attempt that was never abandoned may
 	// write final CSVs or delete the checkpoint log — a wedged-then-
 	// unstuck abandoned attempt must not rip the log out from under the
 	// replacement that is actively checkpointing into it.
-	if c.fenced(epoch) {
+	if a.Fenced() {
 		return errFenced
 	}
 	// The side experiment is short and not checkpointed; a drain here
@@ -416,7 +342,7 @@ func (d *Daemon) runRounds(ctx context.Context, c *Campaign, epoch uint64, s *co
 	if err := s.RunWorldV6DayContext(ctx, core.WithObserver(obs6)); err != nil {
 		return err
 	}
-	if c.fenced(epoch) {
+	if a.Fenced() {
 		return errFenced
 	}
 	if err := cli.SaveCompleted(c.dir, cfg.Rounds, cfg.Fingerprint(), s.DB, s.V6DayDB); err != nil {
@@ -424,12 +350,12 @@ func (d *Daemon) runRounds(ctx context.Context, c *Campaign, epoch uint64, s *co
 	}
 	// Final CSVs are the product; the checkpoint log is scratch now.
 	// Removal failures are harmless (the next start prefers the CSVs).
-	if c.fenced(epoch) {
+	if a.Fenced() {
 		return errFenced
 	}
 	os.RemoveAll(filepath.Join(c.dir, "checkpoints"))
 	v6 := report.StudyOfSnapshot(s.V6DayDB.Freeze(), report.V6DayThresholds())
-	c.publish(epoch, buildVersion(s, v6, true, c.warmSet))
+	c.publish(a, buildVersion(s, v6, true, c.warmSet))
 	return nil
 }
 
@@ -438,7 +364,7 @@ func (d *Daemon) runRounds(ctx context.Context, c *Campaign, epoch uint64, s *co
 // `v6report -db` would, and the figures rebuilt from a fast-forwarded
 // scenario (pure list/adoption state). Returns done=false when the
 // campaign has not completed.
-func (d *Daemon) openCompleted(c *Campaign, epoch uint64) (bool, error) {
+func (d *Daemon) openCompleted(c *Campaign, a *fault.Attempt) (bool, error) {
 	meta, ok, err := store.ReadMeta(c.dir)
 	if err != nil || !ok || !meta.Complete {
 		return false, err
@@ -464,7 +390,7 @@ func (d *Daemon) openCompleted(c *Campaign, epoch uint64) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	c.publish(epoch, v)
+	c.publish(a, v)
 	d.logf("campaign %s: serving completed campaign from saved databases", c.Name)
 	return true, nil
 }

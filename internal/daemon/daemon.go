@@ -52,7 +52,7 @@ type Options struct {
 	RoundEvery time.Duration
 
 	// Retry shapes both restart backoff and the stuck-round watchdog
-	// deadline (Timeout + per-attempt backoff).
+	// deadline (Timeout + the attempt's preceding backoff + RoundEvery).
 	Retry fault.RetryPolicy
 
 	// RenderConcurrency bounds concurrent cold exhibit renders; beyond
@@ -96,9 +96,13 @@ func New(opt Options) *Daemon {
 	if opt.RenderConcurrency < 1 {
 		opt.RenderConcurrency = 4
 	}
+	retry := opt.Retry.WithDefaults()
+	// Nothing beats while a paced campaign sleeps between rounds, and
+	// a healthy sleep must not read as a stuck round.
+	retry.Timeout += opt.RoundEvery
 	return &Daemon{
 		opt:       opt,
-		retry:     opt.Retry.WithDefaults(),
+		retry:     retry,
 		campaigns: make(map[string]*Campaign),
 		renderSem: make(chan struct{}, opt.RenderConcurrency),
 		draining:  make(chan struct{}),

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"v6web/internal/analysis"
+	"v6web/internal/fault"
 	"v6web/internal/report"
 	"v6web/internal/scenario"
 	"v6web/internal/store"
@@ -212,8 +213,8 @@ func TestReadyzGatesOnFirstVersion(t *testing.T) {
 		t.Error("exhibits before the first version must 503")
 	}
 
-	if !c.publish(c.epoch.Load(), &Version{warm: map[string][]byte{reportExhibit: []byte("r")}}) {
-		t.Fatal("publish with current epoch rejected")
+	if !c.publish(nil, &Version{warm: map[string][]byte{reportExhibit: []byte("r")}}) {
+		t.Fatal("first publish rejected")
 	}
 	if code, _ := get(t, srv.URL+"/readyz"); code != http.StatusOK {
 		t.Error("readyz after first publish should be 200")
@@ -228,7 +229,7 @@ func TestLoadShedding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.publish(c.epoch.Load(), &Version{warm: map[string][]byte{"table2": []byte("warm bytes")}})
+	c.publish(nil, &Version{warm: map[string][]byte{"table2": []byte("warm bytes")}})
 	srv := httptest.NewServer(d.handler())
 	defer srv.Close()
 
@@ -327,40 +328,6 @@ func TestBroadcasterDropsWhenFull(t *testing.T) {
 	}
 }
 
-// TestWatchdogAbandonsStaleAttempt: a result that never arrives while
-// the progress clock is stale must abandon the attempt and fence its
-// epoch so stale publishes are dropped.
-func TestWatchdogAbandonsStaleAttempt(t *testing.T) {
-	c := newCampaign(filepath.Join(t.TempDir(), "c1"), nil, scenario.Compiled{})
-	epoch := c.epoch.Add(1)
-	c.progress.Store(time.Now().Add(-time.Hour).UnixNano())
-	err := watch(c, 50*time.Millisecond, make(chan error))
-	if err == nil || !strings.Contains(err.Error(), "watchdog") {
-		t.Fatalf("watch returned %v, want watchdog error", err)
-	}
-	if c.publish(epoch, &Version{}) {
-		t.Error("publish with the abandoned attempt's epoch must be dropped")
-	}
-	if c.Version() != nil {
-		t.Error("fenced publish leaked a version")
-	}
-}
-
-// TestWatchdogLetsHealthyAttemptFinish: a fresh progress clock must not
-// trip the watchdog before the result arrives.
-func TestWatchdogLetsHealthyAttemptFinish(t *testing.T) {
-	c := newCampaign(filepath.Join(t.TempDir(), "c1"), nil, scenario.Compiled{})
-	result := make(chan error, 1)
-	go func() {
-		time.Sleep(30 * time.Millisecond)
-		c.touch()
-		result <- nil
-	}()
-	if err := watch(c, time.Hour, result); err != nil {
-		t.Fatalf("watch: %v", err)
-	}
-}
-
 // TestRecoveringCatchesPanic: a panicking campaign attempt becomes an
 // error with the stack attached, not a crashed daemon.
 func TestRecoveringCatchesPanic(t *testing.T) {
@@ -377,25 +344,61 @@ func TestRecoveringCatchesPanic(t *testing.T) {
 }
 
 // TestPublishSequenceAndFencing: publishes bump the serving sequence;
-// stale epochs are rejected without touching it.
+// an attempt the watchdog abandoned is rejected without touching it.
 func TestPublishSequenceAndFencing(t *testing.T) {
 	c := newCampaign(filepath.Join(t.TempDir(), "c1"), nil, scenario.Compiled{})
-	epoch := c.epoch.Add(1)
-	for i := 1; i <= 3; i++ {
-		v := &Version{Round: i}
-		if !c.publish(epoch, v) {
-			t.Fatalf("publish %d rejected", i)
+	p := fault.RetryPolicy{MaxAttempts: 1, Timeout: time.Millisecond}
+	err := p.Supervise(context.Background(), func(a *fault.Attempt) error {
+		for i := 1; i <= 3; i++ {
+			v := &Version{Round: i}
+			if !c.publish(a, v) {
+				t.Fatalf("publish %d rejected", i)
+			}
+			if v.Seq != uint64(i) {
+				t.Fatalf("seq %d, want %d", v.Seq, i)
+			}
 		}
-		if v.Seq != uint64(i) {
-			t.Fatalf("seq %d, want %d", v.Seq, i)
+		a.Beat()
+		<-a.Abandoned()
+		if c.publish(a, &Version{Round: 99}) {
+			t.Fatal("abandoned attempt's publish accepted")
 		}
-	}
-	stale := &Version{Round: 99}
-	if c.publish(epoch-1, stale) {
-		t.Fatal("stale epoch accepted")
+		return errors.New("abandoned")
+	}, nil)
+	if err == nil {
+		t.Fatal("abandoned attempt reported success")
 	}
 	if got := c.Version().Round; got != 3 {
-		t.Fatalf("served round %d after stale publish, want 3", got)
+		t.Fatalf("served round %d after fenced publish, want 3", got)
+	}
+	if got := c.seq.Load(); got != 3 {
+		t.Fatalf("seq %d after fenced publish, want 3", got)
+	}
+}
+
+// TestCampaignFailsAfterBudget: a campaign whose every attempt fails
+// before its first round is failed after MaxAttempts attempts, having
+// restarted MaxAttempts-1 times, with the cause on the status API.
+func TestCampaignFailsAfterBudget(t *testing.T) {
+	dir := t.TempDir()
+	d := newTestDaemon(t, Options{Dir: dir, Retry: fault.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond}})
+	if _, err := d.Add("tiny", "baseline-2011", tinyOverrides()); err != nil {
+		t.Fatal(err)
+	}
+	// A regular file where the checkpoint log belongs: opening the
+	// campaign fails on every attempt.
+	if err := os.WriteFile(filepath.Join(dir, "campaigns", "tiny", "checkpoints"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	base := startDaemon(t, d)
+	waitForState(t, base, "tiny", StateFailed)
+	_, body := get(t, base+"/api/campaigns/tiny")
+	var st status
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Restarts != 2 || st.LastErr == "" {
+		t.Errorf("failed campaign reports restarts=%d last_error=%q, want 2 restarts and the cause", st.Restarts, st.LastErr)
 	}
 }
 
@@ -490,48 +493,31 @@ func TestAddRejectsChangedSpec(t *testing.T) {
 	}
 }
 
-// TestWatchdogTickBounds pins the sampling interval's clamp.
-func TestWatchdogTickBounds(t *testing.T) {
-	cases := []struct {
-		deadline, want time.Duration
-	}{
-		{8 * time.Millisecond, 25 * time.Millisecond},
-		{800 * time.Millisecond, 100 * time.Millisecond},
-		{time.Hour, time.Second},
-	}
-	for _, tc := range cases {
-		if got := watchdogTick(tc.deadline); got != tc.want {
-			t.Errorf("watchdogTick(%v) = %v, want %v", tc.deadline, got, tc.want)
-		}
-	}
-}
-
 // TestPublishRefusesRoundRegression: the version swap never replaces a
 // newer round with an older one (or a complete version with an
 // incomplete one), so Seq order always matches round order even when a
 // fenced attempt's publish races the fence.
 func TestPublishRefusesRoundRegression(t *testing.T) {
 	c := newCampaign(filepath.Join(t.TempDir(), "c1"), nil, scenario.Compiled{})
-	epoch := c.epoch.Add(1)
-	if !c.publish(epoch, &Version{Round: 3}) {
+	if !c.publish(nil, &Version{Round: 3}) {
 		t.Fatal("publish round 3 rejected")
 	}
-	if c.publish(epoch, &Version{Round: 2}) {
+	if c.publish(nil, &Version{Round: 2}) {
 		t.Error("publish must refuse to regress from round 3 to round 2")
 	}
 	if got := c.Version().Round; got != 3 {
 		t.Fatalf("served round %d after regressing publish, want 3", got)
 	}
-	if !c.publish(epoch, &Version{Round: 3, Complete: true}) {
+	if !c.publish(nil, &Version{Round: 3, Complete: true}) {
 		t.Fatal("equal-round complete publish rejected")
 	}
-	if c.publish(epoch, &Version{Round: 3}) {
+	if c.publish(nil, &Version{Round: 3}) {
 		t.Error("publish must refuse to replace a complete version with an incomplete one")
 	}
 	if !c.Version().Complete {
 		t.Error("served version lost completeness")
 	}
-	if !c.publish(epoch, &Version{Round: 4}) {
+	if !c.publish(nil, &Version{Round: 4}) {
 		t.Error("forward publish rejected")
 	}
 }

@@ -39,10 +39,9 @@ import (
 // Draw-stream salts keep the fault streams for distinct boundaries
 // independent even when keyed on the same identifiers.
 const (
-	saltFS     uint64 = 0xf5c4
-	saltWire   uint64 = 0x3173
-	saltDup    uint64 = 0xd0b1
-	saltJitter uint64 = 0x717e
+	saltFS   uint64 = 0xf5c4
+	saltWire uint64 = 0x3173
+	saltDup  uint64 = 0xd0b1
 )
 
 // Config describes a fault-injection plan. The zero value injects

@@ -142,50 +142,27 @@ func TestDupRoundDeterministic(t *testing.T) {
 
 func TestRetryPolicyBackoff(t *testing.T) {
 	p := RetryPolicy{MaxAttempts: 5, BaseDelay: 100 * time.Millisecond,
-		MaxDelay: 400 * time.Millisecond, Multiplier: 2, Jitter: 0, Timeout: time.Second}
-	if d := p.Backoff(0); d != 0 {
+		MaxDelay: 400 * time.Millisecond, Timeout: time.Second}
+	if d := p.backoff(0); d != 0 {
 		t.Fatalf("attempt 0 backoff = %v, want 0", d)
 	}
 	want := []time.Duration{100, 200, 400, 400} // ms; capped at MaxDelay
 	for i, w := range want {
-		if d := p.Backoff(i + 1); d != w*time.Millisecond {
+		if d := p.backoff(i + 1); d != w*time.Millisecond {
 			t.Fatalf("attempt %d backoff = %v, want %v", i+1, d, w*time.Millisecond)
 		}
 	}
 }
 
-func TestRetryPolicyJitterDeterministic(t *testing.T) {
-	p := RetryPolicy{BaseDelay: time.Second, MaxDelay: time.Minute,
-		Multiplier: 2, Jitter: 0.2, Seed: 42}
-	for attempt := 1; attempt <= 4; attempt++ {
-		d1 := p.Backoff(attempt, 7)
-		d2 := p.Backoff(attempt, 7)
-		if d1 != d2 {
-			t.Fatalf("attempt %d: jittered backoff not deterministic (%v vs %v)", attempt, d1, d2)
-		}
-		base := time.Second << (attempt - 1)
-		lo := time.Duration(float64(base) * 0.8)
-		hi := time.Duration(float64(base) * 1.2)
-		if d1 < lo || d1 > hi {
-			t.Fatalf("attempt %d: backoff %v outside [%v,%v]", attempt, d1, lo, hi)
-		}
-		if d1 == p.Backoff(attempt, 8) && attempt == 1 {
-			// Different scopes sharing one jitter value would sync up
-			// every shard's retries; spot-check the first attempt.
-			t.Fatal("scope does not key the jitter stream")
-		}
-	}
-}
-
 func TestRetryPolicyWaitHonorsContext(t *testing.T) {
-	p := RetryPolicy{BaseDelay: time.Hour, MaxDelay: time.Hour, Multiplier: 1}
+	p := RetryPolicy{BaseDelay: time.Hour, MaxDelay: time.Hour}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := p.Wait(ctx, 1); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Wait under canceled ctx = %v, want context.Canceled", err)
+	if err := p.wait(ctx, 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("wait under canceled ctx = %v, want context.Canceled", err)
 	}
-	if err := p.Wait(context.Background(), 0); err != nil {
-		t.Fatalf("zero backoff Wait = %v", err)
+	if err := p.wait(context.Background(), 0); err != nil {
+		t.Fatalf("zero backoff wait = %v", err)
 	}
 }
 

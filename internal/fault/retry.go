@@ -2,118 +2,68 @@ package fault
 
 import (
 	"context"
-	"math"
+	"errors"
+	"sync/atomic"
 	"time"
-
-	"v6web/internal/det"
 )
 
-// RetryPolicy is the repo's one retry/backoff policy: capped
-// exponential backoff with deterministic jitter, plus a per-attempt
-// liveness timeout. It replaces the fixed frame timeout and retry
-// count the shard coordinator used to carry, and bounds the worker's
-// reconnect loop.
-//
-// Jitter is drawn through internal/det, keyed on (Seed, caller scope,
-// attempt), so a retried campaign backs off identically on every run —
-// wall-clock never feeds back into scheduling decisions.
+// RetryPolicy is the repo's one retry policy: a budget of tries,
+// capped doubling backoff between them, and a per-attempt liveness
+// timeout. Supervise runs the retry loop under it for the shard
+// coordinator's shard attempts, the worker's coordinator dials and the
+// daemon's campaign restarts.
 type RetryPolicy struct {
-	// MaxAttempts is the total number of attempts (first try included).
+	// MaxAttempts bounds the tries of one budget, the first included
+	// (see Supervise for what renews a budget).
 	MaxAttempts int
-	// BaseDelay is the backoff before the second attempt.
+	// BaseDelay is the backoff before a budget's second try; each
+	// later try of the budget waits twice as long, up to MaxDelay.
 	BaseDelay time.Duration
-	// MaxDelay caps the grown backoff.
-	MaxDelay time.Duration
-	// Multiplier is the per-retry growth factor.
-	Multiplier float64
-	// Jitter scales each backoff by a deterministic factor drawn from
-	// [1-Jitter, 1+Jitter].
-	Jitter float64
-	// Timeout is the per-attempt liveness bound: maximum frame silence
-	// on a shard stream, or the dial timeout for a worker connect.
+	MaxDelay  time.Duration
+	// Timeout bounds an attempt's silence: one that has beaten is
+	// abandoned after Timeout plus the backoff that preceded it with
+	// no further beat. A worker's coordinator dial uses it as the dial
+	// timeout.
 	Timeout time.Duration
-	// Seed keys the jitter stream.
-	Seed uint64
 }
 
-// DefaultRetryPolicy mirrors the pre-fault-layer constants: three
-// total attempts (the old MaxRetries=2) and five minutes of tolerated
-// frame silence (the old FrameTimeout).
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{
-		MaxAttempts: 3,
-		BaseDelay:   250 * time.Millisecond,
-		MaxDelay:    30 * time.Second,
-		Multiplier:  2,
-		Jitter:      0.2,
-		Timeout:     5 * time.Minute,
-	}
-}
-
-// WithDefaults fills zero fields from DefaultRetryPolicy, so a zero
-// policy behaves like the default and partial literals stay sane.
-// Jitter is left alone: zero jitter is a valid choice.
+// WithDefaults fills zero fields with the defaults, which mirror the
+// pre-fault-layer constants: three total attempts (the old
+// MaxRetries=2), 250ms doubling to at most 30s of backoff, and five
+// minutes of tolerated frame silence (the old FrameTimeout).
 func (p RetryPolicy) WithDefaults() RetryPolicy {
-	d := DefaultRetryPolicy()
 	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = d.MaxAttempts
+		p.MaxAttempts = 3
 	}
 	if p.BaseDelay <= 0 {
-		p.BaseDelay = d.BaseDelay
+		p.BaseDelay = 250 * time.Millisecond
 	}
 	if p.MaxDelay <= 0 {
-		p.MaxDelay = d.MaxDelay
-	}
-	if p.Multiplier <= 0 {
-		p.Multiplier = d.Multiplier
+		p.MaxDelay = 30 * time.Second
 	}
 	if p.Timeout <= 0 {
-		p.Timeout = d.Timeout
+		p.Timeout = 5 * time.Minute
 	}
 	return p
 }
 
-// Backoff returns the deterministic pause before the given attempt
-// (0-based; attempt 0 is the first try and never waits). scope
-// distinguishes concurrent retry loops — the shard coordinator passes
-// the shard index — so their jitter streams stay independent.
-func (p RetryPolicy) Backoff(attempt int, scope ...uint64) time.Duration {
-	if attempt <= 0 {
+// backoff returns the pause before the try at position k of a budget
+// (0-based; the first try never waits).
+func (p RetryPolicy) backoff(k int) time.Duration {
+	if k <= 0 {
 		return 0
 	}
-	p = p.WithDefaults()
-	d := float64(p.BaseDelay) * math.Pow(p.Multiplier, float64(attempt-1))
-	if d > float64(p.MaxDelay) {
-		d = float64(p.MaxDelay)
+	d := p.BaseDelay
+	for i := 1; i < k && d < p.MaxDelay; i++ {
+		d *= 2
 	}
-	if p.Jitter > 0 {
-		parts := append([]uint64{p.Seed, saltJitter}, scope...)
-		d *= det.Range(1-p.Jitter, 1+p.Jitter, append(parts, uint64(attempt))...)
-		if d > float64(p.MaxDelay) {
-			d = float64(p.MaxDelay)
-		}
-	}
-	return time.Duration(d)
+	return min(d, p.MaxDelay)
 }
 
-// WatchdogDeadline is the stuck-round bound for supervised campaign
-// attempt `attempt` (0-based): the per-attempt liveness Timeout plus
-// the backoff that preceded the attempt. A supervisor that sees no
-// round progress for this long may abandon the attempt and resume
-// from the last committed checkpoint. Deterministic, like Backoff.
-func (p RetryPolicy) WatchdogDeadline(attempt int, scope ...uint64) time.Duration {
-	p = p.WithDefaults()
-	return p.Timeout + p.Backoff(attempt, scope...)
-}
-
-// Wait sleeps the backoff for attempt, returning early with the
+// wait sleeps the backoff before position k, returning early with the
 // context's error if it is canceled first.
-func (p RetryPolicy) Wait(ctx context.Context, attempt int, scope ...uint64) error {
-	d := p.Backoff(attempt, scope...)
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
+func (p RetryPolicy) wait(ctx context.Context, k int) error {
+	t := time.NewTimer(p.backoff(k))
 	defer t.Stop()
 	select {
 	case <-ctx.Done():
@@ -121,4 +71,154 @@ func (p RetryPolicy) Wait(ctx context.Context, attempt int, scope ...uint64) err
 	case <-t.C:
 		return nil
 	}
+}
+
+// Permanent marks err as one retrying cannot fix: Supervise returns it
+// at once.
+func Permanent(err error) error { return &permanentError{err} }
+
+type permanentError struct{ err error }
+
+func (e *permanentError) Error() string { return e.err.Error() }
+func (e *permanentError) Unwrap() error { return e.err }
+
+// Attempt is one try under Supervise, through which the try reports
+// liveness (Beat) and progress (Advance). A nil *Attempt is
+// unsupervised: never abandoned, its beats and advances go nowhere.
+type Attempt struct {
+	// N numbers the tries from 0 across budgets; it keys per-attempt
+	// fault draws, so every retry draws afresh.
+	N int
+	// Last marks a budget's final try: unless it advances, its failure
+	// ends the loop. Fault injection spares it.
+	Last bool
+
+	deadline  time.Duration
+	beat      chan struct{}
+	abandoned chan struct{}
+	high      atomic.Int64
+}
+
+// Beat reports that the try is alive. The first beat arms the
+// attempt's watchdog; a try that never beats is not watched.
+func (a *Attempt) Beat() {
+	if a == nil {
+		return
+	}
+	select {
+	case a.beat <- struct{}{}:
+	default: // a beat is already pending
+	}
+}
+
+// Advance reports progress n, such as rounds completed.
+func (a *Attempt) Advance(n int) {
+	for a != nil {
+		old := a.high.Load()
+		if int64(n) <= old || a.high.CompareAndSwap(old, int64(n)) {
+			return
+		}
+	}
+}
+
+// Abandoned is closed when the watchdog gives up on the attempt; the
+// try should then return.
+func (a *Attempt) Abandoned() <-chan struct{} {
+	if a == nil {
+		return nil
+	}
+	return a.abandoned
+}
+
+// Fenced reports whether the attempt was abandoned. Work the try left
+// running, such as a round that cannot be cancelled, checks it before
+// every write to state a later attempt may already own.
+func (a *Attempt) Fenced() bool {
+	select {
+	case <-a.Abandoned():
+		return true
+	default:
+		return false
+	}
+}
+
+// watch is the attempt's watchdog goroutine: the first beat arms a
+// timer of a.deadline, every later beat restarts it, and its expiry
+// closes abandoned. It closes done on return.
+func (a *Attempt) watch(stop <-chan struct{}, done chan<- struct{}) {
+	defer close(done)
+	select {
+	case <-a.beat:
+	case <-stop:
+		return
+	}
+	t := time.NewTimer(a.deadline)
+	defer func() { t.Stop() }()
+	for {
+		select {
+		case <-a.beat:
+			t.Stop()
+			t = time.NewTimer(a.deadline)
+		case <-t.C:
+			close(a.abandoned)
+			return
+		case <-stop:
+			return
+		}
+	}
+}
+
+// Supervise is the repo's one retry loop: it calls try until a try
+// returns nil, backing off between tries. It gives up, returning the
+// error, on a Permanent error, on a canceled ctx, and once MaxAttempts
+// tries of one budget have failed. A failed try that raised the
+// Advance high-water mark above every earlier try's starts a fresh
+// budget with itself as the first try, so a loop that keeps
+// progressing never gives up.
+//
+// A try's watchdog deadline is Timeout plus the backoff that preceded
+// the try, growing with each try of a budget. The next try starts only
+// after the previous one returned: attempts never overlap. onRetry, if
+// not nil, sees each failure that will be retried, with the next try's
+// position in its budget (1 for a budget's second try).
+func (p RetryPolicy) Supervise(ctx context.Context, try func(*Attempt) error, onRetry func(next int, err error)) error {
+	p = p.WithDefaults()
+	var high int64 // the highest progress any try reported
+	k := 0         // the next try's position in its budget
+	for n := 0; ; n++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		a := &Attempt{N: n, Last: k == p.MaxAttempts-1, deadline: p.Timeout + p.backoff(k),
+			beat: make(chan struct{}, 1), abandoned: make(chan struct{})}
+		err := a.run(try)
+		var pe *permanentError
+		if err == nil || errors.As(err, &pe) || ctx.Err() != nil {
+			return err
+		}
+		if h := a.high.Load(); h > high {
+			high, k = h, 0
+		}
+		if k++; k >= p.MaxAttempts {
+			return err
+		}
+		if onRetry != nil {
+			onRetry(k, err)
+		}
+		if err := p.wait(ctx, k); err != nil {
+			return err
+		}
+	}
+}
+
+// run calls try under the attempt's watchdog and returns once both
+// have finished.
+func (a *Attempt) run(try func(*Attempt) error) error {
+	stop, done := make(chan struct{}), make(chan struct{})
+	go a.watch(stop, done)
+	defer func() {
+		close(stop)
+		<-done
+	}()
+	return try(a)
 }

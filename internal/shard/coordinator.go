@@ -37,12 +37,13 @@ type Options struct {
 	// (default 2); ignored when Dir is empty.
 	CheckpointEvery int
 
-	// Retry is the unified retry/backoff policy: Timeout bounds the
-	// silence between two frames from a worker before it is presumed
-	// dead, MaxAttempts bounds attempts per shard, and the backoff
-	// fields pace the retries (deterministic jitter keyed on the shard
-	// index). Zero fields take fault.DefaultRetryPolicy values, which
-	// reproduce the old FrameTimeout=5m / MaxRetries=2 behavior.
+	// Retry is the shard attempts' retry policy: Timeout plus the
+	// backoff that preceded an attempt bounds the silence between two
+	// frames from its worker before the worker is presumed dead,
+	// MaxAttempts bounds a shard's attempts in a row that complete no
+	// new round, and the backoff fields pace the retries. Zero fields
+	// take the RetryPolicy.WithDefaults values, which reproduce the
+	// old FrameTimeout=5m / MaxRetries=2 behavior.
 	Retry fault.RetryPolicy
 
 	// Faults, when set, arms the deterministic fault injector over
@@ -60,6 +61,12 @@ type Options struct {
 	// Listen, when set, accepts remote workers (`v6shard worker
 	// -connect addr`) on this address instead of spawning local
 	// processes; each accepted connection serves one shard.
+	//
+	// A retried attempt is fenced off from its predecessor by reaping
+	// the predecessor's worker first, and a remote worker cannot be
+	// reaped: closing its connection returns at once. A worker
+	// abandoned mid-round can therefore still commit one checkpoint
+	// into its shard directory while the retry runs (a known gap).
 	Listen string
 
 	// Log receives progress lines (heartbeats, retries); nil discards.
@@ -90,13 +97,6 @@ type workerConn interface {
 	kill()
 	wait() error
 }
-
-// permanentError marks failures retrying cannot fix (corrupt frames,
-// merge conflicts); runShard gives up on them immediately.
-type permanentError struct{ err error }
-
-func (e *permanentError) Error() string { return e.err.Error() }
-func (e *permanentError) Unwrap() error { return e.err }
 
 // Run executes cfg as opt.Workers site-range shards and returns the
 // merged scenario, which serializes byte-identically to a
@@ -213,46 +213,33 @@ func runSpecs(ctx context.Context, cfg core.Config, specs []Spec, opt Options) (
 	return s, st, nil
 }
 
+// runShard runs one shard's attempts under the retry policy; round
+// frames are their progress. An attempt returns only after its local
+// worker was reaped, so a killed worker cannot write into the shard
+// directory its successor resumes from.
 func runShard(ctx context.Context, spec Spec, opt Options, s *core.Scenario, dests *destLog, st *Stats, mu *sync.Mutex) error {
-	var lastErr error
-	for attempt := 0; attempt < opt.Retry.MaxAttempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if attempt > 0 {
-			mu.Lock()
-			st.Retries++
-			mu.Unlock()
-			fmt.Fprintf(opt.Log, "shard %d: retrying (attempt %d of %d) after: %v\n",
-				spec.Index, attempt+1, opt.Retry.MaxAttempts, lastErr)
-			// Deterministically jittered backoff before the respawn: a
-			// canceled context cuts the wait short and ends the loop at
-			// the ctx.Err check above on the next iteration.
-			if err := opt.Retry.Wait(ctx, attempt, uint64(spec.Index)); err != nil {
-				return err
-			}
-		}
-		err := runShardOnce(ctx, spec, attempt, opt, s, dests, st, mu)
-		if err == nil {
-			return nil
-		}
-		var pe *permanentError
-		if errors.As(err, &pe) || ctx.Err() != nil {
-			lastErr = err
-			break
-		}
-		lastErr = err
+	err := opt.Retry.Supervise(ctx, func(a *fault.Attempt) error {
+		return runShardOnce(ctx, spec, a, opt, s, dests, st, mu)
+	}, func(next int, err error) {
+		mu.Lock()
+		st.Retries++
+		mu.Unlock()
+		fmt.Fprintf(opt.Log, "shard %d: retrying (attempt %d of %d) after: %v\n",
+			spec.Index, next+1, opt.Retry.MaxAttempts, err)
+	})
+	if err != nil {
+		return fmt.Errorf("shard %d: %w", spec.Index, err)
 	}
-	return fmt.Errorf("shard %d: %w", spec.Index, lastErr)
+	return nil
 }
 
-func runShardOnce(ctx context.Context, spec Spec, attempt int, opt Options, s *core.Scenario, dests *destLog, st *Stats, mu *sync.Mutex) error {
-	// Arm the worker-side fault plan for this attempt — except on the
-	// shard's last attempt, which runs clean so every armed schedule
+func runShardOnce(ctx context.Context, spec Spec, a *fault.Attempt, opt Options, s *core.Scenario, dests *destLog, st *Stats, mu *sync.Mutex) error {
+	// Arm the fault plan for this attempt — except on the last attempt
+	// of the shard's budget, which runs clean so every armed schedule
 	// stays recoverable by construction.
-	lastAttempt := attempt == opt.Retry.MaxAttempts-1
-	if opt.Faults.Enabled() && (!lastAttempt || opt.Faults.Unrecoverable) {
-		spec.Faults, spec.FaultAttempt = opt.Faults, attempt
+	armed := opt.Faults.Enabled() && (!a.Last || opt.Faults.Unrecoverable)
+	if armed {
+		spec.Faults, spec.FaultAttempt = opt.Faults, a.N
 	} else {
 		spec.Faults, spec.FaultAttempt = nil, 0
 	}
@@ -260,10 +247,10 @@ func runShardOnce(ctx context.Context, spec Spec, attempt int, opt Options, s *c
 	if err != nil {
 		return err
 	}
-	if opt.inj != nil && (!lastAttempt || opt.Faults.Unrecoverable) {
-		if wf := opt.inj.WireFor(spec.Index, attempt, opt.Retry.Timeout); wf.Kind != fault.WireNone {
+	if armed {
+		if wf := opt.inj.WireFor(spec.Index, a.N, opt.Retry.Timeout); wf.Kind != fault.WireNone {
 			fmt.Fprintf(opt.Log, "shard %d: injecting wire %s at offset %d (attempt %d)\n",
-				spec.Index, wf.Kind, wf.Offset, attempt+1)
+				spec.Index, wf.Kind, wf.Offset, a.N+1)
 			conn = newFaultConn(conn, wf)
 		}
 	}
@@ -273,7 +260,7 @@ func runShardOnce(ctx context.Context, spec Spec, attempt int, opt Options, s *c
 	}()
 	// Results are buffered until the done frame: a worker that dies
 	// mid-stream contributes nothing, so its retry merges cleanly.
-	res, bytes, err := consumeFrames(ctx, conn, spec, opt)
+	res, bytes, err := consumeFrames(ctx, a, conn, spec, opt)
 	if err != nil {
 		return err
 	}
@@ -283,7 +270,7 @@ func runShardOnce(ctx context.Context, spec Spec, attempt int, opt Options, s *c
 		if err := s.DB.MergeShard(alexa.SiteID(m.lo), alexa.SiteID(m.hi), m.section,
 			store.Vantage(m.vantage), m.payload); err != nil {
 			mu.Unlock()
-			return &permanentError{fmt.Errorf("merging section %d [%d,%d): %w", m.section, m.lo, m.hi, err)}
+			return fault.Permanent(fmt.Errorf("merging section %d [%d,%d): %w", m.section, m.lo, m.hi, err))
 		}
 	}
 	st.MergeDur += time.Since(start) //v6lint:wallclock MergeDur is coordinator observability, not campaign state
@@ -300,10 +287,10 @@ type shardResult struct {
 	dests    []destsMsg
 }
 
-// consumeFrames reads a worker's stream to its done frame under a
-// liveness watchdog: any frame resets the timer, so a worker that is
-// alive but slow survives while a killed one is detected within the
-// retry policy's Timeout.
+// consumeFrames reads a worker's stream to its done frame under the
+// attempt's watchdog: every frame is a beat, so a worker that is alive
+// but slow survives while a killed one is detected once the watchdog
+// abandons the attempt. Round frames are the attempt's progress.
 //
 // A canceled context is a *graceful* stop: the worker is interrupted
 // (SIGTERM for local processes), which makes it checkpoint between
@@ -312,7 +299,7 @@ type shardResult struct {
 // Every terminal outcome after an interrupt maps to the context's
 // error, so the campaign reports a clean interruption, not a worker
 // failure.
-func consumeFrames(ctx context.Context, conn workerConn, spec Spec, opt Options) (*shardResult, int64, error) {
+func consumeFrames(ctx context.Context, a *fault.Attempt, conn workerConn, spec Spec, opt Options) (*shardResult, int64, error) {
 	type frame struct {
 		typ     byte
 		payload []byte
@@ -355,8 +342,7 @@ func consumeFrames(ctx context.Context, conn workerConn, spec Spec, opt Options)
 		return nil, 0, err
 	}
 	done := ctx.Done()
-	timer := time.NewTimer(opt.Retry.Timeout)
-	defer timer.Stop()
+	a.Beat()
 	for {
 		select {
 		case <-done:
@@ -364,33 +350,31 @@ func consumeFrames(ctx context.Context, conn workerConn, spec Spec, opt Options)
 			interrupted = true
 			conn.interrupt()
 			fmt.Fprintf(opt.Log, "shard %d: interrupt — waiting for worker to checkpoint\n", spec.Index)
-		case <-timer.C:
+		case <-a.Abandoned():
 			conn.kill()
-			return fail(fmt.Errorf("no frame within %v — worker presumed dead", opt.Retry.Timeout))
+			return fail(fmt.Errorf("no frame within %v plus backoff — worker presumed dead", opt.Retry.Timeout))
 		case f := <-ch:
 			if f.err != nil {
 				conn.kill()
 				return fail(fmt.Errorf("worker stream ended before done frame: %w", f.err))
 			}
-			if !timer.Stop() {
-				<-timer.C
-			}
-			timer.Reset(opt.Retry.Timeout)
+			a.Beat()
 			switch f.typ {
 			case frameHello:
 				index, fp, err := decodeHello(f.payload)
 				if err != nil {
 					conn.kill()
-					return fail(&permanentError{err})
+					return fail(fault.Permanent(err))
 				}
 				if index != spec.Index || fp != spec.Fingerprint {
 					conn.kill()
-					return fail(&permanentError{fmt.Errorf("hello for shard %d fp %s, want shard %d fp %s",
-						index, fp, spec.Index, spec.Fingerprint)})
+					return fail(fault.Permanent(fmt.Errorf("hello for shard %d fp %s, want shard %d fp %s",
+						index, fp, spec.Index, spec.Fingerprint)))
 				}
 			case frameRound:
 				round, sites, dual, measured, err := decodeRound(f.payload)
 				if err == nil {
+					a.Advance(round + 1)
 					fmt.Fprintf(opt.Log, "shard %d: round %d done (%d sites, %d dual, %d measured)\n",
 						spec.Index, round, sites, dual, measured)
 				}
@@ -398,7 +382,7 @@ func consumeFrames(ctx context.Context, conn workerConn, spec Spec, opt Options)
 				m, err := decodeSectionFrame(f.payload)
 				if err != nil {
 					conn.kill()
-					return fail(&permanentError{err})
+					return fail(fault.Permanent(err))
 				}
 				res.sections = append(res.sections, m)
 				bytes += int64(len(f.payload))
@@ -406,7 +390,7 @@ func consumeFrames(ctx context.Context, conn workerConn, spec Spec, opt Options)
 				m, err := decodeDestsFrame(f.payload)
 				if err != nil {
 					conn.kill()
-					return fail(&permanentError{err})
+					return fail(fault.Permanent(err))
 				}
 				res.dests = append(res.dests, m)
 				bytes += int64(len(f.payload))
@@ -417,7 +401,7 @@ func consumeFrames(ctx context.Context, conn workerConn, spec Spec, opt Options)
 				return res, bytes, nil
 			default:
 				conn.kill()
-				return fail(&permanentError{fmt.Errorf("unknown frame type %d", f.typ)})
+				return fail(fault.Permanent(fmt.Errorf("unknown frame type %d", f.typ)))
 			}
 		}
 	}
@@ -554,6 +538,8 @@ func (n *netConn) kill()                      { n.c.Close() }
 // last periodic checkpoint stands for the next attempt.
 func (n *netConn) interrupt() { n.c.Close() }
 
+// wait returns at once: a remote worker cannot be reaped, so its
+// retry is not fenced off from it (see Options.Listen).
 func (n *netConn) wait() error { return nil }
 
 // syncWriter serializes concurrent shard-goroutine writes onto one

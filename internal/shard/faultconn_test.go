@@ -73,17 +73,14 @@ func TestHangReleasedOnInterrupt(t *testing.T) {
 	}()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	opt := Options{
-		Log: io.Discard,
-		// A liveness timeout far beyond the test deadline: if the
-		// interrupt does not release the hang, the watchdog cannot
-		// save this test and the prompt-return assertion fails.
-		Retry: fault.RetryPolicy{Timeout: time.Hour}.WithDefaults(),
-	}
+	opt := Options{Log: io.Discard}
 
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := consumeFrames(ctx, fc, Spec{}, opt)
+		// A nil attempt has no watchdog: if the interrupt does not
+		// release the hang, nothing else can, and the prompt-return
+		// assertion fails.
+		_, _, err := consumeFrames(ctx, nil, fc, Spec{}, opt)
 		done <- err
 	}()
 	cancel()
@@ -136,8 +133,8 @@ func TestReaderGoroutineExitsAfterEarlyReturn(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	opt := Options{Log: io.Discard, Retry: fault.DefaultRetryPolicy()}
-	_, _, err := consumeFrames(context.Background(), &scriptConn{r: &stream}, Spec{}, opt)
+	opt := Options{Log: io.Discard}
+	_, _, err := consumeFrames(context.Background(), nil, &scriptConn{r: &stream}, Spec{}, opt)
 	if err == nil {
 		t.Fatal("unknown frame type must fail the attempt")
 	}

@@ -302,6 +302,46 @@ func TestWorkerKillRetried(t *testing.T) {
 	assertCampaignsIdentical(t, refDir, saveCampaign(t, s, "killed"), "after worker kill")
 }
 
+// TestProgressResetsShardBudget kills shard 0's workers after their
+// third read on each of the first 4 attempts, twice the shard's budget
+// of 2. Every killed attempt completes and checkpoints new rounds
+// first, which renews the budget, so the shard is retried until it
+// finishes, byte-identical to the single-process run.
+func TestProgressResetsShardBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sharded retry test in -short mode")
+	}
+	cfg := testCfg(4)
+	refDir := referenceRun(t, cfg)
+
+	var spawned atomic.Int32
+	var log bytes.Buffer
+	s, st, err := Run(context.Background(), cfg, Options{
+		Workers:         2,
+		Dir:             t.TempDir(),
+		CheckpointEvery: 1,
+		Retry:           fault.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, Timeout: time.Minute},
+		Log:             &log,
+		spawn: func(ctx context.Context, spec Spec) (workerConn, error) {
+			conn, err := inprocSpawner(ctx, spec)
+			if err != nil || spec.Index != 0 || spawned.Add(1) > 4 {
+				return conn, err
+			}
+			return &killingConn{workerConn: conn}, nil
+		},
+	})
+	if err != nil {
+		t.Fatalf("progressing shard gave up: %v\n%s", err, log.String())
+	}
+	if st.Retries < 4 {
+		t.Fatalf("want at least 4 retries, got %d\n%s", st.Retries, log.String())
+	}
+	if err := s.RunWorldV6DayContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	assertCampaignsIdentical(t, refDir, saveCampaign(t, s, "progressing"), "after repeated kills")
+}
+
 func TestWireCodecs(t *testing.T) {
 	if idx, fp, err := decodeHello(encodeHello(3, "abc")); err != nil || idx != 3 || fp != "abc" {
 		t.Errorf("hello round-trip: %d %q %v", idx, fp, err)

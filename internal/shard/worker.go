@@ -41,21 +41,15 @@ func MaybeWorker() {
 	os.Exit(0)
 }
 
-// ServeAddr dials a coordinator running with Options.Listen and
+// ServeAddrRetry dials a coordinator running with Options.Listen and
 // serves shards until the coordinator goes away; each connection
 // carries one spec. A connection that closes without delivering a spec
-// (or mid-handshake) means the coordinator is done with us. The
-// default retry policy paces the initial connection, so a worker
-// started moments before its coordinator listens still joins.
-func ServeAddr(addr string) error {
-	return ServeAddrRetry(addr, fault.DefaultRetryPolicy())
-}
-
-// ServeAddrRetry is ServeAddr under an explicit retry policy: the
-// first connection retries failed dials with the policy's backoff (up
-// to MaxAttempts dials, each bounded by Timeout). Once a shard has
-// been served, a failed dial means the coordinator finished and went
-// away, and the worker exits cleanly without burning the backoff.
+// (or mid-handshake) means the coordinator is done with us. The first
+// connection retries failed dials under p (up to MaxAttempts dials,
+// each bounded by Timeout), so a worker started moments before its
+// coordinator listens still joins. Once a shard has been served, a
+// failed dial means the coordinator finished and went away, and the
+// worker exits cleanly without burning the backoff.
 func ServeAddrRetry(addr string, p fault.RetryPolicy) error {
 	p = p.WithDefaults()
 	served := 0
@@ -80,27 +74,22 @@ func ServeAddrRetry(addr string, p fault.RetryPolicy) error {
 	}
 }
 
-// dialCoordinator dials with bounded retry. After the worker has
-// served at least one shard a refused dial is the normal end of the
-// campaign, so only the first dial is retried.
+// dialCoordinator dials under p. After the worker has served at least
+// one shard a refused dial is the normal end of the campaign, so only
+// the first connection is retried.
 func dialCoordinator(addr string, p fault.RetryPolicy, servedBefore bool) (net.Conn, error) {
-	var lastErr error
-	for attempt := 0; attempt < p.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			if err := p.Wait(context.Background(), attempt); err != nil {
-				return nil, err
-			}
+	var c net.Conn
+	err := p.Supervise(context.Background(), func(*fault.Attempt) error {
+		var err error
+		if c, err = net.DialTimeout("tcp", addr, p.Timeout); err != nil && servedBefore {
+			return fault.Permanent(err)
 		}
-		c, err := net.DialTimeout("tcp", addr, p.Timeout)
-		if err == nil {
-			return c, nil
-		}
-		if servedBefore {
-			return nil, err
-		}
-		lastErr = err
+		return err
+	}, nil)
+	if err != nil {
+		return nil, fmt.Errorf("shard: dialing coordinator %s (%d attempts): %w", addr, p.MaxAttempts, err)
 	}
-	return nil, fmt.Errorf("shard: dialing coordinator %s (%d attempts): %w", addr, p.MaxAttempts, lastErr)
+	return c, nil
 }
 
 // Serve runs one shard: it reads the spec handshake from in, runs the
