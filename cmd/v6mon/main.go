@@ -9,9 +9,12 @@
 // interrupt loses at most the round in flight and a hard kill at
 // most the cadence. Restarting with -resume picks up from the last
 // checkpoint and produces byte-identical final CSVs to a
-// never-interrupted run. Checkpoints are binary .v6db snapshots;
-// -resume also continues a campaign checkpointed as CSV by an earlier
-// build.
+// never-interrupted run. Each checkpoint directory holds the main
+// database either whole (main.v6db, a base) or as a chain: the last
+// base as main.base.v6db plus main.seg-NNNNNN.v6seg segments of what
+// changed since, the older files hard-linked from the previous
+// checkpoint so every directory loads on its own. -resume also
+// continues a campaign checkpointed as CSV by an earlier build.
 //
 // The campaign's world can come from a declarative scenario pack
 // (-scenario, internal/scenario) instead of the shape flags: a

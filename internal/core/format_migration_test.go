@@ -30,8 +30,8 @@ func latestCheckpointDir(t *testing.T, dir string) string {
 }
 
 // TestResumeAcrossFormatsByteIdentical kills a campaign mid-run,
-// rewrites its newest checkpoint into the CSV layout (the .v6db's
-// database saved as <ck>/main), resumes it, and requires final CSVs
+// rewrites its newest checkpoint into the CSV layout (the loaded
+// database saved as <ck>/main, every snapshot file removed), resumes it, and requires final CSVs
 // byte-identical to an uninterrupted run across three seeds. It also
 // pins that the resumed run's next commit is binary.
 func TestResumeAcrossFormatsByteIdentical(t *testing.T) {
@@ -77,16 +77,24 @@ func TestResumeAcrossFormatsByteIdentical(t *testing.T) {
 				t.Fatalf("interrupted run returned %v, want context.Canceled", err)
 			}
 
+			// The newest checkpoint may hold main as a chain (a base plus
+			// segments): load it the way the backend does, then leave only
+			// the CSV directory, the layout a CSV-era build wrote.
 			ck := latestCheckpointDir(t, ckptDir)
-			bin := filepath.Join(ck, store.SnapMain+store.BinaryExt)
-			db, err := store.LoadBinary(bin)
+			db, err := store.NewCheckpointBackend(ckptDir).LoadSnapshot(store.SnapMain)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := db.Save(filepath.Join(ck, store.SnapMain)); err != nil {
-				t.Fatal(err)
+			snaps, err := filepath.Glob(filepath.Join(ck, store.SnapMain+".*"))
+			if err != nil || len(snaps) == 0 {
+				t.Fatalf("no snapshot files in %s: %v", ck, err)
 			}
-			if err := os.Remove(bin); err != nil {
+			for _, f := range snaps {
+				if err := os.Remove(f); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := db.Save(filepath.Join(ck, store.SnapMain)); err != nil {
 				t.Fatal(err)
 			}
 
@@ -104,8 +112,8 @@ func TestResumeAcrossFormatsByteIdentical(t *testing.T) {
 			if err := s2.RunContext(context.Background(), WithBackend(second), WithCheckpoint(1)); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := os.Stat(filepath.Join(latestCheckpointDir(t, ckptDir), store.SnapMain+store.BinaryExt)); err != nil {
-				t.Fatalf("next checkpoint is not binary: %v", err)
+			if bins, _ := filepath.Glob(filepath.Join(latestCheckpointDir(t, ckptDir), store.SnapMain+".*")); len(bins) == 0 {
+				t.Fatal("next checkpoint is not binary")
 			}
 			if err := s2.RunWorldV6DayContext(context.Background()); err != nil {
 				t.Fatal(err)

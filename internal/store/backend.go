@@ -119,14 +119,20 @@ func ReadMeta(dir string) (Meta, bool, error) {
 	return m, true, nil
 }
 
-// loadSnapshotAuto loads base from a committed checkpoint: the binary
-// file when present, else the CSV directory a CSV-era build wrote
-// there. Binary is the only format written; the CSV branch keeps
-// campaigns checkpointed by those builds resumable.
+// loadSnapshotAuto loads base from a committed checkpoint: the whole
+// binary snapshot when present, else its chain (a base plus segments,
+// see chain.go), else the CSV directory a CSV-era build wrote there.
+// The CSV branch keeps campaigns checkpointed by those builds
+// resumable.
 func loadSnapshotAuto(base string) (*DB, error) {
 	bin := base + BinaryExt
 	if _, err := os.Stat(bin); err == nil {
 		return LoadBinary(bin)
+	} else if !errors.Is(err, fs.ErrNotExist) {
+		return nil, err
+	}
+	if _, err := os.Stat(base + chainBaseSuffix); err == nil {
+		return loadChain(base)
 	} else if !errors.Is(err, fs.ErrNotExist) {
 		return nil, err
 	}
@@ -140,6 +146,18 @@ func loadSnapshotAuto(base string) (*DB, error) {
 // at any point (including mid-checkpoint) never corrupts the last
 // committed state. LoadMeta/LoadSnapshot always serve the newest
 // committed checkpoint.
+//
+// A checkpoint stores each snapshot either whole, as name.v6db (a
+// base, SaveBinary's bytes), or as a chain: the last base as
+// name.base.v6db plus segments name.seg-NNNNNN.v6seg, each holding
+// what changed since the checkpoint before (chain.go). The chain's
+// older files are hard links to the previous checkpoint's, so every
+// committed directory loads on its own and pruning never breaks one.
+// A base is written on the first save, for a database the backend's
+// last commit did not save (a resumed one, say), after Acquire or a
+// failed cycle, when a hard link fails, when the database took an
+// append below its mark round, and once a chain's segments outweigh
+// its base in stored bytes.
 type CheckpointBackend struct {
 	Dir  string // campaign root; checkpoints live under Dir/checkpoints
 	Keep int    // committed checkpoints to retain after a commit; <=0 keeps all
@@ -155,6 +173,10 @@ type CheckpointBackend struct {
 	scanned   bool
 	nextSeq   int
 	writerGen uint64 // bumped by Acquire; fences stale CheckpointWriters
+	// chains holds, per snapshot name, the newest committed save;
+	// staged the saves of the in-progress checkpoint.
+	chains map[string]*chain
+	staged map[string]*chain
 }
 
 // NewCheckpointBackend returns a backend rooted at dir, retaining the
@@ -225,8 +247,24 @@ func (b *CheckpointBackend) saveSnapshotLocked(name string, db *DB) error {
 	if err != nil {
 		return err
 	}
-	return db.SaveBinary(filepath.Join(dir, name)+BinaryExt,
-		BinaryOptions{Compress: true, Fingerprint: b.Fingerprint, Hook: b.Hook})
+	c, err := b.saveChained(dir, name, db)
+	if err != nil {
+		b.discard()
+		return err
+	}
+	if b.staged == nil {
+		b.staged = make(map[string]*chain)
+	}
+	b.staged[name] = c
+	return nil
+}
+
+// discard drops the in-progress checkpoint and what the backend knows
+// of committed chains: the next cycle restages from scratch and
+// writes bases.
+func (b *CheckpointBackend) discard() {
+	b.pending = ""
+	b.chains, b.staged = nil, nil
 }
 
 // SaveMeta commits the staged checkpoint: the metadata is written
@@ -240,6 +278,14 @@ func (b *CheckpointBackend) SaveMeta(m Meta) error {
 }
 
 func (b *CheckpointBackend) saveMetaLocked(m Meta) error {
+	if err := b.commitLocked(m); err != nil {
+		b.discard()
+		return err
+	}
+	return nil
+}
+
+func (b *CheckpointBackend) commitLocked(m Meta) error {
 	dir, err := b.stage()
 	if err != nil {
 		return err
@@ -277,6 +323,10 @@ func (b *CheckpointBackend) saveMetaLocked(m Meta) error {
 	}
 	b.nextSeq++
 	b.pending = ""
+	for _, c := range b.staged {
+		c.dir = final
+	}
+	b.chains, b.staged = b.staged, nil
 	if err := syncDir(b.root()); err != nil {
 		return err
 	}
@@ -381,7 +431,7 @@ func (b *CheckpointBackend) Acquire() *CheckpointWriter {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.writerGen++
-	b.pending = "" // stage() restages, discarding a revoked writer's leftovers
+	b.discard() // stage() restages, discarding a revoked writer's leftovers
 	return &CheckpointWriter{b: b, gen: b.writerGen}
 }
 

@@ -154,6 +154,8 @@ func sectionName(section byte, v Vantage) string {
 		name = "samples"
 	case snapPaths:
 		name = "paths"
+	case segState:
+		return "state"
 	default:
 		return fmt.Sprintf("section-%d", section)
 	}
@@ -218,12 +220,19 @@ type binHeader struct {
 // byte-identical files: sections follow the tables' canonical
 // iteration order and flate is deterministic.
 func (db *DB) SaveBinary(path string, opt BinaryOptions) error {
+	return saveFrames(path, opt, db.writeBinary)
+}
+
+// saveFrames stages a container file written by write to path+".tmp",
+// fsyncs it, commits it by atomic rename and fsyncs the parent
+// directory, consulting opt.Hook at each commit point.
+func saveFrames(path string, opt BinaryOptions, write func(*os.File, BinaryOptions) error) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := db.writeBinary(f, opt); err != nil {
+	if err := write(f, opt); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err
@@ -255,80 +264,71 @@ func (db *DB) SaveBinary(path string, opt BinaryOptions) error {
 	return nil
 }
 
-func (db *DB) writeBinary(f *os.File, opt BinaryOptions) error {
+// frameWriter lays out one container file — a header placeholder,
+// the section frames, the index, then the real header — for
+// snapshots and checkpoint segments (chain.go) alike.
+type frameWriter struct {
+	f             *os.File
+	opt           BinaryOptions
+	off           uint64
+	anyCompressed bool
+	secs          []binSection
+}
+
+func newFrameWriter(f *os.File, opt BinaryOptions) (*frameWriter, error) {
 	// Header placeholder; the real header is written last, once the
 	// index offset is known.
 	if _, err := f.Write(make([]byte, binHeaderSize)); err != nil {
-		return err
+		return nil, err
 	}
-	off := uint64(binHeaderSize)
-	anyCompressed := false
-	var secs []binSection
-	writeSection := func(section byte, v Vantage, payload []byte, entries int) error {
-		if entries == 0 {
-			return nil
-		}
-		stored, compressed := payload, false
-		if opt.Compress {
-			var zbuf bytes.Buffer
-			zw, err := flate.NewWriter(&zbuf, flate.BestSpeed)
-			if err != nil {
-				return err
-			}
-			if _, err := zw.Write(payload); err != nil {
-				return err
-			}
-			if err := zw.Close(); err != nil {
-				return err
-			}
-			if zbuf.Len() < len(payload) {
-				stored, compressed = zbuf.Bytes(), true
-				anyCompressed = true
-			}
-		}
-		if _, err := f.Write(stored); err != nil {
-			return err
-		}
-		secs = append(secs, binSection{
-			section: section, vantage: v, compressed: compressed,
-			entries: uint64(entries), off: off, clen: uint64(len(stored)),
-			ulen: uint64(len(payload)), crc: crc32.Checksum(stored, binCRCTable),
-		})
-		off += uint64(len(stored))
+	return &frameWriter{f: f, opt: opt, off: binHeaderSize}, nil
+}
+
+// section writes one (section, vantage) frame; a section without
+// entries is skipped.
+func (fw *frameWriter) section(section byte, v Vantage, payload []byte, entries int) error {
+	if entries == 0 {
 		return nil
 	}
-
-	var w wbuf
-	nSites := db.appendSnapSites(&w)
-	if err := writeSection(ShardSites, "", w.b, nSites); err != nil {
-		return err
-	}
-	for _, v := range db.Vantages() {
-		w = wbuf{}
-		nDNS, err := db.appendShardDNS(&w, v, 0, snapAllSites)
+	stored, compressed := payload, false
+	if fw.opt.Compress {
+		var zbuf bytes.Buffer
+		zw, err := flate.NewWriter(&zbuf, flate.BestSpeed)
 		if err != nil {
 			return err
 		}
-		if err := writeSection(ShardDNS, v, w.b, nDNS); err != nil {
+		if _, err := zw.Write(payload); err != nil {
 			return err
 		}
-		w = wbuf{}
-		nSamples := db.appendShardSamples(&w, v, 0, snapAllSites)
-		if err := writeSection(ShardSamples, v, w.b, nSamples); err != nil {
+		if err := zw.Close(); err != nil {
 			return err
 		}
-		w = wbuf{}
-		nPaths := db.appendSnapPaths(&w, v)
-		if err := writeSection(snapPaths, v, w.b, nPaths); err != nil {
-			return err
+		if zbuf.Len() < len(payload) {
+			stored, compressed = zbuf.Bytes(), true
+			fw.anyCompressed = true
 		}
 	}
+	if _, err := fw.f.Write(stored); err != nil {
+		return err
+	}
+	fw.secs = append(fw.secs, binSection{
+		section: section, vantage: v, compressed: compressed,
+		entries: uint64(entries), off: fw.off, clen: uint64(len(stored)),
+		ulen: uint64(len(payload)), crc: crc32.Checksum(stored, binCRCTable),
+	})
+	fw.off += uint64(len(stored))
+	return nil
+}
 
+// finish writes the index and the header (with magic and the
+// reservation res) and fsyncs the file.
+func (fw *frameWriter) finish(magic [8]byte, res reservation) error {
+	opt := fw.opt
 	var idx wbuf
 	idx.uvarint(uint64(len(opt.Fingerprint)))
 	idx.bytes([]byte(opt.Fingerprint))
-	idx.uvarint(uint64(len(secs)))
-	for _, s := range secs {
+	idx.uvarint(uint64(len(fw.secs)))
+	for _, s := range fw.secs {
 		idx.byteVal(s.section)
 		idx.uvarint(uint64(len(s.vantage)))
 		idx.bytes([]byte(s.vantage))
@@ -347,38 +347,71 @@ func (db *DB) writeBinary(f *os.File, opt BinaryOptions) error {
 		// Mid-stream fault point: the section frames are on disk but
 		// the index is not — an error here is a short write, leaving a
 		// truncated temp file for the caller to discard.
-		if err := opt.Hook("write", f.Name()); err != nil {
+		if err := opt.Hook("write", fw.f.Name()); err != nil {
 			return err
 		}
 	}
 
 	idx.u32(crc32.Checksum(idx.b[:len(idx.b)], binCRCTable))
-	if _, err := f.Write(idx.b); err != nil {
+	if _, err := fw.f.Write(idx.b); err != nil {
 		return err
 	}
 
 	hdr := make([]byte, binHeaderSize)
-	copy(hdr, binMagic[:])
+	copy(hdr, magic[:])
 	binary.LittleEndian.PutUint32(hdr[8:], binVersion)
 	flags := uint32(0)
-	if anyCompressed {
+	if fw.anyCompressed {
 		flags |= binFlagCompressed
 	}
 	binary.LittleEndian.PutUint32(hdr[12:], flags)
-	binary.LittleEndian.PutUint64(hdr[16:], uint64(db.res.main))
-	binary.LittleEndian.PutUint64(hdr[24:], uint64(db.res.extBase))
-	binary.LittleEndian.PutUint64(hdr[32:], uint64(db.res.ext))
-	binary.LittleEndian.PutUint64(hdr[40:], off)
+	binary.LittleEndian.PutUint64(hdr[16:], uint64(res.main))
+	binary.LittleEndian.PutUint64(hdr[24:], uint64(res.extBase))
+	binary.LittleEndian.PutUint64(hdr[32:], uint64(res.ext))
+	binary.LittleEndian.PutUint64(hdr[40:], fw.off)
 	binary.LittleEndian.PutUint32(hdr[48:], crc32.Checksum(hdr[:48], binCRCTable))
-	if _, err := f.WriteAt(hdr, 0); err != nil {
+	if _, err := fw.f.WriteAt(hdr, 0); err != nil {
 		return err
 	}
 	if opt.Hook != nil {
-		if err := opt.Hook("sync", f.Name()); err != nil {
+		if err := opt.Hook("sync", fw.f.Name()); err != nil {
 			return err
 		}
 	}
-	return f.Sync()
+	return fw.f.Sync()
+}
+
+func (db *DB) writeBinary(f *os.File, opt BinaryOptions) error {
+	fw, err := newFrameWriter(f, opt)
+	if err != nil {
+		return err
+	}
+	var w wbuf
+	nSites := db.appendSnapSites(&w)
+	if err := fw.section(ShardSites, "", w.b, nSites); err != nil {
+		return err
+	}
+	for _, v := range db.Vantages() {
+		w = wbuf{}
+		nDNS, err := db.appendShardDNS(&w, v, 0, snapAllSites)
+		if err != nil {
+			return err
+		}
+		if err := fw.section(ShardDNS, v, w.b, nDNS); err != nil {
+			return err
+		}
+		w = wbuf{}
+		nSamples := db.appendShardSamples(&w, v, 0, snapAllSites)
+		if err := fw.section(ShardSamples, v, w.b, nSamples); err != nil {
+			return err
+		}
+		w = wbuf{}
+		nPaths := db.appendSnapPaths(&w, v)
+		if err := fw.section(snapPaths, v, w.b, nPaths); err != nil {
+			return err
+		}
+	}
+	return fw.finish(binMagic, db.res)
 }
 
 // LoadBinary reads a snapshot written by SaveBinary, memory-mapping
@@ -437,34 +470,50 @@ func decodeBinarySnapshot(path string, data []byte) (*DB, error) {
 	}
 
 	for _, s := range secs {
-		name := sectionName(s.section, s.vantage)
-		stored := data[s.off : s.off+s.clen]
-		if got := crc32.Checksum(stored, binCRCTable); got != s.crc {
-			return nil, corruptf(path, name, "checksum mismatch (stored %08x, computed %08x) — bit flip or torn write", s.crc, got)
-		}
-		payload := stored
-		if s.compressed {
-			payload, err = inflateSection(stored, s.ulen)
-			if err != nil {
-				return nil, corrupt(path, name, err)
-			}
+		payload, err := sectionPayload(path, data, s)
+		if err != nil {
+			return nil, err
 		}
 		if err := decode(db, s.section, s.vantage, payload); err != nil {
-			return nil, corrupt(path, name, err)
+			return nil, corrupt(path, sectionName(s.section, s.vantage), err)
 		}
 	}
 	return db, nil
 }
 
-// parseBinSnapshot validates the header and index without touching
-// any section payload — O(sections), which is what makes opening a
-// paper-scale snapshot for inspection near-free.
+// sectionPayload checksums one indexed frame of data and returns its
+// payload, inflated when stored compressed.
+func sectionPayload(path string, data []byte, s binSection) ([]byte, error) {
+	name := sectionName(s.section, s.vantage)
+	stored := data[s.off : s.off+s.clen]
+	if got := crc32.Checksum(stored, binCRCTable); got != s.crc {
+		return nil, corruptf(path, name, "checksum mismatch (stored %08x, computed %08x) — bit flip or torn write", s.crc, got)
+	}
+	if !s.compressed {
+		return stored, nil
+	}
+	payload, err := inflateSection(stored, s.ulen)
+	if err != nil {
+		return nil, corrupt(path, name, err)
+	}
+	return payload, nil
+}
+
+// parseBinSnapshot validates a snapshot's header and index without
+// touching any section payload — O(sections), which is what makes
+// opening a paper-scale snapshot for inspection near-free.
 func parseBinSnapshot(path string, data []byte) (binHeader, []binSection, string, error) {
+	return parseFrames(path, data, binMagic)
+}
+
+// parseFrames is parseBinSnapshot for a container with the given
+// magic: binMagic for snapshots, segMagic for checkpoint segments.
+func parseFrames(path string, data []byte, magic [8]byte) (binHeader, []binSection, string, error) {
 	var h binHeader
 	if len(data) < binHeaderSize {
 		return h, nil, "", corruptf(path, "header", "file is %d bytes; a snapshot header is %d", len(data), binHeaderSize)
 	}
-	if !bytes.Equal(data[:8], binMagic[:]) {
+	if !bytes.Equal(data[:8], magic[:]) {
 		return h, nil, "", corruptf(path, "header", "bad magic %q", data[:8])
 	}
 	if got, want := binary.LittleEndian.Uint32(data[48:52]), crc32.Checksum(data[:48], binCRCTable); got != want {
@@ -499,14 +548,14 @@ func parseBinSnapshot(path string, data []byte) (binHeader, []binSection, string
 	if got, want := binary.LittleEndian.Uint32(data[len(data)-4:]), crc32.Checksum(idxBytes, binCRCTable); got != want {
 		return h, nil, "", corruptf(path, "index", "checksum mismatch (stored %08x, computed %08x)", got, want)
 	}
-	secs, fingerprint, err := parseBinIndex(path, idxBytes, h.indexOff)
+	secs, fingerprint, err := parseBinIndex(path, idxBytes, h.indexOff, magic == segMagic)
 	if err != nil {
 		return h, nil, "", err
 	}
 	return h, secs, fingerprint, nil
 }
 
-func parseBinIndex(path string, b []byte, indexOff uint64) ([]binSection, string, error) {
+func parseBinIndex(path string, b []byte, indexOff uint64, segment bool) ([]binSection, string, error) {
 	r := &rbuf{b: b}
 	fpLen := r.count()
 	fingerprint := ""
@@ -543,8 +592,9 @@ func parseBinIndex(path string, b []byte, indexOff uint64) ([]binSection, string
 			break
 		}
 		name := sectionName(s.section, s.vantage)
-		switch s.section {
-		case ShardSites, ShardDNS, ShardSamples, snapPaths:
+		switch {
+		case s.section == ShardSites, s.section == ShardDNS, s.section == ShardSamples, s.section == snapPaths:
+		case segment && s.section == segState:
 		default:
 			return nil, "", corruptf(path, "index", "unknown section id %d", s.section)
 		}
@@ -640,22 +690,28 @@ func (db *DB) appendSnapSites(w *wbuf) int {
 	n := 0
 	prev := alexa.SiteID(-1)
 	db.forEachStoredSite(func(r SiteRow, derived bool) {
-		rows.uvarint(uint64(r.Site - prev))
+		rows.siteRow(prev, r, derived)
 		prev = r.Site
-		rows.uvarint(uint64(r.FirstRank))
-		rows.uvarint(uint64(r.V4AS + 1))
-		rows.uvarint(uint64(r.V6AS + 1))
-		if derived || r.Host == alexa.HostName(r.Site) {
-			rows.uvarint(0)
-		} else {
-			rows.uvarint(uint64(len(r.Host)))
-			rows.bytes([]byte(r.Host))
-		}
 		n++
 	})
 	w.uvarint(uint64(n))
 	w.bytes(rows.b)
 	return n
+}
+
+// siteRow encodes one stored site row (see storedRow) in the
+// shard-wire row format, its id as a delta against prev.
+func (w *wbuf) siteRow(prev alexa.SiteID, r SiteRow, derived bool) {
+	w.uvarint(uint64(r.Site - prev))
+	w.uvarint(uint64(r.FirstRank))
+	w.uvarint(uint64(r.V4AS + 1))
+	w.uvarint(uint64(r.V6AS + 1))
+	if derived || r.Host == alexa.HostName(r.Site) {
+		w.uvarint(0)
+	} else {
+		w.uvarint(uint64(len(r.Host)))
+		w.bytes([]byte(r.Host))
+	}
 }
 
 // appendSnapPaths encodes one vantage's path table: per (family, dst)
@@ -689,19 +745,25 @@ func (db *DB) appendSnapPaths(w *wbuf, v Vantage) int {
 		}
 		rows.byteVal(byte(k.fam))
 		rows.uvarint(uint64(k.dst))
-		rows.uvarint(uint64(len(snaps)))
-		for _, snap := range snaps {
-			rows.uvarint(uint64(snap.Round))
-			rows.uvarint(uint64(len(snap.Path)))
-			for _, as := range snap.Path {
-				rows.uvarint(uint64(as))
-			}
-		}
+		rows.pathSnaps(snaps)
 		n++
 	}
 	w.uvarint(uint64(n))
 	w.bytes(rows.b)
 	return n
+}
+
+// pathSnaps encodes a snapshot list: its length, then per snapshot
+// the round, path length and AS indices.
+func (w *wbuf) pathSnaps(snaps []PathSnapshot) {
+	w.uvarint(uint64(len(snaps)))
+	for _, snap := range snaps {
+		w.uvarint(uint64(snap.Round))
+		w.uvarint(uint64(len(snap.Path)))
+		for _, as := range snap.Path {
+			w.uvarint(uint64(as))
+		}
+	}
 }
 
 // decodeSnapPaths replays a paths section through AddPath. Saved

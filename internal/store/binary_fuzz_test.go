@@ -10,6 +10,7 @@ package store
 // tests; CI additionally runs each target with -fuzztime=30s.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -151,6 +152,101 @@ func FuzzDecodeSection(f *testing.F) {
 	})
 }
 
+// segmentSeeds returns the golden base FuzzApplySegment applies to —
+// binarySampleDB after chainRound 10, saved as a backend's base — and
+// segments continuing it over one, two and six rounds (the last adds a
+// vantage and grows the reservation), with the live database each
+// segment must reproduce.
+func segmentSeeds(tb testing.TB) (base []byte, segs [][]byte, lives []*DB) {
+	tb.Helper()
+	dir := tb.TempDir()
+	read := func(path string) []byte {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return data
+	}
+	golden := func() (*DB, dbMark) {
+		db := binarySampleDB()
+		chainRound(db, 10)
+		m, _ := db.mark()
+		return db, m
+	}
+	db, _ := golden()
+	basePath := filepath.Join(dir, "base"+BinaryExt)
+	if err := db.SaveBinary(basePath, BinaryOptions{Compress: true}); err != nil {
+		tb.Fatal(err)
+	}
+	base = read(basePath)
+	for _, upto := range []int{11, 12, 16} {
+		db, m := golden()
+		for r := 11; r <= upto; r++ {
+			chainRound(db, r)
+		}
+		path := filepath.Join(dir, segName("seed", upto))
+		err := saveFrames(path, BinaryOptions{Compress: upto != 11}, func(f *os.File, opt BinaryOptions) error {
+			return db.writeSegment(f, opt, m)
+		})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		segs = append(segs, read(path))
+		lives = append(lives, db)
+	}
+	return base, segs, lives
+}
+
+// FuzzApplySegment: arbitrary bytes applied to the golden base either
+// decode or fail as a *CorruptSnapshotError — never a panic, and the
+// decoder allocates O(input) (plus at most the base's reservation
+// again; see segmentReservable).
+func FuzzApplySegment(f *testing.F) {
+	base, segs, _ := segmentSeeds(f)
+	for _, seg := range segs {
+		f.Add(seg)
+		f.Add(seg[:len(seg)-5])
+		flipped := append([]byte(nil), seg...)
+		flipped[len(flipped)/2] ^= 1
+		f.Add(flipped)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		db, err := decodeBinarySnapshot("base"+BinaryExt, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := applySegment(db, "fuzz"+segExt, data); err != nil {
+			var ce *CorruptSnapshotError
+			if !errors.As(err, &ce) {
+				t.Fatalf("segment error is not a *CorruptSnapshotError: %v", err)
+			}
+			if ce.Section == "" {
+				t.Fatalf("corruption error without a section label: %v", err)
+			}
+			return
+		}
+		db.Counts()
+	})
+}
+
+// TestSegmentSeedsApply: each golden segment applied to the golden
+// base reproduces the live database it was written from.
+func TestSegmentSeedsApply(t *testing.T) {
+	base, segs, lives := segmentSeeds(t)
+	for i, seg := range segs {
+		db, err := decodeBinarySnapshot("base"+BinaryExt, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := applySegment(db, "seed"+segExt, seg); err != nil {
+			t.Fatalf("seed %d does not apply: %v", i, err)
+		}
+		if !bytes.Equal(snapshotBytes(t, db), snapshotBytes(t, lives[i])) {
+			t.Fatalf("seed %d applied differs from its live database", i)
+		}
+	}
+}
+
 // TestFuzzSeedsDecode replays the generated golden seeds through the
 // full load path even when the committed corpus is absent, so the
 // seed corpus itself can never rot unnoticed.
@@ -197,6 +293,10 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 	for _, s := range fuzzSectionSeeds(t) {
 		writeSeed("FuzzDecodeSection", s.name,
 			fmt.Sprintf("byte(%q)", rune(s.section)), fmt.Sprintf("[]byte(%q)", s.payload))
+	}
+	_, segs, _ := segmentSeeds(t)
+	for i, seg := range segs {
+		writeSeed("FuzzApplySegment", []string{"golden-one-round", "golden-two-rounds", "golden-new-vantage"}[i], fmt.Sprintf("[]byte(%q)", seg))
 	}
 	for _, s := range csvFuzzSeeds(saveCSVBytes(t, binarySampleDB())) {
 		writeSeed("FuzzLoadCSV", s.name, fmt.Sprintf("byte(%q)", rune(s.file)), fmt.Sprintf("[]byte(%q)", s.data))

@@ -8,6 +8,7 @@ package store
 // post-commit crash leaves the new one durable.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -211,5 +212,74 @@ func TestCheckpointBackendUnderInjectedFaults(t *testing.T) {
 	}
 	if acked == 0 {
 		t.Fatal("no cycle ever succeeded under a p=0.2 schedule")
+	}
+}
+
+// TestSegmentCycleFaultKeepsPreviousChain fires each commit-point
+// fault during a segment cycle: the previous chain still loads as
+// committed (or, for a crash after the commit, the new one does), and
+// the next successful checkpoint carries every change since the last
+// commit.
+func TestSegmentCycleFaultKeepsPreviousChain(t *testing.T) {
+	cases := []struct {
+		name string
+		hook FaultHook
+	}{
+		{"segment-write", failOps("write")},
+		{"segment-sync", failOps("sync")},
+		{"segment-rename", failOps("rename")},
+		{"meta-sync", func(op, path string) error {
+			if op == "sync" && filepath.Base(path) == metaFile {
+				return fmt.Errorf("%w (%s on %s)", errBoom, op, path)
+			}
+			return nil
+		}},
+		{"segment-crash", failOps("crash")},
+		{"crash-after-commit", func(op, path string) error {
+			if op == "crash" && strings.Contains(path, "ck-") {
+				return fmt.Errorf("%w (%s on %s)", errBoom, op, path)
+			}
+			return nil
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			b := NewCheckpointBackend(dir)
+			db := binarySampleDB()
+			committed := map[int][]byte{}
+			for r := 10; r < 12; r++ {
+				chainRound(db, r)
+				if err := commit(b, db, r); err != nil {
+					t.Fatal(err)
+				}
+				committed[r] = snapshotBytes(t, db)
+			}
+			if newestIsBase(t, b) {
+				t.Fatal("the cycle before the fault did not write a segment")
+			}
+
+			chainRound(db, 12)
+			committed[12] = snapshotBytes(t, db)
+			b.Hook = tc.hook
+			if err := commit(b, db, 12); !errors.Is(err, errBoom) {
+				t.Fatalf("faulted segment cycle returned %v, want the injected failure", err)
+			}
+			loaded, meta := loadNewest(t, dir)
+			want, ok := committed[meta.NextRound]
+			if !ok || (tc.name != "crash-after-commit" && meta.NextRound != 11) {
+				t.Fatalf("after the fault the newest checkpoint is round %d", meta.NextRound)
+			}
+			if !bytes.Equal(snapshotBytes(t, loaded), want) {
+				t.Fatalf("checkpoint of round %d does not load as committed", meta.NextRound)
+			}
+
+			b.Hook = nil
+			chainRound(db, 13)
+			if err := commit(b, db, 13); err != nil {
+				t.Fatal(err)
+			}
+			requireLoadsAs(t, dir, db)
+		})
 	}
 }

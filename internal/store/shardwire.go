@@ -284,14 +284,7 @@ func (db *DB) appendShardSamples(w *wbuf, v Vantage, lo, hi alexa.SiteID) int {
 			rows.uvarint(uint64(site - prev))
 			prev = site
 			rows.byteVal(byte(fam))
-			rows.uvarint(uint64(len(packed)))
-			for _, p := range packed {
-				rows.uvarint(uint64(p.round))
-				rows.uvarint(uint64(p.dateIdx))
-				rows.uvarint(uint64(p.page))
-				rows.uvarint(uint64(p.dlCI))
-				rows.u64(math.Float64bits(p.speed))
-			}
+			rows.samples(packed)
 			sh.mu.Unlock()
 			n++
 		}
@@ -303,6 +296,20 @@ func (db *DB) appendShardSamples(w *wbuf, v Vantage, lo, hi alexa.SiteID) int {
 	w.uvarint(uint64(n))
 	w.bytes(rows.b)
 	return n
+}
+
+// samples encodes a packed series: its length, then per sample the
+// round, date index, page bytes and download/CI word as uvarints and
+// the speed as raw float bits.
+func (w *wbuf) samples(packed []packedSample) {
+	w.uvarint(uint64(len(packed)))
+	for _, p := range packed {
+		w.uvarint(uint64(p.round))
+		w.uvarint(uint64(p.dateIdx))
+		w.uvarint(uint64(p.page))
+		w.uvarint(uint64(p.dlCI))
+		w.u64(math.Float64bits(p.speed))
+	}
 }
 
 // MergeShard decodes one section payload produced by
@@ -485,9 +492,11 @@ func (db *DB) mergeShardDNS(r *rbuf, v Vantage, lo, hi alexa.SiteID) error {
 				sh.spill[site] = append(sh.spill[site], runsBuf[2:]...)
 			}
 			sh.rows += total
+			watermark(&sh.lo, &sh.hi, runsBuf[0].start, end-1)
 			sh.mu.Unlock()
 		}
 		nOoo := r.count()
+		firstOoo := len(oooRows)
 		for k := uint64(0); k < nOoo && r.err == nil; k++ {
 			round := r.uvarint()
 			state := r.byteVal()
@@ -503,6 +512,7 @@ func (db *DB) mergeShardDNS(r *rbuf, v Vantage, lo, hi alexa.SiteID) error {
 				HasA: state&dnsHasA != 0, HasAAAA: state&dnsHasAAAA != 0, Identical: state&dnsIdentical != 0,
 			})
 		}
+		t.watermarkRows(oooRows[firstOoo:])
 	}
 	if len(oooRows) > 0 && r.err == nil {
 		t.oooMu.Lock()

@@ -39,9 +39,11 @@ package store
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"v6web/internal/alexa"
@@ -185,15 +187,16 @@ type dnsHist struct {
 	run [2]dnsRun
 }
 
-// append records one observation, returning how the history grew:
-// spill=true means the new run must go to the shard's spill list, and
-// ooo=true means the observation is out of order (or a duplicate
-// round) and must be kept as an explicit row.
-func (h *dnsHist) append(spillRuns []dnsRun, round int32, state uint8) (newRun dnsRun, spill, ooo bool) {
+// append records n observations of state at rounds [round, round+n),
+// returning how the history grew: spill=true means the new run must go
+// to the shard's spill list, and ooo=true means the observations are
+// out of order (or a duplicate round) and must be kept as explicit
+// rows.
+func (h *dnsHist) append(spillRuns []dnsRun, round, n int32, state uint8) (newRun dnsRun, spill, ooo bool) {
 	last := &h.run[0]
 	switch {
 	case h.run[0].count == 0:
-		h.run[0] = dnsRun{start: round, count: 1, state: state}
+		h.run[0] = dnsRun{start: round, count: n, state: state}
 		return dnsRun{}, false, false
 	case h.run[1].state&dnsSpilled != 0 && len(spillRuns) > 0:
 		last = &spillRuns[len(spillRuns)-1]
@@ -203,10 +206,10 @@ func (h *dnsHist) append(spillRuns []dnsRun, round int32, state uint8) (newRun d
 	end := last.start + last.count
 	switch {
 	case round == end && state == last.state&dnsStateMask:
-		last.count++
+		last.count += n
 		return dnsRun{}, false, false
 	case round >= end:
-		nr := dnsRun{start: round, count: 1, state: state}
+		nr := dnsRun{start: round, count: n, state: state}
 		if h.run[1].count == 0 && h.run[1].state&dnsSpilled == 0 {
 			h.run[1] = nr
 			return dnsRun{}, false, false
@@ -216,6 +219,20 @@ func (h *dnsHist) append(spillRuns []dnsRun, round int32, state uint8) (newRun d
 	default:
 		return dnsRun{}, false, true
 	}
+}
+
+// last returns the site's newest run (state without the spill flag);
+// spill is the site's spill list. The history must be non-empty.
+func (h *dnsHist) last(spill []dnsRun) dnsRun {
+	switch {
+	case h.run[1].state&dnsSpilled != 0 && len(spill) > 0:
+		return spill[len(spill)-1]
+	case h.run[1].count != 0:
+		r := h.run[1]
+		r.state &= dnsStateMask
+		return r
+	}
+	return h.run[0]
 }
 
 // runs appends the site's full run list (inline plus spill) to buf.
@@ -255,6 +272,26 @@ type dnsShard struct {
 	over  map[alexa.SiteID]*dnsHist //v6lint:guardedby mu
 	rows  int                       //v6lint:guardedby mu
 	// rows counts observations in this shard (excluding the ooo log).
+	// lo and hi are the shard's round watermarks (see watermark).
+	lo int32 //v6lint:guardedby mu
+	hi int32 //v6lint:guardedby mu
+}
+
+// noLow is a low watermark that no append has lowered yet.
+const noLow = math.MaxInt32
+
+// watermark tracks the rounds a table stripe has stored, for the
+// checkpoint chain (chain.go): lo is the lowest round appended since
+// the last checkpoint mark (noLow when none), hi the highest round
+// ever stored (-1 when none). Keeping them costs two compares per
+// append.
+func watermark(lo, hi *int32, from, to int32) {
+	if from < *lo {
+		*lo = from
+	}
+	if to > *hi {
+		*hi = to
+	}
 }
 
 // hist returns the site's history slot, creating overflow entries on
@@ -293,11 +330,19 @@ func (s *dnsShard) add(res reservation, row DNSRow) (ooo bool) {
 // addTo is add with row.Site's history slot h already looked up.
 // Caller holds s.mu.
 func (s *dnsShard) addTo(h *dnsHist, row DNSRow) (ooo bool) {
+	return s.addRun(h, row.Site, int32(row.Round), 1, dnsState(row.HasA, row.HasAAAA, row.Identical))
+}
+
+// addRun records n observations of state at rounds [round, round+n)
+// for site, whose history slot is h; ooo reports that they precede
+// the history's end and were not recorded. Caller holds s.mu.
+func (s *dnsShard) addRun(h *dnsHist, site alexa.SiteID, round, n int32, state uint8) (ooo bool) {
+	watermark(&s.lo, &s.hi, round, round+n-1)
 	var spillRuns []dnsRun
 	if h.run[1].state&dnsSpilled != 0 {
-		spillRuns = s.spill[row.Site]
+		spillRuns = s.spill[site]
 	}
-	nr, spill, outOfOrder := h.append(spillRuns, int32(row.Round), dnsState(row.HasA, row.HasAAAA, row.Identical))
+	nr, spill, outOfOrder := h.append(spillRuns, round, n, state)
 	if outOfOrder {
 		return true
 	}
@@ -305,9 +350,9 @@ func (s *dnsShard) addTo(h *dnsHist, row DNSRow) (ooo bool) {
 		if s.spill == nil {
 			s.spill = make(map[alexa.SiteID][]dnsRun)
 		}
-		s.spill[row.Site] = append(s.spill[row.Site], nr)
+		s.spill[site] = append(s.spill[site], nr)
 	}
-	s.rows++
+	s.rows += int(n)
 	return false
 }
 
@@ -366,6 +411,9 @@ type sampleShard struct {
 	over   [2]map[alexa.SiteID]int32 //v6lint:guardedby mu
 	series [][]packedSample          //v6lint:guardedby mu
 	rows   int                       //v6lint:guardedby mu
+	lo     int32                     //v6lint:guardedby mu
+	hi     int32                     //v6lint:guardedby mu
+	// lo and hi are the sample rounds' watermarks (see watermark).
 }
 
 // seriesIdx returns the series index stored for (id, fam), or -1.
@@ -435,6 +483,7 @@ func (s *sampleShard) add(res reservation, id alexa.SiteID, fam topo.Family, p p
 	}
 	s.series[idx] = append(s.series[idx], p)
 	s.rows++
+	watermark(&s.lo, &s.hi, p.round, p.round)
 }
 
 // --- site rows -------------------------------------------------------
@@ -446,6 +495,9 @@ type siteCols struct {
 	firstRank []int32
 	v4        []int32
 	v6        []int32
+	// dirty has one bit per slot: the row was written since the last
+	// checkpoint mark (chain.go).
+	dirty []uint64
 }
 
 func (c *siteCols) grow(n int) {
@@ -453,7 +505,11 @@ func (c *siteCols) grow(n int) {
 	c.firstRank = extend(c.firstRank, n, 0)
 	c.v4 = extend(c.v4, n, 0)
 	c.v6 = extend(c.v6, n, 0)
+	c.dirty = extend(c.dirty, (n+63)>>6, 0)
 }
+
+// touch sets slot's dirty bit.
+func (c *siteCols) touch(slot int) { c.dirty[slot>>6] |= 1 << (slot & 63) }
 
 // siteShard is one stripe of the site-row table. Hosts equal to the
 // canonical alexa.HostName derivation are not stored; hostOver holds
@@ -483,6 +539,11 @@ type DB struct {
 	// landed per (section, vantage), kept for its overlap assertion.
 	mergeMu sync.Mutex
 	merged  map[mergeKey][]mergeRange //v6lint:guardedby mergeMu
+
+	// markGen is bumped by each checkpoint mark: a checkpoint chain
+	// continues this database only while markGen is still the one its
+	// last commit took (chain.go).
+	markGen atomic.Uint64
 }
 
 // vantageTable holds one vantage's measurement tables, striped by
@@ -499,6 +560,10 @@ type vantageTable struct {
 
 	pathMu sync.Mutex
 	paths  map[famDstKey][]PathSnapshot //v6lint:guardedby pathMu
+	pathLo int32                        //v6lint:guardedby pathMu
+	pathHi int32                        //v6lint:guardedby pathMu
+	// pathLo and pathHi are the stored snapshots' round watermarks (see
+	// watermark).
 
 	// Date dictionary: the distinct sample dates, typically one per
 	// round.
@@ -516,6 +581,12 @@ func newVantageTable(res reservation) *vantageTable {
 	t := &vantageTable{
 		paths:   make(map[famDstKey][]PathSnapshot),
 		dateIdx: make(map[time.Time]int32),
+		pathLo:  noLow,
+		pathHi:  -1,
+	}
+	for i := range t.dns {
+		t.dns[i].lo, t.dns[i].hi = noLow, -1         //v6lint:locked the table is not yet shared
+		t.samples[i].lo, t.samples[i].hi = noLow, -1 //v6lint:locked the table is not yet shared
 	}
 	t.grow(res)
 	return t
@@ -687,6 +758,7 @@ func (sh *siteShard) putDense(res reservation, row SiteRow) {
 	cols.firstRank[slot] = int32(row.FirstRank)
 	cols.v4[slot] = int32(row.V4AS)
 	cols.v6[slot] = int32(row.V6AS)
+	cols.touch(slot)
 	if row.Host == alexa.HostName(row.Site) {
 		delete(sh.hostOver, row.Site)
 	} else {
@@ -805,6 +877,7 @@ func (sh *siteShard) ensure(res reservation, r *CanonicalSite) {
 	cols.firstRank[slot] = int32(r.FirstRank)
 	cols.v4[slot] = int32(r.V4AS)
 	cols.v6[slot] = int32(r.V6AS)
+	cols.touch(slot)
 	delete(sh.hostOver, r.Site)
 }
 
@@ -1100,6 +1173,7 @@ func (db *DB) AddPath(v Vantage, fam topo.Family, dst, round int, path []int) {
 		return
 	}
 	t.paths[k] = append(snaps, PathSnapshot{Round: round, Path: append([]int(nil), path...)})
+	watermark(&t.pathLo, &t.pathHi, int32(round), int32(round))
 }
 
 func equalPath(a, b []int) bool {
