@@ -3,16 +3,20 @@
 // the resumable campaign runner, and saves the measurement databases
 // as CSV for later analysis with v6report.
 //
+// The rounds run through core.RunContext, the loop every campaign
+// shares, and the finished campaign through cli.Finish, the one
+// completion step (World IPv6 Day, final CSVs, checkpoint removal).
 // The campaign checkpoints its completed rounds (crash-safe,
 // append-only directories under <out>/checkpoints) every
-// -checkpoint-every rounds and on SIGINT/SIGTERM, so a graceful
-// interrupt loses at most the round in flight and a hard kill at
-// most the cadence. Restarting with -resume picks up from the last
-// checkpoint and produces byte-identical final CSVs to a
-// never-interrupted run. Each checkpoint directory holds the main
-// database either whole (main.v6db, a base) or as a chain: the last
-// base as main.base.v6db plus main.seg-NNNNNN.v6seg segments of what
-// changed since, the older files hard-linked from the previous
+// -checkpoint-every rounds, on SIGINT/SIGTERM and at -stop-after
+// (unless that round is already committed), and once the main study
+// is finished, so a graceful interrupt loses at most the round in
+// flight and a hard kill at most the cadence. Restarting with -resume
+// picks up from the last checkpoint and produces byte-identical final
+// CSVs to a never-interrupted run. Each checkpoint directory holds the
+// main database either whole (main.v6db, a base) or as a chain: the
+// last base as main.base.v6db plus main.seg-NNNNNN.v6seg segments of
+// what changed since, the older files hard-linked from the previous
 // checkpoint so every directory loads on its own. -resume also
 // continues a campaign checkpointed as CSV by an earlier build.
 //
@@ -32,12 +36,14 @@
 //	v6mon -out data/ -shards 4        # split across 4 local worker processes
 //
 // With -shards N > 1 the campaign runs as N site-range shards in
-// worker processes (internal/shard): each worker measures its slice
-// and streams columnar binary frames back; the coordinator merges
-// them into CSVs byte-identical to a single-process run. Workers
-// checkpoint per shard under <out>/shards, so a killed worker costs
-// one shard-round and an interrupted coordinator continues when the
-// same command is rerun.
+// worker processes (internal/shard), through the sharded driver it
+// shares with `v6shard coordinate` (cli.RunSharded): each worker
+// measures its slice and streams columnar binary frames back; the
+// coordinator merges them into CSVs byte-identical to a single-process
+// run. Workers checkpoint per shard under <out>/shards, so a killed
+// worker costs one shard-round and an interrupted coordinator, in the
+// rounds or in the World IPv6 Day tail, continues when the same
+// command is rerun.
 //
 // -faults arms the deterministic chaos layer (internal/fault): on the
 // sharded path it injects filesystem faults at worker checkpoint
@@ -110,11 +116,18 @@ func main() {
 	if *stopAfter > 0 && *every <= 0 {
 		fatal(fmt.Errorf("-stop-after needs -checkpoint-every > 0, or the stopped campaign cannot be resumed"))
 	}
+	// SIGINT/SIGTERM cancel the campaign at the next round boundary;
+	// the runner checkpoints the completed rounds before returning.
+	ctx, stop := cli.SignalContext()
+	defer stop()
 	if *shards > 1 {
 		if *resume || *stopAfter > 0 {
 			fatal(fmt.Errorf("-shards does not combine with -resume or -stop-after; workers resume from their own shard checkpoints, so just rerun the same command"))
 		}
-		runSharded(cfg, *out, *shards, *every, fc, *frameTime, *quiet)
+		opt := shard.Options{Workers: *shards, CheckpointEvery: *every, Faults: fc, Retry: fault.RetryPolicy{Timeout: *frameTime}}
+		if err := cli.RunSharded(ctx, "v6mon", cfg, *out, opt, *quiet); err != nil {
+			fatal(err)
+		}
 		return
 	}
 	if *frameTime > 0 {
@@ -123,11 +136,6 @@ func main() {
 	if fc != nil && (fc.Wire != fault.WirePlan{}) {
 		fatal(fmt.Errorf("wire faults exist only at the shard boundary; they need -shards > 1"))
 	}
-
-	// SIGINT/SIGTERM cancel the campaign at the next round boundary;
-	// the runner checkpoints the completed rounds before returning.
-	ctx, stop := cli.SignalContext()
-	defer stop()
 
 	ckpt := store.NewCheckpointBackend(*out)
 	ckpt.Fingerprint = cfg.Fingerprint()
@@ -171,18 +179,34 @@ func main() {
 				ev.Stats.Measured, ev.Elapsed.Round(time.Millisecond))
 		}))
 	}
+	var (
+		ck      store.Backend // nil: no checkpoint log to commit to or remove
+		scratch string
+	)
 	if *every > 0 {
+		ck, scratch = ckpt, filepath.Join(*out, "checkpoints")
 		opts = append(opts, core.WithBackend(ckpt), core.WithCheckpoint(*every))
 	}
+	// -stop-after cancels the rounds' own context at the boundary after
+	// round N (at once if the cursor is already there): the runner
+	// stops there with the round committed, as on a signal.
+	runCtx, stopRun := context.WithCancel(ctx)
+	defer stopRun()
 	if *stopAfter > 0 {
-		opts = append(opts, core.WithRounds(0, *stopAfter))
+		if s.RoundsDone() >= *stopAfter {
+			stopRun()
+		}
+		opts = append(opts, core.WithRoundHook(func(done int, _ func() error) error {
+			if done >= *stopAfter {
+				stopRun()
+			}
+			return nil
+		}))
 	}
 
-	if err := s.RunContext(ctx, opts...); err != nil {
-		if errors.Is(err, context.Canceled) {
-			interrupted(s, cfg, *every)
-		}
-		fatal(err)
+	err = s.RunContext(runCtx, opts...)
+	if stopped := errors.Is(err, context.Canceled) && ctx.Err() == nil; err != nil && !stopped {
+		fail(err, s, *every)
 	}
 	if s.RoundsDone() < cfg.Rounds {
 		if !*quiet {
@@ -191,100 +215,30 @@ func main() {
 		}
 		return
 	}
-
-	if err := s.RunWorldV6DayContext(ctx); err != nil {
-		if errors.Is(err, context.Canceled) {
-			// The main study is checkpointed; the short side experiment
-			// simply reruns on resume.
-			interrupted(s, cfg, *every)
-		}
-		fatal(err)
+	// A drain in the completion tail finds the main study committed;
+	// the short side experiment simply reruns on resume.
+	if err := cli.Finish(ctx, s, *out, ck, scratch); err != nil {
+		fail(err, s, *every)
 	}
-
 	if !*quiet {
 		fmt.Printf("main study: %v\n", s.DB)
 		fmt.Printf("world ipv6 day: %v\n", s.V6DayDB)
-	}
-	if err := cli.SaveCompleted(*out, cfg.Rounds, cfg.Fingerprint(), s.DB, s.V6DayDB); err != nil {
-		fatal(err)
-	}
-	// The final CSVs are the product; the checkpoint log (up to Keep
-	// full database copies) is scratch once the campaign completed.
-	if *every > 0 {
-		if err := os.RemoveAll(filepath.Join(*out, "checkpoints")); err != nil && !*quiet {
-			fmt.Fprintf(os.Stderr, "v6mon: could not remove checkpoints: %v\n", err)
-		}
-	}
-	if !*quiet {
 		fmt.Printf("saved to %s\n", *out)
 	}
 }
 
-// runSharded is the -shards path: worker processes measure site-range
-// slices, the coordinator merges their frames, and everything after
-// the main study (World IPv6 Day, saving) runs locally as usual.
-func runSharded(cfg core.Config, out string, shards, every int, fc *fault.Config, frameTime time.Duration, quiet bool) {
-	ctx, stop := cli.SignalContext()
-	defer stop()
-
-	opt := shard.Options{Workers: shards, CheckpointEvery: every, Faults: fc}
-	if frameTime > 0 {
-		opt.Retry.Timeout = frameTime
-	}
-	if every > 0 {
-		opt.Dir = filepath.Join(out, "shards")
-	}
-	if !quiet {
-		opt.Log = os.Stdout
-		fmt.Printf("sharding campaign across %d workers (list: %d sites, rounds: %d)\n",
-			shards, cfg.ListSize, cfg.Rounds)
-	}
-	start := time.Now()
-	s, st, err := shard.Run(ctx, cfg, opt)
-	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			if opt.Dir != "" {
-				cli.Drained("v6mon", "interrupted; shard checkpoints saved — rerun the same command to continue", true)
-			}
-			cli.Drained("v6mon", "interrupted; -checkpoint-every was 0, so progress is lost", false)
+// fail exits on err. A signal drain (context.Canceled) exits through
+// cli.Drained: 0 when the shutdown checkpoint makes it resumable, 1
+// when checkpointing was off and progress is lost.
+func fail(err error, s *core.Scenario, every int) {
+	if errors.Is(err, context.Canceled) {
+		at := fmt.Sprintf("interrupted at round %d/%d; ", s.RoundsDone(), s.Cfg.Rounds)
+		if every > 0 {
+			cli.Drained("v6mon", at+"checkpoint saved — rerun with -resume to continue", true)
 		}
-		fatal(err)
+		cli.Drained("v6mon", at+"checkpointing disabled, progress lost", false)
 	}
-	if !quiet {
-		fmt.Printf("%d shards merged in %v total (%d retries, merge %v)\n",
-			st.Shards, time.Since(start).Round(time.Millisecond), st.Retries,
-			st.MergeDur.Round(time.Millisecond))
-	}
-	if err := s.RunWorldV6DayContext(ctx); err != nil {
-		fatal(err)
-	}
-	if !quiet {
-		fmt.Printf("main study: %v\n", s.DB)
-		fmt.Printf("world ipv6 day: %v\n", s.V6DayDB)
-	}
-	if err := cli.SaveCompleted(out, cfg.Rounds, cfg.Fingerprint(), s.DB, s.V6DayDB); err != nil {
-		fatal(err)
-	}
-	if opt.Dir != "" {
-		if err := os.RemoveAll(opt.Dir); err != nil && !quiet {
-			fmt.Fprintf(os.Stderr, "v6mon: could not remove shard checkpoints: %v\n", err)
-		}
-	}
-	if !quiet {
-		fmt.Printf("saved to %s\n", out)
-	}
-}
-
-// interrupted reports a graceful shutdown and exits: 0 when the
-// shutdown checkpoint makes the drain resumable, 1 when checkpointing
-// was off and progress is lost.
-func interrupted(s *core.Scenario, cfg core.Config, every int) {
-	if every > 0 {
-		cli.Drained("v6mon", fmt.Sprintf("interrupted at round %d/%d; checkpoint saved — rerun with -resume to continue",
-			s.RoundsDone(), cfg.Rounds), true)
-	}
-	cli.Drained("v6mon", fmt.Sprintf("interrupted at round %d/%d; checkpointing disabled, progress lost",
-		s.RoundsDone(), cfg.Rounds), false)
+	fatal(err)
 }
 
 func fatal(err error) { cli.Fatal("v6mon", err) }

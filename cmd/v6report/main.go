@@ -3,8 +3,13 @@
 // v6mon (including a campaign finished via checkpoints and -resume);
 // without it, it runs a fresh deterministic campaign end to end and
 // reports on that. Both paths render the measurement tables through
-// the same report.RenderStudy pipeline, so saved and fresh campaigns
-// always produce the same exhibits.
+// report.RenderStudy, but they do not analyze the same vantages: -db
+// builds its study with report.StudyOfSnapshot over every vantage in
+// the saved database (all six), while a fresh campaign analyzes only
+// the four AS_PATH vantages (core.Scenario.Study). The per-vantage
+// tables of a saved campaign therefore carry two more vantages than
+// the fresh report of the same campaign, and Table 2's "All" column
+// can differ (EXPERIMENTS.md, "Saved vs fresh reports").
 //
 // With -scenario, the fresh campaign comes from a declarative
 // scenario pack (built-in name or pack file; -set applies dotted-path

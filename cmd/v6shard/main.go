@@ -25,13 +25,9 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"time"
 
 	"v6web/internal/cli"
 	"v6web/internal/fault"
@@ -101,9 +97,6 @@ func coordinateMain(args []string) {
 		fatal(err)
 	}
 
-	ctx, stop := cli.SignalContext()
-	defer stop()
-
 	opt := shard.Options{
 		Workers:         *shards,
 		CheckpointEvery: *every,
@@ -119,53 +112,11 @@ func coordinateMain(args []string) {
 	if *ftime > 0 {
 		opt.Retry.Timeout = *ftime
 	}
-	if *every > 0 {
-		opt.Dir = filepath.Join(*out, "shards")
-	}
-	if !*quiet {
-		opt.Log = os.Stdout
-	}
-	start := time.Now()
-	s, st, err := shard.Run(ctx, cfg, opt)
-	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			// Graceful shutdown: every live worker was interrupted and
-			// checkpointed before Run returned, so (with checkpointing
-			// on) the campaign state on disk is whole and resumable.
-			if opt.Dir != "" {
-				cli.Drained("v6shard", "interrupted; shard checkpoints saved — rerun the same command to continue", true)
-			}
-			cli.Drained("v6shard", "interrupted; -checkpoint-every was 0, so progress is lost", false)
-		}
+	ctx, stop := cli.SignalContext()
+	defer stop()
+	if err := cli.RunSharded(ctx, "v6shard", cfg, *out, opt, *quiet); err != nil {
 		fatal(err)
 	}
-	if !*quiet {
-		fmt.Printf("%d shards merged: %s on the wire, %v merging, %d retries, %v total\n",
-			st.Shards, byteCount(st.WireBytes), st.MergeDur.Round(time.Millisecond),
-			st.Retries, time.Since(start).Round(time.Millisecond))
-	}
-	if err := s.RunWorldV6DayContext(ctx); err != nil {
-		fatal(err)
-	}
-	if err := cli.SaveCompleted(*out, cfg.Rounds, cfg.Fingerprint(), s.DB, s.V6DayDB); err != nil {
-		fatal(err)
-	}
-	if opt.Dir != "" {
-		os.RemoveAll(opt.Dir)
-	}
-	if !*quiet {
-		fmt.Printf("saved to %s\n", *out)
-	}
-}
-
-func byteCount(n int64) string {
-	switch {
-	case n >= 1<<20:
-		return fmt.Sprintf("%.1f MiB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.1f KiB", float64(n)/(1<<10))
-	}
-	return fmt.Sprintf("%d B", n)
 }
 
 func fatal(err error) { cli.Fatal("v6shard", err) }

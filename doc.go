@@ -24,7 +24,8 @@
 //
 // internal/core ties it together as a long-lived measurement
 // *campaign*, the shape the paper's 22-month Penn deployment actually
-// had: Scenario.RunContext drives a resumable round cursor
+// had: Scenario.RunContext, the one round loop v6mon, the shard
+// workers and v6mond share, drives a resumable round cursor
 // (NextRound/RoundsDone) under a context, streams typed RoundEvents
 // to observers (core.WithObserver), and checkpoints completed rounds
 // (core.WithCheckpoint) to a storage backend (store.Backend,

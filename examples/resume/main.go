@@ -19,6 +19,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"v6web/internal/cli"
 	"v6web/internal/core"
 	"v6web/internal/scenario"
 	"v6web/internal/store"
@@ -45,13 +46,6 @@ func config() core.Config {
 	return comp.Config
 }
 
-func save(s *core.Scenario, dir string) error {
-	if err := s.DB.Save(filepath.Join(dir, store.SnapMain)); err != nil {
-		return err
-	}
-	return s.V6DayDB.Save(filepath.Join(dir, store.SnapV6Day))
-}
-
 func main() {
 	root, err := os.MkdirTemp("", "v6web-resume-*")
 	if err != nil {
@@ -68,10 +62,9 @@ func main() {
 	if err := ref.RunContext(context.Background()); err != nil {
 		log.Fatal(err)
 	}
-	if err := ref.RunWorldV6DayContext(context.Background()); err != nil {
-		log.Fatal(err)
-	}
-	if err := save(ref, filepath.Join(root, "ref")); err != nil {
+	// World IPv6 Day and the final CSVs, as every tool finishes a
+	// campaign.
+	if err := cli.Finish(context.Background(), ref, filepath.Join(root, "ref"), nil, ""); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("uninterrupted campaign: %d rounds, %v\n", ref.RoundsDone(), ref.DB)
@@ -111,10 +104,7 @@ func main() {
 	if err := resumed.RunContext(context.Background(), core.WithBackend(backend), core.WithCheckpoint(1)); err != nil {
 		log.Fatal(err)
 	}
-	if err := resumed.RunWorldV6DayContext(context.Background()); err != nil {
-		log.Fatal(err)
-	}
-	if err := save(resumed, filepath.Join(root, "resumed")); err != nil {
+	if err := cli.Finish(context.Background(), resumed, filepath.Join(root, "resumed"), backend, ""); err != nil {
 		log.Fatal(err)
 	}
 

@@ -1,0 +1,111 @@
+package cli
+
+import (
+	"context"
+	"errors"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"v6web/internal/core"
+	"v6web/internal/store"
+)
+
+// finishedScenario runs a tiny campaign's main study, checkpointing
+// every round but the last into dir/checkpoints.
+func finishedScenario(t *testing.T, dir string) (*core.Scenario, *store.CheckpointBackend) {
+	t.Helper()
+	cfg := core.DefaultConfig(3)
+	cfg.NASes, cfg.ListSize, cfg.Rounds, cfg.V6DayRounds = 80, 400, 3, 2
+	cfg.Vantages = core.ScaledVantages(cfg.Rounds)
+	s, err := core.NewScenario(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck := store.NewCheckpointBackend(dir)
+	if err := s.RunContext(context.Background(), core.WithBackend(ck), core.WithCheckpoint(1)); err != nil {
+		t.Fatal(err)
+	}
+	return s, ck
+}
+
+func exists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
+}
+
+// TestFinishCancelledWritesNothing: a drain that lands in the
+// completion tail commits the finished main study and nothing else —
+// no CSV, no completion meta.json — and leaves the scratch directory
+// for the rerun.
+func TestFinishCancelledWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	s, ck := finishedScenario(t, dir)
+	scratch := filepath.Join(dir, "checkpoints")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := Finish(ctx, s, dir, ck, scratch); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Finish under a cancelled context: %v, want context.Canceled", err)
+	}
+	for _, name := range []string{store.SnapMain, store.SnapV6Day, "meta.json"} {
+		if exists(filepath.Join(dir, name)) {
+			t.Errorf("cancelled Finish wrote %s", name)
+		}
+	}
+	if !exists(scratch) {
+		t.Error("cancelled Finish removed the scratch directory")
+	}
+	if meta, ok, err := ck.LoadMeta(); err != nil || !ok || meta.NextRound != s.Cfg.Rounds {
+		t.Errorf("finished main study not committed: %+v ok=%v err=%v", meta, ok, err)
+	}
+}
+
+// TestFinishCompletesOnce: Finish commits the last round (which the
+// cadence leaves to it), saves the product, removes the scratch, and
+// a second run over the same committed cursor commits nothing new.
+func TestFinishCompletesOnce(t *testing.T) {
+	dir := t.TempDir()
+	s, ck := finishedScenario(t, dir)
+	if err := Finish(context.Background(), s, dir, ck, ""); err != nil {
+		t.Fatal(err)
+	}
+	meta, ok, err := store.ReadMeta(dir)
+	if err != nil || !ok || !meta.Complete || meta.NextRound != s.Cfg.Rounds || meta.ConfigHash != s.Cfg.Fingerprint() {
+		t.Fatalf("completion meta %+v ok=%v err=%v", meta, ok, err)
+	}
+	for _, name := range []string{store.SnapMain, store.SnapV6Day} {
+		if _, err := store.Load(filepath.Join(dir, name)); err != nil {
+			t.Errorf("product %s: %v", name, err)
+		}
+	}
+	if cks, _ := filepath.Glob(filepath.Join(dir, "checkpoints", "ck-*")); len(cks) != s.Cfg.Rounds {
+		t.Errorf("%d checkpoints, want the cadence's %d plus the finished study", len(cks), s.Cfg.Rounds-1)
+	}
+
+	// A rerun over the committed finished study: nothing to commit.
+	resumed, err := core.Resume(s.Cfg, store.NewCheckpointBackend(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb := &countingBackend{Backend: store.NewCheckpointBackend(dir)}
+	scratch := filepath.Join(dir, "checkpoints")
+	if err := Finish(context.Background(), resumed, dir, cb, scratch); err != nil {
+		t.Fatal(err)
+	}
+	if cb.commits != 0 {
+		t.Errorf("rerun committed %d checkpoints, want none", cb.commits)
+	}
+	if exists(scratch) {
+		t.Error("scratch not removed")
+	}
+}
+
+type countingBackend struct {
+	store.Backend
+	commits int
+}
+
+func (b *countingBackend) SaveMeta(m store.Meta) error {
+	b.commits++
+	return b.Backend.SaveMeta(m)
+}

@@ -1,21 +1,20 @@
-// Package cli holds the few helpers the cmd tools share, so flag
+// Package cli holds the few helpers the cmd tools share, so their
 // conventions cannot drift between them: detection of explicitly set
 // flags (behind every tool's "-scenario replaces the shape flags"
 // conflict errors), the campaign config the shape flags or a pack
-// resolve to, and uniform fatal exits.
+// resolve to, uniform fatal exits and drains, the one completion step
+// every finished campaign goes through (Finish), and the sharded
+// driver around it (RunSharded).
 package cli
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
-	"time"
 
 	"v6web/internal/core"
 	"v6web/internal/scenario"
-	"v6web/internal/store"
 )
 
 // ExplicitFlags returns which of the named flags the user set in fs
@@ -65,27 +64,4 @@ func ResolveConfig(fs *flag.FlagSet, pack string, sets scenario.Overrides, seed 
 func Fatal(tool string, err error) {
 	fmt.Fprintln(os.Stderr, tool+":", err)
 	os.Exit(1)
-}
-
-// SaveCompleted writes a finished campaign's product to dir: both
-// databases as CSV plus the completion Meta (NextRound == Rounds,
-// Complete set) that marks the directory as final rather than a
-// resumable checkpoint. A returned nil means the product survives
-// power loss, so callers may then delete the checkpoint log. Every
-// tool that finishes a campaign goes through here so the completion
-// contract cannot drift between them.
-func SaveCompleted(dir string, rounds int, fingerprint string, main, v6day *store.DB) error {
-	if err := main.Save(filepath.Join(dir, store.SnapMain)); err != nil {
-		return err
-	}
-	if err := v6day.Save(filepath.Join(dir, store.SnapV6Day)); err != nil {
-		return err
-	}
-	return store.WriteMeta(dir, store.Meta{
-		NextRound:  rounds,
-		Rounds:     rounds,
-		ConfigHash: fingerprint,
-		Complete:   true,
-		SavedAt:    time.Now().UTC(),
-	})
 }

@@ -47,7 +47,7 @@ type runOptions struct {
 	observers []Observer
 	backend   store.Backend
 	every     int
-	from, to  int
+	hook      func(done int, commit func() error) error
 }
 
 // RunOption configures one RunContext / RunWorldV6DayContext call.
@@ -65,17 +65,23 @@ func WithBackend(b store.Backend) RunOption {
 }
 
 // WithCheckpoint checkpoints the campaign to the attached backend
-// after every `every` completed rounds (and at the end of the run, or
-// on cancellation). Requires WithBackend.
+// every `every` completed rounds before the last, and on an early
+// stop (see RunContext). Requires WithBackend.
 func WithCheckpoint(every int) RunOption {
 	return func(o *runOptions) { o.every = every }
 }
 
-// WithRounds restricts execution to the round window [from, to). A
-// window starting past the cursor fast-forwards the ranked list
-// without monitoring; to is clamped to the configured round count.
-func WithRounds(from, to int) RunOption {
-	return func(o *runOptions) { o.from, o.to = from, to }
+// WithRoundHook runs fn at every round boundary, after the round's
+// events, with the number of completed rounds and commit, which takes
+// the boundary's cadence checkpoint: a no-op off the cadence and after
+// its first call. RunContext calls commit once fn returns, so fn calls
+// it only to order its own work after the checkpoint (publishing
+// committed state, say) rather than before it (reporting the round
+// first). An error from fn or commit ends the run at once, without a
+// shutdown checkpoint. fn may also stop the run at this boundary by
+// cancelling the run's context.
+func WithRoundHook(fn func(done int, commit func() error) error) RunOption {
+	return func(o *runOptions) { o.hook = fn }
 }
 
 func emit(observers []Observer, evs ...RoundEvent) {
@@ -86,46 +92,36 @@ func emit(observers []Observer, evs ...RoundEvent) {
 	}
 }
 
-// RunContext executes monitoring rounds from the current cursor under
-// ctx; once all rounds have executed, further calls are no-ops.
-// Cancellation is honored between rounds — a round is the atomic
-// unit of progress — and when checkpointing is enabled the completed
-// rounds are checkpointed before the context error is returned, so an
-// interrupted campaign loses at most the round in flight.
+// RunContext executes monitoring rounds from the current cursor to the
+// end of the main study under ctx; once all rounds have executed,
+// further calls are no-ops. It is the one loop over the round cursor:
+// v6mon, the shard workers and v6mond all run their rounds here, each
+// with its own per-round work in a WithRoundHook hook and its own
+// checkpoint behaviour in the store.Backend it passes.
+//
+// Cancellation is honored between rounds — a round is the atomic unit
+// of progress. With checkpointing on, the checkpoint rule is:
+// checkpoint after every `every`-th round except the last, and on an
+// early stop (a cancelled ctx) commit the cursor unless the backend
+// already holds it (Commit), so a stop that lands right after a
+// checkpoint, or before a resumed campaign's first round, writes
+// nothing twice. The finished main study is never committed here: a
+// caller that keeps it commits it itself (cli.Finish does), and a
+// shard worker, whose product is streamed, never does. A failed
+// shutdown checkpoint is returned instead of the context error, so
+// errors.Is(err, context.Canceled) means progress was saved.
 func (s *Scenario) RunContext(ctx context.Context, opts ...RunOption) error {
-	o := runOptions{from: 0, to: s.Cfg.Rounds}
+	var o runOptions
 	for _, opt := range opts {
 		opt(&o)
-	}
-	if o.to > s.Cfg.Rounds {
-		o.to = s.Cfg.Rounds
-	}
-	if o.from < 0 || o.from > o.to {
-		return fmt.Errorf("core: round window [%d,%d) invalid", o.from, o.to)
 	}
 	if o.every > 0 && o.backend == nil {
 		return fmt.Errorf("core: WithCheckpoint requires WithBackend")
 	}
-	if s.next < o.from {
-		s.fastForward(o.from)
-	}
-	// Cursor of the last checkpoint known to be on disk, so the
-	// shutdown path never rewrites a byte-identical checkpoint — e.g.
-	// a resumed campaign interrupted again before its first round.
-	checkpointed := -1
-	if o.every > 0 {
-		if meta, ok, err := o.backend.LoadMeta(); err == nil && ok &&
-			meta.NextRound == s.next && meta.ConfigHash == s.Cfg.Fingerprint() {
-			checkpointed = s.next
-		}
-	}
-	for s.next < o.to {
+	for s.next < s.Cfg.Rounds {
 		if err := ctx.Err(); err != nil {
-			if o.every > 0 && checkpointed != s.next {
-				if cerr := s.Checkpoint(o.backend); cerr != nil {
-					// A failed shutdown checkpoint outranks the
-					// cancellation: callers must not conclude (via
-					// errors.Is Canceled) that progress was saved.
+			if o.every > 0 {
+				if cerr := s.Commit(o.backend); cerr != nil {
 					return fmt.Errorf("core: shutdown checkpoint at round %d failed (campaign interrupted: %v): %w", s.next, err, cerr)
 				}
 			}
@@ -134,11 +130,21 @@ func (s *Scenario) RunContext(ctx context.Context, opts ...RunOption) error {
 		if err := s.NextRound(o.observers...); err != nil {
 			return err
 		}
-		if o.every > 0 && (s.next%o.every == 0 || s.next == o.to) {
-			if err := s.Checkpoint(o.backend); err != nil {
+		due := o.every > 0 && s.next%o.every == 0 && s.next < s.Cfg.Rounds
+		commit := func() error {
+			if !due {
+				return nil
+			}
+			due = false
+			return s.Checkpoint(o.backend)
+		}
+		if o.hook != nil {
+			if err := o.hook(s.next, commit); err != nil {
 				return err
 			}
-			checkpointed = s.next
+		}
+		if err := commit(); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -328,6 +334,16 @@ func (s *Scenario) fastForward(to int) {
 		s.List.Advance()
 		s.next++
 	}
+}
+
+// Commit checkpoints the campaign to b unless b's newest committed
+// checkpoint already holds this campaign at the current cursor.
+func (s *Scenario) Commit(b store.Backend) error {
+	if meta, ok, err := b.LoadMeta(); err == nil && ok &&
+		meta.NextRound == s.next && meta.ConfigHash == s.Cfg.Fingerprint() {
+		return nil
+	}
+	return s.Checkpoint(b)
 }
 
 // Checkpoint persists the campaign's completed rounds to b: the main

@@ -137,10 +137,11 @@ func TestKillResumeByteIdentical(t *testing.T) {
 	}
 }
 
-// TestWithRoundsSplitEqualsFullRun drives one campaign in two windows
-// over the cursor API and checks it matches a single uninterrupted
-// run byte for byte.
-func TestWithRoundsSplitEqualsFullRun(t *testing.T) {
+// TestStopAndContinueEqualsFullRun stops one campaign at a round
+// boundary by cancelling its context from an observer (the way
+// `v6mon -stop-after` stops), continues it in the same Scenario, and
+// checks it matches a single uninterrupted run byte for byte.
+func TestStopAndContinueEqualsFullRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("split-run test in -short mode")
 	}
@@ -163,11 +164,18 @@ func TestWithRoundsSplitEqualsFullRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.RunContext(context.Background(), WithRounds(0, 3)); err != nil {
-		t.Fatal(err)
+	ctx, stop := context.WithCancel(context.Background())
+	defer stop()
+	err = s.RunContext(ctx, WithObserver(func(ev RoundEvent) {
+		if ev.Round+1 >= 3 {
+			stop()
+		}
+	}))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("stopped run returned %v, want context.Canceled", err)
 	}
 	if s.RoundsDone() != 3 {
-		t.Fatalf("cursor after window: %d", s.RoundsDone())
+		t.Fatalf("cursor after the stop: %d", s.RoundsDone())
 	}
 	if err := s.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
@@ -177,7 +185,95 @@ func TestWithRoundsSplitEqualsFullRun(t *testing.T) {
 	}
 	gotDir := t.TempDir()
 	saveCampaign(t, s, gotDir)
-	assertCampaignsIdentical(t, refDir, gotDir, "split windows")
+	assertCampaignsIdentical(t, refDir, gotDir, "stop and continue")
+}
+
+// commitLog is a checkpoint backend that records the cursor of every
+// commit.
+type commitLog struct {
+	*store.CheckpointBackend
+	commits []int
+}
+
+func (b *commitLog) SaveMeta(m store.Meta) error {
+	b.commits = append(b.commits, m.NextRound)
+	return b.CheckpointBackend.SaveMeta(m)
+}
+
+// TestRunContextCheckpointRule pins the one checkpoint rule: commit on
+// the cadence before the last round, on an early stop only a cursor
+// the backend does not already hold, and never the finished study
+// (that is the caller's). The round hook runs before the cadence
+// checkpoint unless it takes it first.
+func TestRunContextCheckpointRule(t *testing.T) {
+	cfg := runnerCfg(10)
+	cfg.Rounds = 6
+	cfg.Vantages = ScaledVantages(cfg.Rounds)
+	for _, first := range []bool{false, true} {
+		b := &commitLog{CheckpointBackend: store.NewCheckpointBackend(t.TempDir())}
+		s, err := NewScenario(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var hooked, seen []int
+		if err := s.RunContext(context.Background(), WithBackend(b), WithCheckpoint(2),
+			WithRoundHook(func(done int, commit func() error) error {
+				if first {
+					if err := commit(); err != nil {
+						return err
+					}
+				}
+				hooked = append(hooked, done)
+				seen = append(seen, len(b.commits))
+				return nil
+			})); err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(b.commits) != "[2 4]" {
+			t.Errorf("commits at %v, want [2 4]: on the cadence, not after the last round", b.commits)
+		}
+		want := "[0 0 1 1 2 2]"
+		if first {
+			want = "[0 1 1 2 2 2]"
+		}
+		if fmt.Sprint(hooked) != "[1 2 3 4 5 6]" || fmt.Sprint(seen) != want {
+			t.Errorf("commit first %v: hook saw rounds %v with %v commits, want %s", first, hooked, seen, want)
+		}
+	}
+
+	// Stopped right after a cadence checkpoint: nothing to commit.
+	b := &commitLog{CheckpointBackend: store.NewCheckpointBackend(t.TempDir())}
+	s, err := NewScenario(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, stop := context.WithCancel(context.Background())
+	defer stop()
+	err = s.RunContext(ctx, WithBackend(b), WithCheckpoint(2), WithRoundHook(func(done int, _ func() error) error {
+		if done == 4 {
+			stop()
+		}
+		return nil
+	}))
+	if !errors.Is(err, context.Canceled) || fmt.Sprint(b.commits) != "[2 4]" {
+		t.Errorf("stop after the round-4 checkpoint: err %v, commits %v, want Canceled and [2 4]", err, b.commits)
+	}
+
+	// Resumed, then stopped before its first round: nothing to commit.
+	b = &commitLog{CheckpointBackend: store.NewCheckpointBackend(b.Dir)}
+	if s, err = Resume(cfg, b); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunContext(ctx, WithBackend(b), WithCheckpoint(2)); !errors.Is(err, context.Canceled) || len(b.commits) != 0 {
+		t.Errorf("resumed and stopped at once: err %v, commits %v, want Canceled and none", err, b.commits)
+	}
+
+	// A hook error ends the run without a shutdown checkpoint.
+	boom := errors.New("boom")
+	err = s.RunContext(context.Background(), WithBackend(b), WithCheckpoint(2), WithRoundHook(func(int, func() error) error { return boom }))
+	if !errors.Is(err, boom) || s.RoundsDone() != 5 || len(b.commits) != 0 {
+		t.Errorf("hook error: err %v at round %d, commits %v, want boom at 5 and none", err, s.RoundsDone(), b.commits)
+	}
 }
 
 func TestNextRoundCursorAndEvents(t *testing.T) {
@@ -249,9 +345,6 @@ func TestRunContextOptionValidation(t *testing.T) {
 	if err := s.RunContext(context.Background(), WithCheckpoint(1)); err == nil {
 		t.Fatal("WithCheckpoint without WithBackend accepted")
 	}
-	if err := s.RunContext(context.Background(), WithRounds(3, 1)); err == nil {
-		t.Fatal("inverted round window accepted")
-	}
 	// A pre-cancelled context stops before any work, but still
 	// checkpoints the (empty) progress when checkpointing is on.
 	ctx, cancel := context.WithCancel(context.Background())
@@ -275,7 +368,9 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.RunContext(context.Background(), WithBackend(b), WithCheckpoint(1), WithRounds(0, 1)); err != nil {
+	ctx, stop := context.WithCancel(context.Background())
+	defer stop()
+	if err := s.RunContext(ctx, WithBackend(b), WithCheckpoint(1), WithObserver(func(RoundEvent) { stop() })); !errors.Is(err, context.Canceled) {
 		t.Fatal(err)
 	}
 	other := cfg

@@ -10,18 +10,18 @@ package daemon
 // the atomic unit of progress), so an abandoned attempt leaves its
 // round goroutine running, fenced off: it drops its publishes and
 // events once Attempt.Fenced reports the abandonment. The fence is
-// enforced, not advisory: the abandoned attempt's checkpoint-write
-// handle is revoked under the backend lock when the replacement
-// acquires its own (so the two can never interleave staged snapshots
-// or collide on sequence numbers), the version swap refuses round
-// regression, and the completion tail runs only in an attempt that
-// was never abandoned.
+// enforced, not advisory: the abandoned attempt's checkpoint writes
+// are refused from the abandonment on (fencedBackend), its
+// checkpoint-write handle is revoked under the backend lock when the
+// replacement acquires its own (so the two can never interleave staged
+// snapshots or collide on sequence numbers), the version swap refuses
+// round regression, and its context is cancelled, so the completion
+// tail (cli.Finish) writes no final CSV and deletes nothing.
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"runtime/debug"
 	"sync/atomic"
@@ -185,7 +185,7 @@ func (d *Daemon) attempt(ctx context.Context, c *Campaign, a *fault.Attempt) err
 	// still-running, watchdog-abandoned) attempt holds: its late
 	// checkpoint writes fail with store.ErrStaleWriter instead of
 	// clobbering this attempt's staged snapshots or sequence numbers.
-	ck := c.ck.Acquire()
+	ck := fencedBackend{c.ck.Acquire(), a}
 
 	s, resumed, err := openScenario(c.comp.Config, ck)
 	if err != nil {
@@ -206,8 +206,13 @@ func (d *Daemon) attempt(ctx context.Context, c *Campaign, a *fault.Attempt) err
 	c.publish(a, buildVersion(s, nil, false, c.warmSet))
 	c.setState(StateRunning)
 
-	// The watchdog covers the rounds, from here on.
+	// The watchdog covers the rounds, from here on. The round goroutine
+	// runs under its own context, cancelled once the attempt is over:
+	// an abandoned attempt's goroutine stops at its next check, before
+	// it writes the final CSVs or deletes the checkpoint log.
 	a.Beat()
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	result := make(chan error, 1)
 	go func() {
 		result <- recovering(func() error { return d.runRounds(ctx, c, a, s, ck) })
@@ -219,6 +224,29 @@ func (d *Daemon) attempt(ctx context.Context, c *Campaign, a *fault.Attempt) err
 		return fmt.Errorf("watchdog: no progress within %v plus backoff at round %d — abandoning attempt",
 			d.retry.Timeout, c.status().Round)
 	}
+}
+
+// fencedBackend is an attempt's checkpoint backend: the attempt's
+// CheckpointWriter, refusing every write once the watchdog has
+// abandoned the attempt. The writer itself refuses once a replacement
+// attempt has acquired its own; this refuses from the abandonment on.
+type fencedBackend struct {
+	*store.CheckpointWriter
+	a *fault.Attempt
+}
+
+func (b fencedBackend) SaveSnapshot(name string, db *store.DB) error {
+	if b.a.Fenced() {
+		return errFenced
+	}
+	return b.CheckpointWriter.SaveSnapshot(name, db)
+}
+
+func (b fencedBackend) SaveMeta(m store.Meta) error {
+	if b.a.Fenced() {
+		return errFenced
+	}
+	return b.CheckpointWriter.SaveMeta(m)
 }
 
 // recovering runs fn with panics converted to errors, so a panicking
@@ -258,102 +286,62 @@ func openScenario(cfg core.Config, ck store.Backend) (*core.Scenario, bool, erro
 // goroutine exits without writing.
 var errFenced = errors.New("daemon: attempt fenced by watchdog; stopping without writing")
 
-// runRounds drives the round cursor to completion on the attempt
-// goroutine: each completed round is checkpointed on the configured
-// cadence and published as a fresh version at the round boundary —
-// after NextRound returns, when the scenario is in exactly the state a
-// Resume to the same round reproduces, which is what makes served
-// exhibits byte-identical across crashes. Cancellation (drain) is
-// honored between rounds with a shutdown checkpoint, mirroring
-// core.RunContext's contract.
+// runRounds drives the campaign to completion on the attempt goroutine:
+// core.RunContext runs the rounds, checkpointing on the configured
+// cadence, and each round boundary publishes a fresh version — the
+// scenario is then in exactly the state a Resume to the same round
+// reproduces, which is what makes served exhibits byte-identical
+// across crashes — then cli.Finish completes the campaign. A drain
+// stops between rounds with a shutdown checkpoint, or in the
+// completion tail with the main study committed.
 //
 // Every write to shared campaign state is gated on the attempt's
-// fence: checkpoints are checked here and again — atomically, under
-// the backend lock — by the attempt's fenced CheckpointWriter, and the
-// completion tail (final CSVs, checkpoint-log removal) is reached only
-// by an attempt that was never abandoned. A fenced attempt returns
-// errFenced into a channel nobody reads and exits.
+// fence: checkpoints by ck (a fencedBackend), publishes by publish,
+// and the final CSVs and the checkpoint-log removal by ctx, which
+// attempt cancels as soon as it sees the abandonment. A fenced attempt
+// returns an error into a channel nobody reads and exits.
 func (d *Daemon) runRounds(ctx context.Context, c *Campaign, a *fault.Attempt, s *core.Scenario, ck store.Backend) error {
-	cfg := c.comp.Config
-	every := d.opt.CheckpointEvery
-	obs := func(ev core.RoundEvent) {
-		if a.Fenced() {
-			return
-		}
-		a.Beat()
-		c.events.send(roundEvent(c.Name, "round", ev))
-	}
-	checkpointed := s.RoundsDone() // openScenario left a committed checkpoint at the cursor
-	for s.RoundsDone() < cfg.Rounds {
-		if a.Fenced() {
-			return errFenced
-		}
-		if err := ctx.Err(); err != nil {
-			if checkpointed != s.RoundsDone() {
-				if cerr := s.Checkpoint(ck); cerr != nil {
-					return fmt.Errorf("daemon: shutdown checkpoint at round %d failed (campaign interrupted: %v): %w",
-						s.RoundsDone(), err, cerr)
-				}
+	events := func(kind string) core.RunOption {
+		return core.WithObserver(func(ev core.RoundEvent) {
+			if a.Fenced() {
+				return
 			}
-			return err
-		}
-		if err := s.NextRound(obs); err != nil {
-			return err
-		}
-		done := s.RoundsDone()
-		if done%every == 0 || done == cfg.Rounds {
+			a.Beat()
+			c.events.send(roundEvent(c.Name, kind, ev))
+		})
+	}
+	err := s.RunContext(ctx, core.WithBackend(ck), core.WithCheckpoint(d.opt.CheckpointEvery), events("round"),
+		core.WithRoundHook(func(done int, commit func() error) error {
+			// Publish after the round's cadence checkpoint: at the
+			// default cadence every round but the last is committed
+			// before it is served, and cli.Finish commits the last.
+			if err := commit(); err != nil {
+				return err
+			}
 			if a.Fenced() {
 				return errFenced
 			}
-			if err := s.Checkpoint(ck); err != nil {
-				return err
+			c.publish(a, buildVersion(s, nil, false, c.warmSet))
+			if d.opt.RoundEvery > 0 && done < s.Cfg.Rounds {
+				// The paper's weekly cadence, scaled: idle between
+				// rounds, cut short by a drain.
+				t := time.NewTimer(d.opt.RoundEvery)
+				select {
+				case <-ctx.Done():
+				case <-t.C:
+				}
+				t.Stop()
 			}
-			checkpointed = done
-		}
-		c.publish(a, buildVersion(s, nil, false, c.warmSet))
-		if d.opt.RoundEvery > 0 && done < cfg.Rounds {
-			// The paper's weekly cadence, scaled: idle between rounds,
-			// cut short by a drain (handled at the loop top).
-			t := time.NewTimer(d.opt.RoundEvery)
-			select {
-			case <-ctx.Done():
-			case <-t.C:
-			}
-			t.Stop()
-		}
+			return nil
+		}))
+	if err != nil {
+		return err
 	}
-
-	obs6 := func(ev core.RoundEvent) {
-		if a.Fenced() {
-			return
-		}
-		a.Beat()
-		c.events.send(roundEvent(c.Name, "v6day-round", ev))
-	}
-	// Completion tail: only an attempt that was never abandoned may
-	// write final CSVs or delete the checkpoint log — a wedged-then-
-	// unstuck abandoned attempt must not rip the log out from under the
-	// replacement that is actively checkpointing into it.
-	if a.Fenced() {
-		return errFenced
-	}
-	// The side experiment is short and not checkpointed; a drain here
+	// The side experiment is short and not checkpointed; a drain there
 	// simply reruns it on the next start (the main study is committed).
-	if err := s.RunWorldV6DayContext(ctx, core.WithObserver(obs6)); err != nil {
+	if err := cli.Finish(ctx, s, c.dir, ck, filepath.Join(c.dir, "checkpoints"), events("v6day-round")); err != nil {
 		return err
 	}
-	if a.Fenced() {
-		return errFenced
-	}
-	if err := cli.SaveCompleted(c.dir, cfg.Rounds, cfg.Fingerprint(), s.DB, s.V6DayDB); err != nil {
-		return err
-	}
-	// Final CSVs are the product; the checkpoint log is scratch now.
-	// Removal failures are harmless (the next start prefers the CSVs).
-	if a.Fenced() {
-		return errFenced
-	}
-	os.RemoveAll(filepath.Join(c.dir, "checkpoints"))
 	v6 := report.StudyOfSnapshot(s.V6DayDB.Freeze(), report.V6DayThresholds())
 	c.publish(a, buildVersion(s, v6, true, c.warmSet))
 	return nil

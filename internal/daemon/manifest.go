@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 
 	"v6web/internal/scenario"
+	"v6web/internal/store"
 )
 
 const manifestFile = "campaign.json"
@@ -25,10 +26,9 @@ type manifest struct {
 }
 
 // writeManifest persists the campaign definition atomically and
-// durably: staged file, fsync, rename, then fsync of the directory —
-// so a crash (or power failure) mid-write leaves either the old
-// manifest or none, never a truncated or empty one that would block
-// discovery on the next start.
+// durably (store.WriteFileDurable), so a crash or power failure
+// mid-write leaves either the old manifest or none, never a truncated
+// or empty one that would block discovery on the next start.
 func writeManifest(dir string, sp *scenario.Spec, fingerprint string) error {
 	spec, err := sp.Encode()
 	if err != nil {
@@ -46,32 +46,7 @@ func writeManifest(dir string, sp *scenario.Spec, fingerprint string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	tmp := filepath.Join(dir, "."+manifestFile+".tmp")
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(append(data, '\n')); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, manifestFile)); err != nil {
-		return err
-	}
-	// fsync the directory so the rename itself survives a power cut;
-	// best-effort — not every platform/filesystem supports it.
-	if df, err := os.Open(dir); err == nil {
-		df.Sync()
-		df.Close()
-	}
-	return nil
+	return store.WriteFileDurable(filepath.Join(dir, manifestFile), append(data, '\n'))
 }
 
 // readManifest loads and re-validates a campaign manifest: the spec

@@ -10,8 +10,10 @@ import (
 // StudyOfSnapshot analyzes every vantage captured in a frozen store
 // view, in the store's canonical (sorted) vantage order, and returns
 // the combined study. `v6report -db` and the v6mond serving layer both
-// build their studies here, so a served exhibit and a batch-rendered
-// one always agree on vantage coverage and row order.
+// build their studies here, so a served exhibit and a `v6report -db`
+// one agree on vantage coverage and row order. A fresh campaign's
+// study (core.Scenario.Study) analyzes only the AS_PATH vantages, so
+// it covers fewer vantages than this one over the same database.
 func StudyOfSnapshot(snap *store.Snapshot, th analysis.Thresholds) *analysis.Study {
 	var vas []*analysis.VantageAnalysis
 	for _, v := range snap.Vantages() {
@@ -35,7 +37,9 @@ func V6DayThresholds() analysis.Thresholds {
 // not saved, and those two tables are skipped. Scenario.ReportAll,
 // `v6report -db`, and the scenario layer's pack-selected rendering
 // all go through this one path (RenderStudySelected), so every
-// surface agrees on table selection and captions.
+// surface agrees on table selection and captions. They do not agree
+// on rows: the study passed in decides the vantages, and
+// StudyOfSnapshot's covers more than a fresh campaign's.
 func RenderStudy(w io.Writer, study *analysis.Study, v6day *analysis.Study) {
 	RenderStudySelected(w, study, v6day, nil)
 }

@@ -342,6 +342,72 @@ func TestProgressResetsShardBudget(t *testing.T) {
 	assertCampaignsIdentical(t, refDir, saveCampaign(t, s, "progressing"), "after repeated kills")
 }
 
+// committedCheckpoints lists a shard directory's committed checkpoint
+// directories.
+func committedCheckpoints(t *testing.T, dir string) []string {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "checkpoints", "ck-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
+
+// TestWorkerStopCommitsOnlyNewRounds runs a 7-round shard at cadence 2
+// in process and interrupts it twice: at its second round frame, so
+// the stop lands right after the round-2 checkpoint, and again after
+// resuming, before its first round. The cursor is committed both
+// times, so neither stop may commit a new checkpoint directory. Run to
+// the end, the worker commits nothing after its last round either.
+func TestWorkerStopCommitsOnlyNewRounds(t *testing.T) {
+	cfg := testCfg(11)
+	specs, err := Split(cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := specs[0]
+	spec.CheckpointDir, spec.CheckpointEvery = t.TempDir(), 2
+
+	ctx, cancel := context.WithCancel(context.Background())
+	err = runSpec(ctx, spec, func(typ byte, payload []byte) error {
+		if typ == frameRound {
+			if round, _, _, _, err := decodeRound(payload); err == nil && round == 1 {
+				cancel()
+			}
+		}
+		return nil
+	})
+	if err == nil || ctx.Err() == nil {
+		t.Fatalf("interrupted worker returned %v", err)
+	}
+	before := committedCheckpoints(t, spec.CheckpointDir)
+	if len(before) != 1 {
+		t.Errorf("stop right after the round-2 checkpoint: %d checkpoints %v, want the cadence one alone", len(before), before)
+	}
+
+	if err := runSpec(ctx, spec, func(byte, []byte) error { return nil }); err == nil {
+		t.Fatal("pre-cancelled resumed worker ran to completion")
+	}
+	if got := committedCheckpoints(t, spec.CheckpointDir); len(got) != len(before) {
+		t.Errorf("resumed worker stopped before its first round: checkpoints %v, want %v", got, before)
+	}
+
+	var frames int
+	if err := runSpec(context.Background(), spec, func(typ byte, _ []byte) error {
+		if typ == frameRound {
+			frames++
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	meta, ok, err := store.NewCheckpointBackend(spec.CheckpointDir).LoadMeta()
+	if err != nil || !ok || meta.NextRound != 6 || frames != 5 {
+		t.Fatalf("finished worker: newest checkpoint at round %d (ok=%v err=%v) after %d round frames, want round 6 after 5",
+			meta.NextRound, ok, err, frames)
+	}
+}
+
 func TestWireCodecs(t *testing.T) {
 	if idx, fp, err := decodeHello(encodeHello(3, "abc")); err != nil || idx != 3 || fp != "abc" {
 		t.Errorf("hello round-trip: %d %q %v", idx, fp, err)

@@ -140,20 +140,23 @@ func runSpec(ctx context.Context, spec Spec, emit func(typ byte, payload []byte)
 	}
 
 	var (
-		s       *core.Scenario
-		dests   *destLog
-		backend *store.CheckpointBackend
+		s     *core.Scenario
+		dests = newDestLog()
+		opts  []core.RunOption
 	)
 	if spec.CheckpointDir != "" {
-		backend = checkpointBackend(spec, inj)
-		s, dests = loadCheckpoint(cfg, spec, backend)
+		backend := checkpointBackend(spec, inj)
+		if rs, rd := loadCheckpoint(cfg, spec, backend); rs != nil {
+			s, dests = rs, rd
+		}
+		opts = append(opts, core.WithBackend(shardBackend{backend, dests, spec}),
+			core.WithCheckpoint(spec.CheckpointEvery))
 	}
 	if s == nil {
 		var err error
 		if s, err = core.NewScenario(cfg); err != nil {
 			return err
 		}
-		dests = newDestLog()
 	}
 	s.Restrict(spec.siteRange())
 	if len(spec.Vantages) > 0 {
@@ -165,51 +168,32 @@ func runSpec(ctx context.Context, spec Spec, emit func(typ byte, payload []byte)
 	}
 	s.SetDestSink(dests.record)
 
-	checkpoint := func() error {
-		if spec.CheckpointDir == "" {
-			return nil
-		}
-		// The dests sidecar lands before SaveMeta commits the
-		// checkpoint, so a committed checkpoint always has a sidecar
-		// covering at least its rounds; resume truncates the excess.
-		if err := dests.save(destsPath(spec), spec, s.RoundsDone()); err != nil {
+	// Each round boundary sends the round's progress frame before the
+	// round's checkpoint: a worker whose coordinator went away stops
+	// without committing the round. An armed fault plan may send it
+	// twice; round frames are progress reporting, so the coordinator
+	// must tolerate a duplicate without double-counting anything.
+	var sites, dual, measured int
+	opts = append(opts, core.WithObserver(func(ev core.RoundEvent) {
+		sites += ev.Stats.Sites
+		dual += ev.Stats.Dual
+		measured += ev.Stats.Measured
+	}), core.WithRoundHook(func(done int, _ func() error) error {
+		frame := encodeRound(done-1, sites, dual, measured)
+		sites, dual, measured = 0, 0, 0
+		if err := emit(frameRound, frame); err != nil {
 			return err
 		}
-		return s.Checkpoint(backend)
-	}
-	for s.RoundsDone() < cfg.Rounds {
-		if err := ctx.Err(); err != nil {
-			if cerr := checkpoint(); cerr != nil {
-				return cerr
-			}
+		if inj.DupRound(spec.Index, spec.FaultAttempt, done-1) {
+			return emit(frameRound, frame)
+		}
+		return nil
+	}))
+	if err := s.RunContext(ctx, opts...); err != nil {
+		if errors.Is(err, context.Canceled) {
 			return fmt.Errorf("shard %d: interrupted at round %d (checkpointed)", spec.Index, s.RoundsDone())
 		}
-		round := s.RoundsDone()
-		var sites, dual, measured int
-		obs := func(ev core.RoundEvent) {
-			sites += ev.Stats.Sites
-			dual += ev.Stats.Dual
-			measured += ev.Stats.Measured
-		}
-		if err := s.NextRound(obs); err != nil {
-			return err
-		}
-		if err := emit(frameRound, encodeRound(round, sites, dual, measured)); err != nil {
-			return err
-		}
-		if inj.DupRound(spec.Index, spec.FaultAttempt, round) {
-			// Injected duplicate heartbeat: round frames are progress
-			// reporting, so the coordinator must tolerate seeing one
-			// twice without double-counting anything.
-			if err := emit(frameRound, encodeRound(round, sites, dual, measured)); err != nil {
-				return err
-			}
-		}
-		if spec.CheckpointEvery > 0 && s.RoundsDone()%spec.CheckpointEvery == 0 && s.RoundsDone() < cfg.Rounds {
-			if err := checkpoint(); err != nil {
-				return err
-			}
-		}
+		return err
 	}
 	if err := sendSections(s.DB, spec, emit); err != nil {
 		return err
@@ -218,6 +202,23 @@ func runSpec(ctx context.Context, spec Spec, emit func(typ byte, payload []byte)
 		return err
 	}
 	return emit(frameDone, nil)
+}
+
+// shardBackend is a worker's checkpoint backend: the shard's
+// CheckpointBackend, with the dests sidecar written before SaveMeta
+// commits, so a committed checkpoint always has a sidecar covering at
+// least its rounds; resume truncates the excess.
+type shardBackend struct {
+	*store.CheckpointBackend
+	dests *destLog
+	spec  Spec
+}
+
+func (b shardBackend) SaveMeta(m store.Meta) error {
+	if err := b.dests.save(destsPath(b.spec), b.spec, m.NextRound); err != nil {
+		return err
+	}
+	return b.CheckpointBackend.SaveMeta(m)
 }
 
 // checkpointBackend builds the shard's checkpoint backend from the
@@ -404,11 +405,7 @@ func (d *destLog) save(path string, spec Spec, nextRound int) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, blob, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return store.WriteFileDurable(path, blob)
 }
 
 // loadDestLog reads the sidecar back, validates it belongs to this

@@ -65,9 +65,7 @@ type FaultHook func(op, path string) error
 
 const metaFile = "meta.json"
 
-// WriteMeta durably replaces dir/meta.json: the file is staged,
-// fsynced and renamed into place, and dir is fsynced, so a returned
-// nil survives power loss.
+// WriteMeta durably replaces dir/meta.json (see WriteFileDurable).
 func WriteMeta(dir string, m Meta) error { return writeMeta(dir, m, nil) }
 
 // writeMeta is WriteMeta with the fault hook consulted at the fsync.
@@ -76,13 +74,24 @@ func writeMeta(dir string, m Meta, hook FaultHook) error {
 	if err != nil {
 		return err
 	}
-	path := filepath.Join(dir, metaFile)
+	return writeFileDurable(filepath.Join(dir, metaFile), append(data, '\n'), hook)
+}
+
+// WriteFileDurable replaces path with data so that a returned nil
+// survives power loss: the bytes are staged in path+".tmp", fsynced
+// and renamed into place, and the directory is fsynced. A crash at any
+// point leaves the old file or the new one, never a torn one.
+func WriteFileDurable(path string, data []byte) error { return writeFileDurable(path, data, nil) }
+
+// writeFileDurable is WriteFileDurable with hook, when set, consulted
+// ("sync") just before the staged file's fsync.
+func writeFileDurable(path string, data []byte, hook FaultHook) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	_, err = f.Write(append(data, '\n'))
+	_, err = f.Write(data)
 	if err == nil && hook != nil {
 		err = hook("sync", path)
 	}
@@ -99,7 +108,7 @@ func writeMeta(dir string, m Meta, hook FaultHook) error {
 		os.Remove(tmp)
 		return err
 	}
-	return syncDir(dir)
+	return syncDir(filepath.Dir(path))
 }
 
 // ReadMeta reads dir/meta.json; ok=false when it does not exist.
