@@ -1,14 +1,26 @@
 // Benchmarks regenerating every table and figure of the paper's
 // evaluation (one benchmark per exhibit), plus ablations over the
-// design choices DESIGN.md calls out. Shape metrics are attached via
-// b.ReportMetric so `go test -bench` output doubles as a compact
-// reproduction summary:
+// design choices DESIGN.md calls out. Each benchmark reports the
+// exhibit's shape metrics (rows, shares, speeds), so one pass is a
+// compact reproduction summary that also checks itself:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench . -benchtime 1x .
+//
+// A shape metric is a pure function of code and seed, and
+// testdata/shape_golden.json pins each one exactly (see reportShape):
+// a run whose shapes moved fails. A change that moves a shape on
+// purpose regenerates the file with
+//
+//	go test -run '^$' -bench . -benchtime 1x -update-golden .
+//
+// and says in CHANGES.md which shapes moved and why.
 package v6web
 
 import (
 	"context"
+	"encoding/json"
+	"flag"
+	"fmt"
 	"io"
 	"io/fs"
 	"math/rand"
@@ -16,6 +28,8 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -36,10 +50,114 @@ import (
 )
 
 // TestMain lets BenchmarkShardedPaperScaleMini re-exec this test
-// binary as shard worker processes.
+// binary as shard worker processes, and reads and settles the shape
+// golden around the run.
 func TestMain(m *testing.M) {
 	shard.MaybeWorker()
-	os.Exit(m.Run())
+	shapes.golden, shapes.readErr = readShapeGolden()
+	code := m.Run()
+	if err := settleShapes(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		code = 1
+	}
+	os.Exit(code)
+}
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite "+shapeGoldenFile+" from this run's shape metrics")
+
+const shapeGoldenFile = "testdata/shape_golden.json"
+
+// shapeSet maps a benchmark name (b.Name(), sub-benchmarks included)
+// to its shape metrics by unit.
+type shapeSet map[string]map[string]float64
+
+var shapes = struct {
+	mu       sync.Mutex
+	golden   shapeSet
+	readErr  error
+	observed shapeSet
+}{observed: shapeSet{}}
+
+func readShapeGolden() (shapeSet, error) {
+	data, err := os.ReadFile(shapeGoldenFile)
+	if err != nil {
+		return nil, err
+	}
+	var set shapeSet
+	if err := json.Unmarshal(data, &set); err != nil {
+		return nil, fmt.Errorf("%s: %w", shapeGoldenFile, err)
+	}
+	return set, nil
+}
+
+// reportShape reports a shape metric and checks it against the golden:
+// a value that differs from the golden's, or that the golden lacks,
+// fails the benchmark. Only metrics that are pure functions of code
+// and seed go through it; those that read the clock or the Go heap
+// (req/s, fault-off-overhead, merge-ns, bytes/site) use plain
+// b.ReportMetric.
+func reportShape(b *testing.B, v float64, unit string) {
+	b.Helper()
+	b.ReportMetric(v, unit)
+	name := b.Name()
+	shapes.mu.Lock()
+	if shapes.observed[name] == nil {
+		shapes.observed[name] = map[string]float64{}
+	}
+	shapes.observed[name][unit] = v
+	want, pinned := shapes.golden[name][unit]
+	readErr := shapes.readErr
+	shapes.mu.Unlock()
+	switch {
+	case *updateGolden:
+	case readErr != nil:
+		b.Errorf("shape %s %s = %v: golden unreadable (regenerate with -update-golden): %v", name, unit, v, readErr)
+	case !pinned:
+		b.Errorf("shape %s %s = %v is not in %s (regenerate with -update-golden)", name, unit, v, shapeGoldenFile)
+	case v != want:
+		b.Errorf("shape %s %s moved: golden %v, observed %v", name, unit, want, v)
+	}
+}
+
+// settleShapes runs once the whole run is over. With -update-golden it
+// rewrites the golden, replacing the entries of each benchmark that
+// reported shapes and keeping those of benchmarks that did not run.
+// Otherwise it fails the run if a benchmark left out a shape the
+// golden pins for it.
+func settleShapes() error {
+	if len(shapes.observed) == 0 {
+		return nil
+	}
+	if *updateGolden {
+		set := shapeSet{}
+		for name, units := range shapes.golden {
+			set[name] = units
+		}
+		for name, units := range shapes.observed {
+			set[name] = units
+		}
+		data, err := json.MarshalIndent(set, "", "  ")
+		if err != nil {
+			return err
+		}
+		if err := os.MkdirAll(filepath.Dir(shapeGoldenFile), 0o755); err != nil {
+			return err
+		}
+		return os.WriteFile(shapeGoldenFile, append(data, '\n'), 0o644)
+	}
+	var missing []string
+	for name, units := range shapes.observed {
+		for unit, want := range shapes.golden[name] {
+			if _, ok := units[unit]; !ok {
+				missing = append(missing, fmt.Sprintf("  %s %s (golden %v)", name, unit, want))
+			}
+		}
+	}
+	if len(missing) == 0 {
+		return nil
+	}
+	sort.Strings(missing)
+	return fmt.Errorf("shape metrics pinned in %s but not reported:\n%s", shapeGoldenFile, strings.Join(missing, "\n"))
 }
 
 // The shared scenario is built once; the per-table benchmarks measure
@@ -87,7 +205,7 @@ func BenchmarkFig1Reachability(b *testing.B) {
 		_, series := s.Fig1()
 		last = series[len(series)-1]
 	}
-	b.ReportMetric(100*last, "%final-reachability")
+	reportShape(b, 100*last, "%final-reachability")
 }
 
 func BenchmarkFig3aRankReachability(b *testing.B) {
@@ -98,8 +216,8 @@ func BenchmarkFig3aRankReachability(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		fr = s.Fig3a()
 	}
-	b.ReportMetric(100*fr[0], "%top10")
-	b.ReportMetric(100*fr[5], "%top1M")
+	reportShape(b, 100*fr[0], "%top10")
+	reportShape(b, 100*fr[5], "%top1M")
 }
 
 func BenchmarkFig3bV6FasterOdds(b *testing.B) {
@@ -110,8 +228,8 @@ func BenchmarkFig3bV6FasterOdds(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		top, ext = s.Fig3b("Penn")
 	}
-	b.ReportMetric(100*top, "%v6faster-top1M")
-	b.ReportMetric(100*ext, "%v6faster-5M")
+	reportShape(b, 100*top, "%v6faster-top1M")
+	reportShape(b, 100*ext, "%v6faster-5M")
 }
 
 // --- Tables ----------------------------------------------------------
@@ -124,9 +242,9 @@ func BenchmarkTable2Profiles(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows, _ = study.Table2()
 	}
-	b.ReportMetric(float64(rows[0].SitesKept), "sites-kept-v0")
-	b.ReportMetric(float64(rows[0].CrossV4), "ases-crossed-v4")
-	b.ReportMetric(float64(rows[0].CrossV6), "ases-crossed-v6")
+	reportShape(b, float64(rows[0].SitesKept), "sites-kept-v0")
+	reportShape(b, float64(rows[0].CrossV4), "ases-crossed-v4")
+	reportShape(b, float64(rows[0].CrossV6), "ases-crossed-v6")
 }
 
 func BenchmarkTable3FailureCauses(b *testing.B) {
@@ -138,9 +256,9 @@ func BenchmarkTable3FailureCauses(b *testing.B) {
 		rows = study.Table3()
 	}
 	r := rows[0]
-	b.ReportMetric(float64(r.Insufficient), "insufficient")
-	b.ReportMetric(float64(r.TrendDown+r.TrendUp), "trends")
-	b.ReportMetric(float64(r.TransUp+r.TransDown), "transitions")
+	reportShape(b, float64(r.Insufficient), "insufficient")
+	reportShape(b, float64(r.TrendDown+r.TrendUp), "trends")
+	reportShape(b, float64(r.TransUp+r.TransDown), "transitions")
 }
 
 func BenchmarkTable4Classification(b *testing.B) {
@@ -157,9 +275,9 @@ func BenchmarkTable4Classification(b *testing.B) {
 		dp += r.DP
 		dl += r.DL
 	}
-	b.ReportMetric(float64(sp), "SP-sites")
-	b.ReportMetric(float64(dp), "DP-sites")
-	b.ReportMetric(float64(dl), "DL-sites")
+	reportShape(b, float64(sp), "SP-sites")
+	reportShape(b, float64(dp), "DP-sites")
+	reportShape(b, float64(dl), "DL-sites")
 }
 
 func BenchmarkTable5RemovedBias(b *testing.B) {
@@ -171,8 +289,8 @@ func BenchmarkTable5RemovedBias(b *testing.B) {
 		rows = study.Table5()
 	}
 	r := rows[0]
-	b.ReportMetric(float64(r.SPGood+r.DPGood+r.DLGood), "removed-good")
-	b.ReportMetric(float64(r.SPBad+r.DPBad+r.DLBad), "removed-bad")
+	reportShape(b, float64(r.SPGood+r.DPGood+r.DLGood), "removed-good")
+	reportShape(b, float64(r.SPBad+r.DPBad+r.DLBad), "removed-bad")
 }
 
 func BenchmarkTable6DLPerf(b *testing.B) {
@@ -183,9 +301,9 @@ func BenchmarkTable6DLPerf(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows = study.Table6()
 	}
-	b.ReportMetric(100*rows[0].FracV4GE, "%v4-ge-v6")
-	b.ReportMetric(rows[0].MeanV4, "v4-kBps")
-	b.ReportMetric(rows[0].MeanV6, "v6-kBps")
+	reportShape(b, 100*rows[0].FracV4GE, "%v4-ge-v6")
+	reportShape(b, rows[0].MeanV4, "v4-kBps")
+	reportShape(b, rows[0].MeanV6, "v6-kBps")
 }
 
 func BenchmarkTable7HopCountDLDP(b *testing.B) {
@@ -208,8 +326,8 @@ func BenchmarkTable7HopCountDLDP(b *testing.B) {
 			hi = r.Speed[bkt]
 		}
 	}
-	b.ReportMetric(lo, "v4-lowhop-kBps")
-	b.ReportMetric(hi, "v4-highhop-kBps")
+	reportShape(b, lo, "v4-lowhop-kBps")
+	reportShape(b, hi, "v4-highhop-kBps")
 }
 
 func BenchmarkTable8SPH1(b *testing.B) {
@@ -225,8 +343,8 @@ func BenchmarkTable8SPH1(b *testing.B) {
 		comp += r.FracComparable
 		zero += r.FracZeroMode
 	}
-	b.ReportMetric(100*comp/float64(len(rows)), "%SP-comparable")
-	b.ReportMetric(100*zero/float64(len(rows)), "%SP-zeromode")
+	reportShape(b, 100*comp/float64(len(rows)), "%SP-comparable")
+	reportShape(b, 100*zero/float64(len(rows)), "%SP-zeromode")
 }
 
 func BenchmarkTable9HopCountSP(b *testing.B) {
@@ -246,7 +364,7 @@ func BenchmarkTable9HopCountSP(b *testing.B) {
 			}
 		}
 	}
-	b.ReportMetric(ratio, "v6/v4-speed-ratio")
+	reportShape(b, ratio, "v6/v4-speed-ratio")
 }
 
 func BenchmarkTable10WorldV6DaySP(b *testing.B) {
@@ -266,7 +384,7 @@ func BenchmarkTable10WorldV6DaySP(b *testing.B) {
 		}
 	}
 	if n > 0 {
-		b.ReportMetric(100*comp/float64(n), "%v6day-SP-comparable")
+		reportShape(b, 100*comp/float64(n), "%v6day-SP-comparable")
 	}
 }
 
@@ -282,7 +400,7 @@ func BenchmarkTable11DPH2(b *testing.B) {
 	for _, r := range rows {
 		comp += r.FracComparable
 	}
-	b.ReportMetric(100*comp/float64(len(rows)), "%DP-comparable")
+	reportShape(b, 100*comp/float64(len(rows)), "%DP-comparable")
 }
 
 func BenchmarkTable12WorldV6DayDP(b *testing.B) {
@@ -302,7 +420,7 @@ func BenchmarkTable12WorldV6DayDP(b *testing.B) {
 		}
 	}
 	if n > 0 {
-		b.ReportMetric(100*comp/float64(n), "%v6day-DP-comparable")
+		reportShape(b, 100*comp/float64(n), "%v6day-DP-comparable")
 	}
 }
 
@@ -319,7 +437,7 @@ func BenchmarkTable13GoodASCoverage(b *testing.B) {
 	for _, r := range rows {
 		mid += r.Frac[2]
 	}
-	b.ReportMetric(100*mid/float64(len(rows)), "%coverage-50-75")
+	reportShape(b, 100*mid/float64(len(rows)), "%coverage-50-75")
 }
 
 // BenchmarkScenarioRun times the end-to-end campaign at the shared
@@ -372,8 +490,8 @@ func BenchmarkStudyAnalysis(b *testing.B) {
 		study.Table13()
 	}
 	rows, _ := study.Table2()
-	b.ReportMetric(float64(rows[0].SitesKept), "sites-kept-v0")
-	b.ReportMetric(float64(len(study.Vantages)), "vantages")
+	reportShape(b, float64(rows[0].SitesKept), "sites-kept-v0")
+	reportShape(b, float64(len(study.Vantages)), "vantages")
 }
 
 // BenchmarkFullStudy measures the end-to-end pipeline (topology,
@@ -403,14 +521,17 @@ func BenchmarkFullStudy(b *testing.B) {
 // campaign on the columnar store: live heap bytes per site after the
 // campaign and DNS state transitions per site (the delta encoder
 // stores O(transitions), not O(sites*rounds)). It runs the
-// paper-scale-mini pack by default so CI tracks the trajectory;
-// set V6WEB_PAPER_SCALE=full to run the true 1M/5M campaign
-// (several minutes, needs a multi-core box — see EXPERIMENTS.md).
+// paper-scale-mini pack by default, and CI runs it under a 2 GiB
+// GOMEMLIMIT as the store's memory guard; the golden pins its shapes
+// except bytes/site, which reads the Go heap. Set
+// V6WEB_PAPER_SCALE=full to run the true 1M/5M campaign (several
+// minutes, needs a multi-core box — see EXPERIMENTS.md); the golden
+// pins only the mini pack, so that run's shapes are reported unchecked.
 func BenchmarkPaperScale(b *testing.B) {
 	b.ReportAllocs()
-	pack := "paper-scale-mini"
+	pack, report := "paper-scale-mini", reportShape
 	if os.Getenv("V6WEB_PAPER_SCALE") == "full" {
-		pack = "paper-scale"
+		pack, report = "paper-scale", (*testing.B).ReportMetric
 	}
 	comp, err := scenario.LoadCompiled(pack, nil)
 	if err != nil {
@@ -443,9 +564,9 @@ func BenchmarkPaperScale(b *testing.B) {
 		}
 		live := float64(after.HeapAlloc) - float64(before.HeapAlloc)
 		b.ReportMetric(live/float64(sites), "bytes/site")
-		b.ReportMetric(float64(runs-histSites)/float64(histSites), "dns-transitions/site")
-		b.ReportMetric(float64(dnsRows)/float64(runs), "dns-rows/run")
-		b.ReportMetric(float64(sampleRows), "sample-rows")
+		report(b, float64(runs-histSites)/float64(histSites), "dns-transitions/site")
+		report(b, float64(dnsRows)/float64(runs), "dns-rows/run")
+		report(b, float64(sampleRows), "sample-rows")
 	}
 }
 
@@ -478,10 +599,10 @@ func BenchmarkShardedPaperScaleMini(b *testing.B) {
 			b.Fatal(err)
 		}
 		sites, _, _, _ := s.DB.Counts()
-		b.ReportMetric(float64(st.Shards), "shards")
-		b.ReportMetric(float64(workers), "workers")
+		reportShape(b, float64(st.Shards), "shards")
+		reportShape(b, float64(workers), "workers")
 		b.ReportMetric(float64(st.MergeDur.Nanoseconds()), "merge-ns")
-		b.ReportMetric(float64(st.WireBytes)/float64(sites), "wire-bytes/site")
+		reportShape(b, float64(st.WireBytes)/float64(sites), "wire-bytes/site")
 	}
 }
 
@@ -560,7 +681,7 @@ func BenchmarkSnapshotSave(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		b.ReportMetric(diskBytes(b, target), "disk-bytes")
+		reportShape(b, diskBytes(b, target), "disk-bytes")
 	})
 	b.Run("binary", func(b *testing.B) {
 		b.ReportAllocs()
@@ -572,7 +693,7 @@ func BenchmarkSnapshotSave(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		b.ReportMetric(diskBytes(b, target), "disk-bytes")
+		reportShape(b, diskBytes(b, target), "disk-bytes")
 	})
 }
 
@@ -681,8 +802,8 @@ func BenchmarkAblationPeeringParity(b *testing.B) {
 			})
 			shares[k] = spShare(st)
 		}
-		b.ReportMetric(100*shares[0], "%SP-parity0.5")
-		b.ReportMetric(100*shares[1], "%SP-parity1.0")
+		reportShape(b, 100*shares[0], "%SP-parity0.5")
+		reportShape(b, 100*shares[1], "%SP-parity1.0")
 	}
 }
 
@@ -691,7 +812,7 @@ func BenchmarkAblationPeeringParity(b *testing.B) {
 func BenchmarkAblationTunnelPenalty(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		for k, tf := range []float64{0.5, 0.0} {
+		for _, tf := range []float64{0.5, 0.0} {
 			frac := tf
 			st := ablationScenario(b, 13, func(c *core.Config) {
 				tc := topo.DefaultGenConfig(c.NASes, c.Seed)
@@ -719,9 +840,8 @@ func BenchmarkAblationTunnelPenalty(b *testing.B) {
 				if frac == 0 {
 					name = "lowhop-v6/v4-notunnels"
 				}
-				b.ReportMetric((v6/float64(n6))/(v4/float64(n4)), name)
+				reportShape(b, (v6/float64(n6))/(v4/float64(n4)), name)
 			}
-			_ = k
 		}
 	}
 }
@@ -747,7 +867,7 @@ func BenchmarkAblationV6EdgePenaltyH1(b *testing.B) {
 			if p < 1 {
 				name = "%SP-comparable-broken"
 			}
-			b.ReportMetric(100*comp/float64(len(rows)), name)
+			reportShape(b, 100*comp/float64(len(rows)), name)
 		}
 	}
 }
@@ -792,34 +912,39 @@ func BenchmarkAblationServerDeficiency(b *testing.B) {
 			if bm > 0 {
 				name = "%SP-server-degraded-badmix"
 			}
-			b.ReportMetric(100*serverDegraded(st), name)
+			reportShape(b, 100*serverDegraded(st), name)
 		}
 	}
 }
 
 // BenchmarkAblationCIStopRule measures the cost/accuracy trade-off of
-// the 10% CI stop rule against a fixed-count rule.
+// the 10% CI stop rule against a fixed-count rule. Every iteration
+// grades the same seeded population of sites, so the shapes do not
+// depend on b.N.
 func BenchmarkAblationCIStopRule(b *testing.B) {
 	b.ReportAllocs()
+	const sites = 1000
 	rule := stats.CIStop{Frac: 0.10, MinN: 3}
-	rng := rand.New(rand.NewSource(3))
-	var totalDownloads, converged int
-	b.ResetTimer()
+	var downloads, converged int
 	for i := 0; i < b.N; i++ {
-		var w stats.Welford
-		for d := 0; d < 30; d++ {
-			w.Add(50 * (1 + 0.04*rng.NormFloat64()))
+		rng := rand.New(rand.NewSource(3))
+		downloads, converged = 0, 0
+		for site := 0; site < sites; site++ {
+			var w stats.Welford
+			for d := 0; d < 30; d++ {
+				w.Add(50 * (1 + 0.04*rng.NormFloat64()))
+				if rule.Done(&w) {
+					break
+				}
+			}
+			downloads += w.N()
 			if rule.Done(&w) {
-				break
+				converged++
 			}
 		}
-		totalDownloads += w.N()
-		if rule.Done(&w) {
-			converged++
-		}
 	}
-	b.ReportMetric(float64(totalDownloads)/float64(b.N), "downloads/site")
-	b.ReportMetric(100*float64(converged)/float64(b.N), "%converged")
+	reportShape(b, float64(downloads)/sites, "downloads/site")
+	reportShape(b, 100*float64(converged)/sites, "%converged")
 }
 
 // BenchmarkAblationBGPPreference contrasts policy routing with plain
@@ -832,10 +957,12 @@ func BenchmarkAblationBGPPreference(b *testing.B) {
 	var longer, pairs, extra float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Aggregate over a destination sample so a single iteration
-		// already carries signal.
+		// Aggregate over a fixed destination sample so one iteration
+		// already carries signal and every iteration grades the same
+		// pairs.
+		longer, pairs, extra = 0, 0, 0
 		for k := 0; k < 20; k++ {
-			dst := (i*20 + k*61) % g.N()
+			dst := k * 61 % g.N()
 			polLen := make(map[int]int)
 			c.Routes(dst, topo.V4)
 			for src := 0; src < g.N(); src += 7 {
@@ -858,8 +985,8 @@ func BenchmarkAblationBGPPreference(b *testing.B) {
 		}
 	}
 	if pairs > 0 {
-		b.ReportMetric(100*longer/pairs, "%policy-longer")
-		b.ReportMetric(extra/pairs, "extra-hops/pair")
+		reportShape(b, 100*longer/pairs, "%policy-longer")
+		reportShape(b, extra/pairs, "extra-hops/pair")
 	}
 }
 
@@ -870,8 +997,9 @@ func BenchmarkAblationBGPPreference(b *testing.B) {
 // round's units of work executed serially vs on the round worker
 // pool. Comparing the 6vp-serial and 6vp-parallel timings on a
 // multi-core host gives the campaign's wall-clock speedup; their
-// shape metrics (sample/DNS row counts) must match exactly — the
-// parallel path is byte-identical, which TestParallelSerial-
+// shape metrics (sample/DNS row counts) must match exactly, and the
+// golden pins both to the same values — the parallel path is
+// byte-identical, which TestParallelSerial-
 // CampaignsByteIdentical enforces on the CSVs.
 func BenchmarkMonitorScaling(b *testing.B) {
 	b.ReportAllocs()
@@ -887,23 +1015,17 @@ func BenchmarkMonitorScaling(b *testing.B) {
 			scaled := core.DefaultVantages()[:1] // Comcast only
 			scaled[0].StartRound = 0
 			cfg.Vantages = scaled
-			s, err := core.NewScenario(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				// Run is idempotent; time construction+both rounds by
-				// rebuilding per iteration at the smallest amortizable
-				// unit: a fresh scenario.
-				s2, err := core.NewScenario(cfg)
+				// A fresh scenario per iteration: construction plus
+				// both rounds.
+				s, err := core.NewScenario(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := s2.RunContext(context.Background()); err != nil {
+				if err := s.RunContext(context.Background()); err != nil {
 					b.Fatal(err)
 				}
-				_ = s
 			}
 		})
 	}
@@ -913,16 +1035,11 @@ func BenchmarkMonitorScaling(b *testing.B) {
 	}{{"6vp-serial", 1}, {"6vp-parallel", 0}} {
 		mode := mode
 		b.Run(mode.name, func(b *testing.B) {
-			workers := mode.workers
-			if workers == 0 {
-				if runtime.NumCPU() < 2 {
-					// The worker pool can only lose on one CPU; a "parallel"
-					// number measured there would misread as a regression.
-					b.Skip("6vp-parallel needs >=2 CPUs; serial timing is the honest number here")
-				}
-				workers = runtime.GOMAXPROCS(0)
+			if mode.workers == 0 && runtime.NumCPU() < 2 {
+				// The worker pool can only lose on one CPU; a "parallel"
+				// number measured there would misread as a regression.
+				b.Skip("6vp-parallel needs >=2 CPUs; serial timing is the honest number here")
 			}
-			b.ReportMetric(float64(workers), "workers")
 			b.ReportAllocs()
 			cfg := core.DefaultConfig(11)
 			cfg.NASes = 800
@@ -943,8 +1060,8 @@ func BenchmarkMonitorScaling(b *testing.B) {
 				}
 				_, dnsRows, samples, _ = s.DB.Counts()
 			}
-			b.ReportMetric(float64(samples), "sample-rows")
-			b.ReportMetric(float64(dnsRows), "dns-rows")
+			reportShape(b, float64(samples), "sample-rows")
+			reportShape(b, float64(dnsRows), "dns-rows")
 		})
 	}
 }
@@ -983,8 +1100,8 @@ func BenchmarkExtensionVantageCoverage(b *testing.B) {
 		growth = s.CoverageGrowth()
 	}
 	if len(growth) > 0 {
-		b.ReportMetric(float64(growth[0]), "ases-1-vantage")
-		b.ReportMetric(float64(growth[len(growth)-1]), "ases-all-vantages")
+		reportShape(b, float64(growth[0]), "ases-1-vantage")
+		reportShape(b, float64(growth[len(growth)-1]), "ases-all-vantages")
 	}
 }
 
@@ -1008,8 +1125,8 @@ func BenchmarkExtensionTunnelReport(b *testing.B) {
 		}
 	}
 	if n > 0 {
-		b.ReportMetric(100*tun/float64(n), "%v6deficit-tunneled")
-		b.ReportMetric(100*nat/float64(n), "%v6deficit-native")
+		reportShape(b, 100*tun/float64(n), "%v6deficit-tunneled")
+		reportShape(b, 100*nat/float64(n), "%v6deficit-native")
 	}
 }
 
@@ -1095,5 +1212,5 @@ func BenchmarkDaemonWarmExhibit(b *testing.B) {
 	if sec := b.Elapsed().Seconds(); sec > 0 {
 		b.ReportMetric(float64(b.N)/sec, "req/s")
 	}
-	b.ReportMetric(float64(served)/float64(b.N), "bytes/op")
+	reportShape(b, float64(served)/float64(b.N), "bytes/op")
 }

@@ -131,14 +131,6 @@ func (m *Model) FirstSeenRank(s SiteID) int {
 	return int(m.firstRank[s])
 }
 
-// AtRank returns the site currently holding the 1-based rank, or -1.
-func (m *Model) AtRank(rank int) SiteID {
-	if rank < 1 || rank > len(m.ranked) {
-		return -1
-	}
-	return m.ranked[rank-1]
-}
-
 // ForEachEntrant visits every site minted at or after sinceID that is
 // still on the list, in mint order — the O(new entrants) absorb walk.
 // A site minted and churned away again before it was ever observed
@@ -282,10 +274,6 @@ func (a *Adoption) adoptProb(firstRank int) float64 {
 	return a.FinalFrac[lo-1]*(1-frac) + a.FinalFrac[lo]*frac
 }
 
-// AdoptionProb returns the final (end-of-study) adoption probability
-// for a site first seen at the given rank, after rank scaling.
-func (a *Adoption) AdoptionProb(firstRank int) float64 { return a.adoptProb(firstRank) }
-
 // DateMass returns the fraction of eventual adopters that have
 // adopted by time t (the cumulative adoption-date distribution).
 func (a *Adoption) DateMass(t time.Time) float64 {
@@ -319,12 +307,6 @@ func (a *Adoption) DateMass(t time.Time) float64 {
 		return 0
 	}
 	return mass / total
-}
-
-// ExpectedReachability returns the probability that a site first seen
-// at the given rank is IPv6-accessible at time t.
-func (a *Adoption) ExpectedReachability(firstRank int, t time.Time) float64 {
-	return a.adoptProb(firstRank) * a.DateMass(t)
 }
 
 // ExpectedBucketReachability computes the Fig 3a bars analytically:

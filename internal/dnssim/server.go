@@ -3,6 +3,7 @@ package dnssim
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"sync"
@@ -31,28 +32,49 @@ type Server struct {
 // maxCNAMEChain bounds in-zone CNAME following.
 const maxCNAMEChain = 4
 
+// portPairTries bounds how often NewServer moves to a fresh ephemeral
+// port when another socket already holds the TCP half of the pair.
+const portPairTries = 8
+
 // NewServer starts a server on addr (e.g. "127.0.0.1:0") answering
-// from zone over UDP and TCP.
+// from zone over UDP and TCP. With port 0 the kernel picks the UDP
+// port, which another socket may already hold for TCP; NewServer then
+// retries the pair on a fresh port, a bounded number of times. An
+// explicit port that is taken fails at once.
 func NewServer(zone *Zone, addr string) (*Server, error) {
+	return newServer(zone, addr, net.Listen)
+}
+
+// newServer is NewServer with the TCP listen supplied, so a test can
+// take the TCP port before the server does.
+func newServer(zone *Zone, addr string, listenTCP func(network, address string) (net.Listener, error)) (*Server, error) {
 	ua, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
 		return nil, err
 	}
-	conn, err := net.ListenUDP("udp", ua)
-	if err != nil {
-		return nil, err
+	for try := 1; ; try++ {
+		conn, err := net.ListenUDP("udp", ua)
+		if err != nil {
+			return nil, err
+		}
+		// TCP on the same port (now concrete even if addr used :0).
+		ln, err := listenTCP("tcp", conn.LocalAddr().String())
+		if err != nil {
+			conn.Close()
+			if ua.Port != 0 {
+				return nil, err
+			}
+			if try == portPairTries {
+				return nil, fmt.Errorf("dnssim: no free UDP+TCP port pair in %d tries: %w", try, err)
+			}
+			continue
+		}
+		s := &Server{zone: zone, conn: conn, ln: ln, done: make(chan struct{})}
+		go s.serveUDP()
+		s.wg.Add(1)
+		go s.serveTCP()
+		return s, nil
 	}
-	// TCP on the same port (now concrete even if addr used :0).
-	ln, err := net.Listen("tcp", conn.LocalAddr().String())
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	s := &Server{zone: zone, conn: conn, ln: ln, done: make(chan struct{})}
-	go s.serveUDP()
-	s.wg.Add(1)
-	go s.serveTCP()
-	return s, nil
 }
 
 // Addr returns the server's bound UDP address (the TCP listener uses

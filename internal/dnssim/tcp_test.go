@@ -147,3 +147,65 @@ func TestTCPGarbageDoesNotKillServer(t *testing.T) {
 		t.Fatalf("server died after tcp garbage: %v", err)
 	}
 }
+
+// TestServerMovesOffTakenTCPPort forces the port-pair collision: another
+// socket already holds TCP on the port the kernel picked for UDP. With
+// port 0 the server must retry on a fresh pair that serves both
+// transports; an explicit port must fail on the first try.
+func TestServerMovesOffTakenTCPPort(t *testing.T) {
+	var taken []net.Listener
+	defer func() {
+		for _, ln := range taken {
+			ln.Close()
+		}
+	}()
+	takeFirstTwo := func(network, address string) (net.Listener, error) {
+		if len(taken) < 2 {
+			ln, err := net.Listen(network, address)
+			if err != nil {
+				return nil, err
+			}
+			taken = append(taken, ln)
+		}
+		return net.Listen(network, address)
+	}
+	z := NewZone()
+	bigRRSet(t, z, "many.v6web.test", 60)
+	s, err := newServer(z, "127.0.0.1:0", takeFirstTwo)
+	if err != nil {
+		t.Fatalf("newServer with two taken TCP ports: %v", err)
+	}
+	defer s.Close()
+	port := s.Addr().Port
+	if tcpPort := s.ln.Addr().(*net.TCPAddr).Port; tcpPort != port {
+		t.Fatalf("UDP on port %d, TCP on port %d", port, tcpPort)
+	}
+	for _, ln := range taken {
+		if ln.Addr().(*net.TCPAddr).Port == port {
+			t.Fatalf("server kept the taken port %d", port)
+		}
+	}
+	// The truncated UDP answer forces the TCP fallback on the same port.
+	ips, err := NewResolver(s.Addr().String(), nil, 5).LookupA("many.v6web.test")
+	if err != nil || len(ips) != 60 {
+		t.Fatalf("lookup over the new pair: %d records, %v", len(ips), err)
+	}
+
+	held, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	tries := 0
+	countTries := func(network, address string) (net.Listener, error) {
+		tries++
+		return net.Listen(network, address)
+	}
+	if s2, err := newServer(z, held.Addr().String(), countTries); err == nil {
+		s2.Close()
+		t.Fatal("explicit taken port: server started")
+	}
+	if tries > 1 {
+		t.Fatalf("explicit taken port: %d TCP tries, want 1", tries)
+	}
+}

@@ -215,19 +215,6 @@ func NewCNAME(name string, ttl uint32, target string) (RR, error) {
 	return RR{Name: owner, Type: TypeCNAME, Class: ClassIN, TTL: ttl, Data: data}, nil
 }
 
-// NewNS constructs an NS record.
-func NewNS(name string, ttl uint32, target string) (RR, error) {
-	owner, err := validOwner(name)
-	if err != nil {
-		return RR{}, err
-	}
-	data, err := encodeNameRaw(NormalizeName(target))
-	if err != nil {
-		return RR{}, err
-	}
-	return RR{Name: owner, Type: TypeNS, Class: ClassIN, TTL: ttl, Data: data}, nil
-}
-
 // SOA is the parsed RDATA of an SOA record.
 type SOA struct {
 	MName   string // primary name server

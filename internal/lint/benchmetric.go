@@ -9,8 +9,8 @@ import (
 
 // BenchMetric enforces the bench-suite hygiene the perf PRs
 // established by hand: every benchmark (including b.Run
-// sub-benchmarks) calls b.ReportAllocs() so allocs/op lands in the
-// perf-trajectory JSON, and any benchmark that runs setup helpers
+// sub-benchmarks) calls b.ReportAllocs() so allocs/op shows in every
+// bench run and profile, and any benchmark that runs setup helpers
 // before its b.N loop calls b.ResetTimer() (or b.StartTimer()) after
 // the last of them, so construction cost never pollutes ns/op.
 // Benchmarks driven by b.Loop() are exempt from the timer rule (Loop
@@ -161,7 +161,7 @@ func checkBenchUnit(pass *Pass, name string, pos token.Pos, b *types.Var, body *
 		return true
 	})
 	if !hasReport {
-		pass.Reportf(pos, "benchmark %s does not call %s.ReportAllocs(): allocs/op is part of the perf trajectory", name, b.Name())
+		pass.Reportf(pos, "benchmark %s does not call %s.ReportAllocs(): every bench run reports allocs/op", name, b.Name())
 	}
 
 	if usesLoop {

@@ -214,17 +214,6 @@ func (g *Graph) CountV6() int {
 	return n
 }
 
-// TierMembers returns the dense indices of all ASes in tier t.
-func (g *Graph) TierMembers(t Tier) []int {
-	var out []int
-	for i, a := range g.ases {
-		if a.Tier == t {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // CDNs returns the dense indices of all CDN ASes.
 func (g *Graph) CDNs() []int {
 	var out []int
