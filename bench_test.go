@@ -608,12 +608,15 @@ func BenchmarkShardedPaperScaleMini(b *testing.B) {
 
 // BenchmarkFaultOffOverhead prices the fault-injection layer when no
 // plan is armed — the common case for every production campaign. Each
-// iteration runs the same small sharded campaign twice, once with
-// Options.Faults nil and once with a parsed-but-empty plan (every
-// probability zero, as `-faults seed=1` would yield), and reports the
-// wall-clock ratio as fault-off-overhead. The layer's contract is
-// that this stays ~1.0: a disabled injector must cost nothing beyond
-// a nil check at each hook site.
+// iteration runs the same small sharded campaign in twenty pairs, once
+// with Options.Faults nil and once with a parsed-but-empty plan (every
+// probability zero, as `-faults seed=1` would yield), alternating
+// which side of a pair runs first, and reports the median of the
+// pairs' wall-clock ratios as fault-off-overhead. The layer's contract
+// is that this stays ~1.0: a disabled injector must cost nothing
+// beyond a nil check at each hook site. One pair takes ~0.1 s, so a
+// single pair's ratio swings widely; the median of alternating pairs
+// holds still.
 func BenchmarkFaultOffOverhead(b *testing.B) {
 	b.ReportAllocs()
 	cfg := core.DefaultConfig(42)
@@ -631,13 +634,22 @@ func BenchmarkFaultOffOverhead(b *testing.B) {
 		}
 		return time.Since(t0)
 	}
+	const pairs = 20 // even: each side runs first equally often
+	run(nil)         // warm-up, so the first pair starts no colder than the rest
 	b.ResetTimer()
-	var base, wired time.Duration
+	var ratios []float64
 	for i := 0; i < b.N; i++ {
-		base += run(nil)
-		wired += run(off)
+		for p := 0; p < pairs; p++ {
+			var base, wired time.Duration
+			if p%2 == 0 {
+				base, wired = run(nil), run(off)
+			} else {
+				wired, base = run(off), run(nil)
+			}
+			ratios = append(ratios, float64(wired)/float64(base))
+		}
 	}
-	b.ReportMetric(float64(wired)/float64(base), "fault-off-overhead")
+	b.ReportMetric(stats.Median(ratios), "fault-off-overhead")
 }
 
 // --- Snapshot formats -------------------------------------------------

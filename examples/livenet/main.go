@@ -110,8 +110,8 @@ func main() {
 	snap := db.Freeze()
 	for _, sp := range sites {
 		host := measure.HostName(sp.id)
-		s4 := snap.Series("livenet", sp.id, topo.V4)
-		s6 := snap.Series("livenet", sp.id, topo.V6)
+		s4 := snap.Series(nil, "livenet", sp.id, topo.V4)
+		s6 := snap.Series(nil, "livenet", sp.id, topo.V6)
 		switch {
 		case len(s4) > 0 && len(s6) > 0:
 			ratio := s6[0].MeanSpeed / s4[0].MeanSpeed

@@ -148,9 +148,6 @@ type VantageAnalysis struct {
 	// families, kept or removed.
 	Sites []SiteAgg
 
-	// TotalDual counts sites ever observed dual-stack via DNS.
-	TotalDual int
-
 	snap *store.Snapshot
 
 	// Partitions of Sites, built once at analysis time so the tables
@@ -167,31 +164,21 @@ type VantageAnalysis struct {
 }
 
 // AnalyzeSnapshot aggregates one vantage's measurements in a single
-// pass over a frozen read view: per-site round pairing is a linear
-// merge of the two round-sorted series (no per-site map), site rows
-// and AS paths are resolved through the snapshot without copies, and
-// the kept/removed/class partitions the tables consume are built once
-// at the end.
+// pass over a frozen read view, in O(sampled series): per-site round
+// pairing is a linear merge of the two round-sorted series (no
+// per-site map), series expand into scratch buffers reused across
+// sites, site rows and AS paths are resolved through the snapshot
+// without copies, and the kept/removed/class partitions the tables
+// consume are built once at the end.
 func AnalyzeSnapshot(snap *store.Snapshot, v store.Vantage, th Thresholds) *VantageAnalysis {
 	va := &VantageAnalysis{Vantage: v, Th: th, snap: snap}
-
-	// "Ever observed dual-stack" is a property of the delta-encoded
-	// runs, so scan those — O(state changes) — instead of expanding
-	// the history back to one row per site per round.
-	dualSeen := make(map[alexa.SiteID]bool)
-	snap.ForEachDNSRuns(v, func(site alexa.SiteID, hasA, hasAAAA, _ bool, _, _ int) {
-		if hasA && hasAAAA {
-			dualSeen[site] = true
-		}
-	})
-	va.TotalDual = len(dualSeen)
-
 	sampled := snap.SampledSites(v)
 	va.Sites = make([]SiteAgg, 0, len(sampled))
-	var v4s, v6s []float64 // per-site scratch, reused across sites
+	var s4, s6 []store.Sample // per-site scratch, reused across sites
+	var v4s, v6s []float64
 	for _, id := range sampled {
-		s4 := snap.Series(v, id, topo.V4)
-		s6 := snap.Series(v, id, topo.V6)
+		s4 = snap.Series(s4[:0], v, id, topo.V4)
+		s6 = snap.Series(s6[:0], v, id, topo.V6)
 		if len(s4) == 0 || len(s6) == 0 {
 			continue
 		}
@@ -245,10 +232,8 @@ func (va *VantageAnalysis) partition() {
 
 func (va *VantageAnalysis) aggregate(id alexa.SiteID, v4s, v6s []float64) SiteAgg {
 	agg := SiteAgg{ID: id, V4AS: -1, V6AS: -1, HopsV4: -1, HopsV6: -1}
-	if row, ok := va.snap.Site(id); ok {
-		agg.FirstRank = row.FirstRank
-		agg.V4AS = row.V4AS
-		agg.V6AS = row.V6AS
+	if rank, v4, v6, ok := va.snap.SiteOrigins(id); ok {
+		agg.FirstRank, agg.V4AS, agg.V6AS = rank, v4, v6
 	}
 	agg.Rounds = len(v4s)
 	var w4, w6 stats.Welford

@@ -553,9 +553,10 @@ func (va *VantageAnalysis) BetterV6() BetterV6Profile {
 // linearly on their shared round order, like pairRounds.
 func (va *VantageAnalysis) V6FasterRoundOdds() float64 {
 	total, faster := 0, 0
+	var s4, s6 []store.Sample // reused across sites
 	for _, s := range va.KeptSites() {
-		s4 := va.snap.Series(va.Vantage, s.ID, topo.V4)
-		s6 := va.snap.Series(va.Vantage, s.ID, topo.V6)
+		s4 = va.snap.Series(s4[:0], va.Vantage, s.ID, topo.V4)
+		s6 = va.snap.Series(s6[:0], va.Vantage, s.ID, topo.V6)
 		i, j := 0, 0
 		for i < len(s4) && j < len(s6) {
 			a, b := s4[i], s6[j]
@@ -586,15 +587,18 @@ func (va *VantageAnalysis) V6FasterRoundOdds() float64 {
 // speeds instead of means.
 func (va *VantageAnalysis) V6FasterMedianOdds() float64 {
 	total, faster := 0, 0
-	var v4s, v6s []float64 // reused across sites
+	var s4, s6 []store.Sample // reused across sites
+	var v4s, v6s []float64
 	for _, s := range va.KeptSites() {
 		v4s, v6s = v4s[:0], v6s[:0]
-		for _, a := range va.snap.Series(va.Vantage, s.ID, topo.V4) {
+		s4 = va.snap.Series(s4[:0], va.Vantage, s.ID, topo.V4)
+		s6 = va.snap.Series(s6[:0], va.Vantage, s.ID, topo.V6)
+		for _, a := range s4 {
 			if a.CIOK {
 				v4s = append(v4s, a.MeanSpeed)
 			}
 		}
-		for _, b := range va.snap.Series(va.Vantage, s.ID, topo.V6) {
+		for _, b := range s6 {
 			if b.CIOK {
 				v6s = append(v6s, b.MeanSpeed)
 			}

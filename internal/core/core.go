@@ -538,8 +538,7 @@ func (s *Scenario) V6DayStudy() *analysis.Study {
 	if s.v6dayStudy != nil && s.ranV6D {
 		return s.v6dayStudy
 	}
-	th := analysis.DefaultThresholds()
-	th.CI.MinN = 6 // fewer, denser rounds
+	th := report.V6DayThresholds()
 	snap := s.V6DayDB.Freeze()
 	var vps []VantagePoint
 	for _, vp := range s.Cfg.Vantages {

@@ -53,8 +53,8 @@ func TestLiveStudyMatchesModel(t *testing.T) {
 	checked := 0
 	snap := ls.DB.Freeze()
 	for _, ref := range ls.Sites() {
-		s4 := snap.Series(ls.Vantage, ref.ID, topo.V4)
-		s6 := snap.Series(ls.Vantage, ref.ID, topo.V6)
+		s4 := snap.Series(nil, ls.Vantage, ref.ID, topo.V4)
+		s6 := snap.Series(nil, ls.Vantage, ref.ID, topo.V6)
 		if len(s4) != 1 || len(s6) != 1 || s4[0].MeanSpeed <= 0 || s6[0].MeanSpeed <= 0 {
 			continue
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"v6web/internal/alexa"
+	"v6web/internal/analysis"
 	"v6web/internal/measure"
 )
 
@@ -49,9 +50,11 @@ func TestParallelSerialCampaignsByteIdentical(t *testing.T) {
 
 // TestParallelRoundsRaceSmoke exercises concurrent vantage rounds —
 // including Penn's extended shard racing its main sweep — writing one
-// DB, at a scale small enough for `go test -race ./internal/core` and
-// -short runs. Correctness of the data is covered by the determinism
-// test; here the race detector is the assertion.
+// DB, then the concurrent per-vantage analyses of both studies, each
+// reading one frozen view with its own scratch buffers, at a scale
+// small enough for `go test -race ./internal/core` and -short runs.
+// Correctness of the data is covered by the determinism test; here
+// the race detector is the assertion.
 func TestParallelRoundsRaceSmoke(t *testing.T) {
 	cfg := DefaultConfig(8)
 	cfg.NASes = 250
@@ -77,6 +80,15 @@ func TestParallelRoundsRaceSmoke(t *testing.T) {
 	}
 	if _, _, samples, _ := s.DB.Counts(); samples == 0 {
 		t.Fatal("parallel campaign stored no samples")
+	}
+	for name, st := range map[string]*analysis.Study{"main": s.ComputeStudy(), "v6day": s.V6DayStudy()} {
+		sites := 0
+		for _, va := range st.Vantages {
+			sites += len(va.Sites)
+		}
+		if len(st.Vantages) < 2 || sites == 0 {
+			t.Fatalf("%s study: %d vantages, %d sites", name, len(st.Vantages), sites)
+		}
 	}
 }
 

@@ -106,7 +106,7 @@ func TestDifferentContentStopsAtIdentityCheck(t *testing.T) {
 	if len(rows) != 1 || rows[0].Identical {
 		t.Fatalf("identity flag: %+v", rows)
 	}
-	if len(db.Freeze().Series("test", 1, topo.V4)) != 0 {
+	if len(db.Freeze().Series(nil, "test", 1, topo.V4)) != 0 {
 		t.Fatal("samples recorded for non-identical site")
 	}
 }
@@ -119,7 +119,7 @@ func TestIdentityWithinThresholdPasses(t *testing.T) {
 	if st.Identical != 1 || st.Measured != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
-	s4 := db.Freeze().Series("test", 1, topo.V4)
+	s4 := db.Freeze().Series(nil, "test", 1, topo.V4)
 	if len(s4) != 1 || !s4[0].CIOK {
 		t.Fatalf("v4 sample: %+v", s4)
 	}
@@ -133,7 +133,7 @@ func TestV6FetchErrorFailsSite(t *testing.T) {
 	if st.FetchFails != 1 || st.Identical != 0 {
 		t.Fatalf("stats: %+v", st)
 	}
-	if len(db.Freeze().Series("test", 1, topo.V4)) != 0 {
+	if len(db.Freeze().Series(nil, "test", 1, topo.V4)) != 0 {
 		t.Fatal("partial samples recorded")
 	}
 }
@@ -148,7 +148,7 @@ func TestTransientFailuresDoNotAbortConvergence(t *testing.T) {
 	if st.Measured != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
-	s6 := db.Freeze().Series("test", 1, topo.V6)
+	s6 := db.Freeze().Series(nil, "test", 1, topo.V6)
 	if len(s6) != 1 || !s6[0].CIOK {
 		t.Fatalf("v6 sample: %+v", s6)
 	}
@@ -162,7 +162,7 @@ func TestIdentityPhaseFailureCountsAsFetchFail(t *testing.T) {
 	if st.FetchFails != 1 || st.Measured != 0 {
 		t.Fatalf("stats: %+v", st)
 	}
-	if len(db.Freeze().Series("test", 1, topo.V4)) != 0 {
+	if len(db.Freeze().Series(nil, "test", 1, topo.V4)) != 0 {
 		t.Fatal("samples recorded despite identity failure")
 	}
 }
@@ -174,7 +174,7 @@ func TestNoisySiteFailsWithinRoundCI(t *testing.T) {
 	if st.Measured != 0 {
 		t.Fatalf("noisy site converged: %+v", st)
 	}
-	s4 := db.Freeze().Series("test", 1, topo.V4)
+	s4 := db.Freeze().Series(nil, "test", 1, topo.V4)
 	if len(s4) != 1 {
 		t.Fatalf("v4 samples: %d", len(s4))
 	}

@@ -140,8 +140,8 @@ func TestRunRoundRecordsSamples(t *testing.T) {
 	found := 0
 	snap := db.Freeze()
 	for _, ref := range refs {
-		s4 := snap.Series("penn", ref.ID, topo.V4)
-		s6 := snap.Series("penn", ref.ID, topo.V6)
+		s4 := snap.Series(nil, "penn", ref.ID, topo.V4)
+		s6 := snap.Series(nil, "penn", ref.ID, topo.V6)
 		if len(s4) == 1 && len(s6) == 1 {
 			found++
 			if s4[0].MeanSpeed <= 0 || s4[0].MeanSpeed > 1000 {
@@ -174,7 +174,7 @@ func TestRunRoundBeforeAdoption(t *testing.T) {
 	}
 	snap := db.Freeze()
 	for _, ref := range refs {
-		if len(snap.Series("penn", ref.ID, topo.V6)) != 0 {
+		if len(snap.Series(nil, "penn", ref.ID, topo.V6)) != 0 {
 			t.Fatal("v6 samples before adoption")
 		}
 	}
@@ -191,8 +191,8 @@ func TestRunRoundDeterministic(t *testing.T) {
 	}
 	a, b := run().Freeze(), run().Freeze()
 	for _, ref := range refs {
-		sa := a.Series("penn", ref.ID, topo.V4)
-		sb := b.Series("penn", ref.ID, topo.V4)
+		sa := a.Series(nil, "penn", ref.ID, topo.V4)
+		sb := b.Series(nil, "penn", ref.ID, topo.V4)
 		if len(sa) != len(sb) {
 			t.Fatal("sample counts differ across identical runs")
 		}

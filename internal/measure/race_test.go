@@ -132,7 +132,7 @@ func TestRunRoundDeterministicAcrossWorkerCounts(t *testing.T) {
 			}
 			for _, id := range wantSites {
 				for _, fam := range famBoth {
-					if gs, ws := gotSnap.Series("penn", id, fam), wantSnap.Series("penn", id, fam); !slices.Equal(gs, ws) {
+					if gs, ws := gotSnap.Series(nil, "penn", id, fam), wantSnap.Series(nil, "penn", id, fam); !slices.Equal(gs, ws) {
 						t.Fatalf("%s, workers=%d: site %d %v samples %+v, want %+v", order.name, workers, id, fam, gs, ws)
 					}
 				}

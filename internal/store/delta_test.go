@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -82,7 +83,8 @@ func TestDNSDeltaCSVByteIdentical(t *testing.T) {
 			for i := 0; i < 120; i++ {
 				sites = append(sites, alexa.SiteID(rng.Intn(400)))
 			}
-			sites = dedupSortedSiteIDs(sites)
+			slices.Sort(sites)
+			sites = slices.Compact(sites)
 			// Shuffle so insertion order is not canonical order.
 			rng.Shuffle(len(sites), func(i, j int) { sites[i], sites[j] = sites[j], sites[i] })
 			rows := genMonitorDNS(rng, sites, 30)
@@ -191,7 +193,7 @@ func TestReserveMigratesOverflow(t *testing.T) {
 	}
 	before := db.DNS("penn")
 	beforeSites := db.Sites()
-	beforeSamples := db.Freeze().Series("penn", 200, topo.V4)
+	beforeSamples := db.Freeze().Series(nil, "penn", 200, topo.V4)
 
 	db.Reserve(256, extBase, 100)
 
@@ -201,7 +203,7 @@ func TestReserveMigratesOverflow(t *testing.T) {
 	if got := db.Sites(); !reflect.DeepEqual(got, beforeSites) {
 		t.Fatalf("site rows changed across Reserve migration:\n%+v\nvs\n%+v", got, beforeSites)
 	}
-	if got := db.Freeze().Series("penn", 200, topo.V4); !reflect.DeepEqual(got, beforeSamples) {
+	if got := db.Freeze().Series(nil, "penn", 200, topo.V4); !reflect.DeepEqual(got, beforeSamples) {
 		t.Fatal("samples changed across Reserve migration")
 	}
 	// Growing further must keep everything again.
@@ -257,7 +259,7 @@ func TestReserveGrowsInSteps(t *testing.T) {
 		wantDNS[v] = db.DNS(v)
 		for _, id := range ids {
 			for _, fam := range []topo.Family{topo.V4, topo.V6} {
-				wantSamples[v] = append(wantSamples[v], snap.Series(v, id, fam))
+				wantSamples[v] = append(wantSamples[v], snap.Series(nil, v, id, fam))
 			}
 		}
 	}
@@ -278,7 +280,7 @@ func TestReserveGrowsInSteps(t *testing.T) {
 			k := 0
 			for _, id := range ids {
 				for _, fam := range []topo.Family{topo.V4, topo.V6} {
-					if got := snap.Series(v, id, fam); !reflect.DeepEqual(got, wantSamples[v][k]) {
+					if got := snap.Series(nil, v, id, fam); !reflect.DeepEqual(got, wantSamples[v][k]) {
 						t.Fatalf("%s: %s samples of site %d fam %v changed", name, v, id, fam)
 					}
 					k++
@@ -392,7 +394,7 @@ func TestColumnarConcurrentAppends(t *testing.T) {
 				db.EnsureCanonicalSites(views)
 				if r%10 == 0 {
 					snap := db.Freeze()
-					snap.Series("penn", base, topo.V4)
+					snap.Series(nil, "penn", base, topo.V4)
 					snap.SeriesLen("penn", base, topo.V4)
 				}
 			}

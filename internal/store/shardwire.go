@@ -217,7 +217,7 @@ func (db *DB) appendShardDNS(w *wbuf, v Vantage, lo, hi alexa.SiteID) (int, erro
 	var err error
 	db.lockedDNSView(v, func(view *dnsView) {
 		prev := lo - 1
-		view.walkRuns(func(site alexa.SiteID, runs []dnsRun, _ int32, ooo []DNSRow) {
+		view.walkRuns(func(site alexa.SiteID, runs []dnsRun, ooo []DNSRow) {
 			if site < lo || site >= hi || err != nil {
 				return
 			}

@@ -252,17 +252,6 @@ func (h *dnsHist) runs(spill []dnsRun, buf []dnsRun) []dnsRun {
 	return buf
 }
 
-// obs counts the observations recorded across the site's runs.
-func (h *dnsHist) obs(spill []dnsRun) int32 {
-	n := h.run[0].count + h.run[1].count
-	if h.run[1].state&dnsSpilled != 0 {
-		for _, r := range spill {
-			n += r.count
-		}
-	}
-	return n
-}
-
 // dnsShard is one stripe of a vantage's delta-encoded DNS table.
 type dnsShard struct {
 	mu    sync.Mutex                //v6lint:shardlock one stripe of the site-id striped DNS table
@@ -410,10 +399,13 @@ type sampleShard struct {
 	ext    [2]famSlots               //v6lint:guardedby mu
 	over   [2]map[alexa.SiteID]int32 //v6lint:guardedby mu
 	series [][]packedSample          //v6lint:guardedby mu
+	owner  []siteFamKey              //v6lint:guardedby mu
 	rows   int                       //v6lint:guardedby mu
 	lo     int32                     //v6lint:guardedby mu
 	hi     int32                     //v6lint:guardedby mu
-	// lo and hi are the sample rounds' watermarks (see watermark).
+	// owner[i] is the (site, family) series[i] belongs to, so readers
+	// walk the series instead of every reserved slot. lo and hi are
+	// the sample rounds' watermarks (see watermark).
 }
 
 // seriesIdx returns the series index stored for (id, fam), or -1.
@@ -472,6 +464,7 @@ func (s *sampleShard) add(res reservation, id alexa.SiteID, fam topo.Family, p p
 		// A site's series grows one sample per monitored round;
 		// preallocate a study's worth to avoid repeated regrowth.
 		s.series = append(s.series, make([]packedSample, 0, 40))
+		s.owner = append(s.owner, siteFamKey{id, fam})
 		switch table {
 		case 0:
 			s.main[f][slot] = idx
@@ -883,6 +876,12 @@ func (sh *siteShard) ensure(res reservation, r *CanonicalSite) {
 
 // Site returns a site row.
 func (db *DB) Site(id alexa.SiteID) (SiteRow, bool) {
+	row, derived, ok := db.storedSite(id)
+	return withHost(row, derived), ok
+}
+
+// storedSite returns a site row as stored (see storedRow).
+func (db *DB) storedSite(id alexa.SiteID) (row SiteRow, derived, ok bool) {
 	sh := db.siteShard(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -892,12 +891,13 @@ func (db *DB) Site(id alexa.SiteID) (SiteRow, bool) {
 			cols = &sh.ext
 		}
 		if !cols.present[slot] {
-			return SiteRow{}, false
+			return SiteRow{}, false, false
 		}
-		return withHost(sh.storedRow(cols, slot, id)), true
+		row, derived = sh.storedRow(cols, slot, id)
+		return row, derived, true
 	}
-	r, ok := sh.over[id]
-	return r, ok
+	row, ok = sh.over[id]
+	return row, false, ok
 }
 
 // forEachSite visits every site row in ascending id order, streaming
@@ -1108,26 +1108,26 @@ func (db *DB) AddSample(v Vantage, site alexa.SiteID, fam topo.Family, s Sample)
 	sh.mu.Unlock()
 }
 
-// expandSeries converts a packed series to round-sorted Samples.
-// Monitors append in round order, so the expansion is normally a
-// straight copy; only series populated out of order through the
-// public API pay the stable sort.
-func expandSeries(packed []packedSample, dates []time.Time) []Sample {
-	if len(packed) == 0 {
-		return nil
-	}
-	out := make([]Sample, len(packed))
+// appendSeries appends a packed series to dst as round-sorted
+// Samples. Monitors append in round order, so the expansion is
+// normally a straight copy; only series populated out of order
+// through the public API pay the stable sort.
+func appendSeries(dst []Sample, packed []packedSample, dates []time.Time) []Sample {
+	start := len(dst)
+	dst = slices.Grow(dst, len(packed))
 	sorted := true
-	for i, p := range packed {
-		out[i] = p.sample(dates)
-		if i > 0 && out[i].Round < out[i-1].Round {
+	for _, p := range packed {
+		s := p.sample(dates)
+		if len(dst) > start && s.Round < dst[len(dst)-1].Round {
 			sorted = false
 		}
+		dst = append(dst, s)
 	}
 	if !sorted {
+		out := dst[start:]
 		sort.SliceStable(out, func(i, j int) bool { return out[i].Round < out[j].Round })
 	}
-	return out
+	return dst
 }
 
 // sampledSites returns the distinct site ids with samples at vantage
@@ -1141,24 +1141,13 @@ func (db *DB) sampledSites(v Vantage) []alexa.SiteID {
 	for i := range t.samples {
 		sh := &t.samples[i]
 		sh.mu.Lock()
-		for f := 0; f < 2; f++ {
-			for slot, idx := range sh.main[f] {
-				if idx >= 0 {
-					out = append(out, alexa.SiteID(slot<<shardBits|i))
-				}
-			}
-			for slot, idx := range sh.ext[f] {
-				if idx >= 0 {
-					out = append(out, db.res.extBase+alexa.SiteID(slot<<shardBits|i))
-				}
-			}
-			for id := range sh.over[f] {
-				out = append(out, id)
-			}
+		for _, o := range sh.owner {
+			out = append(out, o.site)
 		}
 		sh.mu.Unlock()
 	}
-	return dedupSortedSiteIDs(out)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // AddPath records the AS path to dst observed after a round. Only

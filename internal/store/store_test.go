@@ -40,7 +40,7 @@ func TestSamplesOrdering(t *testing.T) {
 	db.AddSample("penn", 1, topo.V6, Sample{Round: 1, MeanSpeed: 99})
 	db.AddSample("comcast", 1, topo.V4, Sample{Round: 1, MeanSpeed: 88})
 	snap := db.Freeze()
-	got := snap.Series("penn", 1, topo.V4)
+	got := snap.Series(nil, "penn", 1, topo.V4)
 	if len(got) != 3 {
 		t.Fatalf("%d samples", len(got))
 	}
@@ -49,10 +49,10 @@ func TestSamplesOrdering(t *testing.T) {
 			t.Fatalf("not round-ordered: %+v", got)
 		}
 	}
-	if len(snap.Series("penn", 1, topo.V6)) != 1 {
+	if len(snap.Series(nil, "penn", 1, topo.V6)) != 1 {
 		t.Fatal("family mixed up")
 	}
-	if len(snap.Series("penn", 2, topo.V4)) != 0 {
+	if len(snap.Series(nil, "penn", 2, topo.V4)) != 0 {
 		t.Fatal("site mixed up")
 	}
 }
@@ -157,7 +157,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("site: %+v", r)
 	}
 	snap := got.Freeze()
-	ss := snap.Series("penn", 1, topo.V4)
+	ss := snap.Series(nil, "penn", 1, topo.V4)
 	if len(ss) != 1 || ss[0].MeanSpeed != 42.5 || !ss[0].Date.Equal(date) || !ss[0].CIOK {
 		t.Fatalf("sample: %+v", ss)
 	}
@@ -183,7 +183,7 @@ func TestConcurrentWrites(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				db.AddSample("penn", 1, topo.V4, Sample{Round: i})
 				db.AddPath("penn", topo.V4, w, i, []int{0, w})
-				db.Freeze().Series("penn", 1, topo.V4)
+				db.Freeze().Series(nil, "penn", 1, topo.V4)
 			}
 			done <- true
 		}(w)
@@ -191,7 +191,7 @@ func TestConcurrentWrites(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		<-done
 	}
-	if got := len(db.Freeze().Series("penn", 1, topo.V4)); got != 2000 {
+	if got := len(db.Freeze().Series(nil, "penn", 1, topo.V4)); got != 2000 {
 		t.Fatalf("lost samples: %d", got)
 	}
 }
@@ -262,7 +262,7 @@ func TestMerge(t *testing.T) {
 		t.Fatal("merged site missing")
 	}
 	snap := a.Freeze()
-	if len(snap.Series("comcast", 1, topo.V4)) != 1 {
+	if len(snap.Series(nil, "comcast", 1, topo.V4)) != 1 {
 		t.Fatal("merged samples missing")
 	}
 	if !snap.PathChanged("penn", topo.V4, 9) {

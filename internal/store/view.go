@@ -1,6 +1,7 @@
 package store
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -9,16 +10,16 @@ import (
 )
 
 // This file is the read path over the columnar tables. DNS history is
-// stored delta-encoded (see store.go), so every reader — the ForEach
-// iterators, CSV export, and frozen Snapshots — goes through one
-// shared walker that expands runs back to per-round rows in canonical
-// (site, round) order. Because the walker's order is canonical rather
-// than insertion order, equal databases always iterate (and
-// serialize) identically regardless of worker interleaving.
+// stored delta-encoded (see store.go), so every DNS reader — the
+// ForEach iterators, CSV export and the shard wire — goes through one
+// shared walker that visits sites in canonical (site, round) order,
+// expanding runs back to per-round rows for the row readers. Because
+// the walker's order is canonical rather than insertion order, equal
+// databases always iterate (and serialize) identically regardless of
+// worker interleaving.
 
-// dnsView is the walker's input: captured table references with
-// optional per-site observation caps (set when freezing a Snapshot so
-// later appends stay invisible; nil = uncapped live reads).
+// dnsView is the walker's input: the vantage's DNS tables, read under
+// every DNS shard lock.
 type dnsView struct {
 	extBase alexa.SiteID
 	shards  [shards]dnsViewShard
@@ -26,61 +27,9 @@ type dnsView struct {
 }
 
 type dnsViewShard struct {
-	main, ext       []dnsHist
-	spill           map[alexa.SiteID][]dnsRun
-	mainObs, extObs []int32 // per-slot observation caps; nil = uncapped
-	over            map[alexa.SiteID]frozenOverDNS
-}
-
-type frozenOverDNS struct {
-	h   dnsHist
-	obs int32 // -1 = uncapped
-}
-
-// dnsViewOf captures the vantage's DNS tables. Caller must hold every
-// dns shard lock when live (caps=false); with caps=true it also
-// computes the per-site observation counts that freeze the view.
-func (t *vantageTable) dnsViewOf(res reservation, caps bool) *dnsView {
-	t.oooMu.Lock()
-	ooo := append([]DNSRow(nil), t.ooo...)
-	t.oooMu.Unlock()
-	sort.SliceStable(ooo, func(i, j int) bool {
-		if ooo[i].Site != ooo[j].Site {
-			return ooo[i].Site < ooo[j].Site
-		}
-		return ooo[i].Round < ooo[j].Round
-	})
-	view := &dnsView{extBase: res.extBase, ooo: ooo}
-	for i := range t.dns {
-		sh := &t.dns[i]
-		vs := &view.shards[i]
-		vs.main = sh.main[:len(sh.main):len(sh.main)]
-		vs.ext = sh.ext[:len(sh.ext):len(sh.ext)]
-		vs.spill = sh.spill
-		if len(sh.over) > 0 {
-			vs.over = make(map[alexa.SiteID]frozenOverDNS, len(sh.over))
-			for id, h := range sh.over {
-				o := frozenOverDNS{h: *h, obs: -1}
-				if caps {
-					o.obs = h.obs(sh.spill[id])
-				}
-				vs.over[id] = o
-			}
-		}
-		if caps {
-			vs.mainObs = make([]int32, len(vs.main))
-			for slot := range vs.main {
-				id := alexa.SiteID(slot<<shardBits | i)
-				vs.mainObs[slot] = vs.main[slot].obs(sh.spill[id])
-			}
-			vs.extObs = make([]int32, len(vs.ext))
-			for slot := range vs.ext {
-				id := res.extBase + alexa.SiteID(slot<<shardBits|i)
-				vs.extObs[slot] = vs.ext[slot].obs(sh.spill[id])
-			}
-		}
-	}
-	return view
+	main, ext []dnsHist
+	spill     map[alexa.SiteID][]dnsRun
+	over      map[alexa.SiteID]*dnsHist
 }
 
 // walkDNS expands the view to per-round rows in canonical (site,
@@ -88,21 +37,16 @@ func (t *vantageTable) dnsViewOf(res reservation, caps bool) *dnsView {
 // timeline; duplicates follow the delta-encoded observation of the
 // same round.
 func (v *dnsView) walkDNS(fn func(DNSRow)) {
-	v.walkRuns(func(site alexa.SiteID, runs []dnsRun, cap int32, oooRows []DNSRow) {
-		emitted, oi := int32(0), 0
-	expand:
+	v.walkRuns(func(site alexa.SiteID, runs []dnsRun, oooRows []DNSRow) {
+		oi := 0
 		for _, r := range runs {
 			for k := int32(0); k < r.count; k++ {
-				if cap >= 0 && emitted >= cap {
-					break expand
-				}
 				round := int(r.start + k)
 				for oi < len(oooRows) && oooRows[oi].Round < round {
 					fn(oooRows[oi])
 					oi++
 				}
 				fn(r.row(site, k))
-				emitted++
 			}
 		}
 		for ; oi < len(oooRows); oi++ {
@@ -112,9 +56,9 @@ func (v *dnsView) walkDNS(fn func(DNSRow)) {
 }
 
 // walkRuns visits every site with DNS history in ascending id order,
-// handing fn the site's run list (shared scratch — do not retain), its
-// observation cap (-1 = uncapped), and its out-of-order rows.
-func (v *dnsView) walkRuns(fn func(site alexa.SiteID, runs []dnsRun, cap int32, ooo []DNSRow)) {
+// handing fn the site's run list (shared scratch — do not retain) and
+// its out-of-order rows.
+func (v *dnsView) walkRuns(fn func(site alexa.SiteID, runs []dnsRun, ooo []DNSRow)) {
 	var over []alexa.SiteID
 	for i := range v.shards {
 		for id := range v.shards[i].over {
@@ -125,7 +69,7 @@ func (v *dnsView) walkRuns(fn func(site alexa.SiteID, runs []dnsRun, cap int32, 
 
 	var buf []dnsRun
 	oi, vi := 0, 0
-	emit := func(id alexa.SiteID, runs []dnsRun, cap int32) {
+	emit := func(id alexa.SiteID, runs []dnsRun) {
 		// Out-of-order rows for sites the dense walk has passed (a site
 		// can in principle appear only in the ooo log after a merge of
 		// exotic histories) flush before the next site.
@@ -134,7 +78,7 @@ func (v *dnsView) walkRuns(fn func(site alexa.SiteID, runs []dnsRun, cap int32, 
 			for oi < len(v.ooo) && v.ooo[oi].Site == v.ooo[start].Site {
 				oi++
 			}
-			fn(v.ooo[start].Site, nil, -1, v.ooo[start:oi])
+			fn(v.ooo[start].Site, nil, v.ooo[start:oi])
 		}
 		if len(runs) == 0 {
 			return
@@ -143,41 +87,37 @@ func (v *dnsView) walkRuns(fn func(site alexa.SiteID, runs []dnsRun, cap int32, 
 		for oi < len(v.ooo) && v.ooo[oi].Site == id {
 			oi++
 		}
-		fn(id, runs, cap, v.ooo[start:oi])
+		fn(id, runs, v.ooo[start:oi])
 	}
 	emitOver := func(limit alexa.SiteID, all bool) {
 		for vi < len(over) && (all || over[vi] < limit) {
 			id := over[vi]
-			o := v.shards[uint64(id)&(shards-1)].over[id]
-			buf = o.h.runs(v.shards[uint64(id)&(shards-1)].spill[id], buf[:0])
-			emit(id, buf, o.obs)
+			s := &v.shards[uint64(id)&(shards-1)]
+			buf = s.over[id].runs(s.spill[id], buf[:0])
+			emit(id, buf)
 			vi++
 		}
 	}
-	emitRange := func(base alexa.SiteID, pick func(s *dnsViewShard) ([]dnsHist, []int32)) {
-		hists0, _ := pick(&v.shards[0])
-		for slot := 0; slot < len(hists0); slot++ {
+	emitRange := func(base alexa.SiteID, pick func(s *dnsViewShard) []dnsHist) {
+		n := len(pick(&v.shards[0]))
+		for slot := 0; slot < n; slot++ {
 			for i := 0; i < shards; i++ {
 				s := &v.shards[i]
-				hists, obs := pick(s)
+				hists := pick(s)
 				if slot >= len(hists) || hists[slot].run[0].count == 0 {
 					continue
 				}
 				id := base + alexa.SiteID(slot<<shardBits|i)
 				emitOver(id, false)
-				cap := int32(-1)
-				if obs != nil {
-					cap = obs[slot]
-				}
 				buf = hists[slot].runs(s.spill[id], buf[:0])
-				emit(id, buf, cap)
+				emit(id, buf)
 			}
 		}
 	}
-	emitRange(0, func(s *dnsViewShard) ([]dnsHist, []int32) { return s.main, s.mainObs })
-	emitRange(v.extBase, func(s *dnsViewShard) ([]dnsHist, []int32) { return s.ext, s.extObs })
+	emitRange(0, func(s *dnsViewShard) []dnsHist { return s.main })
+	emitRange(v.extBase, func(s *dnsViewShard) []dnsHist { return s.ext })
 	emitOver(0, true)
-	emit(alexa.SiteID(1)<<62, nil, -1) // flush trailing ooo rows
+	emit(alexa.SiteID(1)<<62, nil) // flush trailing ooo rows
 }
 
 // lockedDNSView captures a live view under every DNS shard lock and
@@ -196,7 +136,21 @@ func (db *DB) lockedDNSView(v Vantage, fn func(*dnsView)) {
 			t.dns[i].mu.Unlock()
 		}
 	}()
-	fn(t.dnsViewOf(db.res, false))
+	t.oooMu.Lock()
+	ooo := append([]DNSRow(nil), t.ooo...)
+	t.oooMu.Unlock()
+	sort.SliceStable(ooo, func(i, j int) bool {
+		if ooo[i].Site != ooo[j].Site {
+			return ooo[i].Site < ooo[j].Site
+		}
+		return ooo[i].Round < ooo[j].Round
+	})
+	view := &dnsView{extBase: db.res.extBase, ooo: ooo}
+	for i := range t.dns {
+		sh := &t.dns[i]
+		view.shards[i] = dnsViewShard{main: sh.main, ext: sh.ext, spill: sh.spill, over: sh.over}
+	}
+	fn(view)
 }
 
 // ForEachDNS visits every DNS row stored for a vantage in canonical
@@ -226,8 +180,8 @@ func (db *DB) ForEachSeries(v Vantage, fn func(site alexa.SiteID, fam topo.Famil
 				packed = append(packed, sh.series[idx]...)
 			}
 			sh.mu.Unlock()
-			if ss := expandSeries(packed, dates); len(ss) > 0 {
-				fn(site, fam, ss)
+			if len(packed) > 0 {
+				fn(site, fam, appendSeries(nil, packed, dates))
 			}
 		}
 	}
@@ -236,13 +190,14 @@ func (db *DB) ForEachSeries(v Vantage, fn func(site alexa.SiteID, fam topo.Famil
 var famBoth = [2]topo.Family{topo.V4, topo.V6}
 
 // Snapshot is an immutable read view of a database, taken once with
-// Freeze and then queried without further coordination. The view
-// reflects the rows present at Freeze time: per-site observation caps
-// and capped series lengths keep rows appended afterwards invisible.
-// Site rows read through to the live columnar table (they are
-// overwritten in place, not appended), so the contract callers should
-// rely on is the simple one: freeze when no writer is active — for a
-// campaign, between rounds.
+// Freeze and then queried without further coordination. It holds the
+// sample series and AS paths present at Freeze time, capacity-clamped
+// so rows appended afterwards stay invisible; DNS history is not part
+// of it (the live DB's iterators serve that). Site rows read through
+// to the live columnar table (they are overwritten in place, not
+// appended), so the contract callers should rely on is the simple
+// one: freeze when no writer is active — for a campaign, between
+// rounds.
 type Snapshot struct {
 	db       *DB
 	vantages map[Vantage]*frozenVantage
@@ -253,62 +208,47 @@ type siteFamKey struct {
 	fam  topo.Family
 }
 
-type frozenSeries struct {
-	packed []packedSample
-}
-
 type frozenVantage struct {
-	dns     *dnsView
 	sampled []alexa.SiteID
-	series  map[siteFamKey]frozenSeries
-	datesT  []time.Time // date dictionary at freeze; read-only below len
+	series  map[alexa.SiteID][2][]packedSample // indexed by family
+	datesT  []time.Time                        // date dictionary at freeze; read-only below len
 	paths   map[famDstKey][]PathSnapshot
 }
 
-// Freeze captures a Snapshot of the database: one short locked pass
-// per table, after which reads need no locks. Expanded sample series
-// come back round-sorted, as DB.ForEachSeries returns them.
+// Freeze captures a Snapshot of the database: short locked passes per
+// table, after which reads need no locks. It walks the stored series,
+// not the reserved id ranges, so it costs O(series). Expanded sample
+// series come back round-sorted, as DB.ForEachSeries returns them.
 func (db *DB) Freeze() *Snapshot {
 	snap := &Snapshot{db: db, vantages: make(map[Vantage]*frozenVantage)}
 	for v, t := range db.tables() {
-		fv := &frozenVantage{series: make(map[siteFamKey]frozenSeries)}
-
-		for i := range t.dns {
-			t.dns[i].mu.Lock()
-		}
-		fv.dns = t.dnsViewOf(db.res, true)
-		for i := range t.dns {
-			t.dns[i].mu.Unlock()
-		}
-
-		dates := t.dateTable()
-		var ids []alexa.SiteID
+		n := 0
 		for i := range t.samples {
 			sh := &t.samples[i]
 			sh.mu.Lock()
-			capture := func(id alexa.SiteID, fam topo.Family, idx int32) {
-				if idx < 0 {
-					return
-				}
+			n += len(sh.owner)
+			sh.mu.Unlock()
+		}
+		fv := &frozenVantage{series: make(map[alexa.SiteID][2][]packedSample, n)}
+		for i := range t.samples {
+			sh := &t.samples[i]
+			sh.mu.Lock()
+			for idx, o := range sh.owner {
 				ss := sh.series[idx]
-				fv.series[siteFamKey{id, fam}] = frozenSeries{packed: ss[:len(ss):len(ss)]}
-				ids = append(ids, id)
-			}
-			for f, fam := range famBoth {
-				for slot, idx := range sh.main[f] {
-					capture(alexa.SiteID(slot<<shardBits|i), fam, idx)
-				}
-				for slot, idx := range sh.ext[f] {
-					capture(db.res.extBase+alexa.SiteID(slot<<shardBits|i), fam, idx)
-				}
-				for id, idx := range sh.over[f] {
-					capture(id, fam, idx)
-				}
+				fams := fv.series[o.site]
+				fams[o.fam] = ss[:len(ss):len(ss)]
+				fv.series[o.site] = fams
 			}
 			sh.mu.Unlock()
 		}
-		fv.sampled = dedupSortedSiteIDs(ids)
-		fv.datesT = dates
+		ids := make([]alexa.SiteID, 0, len(fv.series))
+		for id := range fv.series {
+			ids = append(ids, id)
+		}
+		slices.Sort(ids)
+		fv.sampled = ids
+		// Read after the series: every captured sample's date is in it.
+		fv.datesT = t.dateTable()
 
 		t.pathMu.Lock()
 		fv.paths = make(map[famDstKey][]PathSnapshot, len(t.paths))
@@ -320,18 +260,6 @@ func (db *DB) Freeze() *Snapshot {
 		snap.vantages[v] = fv
 	}
 	return snap
-}
-
-// dedupSortedSiteIDs sorts ids and removes duplicates in place.
-func dedupSortedSiteIDs(ids []alexa.SiteID) []alexa.SiteID {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	out := ids[:0]
-	for i, id := range ids {
-		if i == 0 || id != ids[i-1] {
-			out = append(out, id)
-		}
-	}
-	return out
 }
 
 func (s *Snapshot) view(v Vantage) *frozenVantage { return s.vantages[v] }
@@ -348,9 +276,12 @@ func (s *Snapshot) Vantages() []Vantage {
 	return out
 }
 
-// Site returns a site row. Reads through to the live site table.
-func (s *Snapshot) Site(id alexa.SiteID) (SiteRow, bool) {
-	return s.db.Site(id)
+// SiteOrigins returns a site's first rank and the origin ASes of its
+// A and AAAA records: its row without the host, which a dense row
+// would have to format. Reads through to the live site table.
+func (s *Snapshot) SiteOrigins(id alexa.SiteID) (firstRank, v4AS, v6AS int, ok bool) {
+	row, _, ok := s.db.storedSite(id)
+	return row.FirstRank, row.V4AS, row.V6AS, ok
 }
 
 // SampledSites returns the distinct site ids with samples at vantage
@@ -362,63 +293,24 @@ func (s *Snapshot) SampledSites(v Vantage) []alexa.SiteID {
 	return nil
 }
 
-// Series returns the round-sorted samples for (vantage, site, family)
-// expanded from the frozen packed series. The returned slice is a
-// fresh copy.
-func (s *Snapshot) Series(v Vantage, site alexa.SiteID, fam topo.Family) []Sample {
+// Series appends the round-sorted samples for (vantage, site, family)
+// to dst and returns the extended slice. A reader walking many sites
+// passes the previous result resliced to zero length, so the expansion
+// reuses one buffer; nil yields a fresh copy.
+func (s *Snapshot) Series(dst []Sample, v Vantage, site alexa.SiteID, fam topo.Family) []Sample {
 	view := s.view(v)
 	if view == nil {
-		return nil
+		return dst
 	}
-	fs, ok := view.series[siteFamKey{site, fam}]
-	if !ok {
-		return nil
-	}
-	return expandSeries(fs.packed, view.datesT)
+	return appendSeries(dst, view.series[site][fam], view.datesT)
 }
 
 // SeriesLen returns the number of samples for (vantage, site, family).
 func (s *Snapshot) SeriesLen(v Vantage, site alexa.SiteID, fam topo.Family) int {
 	if view := s.view(v); view != nil {
-		return len(view.series[siteFamKey{site, fam}].packed)
+		return len(view.series[site][fam])
 	}
 	return 0
-}
-
-// ForEachDNS visits every frozen DNS row for a vantage in canonical
-// (site, round) order.
-func (s *Snapshot) ForEachDNS(v Vantage, fn func(DNSRow)) {
-	if view := s.view(v); view != nil {
-		view.dns.walkDNS(fn)
-	}
-}
-
-// ForEachDNSRuns visits the delta-encoded history directly: one call
-// per stored run (site ascending), without expanding to per-round
-// rows — the cheap way to answer "was this site ever dual" questions
-// at paper scale. Out-of-order rows are visited as single-round runs.
-func (s *Snapshot) ForEachDNSRuns(v Vantage, fn func(site alexa.SiteID, hasA, hasAAAA, identical bool, startRound, rounds int)) {
-	view := s.view(v)
-	if view == nil {
-		return
-	}
-	view.dns.walkRuns(func(site alexa.SiteID, runs []dnsRun, cap int32, ooo []DNSRow) {
-		emitted := int32(0)
-		for _, r := range runs {
-			n := r.count
-			if cap >= 0 && emitted+n > cap {
-				n = cap - emitted
-			}
-			if n <= 0 {
-				break
-			}
-			fn(site, r.state&dnsHasA != 0, r.state&dnsHasAAAA != 0, r.state&dnsIdentical != 0, int(r.start), int(n))
-			emitted += n
-		}
-		for _, row := range ooo {
-			fn(row.Site, row.HasA, row.HasAAAA, row.Identical, row.Round, 1)
-		}
-	})
 }
 
 // ForEachSeries visits every (site, family) series for a vantage in
@@ -430,8 +322,8 @@ func (s *Snapshot) ForEachSeries(v Vantage, fn func(site alexa.SiteID, fam topo.
 	}
 	for _, site := range view.sampled {
 		for _, fam := range famBoth {
-			if fs, ok := view.series[siteFamKey{site, fam}]; ok && len(fs.packed) > 0 {
-				fn(site, fam, expandSeries(fs.packed, view.datesT))
+			if packed := view.series[site][fam]; len(packed) > 0 {
+				fn(site, fam, appendSeries(nil, packed, view.datesT))
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -46,7 +48,7 @@ func TestSnapshotMatchesCopyingGetters(t *testing.T) {
 			if len(sites) == 0 || sites[len(sites)-1] != site {
 				sites = append(sites, site)
 			}
-			if got := snap.Series(v, site, fam); !reflect.DeepEqual(got, want) {
+			if got := snap.Series(nil, v, site, fam); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s site %d fam %v: %+v vs %+v", v, site, fam, got, want)
 			}
 			if snap.SeriesLen(v, site, fam) != len(want) {
@@ -69,14 +71,14 @@ func TestSnapshotMatchesCopyingGetters(t *testing.T) {
 	if got := snap.ASesCrossed("penn", topo.V6); !reflect.DeepEqual(got, map[int]bool{3: true, 7: true, 8: true, 9: true}) {
 		t.Fatalf("ASesCrossed: %v", got)
 	}
-	if row, ok := snap.Site(2); !ok || row.Host != "b" {
-		t.Fatalf("Site(2): %+v ok=%v", row, ok)
+	if rank, v4, v6, ok := snap.SiteOrigins(2); !ok || rank != 20 || v4 != 4 || v6 != 5 {
+		t.Fatalf("SiteOrigins(2): %d %d %d ok=%v", rank, v4, v6, ok)
 	}
-	if _, ok := snap.Site(99); ok {
-		t.Fatal("Site(99) present")
+	if _, _, _, ok := snap.SiteOrigins(99); ok {
+		t.Fatal("SiteOrigins(99) present")
 	}
 	// Unknown vantage: empty results, no panic.
-	if snap.SampledSites("nowhere") != nil || snap.Series("nowhere", 1, topo.V4) != nil ||
+	if snap.SampledSites("nowhere") != nil || snap.Series(nil, "nowhere", 1, topo.V4) != nil ||
 		snap.LatestPath("nowhere", topo.V4, 1) != nil {
 		t.Fatal("unknown vantage returned data")
 	}
@@ -121,7 +123,7 @@ func TestForEachIterators(t *testing.T) {
 func TestSnapshotSeriesSorted(t *testing.T) {
 	db := viewDB()
 	snap := db.Freeze()
-	ss := snap.Series("penn", 2, topo.V4)
+	ss := snap.Series(nil, "penn", 2, topo.V4)
 	if len(ss) != 3 {
 		t.Fatalf("%d samples", len(ss))
 	}
@@ -137,21 +139,14 @@ func TestSnapshotSeriesSorted(t *testing.T) {
 func TestSnapshotUnaffectedByLaterWrites(t *testing.T) {
 	db := viewDB()
 	snap := db.Freeze()
-	beforeDNS := len(db.DNS("penn"))
 	beforeSamples := snap.SeriesLen("penn", 1, topo.V4)
 
 	for r := 5; r < 40; r++ {
-		db.AddDNS("penn", DNSRow{Site: 1, Round: r, HasA: true})
 		db.AddSample("penn", 1, topo.V4, Sample{Round: r, MeanSpeed: 99, CIOK: true})
 	}
 	db.AddPath("penn", topo.V6, 3, 9, []int{9, 3})
 
-	n := 0
-	snap.ForEachDNS("penn", func(DNSRow) { n++ })
-	if n != beforeDNS {
-		t.Fatalf("snapshot sees %d DNS rows, froze %d", n, beforeDNS)
-	}
-	ss := snap.Series("penn", 1, topo.V4)
+	ss := snap.Series(nil, "penn", 1, topo.V4)
 	if len(ss) != beforeSamples {
 		t.Fatalf("snapshot sees %d samples, froze %d", len(ss), beforeSamples)
 	}
@@ -162,5 +157,91 @@ func TestSnapshotUnaffectedByLaterWrites(t *testing.T) {
 	}
 	if got := snap.LatestPath("penn", topo.V6, 3); !reflect.DeepEqual(got, []int{9, 8, 3}) {
 		t.Fatalf("post-freeze path visible: %v", got)
+	}
+}
+
+// seriesDump lists every (site, family) series of a vantage in the
+// order ForEachSeries visits them.
+func seriesDump(each func(Vantage, func(alexa.SiteID, topo.Family, []Sample)), v Vantage) []string {
+	var out []string
+	each(v, func(site alexa.SiteID, fam topo.Family, ss []Sample) {
+		out = append(out, fmt.Sprintf("%d/%v:%v", site, fam, ss))
+	})
+	return out
+}
+
+// TestFreezeMatchesLiveSeries: Freeze walks the series each sample
+// stripe has created rather than the reserved slots, so it must read
+// what DB.ForEachSeries reads over dense ids of both ranges, overflow
+// ids, and overflow ids a later Reserve migrates into dense slots —
+// and samples or series added after Freeze, even across a further
+// migrating Reserve, must stay invisible.
+func TestFreezeMatchesLiveSeries(t *testing.T) {
+	const extBase = 1 << 12
+	vantages := []Vantage{"penn", "lu"}
+	for seed := int64(1); seed <= 25; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		db := NewDB()
+		db.Reserve(64, extBase, 64)
+		add := func(n int) {
+			for k := 0; k < n; k++ {
+				site := alexa.SiteID(rng.Intn(64)) // dense main
+				switch rng.Intn(4) {
+				case 1:
+					site += extBase // dense ext
+				case 2:
+					site += 64 // overflow until the Reserve below
+				case 3:
+					site += 1 << 20 // overflow throughout
+				}
+				db.AddSample(vantages[rng.Intn(2)], site, famBoth[rng.Intn(2)], Sample{
+					Round:     rng.Intn(12), // out of order at times
+					Date:      time.Unix(int64(rng.Intn(6)), 0),
+					PageBytes: rng.Intn(5000),
+					Downloads: 1 + rng.Intn(5),
+					MeanSpeed: rng.Float64(),
+					CIOK:      rng.Intn(3) > 0,
+				})
+			}
+		}
+		add(120)
+		db.Reserve(128, extBase, 64) // migrates ids [64, 128) to dense slots
+		add(120)
+
+		snap := db.Freeze()
+		want := map[Vantage][]string{}
+		for _, v := range vantages {
+			want[v] = seriesDump(db.ForEachSeries, v)
+		}
+		check := func(when string) {
+			t.Helper()
+			for _, v := range vantages {
+				var got []string
+				var buf []Sample
+				for _, site := range snap.SampledSites(v) {
+					for _, fam := range famBoth {
+						if buf = snap.Series(buf[:0], v, site, fam); len(buf) > 0 {
+							got = append(got, fmt.Sprintf("%d/%v:%v", site, fam, buf))
+						}
+					}
+				}
+				if !reflect.DeepEqual(got, want[v]) {
+					t.Fatalf("seed %d %s, %s: snapshot reads\n%v\nlive reads\n%v", seed, when, v, got, want[v])
+				}
+				if dump := seriesDump(snap.ForEachSeries, v); !reflect.DeepEqual(dump, want[v]) {
+					t.Fatalf("seed %d %s, %s: Snapshot.ForEachSeries reads\n%v", seed, when, v, dump)
+				}
+			}
+		}
+		check("at freeze")
+
+		add(120) // appends to frozen series, and may create new ones
+		for _, site := range []alexa.SiteID{200, extBase + 100, 1 << 21} {
+			for _, v := range vantages {
+				db.AddSample(v, site, topo.V6, Sample{Round: 3, MeanSpeed: 99, CIOK: true})
+			}
+		}
+		db.Reserve(256, extBase, 128) // migrates site 200's new series
+		check("after later writes")
 	}
 }
