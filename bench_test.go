@@ -94,7 +94,7 @@ func readShapeGolden() (shapeSet, error) {
 // a value that differs from the golden's, or that the golden lacks,
 // fails the benchmark. Only metrics that are pure functions of code
 // and seed go through it; those that read the clock or the Go heap
-// (req/s, fault-off-overhead, merge-ns, bytes/site) use plain
+// (req/s, quiet-injector-overhead, merge-ns, bytes/site) use plain
 // b.ReportMetric.
 func reportShape(b *testing.B, v float64, unit string) {
 	b.Helper()
@@ -606,17 +606,20 @@ func BenchmarkShardedPaperScaleMini(b *testing.B) {
 	}
 }
 
-// BenchmarkFaultOffOverhead prices the fault-injection layer when no
-// plan is armed — the common case for every production campaign. Each
-// iteration runs the same small sharded campaign in twenty pairs, once
-// with Options.Faults nil and once with a parsed-but-empty plan (every
-// probability zero, as `-faults seed=1` would yield), alternating
-// which side of a pair runs first, and reports the median of the
-// pairs' wall-clock ratios as fault-off-overhead. The layer's contract
-// is that this stays ~1.0: a disabled injector must cost nothing
-// beyond a nil check at each hook site. One pair takes ~0.1 s, so a
-// single pair's ratio swings widely; the median of alternating pairs
-// holds still.
+// BenchmarkFaultOffOverhead prices a wired but quiet fault injector —
+// the cost of arming a plan in a production campaign when nothing
+// fires. Each iteration runs the same small sharded campaign in twenty
+// pairs, once with Options.Faults nil and once with a plan Enabled
+// accepts (so the coordinator builds an injector and every worker
+// draws from it) whose only fault, DupRound at 1e-9, is drawn once per
+// (shard, attempt, round), a few dozen times per campaign: it cannot
+// fire here. Pairs alternate which side runs first; the benchmark
+// reports the median of the pairs' wall-clock ratios as
+// quiet-injector-overhead, whose contract is ~1.0. It fails if the
+// armed side retried or merged anything different, since a plan that
+// fired would price the fault, not the wiring. One pair takes ~0.1 s,
+// so a single pair's ratio swings widely; the median of alternating
+// pairs holds still.
 func BenchmarkFaultOffOverhead(b *testing.B) {
 	b.ReportAllocs()
 	cfg := core.DefaultConfig(42)
@@ -626,30 +629,52 @@ func BenchmarkFaultOffOverhead(b *testing.B) {
 	cfg.Rounds = 6
 	cfg.V6DayRounds = 3
 	cfg.Vantages = core.ScaledVantages(cfg.Rounds)
-	off := &fault.Config{Seed: 1}
-	run := func(fc *fault.Config) time.Duration {
+	quiet := &fault.Config{Seed: 1, Wire: fault.WirePlan{DupRound: 1e-9}}
+	if !quiet.Enabled() {
+		b.Fatal("the quiet plan arms no injector")
+	}
+	type counts struct{ sites, dns, samples, paths int }
+	run := func(fc *fault.Config) (time.Duration, [2]counts) {
 		t0 := time.Now()
-		if _, _, err := shard.Run(context.Background(), cfg, shard.Options{Workers: 2, Faults: fc}); err != nil {
+		s, st, err := shard.Run(context.Background(), cfg, shard.Options{Workers: 2, Faults: fc})
+		if err != nil {
 			b.Fatal(err)
 		}
-		return time.Since(t0)
+		elapsed := time.Since(t0)
+		if st.Retries != 0 {
+			b.Fatalf("faults %+v: %d retries, want none", fc, st.Retries)
+		}
+		var c [2]counts
+		for k, db := range []*store.DB{s.DB, s.V6DayDB} {
+			c[k].sites, c[k].dns, c[k].samples, c[k].paths = db.Counts()
+		}
+		return elapsed, c
 	}
-	const pairs = 20 // even: each side runs first equally often
-	run(nil)         // warm-up, so the first pair starts no colder than the rest
+	const pairs = 20    // even: each side runs first equally often
+	_, want := run(nil) // warm-up, so the first pair starts no colder than the rest
+	if _, got := run(quiet); got != want {
+		b.Fatalf("quiet plan merged %+v, unarmed %+v", got, want)
+	}
 	b.ResetTimer()
 	var ratios []float64
 	for i := 0; i < b.N; i++ {
 		for p := 0; p < pairs; p++ {
 			var base, wired time.Duration
+			var got [2]counts
 			if p%2 == 0 {
-				base, wired = run(nil), run(off)
+				base, _ = run(nil)
+				wired, got = run(quiet)
 			} else {
-				wired, base = run(off), run(nil)
+				wired, got = run(quiet)
+				base, _ = run(nil)
+			}
+			if got != want {
+				b.Fatalf("quiet plan merged %+v, unarmed %+v", got, want)
 			}
 			ratios = append(ratios, float64(wired)/float64(base))
 		}
 	}
-	b.ReportMetric(stats.Median(ratios), "fault-off-overhead")
+	b.ReportMetric(stats.Median(ratios), "quiet-injector-overhead")
 }
 
 // --- Snapshot formats -------------------------------------------------

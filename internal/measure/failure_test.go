@@ -3,6 +3,7 @@ package measure
 import (
 	"errors"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,9 +21,10 @@ type scriptFetcher struct {
 	fetchErrV4     error
 	fetchErrV6     error
 	// failFrom/failTo make Fetch calls in that 1-based inclusive
-	// range fail (0,0 disables).
-	failFrom, failTo int
-	calls            int
+	// range fail (0,0 disables). calls is atomic: a round's workers
+	// share the fetcher.
+	failFrom, failTo int64
+	calls            atomic.Int64
 	// noisy makes download times wildly variable so the CI stop rule
 	// cannot be satisfied.
 	noisy bool
@@ -33,8 +35,8 @@ func (f *scriptFetcher) Resolve(SiteRef, time.Time) (bool, bool, error) {
 }
 
 func (f *scriptFetcher) Fetch(_ SiteRef, fam topo.Family, _ int, _ float64, rng *rand.Rand) (FetchResult, error) {
-	f.calls++
-	if f.failFrom > 0 && f.calls >= f.failFrom && f.calls <= f.failTo {
+	n := f.calls.Add(1)
+	if f.failFrom > 0 && n >= f.failFrom && n <= f.failTo {
 		return FetchResult{}, errors.New("transient failure")
 	}
 	if fam == topo.V4 && f.fetchErrV4 != nil {
@@ -90,8 +92,8 @@ func TestV4OnlySiteSkipsDownloadPhase(t *testing.T) {
 	if len(rows) != 1 || !rows[0].HasA || rows[0].HasAAAA {
 		t.Fatalf("dns rows: %+v", rows)
 	}
-	if f.calls != 0 {
-		t.Fatalf("download phase ran %d fetches for a v4-only site", f.calls)
+	if n := f.calls.Load(); n != 0 {
+		t.Fatalf("download phase ran %d fetches for a v4-only site", n)
 	}
 }
 

@@ -226,8 +226,9 @@ type roundAcc struct {
 // adjacent slots of every per-site table (the catalogue's site
 // pointers, the store's site-row columns and DNS runs) instead of
 // landing on a random cache line each. minBlock amortizes a block's
-// fixed cost: one claim and two store flushes that each pass over
-// every lock shard.
+// fixed cost: one claim and one store.Flush, which takes a lock per
+// site stripe and per DNS stripe the block's rows fall in (sixteen of
+// each for a run of sixteen or more contiguous ids).
 const (
 	minBlock = 64
 	maxBlock = 1024
@@ -279,24 +280,24 @@ func (m *Monitor) RunRound(round int, date time.Time, tFrac float64, sites []Sit
 			// worker picks a site up or in what order.
 			src := det.NewSource(0)
 			rng := rand.New(src)
-			// The buffers hold at most one block and are flushed into the
+			// The batch holds at most one block and is flushed into the
 			// store per block, so the worker never accumulates a round's
 			// worth of rows: the single-stack majority collapses into
-			// run-length counters immediately.
-			dnsBuf := make([]store.DNSRow, 0, bs)
-			siteBuf := make([]store.CanonicalSite, 0, bs)
+			// run-length counters immediately. It is the worker's own:
+			// core runs one monitor's rounds for several site lists at
+			// once, so a batch on the Monitor would be shared.
+			batch := store.NewBatch(bs)
 			for {
 				k := int(next.Add(1) - 1)
 				if k >= len(order) {
 					return
 				}
 				lo := order[k] * bs
-				dnsBuf, siteBuf = dnsBuf[:0], siteBuf[:0]
 				for _, ref := range sites[lo:min(lo+bs, len(sites))] {
 					res := m.monitorSite(ref, round, date, tFrac, src, rng)
 					if res.hasDNS {
-						dnsBuf = append(dnsBuf, res.dns)
-						siteBuf = append(siteBuf, store.CanonicalSite{Site: ref.ID, FirstRank: ref.FirstRank, V4AS: res.v4AS, V6AS: res.v6AS})
+						batch.AddDNS(res.dns)
+						batch.AddSite(store.CanonicalSite{Site: ref.ID, FirstRank: ref.FirstRank, V4AS: res.v4AS, V6AS: res.v6AS})
 					}
 					if res.dual {
 						acc.st.Dual++
@@ -320,8 +321,7 @@ func (m *Monitor) RunRound(round int, date time.Time, tFrac float64, sites []Sit
 						acc.dest.add(res.v6AS)
 					}
 				}
-				m.db.EnsureCanonicalSites(siteBuf)
-				m.db.AddDNSBatch(m.cfg.Vantage, dnsBuf)
+				m.db.Flush(m.cfg.Vantage, batch)
 			}
 		}(&accs[w])
 	}

@@ -142,33 +142,36 @@ func TestRunRoundDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestEnsureSiteMatchesPutSite checks the write-skipping batched site
-// upsert leaves the same table PutSite would, applied row by row in
-// batch order: across the adoption flip (v6 -1 -> AS), with an id
-// repeated within one batch on both sides of the flip, and for ids
-// outside the reserved dense range (the overflow map).
+// upsert (Batch.AddSite, then DB.Flush) leaves the same table PutSite
+// would, applied row by row in batch order: across the adoption flip
+// (v6 -1 -> AS), with an id repeated within one batch on both sides of
+// the flip, and for ids outside the reserved dense range (the overflow
+// map).
 func TestEnsureSiteMatchesPutSite(t *testing.T) {
 	a, b := store.NewDB(), store.NewDB()
 	// Ids [0, 40) are dense; [40, 50) live in the overflow map.
 	a.Reserve(40, 0, 0)
 	b.Reserve(40, 0, 0)
 	for round := 0; round < 4; round++ {
-		var batch []store.CanonicalSite
+		var views []store.CanonicalSite
 		for id := alexa.SiteID(0); id < 50; id++ {
 			v6 := -1
 			if round > 1 && id%3 == 0 {
 				v6 = 42 // adoption flips the row mid-study
 			}
-			batch = append(batch, store.CanonicalSite{Site: id, FirstRank: int(id) + 1, V4AS: 7, V6AS: v6})
+			views = append(views, store.CanonicalSite{Site: id, FirstRank: int(id) + 1, V4AS: 7, V6AS: v6})
 			if round == 1 && id%5 == 0 {
 				// The same site again, now adopted: the batch holds both
 				// sides of the flip and the later view must win.
-				batch = append(batch, store.CanonicalSite{Site: id, FirstRank: int(id) + 1, V4AS: 7, V6AS: 42})
+				views = append(views, store.CanonicalSite{Site: id, FirstRank: int(id) + 1, V4AS: 7, V6AS: 42})
 			}
 		}
-		for _, v := range batch {
+		var batch store.Batch
+		for _, v := range views {
 			a.PutSite(store.SiteRow{Site: v.Site, Host: HostName(v.Site), FirstRank: v.FirstRank, V4AS: v.V4AS, V6AS: v.V6AS})
+			batch.AddSite(v)
 		}
-		b.EnsureCanonicalSites(batch)
+		b.Flush("test", &batch)
 		ra, rb := a.Sites(), b.Sites()
 		if len(ra) != 50 || len(ra) != len(rb) {
 			t.Fatalf("round %d: row counts %d vs %d, want 50", round, len(ra), len(rb))

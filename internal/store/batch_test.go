@@ -1,0 +1,192 @@
+package store
+
+import (
+	"bytes"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"slices"
+	"testing"
+
+	"v6web/internal/alexa"
+)
+
+// flushTestSites returns the ids a randomized flush test draws from:
+// dense main ids, dense extended ids, and overflow ids on both sides
+// of each dense range.
+func flushTestSites(extBase alexa.SiteID) []alexa.SiteID {
+	var ids []alexa.SiteID
+	for id := alexa.SiteID(0); id < 120; id++ {
+		ids = append(ids, id)
+	}
+	for id := extBase; id < extBase+48; id++ {
+		ids = append(ids, id)
+	}
+	for k := alexa.SiteID(0); k < 24; k++ {
+		ids = append(ids, 300+k*7, extBase+200+k*3)
+	}
+	return ids
+}
+
+// TestFlushMatchesRowByRow: DB.Flush over one reused Batch leaves the
+// same site rows, DNS rows, out-of-order log and SaveBinary bytes as
+// applying the same rows one at a time through PutSite (canonical
+// host) and AddDNS, in the order Flush promises: site views in batch
+// order, DNS rows by lock stripe, then batch order. The batches mix
+// dense main and extended ids with overflow ids, repeat a site within
+// one batch on both sides of the adoption flip, and carry
+// out-of-order and duplicate rounds; direct PutSite writes land
+// between flushes.
+func TestFlushMatchesRowByRow(t *testing.T) {
+	const extBase = alexa.SiteID(1 << 20)
+	ids := flushTestSites(extBase)
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		want, got := NewDB(), NewDB()
+		for _, db := range []*DB{want, got} {
+			db.Reserve(120, extBase, 48)
+		}
+		adopted := make(map[alexa.SiteID]bool)
+		var batch Batch
+		for round := 0; round < 12; round++ {
+			// A direct write between flushes, with values no view
+			// carries: the flush must not replay views it has already
+			// applied over it.
+			for k := 0; k < 3; k++ {
+				id := ids[rng.Intn(len(ids))]
+				row := SiteRow{Site: id, Host: "direct.example", FirstRank: -1 - round, V4AS: 99, V6AS: 99}
+				want.PutSite(row)
+				got.PutSite(row)
+			}
+			// Visit the sites in a fresh random order, so a batch's
+			// rows interleave the stripes.
+			rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+			var views []CanonicalSite
+			var rows []DNSRow
+			for _, id := range ids {
+				if rng.Intn(4) == 0 {
+					continue // not visited this round
+				}
+				view := CanonicalSite{Site: id, FirstRank: int(id%1000) + 1, V4AS: int(id % 13), V6AS: -1}
+				if adopted[id] {
+					view.V6AS = int(id % 17)
+				}
+				row := DNSRow{Site: id, Round: round, HasA: true, HasAAAA: adopted[id], Identical: adopted[id] && rng.Intn(3) > 0}
+				views = append(views, view)
+				rows = append(rows, row)
+				switch rng.Intn(12) {
+				case 0:
+					// The site adopts mid-batch: a second view and row
+					// on the other side of the flip; the later ones win.
+					adopted[id] = true
+					view.V6AS, row.HasAAAA = int(id%17), true
+					views = append(views, view)
+					rows = append(rows, row)
+				case 1:
+					// A duplicate round.
+					rows = append(rows, row)
+				case 2:
+					if round > 1 {
+						// An out-of-order round.
+						row.Round = round - 2
+						row.Identical = !row.Identical
+						rows = append(rows, row)
+					}
+				case 3:
+					if !adopted[id] && rng.Intn(2) == 0 {
+						adopted[id] = true
+					}
+				}
+			}
+			for _, v := range views {
+				want.PutSite(SiteRow{Site: v.Site, Host: alexa.HostName(v.Site), FirstRank: v.FirstRank, V4AS: v.V4AS, V6AS: v.V6AS})
+				batch.AddSite(v)
+			}
+			byStripe := slices.Clone(rows)
+			slices.SortStableFunc(byStripe, func(a, b DNSRow) int {
+				return int(uint64(a.Site)&(shards-1)) - int(uint64(b.Site)&(shards-1))
+			})
+			for _, r := range byStripe {
+				want.AddDNS("penn", r)
+			}
+			for _, r := range rows {
+				batch.AddDNS(r)
+			}
+			got.Flush("penn", &batch)
+			if w, g := want.lookup("penn").ooo, got.lookup("penn").ooo; !reflect.DeepEqual(w, g) {
+				t.Fatalf("seed %d round %d: out-of-order log\n got %+v\nwant %+v", seed, round, g, w)
+			}
+		}
+		if w, g := want.Sites(), got.Sites(); !reflect.DeepEqual(w, g) {
+			t.Fatalf("seed %d: site rows differ:\n got %+v\nwant %+v", seed, g, w)
+		}
+		if w, g := want.DNS("penn"), got.DNS("penn"); !reflect.DeepEqual(w, g) {
+			t.Fatalf("seed %d: DNS rows differ (%d vs %d rows)", seed, len(g), len(w))
+		}
+		dir := t.TempDir()
+		var saved [2][]byte
+		for k, db := range []*DB{want, got} {
+			path := filepath.Join(dir, []string{"want", "got"}[k]+BinaryExt)
+			if err := db.SaveBinary(path, BinaryOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			saved[k] = data
+		}
+		if !bytes.Equal(saved[0], saved[1]) {
+			t.Fatalf("seed %d: SaveBinary bytes differ (%d vs %d bytes)", seed, len(saved[1]), len(saved[0]))
+		}
+	}
+}
+
+// TestFlushWithoutDNSCreatesNoVantage: a batch of site views alone
+// leaves the vantage set untouched.
+func TestFlushWithoutDNSCreatesNoVantage(t *testing.T) {
+	db := NewDB()
+	var batch Batch
+	batch.AddSite(CanonicalSite{Site: 3, FirstRank: 3, V4AS: 4, V6AS: -1})
+	db.Flush("penn", &batch)
+	if vs := db.Vantages(); len(vs) != 0 {
+		t.Fatalf("vantages = %v, want none", vs)
+	}
+	if _, ok := db.Site(3); !ok {
+		t.Fatal("site row not flushed")
+	}
+}
+
+// TestFlushWarmAllocsZero: NewBatch sizes its buckets for a block of
+// contiguous ids, and once the batch has carried a block the monitor's
+// per-block cycle — add every site's view and DNS row, then Flush —
+// allocates nothing for dense sites whose rows are unchanged and whose
+// DNS runs extend.
+func TestFlushWarmAllocsZero(t *testing.T) {
+	const block = 1024
+	db := NewDB()
+	db.Reserve(block, 0, 0)
+	batch := NewBatch(block)
+	round := 0
+	cycle := func() {
+		for id := alexa.SiteID(0); id < block; id++ {
+			batch.AddSite(CanonicalSite{Site: id, FirstRank: int(id) + 1, V4AS: 7, V6AS: -1})
+			batch.AddDNS(DNSRow{Site: id, Round: round, HasA: true})
+		}
+		db.Flush("penn", batch)
+		round++
+	}
+	cycle()
+	for i := range batch.sites {
+		if s, d := cap(batch.sites[i]), cap(batch.dns[i]); s != block/shards || d != block/shards {
+			t.Fatalf("stripe %d: a block grew NewBatch's buckets to %d and %d rows, want %d", i, s, d, block/shards)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+		t.Fatalf("warm add-and-flush cycle allocates %v times, want 0", allocs)
+	}
+	if rows, runs, sites := db.DNSStats("penn"); rows != block*round || runs != block || sites != block {
+		t.Fatalf("DNSStats = %d rows, %d runs, %d sites; want %d, %d, %d", rows, runs, sites, block*round, block, block)
+	}
+}

@@ -431,7 +431,7 @@ func referenceSnapSites(db *DB) []byte {
 // TestSnapSitesMatchReferenceEncoder: the site section SaveBinary
 // writes from the columns is byte-equal to the reference encoder for a
 // database mixing canonical dense rows (main and extended, written by
-// PutSite and by the monitor's EnsureCanonicalSites), in-range custom
+// PutSite and by the monitor's batched Flush), in-range custom
 // hosts, and overflow rows with canonical and custom hosts on both
 // sides of each dense range; LoadBinary round-trips it.
 func TestSnapSitesMatchReferenceEncoder(t *testing.T) {
@@ -441,14 +441,14 @@ func TestSnapSitesMatchReferenceEncoder(t *testing.T) {
 	for id := alexa.SiteID(0); id < 180; id += 3 {
 		db.PutSite(SiteRow{Site: id, Host: alexa.HostName(id), FirstRank: int(id) + 1, V4AS: int(id % 11), V6AS: -1})
 	}
-	var views []CanonicalSite
+	var batch Batch
 	for id := alexa.SiteID(1); id < 60; id += 3 {
-		views = append(views, CanonicalSite{Site: id, FirstRank: int(id) + 2, V4AS: 4, V6AS: 5})
+		batch.AddSite(CanonicalSite{Site: id, FirstRank: int(id) + 2, V4AS: 4, V6AS: 5})
 	}
 	for id := extBase; id < extBase+40; id += 2 {
-		views = append(views, CanonicalSite{Site: id, V4AS: 6, V6AS: -1})
+		batch.AddSite(CanonicalSite{Site: id, V4AS: 6, V6AS: -1})
 	}
-	db.EnsureCanonicalSites(views)
+	db.Flush("penn", &batch)
 	db.PutSite(SiteRow{Site: 9, Host: "custom.example", FirstRank: 10, V4AS: 1, V6AS: 2})
 	db.PutSite(SiteRow{Site: 13, Host: "custom-new.example", FirstRank: 14, V4AS: 3, V6AS: -1})
 	db.PutSite(SiteRow{Site: extBase + 5, Host: "ext-custom.example", V4AS: 7, V6AS: 7})

@@ -33,11 +33,13 @@ package store
 // *CorruptSnapshotError.
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -499,12 +501,27 @@ func (t *vantageTable) appendSegDNS(w *wbuf, res reservation, from, to int32, oo
 	return nGrown + nOther + len(ooo)
 }
 
+// segSeries is one series a segment carries: its sort key within the
+// stripe (family, then the id's range, then id) and its index in the
+// stripe's series storage.
+type segSeries struct {
+	fam   topo.Family
+	table int // 0 main, 1 ext, 2 overflow
+	id    alexa.SiteID
+	idx   int32
+}
+
 // appendSegSamples encodes the vantage's sample changes since mark
 // round from: the dates past index datesFrom (fixed 8-byte unix
 // nanos), then per series with samples at rounds >= from: site id,
-// family byte, count and the samples in the shard-wire format.
+// family byte, count and the samples in the shard-wire format. Series
+// come per stripe, ordered by family (V4 first), by the id's range as
+// the reservation places it (main, ext, overflow), then by id. Each
+// stripe walks its series owners, so a segment costs O(sampled
+// series), not O(reserved ids).
 func (t *vantageTable) appendSegSamples(w *wbuf, res reservation, from int32, datesFrom int) int {
 	var rows wbuf
+	var changed []segSeries
 	n := 0
 	for i := range t.samples {
 		sh := &t.samples[i]
@@ -513,38 +530,37 @@ func (t *vantageTable) appendSegSamples(w *wbuf, res reservation, from int32, da
 			sh.mu.Unlock()
 			continue
 		}
-		emit := func(id alexa.SiteID, fam topo.Family, idx int32) {
-			if idx < 0 {
-				return
-			}
+		changed = changed[:0]
+		for idx, o := range sh.owner {
 			series := sh.series[idx]
+			if len(series) == 0 || series[len(series)-1].round < from {
+				continue
+			}
+			table, _ := res.locate(o.site)
+			if table < 0 {
+				table = 2
+			}
+			changed = append(changed, segSeries{fam: o.fam, table: table, id: o.site, idx: int32(idx)})
+		}
+		slices.SortFunc(changed, func(a, b segSeries) int {
+			if a.fam != b.fam {
+				return cmp.Compare(a.fam, b.fam)
+			}
+			if a.table != b.table {
+				return cmp.Compare(a.table, b.table)
+			}
+			return cmp.Compare(a.id, b.id)
+		})
+		for _, c := range changed {
+			series := sh.series[c.idx]
 			k := len(series)
 			for k > 0 && series[k-1].round >= from {
 				k--
 			}
-			if k == len(series) {
-				return
-			}
-			rows.uvarint(uint64(id))
-			rows.byteVal(byte(fam))
+			rows.uvarint(uint64(c.id))
+			rows.byteVal(byte(c.fam))
 			rows.samples(series[k:])
 			n++
-		}
-		for f, fam := range famBoth {
-			for slot, idx := range sh.main[f] {
-				emit(alexa.SiteID(slot<<shardBits|i), fam, idx)
-			}
-			for slot, idx := range sh.ext[f] {
-				emit(res.extBase+alexa.SiteID(slot<<shardBits|i), fam, idx)
-			}
-			over := make([]alexa.SiteID, 0, len(sh.over[f]))
-			for id := range sh.over[f] {
-				over = append(over, id)
-			}
-			sort.Slice(over, func(a, b int) bool { return over[a] < over[b] })
-			for _, id := range over {
-				emit(id, fam, sh.over[f][id])
-			}
 		}
 		sh.mu.Unlock()
 	}

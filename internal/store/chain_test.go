@@ -3,8 +3,10 @@ package store
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 	"time"
 
@@ -265,5 +267,120 @@ func TestChainMismatchIsCorrupt(t *testing.T) {
 	}
 	if _, err := b.LoadSnapshot(SnapMain); !errors.As(err, &ce) {
 		t.Fatalf("chain missing segment 1: %v, want *CorruptSnapshotError", err)
+	}
+}
+
+// referenceSegSamples is the segment sample encoder as it walked every
+// reserved slot: per stripe with appends since the mark, per family,
+// the main slots, the ext slots, then the sorted overflow ids.
+func (t *vantageTable) referenceSegSamples(w *wbuf, res reservation, from int32, datesFrom int) int {
+	var rows wbuf
+	n := 0
+	for i := range t.samples {
+		sh := &t.samples[i]
+		sh.mu.Lock()
+		if sh.lo == noLow {
+			sh.mu.Unlock()
+			continue
+		}
+		emit := func(id alexa.SiteID, fam topo.Family, idx int32) {
+			if idx < 0 {
+				return
+			}
+			series := sh.series[idx]
+			k := len(series)
+			for k > 0 && series[k-1].round >= from {
+				k--
+			}
+			if k == len(series) {
+				return
+			}
+			rows.uvarint(uint64(id))
+			rows.byteVal(byte(fam))
+			rows.samples(series[k:])
+			n++
+		}
+		for f, fam := range famBoth {
+			for slot, idx := range sh.main[f] {
+				emit(alexa.SiteID(slot<<shardBits|i), fam, idx)
+			}
+			for slot, idx := range sh.ext[f] {
+				emit(res.extBase+alexa.SiteID(slot<<shardBits|i), fam, idx)
+			}
+			over := make([]alexa.SiteID, 0, len(sh.over[f]))
+			for id := range sh.over[f] {
+				over = append(over, id)
+			}
+			sort.Slice(over, func(a, b int) bool { return over[a] < over[b] })
+			for _, id := range over {
+				emit(id, fam, sh.over[f][id])
+			}
+		}
+		sh.mu.Unlock()
+	}
+	dates := t.dateTable()[datesFrom:]
+	w.uvarint(uint64(len(dates)))
+	for _, d := range dates {
+		w.u64(uint64(d.UnixNano()))
+	}
+	w.uvarint(uint64(n))
+	w.bytes(rows.b)
+	return n + len(dates)
+}
+
+// TestSegSamplesMatchReferenceEncoder: the owner-driven segment sample
+// encoder writes the bytes of the slot walk it replaced, for databases
+// with dense main and extended series, overflow series on both sides
+// of each range, series a later Reserve migrates into the dense
+// ranges, stripes without appends since a mark, late samples below
+// the newest round, and every mark round.
+func TestSegSamplesMatchReferenceEncoder(t *testing.T) {
+	const extBase = alexa.SiteID(1 << 20)
+	var ids []alexa.SiteID
+	for id := alexa.SiteID(0); id < 96; id++ {
+		ids = append(ids, id) // [0, 48) dense at first, [48, 96) once Reserve grows
+	}
+	for id := extBase; id < extBase+48; id++ {
+		ids = append(ids, id) // [0, 16) dense at first, then [0, 48)
+	}
+	ids = append(ids, 500, 777, extBase+900, 1<<30)
+	for seed := int64(1); seed <= 15; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		db := NewDB()
+		db.Reserve(48, extBase, 16)
+		for r := 0; r < 16; r++ {
+			if r == 8 {
+				db.Reserve(96, extBase, 48)
+			}
+			date := time.Date(2011, 9, 1, 0, 0, 0, 0, time.UTC).AddDate(0, 0, 7*r)
+			for _, v := range []Vantage{"penn", "tokyo"} {
+				for _, id := range ids {
+					if rng.Intn(3) == 0 {
+						continue
+					}
+					fam := famBoth[rng.Intn(2)]
+					round := r
+					if r > 2 && rng.Intn(10) == 0 {
+						round = r - 1 - rng.Intn(3) // a late sample
+					}
+					db.AddSample(v, id, fam, Sample{Round: round, Date: date, PageBytes: int(id%97) + r, Downloads: 3, MeanSpeed: float64(r), CIOK: r%3 != 0})
+				}
+			}
+			if r%5 == 4 {
+				db.mark() // later stripes without appends are skipped
+			}
+			for _, v := range db.Vantages() {
+				tab := db.lookup(v)
+				for from := int32(0); from <= int32(r)+1; from++ {
+					datesFrom := rng.Intn(len(tab.dateTable()) + 1)
+					var got, want wbuf
+					ng := tab.appendSegSamples(&got, db.res, from, datesFrom)
+					nw := tab.referenceSegSamples(&want, db.res, from, datesFrom)
+					if ng != nw || !bytes.Equal(got.b, want.b) {
+						t.Fatalf("seed %d round %d %s from %d: %d entries %x, reference %d entries %x", seed, r, v, from, ng, got.b, nw, want.b)
+					}
+				}
+			}
+		}
 	}
 }

@@ -97,9 +97,12 @@ func TestDNSDeltaCSVByteIdentical(t *testing.T) {
 			// way concurrent workers do.
 			byRound := append([]DNSRow(nil), rows...)
 			sort.SliceStable(byRound, func(i, j int) bool { return byRound[i].Round < byRound[j].Round })
+			var batch Batch
 			for start := 0; start < len(byRound); start += 7 {
-				end := min(start+7, len(byRound))
-				db.AddDNSBatch("penn", byRound[start:end])
+				for _, row := range byRound[start:min(start+7, len(byRound))] {
+					batch.AddDNS(row)
+				}
+				db.Flush("penn", &batch)
 			}
 
 			dir := t.TempDir()
@@ -377,21 +380,19 @@ func TestColumnarConcurrentAppends(t *testing.T) {
 			// Disjoint site slices per goroutine (the monitor's
 			// partition), but shared shards and vantage tables.
 			base := alexa.SiteID(w * 200)
+			var batch Batch
 			for r := 0; r < 25; r++ {
-				var batch []DNSRow
 				for k := alexa.SiteID(0); k < 200; k++ {
 					id := base + k
-					batch = append(batch, DNSRow{Site: id, Round: r, HasA: true, HasAAAA: r > 10 && k%7 == 0})
+					batch.AddDNS(DNSRow{Site: id, Round: r, HasA: true, HasAAAA: r > 10 && k%7 == 0})
 				}
-				db.AddDNSBatch("penn", batch)
-				var views []CanonicalSite
 				for k := alexa.SiteID(0); k < 200; k += 50 {
 					id := base + k
-					views = append(views, CanonicalSite{Site: id, FirstRank: int(id) + 1, V4AS: 3, V6AS: -1})
+					batch.AddSite(CanonicalSite{Site: id, FirstRank: int(id) + 1, V4AS: 3, V6AS: -1})
 					db.AddSample("penn", id, topo.V4, Sample{Round: r, MeanSpeed: 12, CIOK: true})
 					db.AddSample("penn", 1<<20+id%512, topo.V6, Sample{Round: r, MeanSpeed: 9, CIOK: true})
 				}
-				db.EnsureCanonicalSites(views)
+				db.Flush("penn", &batch)
 				if r%10 == 0 {
 					snap := db.Freeze()
 					snap.Series(nil, "penn", base, topo.V4)
@@ -424,7 +425,9 @@ func TestHostInterning(t *testing.T) {
 	db.Reserve(64, 0, 0)
 	db.PutSite(SiteRow{Site: 1, Host: alexa.HostName(1), FirstRank: 1, V4AS: 2, V6AS: -1})
 	db.PutSite(SiteRow{Site: 2, Host: "custom.example", FirstRank: 2, V4AS: 2, V6AS: -1})
-	db.EnsureCanonicalSites([]CanonicalSite{{Site: 3, FirstRank: 3, V4AS: 4, V6AS: -1}})
+	var batch Batch
+	batch.AddSite(CanonicalSite{Site: 3, FirstRank: 3, V4AS: 4, V6AS: -1})
+	db.Flush("penn", &batch)
 	for id, want := range map[alexa.SiteID]string{1: alexa.HostName(1), 2: "custom.example", 3: alexa.HostName(3)} {
 		r, ok := db.Site(id)
 		if !ok || r.Host != want {

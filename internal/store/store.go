@@ -809,33 +809,98 @@ type CanonicalSite struct {
 	V6AS      int
 }
 
-// EnsureCanonicalSites records a monitor worker's buffered site views
-// — the monitoring hot path, flushed once per dispatch block beside
-// AddDNSBatch — taking each shard lock once per batch rather than once
-// per row. A row is written only where it differs from the stored one:
-// for the (overwhelmingly common) unchanged row that is three integer
-// compares, and no host string is ever built for dense-range sites.
-// The resulting table is identical to calling PutSite with the
-// canonical host for each view in slice order: last write wins.
-func (db *DB) EnsureCanonicalSites(rows []CanonicalSite) {
+// Batch buffers a monitor worker's site views and DNS rows for one
+// Flush — the monitoring hot path, flushed once per dispatch block.
+// The adders bucket each row by its lock stripe as it arrives, so
+// Flush touches every row once instead of rescanning the batch per
+// stripe. The zero Batch is ready to use; Flush empties it and keeps
+// its buckets' capacity, so a reused Batch stops allocating once it
+// has seen a full block. A Batch is not safe for concurrent use.
+type Batch struct {
+	sites [shards][]CanonicalSite
+	dns   [shards][]DNSRow
+	ooo   []DNSRow // Flush's scratch for out-of-order rows
+}
+
+// NewBatch returns an empty Batch sized for a block of rows contiguous
+// site ids: each bucket holds its stripe's share of the block's site
+// views and DNS rows without growing. Buckets grown from empty instead
+// leave small arrays of many size classes behind every worker of every
+// round, which showed as higher peak RSS.
+func NewBatch(rows int) *Batch {
+	b := new(Batch)
+	n := (rows + shards - 1) / shards
+	for i := range b.sites {
+		b.sites[i] = make([]CanonicalSite, 0, n)
+		b.dns[i] = make([]DNSRow, 0, n)
+	}
+	return b
+}
+
+// AddSite buffers a site view for the next Flush.
+func (b *Batch) AddSite(r CanonicalSite) {
+	i := uint64(r.Site) & (shards - 1)
+	b.sites[i] = append(b.sites[i], r)
+}
+
+// AddDNS buffers a DNS row for the next Flush.
+func (b *Batch) AddDNS(r DNSRow) {
+	i := uint64(r.Site) & (shards - 1)
+	b.dns[i] = append(b.dns[i], r)
+}
+
+// Flush records b's rows and empties it, taking each site-stripe and
+// DNS-stripe lock at most once. Every table ends up as if the rows were
+// applied one by one in the order they were added: site views as
+// PutSite with the canonical host (last write wins), DNS rows at
+// vantage v as AddDNS. A site view is written only where it differs
+// from the stored row: for the (overwhelmingly common) unchanged row
+// that is three integer compares, and no host string is ever built for
+// dense-range sites. DNS rows for one site must arrive in round order
+// across Flushes (the monitor's rounds are sequential); rows violating
+// that join the out-of-order log, a batch's in stripe order, then
+// batch order. A batch without DNS rows does not create v's table.
+func (db *DB) Flush(v Vantage, b *Batch) {
 	res := db.res
-	for i := range db.sites {
+	for i := range b.sites {
+		rows := b.sites[i]
+		if len(rows) == 0 {
+			continue
+		}
 		sh := &db.sites[i]
-		locked := false
+		sh.mu.Lock()
 		for k := range rows {
-			if uint64(rows[k].Site)&(shards-1) != uint64(i) {
-				continue
-			}
-			if !locked {
-				sh.mu.Lock()
-				locked = true
-			}
 			sh.ensure(res, &rows[k])
 		}
-		if locked {
-			sh.mu.Unlock()
-		}
+		sh.mu.Unlock()
+		b.sites[i] = rows[:0]
 	}
+	var t *vantageTable
+	ooo := b.ooo[:0]
+	for i := range b.dns {
+		rows := b.dns[i]
+		if len(rows) == 0 {
+			continue
+		}
+		if t == nil {
+			t = db.table(v)
+		}
+		sh := &t.dns[i]
+		sh.mu.Lock()
+		for _, row := range rows {
+			if sh.add(res, row) {
+				ooo = append(ooo, row)
+			}
+		}
+		sh.mu.Unlock()
+		b.dns[i] = rows[:0]
+	}
+	if len(ooo) > 0 {
+		t.oooMu.Lock()
+		t.ooo = append(t.ooo, ooo...)
+		t.oooMu.Unlock()
+	}
+	b.ooo = ooo[:0]
 }
 
 // ensure writes r's row unless the stored row already carries its
@@ -1001,44 +1066,6 @@ func (t *vantageTable) addSiteDNS(res reservation, rows []DNSRow) {
 		}
 	}
 	sh.mu.Unlock()
-	if len(ooo) > 0 {
-		t.oooMu.Lock()
-		t.ooo = append(t.ooo, ooo...)
-		t.oooMu.Unlock()
-	}
-}
-
-// AddDNSBatch feeds a worker's buffered DNS rows to the delta
-// encoder, taking each shard lock once per batch rather than once per
-// row. Batches for the same site must arrive in round order (the
-// monitor's rounds are sequential); rows violating that are kept as
-// explicit out-of-order rows.
-func (db *DB) AddDNSBatch(v Vantage, rows []DNSRow) {
-	if len(rows) == 0 {
-		return
-	}
-	t := db.table(v)
-	res := db.res
-	var ooo []DNSRow
-	for i := 0; i < shards; i++ {
-		sh := &t.dns[i]
-		locked := false
-		for _, row := range rows {
-			if uint64(row.Site)&(shards-1) != uint64(i) {
-				continue
-			}
-			if !locked {
-				sh.mu.Lock()
-				locked = true
-			}
-			if sh.add(res, row) {
-				ooo = append(ooo, row)
-			}
-		}
-		if locked {
-			sh.mu.Unlock()
-		}
-	}
 	if len(ooo) > 0 {
 		t.oooMu.Lock()
 		t.ooo = append(t.ooo, ooo...)
