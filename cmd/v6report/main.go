@@ -28,7 +28,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"v6web/internal/analysis"
@@ -36,7 +35,6 @@ import (
 	"v6web/internal/core"
 	"v6web/internal/report"
 	"v6web/internal/scenario"
-	"v6web/internal/store"
 )
 
 func main() {
@@ -98,23 +96,19 @@ func main() {
 		return
 	}
 
-	main1, err := store.Load(filepath.Join(*dbDir, store.SnapMain))
+	// The World IPv6 Day database is optional (older saves may predate
+	// it), but a partially written one is a real error: OpenCompleted
+	// surfaces it instead of silently dropping Tables 10 and 12.
+	main1, v6dayDB, err := cli.OpenCompleted(*dbDir)
 	if err != nil {
 		fatal(err)
 	}
 	study := report.StudyOfSnapshot(main1.Freeze(), analysis.DefaultThresholds())
-
-	// The World IPv6 Day database is optional (older saves may predate
-	// it), but a partially written one is a real error — surface it
-	// instead of silently dropping Tables 10 and 12.
 	var v6day *analysis.Study
-	switch v6dayDB, err := store.Load(filepath.Join(*dbDir, store.SnapV6Day)); {
-	case err == nil:
+	if v6dayDB != nil {
 		v6day = report.StudyOfSnapshot(v6dayDB.Freeze(), report.V6DayThresholds())
-	case errors.Is(err, store.ErrNoDatabase):
+	} else {
 		fmt.Fprintln(os.Stderr, "v6report: no World IPv6 Day database; skipping Tables 10 and 12")
-	default:
-		fatal(err)
 	}
 
 	report.RenderStudy(os.Stdout, study, v6day)

@@ -3,7 +3,8 @@ package cli
 // The campaign lifecycle every long-running tool (v6mon, v6shard
 // coordinate, v6mond) shares: the signal context that drains it, the
 // exit that reports a drain, the one completion step a finished
-// campaign goes through, and the sharded driver around that step.
+// campaign goes through, the one reader of the product it writes, and
+// the sharded driver around that step.
 
 import (
 	"context"
@@ -102,6 +103,24 @@ func Finish(ctx context.Context, s *core.Scenario, dir string, ck store.Backend,
 		os.RemoveAll(scratch)
 	}
 	return nil
+}
+
+// OpenCompleted loads a finished campaign's product from dir, as
+// Finish wrote it: the main database, which must load, and the World
+// IPv6 Day database, nil when dir holds none (saves older than the
+// side experiment). Any other failure to load either is an error.
+func OpenCompleted(dir string) (main, v6day *store.DB, err error) {
+	if main, err = store.Load(filepath.Join(dir, store.SnapMain)); err != nil {
+		return nil, nil, err
+	}
+	v6day, err = store.Load(filepath.Join(dir, store.SnapV6Day))
+	switch {
+	case errors.Is(err, store.ErrNoDatabase):
+		return main, nil, nil
+	case err != nil:
+		return nil, nil, err
+	}
+	return main, v6day, nil
 }
 
 // RunSharded is the sharded campaign driver behind `v6mon -shards` and

@@ -267,7 +267,11 @@ type Scenario struct {
 }
 
 // NewScenario wires all substrates deterministically from cfg.
-func NewScenario(cfg Config) (*Scenario, error) {
+func NewScenario(cfg Config) (*Scenario, error) { return newScenario(cfg, store.NewDB()) }
+
+// newScenario is NewScenario around db as the main study database:
+// an empty one, or the one a checkpoint holds (Resume).
+func newScenario(cfg Config, db *store.DB) (*Scenario, error) {
 	if cfg.Vantages == nil {
 		cfg.Vantages = DefaultVantages()
 	}
@@ -277,7 +281,7 @@ func NewScenario(cfg Config) (*Scenario, error) {
 	s := &Scenario{
 		Cfg:       cfg,
 		Timeline:  alexa.DefaultTimeline(),
-		DB:        store.NewDB(),
+		DB:        db,
 		V6DayDB:   store.NewDB(),
 		monitors:  make(map[store.Vantage]*measure.Monitor),
 		fetchers:  make(map[store.Vantage]*measure.SimFetcher),

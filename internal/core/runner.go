@@ -401,12 +401,14 @@ func (c Config) Fingerprint() string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// Resume rebuilds a checkpointed campaign from b: a fresh scenario is
-// wired from cfg (which must fingerprint-match the checkpoint), the
-// saved measurement database is loaded, and the ranked list is
-// fast-forwarded to the checkpointed round. Continuing the returned
-// scenario with RunContext produces output round-for-round identical
-// to a never-interrupted campaign.
+// Resume rebuilds a checkpointed campaign from b: the saved
+// measurement database is loaded, a scenario is wired from cfg (which
+// must fingerprint-match the checkpoint) around it as its DB, and the
+// ranked list is fast-forwarded to the checkpointed round. The
+// fast-forward's reservations also move rows the load left in the
+// overflow maps (a CSV-era checkpoint, a shard's slice) into the dense
+// ranges. Continuing the returned scenario with RunContext produces
+// output round-for-round identical to a never-interrupted campaign.
 func Resume(cfg Config, b store.Backend) (*Scenario, error) {
 	if cfg.Vantages == nil {
 		cfg.Vantages = DefaultVantages()
@@ -424,19 +426,18 @@ func Resume(cfg Config, b store.Backend) (*Scenario, error) {
 	if meta.NextRound < 0 || meta.NextRound > cfg.Rounds {
 		return nil, fmt.Errorf("core: resume: checkpoint round %d outside [0,%d]", meta.NextRound, cfg.Rounds)
 	}
-	s, err := NewScenario(cfg)
-	if err != nil {
-		return nil, err
-	}
 	db, err := b.LoadSnapshot(store.SnapMain)
 	if err != nil {
 		return nil, fmt.Errorf("core: resume: %w", err)
 	}
-	// Fast-forward before merging: the ranked-list replay reserves the
-	// store's dense ranges up to the checkpointed mint cursor, so the
-	// loaded rows land in the columnar tables instead of overflow maps.
+	if base, ids := db.ExtendedRange(); ids > 0 && cfg.Extended > 0 && base != ExtendedBase {
+		return nil, fmt.Errorf("core: resume: checkpoint database reserves extended ids from %d, the campaign from %d", base, ExtendedBase)
+	}
+	s, err := newScenario(cfg, db)
+	if err != nil {
+		return nil, err
+	}
 	s.fastForward(meta.NextRound)
-	s.DB.Merge(db)
 	return s, nil
 }
 
@@ -444,10 +445,10 @@ func Resume(cfg Config, b store.Backend) (*Scenario, error) {
 // the participants, monitored every 30 minutes on the day itself,
 // from the vantages for which the paper had data. Only observers are
 // honored among the options — the experiment is short and is not
-// checkpointed; it runs into a staging database that is folded into
-// V6DayDB only on completion, so a cancelled run leaves V6DayDB
-// untouched and can simply be re-run. Once it has completed, further
-// calls are no-ops.
+// checkpointed; it runs into a staging database that becomes V6DayDB
+// only on completion, so a cancelled run leaves V6DayDB untouched and
+// can simply be re-run. Once it has completed, further calls are
+// no-ops.
 //
 // Each participating vantage's 30-minute round sequence is one unit
 // of work on the same bounded pool as the main rounds; events are
@@ -464,10 +465,9 @@ func (s *Scenario) RunWorldV6DayContext(ctx context.Context, opts ...RunOption) 
 	refs := s.V6DayParticipants()
 	tf := s.tFrac(s.Timeline.V6Day)
 	staging := store.NewDB()
-	// Participants are main-list sites: give the staging database (and
-	// the fold-in target) the same dense id range as the main store.
+	// Participants are main-list sites: give the staging database the
+	// same dense id range as the main store.
 	staging.Reserve(s.List.TotalSeen(), 0, 0)
-	s.V6DayDB.Reserve(s.List.TotalSeen(), 0, 0)
 	var vps []VantagePoint
 	for _, vp := range s.Cfg.Vantages {
 		if vp.V6Day {
@@ -521,7 +521,7 @@ func (s *Scenario) RunWorldV6DayContext(ctx context.Context, opts ...RunOption) 
 		}
 		emit(o.observers, events[k]...)
 	}
-	s.V6DayDB.Merge(staging)
+	s.V6DayDB = staging
 	s.ranV6D = true
 	return nil
 }

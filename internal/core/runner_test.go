@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"v6web/internal/store"
@@ -386,5 +387,93 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 		t.Fatal(err)
 	} else if s2.RoundsDone() != 1 {
 		t.Fatalf("resumed cursor %d, want 1", s2.RoundsDone())
+	}
+	// A checkpoint database laid out for another extended base is an
+	// error, not a panic in the adopted database's Reserve.
+	elsewhere := store.NewDB()
+	elsewhere.Reserve(16, ExtendedBase+1<<20, 16)
+	held := &heldBackend{meta: store.Meta{NextRound: 1, Rounds: cfg.Rounds, ConfigHash: cfg.Fingerprint()}, db: elsewhere}
+	if _, err := Resume(cfg, held); err == nil || !strings.Contains(err.Error(), "extended ids") {
+		t.Fatalf("resume over another extended base: %v, want an extended-range error", err)
+	}
+}
+
+// heldBackend holds one checkpoint in memory: the metadata LoadMeta
+// returns and the main database LoadSnapshot hands out. It takes no
+// saves.
+type heldBackend struct {
+	meta store.Meta
+	db   *store.DB
+}
+
+var errHeld = errors.New("held backend takes no saves")
+
+func (b *heldBackend) SaveSnapshot(string, *store.DB) error { return errHeld }
+func (b *heldBackend) SaveMeta(store.Meta) error            { return errHeld }
+func (b *heldBackend) LoadMeta() (store.Meta, bool, error)  { return b.meta, true, nil }
+func (b *heldBackend) LoadSnapshot(name string) (*store.DB, error) {
+	if name != store.SnapMain {
+		return nil, fmt.Errorf("held backend has no %q snapshot", name)
+	}
+	return b.db, nil
+}
+
+// TestResumeAdoptsLoadedDB: Resume keeps the database its backend
+// loaded as the scenario's DB instead of copying its rows into a fresh
+// one; the loaded rows stay, and the resumed rounds write into that
+// same database.
+func TestResumeAdoptsLoadedDB(t *testing.T) {
+	cfg := runnerCfg(6)
+	cfg.Rounds = 2
+	cfg.Vantages = ScaledVantages(cfg.Rounds)
+	db := store.NewDB()
+	db.PutSite(store.SiteRow{Site: 3, Host: "held.example", FirstRank: 4, V4AS: 1, V6AS: -1})
+	b := &heldBackend{meta: store.Meta{NextRound: 1, Rounds: cfg.Rounds, ConfigHash: cfg.Fingerprint()}, db: db}
+	s, err := Resume(cfg, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.DB != db {
+		t.Fatal("Resume did not adopt the database LoadSnapshot returned")
+	}
+	if s.RoundsDone() != 1 {
+		t.Fatalf("resumed cursor %d, want 1", s.RoundsDone())
+	}
+	if row, ok := db.Site(3); !ok || row.Host != "held.example" {
+		t.Fatalf("the held row after Resume: %+v ok=%v", row, ok)
+	}
+	if err := s.RunContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if s.DB != db {
+		t.Fatal("the resumed campaign replaced its database")
+	}
+	if _, dns, _, _ := db.Counts(); dns == 0 {
+		t.Fatal("the resumed round wrote no DNS rows into the adopted database")
+	}
+}
+
+// TestWorldV6DayCancelLeavesDBUntouched: World IPv6 Day runs into a
+// staging database that becomes V6DayDB only once the run completes,
+// so a cancelled run leaves V6DayDB as it was and a rerun completes.
+func TestWorldV6DayCancelLeavesDBUntouched(t *testing.T) {
+	s, err := NewScenario(runnerCfg(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := s.V6DayDB
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := s.RunWorldV6DayContext(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run: %v, want context.Canceled", err)
+	}
+	if s.V6DayDB != before || before.String() != store.NewDB().String() {
+		t.Fatalf("a cancelled run changed V6DayDB: %v", s.V6DayDB)
+	}
+	if err := s.RunWorldV6DayContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if _, dns, samples, _ := s.V6DayDB.Counts(); dns == 0 || samples == 0 {
+		t.Fatalf("the rerun left V6DayDB without rows: %v", s.V6DayDB)
 	}
 }

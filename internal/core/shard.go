@@ -64,8 +64,9 @@ func (s *Scenario) RestrictVantages(names []store.Vantage) {
 // FastForward advances the round cursor to `to` without monitoring:
 // list churn, tracked-set growth, and table reservations happen
 // exactly as in a monitored run. The shard coordinator uses it to
-// reserve the full dense id ranges before merging worker results —
-// the same positioning trick Resume uses for checkpointed campaigns.
+// reserve the full dense id ranges before merging worker results, and
+// Resume (through fastForward) to bring a checkpoint's database and
+// list state to the checkpointed round.
 func (s *Scenario) FastForward(to int) { s.fastForward(to) }
 
 // SetDestSink diverts every monitor's post-round path recording to fn

@@ -203,7 +203,7 @@ func (d *Daemon) attempt(ctx context.Context, c *Campaign, a *fault.Attempt) err
 		}
 		d.logf("campaign %s: starting (%d rounds)", c.Name, c.comp.Config.Rounds)
 	}
-	c.publish(a, buildVersion(s, nil, false, c.warmSet))
+	c.publish(a, buildVersion(s, s.DB.Freeze(), nil, false, c.warmSet))
 	c.setState(StateRunning)
 
 	// The watchdog covers the rounds, from here on. The round goroutine
@@ -321,7 +321,7 @@ func (d *Daemon) runRounds(ctx context.Context, c *Campaign, a *fault.Attempt, s
 			if a.Fenced() {
 				return errFenced
 			}
-			c.publish(a, buildVersion(s, nil, false, c.warmSet))
+			c.publish(a, buildVersion(s, s.DB.Freeze(), nil, false, c.warmSet))
 			if d.opt.RoundEvery > 0 && done < s.Cfg.Rounds {
 				// The paper's weekly cadence, scaled: idle between
 				// rounds, cut short by a drain.
@@ -343,7 +343,7 @@ func (d *Daemon) runRounds(ctx context.Context, c *Campaign, a *fault.Attempt, s
 		return err
 	}
 	v6 := report.StudyOfSnapshot(s.V6DayDB.Freeze(), report.V6DayThresholds())
-	c.publish(a, buildVersion(s, v6, true, c.warmSet))
+	c.publish(a, buildVersion(s, s.DB.Freeze(), v6, true, c.warmSet))
 	return nil
 }
 
@@ -361,17 +361,10 @@ func (d *Daemon) openCompleted(c *Campaign, a *fault.Attempt) (bool, error) {
 		return false, fmt.Errorf("daemon: campaign %s: completed databases have fingerprint %s, manifest compiles to %s",
 			c.Name, meta.ConfigHash, c.comp.Config.Fingerprint())
 	}
-	main, err := store.Load(filepath.Join(c.dir, store.SnapMain))
+	// A missing World IPv6 Day database is tolerated, as v6report does:
+	// Tables 10/12 are skipped.
+	main, v6day, err := cli.OpenCompleted(c.dir)
 	if err != nil {
-		return false, err
-	}
-	var v6day *store.DB
-	switch db, err := store.Load(filepath.Join(c.dir, store.SnapV6Day)); {
-	case err == nil:
-		v6day = db
-	case errors.Is(err, store.ErrNoDatabase):
-		// tolerated, like v6report: Tables 10/12 are skipped
-	default:
 		return false, err
 	}
 	v, err := loadedVersion(c.comp.Config, main, v6day, c.warmSet)

@@ -77,11 +77,12 @@ type Version struct {
 }
 
 // buildVersion captures the campaign's serving state at the current
-// round boundary. v6day is nil until the side experiment has run (so
-// Tables 10/12 are skipped, as `v6report -db` does on a save without
-// a v6day database).
-func buildVersion(s *core.Scenario, v6day *analysis.Study, complete bool, warmSet map[string]bool) *Version {
-	study := report.StudyOfSnapshot(s.DB.Freeze(), analysis.DefaultThresholds())
+// round boundary: the tables from snap, the main study database's
+// snapshot, and the figures and roster from s. v6day is nil until the
+// side experiment has run (so Tables 10/12 are skipped, as `v6report
+// -db` does on a save without a v6day database).
+func buildVersion(s *core.Scenario, snap *store.Snapshot, v6day *analysis.Study, complete bool, warmSet map[string]bool) *Version {
+	study := report.StudyOfSnapshot(snap, analysis.DefaultThresholds())
 	v := &Version{
 		Round:    s.RoundsDone(),
 		Rounds:   s.Cfg.Rounds,
@@ -107,22 +108,22 @@ func buildVersion(s *core.Scenario, v6day *analysis.Study, complete bool, warmSe
 }
 
 // loadedVersion rebuilds a Version for a completed campaign from its
-// saved CSV databases, without re-running any monitoring: the figures
-// derive from a fresh scenario fast-forwarded through the whole
-// campaign (pure list/adoption state — no measurement), the tables
-// from the saved databases, analyzed exactly as `v6report -db` does.
+// saved databases, without re-running any monitoring: the tables from
+// the loaded databases themselves, analyzed exactly as `v6report -db`
+// does, and Figures 1 and 3a and Table 1 from a fresh scenario
+// fast-forwarded through the whole campaign (pure list/adoption state
+// — no measurement).
 func loadedVersion(cfg core.Config, main, v6day *store.DB, warmSet map[string]bool) (*Version, error) {
 	s, err := core.NewScenario(cfg)
 	if err != nil {
 		return nil, err
 	}
 	s.FastForward(cfg.Rounds)
-	s.DB.Merge(main)
 	var v6 *analysis.Study
 	if v6day != nil {
 		v6 = report.StudyOfSnapshot(v6day.Freeze(), report.V6DayThresholds())
 	}
-	return buildVersion(s, v6, true, warmSet), nil
+	return buildVersion(s, main.Freeze(), v6, true, warmSet), nil
 }
 
 // Exhibit renders the named exhibit from this version ("" selects the

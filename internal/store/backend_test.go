@@ -168,8 +168,8 @@ func TestLoadEmptyDirIsErrNoDatabase(t *testing.T) {
 
 func TestSaveDNSCanonicalOrder(t *testing.T) {
 	// Two databases with the same rows inserted in different orders
-	// (concurrent workers interleave arbitrarily) must serialize to
-	// byte-identical files.
+	// (concurrent workers interleave sites arbitrarily, each site's
+	// rounds in order) must serialize to byte-identical files.
 	rows := []DNSRow{
 		{Site: 9, Round: 1, HasA: true},
 		{Site: 2, Round: 0, HasA: true, HasAAAA: true},
@@ -192,7 +192,7 @@ func TestSaveDNSCanonicalOrder(t *testing.T) {
 		return string(data)
 	}
 	a := mk([]int{0, 1, 2, 3})
-	b := mk([]int{3, 2, 1, 0})
+	b := mk([]int{3, 1, 0, 2})
 	if a != b {
 		t.Fatalf("dns.csv not canonical:\n%s\nvs\n%s", a, b)
 	}

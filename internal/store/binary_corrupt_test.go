@@ -180,3 +180,50 @@ func TestBinaryImplausibleHeaderRanges(t *testing.T) {
 		t.Errorf("huge main range blamed %q", got)
 	}
 }
+
+// TestBinaryOutOfOrderCountIsCorrupt: the DNS section keeps a per-site
+// out-of-order row count that is always 0; a snapshot whose count is
+// not — carrying a duplicate or an earlier round, at a dense id or an
+// overflow id — is corrupt in that section. The same snapshot with the
+// count at 0 loads.
+func TestBinaryOutOfOrderCountIsCorrupt(t *testing.T) {
+	db := binarySampleDB()
+	snapshot := func(dns []byte) []byte {
+		path := filepath.Join(t.TempDir(), "crafted"+BinaryExt)
+		err := saveFrames(path, BinaryOptions{}, func(f *os.File, opt BinaryOptions) error {
+			fw, err := newFrameWriter(f, opt)
+			if err != nil {
+				return err
+			}
+			var w wbuf
+			n := db.appendSnapSites(&w)
+			if err := fw.section(ShardSites, "", w.b, n); err != nil {
+				return err
+			}
+			if err := fw.section(ShardDNS, "penn", dns, 1); err != nil {
+				return err
+			}
+			return fw.finish(binMagic, db.res)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	for _, c := range orderCases() {
+		loaded, err := decodeBinarySnapshot("crafted"+BinaryExt, snapshot(c.dnsSection(0, 0)))
+		if err != nil {
+			t.Fatalf("%s: with a zero count: %v", c.name, err)
+		}
+		if rows := loaded.DNS("penn"); len(rows) != 5 || rows[0].Site != c.row.Site {
+			t.Fatalf("%s: with a zero count the snapshot holds %+v", c.name, rows)
+		}
+		if got := loadMutated(t, c.name, snapshot(c.dnsSection(0, 1))); got != "dns/penn" {
+			t.Errorf("%s: blamed %q, want dns/penn", c.name, got)
+		}
+	}
+}

@@ -15,8 +15,8 @@ import (
 
 // binarySampleDB builds a database exercising every encoding corner:
 // dense main and extended ranges, an overflow id, host overrides, DNS
-// run spills and out-of-order rows (including a duplicate round),
-// multi-vantage samples, and change-collapsed paths.
+// run spills and a history with a gap of skipped rounds, multi-vantage
+// samples, and change-collapsed paths.
 func binarySampleDB() *DB {
 	db := NewDB()
 	db.Reserve(64, 1<<20, 32)
@@ -31,15 +31,15 @@ func binarySampleDB() *DB {
 
 	for _, v := range []Vantage{"penn", "seattle"} {
 		// Site 0: one long run. Site 1: a new run every round (spills
-		// past the two inline slots). Site 2: in-order rounds plus an
-		// out-of-order row and a duplicate round.
+		// past the two inline slots). Site 2: a round, a gap of skipped
+		// rounds, then two rounds in another state.
 		for round := 0; round < 10; round++ {
 			db.AddDNS(v, DNSRow{Site: 0, Round: round, HasA: true, HasAAAA: true, Identical: true})
 			db.AddDNS(v, DNSRow{Site: 1, Round: round, HasA: true, HasAAAA: round%2 == 0})
 		}
-		db.AddDNS(v, DNSRow{Site: 2, Round: 5, HasA: true})
 		db.AddDNS(v, DNSRow{Site: 2, Round: 3, HasA: true, HasAAAA: true})
 		db.AddDNS(v, DNSRow{Site: 2, Round: 5, HasA: true})
+		db.AddDNS(v, DNSRow{Site: 2, Round: 6, HasA: true})
 		db.AddDNS(v, DNSRow{Site: 1<<20 + 2, Round: 1, HasAAAA: true})
 		db.AddDNS(v, DNSRow{Site: 5_000_000, Round: 0, HasA: true})
 

@@ -17,19 +17,21 @@ package store
 //     run just grew to the newest round is one id in a run-length
 //     encoded id list (its state is the base's); any other changed
 //     history is written out as its clipped runs;
-//   - the out-of-order DNS rows past the mark's log length;
 //   - the sample dates past the mark's dictionary length, and per
 //     series the samples at rounds >= M;
 //   - per path key, the snapshots at rounds >= M;
 //   - the site rows whose dirty bit is set, plus every overflow row.
 //
-// An append below M (Merge and MergeShard can make one) makes the
-// next checkpoint a base. A segment file is the snapshot container
-// (binary.go) with its own magic: a state section recording the mark
-// it continues (per vantage: mark round, DNS row, out-of-order row,
-// sample row, date and path snapshot counts; the site row count),
-// then sites, and per vantage dns, samples and paths. Applying a
-// segment to a database in any other state fails as a
+// An append below M (a new site's first DNS row, a MergeShard of old
+// rounds) makes the next checkpoint a base. A segment file is the
+// snapshot container (binary.go) with its own magic: a state section
+// recording the mark it continues (per vantage: mark round, DNS row,
+// out-of-order row, sample row, date and path snapshot counts; the
+// site row count), then sites, and per vantage dns, samples and paths.
+// The out-of-order counts, in the state and at the end of a dns
+// section, are kept by the format and always 0: a DNS history only
+// ever extends. Applying a segment to a database in any other state,
+// or one with a non-zero out-of-order count, fails as a
 // *CorruptSnapshotError.
 
 import (
@@ -73,7 +75,6 @@ type vantageMark struct {
 	v          Vantage
 	round      int32 // one past the newest round stored; 0 when none
 	dnsRows    int   // delta-encoded DNS observations
-	ooo        int   // out-of-order log length
 	sampleRows int
 	dates      int // date dictionary length
 	paths      int // stored path snapshots
@@ -156,9 +157,6 @@ func (t *vantageTable) state(v Vantage, reset bool) vantageMark {
 		}
 		sh.mu.Unlock()
 	}
-	t.oooMu.Lock()
-	vm.ooo = len(t.ooo)
-	t.oooMu.Unlock()
 	vm.dates = len(t.dateTable())
 	t.pathMu.Lock()
 	for _, snaps := range t.paths {
@@ -193,17 +191,6 @@ func (t *vantageTable) low() int32 {
 	lo = min(lo, t.pathLo)
 	t.pathMu.Unlock()
 	return lo
-}
-
-// watermarkRows widens the DNS watermarks for out-of-order rows
-// landed straight in the log.
-func (t *vantageTable) watermarkRows(rows []DNSRow) {
-	for _, row := range rows {
-		sh := &t.dns[uint64(row.Site)&(shards-1)]
-		sh.mu.Lock()
-		watermark(&sh.lo, &sh.hi, int32(row.Round), int32(row.Round))
-		sh.mu.Unlock()
-	}
 }
 
 // mark starts a new change epoch and returns the state a segment
@@ -265,7 +252,7 @@ func (db *DB) writeSegment(f *os.File, opt BinaryOptions, from dbMark) error {
 		t := tables[v]
 		vm := from.vantage(v)
 		w = wbuf{}
-		n = t.appendSegDNS(&w, db.res, vm.round, t.state(v, false).round, vm.ooo)
+		n = t.appendSegDNS(&w, db.res, vm.round, t.state(v, false).round)
 		if err := fw.section(ShardDNS, v, w.b, n); err != nil {
 			return err
 		}
@@ -284,14 +271,15 @@ func (db *DB) writeSegment(f *os.File, opt BinaryOptions, from dbMark) error {
 }
 
 // appendState encodes the mark: site rows, then per vantage (sorted)
-// its name, mark round and counts.
+// its name, mark round and counts, the out-of-order row count 0 among
+// them.
 func (m *dbMark) appendState(w *wbuf) int {
 	w.uvarint(uint64(m.sites))
 	w.uvarint(uint64(len(m.vantages)))
 	for _, vm := range m.vantages {
 		w.uvarint(uint64(len(vm.v)))
 		w.bytes([]byte(vm.v))
-		for _, x := range [...]int{int(vm.round), vm.dnsRows, vm.ooo, vm.sampleRows, vm.dates, vm.paths} {
+		for _, x := range [...]int{int(vm.round), vm.dnsRows, 0, vm.sampleRows, vm.dates, vm.paths} {
 			w.uvarint(uint64(x))
 		}
 	}
@@ -325,13 +313,17 @@ func decodeState(r *rbuf) dbMark {
 			r.fail("store: segment state: mark round %d out of range", x[0])
 			break
 		}
+		if x[2] != 0 {
+			r.fail("store: segment state: vantage %q has %d out-of-order rows; the count must be 0", vm.v, x[2])
+			break
+		}
 		for _, c := range x[1:] {
 			if c > maxMarkCount {
 				r.fail("store: segment state: count %d out of range", c)
 			}
 		}
 		vm.round = int32(x[0])
-		vm.dnsRows, vm.ooo, vm.sampleRows, vm.dates, vm.paths = int(x[1]), int(x[2]), int(x[3]), int(x[4]), int(x[5])
+		vm.dnsRows, vm.sampleRows, vm.dates, vm.paths = int(x[1]), int(x[3]), int(x[4]), int(x[5])
 		m.vantages = append(m.vantages, vm)
 	}
 	return m
@@ -390,13 +382,12 @@ func (db *DB) appendSegSites(w *wbuf) int {
 }
 
 // appendSegDNS encodes the vantage's DNS changes since mark round
-// from, up to round to (exclusive), with the out-of-order log read
-// from index oooFrom: to; the id runs (start, length) of sites whose
-// open run grew from before from to exactly to; every other changed
-// site as (id, run count, runs as gap/length/state with the gap of
-// the first against from); and the new out-of-order rows as (site,
-// round, state).
-func (t *vantageTable) appendSegDNS(w *wbuf, res reservation, from, to int32, oooFrom int) int {
+// from, up to round to (exclusive): to; the id runs (start, length) of
+// sites whose open run grew from before from to exactly to; every
+// other changed site as (id, run count, runs as gap/length/state with
+// the gap of the first against from); and the out-of-order row count,
+// always 0.
+func (t *vantageTable) appendSegDNS(w *wbuf, res reservation, from, to int32) int {
 	for i := range t.dns {
 		t.dns[i].mu.Lock()
 	}
@@ -484,21 +475,13 @@ func (t *vantageTable) appendSegDNS(w *wbuf, res reservation, from, to int32, oo
 	}
 	flush()
 
-	t.oooMu.Lock()
-	ooo := t.ooo[oooFrom:]
-	t.oooMu.Unlock()
 	w.uvarint(uint64(to))
 	w.uvarint(uint64(nGrown))
 	w.bytes(grown.b)
 	w.uvarint(uint64(nOther))
 	w.bytes(other.b)
-	w.uvarint(uint64(len(ooo)))
-	for _, row := range ooo {
-		w.uvarint(uint64(row.Site))
-		w.uvarint(uint64(row.Round))
-		w.byteVal(dnsState(row.HasA, row.HasAAAA, row.Identical))
-	}
-	return nGrown + nOther + len(ooo)
+	w.uvarint(0) // out-of-order rows
+	return nGrown + nOther
 }
 
 // segSeries is one series a segment carries: its sort key within the
@@ -712,34 +695,15 @@ func (t *vantageTable) applySegDNS(r *rbuf, res reservation, from int32) error {
 			cursor = start + cnt
 			sh := &t.dns[uint64(site)&(shards-1)]
 			sh.mu.Lock()
-			ooo := sh.addRun(sh.hist(res, site, true), site, int32(start), int32(cnt), state&dnsStateMask)
+			_, ok := sh.addRun(sh.hist(res, site, true), site, int32(start), int32(cnt), state&dnsStateMask)
 			sh.mu.Unlock()
-			if ooo {
+			if !ok {
 				r.fail("store: segment dns: site %d run at round %d precedes its history's end", site, start)
 			}
 		}
 	}
-	nOoo := r.count()
-	rows := make([]DNSRow, 0, nOoo)
-	for k := uint64(0); k < nOoo && r.err == nil; k++ {
-		site, round, state := r.uvarint(), r.uvarint(), r.byteVal()
-		if r.err != nil {
-			break
-		}
-		if site >= uint64(snapAllSites) || round > maxRound {
-			r.fail("store: segment dns: ooo row (%d, %d) out of range", site, round)
-			break
-		}
-		rows = append(rows, DNSRow{
-			Site: alexa.SiteID(site), Round: int(round),
-			HasA: state&dnsHasA != 0, HasAAAA: state&dnsHasAAAA != 0, Identical: state&dnsIdentical != 0,
-		})
-	}
-	if r.err == nil && len(rows) > 0 {
-		t.oooMu.Lock()
-		t.ooo = append(t.ooo, rows...)
-		t.oooMu.Unlock()
-		t.watermarkRows(rows)
+	if nOoo := r.uvarint(); r.err == nil && nOoo != 0 {
+		r.fail("store: segment dns: %d out-of-order rows; the count must be 0", nOoo)
 	}
 	return r.err
 }

@@ -17,10 +17,10 @@ import (
 // chainRound appends round r to db in a monitor's shape, on top of
 // binarySampleDB (rounds < 10): most sites extend their open run,
 // site 1 flips state every round, site 7 skips rounds, site 8 stops
-// after round 12, site 4 gets a duplicate round, an extended and an
-// overflow site keep measuring, samples, path snapshots and site rows
-// change, a vantage appears at round 13 and the reservation grows at
-// round 15.
+// after round 12, site 4 is written after the others, an extended and
+// an overflow site keep measuring, samples, path snapshots and site
+// rows change, a vantage appears at round 13 and the reservation grows
+// at round 15.
 func chainRound(db *DB, r int) {
 	date := time.Date(2011, 9, 1, 0, 0, 0, 0, time.UTC).AddDate(0, 0, 7*r)
 	vantages := []Vantage{"penn", "seattle"}
@@ -35,7 +35,7 @@ func chainRound(db *DB, r int) {
 			switch {
 			case id == 1:
 				db.AddDNS(v, DNSRow{Site: 1, Round: r, HasA: true, HasAAAA: r%2 == 0})
-			case id == 7 && r%3 != 0, id == 8 && r > 12:
+			case id == 7 && r%3 != 0, id == 8 && r > 12, id == 4:
 			default:
 				db.AddDNS(v, DNSRow{Site: id, Round: r, HasA: true, HasAAAA: id%5 == 0, Identical: true})
 			}
@@ -134,19 +134,13 @@ func TestChainSegmentsEqualLiveDB(t *testing.T) {
 }
 
 // TestChainOlderRoundForcesBase lands history below the mark round
-// after a segment — the three ways Merge, MergeShard and an old
-// AddDNS can — and requires the next checkpoint to be a base that
+// after a segment — the two ways a new site's first AddDNS and a
+// MergeShard can — and requires the next checkpoint to be a base that
 // still equals the live database.
 func TestChainOlderRoundForcesBase(t *testing.T) {
 	cases := map[string]func(t *testing.T, db *DB){
 		"add-dns": func(t *testing.T, db *DB) {
-			db.AddDNS("penn", DNSRow{Site: 30, Round: 3, HasA: true})
-		},
-		"merge": func(t *testing.T, db *DB) {
-			other := NewDB()
-			other.AddDNS("seattle", DNSRow{Site: 33, Round: 2, HasA: true, HasAAAA: true})
-			other.AddSample("seattle", 33, topo.V6, Sample{Round: 2, Date: time.Date(2011, 2, 2, 0, 0, 0, 0, time.UTC), PageBytes: 1, Downloads: 3, MeanSpeed: 1})
-			db.Merge(other)
+			db.AddDNS("penn", DNSRow{Site: 45, Round: 3, HasA: true})
 		},
 		"merge-shard": func(t *testing.T, db *DB) {
 			other := NewDB()
@@ -236,8 +230,12 @@ func TestChainSurvivesPruningAndFallsBack(t *testing.T) {
 }
 
 // TestChainMismatchIsCorrupt: a segment applied to a database in any
-// state but the one it continues, or a chain with a segment missing,
-// fails as a *CorruptSnapshotError.
+// state but the one it continues, a chain with a segment missing, or a
+// segment whose out-of-order row counts (per vantage in its state
+// section, and closing each dns section; always 0) are not — the dns
+// count carrying a duplicate or an earlier round, at a dense id or an
+// overflow id — fails as a *CorruptSnapshotError blaming that part.
+// The same crafted segment with both counts at 0 applies.
 func TestChainMismatchIsCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	b := NewCheckpointBackend(dir)
@@ -267,6 +265,81 @@ func TestChainMismatchIsCorrupt(t *testing.T) {
 	}
 	if _, err := b.LoadSnapshot(SnapMain); !errors.As(err, &ce) {
 		t.Fatalf("chain missing segment 1: %v, want *CorruptSnapshotError", err)
+	}
+
+	m := orderTestDB().state(false)
+	segment := func(stateOOO int, dns []byte) []byte {
+		var st wbuf
+		st.uvarint(uint64(m.sites))
+		st.uvarint(uint64(len(m.vantages)))
+		for _, vm := range m.vantages {
+			st.uvarint(uint64(len(vm.v)))
+			st.bytes([]byte(vm.v))
+			ooo := 0
+			if vm.v == "penn" {
+				ooo = stateOOO
+			}
+			for _, x := range []int{int(vm.round), vm.dnsRows, ooo, vm.sampleRows, vm.dates, vm.paths} {
+				st.uvarint(uint64(x))
+			}
+		}
+		path := filepath.Join(t.TempDir(), segName("crafted", 1))
+		err := saveFrames(path, BinaryOptions{}, func(f *os.File, opt BinaryOptions) error {
+			fw, err := newFrameWriter(f, opt)
+			if err != nil {
+				return err
+			}
+			if err := fw.section(segState, "", st.b, 1+len(m.vantages)); err != nil {
+				return err
+			}
+			if err := fw.section(ShardDNS, "penn", dns, 1); err != nil {
+				return err
+			}
+			return fw.finish(segMagic, m.res)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	// dns is a segment dns section with no changed site and ooo
+	// out-of-order rows, each c's.
+	dns := func(c orderCase, ooo int) []byte {
+		var w wbuf
+		w.uvarint(uint64(m.vantage("penn").round))
+		w.uvarint(0)
+		w.uvarint(0)
+		w.uvarint(uint64(ooo))
+		for k := 0; k < ooo; k++ {
+			w.uvarint(uint64(c.row.Site))
+			w.uvarint(uint64(c.row.Round))
+			w.byteVal(dnsHasA)
+		}
+		return w.b
+	}
+	apply := func(what string, data []byte) string {
+		t.Helper()
+		err := applySegment(orderTestDB(), "crafted"+segExt, data)
+		var ce *CorruptSnapshotError
+		if !errors.As(err, &ce) {
+			t.Fatalf("%s: %v, want a *CorruptSnapshotError", what, err)
+		}
+		return ce.Section
+	}
+	for _, c := range orderCases() {
+		if err := applySegment(orderTestDB(), "crafted"+segExt, segment(0, dns(c, 0))); err != nil {
+			t.Fatalf("%s: with zero counts: %v", c.name, err)
+		}
+		if got := apply(c.name, segment(0, dns(c, 1))); got != "dns/penn" {
+			t.Errorf("%s: blamed %q, want dns/penn", c.name, got)
+		}
+	}
+	if got := apply("state count", segment(1, dns(orderCases()[0], 0))); got != "state" {
+		t.Errorf("a non-zero state count blamed %q, want state", got)
 	}
 }
 

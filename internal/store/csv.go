@@ -401,13 +401,16 @@ func Load(dir string) (*DB, error) {
 
 // dnsLoader decodes dns.csv rows. It holds back each run of rows for
 // one (vantage, site) — the file is in (site, round) order per vantage
-// — and records the run under one lock of the site's shard, with the
-// same result as AddDNS row by row.
+// — and records the run under one lock of the site's shard. Each row
+// must extend the site's history, as AddDNS requires: a run's first
+// row is checked against the history stored so far, each later one
+// against the row before it.
 type dnsLoader struct {
 	db      *DB
 	vantage vantageCache
 	t       *vantageTable
 	run     []DNSRow
+	end     int32 // the round the run's site's history ends before
 }
 
 func (d *dnsLoader) row(rec [][]byte) error {
@@ -431,22 +434,35 @@ func (d *dnsLoader) row(rec [][]byte) error {
 	if err != nil {
 		return err
 	}
-	if d.t == nil || !d.vantage.is(rec[0]) {
+	if d.t == nil || !d.vantage.is(rec[0]) || d.run[0].Site != site {
 		d.flush()
 		d.t = d.db.table(d.vantage.of(rec[0]))
-	} else if len(d.run) > 0 && d.run[0].Site != site {
-		d.flush()
+		sh := &d.t.dns[uint64(site)&(shards-1)]
+		sh.mu.Lock()
+		d.end = sh.end(d.db.res, site)
+		sh.mu.Unlock()
 	}
+	if r := int32(round); r < d.end {
+		return errDNSOrder(d.vantage.v, site, r, d.end)
+	}
+	d.end = int32(round) + 1
 	d.run = append(d.run, DNSRow{Site: site, Round: round, HasA: hasA, HasAAAA: hasAAAA, Identical: identical})
 	return nil
 }
 
-// flush records the held-back run.
+// flush records the held-back run, whose rows row has checked.
 func (d *dnsLoader) flush() {
-	if len(d.run) > 0 {
-		d.t.addSiteDNS(d.db.res, d.run)
-		d.run = d.run[:0]
+	if len(d.run) == 0 {
+		return
 	}
+	sh := &d.t.dns[uint64(d.run[0].Site)&(shards-1)]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	h := sh.hist(d.db.res, d.run[0].Site, true)
+	for _, row := range d.run {
+		sh.addRun(h, row.Site, int32(row.Round), 1, dnsState(row.HasA, row.HasAAAA, row.Identical))
+	}
+	d.run = d.run[:0]
 }
 
 // vantageCache turns vantage fields into Vantage strings, allocating

@@ -64,7 +64,7 @@ func awkwardDB(norm func(string) string) *DB {
 				for round := 0; round < 5; round++ {
 					db.AddDNS(v, DNSRow{Site: id, Round: round, HasA: round != 3, HasAAAA: (round+i)%3 == 0, Identical: round%2 == 1})
 				}
-				db.AddDNS(v, DNSRow{Site: id, Round: 2, HasA: true}) // out of order
+				db.AddDNS(v, DNSRow{Site: id, Round: 7, HasA: true}) // after a gap
 				db.AddSample(v, id, topo.V6, Sample{Round: 1, Date: date.AddDate(0, 0, vi), PageBytes: 1000 + i, Downloads: 3, MeanSpeed: 1.0 / 3, CIOK: i%2 == 0})
 				db.AddSample(v, id, topo.V4, Sample{Round: 1, Date: date, PageBytes: -1, Downloads: 0, MeanSpeed: 12345.678, CIOK: true})
 			}
@@ -154,9 +154,16 @@ func referenceSave(t *testing.T, db *DB) map[string][]byte {
 
 // referenceLoad is Load as a csv.Reader loop: every record of every
 // file parsed by encoding/csv, the header compared with Save's, and
-// rows applied one by one through the public write API.
+// rows applied one by one through the public write API. A DNS row must
+// extend its site's history, which the loop tracks as the round each
+// (vantage, site) history ends before.
 func referenceLoad(dir string) (*DB, error) {
 	db := NewDB()
+	type vantageSite struct {
+		v    Vantage
+		site alexa.SiteID
+	}
+	dnsEnd := make(map[vantageSite]int32)
 	flag := func(column, s string) (bool, error) {
 		if s != "true" && s != "false" {
 			return false, fmt.Errorf("%s %q is neither true nor false", column, s)
@@ -197,7 +204,12 @@ func referenceLoad(dir string) (*DB, error) {
 					return err
 				}
 			}
-			db.AddDNS(Vantage(rec[0]), DNSRow{Site: alexa.SiteID(site), Round: round, HasA: b[0], HasAAAA: b[1], Identical: b[2]})
+			k := vantageSite{Vantage(rec[0]), alexa.SiteID(site)}
+			if end, ok := dnsEnd[k]; ok && int32(round) < end {
+				return errDNSOrder(k.v, k.site, int32(round), end)
+			}
+			dnsEnd[k] = int32(round) + 1
+			db.AddDNS(k.v, DNSRow{Site: k.site, Round: round, HasA: b[0], HasAAAA: b[1], Identical: b[2]})
 			return nil
 		}},
 		{samplesFile, []string{"vantage", "site", "family", "round", "date", "page_bytes", "downloads", "mean_speed", "ci_ok"}, func(rec []string) error {
@@ -496,6 +508,7 @@ func csvLoadCases(files map[string][]byte) []struct {
 		{"field-count", dnsFile, insert(dns, "penn,5,1,true,true\n")},
 		{"plus-sign-and-zeros", dnsFile, insert(dns, "penn,+0005,-0,true,false,true\n")},
 		{"int-overflow", dnsFile, insert(dns, "penn,99999999999999999999,1,true,true,true\n")},
+		{"out-of-order-row", dnsFile, []byte(dns + "penn,0,0,true,true,true\n")},
 		{"bad-family", samplesFile, []byte(strings.Replace(string(files[samplesFile]), "penn,0,0,", "penn,0,2,", 1))},
 		{"bad-path", pathsFile, []byte(strings.Replace(string(files[pathsFile]), "2;5;9", "2;;9", 1))},
 	}

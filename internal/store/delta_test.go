@@ -11,6 +11,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -126,44 +127,135 @@ func TestDNSDeltaCSVByteIdentical(t *testing.T) {
 	}
 }
 
-// TestDNSOutOfOrderAndDuplicates: rows that violate the monitor's
-// per-site round ordering (including exact duplicates) must survive
-// as observations — the delta encoder may not silently dedupe them.
-func TestDNSOutOfOrderAndDuplicates(t *testing.T) {
-	db := NewDB()
-	rows := []DNSRow{
-		{Site: 7, Round: 3, HasA: true},
-		{Site: 7, Round: 4, HasA: true},
-		{Site: 7, Round: 3, HasA: true},                // duplicate round
-		{Site: 7, Round: 1, HasA: true, HasAAAA: true}, // out of order
-		{Site: 7, Round: 5, HasA: true},
-	}
-	for _, r := range rows {
-		db.AddDNS("penn", r)
-	}
-	got := db.DNS("penn")
-	if len(got) != len(rows) {
-		t.Fatalf("%d rows stored, want %d", len(got), len(rows))
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i].Round < got[i-1].Round {
-			t.Fatalf("expanded rows not round-sorted: %+v", got)
+// orderCase is a DNS row that does not extend its site's history in
+// orderTestDB: a duplicate of the history's last round or an earlier
+// round, at a dense id or at an overflow id.
+type orderCase struct {
+	name string
+	row  DNSRow
+}
+
+func orderCases() []orderCase {
+	var cases []orderCase
+	for _, site := range []struct {
+		name string
+		id   alexa.SiteID
+	}{{"dense", 5}, {"overflow", 5_000_000}} {
+		for _, round := range []struct {
+			name  string
+			round int
+		}{{"duplicate", 4}, {"earlier", 2}} {
+			cases = append(cases, orderCase{site.name + "-" + round.name, DNSRow{Site: site.id, Round: round.round, HasA: true}})
 		}
 	}
-	if _, d, _, _ := db.Counts(); d != len(rows) {
-		t.Fatalf("Counts dns = %d, want %d", d, len(rows))
+	return cases
+}
+
+// orderTestDB is binarySampleDB with the penn histories of sites 5
+// (dense) and 5,000,000 (overflow) running over rounds 0 to 4.
+func orderTestDB() *DB {
+	db := binarySampleDB()
+	for r := 0; r < 5; r++ {
+		db.AddDNS("penn", DNSRow{Site: 5, Round: r, HasA: true})
+		if r > 0 {
+			db.AddDNS("penn", DNSRow{Site: 5_000_000, Round: r, HasA: true})
+		}
 	}
-	// Round-trip: the loaded database reports the same rows.
-	dir := t.TempDir()
-	if err := db.Save(dir); err != nil {
-		t.Fatal(err)
+	return db
+}
+
+// message is how every entrance names the case's row.
+func (c orderCase) message() string {
+	return fmt.Sprintf(`vantage "penn" site %d round %d does not extend the site's DNS history, which ends at round 4`, c.row.Site, c.row.Round)
+}
+
+// dnsSection encodes a DNS section in the snapshot and shard-wire
+// layout, ids against lo: the case's site with its run over rounds 0
+// to 4, then an out-of-order row count of ooo, each row the case's.
+func (c orderCase) dnsSection(lo alexa.SiteID, ooo int) []byte {
+	var w wbuf
+	w.uvarint(1)
+	w.uvarint(uint64(c.row.Site - lo + 1))
+	w.uvarint(1)
+	w.uvarint(0)
+	w.uvarint(5)
+	w.byteVal(dnsHasA)
+	w.uvarint(uint64(ooo))
+	for k := 0; k < ooo; k++ {
+		w.uvarint(uint64(c.row.Round))
+		w.byteVal(dnsHasA)
 	}
-	back, err := Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back.DNS("penn"), got) {
-		t.Fatal("out-of-order rows did not survive a save/load round trip")
+	return w.b
+}
+
+// panicOf runs fn and returns what it panicked with, "" if nothing.
+func panicOf(fn func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	fn()
+	return ""
+}
+
+// TestDNSOutOfOrderAndDuplicates: a DNS row that does not extend its
+// site's history — a duplicate of its last round or an earlier round,
+// at a dense id and at an overflow id — is a caller bug for the
+// writers and bad input for Load. AddDNS and Flush panic naming the
+// vantage, the site, the round and where the history ends, and record
+// nothing; Load fails naming dns.csv and the row, whether the row sits
+// in its site's run of rows or comes back to the site after another.
+// (The binary decoders' rejections are in the corruption tests.)
+func TestDNSOutOfOrderAndDuplicates(t *testing.T) {
+	for _, c := range orderCases() {
+		t.Run(c.name, func(t *testing.T) {
+			db := orderTestDB()
+			before := db.DNS("penn")
+			if got := panicOf(func() { db.AddDNS("penn", c.row) }); got != "store: AddDNS: "+c.message() {
+				t.Errorf("AddDNS panicked with %q, want %q", got, "store: AddDNS: "+c.message())
+			}
+			var b Batch
+			b.AddDNS(c.row)
+			if got := panicOf(func() { db.Flush("penn", &b) }); got != "store: Flush: "+c.message() {
+				t.Errorf("Flush panicked with %q, want %q", got, "store: Flush: "+c.message())
+			}
+			if after := db.DNS("penn"); !reflect.DeepEqual(after, before) {
+				t.Errorf("a rejected row changed the history: %d rows, %d before", len(after), len(before))
+			}
+
+			// Within a Flush too: the batch carries the site's history
+			// and then the row.
+			fresh := NewDB()
+			fresh.Reserve(64, 1<<20, 32)
+			var hist Batch
+			for r := 0; r < 5; r++ {
+				hist.AddDNS(DNSRow{Site: c.row.Site, Round: r, HasA: true})
+			}
+			hist.AddDNS(c.row)
+			if got := panicOf(func() { fresh.Flush("penn", &hist) }); got != "store: Flush: "+c.message() {
+				t.Errorf("Flush of one batch panicked with %q, want %q", got, "store: Flush: "+c.message())
+			}
+
+			files := saveCSVBytes(t, orderTestDB())
+			lines := strings.SplitAfter(string(files[dnsFile]), "\n")
+			bad := fmt.Sprintf("penn,%d,%d,true,false,false\n", c.row.Site, c.row.Round)
+			lastOfSite := 0
+			for i, ln := range lines {
+				if strings.HasPrefix(ln, fmt.Sprintf("penn,%d,", c.row.Site)) {
+					lastOfSite = i
+				}
+			}
+			for _, at := range []int{lastOfSite + 1, len(lines) - 1} {
+				edited := slices.Insert(slices.Clone(lines), at, bad)
+				dir := t.TempDir()
+				writeFiles(t, dir, withFile(files, dnsFile, []byte(strings.Join(edited, ""))))
+				want := fmt.Sprintf("store: %s row %d: %s", dnsFile, at, c.message())
+				if _, err := Load(dir); err == nil || err.Error() != want {
+					t.Errorf("Load with the row at line %d: %v, want %q", at, err, want)
+				}
+			}
+		})
 	}
 }
 

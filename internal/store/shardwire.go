@@ -164,42 +164,22 @@ func (db *DB) AppendShardSection(buf []byte, section byte, v Vantage, lo, hi ale
 	return w.b, n, nil
 }
 
-// appendShardSites encodes: count, then per present site ascending:
-// id delta (against lo-1, so strictly positive), first rank, origin
-// ASes biased by one (-1 is the unknown marker), and the host — length
-// zero meaning the canonical alexa.HostName derivation, which is the
-// interned common case and costs one byte.
+// appendShardSites encodes: count, then per present site ascending,
+// in the snapshot sites format (siteRow): id delta (against lo-1, so
+// strictly positive), first rank, origin ASes biased by one (-1 is the
+// unknown marker), and the host — length zero meaning the canonical
+// alexa.HostName derivation, which is the interned common case and
+// costs one byte.
 func (db *DB) appendShardSites(w *wbuf, lo, hi alexa.SiteID) int {
 	var rows wbuf
 	n := 0
 	prev := lo - 1
 	for id := lo; id < hi; id++ {
-		sh := db.siteShard(id)
-		table, slot := db.res.locate(id)
-		cols := &sh.main
-		if table == 1 {
-			cols = &sh.ext
+		if row, derived, ok := db.storedSite(id); ok {
+			rows.siteRow(prev, row, derived)
+			prev = id
+			n++
 		}
-		sh.mu.Lock()
-		if !cols.present[slot] {
-			sh.mu.Unlock()
-			continue
-		}
-		firstRank, v4, v6 := cols.firstRank[slot], cols.v4[slot], cols.v6[slot]
-		host, hostOver := sh.hostOver[id]
-		sh.mu.Unlock()
-		rows.uvarint(uint64(id - prev))
-		prev = id
-		rows.uvarint(uint64(firstRank))
-		rows.uvarint(uint64(v4 + 1))
-		rows.uvarint(uint64(v6 + 1))
-		if hostOver {
-			rows.uvarint(uint64(len(host)))
-			rows.bytes([]byte(host))
-		} else {
-			rows.uvarint(0)
-		}
-		n++
 	}
 	w.uvarint(uint64(n))
 	w.bytes(rows.b)
@@ -208,16 +188,17 @@ func (db *DB) appendShardSites(w *wbuf, lo, hi alexa.SiteID) int {
 
 // appendShardDNS encodes: site count, then per site with history
 // ascending: id delta, run count, runs as (gap from previous run's
-// end, length, state byte), and the site's out-of-order rows as
-// (round, state byte) pairs. This is a direct dump of the delta
-// encoding — O(state changes).
+// end, length, state byte), and an out-of-order row count, which the
+// format keeps and is always 0 (a history only ever extends). This is
+// a direct dump of the delta encoding — O(state changes). A run before
+// round 0, which only a CSV row can plant, is an error.
 func (db *DB) appendShardDNS(w *wbuf, v Vantage, lo, hi alexa.SiteID) (int, error) {
 	var rows wbuf
 	n := 0
 	var err error
 	db.lockedDNSView(v, func(view *dnsView) {
 		prev := lo - 1
-		view.walkRuns(func(site alexa.SiteID, runs []dnsRun, ooo []DNSRow) {
+		view.walkRuns(func(site alexa.SiteID, runs []dnsRun) {
 			if site < lo || site >= hi || err != nil {
 				return
 			}
@@ -227,7 +208,7 @@ func (db *DB) appendShardDNS(w *wbuf, v Vantage, lo, hi alexa.SiteID) (int, erro
 			end := int32(0)
 			for _, run := range runs {
 				if run.start < end {
-					err = fmt.Errorf("store: shard encode: site %d has out-of-order run at round %d", site, run.start)
+					err = fmt.Errorf("store: shard encode: site %d has a run at round %d, before round %d", site, run.start, end)
 					return
 				}
 				rows.uvarint(uint64(run.start - end))
@@ -235,11 +216,7 @@ func (db *DB) appendShardDNS(w *wbuf, v Vantage, lo, hi alexa.SiteID) (int, erro
 				rows.byteVal(run.state & dnsStateMask)
 				end = run.start + run.count
 			}
-			rows.uvarint(uint64(len(ooo)))
-			for _, row := range ooo {
-				rows.uvarint(uint64(row.Round))
-				rows.byteVal(dnsState(row.HasA, row.HasAAAA, row.Identical))
-			}
+			rows.uvarint(0) // out-of-order rows
 			n++
 		})
 	})
@@ -353,13 +330,11 @@ func (db *DB) MergeShard(lo, hi alexa.SiteID, section byte, v Vantage, payload [
 
 // claimShardRange records [lo, hi) as merged for (section, v),
 // rejecting overlap with any earlier claim. Adjacent claims coalesce
-// so chunked sends keep the list short.
+// so chunked sends keep the list short. Site rows are
+// vantage-independent; vantage-restricted shards pass distinct labels
+// for them so intentional re-coverage stays legal. The per-vantage
+// DNS/sample claims are the data-integrity check.
 func (db *DB) claimShardRange(section byte, v Vantage, lo, hi alexa.SiteID) error {
-	if section == ShardSites {
-		// Site rows are vantage-independent; vantage-restricted shards
-		// pass distinct labels so intentional re-coverage stays legal.
-		// The per-vantage DNS/sample claims are the data-integrity check.
-	}
 	db.mergeMu.Lock()
 	defer db.mergeMu.Unlock()
 	if db.merged == nil {
@@ -430,7 +405,6 @@ func (db *DB) mergeShardDNS(r *rbuf, v Vantage, lo, hi alexa.SiteID) error {
 	t := db.table(v)
 	n := r.count()
 	prev := lo - 1
-	var oooRows []DNSRow
 	var runsBuf []dnsRun
 	for i := uint64(0); i < n && r.err == nil; i++ {
 		delta := r.uvarint()
@@ -495,29 +469,9 @@ func (db *DB) mergeShardDNS(r *rbuf, v Vantage, lo, hi alexa.SiteID) error {
 			watermark(&sh.lo, &sh.hi, runsBuf[0].start, end-1)
 			sh.mu.Unlock()
 		}
-		nOoo := r.count()
-		firstOoo := len(oooRows)
-		for k := uint64(0); k < nOoo && r.err == nil; k++ {
-			round := r.uvarint()
-			state := r.byteVal()
-			if r.err != nil {
-				break
-			}
-			if round > maxRound {
-				r.fail("store: shard dns: site %d ooo round %d out of range", site, round)
-				break
-			}
-			oooRows = append(oooRows, DNSRow{
-				Site: site, Round: int(round),
-				HasA: state&dnsHasA != 0, HasAAAA: state&dnsHasAAAA != 0, Identical: state&dnsIdentical != 0,
-			})
+		if nOoo := r.uvarint(); nOoo != 0 {
+			r.fail("store: shard dns: site %d has %d out-of-order rows; the count must be 0", site, nOoo)
 		}
-		t.watermarkRows(oooRows[firstOoo:])
-	}
-	if len(oooRows) > 0 && r.err == nil {
-		t.oooMu.Lock()
-		t.ooo = append(t.ooo, oooRows...)
-		t.oooMu.Unlock()
 	}
 	return r.err
 }

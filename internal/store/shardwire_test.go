@@ -14,7 +14,7 @@ import (
 const testExtBase alexa.SiteID = 1 << 40
 
 // buildWireDB populates a database exercising every encoding surface:
-// inline runs, spilled runs, out-of-order rows, host overrides,
+// inline runs, spilled runs, gaps of skipped rounds, host overrides,
 // unknown origin ASes, both sample families, and the extended range.
 func buildWireDB() *DB {
 	db := NewDB()
@@ -51,11 +51,11 @@ func buildWireDB() *DB {
 				for r := 0; r < 6; r++ {
 					db.AddDNS(v, DNSRow{Site: id, Round: r, HasA: true, HasAAAA: r >= 3, Identical: r >= 4})
 				}
-			default: // flapping: spilled runs, plus out-of-order rows
+			default: // flapping: spilled runs, then a gap of skipped rounds
 				for r := 0; r < 8; r++ {
 					db.AddDNS(v, DNSRow{Site: id, Round: r, HasA: true, HasAAAA: r%2 == 0})
 				}
-				db.AddDNS(v, DNSRow{Site: id, Round: 2, HasA: true}) // ooo duplicate
+				db.AddDNS(v, DNSRow{Site: id, Round: 11, HasA: true})
 			}
 		}
 		for i := 0; i < 48; i += 5 {
@@ -187,7 +187,9 @@ func TestMergeShardOverlapRejected(t *testing.T) {
 
 // TestMergeShardRejectsBadInput covers the remaining assertions:
 // ranges outside the reservation, unknown sections, occupied target
-// slots, and truncated payloads.
+// slots, truncated payloads, and a DNS site entry whose out-of-order
+// row count, always 0, is not (wire ranges are dense, so only the
+// dense-id cases apply).
 func TestMergeShardRejectsBadInput(t *testing.T) {
 	src := buildWireDB()
 	dst := NewDB()
@@ -222,5 +224,18 @@ func TestMergeShardRejectsBadInput(t *testing.T) {
 	dst2.Reserve(96, testExtBase, 48)
 	if err := dst2.MergeShard(0, 48, ShardDNS, "Penn", good[:len(good)/2]); err == nil {
 		t.Error("truncated payload: want error")
+	}
+
+	for _, c := range orderCases() {
+		if table, _ := dst2.res.locate(c.row.Site); table < 0 {
+			continue
+		}
+		if err := dst2.MergeShard(0, 16, ShardDNS, Vantage(c.name+"-zero"), c.dnsSection(0, 0)); err != nil {
+			t.Errorf("%s: with a zero out-of-order count: %v", c.name, err)
+		}
+		if err := dst2.MergeShard(0, 16, ShardDNS, Vantage(c.name), c.dnsSection(0, 1)); err == nil ||
+			!strings.Contains(err.Error(), "out-of-order") {
+			t.Errorf("%s: a non-zero out-of-order count: %v, want an out-of-order error", c.name, err)
+		}
 	}
 }

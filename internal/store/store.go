@@ -189,15 +189,15 @@ type dnsHist struct {
 
 // append records n observations of state at rounds [round, round+n),
 // returning how the history grew: spill=true means the new run must go
-// to the shard's spill list, and ooo=true means the observations are
-// out of order (or a duplicate round) and must be kept as explicit
-// rows.
-func (h *dnsHist) append(spillRuns []dnsRun, round, n int32, state uint8) (newRun dnsRun, spill, ooo bool) {
+// to the shard's spill list. ok=false means the observations do not
+// extend the history (round precedes its end, a duplicate round
+// included) and nothing was recorded.
+func (h *dnsHist) append(spillRuns []dnsRun, round, n int32, state uint8) (newRun dnsRun, spill, ok bool) {
 	last := &h.run[0]
 	switch {
 	case h.run[0].count == 0:
 		h.run[0] = dnsRun{start: round, count: n, state: state}
-		return dnsRun{}, false, false
+		return dnsRun{}, false, true
 	case h.run[1].state&dnsSpilled != 0 && len(spillRuns) > 0:
 		last = &spillRuns[len(spillRuns)-1]
 	case h.run[1].count != 0:
@@ -207,17 +207,17 @@ func (h *dnsHist) append(spillRuns []dnsRun, round, n int32, state uint8) (newRu
 	switch {
 	case round == end && state == last.state&dnsStateMask:
 		last.count += n
-		return dnsRun{}, false, false
+		return dnsRun{}, false, true
 	case round >= end:
 		nr := dnsRun{start: round, count: n, state: state}
 		if h.run[1].count == 0 && h.run[1].state&dnsSpilled == 0 {
 			h.run[1] = nr
-			return dnsRun{}, false, false
+			return dnsRun{}, false, true
 		}
 		h.run[1].state |= dnsSpilled
-		return nr, true, false
+		return nr, true, true
 	default:
-		return dnsRun{}, false, true
+		return dnsRun{}, false, false
 	}
 }
 
@@ -260,8 +260,8 @@ type dnsShard struct {
 	spill map[alexa.SiteID][]dnsRun //v6lint:guardedby mu
 	over  map[alexa.SiteID]*dnsHist //v6lint:guardedby mu
 	rows  int                       //v6lint:guardedby mu
-	// rows counts observations in this shard (excluding the ooo log).
-	// lo and hi are the shard's round watermarks (see watermark).
+	// rows counts observations in this shard. lo and hi are the
+	// shard's round watermarks (see watermark).
 	lo int32 //v6lint:guardedby mu
 	hi int32 //v6lint:guardedby mu
 }
@@ -310,31 +310,44 @@ func (s *dnsShard) hist(res reservation, id alexa.SiteID, create bool) *dnsHist 
 	return h
 }
 
-// add records one DNS observation, reporting out-of-order rows the
-// caller must keep in the ooo log instead. Caller holds s.mu.
-func (s *dnsShard) add(res reservation, row DNSRow) (ooo bool) {
-	return s.addTo(s.hist(res, row.Site, true), row)
+// end returns the round id's history ends before: one past its last
+// stored round, or math.MinInt32 (before every round) when it has
+// none. Caller holds s.mu.
+func (s *dnsShard) end(res reservation, id alexa.SiteID) int32 {
+	h := s.hist(res, id, false)
+	if h == nil || h.run[0].count == 0 {
+		return math.MinInt32
+	}
+	var spill []dnsRun
+	if h.run[1].state&dnsSpilled != 0 {
+		spill = s.spill[id]
+	}
+	last := h.last(spill)
+	return last.start + last.count
 }
 
-// addTo is add with row.Site's history slot h already looked up.
-// Caller holds s.mu.
-func (s *dnsShard) addTo(h *dnsHist, row DNSRow) (ooo bool) {
-	return s.addRun(h, row.Site, int32(row.Round), 1, dnsState(row.HasA, row.HasAAAA, row.Identical))
+// add records one DNS observation. A row that does not extend its
+// site's history is not recorded: ok is false and end is the round the
+// history ends before. Caller holds s.mu.
+func (s *dnsShard) add(res reservation, row DNSRow) (end int32, ok bool) {
+	return s.addRun(s.hist(res, row.Site, true), row.Site, int32(row.Round), 1, dnsState(row.HasA, row.HasAAAA, row.Identical))
 }
 
 // addRun records n observations of state at rounds [round, round+n)
-// for site, whose history slot is h; ooo reports that they precede
-// the history's end and were not recorded. Caller holds s.mu.
-func (s *dnsShard) addRun(h *dnsHist, site alexa.SiteID, round, n int32, state uint8) (ooo bool) {
-	watermark(&s.lo, &s.hi, round, round+n-1)
+// for site, whose history slot is h. Observations that do not extend
+// the history are not recorded: ok is false and end is the round the
+// history ends before. Caller holds s.mu.
+func (s *dnsShard) addRun(h *dnsHist, site alexa.SiteID, round, n int32, state uint8) (end int32, ok bool) {
 	var spillRuns []dnsRun
 	if h.run[1].state&dnsSpilled != 0 {
 		spillRuns = s.spill[site]
 	}
-	nr, spill, outOfOrder := h.append(spillRuns, round, n, state)
-	if outOfOrder {
-		return true
+	nr, spill, ok := h.append(spillRuns, round, n, state)
+	if !ok {
+		last := h.last(spillRuns)
+		return last.start + last.count, false
 	}
+	watermark(&s.lo, &s.hi, round, round+n-1)
 	if spill {
 		if s.spill == nil {
 			s.spill = make(map[alexa.SiteID][]dnsRun)
@@ -342,7 +355,16 @@ func (s *dnsShard) addRun(h *dnsHist, site alexa.SiteID, round, n int32, state u
 		s.spill[site] = append(s.spill[site], nr)
 	}
 	s.rows += int(n)
-	return false
+	return 0, true
+}
+
+// errDNSOrder describes a DNS row at vantage v that does not extend
+// its site's history, which ends before round end: its round is a
+// duplicate of the history's last or earlier. The monitor appends each
+// site's rounds in order, so a writer handed such a row panics with
+// it, and Load fails with it.
+func errDNSOrder(v Vantage, site alexa.SiteID, round, end int32) error {
+	return fmt.Errorf("vantage %q site %d round %d does not extend the site's DNS history, which ends at round %d", v, site, round, end-1)
 }
 
 // --- packed samples --------------------------------------------------
@@ -545,12 +567,6 @@ type vantageTable struct {
 	dns     [shards]dnsShard
 	samples [shards]sampleShard
 
-	// oooMu guards the out-of-order log: rows whose round precedes the
-	// end of the site's last run (duplicates included) are kept
-	// verbatim rather than folded into the delta encoding.
-	oooMu sync.Mutex
-	ooo   []DNSRow //v6lint:guardedby oooMu
-
 	pathMu sync.Mutex
 	paths  map[famDstKey][]PathSnapshot //v6lint:guardedby pathMu
 	pathLo int32                        //v6lint:guardedby pathMu
@@ -697,6 +713,11 @@ func (db *DB) Reserve(mainIDs int, extBase alexa.SiteID, extIDs int) {
 	}
 }
 
+// ExtendedRange returns the extended dense range Reserve declared:
+// its base and its size, 0 when there is none. A later Reserve of a
+// non-empty extended range must keep the base.
+func (db *DB) ExtendedRange() (base alexa.SiteID, ids int) { return db.res.extBase, db.res.ext }
+
 // table returns v's table, creating it on first use.
 func (db *DB) table(v Vantage) *vantageTable {
 	db.vmu.RLock()
@@ -819,7 +840,6 @@ type CanonicalSite struct {
 type Batch struct {
 	sites [shards][]CanonicalSite
 	dns   [shards][]DNSRow
-	ooo   []DNSRow // Flush's scratch for out-of-order rows
 }
 
 // NewBatch returns an empty Batch sized for a block of rows contiguous
@@ -856,10 +876,10 @@ func (b *Batch) AddDNS(r DNSRow) {
 // vantage v as AddDNS. A site view is written only where it differs
 // from the stored row: for the (overwhelmingly common) unchanged row
 // that is three integer compares, and no host string is ever built for
-// dense-range sites. DNS rows for one site must arrive in round order
-// across Flushes (the monitor's rounds are sequential); rows violating
-// that join the out-of-order log, a batch's in stripe order, then
-// batch order. A batch without DNS rows does not create v's table.
+// dense-range sites. DNS rows for one site must extend its history, in
+// round order within and across Flushes (the monitor's rounds are
+// sequential): Flush panics on a row that does not, naming it, as
+// AddDNS does. A batch without DNS rows does not create v's table.
 func (db *DB) Flush(v Vantage, b *Batch) {
 	res := db.res
 	for i := range b.sites {
@@ -876,7 +896,6 @@ func (db *DB) Flush(v Vantage, b *Batch) {
 		b.sites[i] = rows[:0]
 	}
 	var t *vantageTable
-	ooo := b.ooo[:0]
 	for i := range b.dns {
 		rows := b.dns[i]
 		if len(rows) == 0 {
@@ -888,19 +907,14 @@ func (db *DB) Flush(v Vantage, b *Batch) {
 		sh := &t.dns[i]
 		sh.mu.Lock()
 		for _, row := range rows {
-			if sh.add(res, row) {
-				ooo = append(ooo, row)
+			if end, ok := sh.add(res, row); !ok {
+				sh.mu.Unlock()
+				panic("store: Flush: " + errDNSOrder(v, row.Site, int32(row.Round), end).Error())
 			}
 		}
 		sh.mu.Unlock()
 		b.dns[i] = rows[:0]
 	}
-	if len(ooo) > 0 {
-		t.oooMu.Lock()
-		t.ooo = append(t.ooo, ooo...)
-		t.oooMu.Unlock()
-	}
-	b.ooo = ooo[:0]
 }
 
 // ensure writes r's row unless the stored row already carries its
@@ -1032,44 +1046,17 @@ func (db *DB) Sites() []SiteRow {
 	return out
 }
 
-// AddDNS appends a DNS phase result. Within one site, rounds arriving
-// in order extend the delta encoding; an out-of-order or duplicate
-// round is kept as an explicit row.
+// AddDNS appends a DNS phase result, which must extend the site's
+// history: a round after the last one stored for the site at v. It
+// panics on a row that does not (an earlier or a duplicate round),
+// naming the vantage, the site, the round and where the history ends.
 func (db *DB) AddDNS(v Vantage, row DNSRow) {
-	t := db.table(v)
-	t.addDNS(db.res, row)
-}
-
-func (t *vantageTable) addDNS(res reservation, row DNSRow) {
-	sh := &t.dns[uint64(row.Site)&(shards-1)]
+	sh := &db.table(v).dns[uint64(row.Site)&(shards-1)]
 	sh.mu.Lock()
-	ooo := sh.add(res, row)
+	end, ok := sh.add(db.res, row)
 	sh.mu.Unlock()
-	if ooo {
-		t.oooMu.Lock()
-		t.ooo = append(t.ooo, row)
-		t.oooMu.Unlock()
-	}
-}
-
-// addSiteDNS records rows — one site's, in order — under a single
-// lock of the site's shard, with the result of addDNS row by row. It
-// reuses rows to collect the out-of-order ones.
-func (t *vantageTable) addSiteDNS(res reservation, rows []DNSRow) {
-	sh := &t.dns[uint64(rows[0].Site)&(shards-1)]
-	sh.mu.Lock()
-	h := sh.hist(res, rows[0].Site, true)
-	ooo := rows[:0]
-	for _, row := range rows {
-		if sh.addTo(h, row) {
-			ooo = append(ooo, row)
-		}
-	}
-	sh.mu.Unlock()
-	if len(ooo) > 0 {
-		t.oooMu.Lock()
-		t.ooo = append(t.ooo, ooo...)
-		t.oooMu.Unlock()
+	if !ok {
+		panic("store: AddDNS: " + errDNSOrder(v, row.Site, int32(row.Round), end).Error())
 	}
 }
 
@@ -1119,10 +1106,7 @@ func (db *DB) DNSStats(v Vantage) (rows, runs, sites int) {
 		}
 		sh.mu.Unlock()
 	}
-	t.oooMu.Lock()
-	n := len(t.ooo)
-	t.oooMu.Unlock()
-	return rows + n, runs + n, sites
+	return rows, runs, sites
 }
 
 // AddSample appends a download sample.
@@ -1216,34 +1200,6 @@ func (db *DB) Vantages() []Vantage {
 	return out
 }
 
-// Merge folds another database into this one — the paper's "common
-// repository at Penn aggregates the measurement data from the
-// different vantage points". Site rows from other win on conflict;
-// samples and DNS rows append (DNS history re-enters the delta
-// encoder in canonical order); path histories are replayed through
-// the change-collapsing insert.
-func (db *DB) Merge(other *DB) {
-	if db == other || other == nil {
-		return
-	}
-	other.forEachSite(func(row SiteRow) { db.PutSite(row) })
-	for v, t := range other.tables() {
-		other.ForEachDNS(v, func(r DNSRow) { db.AddDNS(v, r) })
-		other.ForEachSeries(v, func(site alexa.SiteID, fam topo.Family, ss []Sample) {
-			for _, s := range ss {
-				db.AddSample(v, site, fam, s)
-			}
-		})
-		t.pathMu.Lock()
-		for k, snaps := range t.paths {
-			for _, snap := range snaps {
-				db.AddPath(v, k.fam, k.dst, snap.Round, snap.Path)
-			}
-		}
-		t.pathMu.Unlock()
-	}
-}
-
 // Counts summarizes table sizes, for logging and sanity checks.
 func (db *DB) Counts() (sites, dnsRows, sampleRows, pathSnaps int) {
 	for i := range db.sites {
@@ -1259,9 +1215,6 @@ func (db *DB) Counts() (sites, dnsRows, sampleRows, pathSnaps int) {
 			dnsRows += sh.rows
 			sh.mu.Unlock()
 		}
-		t.oooMu.Lock()
-		dnsRows += len(t.ooo)
-		t.oooMu.Unlock()
 		for i := range t.samples {
 			sh := &t.samples[i]
 			sh.mu.Lock()

@@ -240,40 +240,3 @@ func TestSaveLoadPropertyRandomDBs(t *testing.T) {
 		}
 	}
 }
-
-func TestMerge(t *testing.T) {
-	a := NewDB()
-	a.PutSite(SiteRow{Site: 1, Host: "one"})
-	a.AddSample("penn", 1, topo.V4, Sample{Round: 0, MeanSpeed: 10})
-	a.AddPath("penn", topo.V4, 9, 0, []int{0, 9})
-
-	b := NewDB()
-	b.PutSite(SiteRow{Site: 1, Host: "one-updated"})
-	b.PutSite(SiteRow{Site: 2, Host: "two"})
-	b.AddSample("comcast", 1, topo.V4, Sample{Round: 0, MeanSpeed: 20})
-	b.AddDNS("comcast", DNSRow{Site: 2, Round: 0, HasA: true})
-	b.AddPath("penn", topo.V4, 9, 3, []int{0, 7, 9}) // path change vs a's snapshot
-
-	a.Merge(b)
-	if r, _ := a.Site(1); r.Host != "one-updated" {
-		t.Fatalf("merge site precedence: %+v", r)
-	}
-	if _, ok := a.Site(2); !ok {
-		t.Fatal("merged site missing")
-	}
-	snap := a.Freeze()
-	if len(snap.Series(nil, "comcast", 1, topo.V4)) != 1 {
-		t.Fatal("merged samples missing")
-	}
-	if !snap.PathChanged("penn", topo.V4, 9) {
-		t.Fatal("merged path history lost the change")
-	}
-	// Self-merge and nil-merge are no-ops, not deadlocks.
-	s1, d1, sa1, p1 := a.Counts()
-	a.Merge(a)
-	a.Merge(nil)
-	s2, d2, sa2, p2 := a.Counts()
-	if s1 != s2 || d1 != d2 || sa1 != sa2 || p1 != p2 {
-		t.Fatal("self/nil merge changed contents")
-	}
-}

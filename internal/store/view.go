@@ -23,7 +23,6 @@ import (
 type dnsView struct {
 	extBase alexa.SiteID
 	shards  [shards]dnsViewShard
-	ooo     []DNSRow // sorted by (site, round)
 }
 
 type dnsViewShard struct {
@@ -33,32 +32,20 @@ type dnsViewShard struct {
 }
 
 // walkDNS expands the view to per-round rows in canonical (site,
-// round) order. Out-of-order rows merge back into their site's
-// timeline; duplicates follow the delta-encoded observation of the
-// same round.
+// round) order.
 func (v *dnsView) walkDNS(fn func(DNSRow)) {
-	v.walkRuns(func(site alexa.SiteID, runs []dnsRun, oooRows []DNSRow) {
-		oi := 0
+	v.walkRuns(func(site alexa.SiteID, runs []dnsRun) {
 		for _, r := range runs {
 			for k := int32(0); k < r.count; k++ {
-				round := int(r.start + k)
-				for oi < len(oooRows) && oooRows[oi].Round < round {
-					fn(oooRows[oi])
-					oi++
-				}
 				fn(r.row(site, k))
 			}
-		}
-		for ; oi < len(oooRows); oi++ {
-			fn(oooRows[oi])
 		}
 	})
 }
 
 // walkRuns visits every site with DNS history in ascending id order,
-// handing fn the site's run list (shared scratch — do not retain) and
-// its out-of-order rows.
-func (v *dnsView) walkRuns(fn func(site alexa.SiteID, runs []dnsRun, ooo []DNSRow)) {
+// handing fn the site's run list (shared scratch — do not retain).
+func (v *dnsView) walkRuns(fn func(site alexa.SiteID, runs []dnsRun)) {
 	var over []alexa.SiteID
 	for i := range v.shards {
 		for id := range v.shards[i].over {
@@ -68,33 +55,14 @@ func (v *dnsView) walkRuns(fn func(site alexa.SiteID, runs []dnsRun, ooo []DNSRo
 	sort.Slice(over, func(i, j int) bool { return over[i] < over[j] })
 
 	var buf []dnsRun
-	oi, vi := 0, 0
-	emit := func(id alexa.SiteID, runs []dnsRun) {
-		// Out-of-order rows for sites the dense walk has passed (a site
-		// can in principle appear only in the ooo log after a merge of
-		// exotic histories) flush before the next site.
-		for oi < len(v.ooo) && v.ooo[oi].Site < id {
-			start := oi
-			for oi < len(v.ooo) && v.ooo[oi].Site == v.ooo[start].Site {
-				oi++
-			}
-			fn(v.ooo[start].Site, nil, v.ooo[start:oi])
-		}
-		if len(runs) == 0 {
-			return
-		}
-		start := oi
-		for oi < len(v.ooo) && v.ooo[oi].Site == id {
-			oi++
-		}
-		fn(id, runs, v.ooo[start:oi])
-	}
+	vi := 0
 	emitOver := func(limit alexa.SiteID, all bool) {
 		for vi < len(over) && (all || over[vi] < limit) {
 			id := over[vi]
 			s := &v.shards[uint64(id)&(shards-1)]
-			buf = s.over[id].runs(s.spill[id], buf[:0])
-			emit(id, buf)
+			if buf = s.over[id].runs(s.spill[id], buf[:0]); len(buf) > 0 {
+				fn(id, buf)
+			}
 			vi++
 		}
 	}
@@ -110,14 +78,13 @@ func (v *dnsView) walkRuns(fn func(site alexa.SiteID, runs []dnsRun, ooo []DNSRo
 				id := base + alexa.SiteID(slot<<shardBits|i)
 				emitOver(id, false)
 				buf = hists[slot].runs(s.spill[id], buf[:0])
-				emit(id, buf)
+				fn(id, buf)
 			}
 		}
 	}
 	emitRange(0, func(s *dnsViewShard) []dnsHist { return s.main })
 	emitRange(v.extBase, func(s *dnsViewShard) []dnsHist { return s.ext })
 	emitOver(0, true)
-	emit(alexa.SiteID(1)<<62, nil) // flush trailing ooo rows
 }
 
 // lockedDNSView captures a live view under every DNS shard lock and
@@ -136,16 +103,7 @@ func (db *DB) lockedDNSView(v Vantage, fn func(*dnsView)) {
 			t.dns[i].mu.Unlock()
 		}
 	}()
-	t.oooMu.Lock()
-	ooo := append([]DNSRow(nil), t.ooo...)
-	t.oooMu.Unlock()
-	sort.SliceStable(ooo, func(i, j int) bool {
-		if ooo[i].Site != ooo[j].Site {
-			return ooo[i].Site < ooo[j].Site
-		}
-		return ooo[i].Round < ooo[j].Round
-	})
-	view := &dnsView{extBase: db.res.extBase, ooo: ooo}
+	view := &dnsView{extBase: db.res.extBase}
 	for i := range t.dns {
 		sh := &t.dns[i]
 		view.shards[i] = dnsViewShard{main: sh.main, ext: sh.ext, spill: sh.spill, over: sh.over}
