@@ -546,77 +546,6 @@ func (va *VantageAnalysis) BetterV6() BetterV6Profile {
 	return p
 }
 
-// V6FasterRoundOdds returns the fraction of per-round sample pairs
-// (over kept sites) where the IPv6 download was faster — a per-sample
-// variant of Fig. 3b backing the paper's remark that "similar
-// findings held for other metrics". The per-site series are merged
-// linearly on their shared round order, like pairRounds.
-func (va *VantageAnalysis) V6FasterRoundOdds() float64 {
-	total, faster := 0, 0
-	var s4, s6 []store.Sample // reused across sites
-	for _, s := range va.KeptSites() {
-		s4 = va.snap.Series(s4[:0], va.Vantage, s.ID, topo.V4)
-		s6 = va.snap.Series(s6[:0], va.Vantage, s.ID, topo.V6)
-		i, j := 0, 0
-		for i < len(s4) && j < len(s6) {
-			a, b := s4[i], s6[j]
-			switch {
-			case a.Round < b.Round:
-				i++
-			case b.Round < a.Round:
-				j++
-			default:
-				if a.CIOK && b.CIOK {
-					total++
-					if b.MeanSpeed > a.MeanSpeed {
-						faster++
-					}
-				}
-				i++
-				j++
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(faster) / float64(total)
-}
-
-// V6FasterMedianOdds is Fig 3b computed over per-site median round
-// speeds instead of means.
-func (va *VantageAnalysis) V6FasterMedianOdds() float64 {
-	total, faster := 0, 0
-	var s4, s6 []store.Sample // reused across sites
-	var v4s, v6s []float64
-	for _, s := range va.KeptSites() {
-		v4s, v6s = v4s[:0], v6s[:0]
-		s4 = va.snap.Series(s4[:0], va.Vantage, s.ID, topo.V4)
-		s6 = va.snap.Series(s6[:0], va.Vantage, s.ID, topo.V6)
-		for _, a := range s4 {
-			if a.CIOK {
-				v4s = append(v4s, a.MeanSpeed)
-			}
-		}
-		for _, b := range s6 {
-			if b.CIOK {
-				v6s = append(v6s, b.MeanSpeed)
-			}
-		}
-		if len(v4s) == 0 || len(v6s) == 0 {
-			continue
-		}
-		total++
-		if stats.Median(v6s) > stats.Median(v4s) {
-			faster++
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(faster) / float64(total)
-}
-
 // V6FasterOdds returns the fraction of kept dual-stack sites
 // (optionally filtered) whose IPv6 mean speed beats IPv4 — Fig. 3b's
 // metric.

@@ -2,12 +2,14 @@ package core
 
 // This file is the shard-execution surface: the hooks that let a
 // worker process run one slice of the site population through the
-// ordinary round machinery (Restrict, RestrictVantages, SetDestSink)
-// and a coordinator rebuild the parts a restricted worker cannot
-// produce locally (FastForward, ReplayPaths, FinalMainSites). The
-// coordinator/worker protocol built on top lives in internal/shard.
+// ordinary round machinery (Restrict, RestrictVantages) and a
+// coordinator rebuild the parts a restricted worker cannot produce
+// (FastForward, ReplayPaths, FinalMainSites). The coordinator/worker
+// protocol built on top lives in internal/shard.
 
 import (
+	"slices"
+
 	"v6web/internal/alexa"
 	"v6web/internal/measure"
 	"v6web/internal/store"
@@ -29,7 +31,10 @@ type SiteRange struct {
 // restricted run does monitor observe exactly what they observe in an
 // unrestricted run. Call after NewScenario or Resume, before running
 // rounds; sites churning into the range later are picked up by the
-// per-round absorb.
+// per-round absorb. The monitors still record post-round path
+// snapshots, to their own slice's destinations only: a coordinator
+// does not merge those, it rebuilds the campaign's table from the
+// merged DNS history with ReplayPaths.
 func (s *Scenario) Restrict(r SiteRange) {
 	s.restrict = &r
 	s.trackedR = filterRefs(s.tracked, r.MainLo, r.MainHi)
@@ -69,42 +74,66 @@ func (s *Scenario) RestrictVantages(names []store.Vantage) {
 // list state to the checkpointed round.
 func (s *Scenario) FastForward(to int) { s.fastForward(to) }
 
-// SetDestSink diverts every monitor's post-round path recording to fn
-// (nil restores local recording): fn receives the vantage's sorted
-// destination-AS set per completed round instead of AS paths being
-// written to s.DB. A worker ships these sets to its coordinator, which
-// replays the snapshots via ReplayPaths; shard-local path tables
-// cannot simply be concatenated because AddPath collapses consecutive
-// identical snapshots across the whole destination history. fn may be
-// called from concurrent round tasks (an extended vantage's main and
-// extended populations are separate units of work) and must be safe
-// for that.
-func (s *Scenario) SetDestSink(fn func(v store.Vantage, round int, dsts []int)) {
-	for name, m := range s.monitors {
-		if fn == nil {
-			m.SetDestSink(nil)
-			continue
+// ReplayPaths rebuilds the main study's path table from s.DB alone,
+// which must hold the campaign's DNS history and site rows and no path
+// snapshots: the shard coordinator calls it once every shard has
+// merged. A round's post-round snapshot at a vantage covers the origin
+// ASes of the sites whose DNS row is dual-stack there
+// (measure.RunRound). So for each vantage, a run-level walk of its DNS
+// history finds each round's dual-stack sites, their known origin ASes
+// become the round's destinations, and the paths to them are recorded
+// in ascending round order. The origins come from the site rows: a
+// site's origins stay fixed once it is dual-stack, and its row holds
+// those of its latest observation, which is dual-stack whenever an
+// earlier one was, so they are the origins the monitor resolved at
+// every dual-stack round. PathTo is a pure function of (destination,
+// family, round), so the table equals the one a single-process
+// campaign records.
+func (s *Scenario) ReplayPaths() {
+	type dualRun struct {
+		site     alexa.SiteID
+		start, n int
+	}
+	for _, vp := range s.Cfg.Vantages {
+		// Collect first: the walk holds the DNS locks.
+		var runs []dualRun
+		s.DB.ForEachDNSRun(vp.Name, func(row store.DNSRow, n int) {
+			if row.HasA && row.HasAAAA {
+				runs = append(runs, dualRun{row.Site, row.Round, n})
+			}
+		})
+		// Sets, not lists: most of a round's dual-stack sites share
+		// their origin ASes with others.
+		dsts := make([]map[int]bool, s.Cfg.Rounds)
+		for r := range dsts {
+			dsts[r] = make(map[int]bool)
 		}
-		name := name
-		m.SetDestSink(func(round int, dsts []int) { fn(name, round, dsts) })
-	}
-}
-
-// ReplayPaths records the post-round AS-path snapshot for round at
-// vantage v given the destination-AS set that round observed — the
-// coordinator-side counterpart of SetDestSink. The fetcher's PathTo is
-// deterministic in (dst, family, round), so replaying the union of the
-// workers' destination sets in ascending round order reproduces the
-// path table byte-for-byte.
-func (s *Scenario) ReplayPaths(v store.Vantage, round int, dsts []int) {
-	f := s.fetchers[v]
-	if f == nil {
-		return
-	}
-	for _, dst := range dsts {
-		for _, fam := range [2]topo.Family{topo.V4, topo.V6} {
-			if p := f.PathTo(dst, fam, round); p != nil {
-				s.DB.AddPath(v, fam, dst, round, p)
+		for _, run := range runs {
+			row, ok := s.DB.Site(run.site)
+			if !ok {
+				continue
+			}
+			for r := run.start; r < run.start+run.n; r++ {
+				for _, as := range [2]int{row.V4AS, row.V6AS} {
+					if as >= 0 {
+						dsts[r][as] = true
+					}
+				}
+			}
+		}
+		f := s.fetchers[vp.Name]
+		for r, set := range dsts {
+			ases := make([]int, 0, len(set))
+			for as := range set {
+				ases = append(ases, as)
+			}
+			slices.Sort(ases)
+			for _, dst := range ases {
+				for _, fam := range [2]topo.Family{topo.V4, topo.V6} {
+					if p := f.PathTo(dst, fam, r); p != nil {
+						s.DB.AddPath(vp.Name, fam, dst, r, p)
+					}
+				}
 			}
 		}
 	}

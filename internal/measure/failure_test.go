@@ -30,8 +30,8 @@ type scriptFetcher struct {
 	noisy bool
 }
 
-func (f *scriptFetcher) Resolve(SiteRef, time.Time) (bool, bool, error) {
-	return f.hasA, f.hasAAAA, f.resolveErr
+func (f *scriptFetcher) Resolve(SiteRef, time.Time) (bool, bool, int, int, error) {
+	return f.hasA, f.hasAAAA, -1, -1, f.resolveErr
 }
 
 func (f *scriptFetcher) Fetch(_ SiteRef, fam topo.Family, _ int, _ float64, rng *rand.Rand) (FetchResult, error) {
@@ -198,12 +198,14 @@ func TestRoundStatsSiteCounts(t *testing.T) {
 	}
 }
 
-// minimalFetcher implements only the base Fetcher interface (no
-// OriginReporter, no PathReporter): the monitor must degrade
+// minimalFetcher implements only the Fetcher interface (no
+// PathReporter) and knows no origins: the monitor must degrade
 // gracefully.
 type minimalFetcher struct{}
 
-func (minimalFetcher) Resolve(SiteRef, time.Time) (bool, bool, error) { return true, true, nil }
+func (minimalFetcher) Resolve(SiteRef, time.Time) (bool, bool, int, int, error) {
+	return true, true, -1, -1, nil
+}
 
 func (minimalFetcher) Fetch(_ SiteRef, _ topo.Family, _ int, _ float64, _ *rand.Rand) (FetchResult, error) {
 	return FetchResult{PageBytes: 1000, Elapsed: 200 * time.Millisecond}, nil
@@ -232,14 +234,17 @@ func TestMonitorWithoutOptionalInterfaces(t *testing.T) {
 }
 
 func TestOriginsViaLPM(t *testing.T) {
-	// SimFetcher's Origins go address -> LPM -> AS and must agree
-	// with the catalogue's ground truth.
+	// SimFetcher's Resolve attributes origins address -> LPM -> AS,
+	// and they must agree with the catalogue's ground truth.
 	e := newSimEnv(t, 500, 31)
 	tl := e.tl
 	for id := int64(0); id < 2000; id++ {
 		ref := SiteRef{ID: alexa.SiteID(id), FirstRank: 50}
 		site := e.cat.Site(ref.ID, ref.FirstRank)
-		v4, v6 := e.fetch.Origins(ref, tl.End)
+		_, _, v4, v6, err := e.fetch.Resolve(ref, tl.End)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if v4 != site.V4AS {
 			t.Fatalf("site %d: LPM v4 origin %d != %d", id, v4, site.V4AS)
 		}

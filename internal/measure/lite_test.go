@@ -33,12 +33,12 @@ func TestLiteResolveMatchesLPM(t *testing.T) {
 	}
 }
 
-// TestResolveOriginsLiteEquivalence compares ResolveOrigins — which
-// answers non-dual sites from the allocation-free hosting summary —
+// TestResolveLiteEquivalence compares Resolve — which answers
+// non-dual sites from the allocation-free hosting summary —
 // against the reference slow path (materialize the Site, LPM both
 // addresses, gate v6 on dual-stack status) at dates before, during,
 // and after the adoption window.
-func TestResolveOriginsLiteEquivalence(t *testing.T) {
+func TestResolveLiteEquivalence(t *testing.T) {
 	e := newSimEnv(t, 400, 7)
 	f := e.fetch
 	dates := []time.Time{
@@ -50,7 +50,7 @@ func TestResolveOriginsLiteEquivalence(t *testing.T) {
 	for id := alexa.SiteID(0); id < 1500; id++ {
 		rank := int(id%9000) + 1
 		for _, date := range dates {
-			gotA, gotAAAA, gotV4, gotV6, err := f.ResolveOrigins(SiteRef{ID: id, FirstRank: rank}, date)
+			gotA, gotAAAA, gotV4, gotV6, err := f.Resolve(SiteRef{ID: id, FirstRank: rank}, date)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -62,7 +62,7 @@ func TestResolveOriginsLiteEquivalence(t *testing.T) {
 				v6Full = -1
 			}
 			if gotA != true || gotAAAA != dual || gotV4 != v4 || gotV6 != v6Full {
-				t.Fatalf("site %d at %v: ResolveOrigins = (%v %v %d %d), reference = (true %v %d %d)",
+				t.Fatalf("site %d at %v: Resolve = (%v %v %d %d), reference = (true %v %d %d)",
 					id, date, gotA, gotAAAA, gotV4, gotV6, dual, v4, v6Full)
 			}
 		}

@@ -42,21 +42,23 @@ func NewLiveFetcher(dnsAddr string, v4Port, v6Port int, seed int64) *LiveFetcher
 	}
 }
 
-// Resolve implements Fetcher via real A/AAAA queries.
-func (f *LiveFetcher) Resolve(ref SiteRef, _ time.Time) (bool, bool, error) {
+// Resolve implements Fetcher via real A/AAAA queries. There is no
+// BGP data to attribute the records with, so both origins are
+// unknown (-1).
+func (f *LiveFetcher) Resolve(ref SiteRef, _ time.Time) (hasA, hasAAAA bool, v4AS, v6AS int, err error) {
 	host := HostName(ref.ID)
 	a, err := f.Resolver.LookupA(host)
 	if err != nil {
 		if errors.Is(err, dnssim.ErrNXDomain) {
-			return false, false, nil
+			return false, false, -1, -1, nil
 		}
-		return false, false, err
+		return false, false, -1, -1, err
 	}
 	aaaa, err := f.Resolver.LookupAAAA(host)
 	if err != nil && !errors.Is(err, dnssim.ErrNXDomain) {
-		return false, false, err
+		return false, false, -1, -1, err
 	}
-	return len(a) > 0, len(aaaa) > 0, nil
+	return len(a) > 0, len(aaaa) > 0, -1, -1, nil
 }
 
 // Fetch implements Fetcher via a real HTTP GET over the requested

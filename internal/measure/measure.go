@@ -64,27 +64,14 @@ func (f FetchResult) Speed() float64 {
 
 // Fetcher abstracts the network side of monitoring from one vantage.
 type Fetcher interface {
-	// Resolve performs the A/AAAA query phase for a site at a date.
-	Resolve(ref SiteRef, date time.Time) (hasA, hasAAAA bool, err error)
+	// Resolve performs the A/AAAA query phase for a site at a date and
+	// attributes its records to origin ASes (as the paper derives them
+	// from BGP data); -1 means an unknown or absent origin.
+	Resolve(ref SiteRef, date time.Time) (hasA, hasAAAA bool, v4AS, v6AS int, err error)
 	// Fetch downloads the site's main page once over fam. round and
 	// tFrac position the download in the study; rng supplies the
 	// sampling randomness owned by the monitor.
 	Fetch(ref SiteRef, fam topo.Family, round int, tFrac float64, rng *rand.Rand) (FetchResult, error)
-}
-
-// OriginReporter optionally reports the origin ASes of a site's A and
-// AAAA records (as the paper derives from BGP data). -1 means unknown
-// or absent.
-type OriginReporter interface {
-	Origins(ref SiteRef, date time.Time) (v4AS, v6AS int)
-}
-
-// SiteResolver is an optional Fetcher extension that performs the
-// A/AAAA phase and the origin attribution in one call, saving a
-// second per-site catalogue lookup on the monitoring hot path. The
-// outcome must match Resolve followed by Origins.
-type SiteResolver interface {
-	ResolveOrigins(ref SiteRef, date time.Time) (hasA, hasAAAA bool, v4AS, v6AS int, err error)
 }
 
 // PathReporter optionally reports the AS path to a destination AS in
@@ -148,15 +135,9 @@ type Monitor struct {
 	fetch Fetcher
 	db    *store.DB
 
-	// Optional fetcher capabilities, asserted once at construction
-	// instead of per site on the hot path.
-	origins  OriginReporter
-	paths    PathReporter
-	resolver SiteResolver
-
-	// destSink, when set, diverts the post-round path snapshot: see
-	// SetDestSink.
-	destSink func(round int, dsts []int)
+	// paths is the fetcher's optional PathReporter, asserted once at
+	// construction instead of per round.
+	paths PathReporter
 }
 
 // NewMonitor builds a monitor writing into db.
@@ -168,9 +149,7 @@ func NewMonitor(cfg Config, fetch Fetcher, db *store.DB) (*Monitor, error) {
 		return nil, fmt.Errorf("measure: nil fetcher or db")
 	}
 	m := &Monitor{cfg: cfg, fetch: fetch, db: db}
-	m.origins, _ = fetch.(OriginReporter)
 	m.paths, _ = fetch.(PathReporter)
-	m.resolver, _ = fetch.(SiteResolver)
 	return m, nil
 }
 
@@ -258,6 +237,13 @@ func blockSize(sites, workers int) int {
 // accumulated per worker and merged after the round: the per-site path
 // is free of the global mutex the original design serialized every
 // worker through.
+//
+// When the fetcher is a PathReporter, the round ends with a path
+// snapshot toward its destination ASes: the non-negative origins
+// Resolve reported for the round's dual-stack sites, which are the
+// sites whose DNS row is dual-stack, and the origins their site rows
+// hold. The snapshot is therefore a function of the stored DNS and
+// site rows, and core.Scenario.ReplayPaths rebuilds it from them.
 func (m *Monitor) RunRound(round int, date time.Time, tFrac float64, sites []SiteRef) RoundStats {
 	bs := blockSize(len(sites), m.cfg.Workers)
 	order := make([]int, (len(sites)+bs-1)/bs)
@@ -341,31 +327,16 @@ func (m *Monitor) RunRound(round int, date time.Time, tFrac float64, sites []Sit
 	// seen, over both families (the paper retrieved routing tables
 	// "after each monitoring round").
 	if m.paths != nil {
-		if m.destSink != nil {
-			var dsts []int
-			destASes.forEach(func(dst int) { dsts = append(dsts, dst) })
-			m.destSink(round, dsts)
-		} else {
-			destASes.forEach(func(dst int) {
-				for _, fam := range famBoth {
-					if p := m.paths.PathTo(dst, fam, round); p != nil {
-						m.db.AddPath(m.cfg.Vantage, fam, dst, round, p)
-					}
+		destASes.forEach(func(dst int) {
+			for _, fam := range famBoth {
+				if p := m.paths.PathTo(dst, fam, round); p != nil {
+					m.db.AddPath(m.cfg.Vantage, fam, dst, round, p)
 				}
-			})
-		}
+			}
+		})
 	}
 	return st
 }
-
-// SetDestSink diverts the post-round path snapshot: instead of
-// recording AS paths itself, RunRound hands fn the sorted
-// destination-AS set it would have snapshotted. Shard workers use this
-// to ship destination sets to a coordinator, which replays the path
-// snapshots centrally (the fetcher's PathTo is deterministic). The
-// sink fires only when the fetcher reports paths at all, mirroring the
-// unsharded recording condition. Not safe to call while a round runs.
-func (m *Monitor) SetDestSink(fn func(round int, dsts []int)) { m.destSink = fn }
 
 type siteResult struct {
 	dual      bool
@@ -387,21 +358,11 @@ type reseeder interface{ Reseed(parts ...uint64) }
 // from rng, so src is reseeded per (seed, round, site) once the site
 // is known to be dual-stack, sparing the single-stack majority.
 func (m *Monitor) monitorSite(ref SiteRef, round int, date time.Time, tFrac float64, src reseeder, rng *rand.Rand) siteResult {
-	out := siteResult{v4AS: -1, v6AS: -1}
-	var hasA, hasAAAA bool
-	var err error
-	if m.resolver != nil {
-		hasA, hasAAAA, out.v4AS, out.v6AS, err = m.resolver.ResolveOrigins(ref, date)
-	} else {
-		hasA, hasAAAA, err = m.fetch.Resolve(ref, date)
-	}
+	hasA, hasAAAA, v4AS, v6AS, err := m.fetch.Resolve(ref, date)
 	if err != nil {
-		out.fetchFail = true
-		return out
+		return siteResult{fetchFail: true}
 	}
-	if m.resolver == nil && m.origins != nil {
-		out.v4AS, out.v6AS = m.origins.Origins(ref, date)
-	}
+	out := siteResult{v4AS: v4AS, v6AS: v6AS}
 	out.dns = store.DNSRow{Site: ref.ID, Round: round, HasA: hasA, HasAAAA: hasAAAA}
 	out.hasDNS = true
 	if !hasA || !hasAAAA {

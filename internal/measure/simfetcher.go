@@ -16,9 +16,8 @@ import (
 
 // SimFetcher satisfies Fetcher over the synthetic substrates: DNS
 // outcomes come from the adoption model, download times from netsim
-// over BGP-computed AS paths. It also implements OriginReporter and
-// PathReporter so the monitor can record site origins and post-round
-// path snapshots.
+// over BGP-computed AS paths. It also implements PathReporter so the
+// monitor can record post-round path snapshots.
 //
 // A fraction of (destination AS, family) pairs experience one BGP
 // path change during the study: before the change the primary route
@@ -182,14 +181,6 @@ func (f *SimFetcher) PathTo(dst int, fam topo.Family, round int) []int {
 	return p
 }
 
-// Resolve implements Fetcher: A always exists; AAAA appears at the
-// site's adoption date. The hosting summary answers without
-// materializing a Site for the single-stack majority.
-func (f *SimFetcher) Resolve(ref SiteRef, date time.Time) (bool, bool, error) {
-	h := f.Cat.HostingOf(ref.ID, ref.FirstRank)
-	return true, h.DualAtUnix(date.UnixNano()), nil
-}
-
 // origins computes (and memoizes on the site) the origin-AS
 // attribution: the site's addresses mapped back to ASes by
 // longest-prefix match against the address plan, mirroring the
@@ -210,18 +201,9 @@ func (f *SimFetcher) origins(site *websim.Site, id int64) (v4, v6Full int) {
 	return v4, v6Full
 }
 
-// Origins implements OriginReporter.
-func (f *SimFetcher) Origins(ref SiteRef, date time.Time) (int, int) {
-	site := f.Cat.Site(ref.ID, ref.FirstRank)
-	v4, v6Full := f.origins(site, int64(ref.ID))
-	if !site.DualAtUnix(date.UnixNano()) {
-		return v4, -1
-	}
-	return v4, v6Full
-}
-
-// ResolveOrigins implements SiteResolver: the DNS phase and origin
-// attribution in one catalogue lookup.
+// Resolve implements Fetcher: A always exists, AAAA appears at the
+// site's adoption date, and the origins come from one catalogue
+// lookup.
 //
 // Sites that are not dual-stack at the query date — the vast majority
 // of a paper-scale population — are answered from the allocation-free
@@ -233,7 +215,7 @@ func (f *SimFetcher) Origins(ref SiteRef, date time.Time) (int, int) {
 // (pinned by TestLiteResolveMatchesLPM). Dual-stack sites take the
 // full path: the Site is needed for the download phase anyway, and
 // its memoized LPM attribution also yields the v6 origin.
-func (f *SimFetcher) ResolveOrigins(ref SiteRef, date time.Time) (hasA, hasAAAA bool, v4AS, v6AS int, err error) {
+func (f *SimFetcher) Resolve(ref SiteRef, date time.Time) (hasA, hasAAAA bool, v4AS, v6AS int, err error) {
 	h := f.Cat.HostingOf(ref.ID, ref.FirstRank)
 	if !h.DualAtUnix(date.UnixNano()) {
 		return true, false, h.V4AS, -1, nil

@@ -147,19 +147,41 @@ func TestChaosUnrecoverableScheduleFails(t *testing.T) {
 // TestShardedOutageCampaignByteIdentical: a campaign-level outage
 // schedule is campaign state, so the sharded run must agree with the
 // single-process run byte-for-byte — including under wire faults on
-// top of the degraded roster.
+// top of the degraded roster. The staggered schedule takes one vantage
+// offline at every round where a path may change (PathChangeFrac 1
+// puts every change round in [Rounds/4, 3*Rounds/4], here [2, 6]), so
+// the coordinator's path table is wrong if it replays any round in
+// which a vantage did not monitor.
 func TestShardedOutageCampaignByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sharded outage property test in -short mode")
 	}
-	cfg := testCfg(6)
-	cfg.Outages = []core.VantageOutage{
+	two := testCfg(6)
+	two.Outages = []core.VantageOutage{
 		{Vantage: "Penn", From: 2, To: 4},
 		{Vantage: "Comcast", From: 3, To: 5},
 	}
-	refDir := referenceRun(t, cfg)
-	dir, _, _ := runChaos(t, cfg, aggressiveFaults(41), 3)
-	assertCampaignsIdentical(t, refDir, dir, "sharded outage campaign")
+	staggered := testCfg(6)
+	staggered.NASes, staggered.ListSize, staggered.Extended, staggered.Rounds = 400, 3000, 400, 8
+	staggered.Vantages = core.ScaledVantages(staggered.Rounds)
+	staggered.PathChangeFrac = 1
+	staggered.Outages = []core.VantageOutage{
+		{Vantage: "Penn", From: 2, To: 3},
+		{Vantage: "Comcast", From: 3, To: 4},
+		{Vantage: "UPCB", From: 4, To: 5},
+		{Vantage: "LU", From: 5, To: 6},
+		{Vantage: "Go6-Slovenia", From: 6, To: 7},
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  core.Config
+	}{{"two-outages", two}, {"staggered", staggered}} {
+		t.Run(tc.name, func(t *testing.T) {
+			refDir := referenceRun(t, tc.cfg)
+			dir, _, _ := runChaos(t, tc.cfg, aggressiveFaults(41), 3)
+			assertCampaignsIdentical(t, refDir, dir, "sharded outage campaign")
+		})
+	}
 }
 
 // TestWorkerConnectsBeforeCoordinatorListens is the reconnect

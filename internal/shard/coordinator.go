@@ -9,8 +9,6 @@ import (
 	"net"
 	"os"
 	"os/exec"
-	"path/filepath"
-	"sort"
 	"sync"
 	"syscall"
 	"time"
@@ -27,10 +25,12 @@ type Options struct {
 	// shard gets a locally spawned worker process.
 	Workers int
 
-	// Dir is the root for per-shard checkpoint directories
-	// (Dir/shard-NN). Empty disables checkpointing: a failed worker
-	// then retries its shard from scratch instead of from the last
-	// per-shard checkpoint.
+	// Dir is the root for per-shard checkpoint directories, each
+	// named after its shard's index and site ranges
+	// (Dir/shard-NN-mainLo-mainHi-extLo-extHi), so a rerun with another
+	// shard count never resumes a checkpoint cut for other ranges.
+	// Empty disables checkpointing: a failed worker then retries its
+	// shard from scratch instead of from the last per-shard checkpoint.
 	Dir string
 
 	// CheckpointEvery is the worker checkpoint cadence in rounds
@@ -84,7 +84,7 @@ type Options struct {
 type Stats struct {
 	Shards    int
 	Retries   int
-	WireBytes int64         // section + dests frame payload bytes
+	WireBytes int64         // section frame payload bytes
 	MergeDur  time.Duration // total time inside DB.MergeShard
 }
 
@@ -102,9 +102,10 @@ type workerConn interface {
 // merged scenario, which serializes byte-identically to a
 // single-process campaign. The coordinator never runs measurement
 // rounds itself: it fast-forwards the ranked list (reserving the dense
-// id ranges), merges worker frames, and replays path snapshots from
-// the shipped destination sets. World-V6-Day rounds, analyses, and
-// saving remain ordinary local calls on the returned scenario.
+// id ranges), merges worker frames, and rebuilds the path table from
+// the merged DNS history (core.Scenario.ReplayPaths). World-V6-Day
+// rounds, analyses, and saving remain ordinary local calls on the
+// returned scenario.
 func Run(ctx context.Context, cfg core.Config, opt Options) (*core.Scenario, *Stats, error) {
 	if cfg.Vantages == nil {
 		cfg.Vantages = core.DefaultVantages()
@@ -141,7 +142,7 @@ func runSpecs(ctx context.Context, cfg core.Config, specs []Spec, opt Options) (
 	opt.Log = &syncWriter{w: opt.Log}
 	for i := range specs {
 		if opt.Dir != "" {
-			specs[i].CheckpointDir = filepath.Join(opt.Dir, fmt.Sprintf("shard-%02d", i))
+			specs[i].CheckpointDir = specs[i].checkpointDir(opt.Dir)
 			specs[i].CheckpointEvery = opt.CheckpointEvery
 		}
 	}
@@ -178,7 +179,6 @@ func runSpecs(ctx context.Context, cfg core.Config, specs []Spec, opt Options) (
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	st := &Stats{Shards: len(specs)}
-	dests := newDestLog()
 	var (
 		mu   sync.Mutex // serializes merges into s and writes to st
 		wg   sync.WaitGroup
@@ -188,7 +188,7 @@ func runSpecs(ctx context.Context, cfg core.Config, specs []Spec, opt Options) (
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = runShard(ctx, specs[i], opt, s, dests, st, &mu)
+			errs[i] = runShard(ctx, specs[i], opt, s, st, &mu)
 			if errs[i] != nil {
 				cancel() // one dead shard fails the campaign; stop the rest
 			}
@@ -209,7 +209,7 @@ func runSpecs(ctx context.Context, cfg core.Config, specs []Spec, opt Options) (
 	if firstErr != nil {
 		return nil, st, firstErr
 	}
-	replayDests(s, dests, cfg.Rounds)
+	s.ReplayPaths()
 	return s, st, nil
 }
 
@@ -217,9 +217,9 @@ func runSpecs(ctx context.Context, cfg core.Config, specs []Spec, opt Options) (
 // frames are their progress. An attempt returns only after its local
 // worker was reaped, so a killed worker cannot write into the shard
 // directory its successor resumes from.
-func runShard(ctx context.Context, spec Spec, opt Options, s *core.Scenario, dests *destLog, st *Stats, mu *sync.Mutex) error {
+func runShard(ctx context.Context, spec Spec, opt Options, s *core.Scenario, st *Stats, mu *sync.Mutex) error {
 	err := opt.Retry.Supervise(ctx, func(a *fault.Attempt) error {
-		return runShardOnce(ctx, spec, a, opt, s, dests, st, mu)
+		return runShardOnce(ctx, spec, a, opt, s, st, mu)
 	}, func(next int, err error) {
 		mu.Lock()
 		st.Retries++
@@ -233,7 +233,7 @@ func runShard(ctx context.Context, spec Spec, opt Options, s *core.Scenario, des
 	return nil
 }
 
-func runShardOnce(ctx context.Context, spec Spec, a *fault.Attempt, opt Options, s *core.Scenario, dests *destLog, st *Stats, mu *sync.Mutex) error {
+func runShardOnce(ctx context.Context, spec Spec, a *fault.Attempt, opt Options, s *core.Scenario, st *Stats, mu *sync.Mutex) error {
 	// Arm the fault plan for this attempt — except on the last attempt
 	// of the shard's budget, which runs clean so every armed schedule
 	// stays recoverable by construction.
@@ -260,13 +260,13 @@ func runShardOnce(ctx context.Context, spec Spec, a *fault.Attempt, opt Options,
 	}()
 	// Results are buffered until the done frame: a worker that dies
 	// mid-stream contributes nothing, so its retry merges cleanly.
-	res, bytes, err := consumeFrames(ctx, a, conn, spec, opt)
+	sections, bytes, err := consumeFrames(ctx, a, conn, spec, opt)
 	if err != nil {
 		return err
 	}
 	mu.Lock()
 	start := time.Now() //v6lint:wallclock MergeDur is coordinator observability, not campaign state
-	for _, m := range res.sections {
+	for _, m := range sections {
 		if err := s.DB.MergeShard(alexa.SiteID(m.lo), alexa.SiteID(m.hi), m.section,
 			store.Vantage(m.vantage), m.payload); err != nil {
 			mu.Unlock()
@@ -276,15 +276,7 @@ func runShardOnce(ctx context.Context, spec Spec, a *fault.Attempt, opt Options,
 	st.MergeDur += time.Since(start) //v6lint:wallclock MergeDur is coordinator observability, not campaign state
 	st.WireBytes += bytes
 	mu.Unlock()
-	for _, m := range res.dests {
-		dests.record(store.Vantage(m.vantage), m.round, m.dsts)
-	}
 	return nil
-}
-
-type shardResult struct {
-	sections []sectionMsg
-	dests    []destsMsg
 }
 
 // consumeFrames reads a worker's stream to its done frame under the
@@ -299,7 +291,7 @@ type shardResult struct {
 // Every terminal outcome after an interrupt maps to the context's
 // error, so the campaign reports a clean interruption, not a worker
 // failure.
-func consumeFrames(ctx context.Context, a *fault.Attempt, conn workerConn, spec Spec, opt Options) (*shardResult, int64, error) {
+func consumeFrames(ctx context.Context, a *fault.Attempt, conn workerConn, spec Spec, opt Options) ([]sectionMsg, int64, error) {
 	type frame struct {
 		typ     byte
 		payload []byte
@@ -328,14 +320,14 @@ func consumeFrames(ctx context.Context, a *fault.Attempt, conn workerConn, spec 
 			}
 		}
 	}()
-	res := &shardResult{}
+	var sections []sectionMsg
 	var bytes int64
 	interrupted := false
 	// fail maps terminal failures to the interrupt when one is being
 	// served: the worker exiting after its shutdown checkpoint (stream
 	// end, an "interrupted" error frame) is the expected outcome, not a
 	// shard failure.
-	fail := func(err error) (*shardResult, int64, error) {
+	fail := func(err error) ([]sectionMsg, int64, error) {
 		if interrupted {
 			return nil, 0, context.Cause(ctx)
 		}
@@ -384,47 +376,16 @@ func consumeFrames(ctx context.Context, a *fault.Attempt, conn workerConn, spec 
 					conn.kill()
 					return fail(fault.Permanent(err))
 				}
-				res.sections = append(res.sections, m)
-				bytes += int64(len(f.payload))
-			case frameDests:
-				m, err := decodeDestsFrame(f.payload)
-				if err != nil {
-					conn.kill()
-					return fail(fault.Permanent(err))
-				}
-				res.dests = append(res.dests, m)
+				sections = append(sections, m)
 				bytes += int64(len(f.payload))
 			case frameError:
 				conn.kill()
 				return fail(fmt.Errorf("worker reported: %s", f.payload))
 			case frameDone:
-				return res, bytes, nil
+				return sections, bytes, nil
 			default:
 				conn.kill()
 				return fail(fault.Permanent(fmt.Errorf("unknown frame type %d", f.typ)))
-			}
-		}
-	}
-}
-
-// replayDests re-derives path snapshots on the coordinator, in the
-// exact order a single process would have inserted them: rounds
-// ascending, and within a round each vantage's destination set (the
-// union of the disjoint shards' sets). Path simulation is a pure
-// function of (vantage, dst, family, round), so replay reproduces the
-// collapsed snapshot history byte-for-byte.
-func replayDests(s *core.Scenario, d *destLog, rounds int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	vs := make([]store.Vantage, 0, len(d.m))
-	for v := range d.m {
-		vs = append(vs, v)
-	}
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-	for r := 0; r < rounds; r++ {
-		for _, v := range vs {
-			if rs := d.m[v]; r < len(rs) && len(rs[r]) > 0 {
-				s.ReplayPaths(v, r, rs[r])
 			}
 		}
 	}

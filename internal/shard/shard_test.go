@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -408,6 +409,74 @@ func TestWorkerStopCommitsOnlyNewRounds(t *testing.T) {
 	}
 }
 
+// TestResplitStartsShardsFresh stops a 3-shard campaign once every
+// shard has committed its round-4 checkpoint, then reruns it with 4
+// shards over the same checkpoint root. The 3-way checkpoints hold
+// rows for other site ranges, so no 4-way shard may resume one: the
+// rerun must still equal the single-process campaign byte for byte.
+func TestResplitStartsShardsFresh(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sharded rerun test in -short mode")
+	}
+	cfg := testCfg(8)
+	refDir := referenceRun(t, cfg)
+	root := t.TempDir()
+
+	// The first run's workers run in process, each to its round-4
+	// checkpoint (a stop at the fourth round frame lands right after
+	// it), and then fail their only attempt, which ends the run.
+	var (
+		mu   sync.Mutex
+		dirs []string
+	)
+	_, _, err := Run(context.Background(), cfg, Options{
+		Workers:         3,
+		Dir:             root,
+		CheckpointEvery: 2,
+		Retry:           fault.RetryPolicy{MaxAttempts: 1},
+		spawn: func(_ context.Context, spec Spec) (workerConn, error) {
+			// Not the attempt's context: the first failed attempt
+			// cancels its siblings', and each shard must still reach
+			// its round-4 checkpoint.
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			runSpec(ctx, spec, func(typ byte, payload []byte) error {
+				if round, _, _, _, err := decodeRound(payload); typ == frameRound && err == nil && round == 3 {
+					cancel()
+				}
+				return nil
+			})
+			mu.Lock()
+			dirs = append(dirs, spec.CheckpointDir)
+			mu.Unlock()
+			return nil, fmt.Errorf("shard %d stopped after its round-4 checkpoint", spec.Index)
+		},
+	})
+	if err == nil || len(dirs) != 3 {
+		t.Fatalf("stopped 3-shard run: err %v, %d shard directories", err, len(dirs))
+	}
+	for _, dir := range dirs {
+		meta, ok, err := store.NewCheckpointBackend(dir).LoadMeta()
+		if err != nil || !ok || meta.NextRound != 4 {
+			t.Fatalf("%s: newest checkpoint at round %d (ok=%v err=%v), want 4", dir, meta.NextRound, ok, err)
+		}
+	}
+
+	s, _, err := Run(context.Background(), cfg, Options{
+		Workers:         4,
+		Dir:             root,
+		CheckpointEvery: 2,
+		spawn:           inprocSpawner,
+	})
+	if err != nil {
+		t.Fatalf("4-shard rerun: %v", err)
+	}
+	if err := s.RunWorldV6DayContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	assertCampaignsIdentical(t, refDir, saveCampaign(t, s, "resplit"), "4-shard rerun over 3-shard checkpoints")
+}
+
 func TestWireCodecs(t *testing.T) {
 	if idx, fp, err := decodeHello(encodeHello(3, "abc")); err != nil || idx != 3 || fp != "abc" {
 		t.Errorf("hello round-trip: %d %q %v", idx, fp, err)
@@ -422,16 +491,8 @@ func TestWireCodecs(t *testing.T) {
 		got.lo != sec.lo || got.hi != sec.hi || !bytes.Equal(got.payload, sec.payload) {
 		t.Errorf("section round-trip: %+v %v", got, err)
 	}
-	dm := destsMsg{vantage: "LU", round: 4, dsts: []int{0, 3, 4, 99}}
-	gd, err := decodeDestsFrame(encodeDestsFrame(dm))
-	if err != nil || gd.vantage != dm.vantage || gd.round != dm.round || len(gd.dsts) != 4 || gd.dsts[3] != 99 {
-		t.Errorf("dests round-trip: %+v %v", gd, err)
-	}
 	if _, err := decodeSectionFrame(nil); err == nil {
 		t.Error("empty section frame: want error")
-	}
-	if _, err := decodeDestsFrame(encodeDestsFrame(dm)[:2]); err == nil {
-		t.Error("truncated dests frame: want error")
 	}
 	var buf bytes.Buffer
 	if err := writeFrame(&buf, frameRound, []byte("xyz")); err != nil {
@@ -440,18 +501,5 @@ func TestWireCodecs(t *testing.T) {
 	typ, payload, err := readFrame(&buf)
 	if err != nil || typ != frameRound || string(payload) != "xyz" {
 		t.Errorf("frame round-trip: %d %q %v", typ, payload, err)
-	}
-}
-
-func TestUnionSorted(t *testing.T) {
-	got := unionSorted([]int{1, 3, 5}, []int{2, 3, 6})
-	want := []int{1, 2, 3, 5, 6}
-	if len(got) != len(want) {
-		t.Fatalf("unionSorted: got %v want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("unionSorted: got %v want %v", got, want)
-		}
 	}
 }

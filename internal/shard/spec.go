@@ -11,6 +11,7 @@ package shard
 
 import (
 	"fmt"
+	"path/filepath"
 	"strings"
 
 	"v6web/internal/alexa"
@@ -56,6 +57,15 @@ type Spec struct {
 	FaultAttempt int           `json:"fault_attempt,omitempty"`
 
 	Config core.Config `json:"config"`
+}
+
+// checkpointDir names the spec's checkpoint directory under root after
+// its index and site ranges. A shard checkpoint holds rows for its own
+// ranges only, so a rerun under another split (another shard count)
+// must not resume one: it finds no directory cut for other ranges and
+// starts its shard fresh.
+func (sp Spec) checkpointDir(root string) string {
+	return filepath.Join(root, fmt.Sprintf("shard-%02d-%d-%d-%d-%d", sp.Index, sp.MainLo, sp.MainHi, sp.ExtLo, sp.ExtHi))
 }
 
 func (sp Spec) siteRange() core.SiteRange {

@@ -5,13 +5,15 @@ package shard
 // byte, a u32 CRC-32C of the payload, and the payload. Round frames
 // double as liveness heartbeats — the coordinator declares a worker
 // dead when no frame arrives within the retry policy's timeout.
-// Authoritative data travels only in the final dump (section and dests
-// frames followed by done), so a worker that dies mid-campaign never
-// leaves half-merged state behind. The CRC makes in-flight corruption
-// a *stream* error caught before any payload is interpreted — and
-// since results buffer until the done frame, before anything is merged
-// — so a corrupted stream retries like a dead worker instead of
-// poisoning the campaign with a permanent decode failure.
+// Authoritative data travels only in the final dump (section frames
+// followed by done), so a worker that dies mid-campaign never leaves
+// half-merged state behind. Path snapshots never travel: the
+// coordinator rebuilds them from the merged DNS history. The CRC makes
+// in-flight corruption a *stream* error caught before any payload is
+// interpreted — and since results buffer until the done frame, before
+// anything is merged — so a corrupted stream retries like a dead
+// worker instead of poisoning the campaign with a permanent decode
+// failure.
 
 import (
 	"encoding/binary"
@@ -25,7 +27,6 @@ const (
 	frameHello   byte = 1 // worker accepted the spec: index, fingerprint
 	frameRound   byte = 2 // heartbeat: a round completed
 	frameSection byte = 3 // one store section chunk (final dump)
-	frameDests   byte = 4 // one (vantage, round) destination-AS set
 	frameDone    byte = 5 // final dump complete
 	frameError   byte = 6 // worker failed; payload is the message
 )
@@ -208,45 +209,5 @@ func decodeSectionFrame(b []byte) (sectionMsg, error) {
 	m.lo = int64(r.uvarint())
 	m.hi = int64(r.uvarint())
 	m.payload = r.b
-	return m, r.err
-}
-
-// destsMsg is one (vantage, round) destination-AS set; dsts are
-// ascending and distinct, so they travel as strictly positive deltas.
-type destsMsg struct {
-	vantage string
-	round   int
-	dsts    []int
-}
-
-func encodeDestsFrame(m destsMsg) []byte {
-	b := appendString(nil, m.vantage)
-	b = binary.AppendUvarint(b, uint64(m.round))
-	b = binary.AppendUvarint(b, uint64(len(m.dsts)))
-	prev := -1
-	for _, d := range m.dsts {
-		b = binary.AppendUvarint(b, uint64(d-prev))
-		prev = d
-	}
-	return b
-}
-
-func decodeDestsFrame(b []byte) (destsMsg, error) {
-	r := &wireReader{b: b}
-	m := destsMsg{vantage: r.str(), round: int(r.uvarint())}
-	n := r.uvarint()
-	if r.err == nil && n > uint64(len(r.b))+1 {
-		r.fail("shard: dests count %d exceeds remaining bytes", n)
-	}
-	prev := -1
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		delta := r.uvarint()
-		if delta == 0 {
-			r.fail("shard: non-ascending destination AS")
-			break
-		}
-		prev += int(delta)
-		m.dsts = append(m.dsts, prev)
-	}
 	return m, r.err
 }

@@ -3,16 +3,12 @@ package shard
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"sort"
-	"sync"
 	"syscall"
 
 	"v6web/internal/alexa"
@@ -140,17 +136,13 @@ func runSpec(ctx context.Context, spec Spec, emit func(typ byte, payload []byte)
 	}
 
 	var (
-		s     *core.Scenario
-		dests = newDestLog()
-		opts  []core.RunOption
+		s    *core.Scenario
+		opts []core.RunOption
 	)
 	if spec.CheckpointDir != "" {
 		backend := checkpointBackend(spec, inj)
-		if rs, rd := loadCheckpoint(cfg, spec, backend); rs != nil {
-			s, dests = rs, rd
-		}
-		opts = append(opts, core.WithBackend(shardBackend{backend, dests, spec}),
-			core.WithCheckpoint(spec.CheckpointEvery))
+		s = loadCheckpoint(cfg, spec, backend)
+		opts = append(opts, core.WithBackend(backend), core.WithCheckpoint(spec.CheckpointEvery))
 	}
 	if s == nil {
 		var err error
@@ -166,7 +158,6 @@ func runSpec(ctx context.Context, spec Spec, emit func(typ byte, payload []byte)
 		}
 		s.RestrictVantages(names)
 	}
-	s.SetDestSink(dests.record)
 
 	// Each round boundary sends the round's progress frame before the
 	// round's checkpoint: a worker whose coordinator went away stops
@@ -198,27 +189,7 @@ func runSpec(ctx context.Context, spec Spec, emit func(typ byte, payload []byte)
 	if err := sendSections(s.DB, spec, emit); err != nil {
 		return err
 	}
-	if err := dests.send(emit); err != nil {
-		return err
-	}
 	return emit(frameDone, nil)
-}
-
-// shardBackend is a worker's checkpoint backend: the shard's
-// CheckpointBackend, with the dests sidecar written before SaveMeta
-// commits, so a committed checkpoint always has a sidecar covering at
-// least its rounds; resume truncates the excess.
-type shardBackend struct {
-	*store.CheckpointBackend
-	dests *destLog
-	spec  Spec
-}
-
-func (b shardBackend) SaveMeta(m store.Meta) error {
-	if err := b.dests.save(destsPath(b.spec), b.spec, m.NextRound); err != nil {
-		return err
-	}
-	return b.CheckpointBackend.SaveMeta(m)
 }
 
 // checkpointBackend builds the shard's checkpoint backend from the
@@ -237,28 +208,22 @@ func checkpointBackend(spec Spec, inj *fault.Injector) *store.CheckpointBackend 
 }
 
 // loadCheckpoint tries to resume the shard from its checkpoint
-// directory. Any unusable state — no committed checkpoint, a lost
-// dests sidecar, a foreign campaign's leftovers — falls back to a
-// wiped directory and a fresh start; the directory is the shard's
-// private scratch space, so that is always safe.
-func loadCheckpoint(cfg core.Config, spec Spec, backend *store.CheckpointBackend) (*core.Scenario, *destLog) {
-	meta, ok, err := backend.LoadMeta()
-	if err == nil && !ok {
-		return nil, nil // pristine directory
+// directory. Any unusable state — a foreign campaign's leftovers, a
+// corrupt checkpoint — falls back to a wiped directory and a fresh
+// start; the directory is the shard's private scratch space, so that
+// is always safe.
+func loadCheckpoint(cfg core.Config, spec Spec, backend *store.CheckpointBackend) *core.Scenario {
+	if _, ok, err := backend.LoadMeta(); err == nil && !ok {
+		return nil // pristine directory
 	}
+	s, err := core.Resume(cfg, backend)
 	if err == nil {
-		var dests *destLog
-		if dests, err = loadDestLog(destsPath(spec), spec, meta.NextRound); err == nil {
-			var s *core.Scenario
-			if s, err = core.Resume(cfg, backend); err == nil {
-				return s, dests
-			}
-		}
+		return s
 	}
 	fmt.Fprintf(os.Stderr, "shard %d: discarding unusable checkpoint state in %s: %v\n",
 		spec.Index, spec.CheckpointDir, err)
 	os.RemoveAll(spec.CheckpointDir)
-	return nil, nil
+	return nil
 }
 
 // sendSections streams the shard's results: the wire format IS the
@@ -300,140 +265,4 @@ func sendSections(db *store.DB, spec Spec, emit func(typ byte, payload []byte) e
 		}
 	}
 	return nil
-}
-
-// destLog records, per (vantage, round), the destination ASes whose
-// paths the coordinator must replay: the path table collapses
-// consecutive identical snapshots, which is not range-mergeable, so
-// workers ship destination sets and the coordinator re-derives the
-// (deterministic) paths itself. A vantage's main and extended tasks
-// report the same round concurrently, hence the union under a mutex.
-type destLog struct {
-	mu sync.Mutex
-	m  map[store.Vantage][][]int
-}
-
-func newDestLog() *destLog { return &destLog{m: make(map[store.Vantage][][]int)} }
-
-func (d *destLog) record(v store.Vantage, round int, dsts []int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	rounds := d.m[v]
-	for len(rounds) <= round {
-		rounds = append(rounds, nil)
-	}
-	rounds[round] = unionSorted(rounds[round], dsts)
-	d.m[v] = rounds
-}
-
-// unionSorted merges two ascending distinct slices into one.
-func unionSorted(a, b []int) []int {
-	if len(a) == 0 {
-		return append([]int(nil), b...)
-	}
-	out := make([]int, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i, j = i+1, j+1
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
-}
-
-func (d *destLog) send(emit func(typ byte, payload []byte) error) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	vs := make([]store.Vantage, 0, len(d.m))
-	for v := range d.m {
-		vs = append(vs, v)
-	}
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-	for _, v := range vs {
-		for round, dsts := range d.m[v] {
-			if len(dsts) == 0 {
-				continue
-			}
-			frame := encodeDestsFrame(destsMsg{vantage: string(v), round: round, dsts: dsts})
-			if err := emit(frameDests, frame); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// destsFile is the JSON sidecar persisting the dest log next to the
-// shard checkpoint, stamped with the shard's identity so a stale file
-// from a different split or campaign is rejected on resume.
-type destsFile struct {
-	NextRound   int                       `json:"next_round"`
-	Fingerprint string                    `json:"fingerprint"`
-	MainLo      int64                     `json:"main_lo"`
-	MainHi      int64                     `json:"main_hi"`
-	ExtLo       int64                     `json:"ext_lo"`
-	ExtHi       int64                     `json:"ext_hi"`
-	Dests       map[store.Vantage][][]int `json:"dests"`
-}
-
-func destsPath(spec Spec) string {
-	return filepath.Join(spec.CheckpointDir, "dests.json")
-}
-
-func (d *destLog) save(path string, spec Spec, nextRound int) error {
-	d.mu.Lock()
-	f := destsFile{
-		NextRound: nextRound, Fingerprint: spec.Fingerprint,
-		MainLo: spec.MainLo, MainHi: spec.MainHi,
-		ExtLo: spec.ExtLo, ExtHi: spec.ExtHi,
-		Dests: d.m,
-	}
-	blob, err := json.Marshal(f)
-	d.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	return store.WriteFileDurable(path, blob)
-}
-
-// loadDestLog reads the sidecar back, validates it belongs to this
-// spec and covers at least nextRound, and truncates rounds ≥ nextRound
-// (they will be re-run after the checkpoint they follow).
-func loadDestLog(path string, spec Spec, nextRound int) (*destLog, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var f destsFile
-	if err := json.Unmarshal(blob, &f); err != nil {
-		return nil, err
-	}
-	if f.Fingerprint != spec.Fingerprint ||
-		f.MainLo != spec.MainLo || f.MainHi != spec.MainHi ||
-		f.ExtLo != spec.ExtLo || f.ExtHi != spec.ExtHi {
-		return nil, fmt.Errorf("dests sidecar belongs to a different campaign or split")
-	}
-	if f.NextRound < nextRound {
-		return nil, fmt.Errorf("dests sidecar at round %d behind checkpoint round %d", f.NextRound, nextRound)
-	}
-	d := newDestLog()
-	for v, rounds := range f.Dests {
-		if len(rounds) > nextRound {
-			rounds = rounds[:nextRound]
-		}
-		d.m[v] = rounds
-	}
-	return d, nil
 }

@@ -1,71 +1,5 @@
 package stats
 
-import "sort"
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
-// interpolation between order statistics. It returns 0 for empty xs.
-func Quantile(xs []float64, q float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	tmp := make([]float64, n)
-	copy(tmp, xs)
-	sort.Float64s(tmp)
-	if q <= 0 {
-		return tmp[0]
-	}
-	if q >= 1 {
-		return tmp[n-1]
-	}
-	pos := q * float64(n-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= n {
-		return tmp[n-1]
-	}
-	return tmp[lo]*(1-frac) + tmp[lo+1]*frac
-}
-
-// Bucket describes one histogram bin [Lo, Hi) and its count.
-type Bucket struct {
-	Lo, Hi float64
-	Count  int
-}
-
-// Histogram bins xs into n equal-width buckets spanning [min, max].
-// The final bucket is closed on the right so the maximum is counted.
-func Histogram(xs []float64, n int) []Bucket {
-	if n < 1 || len(xs) == 0 {
-		return nil
-	}
-	lo, hi := xs[0], xs[0]
-	for _, x := range xs {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	if hi == lo {
-		hi = lo + 1
-	}
-	width := (hi - lo) / float64(n)
-	out := make([]Bucket, n)
-	for i := range out {
-		out[i] = Bucket{Lo: lo + float64(i)*width, Hi: lo + float64(i+1)*width}
-	}
-	for _, x := range xs {
-		idx := int((x - lo) / width)
-		if idx >= n {
-			idx = n - 1
-		}
-		out[idx].Count++
-	}
-	return out
-}
-
 // ShareBuckets classifies fractional values in [0,1] into the paper's
 // Table 13 coverage bands: exactly 100%, [75,100), [50,75), [25,50),
 // [0,25). It returns counts in that order.
@@ -86,16 +20,4 @@ func ShareBuckets(fracs []float64) [5]int {
 		}
 	}
 	return out
-}
-
-// MeanOf returns the arithmetic mean of xs, or 0 for empty input.
-func MeanOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }

@@ -1,94 +1,9 @@
 package stats
 
 import (
-	"sort"
 	"testing"
 	"testing/quick"
 )
-
-func TestQuantileBasics(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if Quantile(xs, 0) != 1 || Quantile(xs, 1) != 5 {
-		t.Fatal("extreme quantiles wrong")
-	}
-	if Quantile(xs, 0.5) != 3 {
-		t.Fatalf("median quantile = %v", Quantile(xs, 0.5))
-	}
-	if Quantile(nil, 0.5) != 0 {
-		t.Fatal("empty quantile should be 0")
-	}
-}
-
-func TestQuantileInterpolation(t *testing.T) {
-	xs := []float64{0, 10}
-	if got := Quantile(xs, 0.25); !almostEq(got, 2.5, 1e-12) {
-		t.Fatalf("q25 = %v, want 2.5", got)
-	}
-}
-
-func TestQuantileMonotoneProperty(t *testing.T) {
-	f := func(raw []float64) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		q1 := Quantile(raw, 0.25)
-		q2 := Quantile(raw, 0.5)
-		q3 := Quantile(raw, 0.75)
-		return q1 <= q2 && q2 <= q3
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuantileMatchesMedian(t *testing.T) {
-	f := func(raw []float64) bool {
-		if len(raw)%2 == 0 {
-			raw = append(raw, 1) // force odd length for exact equality
-		}
-		sort.Float64s(raw)
-		return Quantile(raw, 0.5) == Median(raw)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHistogramCounts(t *testing.T) {
-	xs := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	h := Histogram(xs, 5)
-	if len(h) != 5 {
-		t.Fatalf("buckets = %d", len(h))
-	}
-	total := 0
-	for _, b := range h {
-		total += b.Count
-	}
-	if total != len(xs) {
-		t.Fatalf("histogram lost samples: %d != %d", total, len(xs))
-	}
-	// Max value must be counted in the last bucket.
-	if h[4].Count == 0 {
-		t.Fatal("last bucket empty; max not counted")
-	}
-}
-
-func TestHistogramDegenerate(t *testing.T) {
-	if Histogram(nil, 3) != nil {
-		t.Fatal("nil input should give nil histogram")
-	}
-	if Histogram([]float64{1, 2}, 0) != nil {
-		t.Fatal("zero buckets should give nil histogram")
-	}
-	h := Histogram([]float64{5, 5, 5}, 3)
-	total := 0
-	for _, b := range h {
-		total += b.Count
-	}
-	if total != 3 {
-		t.Fatalf("constant input lost samples: %d", total)
-	}
-}
 
 func TestShareBuckets(t *testing.T) {
 	got := ShareBuckets([]float64{1.0, 0.9, 0.75, 0.6, 0.5, 0.3, 0.25, 0.1, 0})
@@ -109,14 +24,5 @@ func TestShareBucketsTotalProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMeanOf(t *testing.T) {
-	if MeanOf(nil) != 0 {
-		t.Fatal("empty mean should be 0")
-	}
-	if MeanOf([]float64{2, 4, 6}) != 4 {
-		t.Fatalf("MeanOf = %v", MeanOf([]float64{2, 4, 6}))
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -277,9 +278,12 @@ var ErrNoDatabase = errors.New("no saved database")
 // written directory (some files missing, e.g. after an interrupted
 // Save) returns an error naming the missing files rather than
 // silently yielding an incomplete database. Each file's header must be
-// the one Save writes, its boolean fields exactly true or false, and a
-// sample's family 0 (IPv4) or 1 (IPv6); a row that breaks one is an
-// error naming the file and row.
+// the one Save writes, its boolean fields exactly true or false, a
+// family 0 (IPv4) or 1 (IPv6), a host non-empty, and every number
+// within the bounds its column has in memory and in a binary
+// checkpoint (see the field bounds below), so that whatever Load
+// accepts, SaveBinary and LoadBinary carry back unchanged; a row that
+// breaks one is an error naming the file, row and field.
 func Load(dir string) (*DB, error) {
 	files := []string{sitesFile, dnsFile, samplesFile, pathsFile}
 	var missing []string
@@ -306,15 +310,18 @@ func Load(dir string) (*DB, error) {
 		if err != nil {
 			return err
 		}
-		fr, err := atoi(rec[2])
+		if len(rec[1]) == 0 {
+			return errors.New("host is empty")
+		}
+		fr, err := parseBounded("first_rank", rec[2], 0, math.MaxInt32)
 		if err != nil {
 			return err
 		}
-		v4, err := atoi(rec[3])
+		v4, err := parseBounded("v4_as", rec[3], -1, maxAS)
 		if err != nil {
 			return err
 		}
-		v6, err := atoi(rec[4])
+		v6, err := parseBounded("v6_as", rec[4], -1, maxAS)
 		if err != nil {
 			return err
 		}
@@ -334,14 +341,11 @@ func Load(dir string) (*DB, error) {
 		if err != nil {
 			return err
 		}
-		fam, err := atoi(rec[2])
+		fam, err := parseFamily(rec[2])
 		if err != nil {
 			return err
 		}
-		if fam != int(topo.V4) && fam != int(topo.V6) {
-			return fmt.Errorf("family %d is not %d (IPv4) or %d (IPv6)", fam, topo.V4, topo.V6)
-		}
-		round, err := atoi(rec[3])
+		round, err := parseBounded("round", rec[3], 0, maxRound-1)
 		if err != nil {
 			return err
 		}
@@ -349,11 +353,14 @@ func Load(dir string) (*DB, error) {
 		if err != nil {
 			return err
 		}
-		page, err := atoi(rec[5])
+		if !time.Unix(0, date.UnixNano()).Equal(date) {
+			return fmt.Errorf("date %s outside the span Unix nanoseconds cover (1677-09-21 to 2262-04-11)", rec[4])
+		}
+		page, err := parseBounded("page_bytes", rec[5], 0, math.MaxInt32)
 		if err != nil {
 			return err
 		}
-		dls, err := atoi(rec[6])
+		dls, err := parseBounded("downloads", rec[6], 0, ciOKBit-1)
 		if err != nil {
 			return err
 		}
@@ -365,7 +372,7 @@ func Load(dir string) (*DB, error) {
 		if err != nil {
 			return err
 		}
-		db.AddSample(sampleV.of(rec[0]), site, topo.Family(fam), Sample{
+		db.AddSample(sampleV.of(rec[0]), site, fam, Sample{
 			Round: round, Date: date, PageBytes: page, Downloads: dls,
 			MeanSpeed: speed, CIOK: ciOK,
 		})
@@ -376,22 +383,22 @@ func Load(dir string) (*DB, error) {
 	var pathV vantageCache
 	var path []int
 	if err := loadCSV(filepath.Join(dir, pathsFile), pathsHeader, func(rec [][]byte) error {
-		fam, err := atoi(rec[1])
+		fam, err := parseFamily(rec[1])
 		if err != nil {
 			return err
 		}
-		dst, err := atoi(rec[2])
+		dst, err := parseBounded("dst", rec[2], 0, math.MaxInt32)
 		if err != nil {
 			return err
 		}
-		round, err := atoi(rec[3])
+		round, err := parseBounded("round", rec[3], 0, maxRound-1)
 		if err != nil {
 			return err
 		}
-		if path, err = appendInts(path[:0], rec[4]); err != nil {
+		if path, err = appendPath(path[:0], rec[4]); err != nil {
 			return err
 		}
-		db.AddPath(pathV.of(rec[0]), topo.Family(fam), dst, round, path) // AddPath copies path
+		db.AddPath(pathV.of(rec[0]), fam, dst, round, path) // AddPath copies path
 		return nil
 	}); err != nil {
 		return nil, err
@@ -418,7 +425,7 @@ func (d *dnsLoader) row(rec [][]byte) error {
 	if err != nil {
 		return err
 	}
-	round, err := atoi(rec[2])
+	round, err := parseBounded("round", rec[2], 0, maxRound-1)
 	if err != nil {
 		return err
 	}
@@ -513,14 +520,46 @@ func atoi(b []byte) (int, error) {
 	return strconv.Atoi(string(b))
 }
 
-// parseSiteID is strconv.ParseInt(…, 10, 64) over a field, skipping
-// the string conversion for plain digits.
-func parseSiteID(b []byte) (alexa.SiteID, error) {
-	if n, ok := parseDigits(b); ok {
-		return alexa.SiteID(n), nil
+// Field bounds: what each column holds in memory and carries through a
+// binary checkpoint. Ranks, page sizes, destinations and path ASes
+// are stored as int32 and encoded unsigned; origin ASes too, biased by
+// one so -1 marks an unknown origin; rounds are below maxRound, the
+// binary decoders' bound; a download count shares its word with the CI
+// bit above it; and site ids are below snapAllSites, the bound the
+// snapshot's site sections are decoded under.
+const maxAS = math.MaxInt32 - 1
+
+// parseBounded parses an integer field of the named column that must
+// lie in [lo, hi].
+func parseBounded(column string, b []byte, lo, hi int) (int, error) {
+	n, err := atoi(b)
+	if err == nil && (n < lo || n > hi) {
+		err = fmt.Errorf("%s %d outside [%d, %d]", column, n, lo, hi)
 	}
-	n, err := strconv.ParseInt(string(b), 10, 64)
+	return n, err
+}
+
+// parseSiteID parses a site id field: strconv.ParseInt(…, 10, 64),
+// skipping the string conversion for plain digits, and the id bound.
+func parseSiteID(b []byte) (alexa.SiteID, error) {
+	n, ok := parseDigits(b)
+	var err error
+	if !ok {
+		n, err = strconv.ParseInt(string(b), 10, 64)
+	}
+	if err == nil && (n < 0 || n >= int64(snapAllSites)) {
+		err = fmt.Errorf("site %d outside [0, %d]", n, snapAllSites-1)
+	}
 	return alexa.SiteID(n), err
+}
+
+// parseFamily parses a family field: 0 (IPv4) or 1 (IPv6).
+func parseFamily(b []byte) (topo.Family, error) {
+	fam, err := atoi(b)
+	if err == nil && fam != int(topo.V4) && fam != int(topo.V6) {
+		err = fmt.Errorf("family %d is not %d (IPv4) or %d (IPv6)", fam, topo.V4, topo.V6)
+	}
+	return topo.Family(fam), err
 }
 
 // parseFlag reads a boolean field, which Save writes as true or false.
@@ -534,15 +573,15 @@ func parseFlag(column string, b []byte) (bool, error) {
 	return false, fmt.Errorf("%s %q is neither true nor false", column, b)
 }
 
-// appendInts appends the ';'-separated integers of a path field to
+// appendPath appends the ';'-separated AS indices of a path field to
 // dst; an empty field is the empty path.
-func appendInts(dst []int, b []byte) ([]int, error) {
+func appendPath(dst []int, b []byte) ([]int, error) {
 	if len(b) == 0 {
 		return dst, nil
 	}
 	for {
 		field, rest, more := bytes.Cut(b, []byte{';'})
-		x, err := atoi(field)
+		x, err := parseBounded("path AS", field, 0, math.MaxInt32)
 		if err != nil {
 			return dst, err
 		}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -38,19 +39,34 @@ var awkwardText = []string{
 var awkwardVantages = []Vantage{"penn", "se,attle", `q"uote`, "cr\r\nlf", " lead", "\u0085nel", `\.`, "", "例え"}
 
 // awkwardDB builds a database whose hosts and vantage names are
-// awkward text, on dense main and extended ids, overflow ids on both
-// sides of the dense ranges (a negative one included) and negative
-// ASes. Every string passes through norm first.
-func awkwardDB(norm func(string) string) *DB {
+// awkward text, on dense main and extended ids and overflow ids
+// outside the dense ranges. Every string passes through norm first.
+// Unless loadable, it also holds what the write API accepts and Load
+// rejects: an empty host, negative overflow ids, origin ASes below -1,
+// a negative page size and a negative path AS. A loadable database
+// drops the empty host and puts ids between the dense ranges, origins
+// -1 and up, a zero page size and a positive path AS in their place.
+func awkwardDB(norm func(string) string, loadable bool) *DB {
 	const extBase = alexa.SiteID(1 << 20)
 	db := NewDB()
 	db.Reserve(64, extBase, 32)
+	otherID := func(i int) alexa.SiteID { return alexa.SiteID(-1 - i) }
+	v4AS := func(k int) int { return -1 - k }
+	page, pathAS := -1, -7
+	if loadable {
+		otherID = func(i int) alexa.SiteID { return alexa.SiteID(1000 + i) }
+		v4AS = func(k int) int { return k - 1 }
+		page, pathAS = 0, 7
+	}
 	ids := func(i int) []alexa.SiteID {
-		return []alexa.SiteID{alexa.SiteID(i), extBase + alexa.SiteID(i), 5_000_000 + alexa.SiteID(i), -1 - alexa.SiteID(i)}
+		return []alexa.SiteID{alexa.SiteID(i), extBase + alexa.SiteID(i), 5_000_000 + alexa.SiteID(i), otherID(i)}
 	}
 	for i, host := range awkwardText {
+		if loadable && host == "" {
+			continue
+		}
 		for k, id := range ids(i) {
-			db.PutSite(SiteRow{Site: id, Host: norm(host), FirstRank: i * k, V4AS: -1 - k, V6AS: 64500 - i})
+			db.PutSite(SiteRow{Site: id, Host: norm(host), FirstRank: i * k, V4AS: v4AS(k), V6AS: 64500 - i})
 		}
 	}
 	for i := 40; i < 44; i++ { // canonical hosts, as the monitor writes them
@@ -66,11 +82,11 @@ func awkwardDB(norm func(string) string) *DB {
 				}
 				db.AddDNS(v, DNSRow{Site: id, Round: 7, HasA: true}) // after a gap
 				db.AddSample(v, id, topo.V6, Sample{Round: 1, Date: date.AddDate(0, 0, vi), PageBytes: 1000 + i, Downloads: 3, MeanSpeed: 1.0 / 3, CIOK: i%2 == 0})
-				db.AddSample(v, id, topo.V4, Sample{Round: 1, Date: date, PageBytes: -1, Downloads: 0, MeanSpeed: 12345.678, CIOK: true})
+				db.AddSample(v, id, topo.V4, Sample{Round: 1, Date: date, PageBytes: page, Downloads: 0, MeanSpeed: 12345.678, CIOK: true})
 			}
 		}
 		db.AddPath(v, topo.V4, 9, 0, []int{2, 5, 9})
-		db.AddPath(v, topo.V4, 9, 3, []int{2, -7, 9})
+		db.AddPath(v, topo.V4, 9, 3, []int{2, pathAS, 9})
 		db.AddPath(v, topo.V6, 4, 1, nil)
 		db.AddPath(v, topo.V6, 4, 2, []int{4})
 	}
@@ -153,10 +169,11 @@ func referenceSave(t *testing.T, db *DB) map[string][]byte {
 }
 
 // referenceLoad is Load as a csv.Reader loop: every record of every
-// file parsed by encoding/csv, the header compared with Save's, and
-// rows applied one by one through the public write API. A DNS row must
-// extend its site's history, which the loop tracks as the round each
-// (vantage, site) history ends before.
+// file parsed by encoding/csv, the header compared with Save's, each
+// field checked against its column's bounds, and rows applied one by
+// one through the public write API. A DNS row must extend its site's
+// history, which the loop tracks as the round each (vantage, site)
+// history ends before.
 func referenceLoad(dir string) (*DB, error) {
 	db := NewDB()
 	type vantageSite struct {
@@ -170,31 +187,60 @@ func referenceLoad(dir string) (*DB, error) {
 		}
 		return s == "true", nil
 	}
+	// bounded parses an int field of column that must lie in [lo, hi].
+	bounded := func(column, s string, lo, hi int) (int, error) {
+		n, err := strconv.Atoi(s)
+		if err == nil && (n < lo || n > hi) {
+			err = fmt.Errorf("%s %d outside [%d, %d]", column, n, lo, hi)
+		}
+		return n, err
+	}
+	siteID := func(s string) (alexa.SiteID, error) {
+		id, err := strconv.ParseInt(s, 10, 64)
+		if err == nil && (id < 0 || id > 1<<62-1) {
+			err = fmt.Errorf("site %d outside [0, %d]", id, int64(1<<62-1))
+		}
+		return alexa.SiteID(id), err
+	}
+	family := func(s string) (topo.Family, error) {
+		fam, err := strconv.Atoi(s)
+		if err == nil && fam != 0 && fam != 1 {
+			err = fmt.Errorf("family %d is not 0 (IPv4) or 1 (IPv6)", fam)
+		}
+		return topo.Family(fam), err
+	}
+	const maxInt32, lastRound = 1<<31 - 1, 1<<30 - 1
 	files := []struct {
 		name   string
 		header []string
 		row    func(rec []string) error
 	}{
 		{sitesFile, []string{"site", "host", "first_rank", "v4_as", "v6_as"}, func(rec []string) error {
-			site, err := strconv.ParseInt(rec[0], 10, 64)
+			site, err := siteID(rec[0])
 			if err != nil {
 				return err
 			}
+			if rec[1] == "" {
+				return errors.New("host is empty")
+			}
 			var n [3]int
-			for i := range n {
-				if n[i], err = strconv.Atoi(rec[2+i]); err != nil {
+			for i, col := range []struct {
+				name   string
+				lo, hi int
+			}{{"first_rank", 0, maxInt32}, {"v4_as", -1, maxInt32 - 1}, {"v6_as", -1, maxInt32 - 1}} {
+				if n[i], err = bounded(col.name, rec[2+i], col.lo, col.hi); err != nil {
 					return err
 				}
 			}
-			db.PutSite(SiteRow{Site: alexa.SiteID(site), Host: rec[1], FirstRank: n[0], V4AS: n[1], V6AS: n[2]})
+			db.PutSite(SiteRow{Site: site, Host: rec[1], FirstRank: n[0], V4AS: n[1], V6AS: n[2]})
 			return nil
 		}},
 		{dnsFile, []string{"vantage", "site", "round", "has_a", "has_aaaa", "identical"}, func(rec []string) error {
-			site, err := strconv.ParseInt(rec[1], 10, 64)
+			site, err := siteID(rec[1])
 			if err != nil {
 				return err
 			}
-			round, err := strconv.Atoi(rec[2])
+			round, err := bounded("round", rec[2], 0, lastRound)
 			if err != nil {
 				return err
 			}
@@ -204,7 +250,7 @@ func referenceLoad(dir string) (*DB, error) {
 					return err
 				}
 			}
-			k := vantageSite{Vantage(rec[0]), alexa.SiteID(site)}
+			k := vantageSite{Vantage(rec[0]), site}
 			if end, ok := dnsEnd[k]; ok && int32(round) < end {
 				return errDNSOrder(k.v, k.site, int32(round), end)
 			}
@@ -213,18 +259,15 @@ func referenceLoad(dir string) (*DB, error) {
 			return nil
 		}},
 		{samplesFile, []string{"vantage", "site", "family", "round", "date", "page_bytes", "downloads", "mean_speed", "ci_ok"}, func(rec []string) error {
-			site, err := strconv.ParseInt(rec[1], 10, 64)
+			site, err := siteID(rec[1])
 			if err != nil {
 				return err
 			}
-			fam, err := strconv.Atoi(rec[2])
+			fam, err := family(rec[2])
 			if err != nil {
 				return err
 			}
-			if fam != 0 && fam != 1 {
-				return fmt.Errorf("family %d is not 0 (IPv4) or 1 (IPv6)", fam)
-			}
-			round, err := strconv.Atoi(rec[3])
+			round, err := bounded("round", rec[3], 0, lastRound)
 			if err != nil {
 				return err
 			}
@@ -232,11 +275,14 @@ func referenceLoad(dir string) (*DB, error) {
 			if err != nil {
 				return err
 			}
-			page, err := strconv.Atoi(rec[5])
+			if date.Before(time.Unix(0, math.MinInt64)) || date.After(time.Unix(0, math.MaxInt64)) {
+				return fmt.Errorf("date %s outside the span Unix nanoseconds cover (1677-09-21 to 2262-04-11)", rec[4])
+			}
+			page, err := bounded("page_bytes", rec[5], 0, maxInt32)
 			if err != nil {
 				return err
 			}
-			dls, err := strconv.Atoi(rec[6])
+			dls, err := bounded("downloads", rec[6], 0, maxInt32)
 			if err != nil {
 				return err
 			}
@@ -248,30 +294,35 @@ func referenceLoad(dir string) (*DB, error) {
 			if err != nil {
 				return err
 			}
-			db.AddSample(Vantage(rec[0]), alexa.SiteID(site), topo.Family(fam), Sample{
+			db.AddSample(Vantage(rec[0]), site, fam, Sample{
 				Round: round, Date: date, PageBytes: page, Downloads: dls, MeanSpeed: speed, CIOK: ciOK,
 			})
 			return nil
 		}},
 		{pathsFile, []string{"vantage", "family", "dst", "round", "path"}, func(rec []string) error {
-			var n [3]int
-			var err error
-			for i := range n {
-				if n[i], err = strconv.Atoi(rec[1+i]); err != nil {
-					return err
-				}
+			fam, err := family(rec[1])
+			if err != nil {
+				return err
+			}
+			dst, err := bounded("dst", rec[2], 0, maxInt32)
+			if err != nil {
+				return err
+			}
+			round, err := bounded("round", rec[3], 0, lastRound)
+			if err != nil {
+				return err
 			}
 			var path []int
 			if rec[4] != "" {
 				for _, p := range strings.Split(rec[4], ";") {
-					as, err := strconv.Atoi(p)
+					as, err := bounded("path AS", p, 0, maxInt32)
 					if err != nil {
 						return err
 					}
 					path = append(path, as)
 				}
 			}
-			db.AddPath(Vantage(rec[0]), topo.Family(n[0]), n[1], n[2], path)
+			db.AddPath(Vantage(rec[0]), fam, dst, round, path)
 			return nil
 		}},
 	}
@@ -318,22 +369,28 @@ func referenceLoadFile(path string, header []string, row func(rec []string) erro
 }
 
 // TestSaveMatchesReferenceEncoder: Save's four files are byte-equal to
-// encoding/csv's for a database of awkward hosts and vantage names,
-// and Load brings the database back — with CRLF inside a field read as
-// LF, the one normalization csv.Reader applies to quoted fields.
+// encoding/csv's for databases of awkward hosts and vantage names, one
+// of them holding values Load rejects, and Load brings the loadable
+// one back — with CRLF inside a field read as LF, the one
+// normalization csv.Reader applies to quoted fields — as the
+// csv.Reader reference does, and through a binary round trip.
 func TestSaveMatchesReferenceEncoder(t *testing.T) {
-	db := awkwardDB(func(s string) string { return s })
-	got := saveCSVBytes(t, db)
-	want := referenceSave(t, db)
-	for _, name := range []string{sitesFile, dnsFile, samplesFile, pathsFile} {
-		if !bytes.Equal(got[name], want[name]) {
-			t.Errorf("%s differs from the encoding/csv reference:\n got %q\nwant %q", name, got[name], want[name])
+	identity := func(s string) string { return s }
+	for _, loadable := range []bool{false, true} {
+		db := awkwardDB(identity, loadable)
+		got := saveCSVBytes(t, db)
+		want := referenceSave(t, db)
+		for _, name := range []string{sitesFile, dnsFile, samplesFile, pathsFile} {
+			if !bytes.Equal(got[name], want[name]) {
+				t.Errorf("loadable=%v: %s differs from the encoding/csv reference:\n got %q\nwant %q", loadable, name, got[name], want[name])
+			}
+		}
+		if !bytes.Contains(got[sitesFile], []byte(`"quo""te.example"`)) || !bytes.Contains(got[dnsFile], []byte("\n\" lead\",")) {
+			t.Fatal("awkward fields were not quoted: the test database lost its point")
 		}
 	}
-	if !bytes.Contains(got[sitesFile], []byte(`"quo""te.example"`)) || !bytes.Contains(got[dnsFile], []byte("\n\" lead\",")) {
-		t.Fatal("awkward fields were not quoted: the test database lost its point")
-	}
 
+	db := awkwardDB(identity, true)
 	dir := t.TempDir()
 	if err := db.Save(dir); err != nil {
 		t.Fatal(err)
@@ -342,7 +399,8 @@ func TestSaveMatchesReferenceEncoder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lf := awkwardDB(func(s string) string { return strings.ReplaceAll(s, "\r\n", "\n") })
+	checkLoadAgrees(t, dir, t.TempDir())
+	lf := awkwardDB(func(s string) string { return strings.ReplaceAll(s, "\r\n", "\n") }, true)
 	gotBack, wantBack := saveCSVBytes(t, back), saveCSVBytes(t, lf)
 	for _, name := range []string{sitesFile, dnsFile, samplesFile, pathsFile} {
 		if !bytes.Equal(gotBack[name], wantBack[name]) {
@@ -379,6 +437,8 @@ func withFile(files map[string][]byte, name string, data []byte) map[string][]by
 // checkLoadAgrees loads the database directory in with Load and with
 // referenceLoad: both must fail with the same error, or both succeed
 // with databases whose Saves, written under saveDir, are byte-equal.
+// A database Load accepts must also come back from a binary snapshot
+// (SaveBinary, then LoadBinary) saving the same bytes.
 func checkLoadAgrees(t testing.TB, in, saveDir string) error {
 	t.Helper()
 	got, err := Load(in)
@@ -389,21 +449,32 @@ func checkLoadAgrees(t testing.TB, in, saveDir string) error {
 	if err != nil {
 		return err
 	}
-	gotDir, wantDir := filepath.Join(saveDir, "got"), filepath.Join(saveDir, "want")
-	if err := got.Save(gotDir); err != nil {
-		t.Fatal(err)
+	snapPath := filepath.Join(saveDir, "main"+BinaryExt)
+	if err := got.SaveBinary(snapPath, BinaryOptions{}); err != nil {
+		t.Fatalf("SaveBinary of a database Load accepted: %v", err)
 	}
-	if err := want.Save(wantDir); err != nil {
-		t.Fatal(err)
+	back, err := LoadBinary(snapPath)
+	if err != nil {
+		t.Fatalf("LoadBinary of a database Load accepted: %v", err)
+	}
+	dirs := map[string]*DB{"got": got, "want": want, "binary": back}
+	for name, db := range dirs {
+		if err := db.Save(filepath.Join(saveDir, name)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, name := range []string{sitesFile, dnsFile, samplesFile, pathsFile} {
-		g, err1 := os.ReadFile(filepath.Join(gotDir, name))
-		w, err2 := os.ReadFile(filepath.Join(wantDir, name))
-		if err := errors.Join(err1, err2); err != nil {
+		g, err1 := os.ReadFile(filepath.Join(saveDir, "got", name))
+		w, err2 := os.ReadFile(filepath.Join(saveDir, "want", name))
+		b, err3 := os.ReadFile(filepath.Join(saveDir, "binary", name))
+		if err := errors.Join(err1, err2, err3); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(g, w) {
 			t.Fatalf("%s: databases loaded by Load and the reference save differently:\n got %q\nwant %q", name, g, w)
+		}
+		if !bytes.Equal(g, b) {
+			t.Fatalf("%s: the loaded database saves differently after a binary round trip:\n got %q\nback %q", name, g, b)
 		}
 	}
 	return nil
@@ -475,55 +546,95 @@ func TestLoadRequiresSaveHeaders(t *testing.T) {
 	}
 }
 
-// csvLoadCases are hand-written contents for one file of a saved
-// database (the others stay valid), covering each way a line leaves
-// the byte scanner's fast path and the row errors around it.
-func csvLoadCases(files map[string][]byte) []struct {
+// csvLoadCase is hand-written contents for one file of a saved
+// database (the others stay valid). want, when set, is the field error
+// Load must reject the file with, after the file and row.
+type csvLoadCase struct {
 	name string
 	file string
 	data []byte
-} {
+	want string
+}
+
+// csvLoadCases cover each way a line leaves the byte scanner's fast
+// path and the row errors around it, and each field bound: a value
+// past one would not survive memory or a binary checkpoint.
+func csvLoadCases(files map[string][]byte) []csvLoadCase {
 	sites := string(files[sitesFile])
 	dns := string(files[dnsFile])
+	samples := string(files[samplesFile])
+	paths := string(files[pathsFile])
 	mid := func(s string) int { return strings.IndexByte(s[len(s)/2:], '\n') + len(s)/2 + 1 }
 	insert := func(s, line string) []byte { i := mid(s); return []byte(s[:i] + line + s[i:]) }
 	long := "penn,99," + strings.Repeat("1", 70000) + ",true,true,true\n"
-	type c = struct {
-		name string
-		file string
-		data []byte
+	const date = "2011-06-08T00:00:00Z"
+	sample := func(site, round, date, page, downloads string) []byte {
+		return insert(samples, "penn,"+site+",0,"+round+","+date+","+page+","+downloads+",55.5,false\n")
 	}
-	return []c{
-		{"quoted-host-mid-file", sitesFile, insert(sites, "77,\"quoted, host\",3,4,5\n")},
-		{"quoted-multiline-host", sitesFile, insert(sites, "77,\"two\nlines\",3,4,5\n")},
-		{"quoted-header", sitesFile, []byte(`"site",host,first_rank,v4_as,v6_as` + sites[strings.IndexByte(sites, '\n'):])},
-		{"crlf-file", dnsFile, []byte(strings.ReplaceAll(dns, "\n", "\r\n"))},
-		{"crlf-last-line-only", dnsFile, []byte(dns[:len(dns)-1] + "\r\n")},
-		{"bare-quote-mid-file", dnsFile, insert(dns, "penn,5,1,tr\"ue,true,true\n")},
-		{"bare-quote-bad-row-first", dnsFile, insert(dns, "penn,x,1,true,true,true\npenn,5,1,\"tr\"ue,true,true\n")},
-		{"line-longer-than-buffer", dnsFile, insert(dns, long)},
-		{"empty-lines", dnsFile, []byte(strings.ReplaceAll(dns, "\n", "\n\n"))},
-		{"no-final-newline", dnsFile, []byte(strings.TrimSuffix(dns, "\n"))},
-		{"header-only", dnsFile, []byte(dns[:strings.IndexByte(dns, '\n')+1])},
-		{"field-count", dnsFile, insert(dns, "penn,5,1,true,true\n")},
-		{"plus-sign-and-zeros", dnsFile, insert(dns, "penn,+0005,-0,true,false,true\n")},
-		{"int-overflow", dnsFile, insert(dns, "penn,99999999999999999999,1,true,true,true\n")},
-		{"out-of-order-row", dnsFile, []byte(dns + "penn,0,0,true,true,true\n")},
-		{"bad-family", samplesFile, []byte(strings.Replace(string(files[samplesFile]), "penn,0,0,", "penn,0,2,", 1))},
-		{"bad-path", pathsFile, []byte(strings.Replace(string(files[pathsFile]), "2;5;9", "2;;9", 1))},
+	return []csvLoadCase{
+		{"quoted-host-mid-file", sitesFile, insert(sites, "77,\"quoted, host\",3,4,5\n"), ""},
+		{"quoted-multiline-host", sitesFile, insert(sites, "77,\"two\nlines\",3,4,5\n"), ""},
+		{"quoted-header", sitesFile, []byte(`"site",host,first_rank,v4_as,v6_as` + sites[strings.IndexByte(sites, '\n'):]), ""},
+		{"crlf-file", dnsFile, []byte(strings.ReplaceAll(dns, "\n", "\r\n")), ""},
+		{"crlf-last-line-only", dnsFile, []byte(dns[:len(dns)-1] + "\r\n"), ""},
+		{"bare-quote-mid-file", dnsFile, insert(dns, "penn,5,1,tr\"ue,true,true\n"), ""},
+		{"bare-quote-bad-row-first", dnsFile, insert(dns, "penn,x,1,true,true,true\npenn,5,1,\"tr\"ue,true,true\n"), ""},
+		{"line-longer-than-buffer", dnsFile, insert(dns, long), ""},
+		{"empty-lines", dnsFile, []byte(strings.ReplaceAll(dns, "\n", "\n\n")), ""},
+		{"no-final-newline", dnsFile, []byte(strings.TrimSuffix(dns, "\n")), ""},
+		{"header-only", dnsFile, []byte(dns[:strings.IndexByte(dns, '\n')+1]), ""},
+		{"field-count", dnsFile, insert(dns, "penn,5,1,true,true\n"), ""},
+		{"plus-sign-and-zeros", dnsFile, insert(dns, "penn,+0005,-0,true,false,true\n"), ""},
+		{"int-overflow", dnsFile, insert(dns, "penn,99999999999999999999,1,true,true,true\n"), ""},
+		{"out-of-order-row", dnsFile, []byte(dns + "penn,0,0,true,true,true\n"), ""},
+		{"bad-family", samplesFile, []byte(strings.Replace(samples, "penn,0,0,", "penn,0,2,", 1)), "family 2 is not 0 (IPv4) or 1 (IPv6)"},
+		{"bad-path", pathsFile, []byte(strings.Replace(paths, "2;5;9", "2;;9", 1)), ""},
+
+		{"site-negative", sitesFile, insert(sites, "-5,h.example,3,4,5\n"), "site -5 outside [0, 4611686018427387903]"},
+		{"site-past-snapshot-bound", sitesFile, insert(sites, "4611686018427387904,h.example,3,4,5\n"), "site 4611686018427387904 outside [0, 4611686018427387903]"},
+		{"host-empty", sitesFile, insert(sites, "77,,3,4,5\n"), "host is empty"},
+		{"first-rank-negative", sitesFile, insert(sites, "77,h.example,-3,4,5\n"), "first_rank -3 outside [0, 2147483647]"},
+		{"first-rank-past-int32", sitesFile, insert(sites, "77,h.example,2147483648,4,5\n"), "first_rank 2147483648 outside [0, 2147483647]"},
+		{"v4-as-below-unknown", sitesFile, insert(sites, "77,h.example,3,-2,5\n"), "v4_as -2 outside [-1, 2147483646]"},
+		{"v4-as-past-int32", sitesFile, insert(sites, "77,h.example,3,2147483647,5\n"), "v4_as 2147483647 outside [-1, 2147483646]"},
+		{"v6-as-below-unknown", sitesFile, insert(sites, "77,h.example,3,4,-2\n"), "v6_as -2 outside [-1, 2147483646]"},
+		{"v6-as-past-int32", sitesFile, insert(sites, "77,h.example,3,4,2147483647\n"), "v6_as 2147483647 outside [-1, 2147483646]"},
+		{"dns-site-negative", dnsFile, insert(dns, "penn,-5,1,true,true,true\n"), "site -5 outside [0, 4611686018427387903]"},
+		{"dns-round-negative", dnsFile, insert(dns, "penn,77,-1,true,true,true\n"), "round -1 outside [0, 1073741823]"},
+		{"dns-round-past-int32", dnsFile, insert(dns, "penn,77,4294967297,true,true,true\n"), "round 4294967297 outside [0, 1073741823]"},
+		{"sample-site-negative", samplesFile, sample("-5", "1", date, "100", "3"), "site -5 outside [0, 4611686018427387903]"},
+		{"sample-round-negative", samplesFile, sample("77", "-1", date, "100", "3"), "round -1 outside [0, 1073741823]"},
+		{"sample-round-past-max", samplesFile, sample("77", "1073741824", date, "100", "3"), "round 1073741824 outside [0, 1073741823]"},
+		{"sample-date-past-nanos", samplesFile, sample("77", "1", "2400-01-01T00:00:00Z", "100", "3"), "date 2400-01-01T00:00:00Z outside"},
+		{"sample-date-before-nanos", samplesFile, sample("77", "1", "1600-01-01T00:00:00Z", "100", "3"), "date 1600-01-01T00:00:00Z outside"},
+		{"page-negative", samplesFile, sample("77", "1", date, "-1", "3"), "page_bytes -1 outside [0, 2147483647]"},
+		{"page-past-int32", samplesFile, sample("77", "1", date, "5000000000", "3"), "page_bytes 5000000000 outside [0, 2147483647]"},
+		{"downloads-negative", samplesFile, sample("77", "1", date, "100", "-3"), "downloads -3 outside [0, 2147483647]"},
+		{"downloads-into-ci-bit", samplesFile, sample("77", "1", date, "100", "2147483648"), "downloads 2147483648 outside [0, 2147483647]"},
+		{"path-family", pathsFile, insert(paths, "penn,2,9,0,2;9\n"), "family 2 is not 0 (IPv4) or 1 (IPv6)"},
+		{"path-dst-negative", pathsFile, insert(paths, "penn,0,-9,0,2;9\n"), "dst -9 outside [0, 2147483647]"},
+		{"path-dst-past-int32", pathsFile, insert(paths, "penn,0,2147483648,0,2;9\n"), "dst 2147483648 outside [0, 2147483647]"},
+		{"path-round-negative", pathsFile, insert(paths, "penn,0,77,-1,2;9\n"), "round -1 outside [0, 1073741823]"},
+		{"path-round-past-max", pathsFile, insert(paths, "penn,0,77,1073741824,2;9\n"), "round 1073741824 outside [0, 1073741823]"},
+		{"path-as-negative", pathsFile, insert(paths, "penn,0,77,0,2;-7;9\n"), "path AS -7 outside [0, 2147483647]"},
+		{"path-as-past-int32", pathsFile, insert(paths, "penn,0,77,0,2;2147483648\n"), "path AS 2147483648 outside [0, 2147483647]"},
 	}
 }
 
 // TestLoadAgreesWithCSVReader: on inputs that take every exit from the
 // byte scanner — quoted fields mid-file, CRLF line ends, bare quotes,
-// overlong lines — and on malformed rows, Load and the csv.Reader
-// reference fail with the same error or load databases that save
-// byte-equal.
+// overlong lines — and on malformed or out-of-bounds rows, Load and
+// the csv.Reader reference fail with the same error or load databases
+// that save byte-equal. A case with a field error must fail with it.
 func TestLoadAgreesWithCSVReader(t *testing.T) {
 	files := saveCSVBytes(t, binarySampleDB())
 	for _, tc := range csvLoadCases(files) {
 		t.Run(tc.name, func(t *testing.T) {
-			loadAgrees(t, withFile(files, tc.file, tc.data))
+			err := loadAgrees(t, withFile(files, tc.file, tc.data))
+			prefix := "store: " + tc.file + " row "
+			if tc.want != "" && (err == nil || !strings.HasPrefix(err.Error(), prefix) || !strings.Contains(err.Error(), ": "+tc.want)) {
+				t.Errorf("error %v, want one starting %q and naming %q", err, prefix, tc.want)
+			}
 		})
 	}
 }

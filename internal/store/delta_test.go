@@ -123,6 +123,17 @@ func TestDNSDeltaCSVByteIdentical(t *testing.T) {
 			if n := len(db.DNS("penn")); n != len(rows) {
 				t.Fatalf("seed %d: %d expanded rows, want %d", seed, n, len(rows))
 			}
+			// So must the run reader's runs, expanded.
+			var expanded []DNSRow
+			db.ForEachDNSRun("penn", func(row DNSRow, n int) {
+				for k := 0; k < n; k++ {
+					expanded = append(expanded, row)
+					row.Round++
+				}
+			})
+			if !reflect.DeepEqual(expanded, db.DNS("penn")) {
+				t.Fatalf("seed %d reserve=%v: ForEachDNSRun's runs expand to %d rows unequal to ForEachDNS's", seed, reserve, len(expanded))
+			}
 		}
 	}
 }
@@ -488,7 +499,6 @@ func TestColumnarConcurrentAppends(t *testing.T) {
 				if r%10 == 0 {
 					snap := db.Freeze()
 					snap.Series(nil, "penn", base, topo.V4)
-					snap.SeriesLen("penn", base, topo.V4)
 				}
 			}
 		}(w)

@@ -119,6 +119,22 @@ func (db *DB) ForEachDNS(v Vantage, fn func(DNSRow)) {
 	db.lockedDNSView(v, func(view *dnsView) { view.walkDNS(fn) })
 }
 
+// ForEachDNSRun visits every DNS run stored for a vantage in canonical
+// (site, round) order: row is the run's first row, and its site
+// observed row's outcome at the n consecutive rounds from row.Round.
+// Expanded, the runs are ForEachDNS's rows, at one call per state
+// change instead of one per round. fn runs under the DNS table locks:
+// it must be quick and must not write to the same database.
+func (db *DB) ForEachDNSRun(v Vantage, fn func(row DNSRow, n int)) {
+	db.lockedDNSView(v, func(view *dnsView) {
+		view.walkRuns(func(site alexa.SiteID, runs []dnsRun) {
+			for _, r := range runs {
+				fn(r.row(site, 0), int(r.count))
+			}
+		})
+	})
+}
+
 // ForEachSeries visits every (site, family) sample series stored for
 // a vantage in ascending (site, family) order. The series passed to
 // fn is expanded from the packed storage — a fresh copy fn may keep.
@@ -261,14 +277,6 @@ func (s *Snapshot) Series(dst []Sample, v Vantage, site alexa.SiteID, fam topo.F
 		return dst
 	}
 	return appendSeries(dst, view.series[site][fam], view.datesT)
-}
-
-// SeriesLen returns the number of samples for (vantage, site, family).
-func (s *Snapshot) SeriesLen(v Vantage, site alexa.SiteID, fam topo.Family) int {
-	if view := s.view(v); view != nil {
-		return len(view.series[site][fam])
-	}
-	return 0
 }
 
 // ForEachSeries visits every (site, family) series for a vantage in
