@@ -11,59 +11,21 @@
 //
 //	file:line:col: message [analyzer]
 //
-// v6lint is also `go vet -vettool` compatible: it implements the vet
-// driver protocol (-V=full, -flags, and the single-package .cfg
-// invocation), so CI can run
-//
-//	go build -o bin/v6lint ./cmd/v6lint
-//	go vet -vettool=bin/v6lint ./...
-//
-// and get per-package caching from the go command. The five analyzers
-// and their //v6lint:* escape hatches are documented in internal/lint
-// and in DESIGN.md's "Determinism invariants" section.
+// The five analyzers and their //v6lint:* escape hatches are
+// documented in internal/lint and in DESIGN.md's "Determinism
+// invariants" section.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
-	"io"
 	"os"
-	"runtime"
 	"strings"
 
 	"v6web/internal/lint"
 )
 
 func main() {
-	// go vet driver protocol: version probe, flag discovery, and the
-	// single-package unit-checker invocation, recognized before normal
-	// flag parsing.
-	args := os.Args[1:]
-	for _, a := range args {
-		switch {
-		case a == "-V=full" || a == "--V=full":
-			fmt.Println("v6lint version v1.0.0")
-			return
-		case a == "-flags" || a == "--flags":
-			// No analyzer-specific flags; go vet requires valid JSON.
-			fmt.Println("[]")
-			return
-		}
-	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		if err := unitCheck(args[0]); err != nil {
-			fmt.Fprintln(os.Stderr, "v6lint:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
 	flag.Parse()
 	patterns := flag.Args()
@@ -108,87 +70,4 @@ func selectAnalyzers(only string) ([]*lint.Analyzer, error) {
 		out = append(out, a)
 	}
 	return out, nil
-}
-
-// vetConfig mirrors the JSON cmd/go writes for each vet unit.
-type vetConfig struct {
-	ID          string
-	Dir         string
-	ImportPath  string
-	GoFiles     []string
-	ImportMap   map[string]string
-	PackageFile map[string]string
-	VetxOnly    bool
-	VetxOutput  string
-}
-
-// unitCheck implements the go vet single-package protocol: typecheck
-// the unit from the config's file lists and export data, run the
-// suite, report findings on stderr with a nonzero exit.
-func unitCheck(cfgPath string) error {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		return err
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		return fmt.Errorf("parsing %s: %w", cfgPath, err)
-	}
-	// The analyzers carry no cross-package facts, but cmd/go reads the
-	// vetx output file when present; write it first so a diagnostic
-	// exit does not look like a crash.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, []byte{}, 0o666); err != nil {
-			return err
-		}
-	}
-	if cfg.VetxOnly {
-		return nil
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			return err
-		}
-		files = append(files, f)
-	}
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-		Scopes:     map[ast.Node]*types.Scope{},
-		Instances:  map[*ast.Ident]types.Instance{},
-	}
-	conf := types.Config{Importer: imp, Sizes: types.SizesFor("gc", runtime.GOARCH)}
-	tpkg, err := conf.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		return fmt.Errorf("typechecking %s: %w", cfg.ImportPath, err)
-	}
-	pkg := &lint.Package{Path: cfg.ImportPath, Fset: fset, Files: files, Pkg: tpkg, Info: info}
-	diags, err := lint.RunAnalyzers(pkg, lint.Analyzers())
-	if err != nil {
-		return err
-	}
-	for _, d := range diags {
-		fmt.Fprintln(os.Stderr, d)
-	}
-	if len(diags) > 0 {
-		os.Exit(2)
-	}
-	return nil
 }

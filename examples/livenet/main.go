@@ -103,7 +103,7 @@ func main() {
 	// A fixed round date (the paper's World IPv6 Day) keeps the stored
 	// CSVs reproducible across example runs; the sockets are still live.
 	roundDate := time.Date(2011, time.June, 8, 0, 0, 0, 0, time.UTC)
-	st := mon.RunRound(0, roundDate, 0.5, refs)
+	st, _ := mon.RunRound(0, roundDate, 0.5, refs)
 	fmt.Printf("sites: %d   dual-stack: %d   measured: %d\n\n", st.Sites, st.Dual, st.Measured)
 
 	fmt.Printf("%-22s %12s %12s %8s  %s\n", "site", "IPv4 kB/s", "IPv6 kB/s", "v6/v4", "diagnosis")

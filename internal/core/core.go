@@ -233,22 +233,17 @@ type Scenario struct {
 	vantageAS map[store.Vantage]int
 	dates     []time.Time
 
-	extRefs []measure.SiteRef // Penn's extended population
+	extRefs []measure.SiteRef // Penn's extended population, ascending by id
 
 	// restrict, when set, limits monitoring to a shard's slice of the
-	// site population (see Restrict in shard.go); trackedR/extRefsR are
-	// the restricted subsets, maintained alongside tracked/extRefs.
-	// allowVP, when non-nil, limits monitoring to a vantage subset.
+	// site population (see Restrict in shard.go).
 	restrict *SiteRange
-	trackedR []measure.SiteRef
-	extRefsR []measure.SiteRef
-	allowVP  map[store.Vantage]bool
 
 	// tracked accumulates every site ever seen in the list: "new
 	// sites ... are added to the monitoring list and tracked from
-	// this point onward" (Section 3). absorbed is the mint cursor of
-	// the last absorb: ids below it are already tracked (or were
-	// churned away unseen) — see absorbRanked.
+	// this point onward" (Section 3), ascending by id. absorbed is the
+	// mint cursor of the last absorb: ids below it are already tracked
+	// (or were churned away unseen) — see absorbRanked.
 	tracked  []measure.SiteRef
 	absorbed int
 
@@ -486,9 +481,18 @@ func (s *Scenario) V6DayParticipants() []measure.SiteRef {
 // analyzedVantages returns the vantages with AS_PATH data, in config
 // order — the paper's analysis set.
 func (s *Scenario) analyzedVantages() []VantagePoint {
+	return s.vantagesWhere(func(vp VantagePoint) bool { return vp.HasASPath })
+}
+
+// v6DayVantages returns the World IPv6 Day vantages, in config order.
+func (s *Scenario) v6DayVantages() []VantagePoint {
+	return s.vantagesWhere(func(vp VantagePoint) bool { return vp.V6Day })
+}
+
+func (s *Scenario) vantagesWhere(keep func(VantagePoint) bool) []VantagePoint {
 	var out []VantagePoint
 	for _, vp := range s.Cfg.Vantages {
-		if vp.HasASPath {
+		if keep(vp) {
 			out = append(out, vp)
 		}
 	}
@@ -504,7 +508,7 @@ func (s *Scenario) analyzedVantages() []VantagePoint {
 func (s *Scenario) Study() *analysis.Study {
 	if s.study == nil || s.studyAt != s.next {
 		s.snap = s.DB.Freeze()
-		s.study = s.studyOf(s.snap)
+		s.study = s.studyOf(s.snap, s.analyzedVantages(), analysis.DefaultThresholds())
 		s.studyAt = s.next
 	}
 	return s.study
@@ -519,16 +523,14 @@ func (s *Scenario) snapshot() *store.Snapshot {
 // ComputeStudy runs the full analysis pass unconditionally over a
 // freshly frozen snapshot.
 func (s *Scenario) ComputeStudy() *analysis.Study {
-	return s.studyOf(s.DB.Freeze())
+	return s.studyOf(s.DB.Freeze(), s.analyzedVantages(), analysis.DefaultThresholds())
 }
 
-// studyOf analyzes every AS_PATH vantage of one frozen snapshot. The
-// per-vantage analyses are independent reads of the frozen view, so
-// they run on the round worker pool; results land in roster-order
-// slots, keeping the study deterministic.
-func (s *Scenario) studyOf(snap *store.Snapshot) *analysis.Study {
-	th := analysis.DefaultThresholds()
-	vps := s.analyzedVantages()
+// studyOf analyzes vps over one frozen snapshot. The per-vantage
+// analyses are independent reads of the frozen view, so they run on the
+// round worker pool; results land in roster-order slots, keeping the
+// study deterministic.
+func (s *Scenario) studyOf(snap *store.Snapshot, vps []VantagePoint, th analysis.Thresholds) *analysis.Study {
 	vas := make([]*analysis.VantageAnalysis, len(vps))
 	runTasks(s.roundWorkers(), len(vps), func(k int) {
 		vas[k] = analysis.AnalyzeSnapshot(snap, vps[k].Name, th)
@@ -542,19 +544,7 @@ func (s *Scenario) V6DayStudy() *analysis.Study {
 	if s.v6dayStudy != nil && s.ranV6D {
 		return s.v6dayStudy
 	}
-	th := report.V6DayThresholds()
-	snap := s.V6DayDB.Freeze()
-	var vps []VantagePoint
-	for _, vp := range s.Cfg.Vantages {
-		if vp.V6Day {
-			vps = append(vps, vp)
-		}
-	}
-	vas := make([]*analysis.VantageAnalysis, len(vps))
-	runTasks(s.roundWorkers(), len(vps), func(k int) {
-		vas[k] = analysis.AnalyzeSnapshot(snap, vps[k].Name, th)
-	})
-	st := analysis.NewStudy(vas...)
+	st := s.studyOf(s.V6DayDB.Freeze(), s.v6DayVantages(), report.V6DayThresholds())
 	if s.ranV6D {
 		s.v6dayStudy = st
 	}

@@ -151,9 +151,11 @@ func (ls *LiveStudy) PredictedV6(id alexa.SiteID) float64 { return ls.predV6[id]
 // V6Fallback reports whether the IPv6 plane runs on an IPv4 socket.
 func (ls *LiveStudy) V6Fallback() bool { return ls.fallback }
 
-// RunRound executes one real-socket monitoring round.
+// RunRound executes one real-socket monitoring round. The live
+// fetcher knows no origin ASes, so the round has no destinations.
 func (ls *LiveStudy) RunRound(round int) measure.RoundStats {
-	return ls.mon.RunRound(round, time.Now(), 1.0, ls.refs) //v6lint:wallclock live study rounds are stamped with the real date
+	st, _ := ls.mon.RunRound(round, time.Now(), 1.0, ls.refs) //v6lint:wallclock live study rounds are stamped with the real date
+	return st
 }
 
 // Close tears the servers down.

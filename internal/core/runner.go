@@ -227,9 +227,6 @@ func (s *Scenario) NextRound(observers ...Observer) error {
 		if r < vp.StartRound {
 			continue
 		}
-		if s.allowVP != nil && !s.allowVP[vp.Name] {
-			continue
-		}
 		if s.Cfg.vantageOffline(vp.Name, r) {
 			// Scheduled outage: the vantage runs no monitoring this
 			// round but keeps its roster slot in the event stream.
@@ -241,19 +238,29 @@ func (s *Scenario) NextRound(observers ...Observer) error {
 			tasks = append(tasks, roundTask{vp: i, ext: true})
 		}
 	}
+	mainPop, extPop := s.tracked, s.extRefs
+	if s.restrict != nil {
+		mainPop = within(mainPop, s.restrict.MainLo, s.restrict.MainHi)
+		extPop = within(extPop, s.restrict.ExtLo, s.restrict.ExtHi)
+	}
 	stats := make([]measure.RoundStats, len(tasks))
 	elapsed := make([]time.Duration, len(tasks))
 	runTasks(s.roundWorkers(), len(tasks), func(k int) {
 		t := tasks[k]
-		refs, extPop := s.tracked, s.extRefs
-		if s.restrict != nil {
-			refs, extPop = s.trackedR, s.extRefsR
-		}
+		v := s.Cfg.Vantages[t.vp].Name
+		refs := mainPop
 		if t.ext {
 			refs = extPop
 		}
 		start := time.Now() //v6lint:wallclock RoundEvent.Elapsed is observability, not simulation state
-		stats[k] = s.monitors[s.Cfg.Vantages[t.vp].Name].RunRound(r, date, tf, refs)
+		st, dsts := s.monitors[v].RunRound(r, date, tf, refs)
+		// A restricted scenario sees only its slice's destinations; the
+		// campaign's table is derived once every slice has merged
+		// (ReplayPaths).
+		if s.restrict == nil {
+			s.recordPaths(s.DB, v, r, dsts)
+		}
+		stats[k] = st
 		elapsed[k] = time.Since(start) //v6lint:wallclock RoundEvent.Elapsed is observability, not simulation state
 	})
 
@@ -313,9 +320,6 @@ func (s *Scenario) absorbRanked() {
 		}
 		s.List.ForEachEntrant(alexa.SiteID(s.absorbed), func(rank int, id alexa.SiteID) {
 			s.tracked = append(s.tracked, measure.SiteRef{ID: id, FirstRank: rank})
-			if s.restrict != nil && id >= s.restrict.MainLo && id < s.restrict.MainHi {
-				s.trackedR = append(s.trackedR, measure.SiteRef{ID: id, FirstRank: rank})
-			}
 		})
 		s.absorbed = total
 	}
@@ -468,12 +472,7 @@ func (s *Scenario) RunWorldV6DayContext(ctx context.Context, opts ...RunOption) 
 	// Participants are main-list sites: give the staging database the
 	// same dense id range as the main store.
 	staging.Reserve(s.List.TotalSeen(), 0, 0)
-	var vps []VantagePoint
-	for _, vp := range s.Cfg.Vantages {
-		if vp.V6Day {
-			vps = append(vps, vp)
-		}
-	}
+	vps := s.v6DayVantages()
 	// Fail fast across units: the first error cancels the shared
 	// context so sibling vantages stop at their next round boundary
 	// instead of finishing doomed work.
@@ -496,7 +495,8 @@ func (s *Scenario) RunWorldV6DayContext(ctx context.Context, opts ...RunOption) 
 			}
 			date := s.Timeline.V6Day.Add(time.Duration(r) * 30 * time.Minute)
 			start := time.Now() //v6lint:wallclock RoundEvent.Elapsed is observability, not simulation state
-			st := mon.RunRound(r, date, tf, refs)
+			st, dsts := mon.RunRound(r, date, tf, refs)
+			s.recordPaths(staging, vp.Name, r, dsts)
 			//v6lint:wallclock RoundEvent.Elapsed is observability, not simulation state
 			events[k] = append(events[k], RoundEvent{Round: r, Date: date, Vantage: vp.Name, Stats: st, Elapsed: time.Since(start)})
 		}

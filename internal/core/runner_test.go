@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"v6web/internal/alexa"
 	"v6web/internal/store"
 )
 
@@ -475,5 +477,48 @@ func TestWorldV6DayCancelLeavesDBUntouched(t *testing.T) {
 	}
 	if _, dns, samples, _ := s.V6DayDB.Counts(); dns == 0 || samples == 0 {
 		t.Fatalf("the rerun left V6DayDB without rows: %v", s.V6DayDB)
+	}
+}
+
+// TestRestrictedScenarioRecordsNoPaths: a restricted scenario monitors
+// exactly its slice of the sites, at every vantage and round, but takes
+// no path snapshots; a shard coordinator derives the campaign's table
+// once every slice has merged (ReplayPaths).
+func TestRestrictedScenarioRecordsNoPaths(t *testing.T) {
+	cfg := runnerCfg(5)
+	run := func(r *SiteRange) *store.DB {
+		s, err := NewScenario(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r != nil {
+			s.Restrict(*r)
+		}
+		if err := s.RunContext(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return s.DB
+	}
+	r := SiteRange{MainLo: 0, MainHi: 600, ExtLo: ExtendedBase, ExtHi: ExtendedBase + 100}
+	full, slice := run(nil), run(&r)
+	if _, _, _, paths := full.Counts(); paths == 0 {
+		t.Fatal("the unrestricted campaign recorded no path snapshots")
+	}
+	if _, dns, _, paths := slice.Counts(); dns == 0 || paths != 0 {
+		t.Fatalf("restricted campaign: %d DNS rows, %d path snapshots; want rows and no snapshots", dns, paths)
+	}
+	inRange := func(id alexa.SiteID) bool {
+		return id >= r.MainLo && id < r.MainHi || id >= r.ExtLo && id < r.ExtHi
+	}
+	for _, vp := range cfg.Vantages {
+		var want []store.DNSRow
+		for _, row := range full.DNS(vp.Name) {
+			if inRange(row.Site) {
+				want = append(want, row)
+			}
+		}
+		if got := slice.DNS(vp.Name); !slices.Equal(got, want) {
+			t.Errorf("%s: restricted campaign holds %d DNS rows, want the unrestricted campaign's %d inside the range", vp.Name, len(got), len(want))
+		}
 	}
 }

@@ -2,12 +2,14 @@ package core
 
 // This file is the shard-execution surface: the hooks that let a
 // worker process run one slice of the site population through the
-// ordinary round machinery (Restrict, RestrictVantages) and a
-// coordinator rebuild the parts a restricted worker cannot produce
-// (FastForward, ReplayPaths, FinalMainSites). The coordinator/worker
-// protocol built on top lives in internal/shard.
+// ordinary round machinery (Restrict) and a coordinator rebuild the
+// parts a restricted worker does not produce (FastForward, ReplayPaths,
+// FinalMainSites), plus the post-round path snapshot every campaign
+// takes through recordPaths. The coordinator/worker protocol built on
+// top lives in internal/shard.
 
 import (
+	"cmp"
 	"slices"
 
 	"v6web/internal/alexa"
@@ -26,43 +28,40 @@ type SiteRange struct {
 
 // Restrict limits monitoring to the sites inside r. The scenario's
 // substrates, reservations, and round/churn schedule are untouched —
-// only the site references handed to the monitors shrink — and every
-// random draw is derived per (seed, round, site), so the sites a
+// only the site references handed to the monitors shrink, to the
+// subslices of the ascending tracked and extended lists inside r — and
+// every random draw is derived per (seed, round, site), so the sites a
 // restricted run does monitor observe exactly what they observe in an
 // unrestricted run. Call after NewScenario or Resume, before running
 // rounds; sites churning into the range later are picked up by the
-// per-round absorb. The monitors still record post-round path
-// snapshots, to their own slice's destinations only: a coordinator
-// does not merge those, it rebuilds the campaign's table from the
-// merged DNS history with ReplayPaths.
-func (s *Scenario) Restrict(r SiteRange) {
-	s.restrict = &r
-	s.trackedR = filterRefs(s.tracked, r.MainLo, r.MainHi)
-	s.extRefsR = filterRefs(s.extRefs, r.ExtLo, r.ExtHi)
+// per-round absorb. A restricted scenario records no path snapshots:
+// its monitors see only their slice's destinations, and a coordinator
+// rebuilds the campaign's table from the merged DNS history with
+// ReplayPaths.
+func (s *Scenario) Restrict(r SiteRange) { s.restrict = &r }
+
+// within returns the subslice of refs, ascending by id, with ids in
+// [lo, hi).
+func within(refs []measure.SiteRef, lo, hi alexa.SiteID) []measure.SiteRef {
+	byID := func(ref measure.SiteRef, id alexa.SiteID) int { return cmp.Compare(ref.ID, id) }
+	i, _ := slices.BinarySearchFunc(refs, lo, byID)
+	j, _ := slices.BinarySearchFunc(refs, hi, byID)
+	return refs[i:max(i, j)]
 }
 
-func filterRefs(refs []measure.SiteRef, lo, hi alexa.SiteID) []measure.SiteRef {
-	var out []measure.SiteRef
-	for _, ref := range refs {
-		if ref.ID >= lo && ref.ID < hi {
-			out = append(out, ref)
+// recordPaths takes a vantage's post-round BGP snapshot into db: the
+// paths in effect at round toward each destination AS in dsts
+// (ascending, as measure.Monitor.RunRound returns them), over both
+// families. The paper retrieved routing tables "after each monitoring
+// round"; the store keeps only changes.
+func (s *Scenario) recordPaths(db *store.DB, v store.Vantage, round int, dsts []int) {
+	f := s.fetchers[v]
+	for _, dst := range dsts {
+		for _, fam := range [2]topo.Family{topo.V4, topo.V6} {
+			if p := f.PathTo(dst, fam, round); p != nil {
+				db.AddPath(v, fam, dst, round, p)
+			}
 		}
-	}
-	return out
-}
-
-// RestrictVantages limits monitoring to the named vantages (nil
-// restores the full roster). Start rounds and the round/churn schedule
-// keep following the full configured roster, so a vantage-restricted
-// worker stays round-for-round aligned with the unrestricted campaign.
-func (s *Scenario) RestrictVantages(names []store.Vantage) {
-	if names == nil {
-		s.allowVP = nil
-		return
-	}
-	s.allowVP = make(map[store.Vantage]bool, len(names))
-	for _, v := range names {
-		s.allowVP[v] = true
 	}
 }
 
@@ -78,11 +77,12 @@ func (s *Scenario) FastForward(to int) { s.fastForward(to) }
 // which must hold the campaign's DNS history and site rows and no path
 // snapshots: the shard coordinator calls it once every shard has
 // merged. A round's post-round snapshot at a vantage covers the origin
-// ASes of the sites whose DNS row is dual-stack there
-// (measure.RunRound). So for each vantage, a run-level walk of its DNS
-// history finds each round's dual-stack sites, their known origin ASes
-// become the round's destinations, and the paths to them are recorded
-// in ascending round order. The origins come from the site rows: a
+// ASes of the sites whose DNS row is dual-stack there (the destinations
+// measure.Monitor.RunRound returns). So for each vantage, a run-level
+// walk of its DNS history finds each round's dual-stack sites, their
+// known origin ASes become the round's destinations, and the paths to
+// them are recorded in ascending round order. The origins come from the
+// site rows: a
 // site's origins stay fixed once it is dual-stack, and its row holds
 // those of its latest observation, which is dual-stack whenever an
 // earlier one was, so they are the origins the monitor resolved at
@@ -121,20 +121,13 @@ func (s *Scenario) ReplayPaths() {
 				}
 			}
 		}
-		f := s.fetchers[vp.Name]
 		for r, set := range dsts {
 			ases := make([]int, 0, len(set))
 			for as := range set {
 				ases = append(ases, as)
 			}
 			slices.Sort(ases)
-			for _, dst := range ases {
-				for _, fam := range [2]topo.Family{topo.V4, topo.V6} {
-					if p := f.PathTo(dst, fam, r); p != nil {
-						s.DB.AddPath(vp.Name, fam, dst, r, p)
-					}
-				}
-			}
+			s.recordPaths(s.DB, vp.Name, r, ases)
 		}
 	}
 }

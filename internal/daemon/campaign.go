@@ -51,7 +51,6 @@ const (
 type Campaign struct {
 	Name string
 	dir  string
-	spec *scenario.Spec
 	comp scenario.Compiled
 
 	// ck is the campaign's one checkpoint backend, shared by every
@@ -73,11 +72,10 @@ type Campaign struct {
 	events   *broadcaster
 }
 
-func newCampaign(dir string, sp *scenario.Spec, comp scenario.Compiled) *Campaign {
+func newCampaign(dir string, comp scenario.Compiled) *Campaign {
 	c := &Campaign{
 		Name:   filepath.Base(dir),
 		dir:    dir,
-		spec:   sp,
 		comp:   comp,
 		ck:     store.NewCheckpointBackend(dir),
 		events: newBroadcaster(),

@@ -133,7 +133,7 @@ func (d *Daemon) Add(name, pack string, sets scenario.Overrides) (*Campaign, err
 	}
 	dir := filepath.Join(d.campaignsDir(), name)
 	if _, err := os.Stat(filepath.Join(dir, manifestFile)); err == nil {
-		oldSp, oldComp, err := readManifest(dir)
+		oldComp, err := readManifest(dir)
 		if err != nil {
 			return nil, err
 		}
@@ -141,12 +141,12 @@ func (d *Daemon) Add(name, pack string, sets scenario.Overrides) (*Campaign, err
 			return nil, fmt.Errorf("daemon: campaign %s is registered with fingerprint %s; the given pack/overrides compile to %s — remove %s to start over",
 				name, want, got, dir)
 		}
-		return d.register(dir, oldSp, oldComp)
+		return d.register(dir, oldComp)
 	}
 	if err := writeManifest(dir, sp, comp.Config.Fingerprint()); err != nil {
 		return nil, err
 	}
-	return d.register(dir, sp, comp)
+	return d.register(dir, comp)
 }
 
 // Discover scans the data directory for campaign manifests left by
@@ -172,26 +172,26 @@ func (d *Daemon) Discover() error {
 		if _, err := os.Stat(filepath.Join(dir, manifestFile)); err != nil {
 			continue
 		}
-		sp, comp, err := readManifest(dir)
+		comp, err := readManifest(dir)
 		if err != nil {
 			d.logf("discover: quarantining campaign %s (manifest unusable, not serving it): %v", ent.Name(), err)
 			continue
 		}
-		if _, err := d.register(dir, sp, comp); err != nil {
+		if _, err := d.register(dir, comp); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (d *Daemon) register(dir string, sp *scenario.Spec, comp scenario.Compiled) (*Campaign, error) {
+func (d *Daemon) register(dir string, comp scenario.Compiled) (*Campaign, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	name := filepath.Base(dir)
 	if c, ok := d.campaigns[name]; ok {
 		return c, nil
 	}
-	c := newCampaign(dir, sp, comp)
+	c := newCampaign(dir, comp)
 	d.campaigns[name] = c
 	d.order = append(d.order, name)
 	sort.Strings(d.order)

@@ -194,7 +194,7 @@ func TestDaemonResumesCompletedCampaign(t *testing.T) {
 // campaign has published a version, then 200.
 func TestReadyzGatesOnFirstVersion(t *testing.T) {
 	d := newTestDaemon(t, Options{})
-	c, err := d.register(filepath.Join(t.TempDir(), "c1"), nil, scenario.Compiled{})
+	c, err := d.register(filepath.Join(t.TempDir(), "c1"), scenario.Compiled{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestReadyzGatesOnFirstVersion(t *testing.T) {
 // with 429; warm exhibits bypass the limiter entirely.
 func TestLoadShedding(t *testing.T) {
 	d := newTestDaemon(t, Options{RenderConcurrency: 1})
-	c, err := d.register(filepath.Join(t.TempDir(), "c1"), nil, scenario.Compiled{})
+	c, err := d.register(filepath.Join(t.TempDir(), "c1"), scenario.Compiled{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestLoadShedding(t *testing.T) {
 // TestEventStream: SSE delivers round events and terminates on drain.
 func TestEventStream(t *testing.T) {
 	d := newTestDaemon(t, Options{})
-	c, err := d.register(filepath.Join(t.TempDir(), "c1"), nil, scenario.Compiled{})
+	c, err := d.register(filepath.Join(t.TempDir(), "c1"), scenario.Compiled{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestRecoveringCatchesPanic(t *testing.T) {
 // TestPublishSequenceAndFencing: publishes bump the serving sequence;
 // an attempt the watchdog abandoned is rejected without touching it.
 func TestPublishSequenceAndFencing(t *testing.T) {
-	c := newCampaign(filepath.Join(t.TempDir(), "c1"), nil, scenario.Compiled{})
+	c := newCampaign(filepath.Join(t.TempDir(), "c1"), scenario.Compiled{})
 	p := fault.RetryPolicy{MaxAttempts: 1, Timeout: time.Millisecond}
 	err := p.Supervise(context.Background(), func(a *fault.Attempt) error {
 		for i := 1; i <= 3; i++ {
@@ -415,19 +415,19 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	readBack := func(dir string) (*scenario.Spec, scenario.Compiled) {
+	readBack := func(dir string) scenario.Compiled {
 		t.Helper()
-		sp2, comp2, err := readManifest(dir)
+		comp2, err := readManifest(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if comp2.Config.Fingerprint() != comp.Config.Fingerprint() {
 			t.Error("fingerprint changed across the manifest round trip")
 		}
-		if sp2.Name != sp.Name {
-			t.Errorf("name %q, want %q", sp2.Name, sp.Name)
+		if comp2.Name != sp.Name {
+			t.Errorf("name %q, want %q", comp2.Name, sp.Name)
 		}
-		return sp2, comp2
+		return comp2
 	}
 	dir := filepath.Join(t.TempDir(), "c1")
 	if err := writeManifest(dir, sp, comp.Config.Fingerprint()); err != nil {
@@ -453,8 +453,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(csvDir, manifestFile), csvEra, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	sp2, comp2 := readBack(csvDir)
-	c := newCampaign(csvDir, sp2, comp2)
+	c := newCampaign(csvDir, readBack(csvDir))
 	if err := c.ck.SaveSnapshot(store.SnapMain, store.NewDB()); err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +468,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err := writeManifest(dir, sp, "deadbeef"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := readManifest(dir); err == nil || !strings.Contains(err.Error(), "fingerprint") {
+	if _, err := readManifest(dir); err == nil || !strings.Contains(err.Error(), "fingerprint") {
 		t.Fatalf("tampered manifest: %v, want fingerprint error", err)
 	}
 }
@@ -498,7 +497,7 @@ func TestAddRejectsChangedSpec(t *testing.T) {
 // incomplete one), so Seq order always matches round order even when a
 // fenced attempt's publish races the fence.
 func TestPublishRefusesRoundRegression(t *testing.T) {
-	c := newCampaign(filepath.Join(t.TempDir(), "c1"), nil, scenario.Compiled{})
+	c := newCampaign(filepath.Join(t.TempDir(), "c1"), scenario.Compiled{})
 	if !c.publish(nil, &Version{Round: 3}) {
 		t.Fatal("publish round 3 rejected")
 	}

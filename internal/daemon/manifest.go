@@ -56,26 +56,26 @@ func writeManifest(dir string, sp *scenario.Spec, fingerprint string) error {
 // builds that could checkpoint as CSV also carry a "format" field; it
 // is ignored: every campaign checkpoints binary, and its CSV-era
 // checkpoints still load.
-func readManifest(dir string) (*scenario.Spec, scenario.Compiled, error) {
+func readManifest(dir string) (scenario.Compiled, error) {
 	data, err := os.ReadFile(filepath.Join(dir, manifestFile))
 	if err != nil {
-		return nil, scenario.Compiled{}, err
+		return scenario.Compiled{}, err
 	}
 	var m manifest
 	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, scenario.Compiled{}, fmt.Errorf("daemon: manifest %s: %w", dir, err)
+		return scenario.Compiled{}, fmt.Errorf("daemon: manifest %s: %w", dir, err)
 	}
 	sp, err := scenario.Parse(m.Spec)
 	if err != nil {
-		return nil, scenario.Compiled{}, fmt.Errorf("daemon: manifest %s: %w", dir, err)
+		return scenario.Compiled{}, fmt.Errorf("daemon: manifest %s: %w", dir, err)
 	}
 	comp, err := sp.Compile()
 	if err != nil {
-		return nil, scenario.Compiled{}, fmt.Errorf("daemon: manifest %s: %w", dir, err)
+		return scenario.Compiled{}, fmt.Errorf("daemon: manifest %s: %w", dir, err)
 	}
 	if fp := comp.Config.Fingerprint(); fp != m.Fingerprint {
-		return nil, scenario.Compiled{}, fmt.Errorf(
+		return scenario.Compiled{}, fmt.Errorf(
 			"daemon: manifest %s: spec compiles to fingerprint %s but was registered as %s — the spec changed under the campaign's checkpoints", dir, fp, m.Fingerprint)
 	}
-	return sp, comp, nil
+	return comp, nil
 }

@@ -72,7 +72,7 @@ func newTestMonitor(t *testing.T, f Fetcher) (*Monitor, *store.DB) {
 func TestResolveErrorCountsAsFetchFail(t *testing.T) {
 	f := &scriptFetcher{resolveErr: errors.New("dns down")}
 	mon, db := newTestMonitor(t, f)
-	st := mon.RunRound(0, time.Now(), 0, []SiteRef{{ID: 1}})
+	st, _ := mon.RunRound(0, time.Now(), 0, []SiteRef{{ID: 1}})
 	if st.FetchFails != 1 || st.Dual != 0 {
 		t.Fatalf("stats: %+v", st)
 	}
@@ -84,7 +84,7 @@ func TestResolveErrorCountsAsFetchFail(t *testing.T) {
 func TestV4OnlySiteSkipsDownloadPhase(t *testing.T) {
 	f := &scriptFetcher{hasA: true, hasAAAA: false, pageV4: 1000}
 	mon, db := newTestMonitor(t, f)
-	st := mon.RunRound(0, time.Now(), 0, []SiteRef{{ID: 1}})
+	st, _ := mon.RunRound(0, time.Now(), 0, []SiteRef{{ID: 1}})
 	if st.Dual != 0 || st.Identical != 0 {
 		t.Fatalf("stats: %+v", st)
 	}
@@ -100,7 +100,7 @@ func TestV4OnlySiteSkipsDownloadPhase(t *testing.T) {
 func TestDifferentContentStopsAtIdentityCheck(t *testing.T) {
 	f := &scriptFetcher{hasA: true, hasAAAA: true, pageV4: 10000, pageV6: 20000}
 	mon, db := newTestMonitor(t, f)
-	st := mon.RunRound(0, time.Now(), 0, []SiteRef{{ID: 1}})
+	st, _ := mon.RunRound(0, time.Now(), 0, []SiteRef{{ID: 1}})
 	if st.Dual != 1 || st.Identical != 0 || st.Measured != 0 {
 		t.Fatalf("stats: %+v", st)
 	}
@@ -117,7 +117,7 @@ func TestIdentityWithinThresholdPasses(t *testing.T) {
 	// 5% size difference is within the 6% threshold.
 	f := &scriptFetcher{hasA: true, hasAAAA: true, pageV4: 10000, pageV6: 10500}
 	mon, db := newTestMonitor(t, f)
-	st := mon.RunRound(0, time.Now(), 0, []SiteRef{{ID: 1}})
+	st, _ := mon.RunRound(0, time.Now(), 0, []SiteRef{{ID: 1}})
 	if st.Identical != 1 || st.Measured != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
@@ -131,7 +131,7 @@ func TestV6FetchErrorFailsSite(t *testing.T) {
 	f := &scriptFetcher{hasA: true, hasAAAA: true, pageV4: 1000, pageV6: 1000,
 		fetchErrV6: errors.New("v6 unreachable")}
 	mon, db := newTestMonitor(t, f)
-	st := mon.RunRound(0, time.Now(), 0, []SiteRef{{ID: 1}})
+	st, _ := mon.RunRound(0, time.Now(), 0, []SiteRef{{ID: 1}})
 	if st.FetchFails != 1 || st.Identical != 0 {
 		t.Fatalf("stats: %+v", st)
 	}
@@ -146,7 +146,7 @@ func TestTransientFailuresDoNotAbortConvergence(t *testing.T) {
 	// converges on the remaining budget.
 	f := &scriptFetcher{hasA: true, hasAAAA: true, pageV4: 1000, pageV6: 1000, failFrom: 3, failTo: 4}
 	mon, db := newTestMonitor(t, f)
-	st := mon.RunRound(0, time.Now(), 0, []SiteRef{{ID: 1}})
+	st, _ := mon.RunRound(0, time.Now(), 0, []SiteRef{{ID: 1}})
 	if st.Measured != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
@@ -160,7 +160,7 @@ func TestIdentityPhaseFailureCountsAsFetchFail(t *testing.T) {
 	// Failing the identity-check downloads fails the site's round.
 	f := &scriptFetcher{hasA: true, hasAAAA: true, pageV4: 1000, pageV6: 1000, failFrom: 1, failTo: 2}
 	mon, db := newTestMonitor(t, f)
-	st := mon.RunRound(0, time.Now(), 0, []SiteRef{{ID: 1}})
+	st, _ := mon.RunRound(0, time.Now(), 0, []SiteRef{{ID: 1}})
 	if st.FetchFails != 1 || st.Measured != 0 {
 		t.Fatalf("stats: %+v", st)
 	}
@@ -172,7 +172,7 @@ func TestIdentityPhaseFailureCountsAsFetchFail(t *testing.T) {
 func TestNoisySiteFailsWithinRoundCI(t *testing.T) {
 	f := &scriptFetcher{hasA: true, hasAAAA: true, pageV4: 1000, pageV6: 1000, noisy: true}
 	mon, db := newTestMonitor(t, f)
-	st := mon.RunRound(0, time.Now(), 0, []SiteRef{{ID: 1}})
+	st, _ := mon.RunRound(0, time.Now(), 0, []SiteRef{{ID: 1}})
 	if st.Measured != 0 {
 		t.Fatalf("noisy site converged: %+v", st)
 	}
@@ -192,15 +192,14 @@ func TestRoundStatsSiteCounts(t *testing.T) {
 	f := &scriptFetcher{hasA: true, hasAAAA: true, pageV4: 1000, pageV6: 1000}
 	mon, _ := newTestMonitor(t, f)
 	refs := []SiteRef{{ID: 1}, {ID: 2}, {ID: 3}}
-	st := mon.RunRound(0, time.Now(), 0, refs)
+	st, _ := mon.RunRound(0, time.Now(), 0, refs)
 	if st.Sites != 3 || st.Dual != 3 || st.Measured != 3 {
 		t.Fatalf("stats: %+v", st)
 	}
 }
 
-// minimalFetcher implements only the Fetcher interface (no
-// PathReporter) and knows no origins: the monitor must degrade
-// gracefully.
+// minimalFetcher implements only the Fetcher interface and knows no
+// origins: the monitor must degrade gracefully.
 type minimalFetcher struct{}
 
 func (minimalFetcher) Resolve(SiteRef, time.Time) (bool, bool, int, int, error) {
@@ -219,17 +218,17 @@ func TestMonitorWithoutOptionalInterfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := mon.RunRound(0, time.Now(), 0, []SiteRef{{ID: 1}, {ID: 2}})
+	st, dsts := mon.RunRound(0, time.Now(), 0, []SiteRef{{ID: 1}, {ID: 2}})
 	if st.Measured != 2 {
 		t.Fatalf("stats: %+v", st)
 	}
-	// Origins unknown, no paths recorded.
+	// Origins unknown: no destinations to read paths toward.
 	row, ok := db.Site(1)
 	if !ok || row.V4AS != -1 || row.V6AS != -1 {
 		t.Fatalf("site row: %+v", row)
 	}
-	if len(db.Freeze().PathDestinations("min", topo.V4)) != 0 {
-		t.Fatal("paths recorded without a PathReporter")
+	if len(dsts) != 0 {
+		t.Fatalf("destinations %v without known origins", dsts)
 	}
 }
 

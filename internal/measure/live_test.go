@@ -73,7 +73,7 @@ func TestLiveMonitoringEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	refs := []SiteRef{{ID: 1, FirstRank: 1}, {ID: 2, FirstRank: 2}, {ID: 3, FirstRank: 3}}
-	st := mon.RunRound(0, time.Now(), 0.5, refs)
+	st, _ := mon.RunRound(0, time.Now(), 0.5, refs)
 	if st.Sites != 3 {
 		t.Fatalf("sites %d", st.Sites)
 	}

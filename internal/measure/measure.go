@@ -5,7 +5,10 @@
 // declares the pages identical when byte counts are within 6%, and
 // then repeats downloads per family until the average download time's
 // 95% confidence interval is within 10% of the mean. Converged
-// results, DNS outcomes, and AS-path snapshots land in a store.DB.
+// results and DNS outcomes land in a store.DB. Each round also returns
+// its destination ASes, the origins of its dual-stack sites; the AS
+// paths toward them come from the BGP tables read after the round,
+// which the caller records (core does).
 //
 // The round's list is visited in a random order at block granularity:
 // workers claim contiguous blocks of the list in a per-round shuffled
@@ -74,12 +77,6 @@ type Fetcher interface {
 	Fetch(ref SiteRef, fam topo.Family, round int, tFrac float64, rng *rand.Rand) (FetchResult, error)
 }
 
-// PathReporter optionally reports the AS path to a destination AS in
-// effect at a round, mirroring the paper's post-round BGP table dump.
-type PathReporter interface {
-	PathTo(dst int, fam topo.Family, round int) []int
-}
-
 // Config parameterizes a Monitor.
 type Config struct {
 	Vantage      store.Vantage
@@ -134,10 +131,6 @@ type Monitor struct {
 	cfg   Config
 	fetch Fetcher
 	db    *store.DB
-
-	// paths is the fetcher's optional PathReporter, asserted once at
-	// construction instead of per round.
-	paths PathReporter
 }
 
 // NewMonitor builds a monitor writing into db.
@@ -148,9 +141,7 @@ func NewMonitor(cfg Config, fetch Fetcher, db *store.DB) (*Monitor, error) {
 	if fetch == nil || db == nil {
 		return nil, fmt.Errorf("measure: nil fetcher or db")
 	}
-	m := &Monitor{cfg: cfg, fetch: fetch, db: db}
-	m.paths, _ = fetch.(PathReporter)
-	return m, nil
+	return &Monitor{cfg: cfg, fetch: fetch, db: db}, nil
 }
 
 // DB returns the result database.
@@ -181,14 +172,16 @@ func (s *destSet) merge(o *destSet) {
 	}
 }
 
-// forEach visits set bits in ascending order.
-func (s *destSet) forEach(fn func(int)) {
+// ascending lists the set bits in ascending order.
+func (s *destSet) ascending() []int {
+	var out []int
 	for w, b := range s.bits {
 		for b != 0 {
-			fn(w<<6 + bits.TrailingZeros64(b))
+			out = append(out, w<<6+bits.TrailingZeros64(b))
 			b &= b - 1
 		}
 	}
+	return out
 }
 
 // roundAcc is one worker's private accumulator; workers never share
@@ -238,13 +231,13 @@ func blockSize(sites, workers int) int {
 // is free of the global mutex the original design serialized every
 // worker through.
 //
-// When the fetcher is a PathReporter, the round ends with a path
-// snapshot toward its destination ASes: the non-negative origins
-// Resolve reported for the round's dual-stack sites, which are the
-// sites whose DNS row is dual-stack, and the origins their site rows
-// hold. The snapshot is therefore a function of the stored DNS and
-// site rows, and core.Scenario.ReplayPaths rebuilds it from them.
-func (m *Monitor) RunRound(round int, date time.Time, tFrac float64, sites []SiteRef) RoundStats {
+// RunRound returns the round's stats and its destination ASes,
+// ascending: the non-negative origins Resolve reported for the round's
+// dual-stack sites, which are the sites whose DNS row is dual-stack,
+// and the origins their site rows hold. The paper read BGP paths
+// toward exactly these ASes after each round; core records that
+// snapshot.
+func (m *Monitor) RunRound(round int, date time.Time, tFrac float64, sites []SiteRef) (RoundStats, []int) {
 	bs := blockSize(len(sites), m.cfg.Workers)
 	order := make([]int, (len(sites)+bs-1)/bs)
 	for i := range order {
@@ -322,20 +315,7 @@ func (m *Monitor) RunRound(round int, date time.Time, tFrac float64, sites []Sit
 		st.FetchFails += accs[w].st.FetchFails
 		destASes.merge(&accs[w].dest)
 	}
-
-	// Post-round BGP snapshot: record paths to every destination AS
-	// seen, over both families (the paper retrieved routing tables
-	// "after each monitoring round").
-	if m.paths != nil {
-		destASes.forEach(func(dst int) {
-			for _, fam := range famBoth {
-				if p := m.paths.PathTo(dst, fam, round); p != nil {
-					m.db.AddPath(m.cfg.Vantage, fam, dst, round, p)
-				}
-			}
-		})
-	}
-	return st
+	return st, destASes.ascending()
 }
 
 type siteResult struct {

@@ -1,6 +1,7 @@
 package measure
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -126,7 +127,7 @@ func TestRunRoundRecordsSamples(t *testing.T) {
 		t.Fatalf("only %d dual refs", len(refs))
 	}
 	date := e.tl.End // everyone adopted by now
-	st := mon.RunRound(0, date, 1.0, refs)
+	st, _ := mon.RunRound(0, date, 1.0, refs)
 	if st.Sites != len(refs) {
 		t.Fatalf("stats sites %d", st.Sites)
 	}
@@ -168,7 +169,7 @@ func TestRunRoundBeforeAdoption(t *testing.T) {
 	// Far before the study: nothing has AAAA except pre-study
 	// adopters; use a date before even those.
 	date := e.tl.Start.AddDate(-5, 0, 0)
-	st := mon.RunRound(0, date, 0, refs)
+	st, _ := mon.RunRound(0, date, 0, refs)
 	if st.Dual != 0 {
 		t.Fatalf("dual %d before adoption era", st.Dual)
 	}
@@ -204,40 +205,82 @@ func TestRunRoundDeterministic(t *testing.T) {
 	}
 }
 
+// TestPathsRecorded checks a round's destination ASes: the origins of
+// its dual-stack sites, each once, ascending. The caller reads the
+// post-round path toward each from the fetcher, and every such path
+// runs from the vantage to the destination.
 func TestPathsRecorded(t *testing.T) {
 	e := newSimEnv(t, 600, 4)
-	db := store.NewDB()
-	mon, _ := NewMonitor(DefaultConfig("penn", 4), e.fetch, db)
+	mon, _ := NewMonitor(DefaultConfig("penn", 4), e.fetch, store.NewDB())
+	// Dual-stack sites plus sites that adopt after the round date: only
+	// the former may contribute destinations.
 	refs := e.dualRefs(25)
-	mon.RunRound(0, e.tl.End, 1.0, refs)
-	snap := db.Freeze()
-	d4 := snap.PathDestinations("penn", topo.V4)
-	d6 := snap.PathDestinations("penn", topo.V6)
-	if len(d4) == 0 || len(d6) == 0 {
-		t.Fatalf("paths not recorded: v4=%d v6=%d", len(d4), len(d6))
+	date := e.tl.Start.AddDate(0, 3, 0)
+	want := map[int]bool{}
+	dual := 0
+	for _, ref := range refs {
+		hasA, hasAAAA, v4, v6, _ := e.fetch.Resolve(ref, date)
+		if !hasA || !hasAAAA {
+			continue
+		}
+		dual++
+		for _, as := range []int{v4, v6} {
+			if as >= 0 {
+				want[as] = true
+			}
+		}
 	}
-	for _, dst := range d4 {
-		p := snap.LatestPath("penn", topo.V4, dst)
-		if p[0] != e.fetch.VantageAS || p[len(p)-1] != dst {
-			t.Fatalf("malformed path %v to %d", p, dst)
+	if dual == 0 || dual == len(refs) {
+		t.Fatalf("%d of %d sites dual-stack at the round date, want some but not all", dual, len(refs))
+	}
+	st, dsts := mon.RunRound(0, date, 0.5, refs)
+	if st.Dual != dual {
+		t.Fatalf("round counts %d dual-stack sites, want %d", st.Dual, dual)
+	}
+	wantList := make([]int, 0, len(want))
+	for as := range want {
+		wantList = append(wantList, as)
+	}
+	slices.Sort(wantList)
+	if !slices.Equal(dsts, wantList) {
+		t.Fatalf("destinations %v, want the dual-stack origins %v", dsts, wantList)
+	}
+	for _, dst := range dsts {
+		for _, fam := range famBoth {
+			p := e.fetch.PathTo(dst, fam, 0)
+			if p != nil && (p[0] != e.fetch.VantageAS || p[len(p)-1] != dst) {
+				t.Fatalf("malformed %v path %v to %d", fam, p, dst)
+			}
 		}
 	}
 }
 
+// TestPathChangesHappen reads the fetcher's paths toward each round's
+// destinations, as the caller records them, over 30 rounds: with
+// PathChangeFrac 0.08 some destination must reroute.
 func TestPathChangesHappen(t *testing.T) {
 	e := newSimEnv(t, 800, 5)
-	db := store.NewDB()
-	mon, _ := NewMonitor(DefaultConfig("penn", 5), e.fetch, db)
+	mon, _ := NewMonitor(DefaultConfig("penn", 5), e.fetch, store.NewDB())
 	refs := e.dualRefs(40)
-	for round := 0; round < 30; round++ {
-		mon.RunRound(round, e.tl.End, 1.0, refs)
+	type famDst struct {
+		fam topo.Family
+		dst int
 	}
+	last := map[famDst][]int{}
 	changed := 0
-	snap := db.Freeze()
-	for _, fam := range []topo.Family{topo.V4, topo.V6} {
-		for _, dst := range snap.PathDestinations("penn", fam) {
-			if snap.PathChanged("penn", fam, dst) {
-				changed++
+	for round := 0; round < 30; round++ {
+		_, dsts := mon.RunRound(round, e.tl.End, 1.0, refs)
+		if len(dsts) == 0 {
+			t.Fatalf("round %d: no destinations", round)
+		}
+		for _, dst := range dsts {
+			for _, fam := range famBoth {
+				p := e.fetch.PathTo(dst, fam, round)
+				k := famDst{fam, dst}
+				if prev, ok := last[k]; ok && !slices.Equal(prev, p) {
+					changed++
+				}
+				last[k] = p
 			}
 		}
 	}

@@ -42,7 +42,7 @@ func TestConcurrentRoundsRace(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < 3; r++ {
 				date := e.tl.End.AddDate(0, 0, -7*(3-r))
-				st := mon.RunRound(r, date, 0.9, refs)
+				st, _ := mon.RunRound(r, date, 0.9, refs)
 				if st.Sites != len(refs) {
 					t.Errorf("round %d monitored %d sites, want %d", r, st.Sites, len(refs))
 				}
@@ -78,7 +78,7 @@ func TestRunRoundDeterministicAcrossWorkerCounts(t *testing.T) {
 		byRank[perm[id]] = ref
 	}
 	date := e.tl.End
-	run := func(refs []SiteRef, workers int) (RoundStats, *store.DB) {
+	run := func(refs []SiteRef, workers int) (RoundStats, []int, *store.DB) {
 		db := store.NewDB()
 		// Half the ids are dense, the rest go through the overflow maps:
 		// both store write paths take part in the per-block flushes.
@@ -90,17 +90,16 @@ func TestRunRoundDeterministicAcrossWorkerCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := mon.RunRound(2, date, 0.9, refs)
-		return st, db
+		st, dsts := mon.RunRound(2, date, 0.9, refs)
+		return st, dsts, db
 	}
-	want, wantDB := run(byID, 1)
+	want, wantDsts, wantDB := run(byID, 1)
 	if blocks := n / blockSize(n, 1); blocks < 4 {
 		t.Fatalf("round spans %d blocks at Workers=1, want several", blocks)
 	}
 	wantDNS, wantSiteRows := wantDB.DNS("penn"), wantDB.Sites()
-	_, _, _, wantPaths := wantDB.Counts()
-	if want.Dual == 0 || want.Measured == 0 || len(wantDNS) != n || len(wantSiteRows) != n {
-		t.Fatalf("degenerate reference round: %+v, %d DNS rows, %d site rows", want, len(wantDNS), len(wantSiteRows))
+	if want.Dual == 0 || want.Measured == 0 || len(wantDsts) == 0 || len(wantDNS) != n || len(wantSiteRows) != n {
+		t.Fatalf("degenerate reference round: %+v, %d destinations, %d DNS rows, %d site rows", want, len(wantDsts), len(wantDNS), len(wantSiteRows))
 	}
 	wantSnap := wantDB.Freeze()
 	wantSites := wantSnap.SampledSites("penn")
@@ -109,18 +108,18 @@ func TestRunRoundDeterministicAcrossWorkerCounts(t *testing.T) {
 		refs []SiteRef
 	}{{"id order", byID}, {"rank order", byRank}} {
 		for _, workers := range []int{1, 2, 7, 25} {
-			got, gotDB := run(order.refs, workers)
+			got, gotDsts, gotDB := run(order.refs, workers)
 			if got != want {
 				t.Fatalf("%s, workers=%d: stats %+v, want %+v", order.name, workers, got, want)
+			}
+			if !slices.Equal(gotDsts, wantDsts) {
+				t.Fatalf("%s, workers=%d: destinations %v, want %v", order.name, workers, gotDsts, wantDsts)
 			}
 			if gotDNS := gotDB.DNS("penn"); !slices.Equal(gotDNS, wantDNS) {
 				t.Fatalf("%s, workers=%d: DNS rows differ from Workers=1", order.name, workers)
 			}
 			if gotSiteRows := gotDB.Sites(); !slices.Equal(gotSiteRows, wantSiteRows) {
 				t.Fatalf("%s, workers=%d: site rows differ from Workers=1", order.name, workers)
-			}
-			if _, _, _, paths := gotDB.Counts(); paths != wantPaths {
-				t.Fatalf("%s, workers=%d: %d path snapshots, want %d", order.name, workers, paths, wantPaths)
 			}
 			// Value-level comparison: every stored sample must match, not
 			// just table sizes — this is what pins the per-(seed, round,

@@ -16,8 +16,8 @@ import (
 
 // SimFetcher satisfies Fetcher over the synthetic substrates: DNS
 // outcomes come from the adoption model, download times from netsim
-// over BGP-computed AS paths. It also implements PathReporter so the
-// monitor can record post-round path snapshots.
+// over BGP-computed AS paths. PathTo reports the path in effect at a
+// round, from which core records post-round path snapshots.
 //
 // A fraction of (destination AS, family) pairs experience one BGP
 // path change during the study: before the change the primary route
@@ -175,7 +175,8 @@ func (f *SimFetcher) route(dst int, fam topo.Family, round int) ([]int, netsim.P
 	return primary, f.primPerf[fam][dst]
 }
 
-// PathTo implements PathReporter.
+// PathTo returns the AS path from the vantage to dst over fam in
+// effect at round, or nil when dst is unreachable.
 func (f *SimFetcher) PathTo(dst int, fam topo.Family, round int) []int {
 	p, _ := f.route(dst, fam, round)
 	return p

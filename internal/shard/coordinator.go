@@ -13,7 +13,6 @@ import (
 	"syscall"
 	"time"
 
-	"v6web/internal/alexa"
 	"v6web/internal/core"
 	"v6web/internal/fault"
 	"v6web/internal/store"
@@ -53,10 +52,6 @@ type Options struct {
 	// is injected on a shard's final attempt (unless the plan says
 	// Unrecoverable), so armed schedules remain recoverable.
 	Faults *fault.Config
-
-	// Command is the worker argv; empty re-execs the current binary
-	// with WorkerEnv set.
-	Command []string
 
 	// Listen, when set, accepts remote workers (`v6shard worker
 	// -connect addr`) on this address instead of spawning local
@@ -172,7 +167,7 @@ func runSpecs(ctx context.Context, cfg core.Config, specs []Spec, opt Options) (
 			opt.spawn = listenSpawner(ln, lnDone)
 			fmt.Fprintf(opt.Log, "coordinator: waiting for %d workers on %s\n", len(specs), ln.Addr())
 		} else {
-			opt.spawn = execSpawner(opt.Command)
+			opt.spawn = execSpawner()
 		}
 	}
 
@@ -267,10 +262,10 @@ func runShardOnce(ctx context.Context, spec Spec, a *fault.Attempt, opt Options,
 	mu.Lock()
 	start := time.Now() //v6lint:wallclock MergeDur is coordinator observability, not campaign state
 	for _, m := range sections {
-		if err := s.DB.MergeShard(alexa.SiteID(m.lo), alexa.SiteID(m.hi), m.section,
-			store.Vantage(m.vantage), m.payload); err != nil {
+		rg := spec.ranges()[m.rng]
+		if err := s.DB.MergeShard(rg[0], rg[1], m.section, store.Vantage(m.vantage), m.payload); err != nil {
 			mu.Unlock()
-			return fault.Permanent(fmt.Errorf("merging section %d [%d,%d): %w", m.section, m.lo, m.hi, err))
+			return fault.Permanent(fmt.Errorf("merging section %d [%d,%d): %w", m.section, rg[0], rg[1], err))
 		}
 	}
 	st.MergeDur += time.Since(start) //v6lint:wallclock MergeDur is coordinator observability, not campaign state
@@ -372,6 +367,9 @@ func consumeFrames(ctx context.Context, a *fault.Attempt, conn workerConn, spec 
 				}
 			case frameSection:
 				m, err := decodeSectionFrame(f.payload)
+				if err == nil {
+					err = spec.checkSection(m)
+				}
 				if err != nil {
 					conn.kill()
 					return fail(fault.Permanent(err))
@@ -391,20 +389,16 @@ func consumeFrames(ctx context.Context, a *fault.Attempt, conn workerConn, spec 
 	}
 }
 
-// execSpawner launches worker processes locally: the given argv (or
-// this binary re-exec'd) with WorkerEnv set, spec on stdin, frames on
-// stdout, stderr passed through.
-func execSpawner(argv []string) func(ctx context.Context, spec Spec) (workerConn, error) {
+// execSpawner launches worker processes locally: this binary
+// re-exec'd with WorkerEnv set, spec on stdin, frames on stdout, stderr
+// passed through.
+func execSpawner() func(ctx context.Context, spec Spec) (workerConn, error) {
 	return func(ctx context.Context, spec Spec) (workerConn, error) {
-		av := argv
-		if len(av) == 0 {
-			exe, err := os.Executable()
-			if err != nil {
-				return nil, err
-			}
-			av = []string{exe}
+		exe, err := os.Executable()
+		if err != nil {
+			return nil, err
 		}
-		cmd := exec.Command(av[0], av[1:]...)
+		cmd := exec.Command(exe)
 		cmd.Env = append(os.Environ(), WorkerEnv+"=1")
 		cmd.Stderr = os.Stderr
 		stdin, err := cmd.StdinPipe()

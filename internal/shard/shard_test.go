@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -202,7 +203,7 @@ func randomSpecs(t *testing.T, cfg core.Config, k int, rng *rand.Rand) []Spec {
 	specs := make([]Spec, k)
 	for i := range specs {
 		specs[i] = Spec{
-			Index: i, Count: k, Fingerprint: fp,
+			Index: i, Fingerprint: fp,
 			MainLo: int64(mainCuts[i]), MainHi: int64(mainCuts[i+1]),
 			ExtLo:  int64(core.ExtendedBase) + int64(extCuts[i]),
 			ExtHi:  int64(core.ExtendedBase) + int64(extCuts[i+1]),
@@ -274,7 +275,7 @@ func TestWorkerKillRetried(t *testing.T) {
 	cfg := testCfg(5)
 	refDir := referenceRun(t, cfg)
 
-	base := execSpawner(nil)
+	base := execSpawner()
 	var sabotaged atomic.Bool
 	var log bytes.Buffer
 	s, st, err := Run(context.Background(), cfg, Options{
@@ -485,14 +486,24 @@ func TestWireCodecs(t *testing.T) {
 	if err != nil || r != 6 || s2 != 1200 || d != 77 || m != 41 {
 		t.Errorf("round round-trip: %d %d %d %d %v", r, s2, d, m, err)
 	}
-	sec := sectionMsg{section: store.ShardDNS, vantage: "Penn", lo: 10, hi: 1 << 41, payload: []byte{9, 8, 7}}
-	got, err := decodeSectionFrame(encodeSectionFrame(sec))
-	if err != nil || got.section != sec.section || got.vantage != sec.vantage ||
-		got.lo != sec.lo || got.hi != sec.hi || !bytes.Equal(got.payload, sec.payload) {
-		t.Errorf("section round-trip: %+v %v", got, err)
+	for _, sec := range []sectionMsg{
+		{section: store.ShardDNS, rng: 1, vantage: "Penn", payload: []byte{9, 8, 7}},
+		{section: store.ShardSites, rng: 0, payload: []byte{4}},
+	} {
+		got, err := decodeSectionFrame(encodeSectionFrame(sec))
+		if err != nil || got.section != sec.section || got.rng != sec.rng || got.vantage != sec.vantage ||
+			!bytes.Equal(got.payload, sec.payload) {
+			t.Errorf("section round-trip: %+v %v, want %+v", got, err, sec)
+		}
 	}
-	if _, err := decodeSectionFrame(nil); err == nil {
-		t.Error("empty section frame: want error")
+	bad := encodeSectionFrame(sectionMsg{section: store.ShardDNS, rng: 2, vantage: "Penn", payload: []byte{1}})
+	if _, err := decodeSectionFrame(bad); err == nil || !strings.Contains(err.Error(), "range 2") {
+		t.Errorf("section frame naming range 2: %v, want a range error", err)
+	}
+	for _, short := range [][]byte{nil, {store.ShardDNS}} {
+		if _, err := decodeSectionFrame(short); err == nil {
+			t.Errorf("%d-byte section frame: want error", len(short))
+		}
 	}
 	var buf bytes.Buffer
 	if err := writeFrame(&buf, frameRound, []byte("xyz")); err != nil {
@@ -501,5 +512,71 @@ func TestWireCodecs(t *testing.T) {
 	typ, payload, err := readFrame(&buf)
 	if err != nil || typ != frameRound || string(payload) != "xyz" {
 		t.Errorf("frame round-trip: %d %q %v", typ, payload, err)
+	}
+}
+
+// TestCoordinatorRefusesUnassignedSections: a worker's sections are
+// merged only as the spec assigned them. A DNS section for a vantage
+// outside the campaign's roster, built from a real one-row database so
+// that it would land as a new table, and a sites section that names a
+// vantage are each refused permanently, with no retry.
+func TestCoordinatorRefusesUnassignedSections(t *testing.T) {
+	cfg := testCfg(3)
+	specs, err := Split(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rg := specs[0].ranges()[0]
+	rogue := store.NewDB()
+	rogue.Reserve(int(rg[1]), core.ExtendedBase, cfg.Extended)
+	var batch store.Batch
+	batch.AddDNS(store.DNSRow{Site: rg[0], Round: 0, HasA: true, HasAAAA: true})
+	rogue.Flush("Rogue", &batch)
+	dns, n, err := rogue.AppendShardSection(nil, store.ShardDNS, "Rogue", rg[0], rg[1])
+	if err != nil || n != 1 {
+		t.Fatalf("rogue DNS section: %d entries, %v", n, err)
+	}
+	sites, _, err := rogue.AppendShardSection(nil, store.ShardSites, "", rg[0], rg[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The payloads themselves are sound: the store alone merges both.
+	lax := store.NewDB()
+	lax.Reserve(int(rg[1]), core.ExtendedBase, cfg.Extended)
+	if err := lax.MergeShard(rg[0], rg[1], store.ShardDNS, "Rogue", dns); err != nil {
+		t.Fatal(err)
+	}
+	if err := lax.MergeShard(rg[0], rg[1], store.ShardSites, "Penn", sites); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		sec  sectionMsg
+		want string
+	}{
+		{"vantage outside the roster", sectionMsg{section: store.ShardDNS, vantage: "Rogue", payload: dns}, "roster"},
+		{"sites section naming a vantage", sectionMsg{section: store.ShardSites, vantage: "Penn", payload: sites}, "names vantage"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The worker sends its hello and then the one section under
+			// test, as its final dump, before the done frame.
+			spawn := func(_ context.Context, spec Spec) (workerConn, error) {
+				var buf bytes.Buffer
+				writeFrame(&buf, frameHello, encodeHello(spec.Index, spec.Fingerprint))
+				writeFrame(&buf, frameSection, encodeSectionFrame(tc.sec))
+				writeFrame(&buf, frameDone, nil)
+				return &scriptConn{r: &buf}, nil
+			}
+			s, st, err := runSpecs(context.Background(), cfg, specs, Options{
+				spawn: spawn,
+				Retry: fault.RetryPolicy{BaseDelay: time.Millisecond},
+			})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("campaign with a %s: %v, want an error naming %q", tc.name, err, tc.want)
+			}
+			if s != nil || st.Retries != 0 {
+				t.Fatalf("refused section was retried %d times", st.Retries)
+			}
+		})
 	}
 }

@@ -12,11 +12,11 @@ package shard
 import (
 	"fmt"
 	"path/filepath"
-	"strings"
 
 	"v6web/internal/alexa"
 	"v6web/internal/core"
 	"v6web/internal/fault"
+	"v6web/internal/store"
 )
 
 // Spec describes one worker's slice of a campaign. It travels to the
@@ -25,21 +25,15 @@ import (
 // Fingerprint double-checks that on arrival.
 type Spec struct {
 	Index       int    `json:"index"`
-	Count       int    `json:"count"`
 	Fingerprint string `json:"fingerprint"`
 
-	// The shard's site ranges: main-list ids in [MainLo, MainHi),
-	// extended-population ids in [ExtLo, ExtHi).
+	// The shard's site ranges, the one axis a campaign is split on:
+	// main-list ids in [MainLo, MainHi), extended-population ids in
+	// [ExtLo, ExtHi). Every vantage of the roster monitors them.
 	MainLo int64 `json:"main_lo"`
 	MainHi int64 `json:"main_hi"`
 	ExtLo  int64 `json:"ext_lo"`
 	ExtHi  int64 `json:"ext_hi"`
-
-	// Vantages optionally restricts the worker to a subset of the
-	// roster (empty = all). Split never sets this — the site range is
-	// the shard axis — but hand-built specs for multi-machine layouts
-	// may.
-	Vantages []string `json:"vantages,omitempty"`
 
 	// CheckpointDir, when set, is the worker's private checkpoint
 	// directory: the shard checkpoints there every CheckpointEvery
@@ -75,15 +69,32 @@ func (sp Spec) siteRange() core.SiteRange {
 	}
 }
 
-// vantageLabel is the claim label used for the vantage-independent
-// sites section: full-roster shards share "*" (so overlapping site
-// ranges collide, as they should), vantage-restricted shards get
-// distinct labels so their intentional site-range re-coverage merges.
-func (sp Spec) vantageLabel() string {
-	if len(sp.Vantages) == 0 {
-		return "*"
+// ranges lists the shard's site ranges by the index a section frame
+// names them with: 0 the main range, 1 the extended one.
+func (sp Spec) ranges() [2][2]alexa.SiteID {
+	return [2][2]alexa.SiteID{
+		{alexa.SiteID(sp.MainLo), alexa.SiteID(sp.MainHi)},
+		{alexa.SiteID(sp.ExtLo), alexa.SiteID(sp.ExtHi)},
 	}
-	return strings.Join(sp.Vantages, ",")
+}
+
+// checkSection refuses a section frame this spec did not ask for: the
+// sites section names no vantage, and a DNS or samples section names a
+// vantage of the campaign's roster. The range index is checked when
+// the frame is decoded.
+func (sp Spec) checkSection(m sectionMsg) error {
+	if m.section == store.ShardSites {
+		if m.vantage != "" {
+			return fmt.Errorf("shard: sites section names vantage %q", m.vantage)
+		}
+		return nil
+	}
+	for _, vp := range sp.Config.Vantages {
+		if string(vp.Name) == m.vantage {
+			return nil
+		}
+	}
+	return fmt.Errorf("shard: section %d names vantage %q, which is not in the campaign's roster", m.section, m.vantage)
 }
 
 // Split carves the campaign's dense id ranges into n contiguous shard
@@ -106,7 +117,7 @@ func Split(cfg core.Config, n int) ([]Spec, error) {
 	specs := make([]Spec, n)
 	for i := range specs {
 		specs[i] = Spec{
-			Index: i, Count: n, Fingerprint: fp,
+			Index: i, Fingerprint: fp,
 			MainLo: int64(i) * int64(mainTotal) / int64(n),
 			MainHi: int64(i+1) * int64(mainTotal) / int64(n),
 			ExtLo:  int64(core.ExtendedBase) + int64(i)*int64(cfg.Extended)/int64(n),

@@ -7,13 +7,15 @@ package shard
 // dead when no frame arrives within the retry policy's timeout.
 // Authoritative data travels only in the final dump (section frames
 // followed by done), so a worker that dies mid-campaign never leaves
-// half-merged state behind. Path snapshots never travel: the
-// coordinator rebuilds them from the merged DNS history. The CRC makes
-// in-flight corruption a *stream* error caught before any payload is
-// interpreted — and since results buffer until the done frame, before
-// anything is merged — so a corrupted stream retries like a dead
-// worker instead of poisoning the campaign with a permanent decode
-// failure.
+// half-merged state behind. A section frame names its section, the
+// spec range it covers by index (0 main, 1 extended) and its vantage,
+// never ids: the coordinator merges it under that range of the spec it
+// sent. Path snapshots never travel: the coordinator rebuilds them from
+// the merged DNS history. The CRC makes in-flight corruption a *stream*
+// error caught before any payload is interpreted — and since results
+// buffer until the done frame, before anything is merged — so a
+// corrupted stream retries like a dead worker instead of poisoning the
+// campaign with a permanent decode failure.
 
 import (
 	"encoding/binary"
@@ -26,7 +28,7 @@ import (
 const (
 	frameHello   byte = 1 // worker accepted the spec: index, fingerprint
 	frameRound   byte = 2 // heartbeat: a round completed
-	frameSection byte = 3 // one store section chunk (final dump)
+	frameSection byte = 3 // one store section over one spec range (final dump)
 	frameDone    byte = 5 // final dump complete
 	frameError   byte = 6 // worker failed; payload is the message
 )
@@ -183,31 +185,30 @@ func decodeRound(b []byte) (round, sites, dual, measured int, err error) {
 }
 
 // sectionMsg is one decoded section frame: a store payload plus the
-// (section, vantage, range) the coordinator merges it under.
+// section, spec range index and vantage the coordinator merges it
+// under. The sites section names no vantage.
 type sectionMsg struct {
 	section byte
+	rng     byte // index into Spec.ranges: 0 main, 1 extended
 	vantage string
-	lo, hi  int64
 	payload []byte
 }
 
 func encodeSectionFrame(m sectionMsg) []byte {
-	b := []byte{m.section}
-	b = appendString(b, m.vantage)
-	b = binary.AppendUvarint(b, uint64(m.lo))
-	b = binary.AppendUvarint(b, uint64(m.hi))
+	b := appendString([]byte{m.section, m.rng}, m.vantage)
 	return append(b, m.payload...)
 }
 
 func decodeSectionFrame(b []byte) (sectionMsg, error) {
-	if len(b) == 0 {
-		return sectionMsg{}, fmt.Errorf("shard: empty section frame")
+	if len(b) < 2 {
+		return sectionMsg{}, fmt.Errorf("shard: section frame of %d bytes", len(b))
 	}
-	r := &wireReader{b: b[1:]}
-	m := sectionMsg{section: b[0]}
+	m := sectionMsg{section: b[0], rng: b[1]}
+	if m.rng > 1 {
+		return sectionMsg{}, fmt.Errorf("shard: section frame names range %d, want 0 (main) or 1 (extended)", m.rng)
+	}
+	r := &wireReader{b: b[2:]}
 	m.vantage = r.str()
-	m.lo = int64(r.uvarint())
-	m.hi = int64(r.uvarint())
 	m.payload = r.b
 	return m, r.err
 }

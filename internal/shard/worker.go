@@ -11,7 +11,6 @@ import (
 	"os/signal"
 	"syscall"
 
-	"v6web/internal/alexa"
 	"v6web/internal/core"
 	"v6web/internal/fault"
 	"v6web/internal/store"
@@ -151,13 +150,6 @@ func runSpec(ctx context.Context, spec Spec, emit func(typ byte, payload []byte)
 		}
 	}
 	s.Restrict(spec.siteRange())
-	if len(spec.Vantages) > 0 {
-		names := make([]store.Vantage, len(spec.Vantages))
-		for i, v := range spec.Vantages {
-			names[i] = store.Vantage(v)
-		}
-		s.RestrictVantages(names)
-	}
 
 	// Each round boundary sends the round's progress frame before the
 	// round's checkpoint: a worker whose coordinator went away stops
@@ -226,41 +218,38 @@ func loadCheckpoint(cfg core.Config, spec Spec, backend *store.CheckpointBackend
 	return nil
 }
 
-// sendSections streams the shard's results: the wire format IS the
-// store's columnar encoding (delta-encoded DNS runs, packed samples),
-// chunked at chunkIDs ids per frame so no frame outgrows its buffer at
-// paper scale. Empty chunks are skipped.
-const chunkIDs = 1 << 20
-
+// sendSections streams the shard's results, one frame per section,
+// vantage and non-empty spec range: the wire format IS the store's
+// columnar encoding (delta-encoded DNS runs, packed samples). A range
+// that holds no entries for a (section, vantage) sends no frame.
 func sendSections(db *store.DB, spec Spec, emit func(typ byte, payload []byte) error) error {
-	ranges := [][2]int64{{spec.MainLo, spec.MainHi}, {spec.ExtLo, spec.ExtHi}}
-	send := func(section byte, v store.Vantage, claim string) error {
-		for _, rg := range ranges {
-			for lo := rg[0]; lo < rg[1]; lo += chunkIDs {
-				hi := min(lo+chunkIDs, rg[1])
-				payload, n, err := db.AppendShardSection(nil, section, v, alexa.SiteID(lo), alexa.SiteID(hi))
-				if err != nil {
-					return err
-				}
-				if n == 0 {
-					continue
-				}
-				frame := encodeSectionFrame(sectionMsg{section: section, vantage: claim, lo: lo, hi: hi, payload: payload})
-				if err := emit(frameSection, frame); err != nil {
-					return err
-				}
+	send := func(section byte, v store.Vantage) error {
+		for i, rg := range spec.ranges() {
+			if rg[0] >= rg[1] {
+				continue
+			}
+			payload, n, err := db.AppendShardSection(nil, section, v, rg[0], rg[1])
+			if err != nil {
+				return err
+			}
+			if n == 0 {
+				continue
+			}
+			frame := encodeSectionFrame(sectionMsg{section: section, rng: byte(i), vantage: string(v), payload: payload})
+			if err := emit(frameSection, frame); err != nil {
+				return err
 			}
 		}
 		return nil
 	}
-	if err := send(store.ShardSites, "", spec.vantageLabel()); err != nil {
+	if err := send(store.ShardSites, ""); err != nil {
 		return err
 	}
 	for _, v := range db.Vantages() {
-		if err := send(store.ShardDNS, v, string(v)); err != nil {
+		if err := send(store.ShardDNS, v); err != nil {
 			return err
 		}
-		if err := send(store.ShardSamples, v, string(v)); err != nil {
+		if err := send(store.ShardSamples, v); err != nil {
 			return err
 		}
 	}

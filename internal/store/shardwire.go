@@ -329,10 +329,10 @@ func (db *DB) MergeShard(lo, hi alexa.SiteID, section byte, v Vantage, payload [
 }
 
 // claimShardRange records [lo, hi) as merged for (section, v),
-// rejecting overlap with any earlier claim. Adjacent claims coalesce
-// so chunked sends keep the list short. Site rows are
-// vantage-independent; vantage-restricted shards pass distinct labels
-// for them so intentional re-coverage stays legal. The per-vantage
+// rejecting overlap with any earlier claim. Adjacent claims coalesce,
+// so the list stays short across shards. Site rows are
+// vantage-independent and claimed under whatever label the caller
+// passes (the shard coordinator passes none); the per-vantage
 // DNS/sample claims are the data-integrity check.
 func (db *DB) claimShardRange(section byte, v Vantage, lo, hi alexa.SiteID) error {
 	db.mergeMu.Lock()
