@@ -17,8 +17,9 @@
 // main database either whole (main.v6db, a base) or as a chain: the
 // last base as main.base.v6db plus main.seg-NNNNNN.v6seg segments of
 // what changed since, the older files hard-linked from the previous
-// checkpoint so every directory loads on its own. -resume also
-// continues a campaign checkpointed as CSV by an earlier build.
+// checkpoint so every directory loads on its own. A checkpoint in a
+// format this build does not write (CSV, or an earlier build's
+// segments) does not resume: the campaign is rerun.
 //
 // The campaign's world can come from a declarative scenario pack
 // (-scenario, internal/scenario) instead of the shape flags: a

@@ -410,9 +410,10 @@ func (c Config) Fingerprint() string {
 // must fingerprint-match the checkpoint) around it as its DB, and the
 // ranked list is fast-forwarded to the checkpointed round. The
 // fast-forward's reservations also move rows the load left in the
-// overflow maps (a CSV-era checkpoint, a shard's slice) into the dense
-// ranges. Continuing the returned scenario with RunContext produces
-// output round-for-round identical to a never-interrupted campaign.
+// overflow maps (a snapshot whose claimed ranges were implausible for
+// its bytes, a shard's slice) into the dense ranges. Continuing the
+// returned scenario with RunContext produces output round-for-round
+// identical to a never-interrupted campaign.
 func Resume(cfg Config, b store.Backend) (*Scenario, error) {
 	if cfg.Vantages == nil {
 		cfg.Vantages = DefaultVantages()

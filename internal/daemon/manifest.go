@@ -54,8 +54,9 @@ func writeManifest(dir string, sp *scenario.Spec, fingerprint string) error {
 // registered — a hand-edited spec under existing checkpoints is a
 // loud error here rather than a resume failure later. Manifests from
 // builds that could checkpoint as CSV also carry a "format" field; it
-// is ignored: every campaign checkpoints binary, and its CSV-era
-// checkpoints still load.
+// is ignored: every campaign checkpoints binary. Such a campaign's CSV
+// checkpoints no longer load, so its resume fails as a corrupt or
+// missing checkpoint, and the campaign is rerun.
 func readManifest(dir string) (scenario.Compiled, error) {
 	data, err := os.ReadFile(filepath.Join(dir, manifestFile))
 	if err != nil {

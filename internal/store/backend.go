@@ -128,24 +128,19 @@ func ReadMeta(dir string) (Meta, bool, error) {
 	return m, true, nil
 }
 
-// loadSnapshotAuto loads base from a committed checkpoint: the whole
-// binary snapshot when present, else its chain (a base plus segments,
-// see chain.go), else the CSV directory a CSV-era build wrote there.
-// The CSV branch keeps campaigns checkpointed by those builds
-// resumable.
+// loadSnapshotAuto loads base from a committed checkpoint: its chain
+// (a base plus segments, see chain.go) when present, else the whole
+// binary snapshot, ErrNoDatabase when that is missing too. A
+// checkpoint in a format this build does not write — a CSV directory,
+// a segment an earlier build wrote — does not load; its campaign is
+// rerun.
 func loadSnapshotAuto(base string) (*DB, error) {
-	bin := base + BinaryExt
-	if _, err := os.Stat(bin); err == nil {
-		return LoadBinary(bin)
-	} else if !errors.Is(err, fs.ErrNotExist) {
-		return nil, err
-	}
 	if _, err := os.Stat(base + chainBaseSuffix); err == nil {
 		return loadChain(base)
 	} else if !errors.Is(err, fs.ErrNotExist) {
 		return nil, err
 	}
-	return Load(base)
+	return LoadBinary(base + BinaryExt)
 }
 
 // CheckpointBackend stores each committed checkpoint as its own

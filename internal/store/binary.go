@@ -1,18 +1,20 @@
 package store
 
 // Binary snapshot format: the whole database as one checksummed,
-// versioned file whose section payloads are the same delta encoding
-// the shard wire ships (shardwire.go) — saving is a direct dump of
-// the columnar tables, loading re-lands rows without re-deriving any
-// encoding. CSV (csv.go) remains the interchange and golden format;
+// versioned container file whose section payloads are the section
+// codec's (shardwire.go) from round 0 — saving is a direct dump of the
+// columnar tables, loading re-lands rows without re-deriving any
+// encoding. A checkpoint segment (chain.go) is the same container
+// with its own magic and version, holding the same sections from its
+// mark round. CSV (csv.go) remains the interchange and golden format;
 // this is the checkpoint/resume format, where persistence cost is on
 // the hot path.
 //
 // Layout ("frame layout" in DESIGN.md § Snapshot formats):
 //
 //	header (52 bytes, fixed)
-//	  [0:8)   magic "v6webDB\0"
-//	  [8:12)  u32 format version
+//	  [0:8)   magic "v6webDB\0" (a segment: "v6webSG\0")
+//	  [8:12)  u32 format version (a snapshot: 1, a segment: 2)
 //	  [12:16) u32 flags (bit 0: some section is flate-compressed)
 //	  [16:24) u64 reserved main ids
 //	  [24:32) u64 reserved extended base
@@ -31,15 +33,16 @@ package store
 //	  u32 crc32c of the index bytes
 //
 // Every failure mode — torn write, truncation, bit flip, implausible
-// header, undecodable payload — surfaces as a *CorruptSnapshotError
-// naming the damaged part, never a panic and never ErrNoDatabase
-// (which is reserved for "nothing saved at all"). Decoding arbitrary
-// bytes allocates O(input) memory (with a constant factor bounded by
-// flate's ~1032:1 expansion limit): element counts are checked
-// against remaining bytes (rbuf.count), claimed id ranges are only
-// reserved when plausible for the stored bytes actually present, and
-// flate output is capped at the index's claimed uncompressed size,
-// itself plausibility-checked against the stored size.
+// header, a version other than the container's, undecodable payload —
+// surfaces as a *CorruptSnapshotError naming the damaged part, never a
+// panic and never ErrNoDatabase (which is reserved for "nothing saved
+// at all"). Decoding arbitrary bytes allocates O(input) memory (with a
+// constant factor bounded by flate's ~1032:1 expansion limit): element
+// counts are checked against remaining bytes (rbuf.count), claimed id
+// ranges are only reserved when plausible for the stored bytes
+// actually present, and flate output is capped at the index's claimed
+// uncompressed size, itself plausibility-checked against the stored
+// size.
 
 import (
 	"bytes"
@@ -50,33 +53,39 @@ import (
 	"hash/crc32"
 	"io"
 	"io/fs"
-	"math"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 
 	"v6web/internal/alexa"
-	"v6web/internal/topo"
 )
 
 // BinaryExt is the file extension of binary snapshots.
 const BinaryExt = ".v6db"
 
 // snapPaths is the path-table section, which exists only in snapshot
-// files (shards never ship paths; the coordinator measures them).
+// and segment files (shards never ship paths; the coordinator derives
+// them).
 const snapPaths byte = 4
 
-// snapAllSites is the exclusive site-id bound snapshot sections pass
-// to the shard codec: unlike a shard frame, a snapshot section covers
+// snapAllSites is the exclusive site-id bound snapshot and segment
+// sections pass to the section codec: unlike a shard frame, they cover
 // the whole id space.
 const snapAllSites = alexa.SiteID(1) << 62
 
-// binVersion is the current snapshot format version. Bumping it
-// requires a matching entry in binSectionDecoders; TestBinaryVersionDecoders
-// pins that invariant.
-const binVersion uint32 = 1
+// container is a kind of container file: its magic and the one format
+// version this build writes and reads.
+type container struct {
+	magic   [8]byte
+	version uint32
+}
+
+// The container kinds: whole snapshots, and checkpoint segments
+// (chain.go). A segment that an earlier build wrote carries version 1
+// and is refused, not misparsed.
+var (
+	snapshotFile = container{[8]byte{'v', '6', 'w', 'e', 'b', 'D', 'B', 0}, 1}
+	segmentFile  = container{[8]byte{'v', '6', 'w', 'e', 'b', 'S', 'G', 0}, 2}
+)
 
 const (
 	binHeaderSize     = 52
@@ -91,30 +100,7 @@ const (
 	binMaxIDs = uint64(1) << 44
 )
 
-var binMagic = [8]byte{'v', '6', 'w', 'e', 'b', 'D', 'B', 0}
-
 var binCRCTable = crc32.MakeTable(crc32.Castagnoli)
-
-// binSectionDecoders maps every snapshot format version this build
-// can read to its section decoder. Readers keep decoders for old
-// versions; a version bump without a new entry here fails
-// TestBinaryVersionDecoders before it can fail in the field.
-var binSectionDecoders = map[uint32]func(db *DB, section byte, v Vantage, payload []byte) error{
-	1: decodeSectionV1,
-}
-
-func supportedBinVersions() string {
-	vs := make([]int, 0, len(binSectionDecoders))
-	for v := range binSectionDecoders {
-		vs = append(vs, int(v))
-	}
-	sort.Ints(vs)
-	parts := make([]string, len(vs))
-	for i, v := range vs {
-		parts[i] = strconv.Itoa(v)
-	}
-	return strings.Join(parts, ",")
-}
 
 // CorruptSnapshotError reports a binary snapshot file that exists but
 // cannot be decoded: a failed checksum, a truncated or torn write, an
@@ -320,9 +306,9 @@ func (fw *frameWriter) section(section byte, v Vantage, payload []byte, entries 
 	return nil
 }
 
-// finish writes the index and the header (with magic and the
-// reservation res) and fsyncs the file.
-func (fw *frameWriter) finish(magic [8]byte, res reservation) error {
+// finish writes the index and the header (as container kind c, with
+// the reservation res) and fsyncs the file.
+func (fw *frameWriter) finish(c container, res reservation) error {
 	opt := fw.opt
 	var idx wbuf
 	idx.uvarint(uint64(len(opt.Fingerprint)))
@@ -358,8 +344,8 @@ func (fw *frameWriter) finish(magic [8]byte, res reservation) error {
 	}
 
 	hdr := make([]byte, binHeaderSize)
-	copy(hdr, magic[:])
-	binary.LittleEndian.PutUint32(hdr[8:], binVersion)
+	copy(hdr, c.magic[:])
+	binary.LittleEndian.PutUint32(hdr[8:], c.version)
 	flags := uint32(0)
 	if fw.anyCompressed {
 		flags |= binFlagCompressed
@@ -393,7 +379,7 @@ func (db *DB) writeBinary(f *os.File, opt BinaryOptions) error {
 	}
 	for _, v := range db.Vantages() {
 		w = wbuf{}
-		nDNS, err := db.appendShardDNS(&w, v, 0, snapAllSites)
+		nDNS, err := db.appendDNS(&w, v, 0, snapAllSites, 0, 0, nil)
 		if err != nil {
 			return err
 		}
@@ -401,17 +387,23 @@ func (db *DB) writeBinary(f *os.File, opt BinaryOptions) error {
 			return err
 		}
 		w = wbuf{}
-		nSamples := db.appendShardSamples(&w, v, 0, snapAllSites)
+		nSamples, err := db.appendSamples(&w, v, 0, snapAllSites, 0, 0)
+		if err != nil {
+			return err
+		}
 		if err := fw.section(ShardSamples, v, w.b, nSamples); err != nil {
 			return err
 		}
 		w = wbuf{}
-		nPaths := db.appendSnapPaths(&w, v)
+		nPaths, err := db.appendPaths(&w, v, 0)
+		if err != nil {
+			return err
+		}
 		if err := fw.section(snapPaths, v, w.b, nPaths); err != nil {
 			return err
 		}
 	}
-	return fw.finish(binMagic, db.res)
+	return fw.finish(snapshotFile, db.res)
 }
 
 // LoadBinary reads a snapshot written by SaveBinary, memory-mapping
@@ -447,7 +439,6 @@ func decodeBinarySnapshot(path string, data []byte) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	decode := binSectionDecoders[h.version]
 
 	db := NewDB()
 	// Reserve the claimed dense ranges only when they are plausible
@@ -474,7 +465,8 @@ func decodeBinarySnapshot(path string, data []byte) (*DB, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := decode(db, s.section, s.vantage, payload); err != nil {
+		r := &rbuf{b: payload}
+		if err := r.done(db.decodeSection(r, s.section, s.vantage, 0, snapAllSites, 0, 0)); err != nil {
 			return nil, corrupt(path, sectionName(s.section, s.vantage), err)
 		}
 	}
@@ -503,25 +495,25 @@ func sectionPayload(path string, data []byte, s binSection) ([]byte, error) {
 // touching any section payload — O(sections), which is what makes
 // opening a paper-scale snapshot for inspection near-free.
 func parseBinSnapshot(path string, data []byte) (binHeader, []binSection, string, error) {
-	return parseFrames(path, data, binMagic)
+	return parseFrames(path, data, snapshotFile)
 }
 
-// parseFrames is parseBinSnapshot for a container with the given
-// magic: binMagic for snapshots, segMagic for checkpoint segments.
-func parseFrames(path string, data []byte, magic [8]byte) (binHeader, []binSection, string, error) {
+// parseFrames is parseBinSnapshot for container kind c: a file with
+// another magic or version is corrupt.
+func parseFrames(path string, data []byte, c container) (binHeader, []binSection, string, error) {
 	var h binHeader
 	if len(data) < binHeaderSize {
 		return h, nil, "", corruptf(path, "header", "file is %d bytes; a snapshot header is %d", len(data), binHeaderSize)
 	}
-	if !bytes.Equal(data[:8], magic[:]) {
+	if !bytes.Equal(data[:8], c.magic[:]) {
 		return h, nil, "", corruptf(path, "header", "bad magic %q", data[:8])
 	}
 	if got, want := binary.LittleEndian.Uint32(data[48:52]), crc32.Checksum(data[:48], binCRCTable); got != want {
 		return h, nil, "", corruptf(path, "header", "checksum mismatch (stored %08x, computed %08x)", got, want)
 	}
 	h.version = binary.LittleEndian.Uint32(data[8:12])
-	if _, ok := binSectionDecoders[h.version]; !ok {
-		return h, nil, "", corruptf(path, "header", "unsupported format version %d (this build reads %s)", h.version, supportedBinVersions())
+	if h.version != c.version {
+		return h, nil, "", corruptf(path, "header", "unsupported format version %d (this build reads %d)", h.version, c.version)
 	}
 	h.flags = binary.LittleEndian.Uint32(data[12:16])
 	if extra := h.flags &^ binFlagCompressed; extra != 0 {
@@ -548,7 +540,7 @@ func parseFrames(path string, data []byte, magic [8]byte) (binHeader, []binSecti
 	if got, want := binary.LittleEndian.Uint32(data[len(data)-4:]), crc32.Checksum(idxBytes, binCRCTable); got != want {
 		return h, nil, "", corruptf(path, "index", "checksum mismatch (stored %08x, computed %08x)", got, want)
 	}
-	secs, fingerprint, err := parseBinIndex(path, idxBytes, h.indexOff, magic == segMagic)
+	secs, fingerprint, err := parseBinIndex(path, idxBytes, h.indexOff, c == segmentFile)
 	if err != nil {
 		return h, nil, "", err
 	}
@@ -652,37 +644,10 @@ func inflateSection(stored []byte, ulen uint64) ([]byte, error) {
 	return out.Bytes(), nil
 }
 
-// decodeSectionV1 decodes one version-1 section payload into db. DNS
-// and samples reuse the shard-merge decoders over the full id range;
-// sites and paths have snapshot-only codecs.
-func decodeSectionV1(db *DB, section byte, v Vantage, payload []byte) error {
-	r := &rbuf{b: payload}
-	var err error
-	switch section {
-	case ShardSites:
-		err = db.mergeShardSites(r, 0, snapAllSites)
-	case ShardDNS:
-		err = db.mergeShardDNS(r, v, 0, snapAllSites)
-	case ShardSamples:
-		err = db.mergeShardSamples(r, v, 0, snapAllSites)
-	case snapPaths:
-		err = db.decodeSnapPaths(r, v)
-	default:
-		return fmt.Errorf("unknown section id %d", section)
-	}
-	if err == nil {
-		err = r.err
-	}
-	if err == nil && len(r.b) != 0 {
-		err = fmt.Errorf("%d trailing bytes", len(r.b))
-	}
-	return err
-}
-
 // appendSnapSites encodes every site row — dense ranges and overflow
 // ids alike — in ascending id order, using the shard-wire row format
 // with id deltas against the previous row (base -1). Decoded by
-// mergeShardSites over the full id range. Canonical hosts encode as
+// applySites over the full id range. Canonical hosts encode as
 // length zero straight from the columns; only hostOver exceptions and
 // overflow rows are compared against the derived name.
 func (db *DB) appendSnapSites(w *wbuf) int {
@@ -712,120 +677,6 @@ func (w *wbuf) siteRow(prev alexa.SiteID, r SiteRow, derived bool) {
 		w.uvarint(uint64(len(r.Host)))
 		w.bytes([]byte(r.Host))
 	}
-}
-
-// appendSnapPaths encodes one vantage's path table: per (family, dst)
-// key in the canonical sorted order, the change-collapsed snapshot
-// list as (round, path length, AS indices).
-func (db *DB) appendSnapPaths(w *wbuf, v Vantage) int {
-	t := db.lookup(v)
-	if t == nil {
-		w.uvarint(0)
-		return 0
-	}
-	t.pathMu.Lock()
-	defer t.pathMu.Unlock()
-	keys := make([]famDstKey, 0, len(t.paths))
-	for k := range t.paths {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.fam != b.fam {
-			return a.fam < b.fam
-		}
-		return a.dst < b.dst
-	})
-	var rows wbuf
-	n := 0
-	for _, k := range keys {
-		snaps := t.paths[k]
-		if len(snaps) == 0 {
-			continue
-		}
-		rows.byteVal(byte(k.fam))
-		rows.uvarint(uint64(k.dst))
-		rows.pathSnaps(snaps)
-		n++
-	}
-	w.uvarint(uint64(n))
-	w.bytes(rows.b)
-	return n
-}
-
-// pathSnaps encodes a snapshot list: its length, then per snapshot
-// the round, path length and AS indices.
-func (w *wbuf) pathSnaps(snaps []PathSnapshot) {
-	w.uvarint(uint64(len(snaps)))
-	for _, snap := range snaps {
-		w.uvarint(uint64(snap.Round))
-		w.uvarint(uint64(len(snap.Path)))
-		for _, as := range snap.Path {
-			w.uvarint(uint64(as))
-		}
-	}
-}
-
-// decodeSnapPaths replays a paths section through AddPath. Saved
-// snapshot lists are already change-collapsed, so the replay stores
-// them exactly; keys must ascend in the canonical order, or a corrupt
-// payload could silently merge duplicate keys through the collapse
-// rule.
-func (db *DB) decodeSnapPaths(r *rbuf, v Vantage) error {
-	n := r.count()
-	var prevFam topo.Family
-	prevDst := -1
-	var path []int
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		fam := topo.Family(r.byteVal())
-		dst := r.uvarint()
-		nSnaps := r.count()
-		if r.err != nil {
-			break
-		}
-		if fam != topo.V4 && fam != topo.V6 {
-			r.fail("store: snapshot paths: unknown family %d", fam)
-			break
-		}
-		if dst > math.MaxInt32 {
-			r.fail("store: snapshot paths: destination %d out of range", dst)
-			break
-		}
-		if i > 0 && (fam < prevFam || (fam == prevFam && int(dst) <= prevDst)) {
-			r.fail("store: snapshot paths: keys out of order at (%d,%d)", fam, dst)
-			break
-		}
-		prevFam, prevDst = fam, int(dst)
-		if nSnaps == 0 {
-			r.fail("store: snapshot paths: empty snapshot list for (%d,%d)", fam, dst)
-			break
-		}
-		for k := uint64(0); k < nSnaps && r.err == nil; k++ {
-			round := r.uvarint()
-			plen := r.count()
-			if r.err != nil {
-				break
-			}
-			if round > maxRound {
-				r.fail("store: snapshot paths: round %d out of range", round)
-				break
-			}
-			path = path[:0]
-			for j := uint64(0); j < plen && r.err == nil; j++ {
-				as := r.uvarint()
-				if as > math.MaxInt32 {
-					r.fail("store: snapshot paths: AS index %d out of range", as)
-					break
-				}
-				path = append(path, int(as))
-			}
-			if r.err != nil {
-				break
-			}
-			db.AddPath(v, fam, int(dst), int(round), path)
-		}
-	}
-	return r.err
 }
 
 // BinaryInfo is the header/index summary of a binary snapshot, read

@@ -13,7 +13,10 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"v6web/internal/topo"
 )
 
 // goldenSnapshot saves binarySampleDB and returns the file bytes plus
@@ -185,10 +188,11 @@ func TestBinaryImplausibleHeaderRanges(t *testing.T) {
 // out-of-order row count that is always 0; a snapshot whose count is
 // not — carrying a duplicate or an earlier round, at a dense id or an
 // overflow id — is corrupt in that section. The same snapshot with the
-// count at 0 loads.
+// count at 0 loads. A paths section whose keys repeat or descend is
+// corrupt too.
 func TestBinaryOutOfOrderCountIsCorrupt(t *testing.T) {
 	db := binarySampleDB()
-	snapshot := func(dns []byte) []byte {
+	snapshot := func(section byte, payload []byte) []byte {
 		path := filepath.Join(t.TempDir(), "crafted"+BinaryExt)
 		err := saveFrames(path, BinaryOptions{}, func(f *os.File, opt BinaryOptions) error {
 			fw, err := newFrameWriter(f, opt)
@@ -200,10 +204,10 @@ func TestBinaryOutOfOrderCountIsCorrupt(t *testing.T) {
 			if err := fw.section(ShardSites, "", w.b, n); err != nil {
 				return err
 			}
-			if err := fw.section(ShardDNS, "penn", dns, 1); err != nil {
+			if err := fw.section(section, "penn", payload, 1); err != nil {
 				return err
 			}
-			return fw.finish(binMagic, db.res)
+			return fw.finish(snapshotFile, db.res)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -215,15 +219,32 @@ func TestBinaryOutOfOrderCountIsCorrupt(t *testing.T) {
 		return data
 	}
 	for _, c := range orderCases() {
-		loaded, err := decodeBinarySnapshot("crafted"+BinaryExt, snapshot(c.dnsSection(0, 0)))
+		loaded, err := decodeBinarySnapshot("crafted"+BinaryExt, snapshot(ShardDNS, c.dnsSection(0, 0)))
 		if err != nil {
 			t.Fatalf("%s: with a zero count: %v", c.name, err)
 		}
 		if rows := loaded.DNS("penn"); len(rows) != 5 || rows[0].Site != c.row.Site {
 			t.Fatalf("%s: with a zero count the snapshot holds %+v", c.name, rows)
 		}
-		if got := loadMutated(t, c.name, snapshot(c.dnsSection(0, 1))); got != "dns/penn" {
+		if got := loadMutated(t, c.name, snapshot(ShardDNS, c.dnsSection(0, 1))); got != "dns/penn" {
 			t.Errorf("%s: blamed %q, want dns/penn", c.name, got)
+		}
+	}
+	for name, keys := range map[string][]famDstKey{
+		"repeated":   {{topo.V4, 9}, {topo.V4, 9}},
+		"descending": {{topo.V6, 4}, {topo.V4, 9}},
+	} {
+		var w wbuf
+		w.uvarint(uint64(len(keys)))
+		for i, k := range keys {
+			w.byteVal(byte(k.fam))
+			w.uvarint(uint64(k.dst))
+			w.pathSnaps([]PathSnapshot{{Round: i, Path: []int{2, k.dst}}})
+		}
+		_, err := decodeBinarySnapshot("crafted"+BinaryExt, snapshot(snapPaths, w.b))
+		var ce *CorruptSnapshotError
+		if !errors.As(err, &ce) || ce.Section != "paths/penn" || !strings.Contains(err.Error(), "keys out of order") {
+			t.Errorf("%s path keys: %v, want paths/penn corrupt with keys out of order", name, err)
 		}
 	}
 }

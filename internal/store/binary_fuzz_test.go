@@ -60,8 +60,8 @@ func craftedHeaderSeeds() [][]byte {
 	var seeds [][]byte
 	for _, off := range []uint64{^uint64(0), ^uint64(0) - 3} {
 		hdr := make([]byte, binHeaderSize)
-		copy(hdr, binMagic[:])
-		binary.LittleEndian.PutUint32(hdr[8:], binVersion)
+		copy(hdr, snapshotFile.magic[:])
+		binary.LittleEndian.PutUint32(hdr[8:], snapshotFile.version)
 		binary.LittleEndian.PutUint64(hdr[40:], off)
 		binary.LittleEndian.PutUint32(hdr[48:], crc32.Checksum(hdr[:48], binCRCTable))
 		seeds = append(seeds, hdr)
@@ -122,17 +122,21 @@ func fuzzSectionSeeds(tb testing.TB) []sectionSeed {
 	var w wbuf
 	db.appendSnapSites(&w)
 	add("golden-sites", ShardSites, w.b)
-	w = wbuf{}
-	if _, err := db.appendShardDNS(&w, "penn", 0, snapAllSites); err != nil {
-		tb.Fatal(err)
+	for _, s := range []struct {
+		name    string
+		section byte
+		encode  func(w *wbuf) (int, error)
+	}{
+		{"golden-dns", ShardDNS, func(w *wbuf) (int, error) { return db.appendDNS(w, "penn", 0, snapAllSites, 0, 0, nil) }},
+		{"golden-samples", ShardSamples, func(w *wbuf) (int, error) { return db.appendSamples(w, "penn", 0, snapAllSites, 0, 0) }},
+		{"golden-paths", snapPaths, func(w *wbuf) (int, error) { return db.appendPaths(w, "penn", 0) }},
+	} {
+		w = wbuf{}
+		if _, err := s.encode(&w); err != nil {
+			tb.Fatal(err)
+		}
+		add(s.name, s.section, w.b)
 	}
-	add("golden-dns", ShardDNS, w.b)
-	w = wbuf{}
-	db.appendShardSamples(&w, "penn", 0, snapAllSites)
-	add("golden-samples", ShardSamples, w.b)
-	w = wbuf{}
-	db.appendSnapPaths(&w, "penn")
-	add("golden-paths", snapPaths, w.b)
 	add("golden-unknown-empty", 0, []byte{})
 	return seeds
 }
@@ -145,7 +149,8 @@ func FuzzDecodeSection(f *testing.F) {
 	f.Fuzz(func(t *testing.T, section byte, payload []byte) {
 		fresh := NewDB()
 		fresh.Reserve(64, 1<<20, 32)
-		if err := decodeSectionV1(fresh, section, "penn", payload); err != nil {
+		r := &rbuf{b: payload}
+		if err := r.done(fresh.decodeSection(r, section, "penn", 0, snapAllSites, 0, 0)); err != nil {
 			return
 		}
 		fresh.Counts()

@@ -159,7 +159,7 @@ func TestCheckpointBinaryInfo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Version != binVersion || info.Fingerprint != "cafebabe" {
+	if info.Version != snapshotFile.version || info.Fingerprint != "cafebabe" {
 		t.Fatalf("info header: %+v", info)
 	}
 	if info.MainIDs != 64 || info.ExtBase != 1<<20 || info.ExtIDs != 32 {
@@ -167,75 +167,6 @@ func TestCheckpointBinaryInfo(t *testing.T) {
 	}
 	if info.Sections == 0 || info.DataBytes == 0 {
 		t.Fatalf("info sections: %+v", info)
-	}
-}
-
-// TestCheckpointBackendFormatMigration: a checkpoint a CSV-era build
-// committed (a CSV directory where the .v6db now goes) still loads,
-// and the next checkpoint commits binary.
-func TestCheckpointBackendFormatMigration(t *testing.T) {
-	t.Run("from-csv", func(t *testing.T) {
-		dir := t.TempDir()
-		db := binarySampleDB()
-		want := saveCSVBytes(t, db)
-
-		b := NewCheckpointBackend(dir)
-		if err := b.SaveSnapshot(SnapMain, db); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.SaveMeta(Meta{NextRound: 3, Rounds: 7, ConfigHash: "x"}); err != nil {
-			t.Fatal(err)
-		}
-		ck, err := b.latest()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := db.Save(filepath.Join(ck, SnapMain)); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Remove(filepath.Join(ck, SnapMain+BinaryExt)); err != nil {
-			t.Fatal(err)
-		}
-
-		resumed := NewCheckpointBackend(dir)
-		loaded, err := resumed.LoadSnapshot(SnapMain)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := saveCSVBytes(t, loaded)
-		for name, data := range want {
-			if !bytes.Equal(data, got[name]) {
-				t.Errorf("%s differs after a CSV-era checkpoint load", name)
-			}
-		}
-		if err := resumed.SaveSnapshot(SnapMain, loaded); err != nil {
-			t.Fatal(err)
-		}
-		if err := resumed.SaveMeta(Meta{NextRound: 4, Rounds: 7, ConfigHash: "x"}); err != nil {
-			t.Fatal(err)
-		}
-		next, err := resumed.latest()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := LoadBinary(filepath.Join(next, SnapMain+BinaryExt)); err != nil {
-			t.Fatalf("next checkpoint is not binary: %v", err)
-		}
-	})
-}
-
-// TestBinaryVersionDecoders pins the version/compat policy: every
-// format version from 1 through the current one has a decoder, so a
-// binVersion bump without a matching binSectionDecoders entry fails
-// here instead of in the field.
-func TestBinaryVersionDecoders(t *testing.T) {
-	for v := uint32(1); v <= binVersion; v++ {
-		if binSectionDecoders[v] == nil {
-			t.Errorf("format version %d has no decoder entry", v)
-		}
-	}
-	if binSectionDecoders[binVersion] == nil {
-		t.Fatalf("current version %d has no decoder entry", binVersion)
 	}
 }
 

@@ -11,12 +11,11 @@ package store
 // — one past the newest round it stores — and resets the low
 // watermarks and dirty bits. While every append since the mark is at
 // a round >= M (the low watermarks prove it), everything added since
-// is exactly:
+// is exactly the section codec's rows from round M (shardwire.go):
 //
 //   - per site, its DNS runs clipped to rounds >= M. A site whose open
 //     run just grew to the newest round is one id in a run-length
-//     encoded id list (its state is the base's); any other changed
-//     history is written out as its clipped runs;
+//     encoded id list instead (its state is the base's);
 //   - the sample dates past the mark's dictionary length, and per
 //     series the samples at rounds >= M;
 //   - per path key, the snapshots at rounds >= M;
@@ -24,34 +23,25 @@ package store
 //
 // An append below M (a new site's first DNS row, a MergeShard of old
 // rounds) makes the next checkpoint a base. A segment file is the
-// snapshot container (binary.go) with its own magic: a state section
-// recording the mark it continues (per vantage: mark round, DNS row,
-// out-of-order row, sample row, date and path snapshot counts; the
-// site row count), then sites, and per vantage dns, samples and paths.
-// The out-of-order counts, in the state and at the end of a dns
-// section, are kept by the format and always 0: a DNS history only
-// ever extends. Applying a segment to a database in any other state,
-// or one with a non-zero out-of-order count, fails as a
-// *CorruptSnapshotError.
+// snapshot container (binary.go) with its own magic and format
+// version 2: a state section recording the mark it continues (per
+// vantage: mark round, DNS row, sample row, date and path snapshot
+// counts; the site row count), then sites, and per vantage dns (the
+// round it runs to, the grown id runs, then the shared DNS list),
+// samples and paths. Applying a segment to a database in any other
+// state fails as a *CorruptSnapshotError, and so does a segment an
+// earlier build wrote in version 1.
 
 import (
-	"cmp"
 	"fmt"
-	"math"
 	"math/bits"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strings"
-	"time"
 
 	"v6web/internal/alexa"
-	"v6web/internal/topo"
 )
-
-// segMagic opens a checkpoint segment file.
-var segMagic = [8]byte{'v', '6', 'w', 'e', 'b', 'S', 'G', 0}
 
 // segState is the segment's leading section: the mark it continues.
 const segState byte = 5
@@ -246,40 +236,48 @@ func (db *DB) writeSegment(f *os.File, opt BinaryOptions, from dbMark) error {
 	if err := fw.section(ShardSites, "", w.b, n); err != nil {
 		return err
 	}
-	names := db.Vantages()
 	tables := db.tables()
-	for _, v := range names {
-		t := tables[v]
-		vm := from.vantage(v)
+	for _, v := range db.Vantages() {
+		vm, now := from.vantage(v), tables[v].state(v, false)
 		w = wbuf{}
-		n = t.appendSegDNS(&w, db.res, vm.round, t.state(v, false).round)
+		n, err := db.appendSegDNS(&w, v, vm.round, now.round)
+		if err != nil {
+			return err
+		}
 		if err := fw.section(ShardDNS, v, w.b, n); err != nil {
 			return err
 		}
 		w = wbuf{}
-		n = t.appendSegSamples(&w, db.res, vm.round, vm.dates)
-		if err := fw.section(ShardSamples, v, w.b, n); err != nil {
+		n, err = db.appendSamples(&w, v, 0, snapAllSites, vm.round, vm.dates)
+		if err != nil {
+			return err
+		}
+		// New dates come with new samples, but count them so that a
+		// section holding only dates is still written.
+		if err := fw.section(ShardSamples, v, w.b, n+now.dates-vm.dates); err != nil {
 			return err
 		}
 		w = wbuf{}
-		n = t.appendSegPaths(&w, vm.round)
+		n, err = db.appendPaths(&w, v, vm.round)
+		if err != nil {
+			return err
+		}
 		if err := fw.section(snapPaths, v, w.b, n); err != nil {
 			return err
 		}
 	}
-	return fw.finish(segMagic, db.res)
+	return fw.finish(segmentFile, db.res)
 }
 
 // appendState encodes the mark: site rows, then per vantage (sorted)
-// its name, mark round and counts, the out-of-order row count 0 among
-// them.
+// its name, mark round and counts.
 func (m *dbMark) appendState(w *wbuf) int {
 	w.uvarint(uint64(m.sites))
 	w.uvarint(uint64(len(m.vantages)))
 	for _, vm := range m.vantages {
 		w.uvarint(uint64(len(vm.v)))
 		w.bytes([]byte(vm.v))
-		for _, x := range [...]int{int(vm.round), vm.dnsRows, 0, vm.sampleRows, vm.dates, vm.paths} {
+		for _, x := range [...]int{int(vm.round), vm.dnsRows, vm.sampleRows, vm.dates, vm.paths} {
 			w.uvarint(uint64(x))
 		}
 	}
@@ -305,16 +303,12 @@ func decodeState(r *rbuf) dbMark {
 			r.fail("store: segment state: vantages out of order at %q", vm.v)
 			break
 		}
-		var x [6]uint64
+		var x [5]uint64
 		for k := range x {
 			x[k] = r.uvarint()
 		}
 		if x[0] > maxRound {
 			r.fail("store: segment state: mark round %d out of range", x[0])
-			break
-		}
-		if x[2] != 0 {
-			r.fail("store: segment state: vantage %q has %d out-of-order rows; the count must be 0", vm.v, x[2])
 			break
 		}
 		for _, c := range x[1:] {
@@ -323,15 +317,14 @@ func decodeState(r *rbuf) dbMark {
 			}
 		}
 		vm.round = int32(x[0])
-		vm.dnsRows, vm.sampleRows, vm.dates, vm.paths = int(x[1]), int(x[3]), int(x[4]), int(x[5])
+		vm.dnsRows, vm.sampleRows, vm.dates, vm.paths = int(x[1]), int(x[2]), int(x[3]), int(x[4])
 		m.vantages = append(m.vantages, vm)
 	}
 	return m
 }
 
 // appendSegSites encodes the dirty dense rows and every overflow row
-// in the snapshot sites format (ascending ids, decoded by
-// mergeShardSites).
+// in the snapshot sites format (ascending ids, decoded by applySites).
 func (db *DB) appendSegSites(w *wbuf) int {
 	var ids []alexa.SiteID
 	for i := range db.sites {
@@ -381,215 +374,23 @@ func (db *DB) appendSegSites(w *wbuf) int {
 	return len(ids)
 }
 
-// appendSegDNS encodes the vantage's DNS changes since mark round
-// from, up to round to (exclusive): to; the id runs (start, length) of
-// sites whose open run grew from before from to exactly to; every
-// other changed site as (id, run count, runs as gap/length/state with
-// the gap of the first against from); and the out-of-order row count,
-// always 0.
-func (t *vantageTable) appendSegDNS(w *wbuf, res reservation, from, to int32) int {
-	for i := range t.dns {
-		t.dns[i].mu.Lock()
+// appendSegDNS encodes vantage v's DNS changes since mark round from,
+// up to round to (exclusive): to, the id runs (start, length) of the
+// sites whose open run grew from before from to exactly to, then
+// appendDNS's list of every other site with history at rounds >= from.
+func (db *DB) appendSegDNS(w *wbuf, v Vantage, from, to int32) (int, error) {
+	var grown idRuns
+	var list wbuf
+	n, err := db.appendDNS(&list, v, 0, snapAllSites, from, to, &grown)
+	if err != nil {
+		return 0, err
 	}
-	defer func() {
-		for i := range t.dns {
-			t.dns[i].mu.Unlock()
-		}
-	}()
-	var grown, other wbuf
-	nGrown, nOther := 0, 0
-	runStart, runEnd := alexa.SiteID(0), alexa.SiteID(0)
-	flush := func() {
-		if runEnd > runStart {
-			grown.uvarint(uint64(runStart))
-			grown.uvarint(uint64(runEnd - runStart))
-			nGrown++
-		}
-	}
-	var buf []dnsRun
-	visit := func(sh *dnsShard, id alexa.SiteID, h *dnsHist) {
-		var spill []dnsRun
-		if h.run[1].state&dnsSpilled != 0 {
-			spill = sh.spill[id]
-		}
-		last := h.last(spill)
-		end := last.start + last.count
-		if end <= from {
-			return
-		}
-		if last.start < from && end == to {
-			if id != runEnd {
-				flush()
-				runStart = id
-			}
-			runEnd = id + 1
-			return
-		}
-		buf = h.runs(spill, buf[:0])
-		k := len(buf)
-		for k > 0 && buf[k-1].start+buf[k-1].count > from {
-			k--
-		}
-		other.uvarint(uint64(id))
-		other.uvarint(uint64(len(buf) - k))
-		cursor := from
-		for _, r := range buf[k:] {
-			start := max(r.start, from)
-			other.uvarint(uint64(start - cursor))
-			other.uvarint(uint64(r.start + r.count - start))
-			other.byteVal(r.state & dnsStateMask)
-			cursor = r.start + r.count
-		}
-		nOther++
-	}
-	var hists [shards][]dnsHist
-	walk := func(base alexa.SiteID) {
-		for slot := 0; slot < len(hists[0]); slot++ {
-			for i := range hists {
-				if slot < len(hists[i]) && hists[i][slot].run[0].count != 0 {
-					visit(&t.dns[i], base+alexa.SiteID(slot<<shardBits|i), &hists[i][slot])
-				}
-			}
-		}
-	}
-	for i := range t.dns {
-		hists[i] = t.dns[i].main
-	}
-	walk(0)
-	for i := range t.dns {
-		hists[i] = t.dns[i].ext
-	}
-	walk(res.extBase)
-	var over []alexa.SiteID
-	for i := range t.dns {
-		for id := range t.dns[i].over {
-			over = append(over, id)
-		}
-	}
-	sort.Slice(over, func(i, j int) bool { return over[i] < over[j] })
-	for _, id := range over {
-		sh := &t.dns[uint64(id)&(shards-1)]
-		if h := sh.over[id]; h.run[0].count != 0 {
-			visit(sh, id, h)
-		}
-	}
-	flush()
-
+	grown.flush()
 	w.uvarint(uint64(to))
-	w.uvarint(uint64(nGrown))
-	w.bytes(grown.b)
-	w.uvarint(uint64(nOther))
-	w.bytes(other.b)
-	w.uvarint(0) // out-of-order rows
-	return nGrown + nOther
-}
-
-// segSeries is one series a segment carries: its sort key within the
-// stripe (family, then the id's range, then id) and its index in the
-// stripe's series storage.
-type segSeries struct {
-	fam   topo.Family
-	table int // 0 main, 1 ext, 2 overflow
-	id    alexa.SiteID
-	idx   int32
-}
-
-// appendSegSamples encodes the vantage's sample changes since mark
-// round from: the dates past index datesFrom (fixed 8-byte unix
-// nanos), then per series with samples at rounds >= from: site id,
-// family byte, count and the samples in the shard-wire format. Series
-// come per stripe, ordered by family (V4 first), by the id's range as
-// the reservation places it (main, ext, overflow), then by id. Each
-// stripe walks its series owners, so a segment costs O(sampled
-// series), not O(reserved ids).
-func (t *vantageTable) appendSegSamples(w *wbuf, res reservation, from int32, datesFrom int) int {
-	var rows wbuf
-	var changed []segSeries
-	n := 0
-	for i := range t.samples {
-		sh := &t.samples[i]
-		sh.mu.Lock()
-		if sh.lo == noLow {
-			sh.mu.Unlock()
-			continue
-		}
-		changed = changed[:0]
-		for idx, o := range sh.owner {
-			series := sh.series[idx]
-			if len(series) == 0 || series[len(series)-1].round < from {
-				continue
-			}
-			table, _ := res.locate(o.site)
-			if table < 0 {
-				table = 2
-			}
-			changed = append(changed, segSeries{fam: o.fam, table: table, id: o.site, idx: int32(idx)})
-		}
-		slices.SortFunc(changed, func(a, b segSeries) int {
-			if a.fam != b.fam {
-				return cmp.Compare(a.fam, b.fam)
-			}
-			if a.table != b.table {
-				return cmp.Compare(a.table, b.table)
-			}
-			return cmp.Compare(a.id, b.id)
-		})
-		for _, c := range changed {
-			series := sh.series[c.idx]
-			k := len(series)
-			for k > 0 && series[k-1].round >= from {
-				k--
-			}
-			rows.uvarint(uint64(c.id))
-			rows.byteVal(byte(c.fam))
-			rows.samples(series[k:])
-			n++
-		}
-		sh.mu.Unlock()
-	}
-	dates := t.dateTable()[datesFrom:]
-	w.uvarint(uint64(len(dates)))
-	for _, d := range dates {
-		w.u64(uint64(d.UnixNano()))
-	}
-	w.uvarint(uint64(n))
-	w.bytes(rows.b)
-	return n + len(dates)
-}
-
-// appendSegPaths encodes, per path key with snapshots at rounds >=
-// from (keys in the canonical order), the family, destination and
-// those snapshots as in the snapshot paths section.
-func (t *vantageTable) appendSegPaths(w *wbuf, from int32) int {
-	t.pathMu.Lock()
-	defer t.pathMu.Unlock()
-	var keys []famDstKey
-	if t.pathLo != noLow {
-		for k, snaps := range t.paths {
-			if n := len(snaps); n > 0 && int32(snaps[n-1].Round) >= from {
-				keys = append(keys, k)
-			}
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.fam != b.fam {
-			return a.fam < b.fam
-		}
-		return a.dst < b.dst
-	})
-	w.uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		snaps := t.paths[k]
-		j := len(snaps)
-		for j > 0 && int32(snaps[j-1].Round) >= from {
-			j--
-		}
-		w.byteVal(byte(k.fam))
-		w.uvarint(uint64(k.dst))
-		w.pathSnaps(snaps[j:])
-	}
-	return len(keys)
+	w.uvarint(uint64(grown.n))
+	w.bytes(grown.w.b)
+	w.bytes(list.b)
+	return grown.n + n, nil
 }
 
 // applySegment decodes one segment file's bytes onto db, which must be
@@ -597,7 +398,7 @@ func (t *vantageTable) appendSegPaths(w *wbuf, from int32) int {
 // *CorruptSnapshotError; decoding allocates O(len(data)) plus at most
 // db's own reservation again.
 func applySegment(db *DB, path string, data []byte) error {
-	h, secs, _, err := parseFrames(path, data, segMagic)
+	h, secs, _, err := parseFrames(path, data, segmentFile)
 	if err != nil {
 		return err
 	}
@@ -630,22 +431,12 @@ func applySegment(db *DB, path string, data []byte) error {
 			if r.err == nil && to != db.res && segmentReservable(db.res, to) {
 				db.Reserve(to.main, to.extBase, to.ext)
 			}
-		case ShardSites:
-			err = db.mergeShardSites(r, 0, snapAllSites)
 		case ShardDNS:
-			err = db.table(s.vantage).applySegDNS(r, db.res, vm.round)
-		case ShardSamples:
-			err = db.table(s.vantage).applySegSamples(r, db.res, vm.round)
-		case snapPaths:
-			err = db.applySegPaths(r, s.vantage, vm.round)
+			err = db.applySegDNS(r, s.vantage, vm.round)
+		default:
+			err = db.decodeSection(r, s.section, s.vantage, 0, snapAllSites, vm.round, vm.dates)
 		}
-		if err == nil {
-			err = r.err
-		}
-		if err == nil && len(r.b) != 0 {
-			err = fmt.Errorf("%d trailing bytes", len(r.b))
-		}
-		if err != nil {
+		if err = r.done(err); err != nil {
 			return corrupt(path, sectionName(s.section, s.vantage), err)
 		}
 	}
@@ -653,7 +444,8 @@ func applySegment(db *DB, path string, data []byte) error {
 }
 
 // applySegDNS decodes appendSegDNS's payload for mark round from.
-func (t *vantageTable) applySegDNS(r *rbuf, res reservation, from int32) error {
+func (db *DB) applySegDNS(r *rbuf, v Vantage, from int32) error {
+	t := db.table(v)
 	to64 := r.uvarint()
 	if r.err == nil && (to64 > maxRound || int32(to64) < from) {
 		r.fail("store: segment dns: round %d before the mark %d or out of range", to64, from)
@@ -670,42 +462,13 @@ func (t *vantageTable) applySegDNS(r *rbuf, res reservation, from int32) error {
 			break
 		}
 		for id := alexa.SiteID(start); id < alexa.SiteID(start+n) && r.err == nil; id++ {
-			t.growRun(r, res, id, from, to)
+			t.growRun(r, db.res, id, from, to)
 		}
 	}
-	nOther := r.count()
-	for k := uint64(0); k < nOther && r.err == nil; k++ {
-		id := r.uvarint()
-		nRuns := r.count()
-		if r.err == nil && (id >= uint64(snapAllSites) || nRuns == 0) {
-			r.fail("store: segment dns: bad site %d with %d runs", id, nRuns)
-		}
-		site := alexa.SiteID(id)
-		cursor := uint64(from)
-		for j := uint64(0); j < nRuns && r.err == nil; j++ {
-			gap, cnt, state := r.uvarint(), r.uvarint(), r.byteVal()
-			if r.err != nil {
-				break
-			}
-			if cnt == 0 || gap > maxRound || cnt > maxRound || cursor+gap+cnt > maxRound {
-				r.fail("store: segment dns: site %d run rounds out of range", site)
-				break
-			}
-			start := cursor + gap
-			cursor = start + cnt
-			sh := &t.dns[uint64(site)&(shards-1)]
-			sh.mu.Lock()
-			_, ok := sh.addRun(sh.hist(res, site, true), site, int32(start), int32(cnt), state&dnsStateMask)
-			sh.mu.Unlock()
-			if !ok {
-				r.fail("store: segment dns: site %d run at round %d precedes its history's end", site, start)
-			}
-		}
+	if r.err != nil {
+		return r.err
 	}
-	if nOoo := r.uvarint(); r.err == nil && nOoo != 0 {
-		r.fail("store: segment dns: %d out-of-order rows; the count must be 0", nOoo)
-	}
-	return r.err
+	return db.applyDNS(r, v, 0, snapAllSites, from)
 }
 
 // growRun extends site id's open run, which must end at mark round
@@ -729,94 +492,6 @@ func (t *vantageTable) growRun(r *rbuf, res reservation, id alexa.SiteID, from, 
 		return
 	}
 	sh.addRun(h, id, from, to-from, last.state)
-}
-
-// applySegSamples decodes appendSegSamples's payload for mark round
-// from.
-func (t *vantageTable) applySegSamples(r *rbuf, res reservation, from int32) error {
-	nDates := r.count()
-	for i := uint64(0); i < nDates && r.err == nil; i++ {
-		nanos := int64(r.u64())
-		if r.err != nil {
-			break
-		}
-		d := time.Unix(0, nanos).UTC()
-		t.dateMu.RLock()
-		_, dup := t.dateIdx[d]
-		t.dateMu.RUnlock()
-		if dup {
-			r.fail("store: segment samples: date %v already in the dictionary", d)
-			break
-		}
-		t.dateRef(d)
-	}
-	nDict := uint64(len(t.dateTable()))
-	n := r.count()
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		id := r.uvarint()
-		fam := topo.Family(r.byteVal())
-		cnt := r.count()
-		if r.err != nil {
-			break
-		}
-		if id >= uint64(snapAllSites) || (fam != topo.V4 && fam != topo.V6) || cnt == 0 {
-			r.fail("store: segment samples: bad series (%d, %d) of %d samples", id, fam, cnt)
-			break
-		}
-		site := alexa.SiteID(id)
-		sh := &t.samples[uint64(site)&(shards-1)]
-		sh.mu.Lock()
-		for k := uint64(0); k < cnt && r.err == nil; k++ {
-			round, dateIdx, page, dlCI := r.uvarint(), r.uvarint(), r.uvarint(), r.uvarint()
-			speed := r.u64()
-			if r.err != nil {
-				break
-			}
-			if round < uint64(from) || round > maxRound || dateIdx >= nDict || page > math.MaxInt32 || dlCI > math.MaxUint32 {
-				r.fail("store: segment samples: site %d has out-of-range sample fields", site)
-				break
-			}
-			sh.add(res, site, fam, packedSample{
-				round: int32(round), dateIdx: int32(dateIdx),
-				page: int32(page), dlCI: uint32(dlCI), speed: math.Float64frombits(speed),
-			})
-		}
-		sh.mu.Unlock()
-	}
-	return r.err
-}
-
-// applySegPaths decodes appendSegPaths's payload for mark round from.
-func (db *DB) applySegPaths(r *rbuf, v Vantage, from int32) error {
-	n := r.count()
-	var path []int
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		fam := topo.Family(r.byteVal())
-		dst := r.uvarint()
-		nSnaps := r.count()
-		if r.err == nil && ((fam != topo.V4 && fam != topo.V6) || dst > math.MaxInt32 || nSnaps == 0) {
-			r.fail("store: segment paths: bad key (%d, %d) with %d snapshots", fam, dst, nSnaps)
-		}
-		for k := uint64(0); k < nSnaps && r.err == nil; k++ {
-			round := r.uvarint()
-			plen := r.count()
-			if r.err == nil && (round < uint64(from) || round > maxRound) {
-				r.fail("store: segment paths: round %d outside [%d, %d]", round, from, maxRound)
-			}
-			path = path[:0]
-			for j := uint64(0); j < plen && r.err == nil; j++ {
-				as := r.uvarint()
-				if as > math.MaxInt32 {
-					r.fail("store: segment paths: AS index %d out of range", as)
-				}
-				path = append(path, int(as))
-			}
-			if r.err == nil {
-				db.AddPath(v, fam, int(dst), int(round), path)
-			}
-		}
-	}
-	return r.err
 }
 
 // loadChain loads base's chain from a checkpoint directory: the base

@@ -2,11 +2,13 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -18,9 +20,9 @@ import (
 // binarySampleDB (rounds < 10): most sites extend their open run,
 // site 1 flips state every round, site 7 skips rounds, site 8 stops
 // after round 12, site 4 is written after the others, an extended and
-// an overflow site keep measuring, samples, path snapshots and site
-// rows change, a vantage appears at round 13 and the reservation grows
-// at round 15.
+// an overflow site keep measuring, samples (site 2's at a date the
+// base already holds), path snapshots and site rows change, a vantage
+// appears at round 13 and the reservation grows at round 15.
 func chainRound(db *DB, r int) {
 	date := time.Date(2011, 9, 1, 0, 0, 0, 0, time.UTC).AddDate(0, 0, 7*r)
 	vantages := []Vantage{"penn", "seattle"}
@@ -45,6 +47,7 @@ func chainRound(db *DB, r int) {
 		db.AddDNS(v, DNSRow{Site: 5_000_000, Round: r, HasA: true})
 		db.AddSample(v, 0, topo.V4, Sample{Round: r, Date: date, PageBytes: 100 + r, Downloads: 3, MeanSpeed: 50 + float64(r), CIOK: true})
 		db.AddSample(v, alexa.SiteID(10+r%20), topo.V6, Sample{Round: r, Date: date, PageBytes: 90, Downloads: 5, MeanSpeed: 0.5, CIOK: r%4 != 0})
+		db.AddSample(v, 2, topo.V4, Sample{Round: r, Date: time.Date(2011, 6, 8, 0, 0, 0, 0, time.UTC), PageBytes: 70, Downloads: 3, MeanSpeed: 9, CIOK: true})
 		db.AddPath(v, topo.V4, 9, r, []int{2, 5 + r%2, 9})
 		db.AddPath(v, topo.V6, 100+r, r, []int{2, 100 + r})
 	}
@@ -230,12 +233,15 @@ func TestChainSurvivesPruningAndFallsBack(t *testing.T) {
 }
 
 // TestChainMismatchIsCorrupt: a segment applied to a database in any
-// state but the one it continues, a chain with a segment missing, or a
-// segment whose out-of-order row counts (per vantage in its state
-// section, and closing each dns section; always 0) are not — the dns
-// count carrying a duplicate or an earlier round, at a dense id or an
-// overflow id — fails as a *CorruptSnapshotError blaming that part.
-// The same crafted segment with both counts at 0 applies.
+// state but the one it continues, a segment in the container version
+// an earlier build wrote, a chain with a segment missing, and crafted
+// segments that break the section codec's rules fail as a
+// *CorruptSnapshotError blaming that part: a site entry whose
+// out-of-order row count (always 0) is not, at a dense id or an
+// overflow id; a listed site whose history already runs past the mark
+// (it grew in the same section); path keys that repeat or descend; and
+// a sample date the base already holds. The same crafted site entries
+// with a zero count apply.
 func TestChainMismatchIsCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	b := NewCheckpointBackend(dir)
@@ -260,6 +266,21 @@ func TestChainMismatchIsCorrupt(t *testing.T) {
 	if err := applySegment(binarySampleDB(), seg2, data); !errors.As(err, &ce) || ce.Section != "state" {
 		t.Fatalf("segment 2 on the wrong base: %v, want a state *CorruptSnapshotError", err)
 	}
+	v1 := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint32(v1[8:], 1)
+	rehashBinHeader(v1)
+	if err := applySegment(binarySampleDB(), seg2, v1); !errors.As(err, &ce) || ce.Section != "header" {
+		t.Fatalf("a version-1 segment: %v, want a header *CorruptSnapshotError", err)
+	}
+	if err := os.Remove(seg2); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(seg2, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.LoadSnapshot(SnapMain); !errors.As(err, &ce) || ce.Section != "header" || ce.Path != seg2 {
+		t.Fatalf("a chain holding a version-1 segment: %v, want a header *CorruptSnapshotError naming %s", err, seg2)
+	}
 	if err := os.Remove(filepath.Join(ck, segName(SnapMain, 1))); err != nil {
 		t.Fatal(err)
 	}
@@ -268,34 +289,29 @@ func TestChainMismatchIsCorrupt(t *testing.T) {
 	}
 
 	m := orderTestDB().state(false)
-	segment := func(stateOOO int, dns []byte) []byte {
+	from := m.vantage("penn").round
+	// segment crafts a segment continuing orderTestDB with the given
+	// penn sections.
+	segment := func(sections map[byte][]byte) []byte {
 		var st wbuf
-		st.uvarint(uint64(m.sites))
-		st.uvarint(uint64(len(m.vantages)))
-		for _, vm := range m.vantages {
-			st.uvarint(uint64(len(vm.v)))
-			st.bytes([]byte(vm.v))
-			ooo := 0
-			if vm.v == "penn" {
-				ooo = stateOOO
-			}
-			for _, x := range []int{int(vm.round), vm.dnsRows, ooo, vm.sampleRows, vm.dates, vm.paths} {
-				st.uvarint(uint64(x))
-			}
-		}
+		n := m.appendState(&st)
 		path := filepath.Join(t.TempDir(), segName("crafted", 1))
 		err := saveFrames(path, BinaryOptions{}, func(f *os.File, opt BinaryOptions) error {
 			fw, err := newFrameWriter(f, opt)
 			if err != nil {
 				return err
 			}
-			if err := fw.section(segState, "", st.b, 1+len(m.vantages)); err != nil {
+			if err := fw.section(segState, "", st.b, n); err != nil {
 				return err
 			}
-			if err := fw.section(ShardDNS, "penn", dns, 1); err != nil {
-				return err
+			for _, id := range []byte{ShardDNS, ShardSamples, snapPaths} {
+				if payload, ok := sections[id]; ok {
+					if err := fw.section(id, "penn", payload, 1); err != nil {
+						return err
+					}
+				}
 			}
-			return fw.finish(segMagic, m.res)
+			return fw.finish(segmentFile, m.res)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -306,56 +322,90 @@ func TestChainMismatchIsCorrupt(t *testing.T) {
 		}
 		return data
 	}
-	// dns is a segment dns section with no changed site and ooo
-	// out-of-order rows, each c's.
-	dns := func(c orderCase, ooo int) []byte {
+	// dns is a segment dns section running to from+1 that grows the
+	// sites in grown and lists site at round from+gap, its entry
+	// closing with ooo out-of-order rows, each c's.
+	dns := func(grown []alexa.SiteID, site alexa.SiteID, gap int, c orderCase, ooo int) []byte {
 		var w wbuf
-		w.uvarint(uint64(m.vantage("penn").round))
-		w.uvarint(0)
-		w.uvarint(0)
+		w.uvarint(uint64(from + 1))
+		w.uvarint(uint64(len(grown)))
+		for _, id := range grown {
+			w.uvarint(uint64(id))
+			w.uvarint(1)
+		}
+		w.uvarint(1)
+		w.uvarint(uint64(site + 1))
+		w.uvarint(1)
+		w.uvarint(uint64(gap))
+		w.uvarint(1)
+		w.byteVal(dnsHasA)
 		w.uvarint(uint64(ooo))
 		for k := 0; k < ooo; k++ {
-			w.uvarint(uint64(c.row.Site))
 			w.uvarint(uint64(c.row.Round))
 			w.byteVal(dnsHasA)
 		}
 		return w.b
 	}
-	apply := func(what string, data []byte) string {
+	apply := func(what string, data []byte, section, msg string) {
 		t.Helper()
 		err := applySegment(orderTestDB(), "crafted"+segExt, data)
 		var ce *CorruptSnapshotError
 		if !errors.As(err, &ce) {
 			t.Fatalf("%s: %v, want a *CorruptSnapshotError", what, err)
 		}
-		return ce.Section
+		if ce.Section != section || !strings.Contains(err.Error(), msg) {
+			t.Errorf("%s: %v, want %s blamed for %q", what, err, section, msg)
+		}
 	}
 	for _, c := range orderCases() {
-		if err := applySegment(orderTestDB(), "crafted"+segExt, segment(0, dns(c, 0))); err != nil {
-			t.Fatalf("%s: with zero counts: %v", c.name, err)
+		if err := applySegment(orderTestDB(), "crafted"+segExt, segment(map[byte][]byte{ShardDNS: dns(nil, c.row.Site, 0, c, 0)})); err != nil {
+			t.Fatalf("%s: with a zero count: %v", c.name, err)
 		}
-		if got := apply(c.name, segment(0, dns(c, 1))); got != "dns/penn" {
-			t.Errorf("%s: blamed %q, want dns/penn", c.name, got)
+		apply(c.name, segment(map[byte][]byte{ShardDNS: dns(nil, c.row.Site, 0, c, 1)}), "dns/penn", "out-of-order")
+	}
+	// Site 0's run ends at the mark: grown to from+1, it then holds
+	// history past the mark, which a list entry at from+1 must not
+	// extend.
+	apply("grown then listed", segment(map[byte][]byte{ShardDNS: dns([]alexa.SiteID{0}, 0, 1, orderCases()[0], 0)}), "dns/penn", "site 0 vantage \"penn\" already has history")
+
+	paths := func(keys ...famDstKey) []byte {
+		var w wbuf
+		w.uvarint(uint64(len(keys)))
+		for i, k := range keys {
+			w.byteVal(byte(k.fam))
+			w.uvarint(uint64(k.dst))
+			w.pathSnaps([]PathSnapshot{{Round: int(from) + i, Path: []int{2, k.dst}}})
 		}
+		return w.b
 	}
-	if got := apply("state count", segment(1, dns(orderCases()[0], 0))); got != "state" {
-		t.Errorf("a non-zero state count blamed %q, want state", got)
+	if err := applySegment(orderTestDB(), "crafted"+segExt, segment(map[byte][]byte{snapPaths: paths(famDstKey{topo.V4, 50}, famDstKey{topo.V6, 50})})); err != nil {
+		t.Fatalf("ascending path keys: %v", err)
 	}
+	apply("repeated path key", segment(map[byte][]byte{snapPaths: paths(famDstKey{topo.V4, 50}, famDstKey{topo.V4, 50})}), "paths/penn", "keys out of order")
+	apply("descending path keys", segment(map[byte][]byte{snapPaths: paths(famDstKey{topo.V6, 50}, famDstKey{topo.V4, 50})}), "paths/penn", "keys out of order")
+
+	var held wbuf
+	held.uvarint(1)
+	held.u64(uint64(time.Date(2011, 6, 8, 0, 0, 0, 0, time.UTC).UnixNano()))
+	held.uvarint(0)
+	apply("a date the base holds", segment(map[byte][]byte{ShardSamples: held.b}), "samples/penn", "already in the dictionary")
 }
 
-// referenceSegSamples is the segment sample encoder as it walked every
-// reserved slot: per stripe with appends since the mark, per family,
-// the main slots, the ext slots, then the sorted overflow ids.
-func (t *vantageTable) referenceSegSamples(w *wbuf, res reservation, from int32, datesFrom int) int {
-	var rows wbuf
-	n := 0
+// referenceSamples is the sample encoder as a walk of every reserved
+// slot: per stripe and family the main slots, the ext slots and the
+// overflow ids, each series' samples at rounds >= from, sorted by
+// (site, family) and written with id deltas after the dates past
+// datesFrom.
+func (t *vantageTable) referenceSamples(w *wbuf, res reservation, from int32, datesFrom int) int {
+	type entry struct {
+		id     alexa.SiteID
+		fam    topo.Family
+		series []packedSample
+	}
+	var list []entry
 	for i := range t.samples {
 		sh := &t.samples[i]
 		sh.mu.Lock()
-		if sh.lo == noLow {
-			sh.mu.Unlock()
-			continue
-		}
 		emit := func(id alexa.SiteID, fam topo.Family, idx int32) {
 			if idx < 0 {
 				return
@@ -365,13 +415,9 @@ func (t *vantageTable) referenceSegSamples(w *wbuf, res reservation, from int32,
 			for k > 0 && series[k-1].round >= from {
 				k--
 			}
-			if k == len(series) {
-				return
+			if k < len(series) {
+				list = append(list, entry{id, fam, series[k:]})
 			}
-			rows.uvarint(uint64(id))
-			rows.byteVal(byte(fam))
-			rows.samples(series[k:])
-			n++
 		}
 		for f, fam := range famBoth {
 			for slot, idx := range sh.main[f] {
@@ -380,33 +426,40 @@ func (t *vantageTable) referenceSegSamples(w *wbuf, res reservation, from int32,
 			for slot, idx := range sh.ext[f] {
 				emit(res.extBase+alexa.SiteID(slot<<shardBits|i), fam, idx)
 			}
-			over := make([]alexa.SiteID, 0, len(sh.over[f]))
-			for id := range sh.over[f] {
-				over = append(over, id)
-			}
-			sort.Slice(over, func(a, b int) bool { return over[a] < over[b] })
-			for _, id := range over {
-				emit(id, fam, sh.over[f][id])
+			for id, idx := range sh.over[f] {
+				emit(id, fam, idx)
 			}
 		}
 		sh.mu.Unlock()
 	}
+	sort.Slice(list, func(a, b int) bool {
+		if list[a].id != list[b].id {
+			return list[a].id < list[b].id
+		}
+		return list[a].fam < list[b].fam
+	})
 	dates := t.dateTable()[datesFrom:]
 	w.uvarint(uint64(len(dates)))
 	for _, d := range dates {
 		w.u64(uint64(d.UnixNano()))
 	}
-	w.uvarint(uint64(n))
-	w.bytes(rows.b)
-	return n + len(dates)
+	w.uvarint(uint64(len(list)))
+	prev := alexa.SiteID(0)
+	for _, e := range list {
+		w.uvarint(uint64(e.id - prev))
+		prev = e.id
+		w.byteVal(byte(e.fam))
+		w.samples(e.series)
+	}
+	return len(list)
 }
 
-// TestSegSamplesMatchReferenceEncoder: the owner-driven segment sample
-// encoder writes the bytes of the slot walk it replaced, for databases
+// TestSegSamplesMatchReferenceEncoder: the owner-driven sample encoder
+// writes the bytes of a walk over every reserved slot, for databases
 // with dense main and extended series, overflow series on both sides
 // of each range, series a later Reserve migrates into the dense
-// ranges, stripes without appends since a mark, late samples below
-// the newest round, and every mark round.
+// ranges, late samples below the newest round, and every round a
+// segment may start from.
 func TestSegSamplesMatchReferenceEncoder(t *testing.T) {
 	const extBase = alexa.SiteID(1 << 20)
 	var ids []alexa.SiteID
@@ -439,17 +492,14 @@ func TestSegSamplesMatchReferenceEncoder(t *testing.T) {
 					db.AddSample(v, id, fam, Sample{Round: round, Date: date, PageBytes: int(id%97) + r, Downloads: 3, MeanSpeed: float64(r), CIOK: r%3 != 0})
 				}
 			}
-			if r%5 == 4 {
-				db.mark() // later stripes without appends are skipped
-			}
 			for _, v := range db.Vantages() {
 				tab := db.lookup(v)
 				for from := int32(0); from <= int32(r)+1; from++ {
 					datesFrom := rng.Intn(len(tab.dateTable()) + 1)
 					var got, want wbuf
-					ng := tab.appendSegSamples(&got, db.res, from, datesFrom)
-					nw := tab.referenceSegSamples(&want, db.res, from, datesFrom)
-					if ng != nw || !bytes.Equal(got.b, want.b) {
+					ng, err := db.appendSamples(&got, v, 0, snapAllSites, from, datesFrom)
+					nw := tab.referenceSamples(&want, db.res, from, datesFrom)
+					if err != nil || ng != nw || !bytes.Equal(got.b, want.b) {
 						t.Fatalf("seed %d round %d %s from %d: %d entries %x, reference %d entries %x", seed, r, v, from, ng, got.b, nw, want.b)
 					}
 				}

@@ -1,25 +1,32 @@
 package store
 
-// Shard wire codec: the binary section format worker processes use to
-// hand a site-range slice of their tables to a coordinator. The
-// encoding is the in-memory columnar layout — delta-encoded DNS runs,
-// packed samples, interned site rows — so a hand-off costs O(state
-// changes), not O(sites × rounds), and decoding re-lands rows in the
-// coordinator's dense tables without re-deriving any encoding.
+// Section codec: the one binary encoding of the database's tables.
+// Every binary form the database leaves the process in is built from
+// these sections: a whole snapshot (binary.go), the frames a shard
+// worker hands a coordinator, and a checkpoint segment (chain.go).
+// Each table has one encoder and one decoder for "the rows at rounds
+// >= from of the sites in an id range": a snapshot and a shard frame
+// are the rows from round 0, a segment the rows from its mark round.
+// The encoding is the in-memory columnar layout — delta-encoded DNS
+// runs, packed samples, interned site rows — so a section costs
+// O(state changes), not O(sites × rounds), and decoding re-lands rows
+// in the dense tables without re-deriving any encoding.
 //
 // All sections share the conventions: site ids are ascending and
 // varint-delta encoded against the range base, counts and small ints
-// are uvarints, float64s travel as fixed 8-byte IEEE bits. A section
-// covers one contiguous id range [lo, hi) that must lie inside one of
-// the reservation's dense ranges; MergeShard asserts ranges never
-// overlap per (section, vantage) and that decoded history lands on
-// empty slots, so double-merged or mis-split shards fail loudly
-// instead of silently corrupting the campaign.
+// are uvarints, float64s travel as fixed 8-byte IEEE bits. A decoder
+// lands rows only where the database holds nothing at a round >=
+// from: at round 0 that is an empty slot, which is how MergeShard
+// refuses double-merged or mis-split shards, and for a segment it
+// holds because the database is at the segment's mark. MergeShard
+// also asserts that ranges never overlap per (section, vantage).
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"v6web/internal/alexa"
@@ -119,6 +126,18 @@ func (r *rbuf) count() uint64 {
 	return n
 }
 
+// done returns a whole payload's decode error: err, else the latched
+// read error, else the bytes left unread.
+func (r *rbuf) done(err error) error {
+	if err == nil {
+		err = r.err
+	}
+	if err == nil && len(r.b) != 0 {
+		err = fmt.Errorf("store: shard payload: %d trailing bytes", len(r.b))
+	}
+	return err
+}
+
 // shardRange validates that [lo, hi) is non-empty and lies inside one
 // reserved dense range.
 func (db *DB) shardRange(lo, hi alexa.SiteID) error {
@@ -152,9 +171,9 @@ func (db *DB) AppendShardSection(buf []byte, section byte, v Vantage, lo, hi ale
 	case ShardSites:
 		n = db.appendShardSites(w, lo, hi)
 	case ShardDNS:
-		n, err = db.appendShardDNS(w, v, lo, hi)
+		n, err = db.appendDNS(w, v, lo, hi, 0, 0, nil)
 	case ShardSamples:
-		n = db.appendShardSamples(w, v, lo, hi)
+		n, err = db.appendSamples(w, v, lo, hi, 0, 0)
 	default:
 		return buf, 0, fmt.Errorf("store: unknown shard section %d", section)
 	}
@@ -186,13 +205,42 @@ func (db *DB) appendShardSites(w *wbuf, lo, hi alexa.SiteID) int {
 	return n
 }
 
-// appendShardDNS encodes: site count, then per site with history
-// ascending: id delta, run count, runs as (gap from previous run's
-// end, length, state byte), and an out-of-order row count, which the
-// format keeps and is always 0 (a history only ever extends). This is
-// a direct dump of the delta encoding — O(state changes). A run before
-// round 0, which only a CSV row can plant, is an error.
-func (db *DB) appendShardDNS(w *wbuf, v Vantage, lo, hi alexa.SiteID) (int, error) {
+// idRuns run-length encodes ascending site ids as (start, length)
+// pairs.
+type idRuns struct {
+	w          wbuf
+	n          int
+	start, end alexa.SiteID
+}
+
+func (g *idRuns) add(id alexa.SiteID) {
+	if id != g.end {
+		g.flush()
+		g.start = id
+	}
+	g.end = id + 1
+}
+
+func (g *idRuns) flush() {
+	if g.end > g.start {
+		g.w.uvarint(uint64(g.start))
+		g.w.uvarint(uint64(g.end - g.start))
+		g.n++
+	}
+	g.start = g.end
+}
+
+// appendDNS encodes vantage v's DNS history at rounds >= from for the
+// sites in [lo, hi): site count, then per site whose history reaches
+// from, ascending: id delta (against lo-1), run count, runs clipped to
+// from as (gap from the previous run's end — the first's from from —,
+// length, state byte), and an out-of-order row count, which the format
+// keeps and is always 0 (a history only ever extends). It is a direct
+// dump of the delta encoding, O(state changes). A site whose newest
+// run began before from and ends at round to goes to grown instead of
+// the list; at from 0 none can. A run before round 0, which only the
+// write API can plant, is an error.
+func (db *DB) appendDNS(w *wbuf, v Vantage, lo, hi alexa.SiteID, from, to int32, grown *idRuns) (int, error) {
 	var rows wbuf
 	n := 0
 	var err error
@@ -202,17 +250,30 @@ func (db *DB) appendShardDNS(w *wbuf, v Vantage, lo, hi alexa.SiteID) (int, erro
 			if site < lo || site >= hi || err != nil {
 				return
 			}
+			if runs[0].start < 0 {
+				err = fmt.Errorf("store: dns encode: site %d has a run at round %d, before round 0", site, runs[0].start)
+				return
+			}
+			last := runs[len(runs)-1]
+			if last.start+last.count <= from {
+				return
+			}
+			if last.start < from && last.start+last.count == to {
+				grown.add(site)
+				return
+			}
+			k := len(runs)
+			for k > 0 && runs[k-1].start+runs[k-1].count > from {
+				k--
+			}
 			rows.uvarint(uint64(site - prev))
 			prev = site
-			rows.uvarint(uint64(len(runs)))
-			end := int32(0)
-			for _, run := range runs {
-				if run.start < end {
-					err = fmt.Errorf("store: shard encode: site %d has a run at round %d, before round %d", site, run.start, end)
-					return
-				}
-				rows.uvarint(uint64(run.start - end))
-				rows.uvarint(uint64(run.count))
+			rows.uvarint(uint64(len(runs) - k))
+			end := from
+			for _, run := range runs[k:] {
+				start := max(run.start, from)
+				rows.uvarint(uint64(start - end))
+				rows.uvarint(uint64(run.start + run.count - start))
 				rows.byteVal(run.state & dnsStateMask)
 				end = run.start + run.count
 			}
@@ -228,51 +289,70 @@ func (db *DB) appendShardDNS(w *wbuf, v Vantage, lo, hi alexa.SiteID) (int, erro
 	return n, nil
 }
 
-// appendShardSamples encodes: the vantage's date dictionary (count +
-// fixed 8-byte unix nanos), series count, then per (site, family)
-// series in ascending (site, family) order: id delta against the
-// previous site (zero when only the family advances), family byte,
-// sample count, and the packed samples themselves (round, date index,
-// page bytes, download/CI word as uvarints; speed as raw float bits).
-func (db *DB) appendShardSamples(w *wbuf, v Vantage, lo, hi alexa.SiteID) int {
+// appendSamples encodes vantage v's samples at rounds >= from for the
+// sites in [lo, hi): the date dictionary past its first datesFrom
+// entries (count + fixed 8-byte unix nanos), series count, then per
+// (site, family) series with samples at rounds >= from, in ascending
+// (site, family) order: id delta against the previous site (zero when
+// only the family advances; the first against lo), family byte, and
+// the series' trailing samples at rounds >= from (see samples). The
+// series come from each stripe's series owners, so a section costs
+// O(sampled series), not O(reserved ids). A sample before round 0,
+// which only the write API can plant, is an error.
+func (db *DB) appendSamples(w *wbuf, v Vantage, lo, hi alexa.SiteID, from int32, datesFrom int) (int, error) {
 	t := db.lookup(v)
 	if t == nil {
-		return 0
+		return 0, nil
 	}
-	dates := t.dateTable()
-	var rows wbuf
-	n := 0
-	prev := lo
-	for _, site := range db.sampledSites(v) {
-		if site < lo || site >= hi {
-			continue
-		}
-		sh := &t.samples[uint64(site)&(shards-1)]
-		for _, fam := range famBoth {
-			sh.mu.Lock()
-			var packed []packedSample
-			if idx := sh.seriesIdx(db.res, site, fam); idx >= 0 {
-				packed = sh.series[idx]
-			}
-			if len(packed) == 0 {
-				sh.mu.Unlock()
+	type entry struct {
+		key    siteFamKey
+		series []packedSample // from its first sample at a round >= from
+	}
+	var list []entry
+	for i := range t.samples {
+		sh := &t.samples[i]
+		sh.mu.Lock()
+		for idx, o := range sh.owner {
+			if o.site < lo || o.site >= hi {
 				continue
 			}
-			rows.uvarint(uint64(site - prev))
-			prev = site
-			rows.byteVal(byte(fam))
-			rows.samples(packed)
-			sh.mu.Unlock()
-			n++
+			series := sh.series[idx]
+			k := len(series)
+			for k > 0 && series[k-1].round >= from {
+				k--
+			}
+			if k > 0 && series[k-1].round < 0 {
+				sh.mu.Unlock()
+				return 0, fmt.Errorf("store: samples encode: site %d family %d has a sample at round %d, before round 0", o.site, o.fam, series[k-1].round)
+			}
+			if k < len(series) {
+				list = append(list, entry{o, series[k:]})
+			}
 		}
+		sh.mu.Unlock()
 	}
+	slices.SortFunc(list, func(a, b entry) int {
+		if c := cmp.Compare(a.key.site, b.key.site); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.key.fam, b.key.fam)
+	})
+	var rows wbuf
+	prev := lo
+	for _, e := range list {
+		rows.uvarint(uint64(e.key.site - prev))
+		prev = e.key.site
+		rows.byteVal(byte(e.key.fam))
+		rows.samples(e.series)
+	}
+	dates := t.dateTable()[datesFrom:]
 	w.uvarint(uint64(len(dates)))
 	for _, d := range dates {
 		w.u64(uint64(d.UnixNano()))
 	}
-	w.uvarint(uint64(n))
+	w.uvarint(uint64(len(list)))
 	w.bytes(rows.b)
-	return n
+	return len(list), nil
 }
 
 // samples encodes a packed series: its length, then per sample the
@@ -286,6 +366,69 @@ func (w *wbuf) samples(packed []packedSample) {
 		w.uvarint(uint64(p.page))
 		w.uvarint(uint64(p.dlCI))
 		w.u64(math.Float64bits(p.speed))
+	}
+}
+
+// appendPaths encodes vantage v's path table at rounds >= from: per
+// (family, dst) key with snapshots at rounds >= from, keys ascending,
+// the family byte, the destination and those snapshots (see
+// pathSnaps). A snapshot before round 0, which only the write API can
+// plant, is an error.
+func (db *DB) appendPaths(w *wbuf, v Vantage, from int32) (int, error) {
+	t := db.lookup(v)
+	if t == nil {
+		w.uvarint(0)
+		return 0, nil
+	}
+	type entry struct {
+		key    famDstKey
+		snaps  []PathSnapshot // from the first at a round >= from
+		before int            // the round of the snapshot before, when one is negative
+	}
+	t.pathMu.Lock()
+	defer t.pathMu.Unlock()
+	var keys []entry
+	for k, snaps := range t.paths {
+		j := len(snaps)
+		for j > 0 && snaps[j-1].Round >= int(from) {
+			j--
+		}
+		e := entry{key: k, snaps: snaps[j:]}
+		if j > 0 && snaps[j-1].Round < 0 {
+			e.before = snaps[j-1].Round
+		}
+		if len(e.snaps) > 0 || e.before < 0 {
+			keys = append(keys, e)
+		}
+	}
+	slices.SortFunc(keys, func(a, b entry) int {
+		if c := cmp.Compare(a.key.fam, b.key.fam); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.key.dst, b.key.dst)
+	})
+	w.uvarint(uint64(len(keys)))
+	for _, e := range keys {
+		if e.before < 0 {
+			return 0, fmt.Errorf("store: paths encode: key (%d,%d) has a snapshot at round %d, before round 0", e.key.fam, e.key.dst, e.before)
+		}
+		w.byteVal(byte(e.key.fam))
+		w.uvarint(uint64(e.key.dst))
+		w.pathSnaps(e.snaps)
+	}
+	return len(keys), nil
+}
+
+// pathSnaps encodes a snapshot list: its length, then per snapshot
+// the round, path length and AS indices.
+func (w *wbuf) pathSnaps(snaps []PathSnapshot) {
+	w.uvarint(uint64(len(snaps)))
+	for _, snap := range snaps {
+		w.uvarint(uint64(snap.Round))
+		w.uvarint(uint64(len(snap.Path)))
+		for _, as := range snap.Path {
+			w.uvarint(uint64(as))
+		}
 	}
 }
 
@@ -310,22 +453,7 @@ func (db *DB) MergeShard(lo, hi alexa.SiteID, section byte, v Vantage, payload [
 		return err
 	}
 	r := &rbuf{b: payload}
-	var err error
-	switch section {
-	case ShardSites:
-		err = db.mergeShardSites(r, lo, hi)
-	case ShardDNS:
-		err = db.mergeShardDNS(r, v, lo, hi)
-	case ShardSamples:
-		err = db.mergeShardSamples(r, v, lo, hi)
-	}
-	if err == nil {
-		err = r.err
-	}
-	if err == nil && len(r.b) != 0 {
-		err = fmt.Errorf("store: shard payload: %d trailing bytes", len(r.b))
-	}
-	return err
+	return r.done(db.decodeSection(r, section, v, lo, hi, 0, 0))
 }
 
 // claimShardRange records [lo, hi) as merged for (section, v),
@@ -362,7 +490,27 @@ func (db *DB) claimShardRange(section byte, v Vantage, lo, hi alexa.SiteID) erro
 	return nil
 }
 
-func (db *DB) mergeShardSites(r *rbuf, lo, hi alexa.SiteID) error {
+// decodeSection lands one section payload of vantage v: the rows of
+// the sites in [lo, hi) at rounds >= from, with the vantage's first
+// datesFrom dates already held (see applySamples). Site rows are
+// vantage-independent, and paths cover every site.
+func (db *DB) decodeSection(r *rbuf, section byte, v Vantage, lo, hi alexa.SiteID, from int32, datesFrom int) error {
+	switch section {
+	case ShardSites:
+		return db.applySites(r, lo, hi)
+	case ShardDNS:
+		return db.applyDNS(r, v, lo, hi, from)
+	case ShardSamples:
+		return db.applySamples(r, v, lo, hi, from, datesFrom)
+	case snapPaths:
+		return db.applyPaths(r, v, from)
+	}
+	return fmt.Errorf("unknown section id %d", section)
+}
+
+// applySites decodes a sites section for [lo, hi) (appendShardSites,
+// appendSnapSites or appendSegSites) through PutSite.
+func (db *DB) applySites(r *rbuf, lo, hi alexa.SiteID) error {
 	n := r.count()
 	prev := lo - 1
 	for i := uint64(0); i < n && r.err == nil; i++ {
@@ -401,91 +549,83 @@ func (db *DB) mergeShardSites(r *rbuf, lo, hi alexa.SiteID) error {
 	return r.err
 }
 
-func (db *DB) mergeShardDNS(r *rbuf, v Vantage, lo, hi alexa.SiteID) error {
+// applyDNS decodes appendDNS's site list for [lo, hi) and rounds >=
+// from. A site's history must hold nothing at a round >= from; its
+// runs extend it through addRun.
+func (db *DB) applyDNS(r *rbuf, v Vantage, lo, hi alexa.SiteID, from int32) error {
 	t := db.table(v)
 	n := r.count()
 	prev := lo - 1
-	var runsBuf []dnsRun
 	for i := uint64(0); i < n && r.err == nil; i++ {
 		delta := r.uvarint()
-		if delta == 0 {
-			r.fail("store: shard dns: zero id delta")
-			break
-		}
-		site := prev + alexa.SiteID(delta)
-		if site < lo || site >= hi {
-			r.fail("store: shard dns: site %d outside range [%d,%d)", site, lo, hi)
-			break
-		}
-		prev = site
 		nRuns := r.count()
-		runsBuf = runsBuf[:0]
-		end := int32(0)
-		total := 0
-		for k := uint64(0); k < nRuns && r.err == nil; k++ {
-			gap := r.uvarint()
-			cnt := r.uvarint()
-			state := r.byteVal()
-			if r.err != nil {
-				break
-			}
-			if cnt == 0 {
-				r.fail("store: shard dns: site %d has an empty run", site)
-				break
-			}
-			if gap > maxRound || cnt > maxRound || uint64(end)+gap+cnt > maxRound {
-				r.fail("store: shard dns: site %d run rounds out of range", site)
-				break
-			}
-			start := end + int32(gap)
-			runsBuf = append(runsBuf, dnsRun{start: start, count: int32(cnt), state: state & dnsStateMask})
-			end = start + int32(cnt)
-			total += int(cnt)
-		}
 		if r.err != nil {
 			break
 		}
-		if len(runsBuf) > 0 {
-			sh := &t.dns[uint64(site)&(shards-1)]
-			sh.mu.Lock()
-			h := sh.hist(db.res, site, true)
-			if h.run[0].count != 0 {
-				sh.mu.Unlock()
-				r.fail("store: MergeShard: site %d vantage %q already has DNS history", site, v)
+		site := prev + alexa.SiteID(delta)
+		if delta == 0 || site < lo || site >= hi || nRuns == 0 {
+			r.fail("store: dns: bad site %d (delta %d, range [%d,%d)) with %d runs", site, delta, lo, hi, nRuns)
+			break
+		}
+		prev = site
+		sh := &t.dns[uint64(site)&(shards-1)]
+		sh.mu.Lock()
+		h := sh.hist(db.res, site, true)
+		if end := sh.end(db.res, site); end > from {
+			sh.mu.Unlock()
+			r.fail("store: dns: site %d vantage %q already has history at round %d, at or after round %d", site, v, end-1, from)
+			break
+		}
+		end := uint64(from)
+		for k := uint64(0); k < nRuns && r.err == nil; k++ {
+			gap, cnt, state := r.uvarint(), r.uvarint(), r.byteVal()
+			if r.err != nil {
 				break
 			}
-			h.run[0] = runsBuf[0]
-			if len(runsBuf) > 1 {
-				h.run[1] = runsBuf[1]
+			if cnt == 0 || gap > maxRound || cnt > maxRound || end+gap+cnt > maxRound {
+				r.fail("store: dns: site %d has an empty run or rounds out of range", site)
+				break
 			}
-			if len(runsBuf) > 2 {
-				h.run[1].state |= dnsSpilled
-				if sh.spill == nil {
-					sh.spill = make(map[alexa.SiteID][]dnsRun)
-				}
-				sh.spill[site] = append(sh.spill[site], runsBuf[2:]...)
+			start := end + gap
+			end = start + cnt
+			if _, ok := sh.addRun(h, site, int32(start), int32(cnt), state&dnsStateMask); !ok {
+				r.fail("store: dns: site %d run at round %d precedes its history's end", site, start)
 			}
-			sh.rows += total
-			watermark(&sh.lo, &sh.hi, runsBuf[0].start, end-1)
-			sh.mu.Unlock()
 		}
-		if nOoo := r.uvarint(); nOoo != 0 {
-			r.fail("store: shard dns: site %d has %d out-of-order rows; the count must be 0", site, nOoo)
+		sh.mu.Unlock()
+		if nOoo := r.uvarint(); r.err == nil && nOoo != 0 {
+			r.fail("store: dns: site %d has %d out-of-order rows; the count must be 0", site, nOoo)
 		}
 	}
 	return r.err
 }
 
-func (db *DB) mergeShardSamples(r *rbuf, v Vantage, lo, hi alexa.SiteID) error {
+// applySamples decodes appendSamples's payload for [lo, hi), rounds >=
+// from and a date dictionary whose first datesFrom entries the vantage
+// holds already. A section date the vantage holds among those is
+// refused, as is one the section lists twice; the rest land through
+// dateRef, shared with what the vantage holds past them. A sample's
+// date index below datesFrom names a held date; one at or past it maps
+// through the section's dates. A series must hold nothing at a round
+// >= from, and every sample must be at one.
+func (db *DB) applySamples(r *rbuf, v Vantage, lo, hi alexa.SiteID, from int32, datesFrom int) error {
 	t := db.table(v)
 	nDates := r.count()
 	idxMap := make([]int32, 0, nDates)
+	listed := make(map[int64]bool)
 	for i := uint64(0); i < nDates && r.err == nil; i++ {
 		nanos := int64(r.u64())
 		if r.err != nil {
 			break
 		}
-		idxMap = append(idxMap, t.dateRef(time.Unix(0, nanos).UTC()))
+		d := time.Unix(0, nanos).UTC()
+		idx := t.dateRef(d)
+		if int(idx) < datesFrom || listed[nanos] {
+			r.fail("store: samples: date %v already in the dictionary", d)
+			break
+		}
+		listed[nanos] = true
+		idxMap = append(idxMap, idx)
 	}
 	n := r.count()
 	prev := lo
@@ -496,45 +636,103 @@ func (db *DB) mergeShardSamples(r *rbuf, v Vantage, lo, hi alexa.SiteID) error {
 		if r.err != nil {
 			break
 		}
-		if site < lo || site >= hi {
-			r.fail("store: shard samples: site %d outside range [%d,%d)", site, lo, hi)
-			break
-		}
-		if fam != topo.V4 && fam != topo.V6 {
-			r.fail("store: shard samples: site %d has unknown family %d", site, fam)
+		if site < lo || site >= hi || (fam != topo.V4 && fam != topo.V6) || cnt == 0 {
+			r.fail("store: samples: bad series (%d, %d) of %d samples in range [%d,%d)", site, fam, cnt, lo, hi)
 			break
 		}
 		prev = site
 		sh := &t.samples[uint64(site)&(shards-1)]
 		sh.mu.Lock()
-		if sh.seriesIdx(db.res, site, fam) >= 0 {
-			sh.mu.Unlock()
-			r.fail("store: MergeShard: site %d family %d vantage %q already has samples", site, fam, v)
-			break
+		if idx := sh.seriesIdx(db.res, site, fam); idx >= 0 {
+			for _, p := range sh.series[idx] {
+				if p.round >= from {
+					sh.mu.Unlock()
+					r.fail("store: samples: site %d family %d vantage %q already has a sample at round %d, at or after round %d", site, fam, v, p.round, from)
+					return r.err
+				}
+			}
 		}
 		for k := uint64(0); k < cnt && r.err == nil; k++ {
-			round := r.uvarint()
-			dateIdx := r.uvarint()
-			page := r.uvarint()
-			dlCI := r.uvarint()
+			round, dateIdx, page, dlCI := r.uvarint(), r.uvarint(), r.uvarint(), r.uvarint()
 			bits := r.u64()
 			if r.err != nil {
 				break
 			}
-			if dateIdx >= uint64(len(idxMap)) {
-				r.fail("store: shard samples: site %d has date index %d of %d", site, dateIdx, len(idxMap))
-				break
+			date := int32(dateIdx)
+			if dateIdx >= uint64(datesFrom) {
+				if j := dateIdx - uint64(datesFrom); j < uint64(len(idxMap)) {
+					date = idxMap[j]
+				} else {
+					date = -1
+				}
 			}
-			if round > maxRound || page > math.MaxInt32 || dlCI > math.MaxUint32 {
-				r.fail("store: shard samples: site %d has out-of-range sample fields", site)
+			if round < uint64(from) || round > maxRound || date < 0 || page > math.MaxInt32 || dlCI > math.MaxUint32 {
+				r.fail("store: samples: site %d has out-of-range sample fields", site)
 				break
 			}
 			sh.add(db.res, site, fam, packedSample{
-				round: int32(round), dateIdx: idxMap[dateIdx],
+				round: int32(round), dateIdx: date,
 				page: int32(page), dlCI: uint32(dlCI), speed: math.Float64frombits(bits),
 			})
 		}
 		sh.mu.Unlock()
+	}
+	return r.err
+}
+
+// applyPaths replays appendPaths's payload for rounds >= from through
+// AddPath. Saved snapshot lists are already change-collapsed, so the
+// replay stores them exactly. Keys must ascend in the canonical order,
+// or a corrupt payload could silently merge duplicate keys through the
+// collapse rule, and a key must hold nothing at a round >= from.
+func (db *DB) applyPaths(r *rbuf, v Vantage, from int32) error {
+	t := db.table(v)
+	n := r.count()
+	var prev famDstKey
+	var path []int
+	for i := uint64(0); i < n && r.err == nil; i++ {
+		fam := topo.Family(r.byteVal())
+		dst := r.uvarint()
+		nSnaps := r.count()
+		if r.err != nil {
+			break
+		}
+		if (fam != topo.V4 && fam != topo.V6) || dst > math.MaxInt32 || nSnaps == 0 {
+			r.fail("store: paths: bad key (%d, %d) with %d snapshots", fam, dst, nSnaps)
+			break
+		}
+		key := famDstKey{fam, int(dst)}
+		if i > 0 && (fam < prev.fam || (fam == prev.fam && key.dst <= prev.dst)) {
+			r.fail("store: paths: keys out of order at (%d,%d)", fam, dst)
+			break
+		}
+		prev = key
+		t.pathMu.Lock()
+		for _, snap := range t.paths[key] {
+			if snap.Round >= int(from) {
+				r.fail("store: paths: key (%d,%d) vantage %q already has a snapshot at round %d, at or after round %d", fam, dst, v, snap.Round, from)
+				break
+			}
+		}
+		t.pathMu.Unlock()
+		for k := uint64(0); k < nSnaps && r.err == nil; k++ {
+			round := r.uvarint()
+			plen := r.count()
+			if r.err == nil && (round < uint64(from) || round > maxRound) {
+				r.fail("store: paths: round %d outside [%d, %d]", round, from, maxRound)
+			}
+			path = path[:0]
+			for j := uint64(0); j < plen && r.err == nil; j++ {
+				as := r.uvarint()
+				if as > math.MaxInt32 {
+					r.fail("store: paths: AS index %d out of range", as)
+				}
+				path = append(path, int(as))
+			}
+			if r.err == nil {
+				db.AddPath(v, fam, int(dst), int(round), path)
+			}
+		}
 	}
 	return r.err
 }

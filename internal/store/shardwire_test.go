@@ -189,7 +189,12 @@ func TestMergeShardOverlapRejected(t *testing.T) {
 // ranges outside the reservation, unknown sections, occupied target
 // slots, truncated payloads, and a DNS site entry whose out-of-order
 // row count, always 0, is not (wire ranges are dense, so only the
-// dense-id cases apply).
+// dense-id cases apply). The landing rule holds without any claim in
+// the way: a DNS history or sample series the write API put in place
+// refuses a merge onto it, naming the site. And the encoders refuse a
+// row before round 0, which only the write API can plant:
+// AppendShardSection and SaveBinary fail naming the site (or path key)
+// and the round.
 func TestMergeShardRejectsBadInput(t *testing.T) {
 	src := buildWireDB()
 	dst := NewDB()
@@ -236,6 +241,40 @@ func TestMergeShardRejectsBadInput(t *testing.T) {
 		if err := dst2.MergeShard(0, 16, ShardDNS, Vantage(c.name), c.dnsSection(0, 1)); err == nil ||
 			!strings.Contains(err.Error(), "out-of-order") {
 			t.Errorf("%s: a non-zero out-of-order count: %v, want an out-of-order error", c.name, err)
+		}
+	}
+
+	held := NewDB()
+	held.Reserve(96, testExtBase, 48)
+	held.AddDNS("Penn", DNSRow{Site: 3, Round: 0, HasA: true})
+	if err := held.MergeShard(0, 48, ShardDNS, "Penn", good); err == nil || !strings.Contains(err.Error(), `site 3 vantage "Penn" already has history`) {
+		t.Errorf("DNS onto a held history: %v, want a refusal naming site 3", err)
+	}
+	held.AddSample("Penn", 6, topo.V6, Sample{Round: 0, Date: time.Unix(0, 0).UTC()})
+	samples := encodeSection(t, src, ShardSamples, "Penn", 0, 48)
+	if err := held.MergeShard(0, 48, ShardSamples, "Penn", samples); err == nil || !strings.Contains(err.Error(), `site 6 family 1 vantage "Penn" already has a sample`) {
+		t.Errorf("samples onto a held series: %v, want a refusal naming site 6", err)
+	}
+
+	for name, c := range map[string]struct {
+		section byte
+		plant   func(db *DB)
+		want    string
+	}{
+		"dns":     {ShardDNS, func(db *DB) { db.AddDNS("Penn", DNSRow{Site: 5, Round: -1, HasA: true}) }, "site 5 has a run at round -1"},
+		"samples": {ShardSamples, func(db *DB) { db.AddSample("Penn", 5, topo.V4, Sample{Round: -1, Date: time.Unix(0, 0).UTC()}) }, "site 5 family 0 has a sample at round -1"},
+		"paths":   {0, func(db *DB) { db.AddPath("Penn", topo.V6, 9, -1, []int{2, 9}) }, "key (1,9) has a snapshot at round -1"},
+	} {
+		db := NewDB()
+		db.Reserve(96, testExtBase, 48)
+		c.plant(db)
+		if c.section != 0 {
+			if _, _, err := db.AppendShardSection(nil, c.section, "Penn", 0, 48); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s: AppendShardSection of a round before 0: %v, want %q", name, err, c.want)
+			}
+		}
+		if err := db.SaveBinary(filepath.Join(t.TempDir(), "neg"+BinaryExt), BinaryOptions{}); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: SaveBinary of a round before 0: %v, want %q", name, err, c.want)
 		}
 	}
 }

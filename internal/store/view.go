@@ -11,12 +11,12 @@ import (
 
 // This file is the read path over the columnar tables. DNS history is
 // stored delta-encoded (see store.go), so every DNS reader — the
-// ForEach iterators, CSV export and the shard wire — goes through one
-// shared walker that visits sites in canonical (site, round) order,
-// expanding runs back to per-round rows for the row readers. Because
-// the walker's order is canonical rather than insertion order, equal
-// databases always iterate (and serialize) identically regardless of
-// worker interleaving.
+// ForEach iterators, CSV export and the section codec — goes through
+// one shared walker that visits sites in canonical (site, round)
+// order, expanding runs back to per-round rows for the row readers.
+// Because the walker's order is canonical rather than insertion order,
+// equal databases always iterate (and serialize) identically
+// regardless of worker interleaving.
 
 // dnsView is the walker's input: the vantage's DNS tables, read under
 // every DNS shard lock.
@@ -43,6 +43,16 @@ func (v *dnsView) walkDNS(fn func(DNSRow)) {
 	})
 }
 
+// runs appends site id's run list to buf, reading the spill map only
+// for a history flagged spilled.
+func (s *dnsViewShard) runs(id alexa.SiteID, h *dnsHist, buf []dnsRun) []dnsRun {
+	var spill []dnsRun
+	if h.run[1].state&dnsSpilled != 0 {
+		spill = s.spill[id]
+	}
+	return h.runs(spill, buf)
+}
+
 // walkRuns visits every site with DNS history in ascending id order,
 // handing fn the site's run list (shared scratch — do not retain).
 func (v *dnsView) walkRuns(fn func(site alexa.SiteID, runs []dnsRun)) {
@@ -60,7 +70,7 @@ func (v *dnsView) walkRuns(fn func(site alexa.SiteID, runs []dnsRun)) {
 		for vi < len(over) && (all || over[vi] < limit) {
 			id := over[vi]
 			s := &v.shards[uint64(id)&(shards-1)]
-			if buf = s.over[id].runs(s.spill[id], buf[:0]); len(buf) > 0 {
+			if buf = s.runs(id, s.over[id], buf[:0]); len(buf) > 0 {
 				fn(id, buf)
 			}
 			vi++
@@ -77,7 +87,7 @@ func (v *dnsView) walkRuns(fn func(site alexa.SiteID, runs []dnsRun)) {
 				}
 				id := base + alexa.SiteID(slot<<shardBits|i)
 				emitOver(id, false)
-				buf = hists[slot].runs(s.spill[id], buf[:0])
+				buf = s.runs(id, &hists[slot], buf[:0])
 				fn(id, buf)
 			}
 		}
