@@ -700,10 +700,10 @@ func diskBytes(b *testing.B, root string) float64 {
 }
 
 // BenchmarkSnapshotSave times one full durable save of the shared
-// bench database in each serialization: CSV, the product format, and
-// binary, the checkpoint format. disk-bytes is the size the save
-// leaves behind; the binary format's lead on both axes is why it is
-// the only checkpoint format.
+// bench database in each serialization: CSV, the export format, and
+// binary, the checkpoint and product format. disk-bytes is the size
+// the save leaves behind; the binary format's lead on both axes is
+// why it is the only format the program reads back.
 func BenchmarkSnapshotSave(b *testing.B) {
 	b.ReportAllocs()
 	db := benchScenario(b).DB
@@ -735,34 +735,21 @@ func BenchmarkSnapshotSave(b *testing.B) {
 }
 
 // BenchmarkSnapshotLoad times materializing the same database back
-// from each format: binary is what a resume pays before its first
-// round, CSV what `v6report -db` pays.
+// through store.Load, what a resume pays before its first round and
+// `v6report -db` before its first table.
 func BenchmarkSnapshotLoad(b *testing.B) {
 	b.ReportAllocs()
 	db := benchScenario(b).DB
 	b.ResetTimer()
-	b.Run("csv", func(b *testing.B) {
+	b.Run("binary", func(b *testing.B) {
 		b.ReportAllocs()
 		target := filepath.Join(b.TempDir(), "main")
-		if err := db.Save(target); err != nil {
+		if err := db.SaveBinary(target+store.BinaryExt, store.BinaryOptions{Compress: true}); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := store.Load(target); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("binary", func(b *testing.B) {
-		b.ReportAllocs()
-		target := filepath.Join(b.TempDir(), "main"+store.BinaryExt)
-		if err := db.SaveBinary(target, store.BinaryOptions{Compress: true}); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := store.LoadBinary(target); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,19 +1,20 @@
 // Command v6mon runs the full monitoring campaign — topology, ranked
 // list, six vantage points, weekly rounds, World IPv6 Day — through
 // the resumable campaign runner, and saves the measurement databases
-// as CSV for later analysis with v6report.
+// as binary snapshots (<out>/main.v6db, <out>/v6day.v6db) for later
+// analysis with v6report, whose -csv exports them as CSV.
 //
 // The rounds run through core.RunContext, the loop every campaign
 // shares, and the finished campaign through cli.Finish, the one
-// completion step (World IPv6 Day, final CSVs, checkpoint removal).
+// completion step (World IPv6 Day, the product, checkpoint removal).
 // The campaign checkpoints its completed rounds (crash-safe,
 // append-only directories under <out>/checkpoints) every
 // -checkpoint-every rounds, on SIGINT/SIGTERM and at -stop-after
 // (unless that round is already committed), and once the main study
 // is finished, so a graceful interrupt loses at most the round in
 // flight and a hard kill at most the cadence. Restarting with -resume
-// picks up from the last checkpoint and produces byte-identical final
-// CSVs to a never-interrupted run. Each checkpoint directory holds the
+// picks up from the last checkpoint and produces databases whose CSV
+// exports are byte-identical to a never-interrupted run's. Each checkpoint directory holds the
 // main database either whole (main.v6db, a base) or as a chain: the
 // last base as main.base.v6db plus main.seg-NNNNNN.v6seg segments of
 // what changed since, the older files hard-linked from the previous
@@ -40,8 +41,8 @@
 // worker processes (internal/shard), through the sharded driver it
 // shares with `v6shard coordinate` (cli.RunSharded): each worker
 // measures its slice and streams columnar binary frames back; the
-// coordinator merges them into CSVs byte-identical to a single-process
-// run. Workers checkpoint per shard under <out>/shards, so a killed
+// coordinator merges them into databases whose CSV exports are
+// byte-identical to a single-process run's. Workers checkpoint per shard under <out>/shards, so a killed
 // worker costs one shard-round and an interrupted coordinator, in the
 // rounds or in the World IPv6 Day tail, continues when the same
 // command is rerun.
@@ -49,7 +50,7 @@
 // -faults arms the deterministic chaos layer (internal/fault): on the
 // sharded path it injects filesystem faults at worker checkpoint
 // commits and wire faults on the coordinator's streams, and the
-// retry/backoff layer must still deliver byte-identical CSVs. Planned
+// retry/backoff layer must still deliver byte-identical exports. Planned
 // vantage outages are campaign state, not faults — declare them in a
 // scenario pack's "faults" section (see the vantage-outages built-in).
 package main
@@ -74,7 +75,7 @@ import (
 func main() {
 	shard.MaybeWorker()
 	var (
-		out       = flag.String("out", "v6web-data", "output directory for the measurement CSVs and checkpoints")
+		out       = flag.String("out", "v6web-data", "output directory for the measurement databases and checkpoints")
 		seed      = flag.Int64("seed", 42, "deterministic scenario seed")
 		ases      = flag.Int("ases", 1500, "number of ASes in the synthetic topology")
 		sites     = flag.Int("sites", 20000, "ranked-list size (stand-in for the top 1M)")

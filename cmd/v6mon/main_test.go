@@ -2,8 +2,8 @@ package main
 
 // End-to-end tests of v6mon's stop/resume contract at the binary
 // level: a campaign stopped by -stop-after or by SIGINT exits 0 with a
-// checkpoint on disk, and -resume continues it to final CSVs
-// byte-identical to a run that was never interrupted.
+// checkpoint on disk, and -resume continues it to a product whose CSV
+// export is byte-identical to a run that was never interrupted.
 
 import (
 	"bytes"
@@ -15,6 +15,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"v6web/internal/cli"
 )
 
 func buildV6Mon(t *testing.T) string {
@@ -41,8 +43,22 @@ func shapeArgs(out string, rounds string) []string {
 	return []string{"-out", out, "-seed", "7", "-ases", "300", "-sites", "1500", "-rounds", rounds}
 }
 
+// exportCSV exports the product in dir as CSV, as `v6report -db dir
+// -csv` does, and returns the export's directory.
+func exportCSV(t *testing.T, dir string) string {
+	t.Helper()
+	out := t.TempDir()
+	if err := cli.ExportCSV(dir, out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// assertSameCSVs requires the products in refDir and gotDir to export
+// byte-identical CSV files.
 func assertSameCSVs(t *testing.T, refDir, gotDir string) {
 	t.Helper()
+	refDir, gotDir = exportCSV(t, refDir), exportCSV(t, gotDir)
 	for _, name := range []string{
 		"main/sites.csv", "main/dns.csv", "main/samples.csv", "main/paths.csv",
 		"v6day/sites.csv", "v6day/dns.csv", "v6day/samples.csv", "v6day/paths.csv",

@@ -91,7 +91,7 @@ func (c *campaignFlags) Set(v string) error {
 
 func main() {
 	var (
-		data    = flag.String("data", "v6mond-data", "daemon data directory (campaign manifests, checkpoints, final CSVs)")
+		data    = flag.String("data", "v6mond-data", "daemon data directory (campaign manifests, checkpoints, finished databases)")
 		addr    = flag.String("addr", ":9646", "HTTP listen address")
 		every   = flag.Int("checkpoint-every", 1, "checkpoint cadence in rounds (minimum 1: a supervised campaign is always resumable)")
 		pace    = flag.Duration("round-every", 0, "pause between campaign rounds (the paper's weekly cadence, scaled; 0 runs rounds back-to-back)")

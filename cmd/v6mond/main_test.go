@@ -4,8 +4,8 @@ package main
 // random points in a live campaign — including at round boundaries,
 // where the kill lands next to a checkpoint commit — restart it with
 // no flags (discovery alone), and the resumed campaign must produce
-// final CSVs and served exhibit bytes byte-identical to a run that was
-// never interrupted.
+// databases (compared as their CSV export) and served exhibit bytes
+// byte-identical to a run that was never interrupted.
 
 import (
 	"bytes"
@@ -22,6 +22,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"v6web/internal/cli"
 )
 
 func buildV6Mond(t *testing.T) string {
@@ -124,7 +126,8 @@ func campaignRound(base string) int {
 }
 
 // servedArtifacts snapshots everything the equivalence check compares:
-// the full report, a figure, a table, and the final CSVs.
+// the full report, a figure, a table, and the finished campaign's
+// databases as their CSV export (`v6report -db -csv`) writes them.
 func servedArtifacts(t *testing.T, base, data string) map[string][]byte {
 	t.Helper()
 	out := map[string][]byte{}
@@ -141,8 +144,15 @@ func servedArtifacts(t *testing.T, base, data string) map[string][]byte {
 		}
 		out[path] = body
 	}
-	for _, rel := range []string{"main/sites.csv", "main/samples.csv", "v6day/sites.csv", "v6day/samples.csv"} {
-		b, err := os.ReadFile(filepath.Join(data, "campaigns", "tiny", rel))
+	export := t.TempDir()
+	if err := cli.ExportCSV(filepath.Join(data, "campaigns", "tiny"), export); err != nil {
+		t.Fatal(err)
+	}
+	for _, rel := range []string{
+		"main/sites.csv", "main/dns.csv", "main/samples.csv", "main/paths.csv",
+		"v6day/sites.csv", "v6day/dns.csv", "v6day/samples.csv", "v6day/paths.csv",
+	} {
+		b, err := os.ReadFile(filepath.Join(export, rel))
 		if err != nil {
 			t.Fatalf("read %s: %v", rel, err)
 		}

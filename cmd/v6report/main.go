@@ -1,12 +1,16 @@
 // Command v6report regenerates every table and figure of the paper's
-// evaluation. With -db it analyzes the databases previously saved by
-// v6mon (including a campaign finished via checkpoints and -resume);
-// without it, it runs a fresh deterministic campaign end to end and
-// reports on that. Both paths render the measurement tables through
-// report.RenderStudy, but they do not analyze the same vantages: -db
-// builds its study with report.StudyOfSnapshot over every vantage in
-// the saved database (all six), while a fresh campaign analyzes only
-// the four AS_PATH vantages (core.Scenario.Study). The per-vantage
+// evaluation. With -db it analyzes the databases a finished campaign
+// saved (v6mon, v6shard coordinate or v6mond, including a campaign
+// finished via checkpoints and -resume): the binary snapshots
+// main.v6db and v6day.v6db, both of which must load. With -db and
+// -csv it renders nothing and instead exports those databases as CSV,
+// the one way a saved campaign becomes CSV. Without -db, it runs a
+// fresh deterministic campaign end to end and reports on that. Both
+// paths render the measurement tables through report.RenderStudy,
+// but they do not analyze the same vantages: -db builds its study with
+// report.StudyOfSnapshot over every vantage in the saved database (all
+// six), while a fresh campaign analyzes only the four AS_PATH
+// vantages (core.Scenario.Study). The per-vantage
 // tables of a saved campaign therefore carry two more vantages than
 // the fresh report of the same campaign, and Table 2's "All" column
 // can differ (EXPERIMENTS.md, "Saved vs fresh reports").
@@ -20,6 +24,7 @@
 //
 //	v6report                     # fresh campaign, full report
 //	v6report -db v6web-data      # report over saved measurements
+//	v6report -db v6web-data -csv out   # out/main/*.csv, out/v6day/*.csv
 //	v6report -scenario world-ipv6-day -set topo.ases=500
 package main
 
@@ -39,11 +44,12 @@ import (
 
 func main() {
 	var (
-		dbDir = flag.String("db", "", "directory previously written by v6mon (empty: run a fresh scenario)")
-		seed  = flag.Int64("seed", 42, "scenario seed when running fresh")
-		ases  = flag.Int("ases", 1500, "topology size when running fresh")
-		sites = flag.Int("sites", 20000, "list size when running fresh")
-		pack  = flag.String("scenario", "", "scenario pack for the fresh campaign: built-in name, pack file, or \"list\" (replaces -seed/-ases/-sites; combining them is an error)")
+		dbDir  = flag.String("db", "", "directory previously written by v6mon (empty: run a fresh scenario)")
+		csvOut = flag.String("csv", "", "with -db: write the saved databases as CSV under this directory (DIR/main, DIR/v6day) instead of the report")
+		seed   = flag.Int64("seed", 42, "scenario seed when running fresh")
+		ases   = flag.Int("ases", 1500, "topology size when running fresh")
+		sites  = flag.Int("sites", 20000, "list size when running fresh")
+		pack   = flag.String("scenario", "", "scenario pack for the fresh campaign: built-in name, pack file, or \"list\" (replaces -seed/-ases/-sites; combining them is an error)")
 	)
 	var sets scenario.Overrides
 	flag.Var(&sets, "set", "spec override as a dotted path, e.g. -set list.size=5000 (repeatable; needs -scenario)")
@@ -55,8 +61,11 @@ func main() {
 		}
 		return
 	}
-	if *pack != "" && *dbDir != "" {
-		fatal(errors.New("-scenario runs a fresh campaign; it cannot be combined with -db"))
+	if *pack != "" && (*dbDir != "" || *csvOut != "") {
+		fatal(errors.New("-scenario runs a fresh campaign; it cannot be combined with -db or -csv"))
+	}
+	if *csvOut != "" && *dbDir == "" {
+		fatal(errors.New("-csv exports a saved campaign; it needs -db"))
 	}
 	if *pack == "" && len(sets) > 0 {
 		fatal(errors.New("-set overrides a scenario spec; it needs -scenario"))
@@ -96,21 +105,18 @@ func main() {
 		return
 	}
 
-	// The World IPv6 Day database is optional (older saves may predate
-	// it), but a partially written one is a real error: OpenCompleted
-	// surfaces it instead of silently dropping Tables 10 and 12.
+	if *csvOut != "" {
+		if err := cli.ExportCSV(*dbDir, *csvOut); err != nil {
+			fatal(err)
+		}
+		return
+	}
 	main1, v6dayDB, err := cli.OpenCompleted(*dbDir)
 	if err != nil {
 		fatal(err)
 	}
 	study := report.StudyOfSnapshot(main1.Freeze(), analysis.DefaultThresholds())
-	var v6day *analysis.Study
-	if v6dayDB != nil {
-		v6day = report.StudyOfSnapshot(v6dayDB.Freeze(), report.V6DayThresholds())
-	} else {
-		fmt.Fprintln(os.Stderr, "v6report: no World IPv6 Day database; skipping Tables 10 and 12")
-	}
-
+	v6day := report.StudyOfSnapshot(v6dayDB.Freeze(), report.V6DayThresholds())
 	report.RenderStudy(os.Stdout, study, v6day)
 }
 

@@ -4,8 +4,8 @@
 // (or by a cluster scheduler) on other machines.
 //
 // `v6shard coordinate` splits the campaign into site-range shards and
-// merges worker results into CSVs byte-identical to a single-process
-// run. By default it spawns local worker processes; with -listen it
+// merges worker results into databases whose CSV exports are
+// byte-identical to a single-process run's. By default it spawns local worker processes; with -listen it
 // instead waits for `v6shard worker -connect` processes to dial in,
 // one shard per connection.
 //
@@ -75,7 +75,7 @@ func workerMain(args []string) {
 func coordinateMain(args []string) {
 	fs := flag.NewFlagSet("v6shard coordinate", flag.ExitOnError)
 	var (
-		out    = fs.String("out", "v6web-data", "output directory for the measurement CSVs")
+		out    = fs.String("out", "v6web-data", "output directory for the measurement databases")
 		seed   = fs.Int64("seed", 42, "deterministic scenario seed")
 		ases   = fs.Int("ases", 1500, "number of ASes in the synthetic topology")
 		sites  = fs.Int("sites", 20000, "ranked-list size (stand-in for the top 1M)")

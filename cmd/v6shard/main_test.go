@@ -3,11 +3,12 @@ package main
 // End-to-end test of the coordinator's graceful-shutdown contract:
 // SIGTERM mid-campaign makes every live worker checkpoint its shard,
 // the command exits 0, and rerunning the same command resumes from
-// the checkpoints and produces CSVs byte-identical to a run that was
-// never interrupted.
+// the checkpoints and produces a product whose CSV export is
+// byte-identical to a run that was never interrupted.
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"os"
 	"os/exec"
@@ -17,6 +18,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"v6web/internal/cli"
 )
 
 func buildV6Shard(t *testing.T) string {
@@ -109,15 +112,26 @@ func TestCoordinateSigtermCheckpointsAndExitsZero(t *testing.T) {
 	if o, err := exec.Command(bin, coordinateArgs(out)...).CombinedOutput(); err != nil {
 		t.Fatalf("resumed run: %v\n%s", err, o)
 	}
+	assertSameCSVs(t, refOut, out)
+}
+
+// assertSameCSVs requires the products in refDir and gotDir to export
+// byte-identical CSV files, as `v6report -db dir -csv` writes them.
+func assertSameCSVs(t *testing.T, refDir, gotDir string) {
+	t.Helper()
+	refCSV, gotCSV := t.TempDir(), t.TempDir()
+	if err := errors.Join(cli.ExportCSV(refDir, refCSV), cli.ExportCSV(gotDir, gotCSV)); err != nil {
+		t.Fatal(err)
+	}
 	for _, name := range []string{
 		"main/sites.csv", "main/dns.csv", "main/samples.csv", "main/paths.csv",
 		"v6day/sites.csv", "v6day/dns.csv", "v6day/samples.csv", "v6day/paths.csv",
 	} {
-		want, err := os.ReadFile(filepath.Join(refOut, name))
+		want, err := os.ReadFile(filepath.Join(refCSV, name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := os.ReadFile(filepath.Join(out, name))
+		got, err := os.ReadFile(filepath.Join(gotCSV, name))
 		if err != nil {
 			t.Fatal(err)
 		}

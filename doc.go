@@ -32,10 +32,13 @@
 // implemented by the crash-safe, append-only log of binary snapshots,
 // store.CheckpointBackend). A campaign killed at any round resumes
 // via core.Resume with final results byte-identical to a
-// never-interrupted run. The round is also the parallel unit:
+// never-interrupted run. A finished campaign is saved in the same
+// binary snapshot format (cli.Finish writes main.v6db and v6day.v6db;
+// store.Load reads them back); CSV is only an export, `v6report -db
+// DIR -csv OUT`. The round is also the parallel unit:
 // every started vantage (and the extended site population) monitors
 // concurrently on a bounded pool (core.Config.RoundWorkers), with
-// events, checkpoints, and CSVs byte-identical to the serial path —
+// events, checkpoints, and CSV exports byte-identical to the serial path —
 // analysis then runs as a single pass over a frozen store snapshot
 // (store.DB.Freeze), memoized per campaign. internal/sweep fans
 // independent campaigns out across a bounded worker pool for
@@ -58,7 +61,7 @@
 // shutdown — or, with -shards N, splits it across worker processes
 // with a deterministic merge (cmd/v6shard is the multi-machine
 // form) — v6report regenerates every table and figure from a saved
-// or fresh campaign, v6sweep runs what-if parameter sweeps
+// or fresh campaign (and exports a saved one as CSV), v6sweep runs what-if parameter sweeps
 // concurrently (including -over sweeps across any scenario-spec
 // field), and v6topo inspects the synthetic substrate. All the
 // campaign tools accept -scenario <name|file>. examples/resume

@@ -5,8 +5,8 @@
 // "kills" it by cancelling its context once round 3 completes (the
 // same path a SIGINT takes in v6mon), resumes from the last committed
 // checkpoint in a fresh Scenario — exactly what a restarted process
-// would do — and then proves the resumed campaign's final CSVs are
-// byte-identical to a campaign that was never interrupted.
+// would do — and then proves the resumed campaign's databases, exported
+// as CSV, are byte-identical to a campaign that was never interrupted.
 //
 //	go run ./examples/resume
 package main
@@ -62,7 +62,7 @@ func main() {
 	if err := ref.RunContext(context.Background()); err != nil {
 		log.Fatal(err)
 	}
-	// World IPv6 Day and the final CSVs, as every tool finishes a
+	// World IPv6 Day and the saved databases, as every tool finishes a
 	// campaign.
 	if err := cli.Finish(context.Background(), ref, filepath.Join(root, "ref"), nil, ""); err != nil {
 		log.Fatal(err)
@@ -108,14 +108,21 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// The payoff: crash+resume left no trace in the measurements.
+	// The payoff: crash+resume left no trace in the measurements. Both
+	// products are compared as their CSV export, as `v6report -db DIR
+	// -csv OUT` writes it.
+	for _, run := range []string{"ref", "resumed"} {
+		if err := cli.ExportCSV(filepath.Join(root, run), filepath.Join(root, run+"-csv")); err != nil {
+			log.Fatal(err)
+		}
+	}
 	for _, name := range []string{"main/sites.csv", "main/dns.csv", "main/samples.csv", "main/paths.csv",
 		"v6day/sites.csv", "v6day/dns.csv", "v6day/samples.csv", "v6day/paths.csv"} {
-		want, err := os.ReadFile(filepath.Join(root, "ref", name))
+		want, err := os.ReadFile(filepath.Join(root, "ref-csv", name))
 		if err != nil {
 			log.Fatal(err)
 		}
-		got, err := os.ReadFile(filepath.Join(root, "resumed", name))
+		got, err := os.ReadFile(filepath.Join(root, "resumed-csv", name))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -3,8 +3,8 @@ package cli
 // The campaign lifecycle every long-running tool (v6mon, v6shard
 // coordinate, v6mond) shares: the signal context that drains it, the
 // exit that reports a drain, the one completion step a finished
-// campaign goes through, the one reader of the product it writes, and
-// the sharded driver around that step.
+// campaign goes through, the one reader of the product it writes and
+// its CSV export, and the sharded run around that step (RunSharded).
 
 import (
 	"context"
@@ -54,15 +54,17 @@ func Drained(tool, notice string, saved bool) {
 //     (nil ck: the caller keeps no checkpoint log), so an interrupted
 //     tail resumes into World IPv6 Day alone;
 //  2. run World IPv6 Day, with opts as its RunOptions;
-//  3. write the product to dir: both databases as CSV plus the
-//     completion Meta (NextRound == Rounds, Complete set) that marks
-//     dir as final rather than a resumable checkpoint;
+//  3. write the product to dir: both databases as compressed binary
+//     snapshots (main.v6db, v6day.v6db; each fsynced, renamed into
+//     place and its directory fsynced), then the completion Meta
+//     (NextRound == Rounds, Complete set) that marks dir as final
+//     rather than a resumable checkpoint;
 //  4. remove scratch, the checkpoint directory the product supersedes
 //     ("" removes nothing). A failed removal is harmless, since a
-//     rerun prefers the final CSVs, and is ignored.
+//     rerun prefers the finished product, and is ignored.
 //
 // ctx is checked between the steps, and step 2 honors it: a cancelled
-// ctx returns its error with no CSV and no meta.json written and
+// ctx returns its error with no snapshot and no meta.json written and
 // scratch left in place. Step 1 runs regardless, so a drain that lands
 // after the last round still commits it.
 func Finish(ctx context.Context, s *core.Scenario, dir string, ck store.Backend, scratch string, opts ...core.RunOption) error {
@@ -80,10 +82,14 @@ func Finish(ctx context.Context, s *core.Scenario, dir string, ck store.Backend,
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if err := s.DB.Save(filepath.Join(dir, store.SnapMain)); err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	if err := s.V6DayDB.Save(filepath.Join(dir, store.SnapV6Day)); err != nil {
+	opt := store.BinaryOptions{Compress: true, Fingerprint: s.Cfg.Fingerprint()}
+	if err := s.DB.SaveBinary(filepath.Join(dir, store.SnapMain+store.BinaryExt), opt); err != nil {
+		return err
+	}
+	if err := s.V6DayDB.SaveBinary(filepath.Join(dir, store.SnapV6Day+store.BinaryExt), opt); err != nil {
 		return err
 	}
 	err := store.WriteMeta(dir, store.Meta{
@@ -106,21 +112,33 @@ func Finish(ctx context.Context, s *core.Scenario, dir string, ck store.Backend,
 }
 
 // OpenCompleted loads a finished campaign's product from dir, as
-// Finish wrote it: the main database, which must load, and the World
-// IPv6 Day database, nil when dir holds none (saves older than the
-// side experiment). Any other failure to load either is an error.
+// Finish wrote it: the main and the World IPv6 Day databases, both of
+// which must load. A missing snapshot is a store.ErrNoDatabase error
+// naming its file; a product an earlier build wrote as CSV directories
+// fails that way too, and its campaign is rerun.
 func OpenCompleted(dir string) (main, v6day *store.DB, err error) {
 	if main, err = store.Load(filepath.Join(dir, store.SnapMain)); err != nil {
 		return nil, nil, err
 	}
-	v6day, err = store.Load(filepath.Join(dir, store.SnapV6Day))
-	switch {
-	case errors.Is(err, store.ErrNoDatabase):
-		return main, nil, nil
-	case err != nil:
+	if v6day, err = store.Load(filepath.Join(dir, store.SnapV6Day)); err != nil {
 		return nil, nil, err
 	}
 	return main, v6day, nil
+}
+
+// ExportCSV writes the finished campaign's product in dir as CSV under
+// out: out/main and out/v6day, each the four files DB.Save writes.
+// This is `v6report -db dir -csv out`, the one way a product becomes
+// CSV.
+func ExportCSV(dir, out string) error {
+	main, v6day, err := OpenCompleted(dir)
+	if err != nil {
+		return err
+	}
+	if err := main.Save(filepath.Join(out, store.SnapMain)); err != nil {
+		return err
+	}
+	return v6day.Save(filepath.Join(out, store.SnapV6Day))
 }
 
 // RunSharded is the sharded campaign driver behind `v6mon -shards` and

@@ -3,9 +3,9 @@
 // flags (behind every tool's "-scenario replaces the shape flags"
 // conflict errors), the campaign config the shape flags or a pack
 // resolve to, uniform fatal exits and drains, the one completion step
-// every finished campaign goes through (Finish) and the one reader of
-// its product (OpenCompleted), and the sharded driver around it
-// (RunSharded).
+// every finished campaign goes through (Finish), the one reader of its
+// product (OpenCompleted) and its CSV export (ExportCSV), and the
+// sharded run around it (RunSharded).
 package cli
 
 import (

@@ -16,7 +16,7 @@ package daemon
 // replacement acquires its own (so the two can never interleave staged
 // snapshots or collide on sequence numbers), the version swap refuses
 // round regression, and its context is cancelled, so the completion
-// tail (cli.Finish) writes no final CSV and deletes nothing.
+// tail (cli.Finish) writes no product and deletes nothing.
 
 import (
 	"context"
@@ -46,7 +46,7 @@ const (
 )
 
 // Campaign is one supervised measurement campaign: a compiled scenario
-// pack, its on-disk home (manifest, checkpoint log, final CSVs), and
+// pack, its on-disk home (manifest, checkpoint log, product), and
 // the atomically swapped serving state.
 type Campaign struct {
 	Name string
@@ -169,8 +169,8 @@ func (d *Daemon) supervise(ctx context.Context, c *Campaign) {
 // round can be left behind; err classifies the outcome (nil: campaign
 // complete).
 func (d *Daemon) attempt(ctx context.Context, c *Campaign, a *fault.Attempt) error {
-	// A campaign whose final CSVs are already on disk (completed in a
-	// previous daemon run) is served from them — no re-run, no
+	// A campaign whose product is already on disk (completed in a
+	// previous daemon run) is served from it — no re-run, no
 	// checkpoint log needed.
 	if done, err := d.openCompleted(c, a); err != nil {
 		return err
@@ -207,7 +207,7 @@ func (d *Daemon) attempt(ctx context.Context, c *Campaign, a *fault.Attempt) err
 	// The watchdog covers the rounds, from here on. The round goroutine
 	// runs under its own context, cancelled once the attempt is over:
 	// an abandoned attempt's goroutine stops at its next check, before
-	// it writes the final CSVs or deletes the checkpoint log.
+	// it writes the product or deletes the checkpoint log.
 	a.Beat()
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -295,7 +295,7 @@ var errFenced = errors.New("daemon: attempt fenced by watchdog; stopping without
 //
 // Every write to shared campaign state is gated on the attempt's
 // fence: checkpoints by ck (a fencedBackend), publishes by publish,
-// and the final CSVs and the checkpoint-log removal by ctx, which
+// and the product and the checkpoint-log removal by ctx, which
 // attempt cancels as soon as it sees the abandonment. A fenced attempt
 // returns an error into a channel nobody reads and exits.
 func (d *Daemon) runRounds(ctx context.Context, c *Campaign, a *fault.Attempt, s *core.Scenario, ck store.Backend) error {
@@ -345,11 +345,13 @@ func (d *Daemon) runRounds(ctx context.Context, c *Campaign, a *fault.Attempt, s
 	return nil
 }
 
-// openCompleted serves a campaign whose final CSVs are on disk from a
-// previous run: the saved databases are analyzed exactly as
-// `v6report -db` would, and the figures rebuilt from a fast-forwarded
-// scenario (pure list/adoption state). Returns done=false when the
-// campaign has not completed.
+// openCompleted serves a campaign whose product (the binary snapshots
+// cli.Finish wrote) is on disk from a previous run: both saved
+// databases are loaded and analyzed exactly as `v6report -db` would,
+// and the figures rebuilt from a fast-forwarded scenario (pure
+// list/adoption state). Returns done=false when the campaign has not
+// completed; a completed campaign whose product does not load is an
+// error.
 func (d *Daemon) openCompleted(c *Campaign, a *fault.Attempt) (bool, error) {
 	meta, ok, err := store.ReadMeta(c.dir)
 	if err != nil || !ok || !meta.Complete {
@@ -359,8 +361,6 @@ func (d *Daemon) openCompleted(c *Campaign, a *fault.Attempt) (bool, error) {
 		return false, fmt.Errorf("daemon: campaign %s: completed databases have fingerprint %s, manifest compiles to %s",
 			c.Name, meta.ConfigHash, c.comp.Config.Fingerprint())
 	}
-	// A missing World IPv6 Day database is tolerated, as v6report does:
-	// Tables 10/12 are skipped.
 	main, v6day, err := cli.OpenCompleted(c.dir)
 	if err != nil {
 		return false, err

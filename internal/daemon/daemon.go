@@ -35,7 +35,7 @@ import (
 // back-to-back), default retry policy, render concurrency 4.
 type Options struct {
 	// Dir is the daemon's data directory; campaigns live under
-	// Dir/campaigns/<name>/ (manifest, checkpoint log, final CSVs).
+	// Dir/campaigns/<name>/ (manifest, checkpoint log, product).
 	Dir string
 
 	// Addr is the HTTP listen address (":9646" by default; tests use

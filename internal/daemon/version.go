@@ -79,8 +79,7 @@ type Version struct {
 // buildVersion captures the campaign's serving state at the current
 // round boundary: the tables from snap, the main study database's
 // snapshot, and the figures and roster from s. v6day is nil until the
-// side experiment has run (so Tables 10/12 are skipped, as `v6report
-// -db` does on a save without a v6day database).
+// side experiment has run (so Tables 10/12 are skipped).
 func buildVersion(s *core.Scenario, snap *store.Snapshot, v6day *analysis.Study, complete bool, warmSet map[string]bool) *Version {
 	study := report.StudyOfSnapshot(snap, analysis.DefaultThresholds())
 	v := &Version{
@@ -119,10 +118,7 @@ func loadedVersion(cfg core.Config, main, v6day *store.DB, warmSet map[string]bo
 		return nil, err
 	}
 	s.FastForward(cfg.Rounds)
-	var v6 *analysis.Study
-	if v6day != nil {
-		v6 = report.StudyOfSnapshot(v6day.Freeze(), report.V6DayThresholds())
-	}
+	v6 := report.StudyOfSnapshot(v6day.Freeze(), report.V6DayThresholds())
 	return buildVersion(s, main.Freeze(), v6, true, warmSet), nil
 }
 

@@ -140,7 +140,7 @@ func loadSnapshotAuto(base string) (*DB, error) {
 	} else if !errors.Is(err, fs.ErrNotExist) {
 		return nil, err
 	}
-	return LoadBinary(base + BinaryExt)
+	return Load(base)
 }
 
 // CheckpointBackend stores each committed checkpoint as its own

@@ -137,32 +137,19 @@ func TestCheckpointBackendPrunes(t *testing.T) {
 	}
 }
 
-func TestLoadPartialDirNamesMissingFiles(t *testing.T) {
-	dir := t.TempDir()
-	if err := backendSampleDB().Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(dir, samplesFile)); err != nil {
-		t.Fatal(err)
-	}
-	_, err := Load(dir)
-	if err == nil {
-		t.Fatal("partial directory loaded without error")
-	}
-	if !strings.Contains(err.Error(), samplesFile) {
-		t.Fatalf("error does not name the missing file: %v", err)
-	}
-	if errors.Is(err, ErrNoDatabase) {
-		t.Fatalf("partial directory misreported as no database: %v", err)
-	}
-}
-
+// TestLoadEmptyDirIsErrNoDatabase: a directory without a snapshot
+// holds no database, whatever else it holds: Load of its main is
+// ErrNoDatabase naming main.v6db when the directory is empty, missing,
+// or holds the CSV export an earlier build wrote as its product.
 func TestLoadEmptyDirIsErrNoDatabase(t *testing.T) {
-	if _, err := Load(t.TempDir()); !errors.Is(err, ErrNoDatabase) {
-		t.Fatalf("empty dir: %v", err)
+	csvEra := t.TempDir()
+	if err := backendSampleDB().Save(filepath.Join(csvEra, SnapMain)); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Load(filepath.Join(t.TempDir(), "nonexistent")); !errors.Is(err, ErrNoDatabase) {
-		t.Fatalf("missing dir: %v", err)
+	for _, dir := range []string{t.TempDir(), filepath.Join(t.TempDir(), "nonexistent"), csvEra} {
+		if _, err := Load(filepath.Join(dir, SnapMain)); !errors.Is(err, ErrNoDatabase) || !strings.Contains(err.Error(), SnapMain+BinaryExt) {
+			t.Errorf("%s: %v, want ErrNoDatabase naming %s", dir, err, SnapMain+BinaryExt)
+		}
 	}
 }
 

@@ -6,9 +6,9 @@ package store
 // columnar tables, loading re-lands rows without re-deriving any
 // encoding. A checkpoint segment (chain.go) is the same container
 // with its own magic and version, holding the same sections from its
-// mark round. CSV (csv.go) remains the interchange and golden format;
-// this is the checkpoint/resume format, where persistence cost is on
-// the hot path.
+// mark round. It is the one format the program reads back: a
+// checkpoint and a finished campaign's product are both snapshots,
+// and CSV (csv.go) is only an export.
 //
 // Layout ("frame layout" in DESIGN.md § Snapshot formats):
 //
@@ -45,6 +45,7 @@ package store
 // size.
 
 import (
+	"bufio"
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
@@ -153,7 +154,10 @@ func sectionName(section byte, v Vantage) string {
 
 // Fixed-width little-endian u32, used by the header and index only
 // (section payloads stick to the shard wire's uvarint/u64 vocabulary).
-func (w *wbuf) u32(x uint32) { w.b = binary.LittleEndian.AppendUint32(w.b, x) }
+func (w *wbuf) u32(x uint32) {
+	w.room(4)
+	w.b = binary.LittleEndian.AppendUint32(w.b, x)
+}
 
 func (r *rbuf) u32() uint32 {
 	if r.err != nil {
@@ -252,13 +256,35 @@ func saveFrames(path string, opt BinaryOptions, write func(*os.File, BinaryOptio
 
 // frameWriter lays out one container file — a header placeholder,
 // the section frames, the index, then the real header — for
-// snapshots and checkpoint segments (chain.go) alike.
+// snapshots and checkpoint segments (chain.go) alike. It keeps one
+// payload buffer and one flate writer across its sections and
+// compresses each frame straight into the file, so a save holds no
+// more than its largest section's payload.
 type frameWriter struct {
 	f             *os.File
 	opt           BinaryOptions
 	off           uint64
 	anyCompressed bool
 	secs          []binSection
+	payload       wbuf
+	out           *bufio.Writer // between zw and f
+	sink          frameSink     // zw's output, counted on its way to out
+	zw            *flate.Writer
+}
+
+// frameSink counts and checksums a compressed frame's bytes on their
+// way to the file.
+type frameSink struct {
+	w   io.Writer
+	n   uint64
+	crc uint32
+}
+
+func (s *frameSink) Write(p []byte) (int, error) {
+	n, err := s.w.Write(p)
+	s.n += uint64(n)
+	s.crc = crc32.Update(s.crc, binCRCTable, p[:n])
+	return n, err
 }
 
 func newFrameWriter(f *os.File, opt BinaryOptions) (*frameWriter, error) {
@@ -270,40 +296,72 @@ func newFrameWriter(f *os.File, opt BinaryOptions) (*frameWriter, error) {
 	return &frameWriter{f: f, opt: opt, off: binHeaderSize}, nil
 }
 
+// encode writes the (section, vantage) frame whose payload enc
+// appends to the writer's emptied payload buffer, returning the
+// section's entry count.
+func (fw *frameWriter) encode(section byte, v Vantage, enc func(w *wbuf) int) error {
+	fw.payload.b = fw.payload.b[:0]
+	n := enc(&fw.payload)
+	return fw.section(section, v, fw.payload.b, n)
+}
+
 // section writes one (section, vantage) frame; a section without
-// entries is skipped.
+// entries is skipped. With Compress the frame is stored compressed
+// when that shrinks it; otherwise the compressed bytes already written
+// are cut off and the payload stored as it is.
 func (fw *frameWriter) section(section byte, v Vantage, payload []byte, entries int) error {
 	if entries == 0 {
 		return nil
 	}
-	stored, compressed := payload, false
+	s := binSection{section: section, vantage: v, entries: uint64(entries), off: fw.off, ulen: uint64(len(payload))}
 	if fw.opt.Compress {
-		var zbuf bytes.Buffer
-		zw, err := flate.NewWriter(&zbuf, flate.BestSpeed)
+		if err := fw.deflate(payload); err != nil {
+			return err
+		}
+		s.clen, s.crc, s.compressed = fw.sink.n, fw.sink.crc, fw.sink.n < s.ulen
+		if !s.compressed {
+			if _, err := fw.f.Seek(int64(s.off), io.SeekStart); err != nil {
+				return err
+			}
+			if err := fw.f.Truncate(int64(s.off)); err != nil {
+				return err
+			}
+		}
+	}
+	if !s.compressed {
+		if _, err := fw.f.Write(payload); err != nil {
+			return err
+		}
+		s.clen, s.crc = s.ulen, crc32.Checksum(payload, binCRCTable)
+	}
+	fw.anyCompressed = fw.anyCompressed || s.compressed
+	fw.secs = append(fw.secs, s)
+	fw.off += s.clen
+	return nil
+}
+
+// deflate writes payload flate-compressed at the file's end, counting
+// and checksumming the bytes in fw.sink.
+func (fw *frameWriter) deflate(payload []byte) error {
+	if fw.zw == nil {
+		fw.out = bufio.NewWriterSize(fw.f, 64<<10)
+		fw.sink.w = fw.out
+		zw, err := flate.NewWriter(&fw.sink, flate.BestSpeed)
 		if err != nil {
 			return err
 		}
-		if _, err := zw.Write(payload); err != nil {
-			return err
-		}
-		if err := zw.Close(); err != nil {
-			return err
-		}
-		if zbuf.Len() < len(payload) {
-			stored, compressed = zbuf.Bytes(), true
-			fw.anyCompressed = true
-		}
+		fw.zw = zw
+	} else {
+		fw.zw.Reset(&fw.sink)
 	}
-	if _, err := fw.f.Write(stored); err != nil {
+	fw.sink.n, fw.sink.crc = 0, 0
+	if _, err := fw.zw.Write(payload); err != nil {
 		return err
 	}
-	fw.secs = append(fw.secs, binSection{
-		section: section, vantage: v, compressed: compressed,
-		entries: uint64(entries), off: fw.off, clen: uint64(len(stored)),
-		ulen: uint64(len(payload)), crc: crc32.Checksum(stored, binCRCTable),
-	})
-	fw.off += uint64(len(stored))
-	return nil
+	if err := fw.zw.Close(); err != nil {
+		return err
+	}
+	return fw.out.Flush()
 }
 
 // finish writes the index and the header (as container kind c, with
@@ -372,48 +430,43 @@ func (db *DB) writeBinary(f *os.File, opt BinaryOptions) error {
 	if err != nil {
 		return err
 	}
-	var w wbuf
-	nSites := db.appendSnapSites(&w)
-	if err := fw.section(ShardSites, "", w.b, nSites); err != nil {
+	if err := fw.encode(ShardSites, "", db.appendSnapSites); err != nil {
 		return err
 	}
 	for _, v := range db.Vantages() {
-		w = wbuf{}
-		nDNS, err := db.appendDNS(&w, v, 0, snapAllSites, 0, 0, nil)
-		if err != nil {
+		if err := fw.encode(ShardDNS, v, func(w *wbuf) int { return db.appendDNS(w, v, 0, snapAllSites, 0, 0, nil) }); err != nil {
 			return err
 		}
-		if err := fw.section(ShardDNS, v, w.b, nDNS); err != nil {
+		if err := fw.encode(ShardSamples, v, func(w *wbuf) int { return db.appendSamples(w, v, 0, snapAllSites, 0, 0) }); err != nil {
 			return err
 		}
-		w = wbuf{}
-		nSamples, err := db.appendSamples(&w, v, 0, snapAllSites, 0, 0)
-		if err != nil {
-			return err
-		}
-		if err := fw.section(ShardSamples, v, w.b, nSamples); err != nil {
-			return err
-		}
-		w = wbuf{}
-		nPaths, err := db.appendPaths(&w, v, 0)
-		if err != nil {
-			return err
-		}
-		if err := fw.section(snapPaths, v, w.b, nPaths); err != nil {
+		if err := fw.encode(snapPaths, v, func(w *wbuf) int { return db.appendPaths(w, v, 0) }); err != nil {
 			return err
 		}
 	}
 	return fw.finish(snapshotFile, db.res)
 }
 
-// LoadBinary reads a snapshot written by SaveBinary, memory-mapping
+// ErrNoDatabase reports that nothing was saved where a database was
+// expected, as opposed to a damaged save (a *CorruptSnapshotError).
+// Test for it with errors.Is.
+var ErrNoDatabase = errors.New("no saved database")
+
+// Load reads the database saved at base, the binary snapshot
+// base+BinaryExt that SaveBinary wrote: a finished campaign's product
+// (dir/main, dir/v6day) or a whole checkpoint snapshot. A missing file
+// is ErrNoDatabase, naming the path; a damaged one a
+// *CorruptSnapshotError (see loadBinary).
+func Load(base string) (*DB, error) { return loadBinary(base + BinaryExt) }
+
+// loadBinary reads a snapshot written by SaveBinary, memory-mapping
 // the file when the platform allows. A missing file wraps
 // ErrNoDatabase; a file whose bytes were read but do not decode is a
 // *CorruptSnapshotError naming the damaged part. I/O failures that
 // prevent reading the bytes at all (permission denied, a directory
 // at the path) are neither — they are returned as the OS reported
 // them, since the snapshot's state on disk is unknown.
-func LoadBinary(path string) (*DB, error) {
+func loadBinary(path string) (*DB, error) {
 	data, release, err := mapSnapshotFile(path)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
@@ -651,16 +704,15 @@ func inflateSection(stored []byte, ulen uint64) ([]byte, error) {
 // length zero straight from the columns; only hostOver exceptions and
 // overflow rows are compared against the derived name.
 func (db *DB) appendSnapSites(w *wbuf) int {
-	var rows wbuf
+	slot := w.countSlot()
 	n := 0
 	prev := alexa.SiteID(-1)
 	db.forEachStoredSite(func(r SiteRow, derived bool) {
-		rows.siteRow(prev, r, derived)
+		w.siteRow(prev, r, derived)
 		prev = r.Site
 		n++
 	})
-	w.uvarint(uint64(n))
-	w.bytes(rows.b)
+	w.fillCount(slot, n)
 	return n
 }
 
@@ -693,7 +745,7 @@ type BinaryInfo struct {
 
 // ReadBinaryInfo validates and summarizes a snapshot's header and
 // index — O(sections), regardless of database size. Errors follow
-// the LoadBinary contract: ErrNoDatabase for a missing file,
+// the Load contract: ErrNoDatabase for a missing file,
 // *CorruptSnapshotError for undecodable bytes, raw OS errors when
 // the file could not be read.
 func ReadBinaryInfo(path string) (BinaryInfo, error) {

@@ -189,7 +189,8 @@ func TestBinaryImplausibleHeaderRanges(t *testing.T) {
 // not — carrying a duplicate or an earlier round, at a dense id or an
 // overflow id — is corrupt in that section. The same snapshot with the
 // count at 0 loads. A paths section whose keys repeat or descend is
-// corrupt too.
+// corrupt too, as is a samples or paths section holding a row at
+// maxRound, a round the writers refuse.
 func TestBinaryOutOfOrderCountIsCorrupt(t *testing.T) {
 	db := binarySampleDB()
 	snapshot := func(section byte, payload []byte) []byte {
@@ -245,6 +246,11 @@ func TestBinaryOutOfOrderCountIsCorrupt(t *testing.T) {
 		var ce *CorruptSnapshotError
 		if !errors.As(err, &ce) || ce.Section != "paths/penn" || !strings.Contains(err.Error(), "keys out of order") {
 			t.Errorf("%s path keys: %v, want paths/penn corrupt with keys out of order", name, err)
+		}
+	}
+	for _, s := range pastLastRoundSections() {
+		if got, want := loadMutated(t, s.name, snapshot(s.section, s.payload)), sectionName(s.section, "penn"); got != want {
+			t.Errorf("%s: blamed %q, want %q", s.name, got, want)
 		}
 	}
 }

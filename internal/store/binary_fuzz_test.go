@@ -18,6 +18,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"v6web/internal/topo"
 )
 
 // fuzzSeedSnapshots builds the golden snapshot seeds: compressed and
@@ -125,20 +127,40 @@ func fuzzSectionSeeds(tb testing.TB) []sectionSeed {
 	for _, s := range []struct {
 		name    string
 		section byte
-		encode  func(w *wbuf) (int, error)
+		encode  func(w *wbuf) int
 	}{
-		{"golden-dns", ShardDNS, func(w *wbuf) (int, error) { return db.appendDNS(w, "penn", 0, snapAllSites, 0, 0, nil) }},
-		{"golden-samples", ShardSamples, func(w *wbuf) (int, error) { return db.appendSamples(w, "penn", 0, snapAllSites, 0, 0) }},
-		{"golden-paths", snapPaths, func(w *wbuf) (int, error) { return db.appendPaths(w, "penn", 0) }},
+		{"golden-dns", ShardDNS, func(w *wbuf) int { return db.appendDNS(w, "penn", 0, snapAllSites, 0, 0, nil) }},
+		{"golden-samples", ShardSamples, func(w *wbuf) int { return db.appendSamples(w, "penn", 0, snapAllSites, 0, 0) }},
+		{"golden-paths", snapPaths, func(w *wbuf) int { return db.appendPaths(w, "penn", 0) }},
 	} {
 		w = wbuf{}
-		if _, err := s.encode(&w); err != nil {
-			tb.Fatal(err)
-		}
+		s.encode(&w)
 		add(s.name, s.section, w.b)
 	}
 	add("golden-unknown-empty", 0, []byte{})
-	return seeds
+	return append(seeds, pastLastRoundSections()...)
+}
+
+// pastLastRoundSections returns a samples and a paths section for
+// vantage penn, each holding one row at maxRound: the first round the
+// writers refuse, so a decoder must refuse it too.
+func pastLastRoundSections() []sectionSeed {
+	var samples wbuf
+	samples.uvarint(1) // one date
+	samples.u64(0)
+	samples.uvarint(1) // one series: site 3, IPv6
+	samples.uvarint(3)
+	samples.byteVal(byte(topo.V6))
+	samples.samples([]packedSample{{round: maxRound, page: 10, speed: 1}})
+	var paths wbuf
+	paths.uvarint(1) // one key: IPv6 to AS 9
+	paths.byteVal(byte(topo.V6))
+	paths.uvarint(9)
+	paths.pathSnaps([]PathSnapshot{{Round: maxRound, Path: []int{2, 9}}})
+	return []sectionSeed{
+		{"crafted-samples-past-last-round", ShardSamples, samples.b},
+		{"crafted-paths-past-last-round", snapPaths, paths.b},
+	}
 }
 
 func FuzzDecodeSection(f *testing.F) {

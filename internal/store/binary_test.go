@@ -85,11 +85,12 @@ func TestBinaryRoundTripCSVIdentical(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			db := binarySampleDB()
 			want := saveCSVBytes(t, db)
-			path := filepath.Join(t.TempDir(), "main"+BinaryExt)
+			base := filepath.Join(t.TempDir(), "main")
+			path := base + BinaryExt
 			if err := db.SaveBinary(path, BinaryOptions{Compress: compress}); err != nil {
 				t.Fatal(err)
 			}
-			loaded, err := LoadBinary(path)
+			loaded, err := Load(base)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -126,11 +127,12 @@ func TestBinarySaveDeterministic(t *testing.T) {
 	if !bytes.Equal(first, save(db)) {
 		t.Fatal("saving the same database twice produced different bytes")
 	}
-	path := filepath.Join(t.TempDir(), "snap"+BinaryExt)
+	base := filepath.Join(t.TempDir(), "snap")
+	path := base + BinaryExt
 	if err := os.WriteFile(path, first, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadBinary(path)
+	loaded, err := Load(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,39 +173,13 @@ func TestCheckpointBinaryInfo(t *testing.T) {
 }
 
 func TestLoadBinaryMissingIsErrNoDatabase(t *testing.T) {
-	_, err := LoadBinary(filepath.Join(t.TempDir(), "absent"+BinaryExt))
-	if !errors.Is(err, ErrNoDatabase) {
-		t.Fatalf("missing file: %v", err)
+	_, err := Load(filepath.Join(t.TempDir(), "absent"))
+	if !errors.Is(err, ErrNoDatabase) || !errContains(err, "absent"+BinaryExt) {
+		t.Fatalf("missing file: %v, want ErrNoDatabase naming absent%s", err, BinaryExt)
 	}
 	var ce *CorruptSnapshotError
 	if errors.As(err, &ce) {
 		t.Fatalf("missing file misreported as corrupt: %v", err)
-	}
-}
-
-func TestLoadPartialDirNamesAllMissingFiles(t *testing.T) {
-	// A partial save with several files gone must name every one of
-	// them, and must stay distinct from ErrNoDatabase.
-	dir := t.TempDir()
-	if err := backendSampleDB().Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{dnsFile, samplesFile} {
-		if err := os.Remove(filepath.Join(dir, name)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_, err := Load(dir)
-	if err == nil {
-		t.Fatal("partial directory loaded without error")
-	}
-	for _, name := range []string{dnsFile, samplesFile} {
-		if !errContains(err, name) {
-			t.Errorf("error does not name missing %s: %v", name, err)
-		}
-	}
-	if errors.Is(err, ErrNoDatabase) {
-		t.Fatalf("partial directory misreported as no database: %v", err)
 	}
 }
 
@@ -227,7 +203,8 @@ func TestLoadBinaryReserveCappedByStoredBytes(t *testing.T) {
 		db.PutSite(SiteRow{Site: id, Host: alexa.HostName(id), FirstRank: 1, V4AS: 5, V6AS: 6})
 	}
 	want := saveCSVBytes(t, db)
-	path := filepath.Join(t.TempDir(), "dense"+BinaryExt)
+	base := filepath.Join(t.TempDir(), "dense")
+	path := base + BinaryExt
 	if err := db.SaveBinary(path, BinaryOptions{Compress: true}); err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +227,7 @@ func TestLoadBinaryReserveCappedByStoredBytes(t *testing.T) {
 	if n <= 2*clen || n > 2*ulen {
 		t.Fatalf("snapshot not in the regression window: %d ids, %d stored, %d uncompressed", n, clen, ulen)
 	}
-	loaded, err := LoadBinary(path)
+	loaded, err := Load(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +260,8 @@ func TestSaveBinaryLeavesNoTempOnSuccess(t *testing.T) {
 func TestSaveBinaryOverwritesAtomically(t *testing.T) {
 	// A second save over an existing snapshot replaces it wholesale;
 	// the old file stays intact until the rename.
-	path := filepath.Join(t.TempDir(), "main"+BinaryExt)
+	base := filepath.Join(t.TempDir(), "main")
+	path := base + BinaryExt
 	db := binarySampleDB()
 	if err := db.SaveBinary(path, BinaryOptions{}); err != nil {
 		t.Fatal(err)
@@ -292,7 +270,7 @@ func TestSaveBinaryOverwritesAtomically(t *testing.T) {
 	if err := db.SaveBinary(path, BinaryOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadBinary(path)
+	loaded, err := Load(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,11 +292,12 @@ func TestLoadBinarySparseSnapshotSkipsReserve(t *testing.T) {
 	db.AddDNS("penn", DNSRow{Site: 12, Round: 0, HasA: true})
 	want := saveCSVBytes(t, db)
 
-	path := filepath.Join(t.TempDir(), "sparse"+BinaryExt)
+	base := filepath.Join(t.TempDir(), "sparse")
+	path := base + BinaryExt
 	if err := db.SaveBinary(path, BinaryOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadBinary(path)
+	loaded, err := Load(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +343,7 @@ func referenceSnapSites(db *DB) []byte {
 // database mixing canonical dense rows (main and extended, written by
 // PutSite and by the monitor's batched Flush), in-range custom
 // hosts, and overflow rows with canonical and custom hosts on both
-// sides of each dense range; LoadBinary round-trips it.
+// sides of each dense range; Load round-trips it.
 func TestSnapSitesMatchReferenceEncoder(t *testing.T) {
 	const extBase = alexa.SiteID(1 << 20)
 	db := NewDB()
@@ -394,7 +373,8 @@ func TestSnapSitesMatchReferenceEncoder(t *testing.T) {
 
 	want := referenceSnapSites(db)
 	for _, compress := range []bool{false, true} {
-		path := filepath.Join(t.TempDir(), "sites"+BinaryExt)
+		base := filepath.Join(t.TempDir(), "sites")
+		path := base + BinaryExt
 		if err := db.SaveBinary(path, BinaryOptions{Compress: compress}); err != nil {
 			t.Fatal(err)
 		}
@@ -421,7 +401,7 @@ func TestSnapSitesMatchReferenceEncoder(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("compress=%v: site section differs from the reference encoder:\n got %x\nwant %x", compress, got, want)
 		}
-		back, err := LoadBinary(path)
+		back, err := Load(base)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -226,43 +226,26 @@ func (db *DB) writeSegment(f *os.File, opt BinaryOptions, from dbMark) error {
 	if err != nil {
 		return err
 	}
-	var w wbuf
-	n := from.appendState(&w)
-	if err := fw.section(segState, "", w.b, n); err != nil {
+	if err := fw.encode(segState, "", from.appendState); err != nil {
 		return err
 	}
-	w = wbuf{}
-	n = db.appendSegSites(&w)
-	if err := fw.section(ShardSites, "", w.b, n); err != nil {
+	if err := fw.encode(ShardSites, "", db.appendSegSites); err != nil {
 		return err
 	}
 	tables := db.tables()
 	for _, v := range db.Vantages() {
 		vm, now := from.vantage(v), tables[v].state(v, false)
-		w = wbuf{}
-		n, err := db.appendSegDNS(&w, v, vm.round, now.round)
-		if err != nil {
-			return err
-		}
-		if err := fw.section(ShardDNS, v, w.b, n); err != nil {
-			return err
-		}
-		w = wbuf{}
-		n, err = db.appendSamples(&w, v, 0, snapAllSites, vm.round, vm.dates)
-		if err != nil {
+		if err := fw.encode(ShardDNS, v, func(w *wbuf) int { return db.appendSegDNS(w, v, vm.round, now.round) }); err != nil {
 			return err
 		}
 		// New dates come with new samples, but count them so that a
 		// section holding only dates is still written.
-		if err := fw.section(ShardSamples, v, w.b, n+now.dates-vm.dates); err != nil {
+		if err := fw.encode(ShardSamples, v, func(w *wbuf) int {
+			return db.appendSamples(w, v, 0, snapAllSites, vm.round, vm.dates) + now.dates - vm.dates
+		}); err != nil {
 			return err
 		}
-		w = wbuf{}
-		n, err = db.appendPaths(&w, v, vm.round)
-		if err != nil {
-			return err
-		}
-		if err := fw.section(snapPaths, v, w.b, n); err != nil {
+		if err := fw.encode(snapPaths, v, func(w *wbuf) int { return db.appendPaths(w, v, vm.round) }); err != nil {
 			return err
 		}
 	}
@@ -307,7 +290,7 @@ func decodeState(r *rbuf) dbMark {
 		for k := range x {
 			x[k] = r.uvarint()
 		}
-		if x[0] > maxRound {
+		if x[0] > maxRound { // one past the newest round: maxRound is a mark
 			r.fail("store: segment state: mark round %d out of range", x[0])
 			break
 		}
@@ -349,7 +332,7 @@ func (db *DB) appendSegSites(w *wbuf) int {
 		sh.mu.Unlock()
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	var rows wbuf
+	w.uvarint(uint64(len(ids)))
 	prev := alexa.SiteID(-1)
 	for _, id := range ids {
 		sh := db.siteShard(id)
@@ -366,11 +349,9 @@ func (db *DB) appendSegSites(w *wbuf) int {
 			row = sh.over[id]
 		}
 		sh.mu.Unlock()
-		rows.siteRow(prev, row, derived)
+		w.siteRow(prev, row, derived)
 		prev = id
 	}
-	w.uvarint(uint64(len(ids)))
-	w.bytes(rows.b)
 	return len(ids)
 }
 
@@ -378,19 +359,16 @@ func (db *DB) appendSegSites(w *wbuf) int {
 // up to round to (exclusive): to, the id runs (start, length) of the
 // sites whose open run grew from before from to exactly to, then
 // appendDNS's list of every other site with history at rounds >= from.
-func (db *DB) appendSegDNS(w *wbuf, v Vantage, from, to int32) (int, error) {
+func (db *DB) appendSegDNS(w *wbuf, v Vantage, from, to int32) int {
 	var grown idRuns
 	var list wbuf
-	n, err := db.appendDNS(&list, v, 0, snapAllSites, from, to, &grown)
-	if err != nil {
-		return 0, err
-	}
+	n := db.appendDNS(&list, v, 0, snapAllSites, from, to, &grown)
 	grown.flush()
 	w.uvarint(uint64(to))
 	w.uvarint(uint64(grown.n))
 	w.bytes(grown.w.b)
 	w.bytes(list.b)
-	return grown.n + n, nil
+	return grown.n + n
 }
 
 // applySegment decodes one segment file's bytes onto db, which must be
@@ -499,7 +477,7 @@ func (t *vantageTable) growRun(r *rbuf, res reservation, id alexa.SiteID, from, 
 // segment that does not continue the state before it is a
 // *CorruptSnapshotError.
 func loadChain(base string) (*DB, error) {
-	db, err := LoadBinary(base + chainBaseSuffix)
+	db, err := loadBinary(base + chainBaseSuffix)
 	if err != nil {
 		return nil, err
 	}

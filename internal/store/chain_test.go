@@ -187,8 +187,8 @@ func TestChainOlderRoundForcesBase(t *testing.T) {
 
 // TestChainSurvivesPruningAndFallsBack: with Keep 1 the newest chain
 // loads through its hard links once the base's own directory is gone;
-// a chain directory has no whole main.v6db, so a loader that knows
-// only whole snapshots and CSV directories reports ErrNoDatabase; and
+// a chain directory has no whole main.v6db, so Load, which knows only
+// whole snapshots, reports ErrNoDatabase; and
 // once the predecessor directory is removed, the next checkpoint is a
 // base.
 func TestChainSurvivesPruningAndFallsBack(t *testing.T) {
@@ -212,11 +212,8 @@ func TestChainSurvivesPruningAndFallsBack(t *testing.T) {
 	requireLoadsAs(t, dir, db)
 
 	ck := filepath.Join(b.root(), names[0])
-	if _, err := LoadBinary(filepath.Join(ck, SnapMain+BinaryExt)); !errors.Is(err, ErrNoDatabase) {
-		t.Fatalf("whole-snapshot load of a chain directory: %v, want ErrNoDatabase", err)
-	}
 	if _, err := Load(filepath.Join(ck, SnapMain)); !errors.Is(err, ErrNoDatabase) {
-		t.Fatalf("CSV load of a chain directory: %v, want ErrNoDatabase", err)
+		t.Fatalf("whole-snapshot load of a chain directory: %v, want ErrNoDatabase", err)
 	}
 
 	if err := os.RemoveAll(ck); err != nil {
@@ -497,9 +494,9 @@ func TestSegSamplesMatchReferenceEncoder(t *testing.T) {
 				for from := int32(0); from <= int32(r)+1; from++ {
 					datesFrom := rng.Intn(len(tab.dateTable()) + 1)
 					var got, want wbuf
-					ng, err := db.appendSamples(&got, v, 0, snapAllSites, from, datesFrom)
+					ng := db.appendSamples(&got, v, 0, snapAllSites, from, datesFrom)
 					nw := tab.referenceSamples(&want, db.res, from, datesFrom)
-					if err != nil || ng != nw || !bytes.Equal(got.b, want.b) {
+					if ng != nw || !bytes.Equal(got.b, want.b) {
 						t.Fatalf("seed %d round %d %s from %d: %d entries %x, reference %d entries %x", seed, r, v, from, ng, got.b, nw, want.b)
 					}
 				}

@@ -20,10 +20,12 @@ import (
 	"v6web/internal/topo"
 )
 
-// This file pins the CSV product to encoding/csv: Save's bytes against
+// This file pins the CSV export to encoding/csv: Save's bytes against
 // a reference encoder that builds a []string per row and hands it to a
-// csv.Writer, and Load's verdicts against a reference loader that
-// reads every record through a csv.Reader.
+// csv.Writer. It also reads exports back with a reference loader that
+// parses every record through a csv.Reader, so that adversarial CSV
+// can describe the databases the product round trip (SaveBinary, then
+// Load) must carry unchanged.
 
 // awkwardText holds strings that exercise encoding/csv's quoting rule:
 // commas, quotes, CR, LF, CRLF, leading Unicode spaces, Postgres's
@@ -40,41 +42,26 @@ var awkwardVantages = []Vantage{"penn", "se,attle", `q"uote`, "cr\r\nlf", " lead
 
 // awkwardDB builds a database whose hosts and vantage names are
 // awkward text, on dense main and extended ids and overflow ids
-// outside the dense ranges. Every string passes through norm first.
-// Unless loadable, it also holds what the write API accepts and Load
-// rejects: an empty host, negative overflow ids, origin ASes below -1,
-// a negative page size and a negative path AS. A loadable database
-// drops the empty host and puts ids between the dense ranges, origins
-// -1 and up, a zero page size and a positive path AS in their place.
-func awkwardDB(norm func(string) string, loadable bool) *DB {
+// outside the dense ranges. It also holds values at the edges of what
+// the write API accepts: an empty host, negative overflow ids, origin
+// ASes below -1, a negative page size and a negative path AS.
+func awkwardDB() *DB {
 	const extBase = alexa.SiteID(1 << 20)
 	db := NewDB()
 	db.Reserve(64, extBase, 32)
-	otherID := func(i int) alexa.SiteID { return alexa.SiteID(-1 - i) }
-	v4AS := func(k int) int { return -1 - k }
-	page, pathAS := -1, -7
-	if loadable {
-		otherID = func(i int) alexa.SiteID { return alexa.SiteID(1000 + i) }
-		v4AS = func(k int) int { return k - 1 }
-		page, pathAS = 0, 7
-	}
 	ids := func(i int) []alexa.SiteID {
-		return []alexa.SiteID{alexa.SiteID(i), extBase + alexa.SiteID(i), 5_000_000 + alexa.SiteID(i), otherID(i)}
+		return []alexa.SiteID{alexa.SiteID(i), extBase + alexa.SiteID(i), 5_000_000 + alexa.SiteID(i), alexa.SiteID(-1 - i)}
 	}
 	for i, host := range awkwardText {
-		if loadable && host == "" {
-			continue
-		}
 		for k, id := range ids(i) {
-			db.PutSite(SiteRow{Site: id, Host: norm(host), FirstRank: i * k, V4AS: v4AS(k), V6AS: 64500 - i})
+			db.PutSite(SiteRow{Site: id, Host: host, FirstRank: i * k, V4AS: -1 - k, V6AS: 64500 - i})
 		}
 	}
 	for i := 40; i < 44; i++ { // canonical hosts, as the monitor writes them
 		db.PutSite(SiteRow{Site: alexa.SiteID(i), Host: alexa.HostName(alexa.SiteID(i)), FirstRank: i, V4AS: 7, V6AS: -1})
 	}
 	date := time.Date(2011, 6, 8, 0, 0, 0, 0, time.UTC)
-	for vi, rawV := range awkwardVantages {
-		v := Vantage(norm(string(rawV)))
+	for vi, v := range awkwardVantages {
 		for i := 0; i < 6; i++ {
 			for _, id := range ids(i) {
 				for round := 0; round < 5; round++ {
@@ -82,11 +69,11 @@ func awkwardDB(norm func(string) string, loadable bool) *DB {
 				}
 				db.AddDNS(v, DNSRow{Site: id, Round: 7, HasA: true}) // after a gap
 				db.AddSample(v, id, topo.V6, Sample{Round: 1, Date: date.AddDate(0, 0, vi), PageBytes: 1000 + i, Downloads: 3, MeanSpeed: 1.0 / 3, CIOK: i%2 == 0})
-				db.AddSample(v, id, topo.V4, Sample{Round: 1, Date: date, PageBytes: page, Downloads: 0, MeanSpeed: 12345.678, CIOK: true})
+				db.AddSample(v, id, topo.V4, Sample{Round: 1, Date: date, PageBytes: -1, Downloads: 0, MeanSpeed: 12345.678, CIOK: true})
 			}
 		}
 		db.AddPath(v, topo.V4, 9, 0, []int{2, 5, 9})
-		db.AddPath(v, topo.V4, 9, 3, []int{2, pathAS, 9})
+		db.AddPath(v, topo.V4, 9, 3, []int{2, -7, 9})
 		db.AddPath(v, topo.V6, 4, 1, nil)
 		db.AddPath(v, topo.V6, 4, 2, []int{4})
 	}
@@ -168,10 +155,29 @@ func referenceSave(t *testing.T, db *DB) map[string][]byte {
 	return out
 }
 
-// referenceLoad is Load as a csv.Reader loop: every record of every
-// file parsed by encoding/csv, the header compared with Save's, each
-// field checked against its column's bounds, and rows applied one by
-// one through the public write API. A DNS row must extend its site's
+// TestSaveMatchesReferenceEncoder: Save's four files are byte-equal to
+// encoding/csv's for a database of awkward hosts and vantage names.
+func TestSaveMatchesReferenceEncoder(t *testing.T) {
+	db := awkwardDB()
+	got := saveCSVBytes(t, db)
+	want := referenceSave(t, db)
+	for _, name := range []string{sitesFile, dnsFile, samplesFile, pathsFile} {
+		if !bytes.Equal(got[name], want[name]) {
+			t.Errorf("%s differs from the encoding/csv reference:\n got %q\nwant %q", name, got[name], want[name])
+		}
+	}
+	if !bytes.Contains(got[sitesFile], []byte(`"quo""te.example"`)) || !bytes.Contains(got[dnsFile], []byte("\n\" lead\",")) {
+		t.Fatal("awkward fields were not quoted: the test database lost its point")
+	}
+}
+
+// referenceLoad reads a directory of the four CSV files Save exports
+// as a csv.Reader loop: every record of every file parsed by
+// encoding/csv, the header compared with Save's, each field checked
+// against its column's bounds, and rows applied one by one through the
+// public write API. The bounds are what a snapshot is meant to carry:
+// 32-bit counts, ranks and ASes, rounds below 2^30, site ids below
+// 2^62 and dates in Unix nanoseconds. A DNS row must extend its site's
 // history, which the loop tracks as the round each (vantage, site)
 // history ends before.
 func referenceLoad(dir string) (*DB, error) {
@@ -368,53 +374,7 @@ func referenceLoadFile(path string, header []string, row func(rec []string) erro
 	}
 }
 
-// TestSaveMatchesReferenceEncoder: Save's four files are byte-equal to
-// encoding/csv's for databases of awkward hosts and vantage names, one
-// of them holding values Load rejects, and Load brings the loadable
-// one back — with CRLF inside a field read as LF, the one
-// normalization csv.Reader applies to quoted fields — as the
-// csv.Reader reference does, and through a binary round trip.
-func TestSaveMatchesReferenceEncoder(t *testing.T) {
-	identity := func(s string) string { return s }
-	for _, loadable := range []bool{false, true} {
-		db := awkwardDB(identity, loadable)
-		got := saveCSVBytes(t, db)
-		want := referenceSave(t, db)
-		for _, name := range []string{sitesFile, dnsFile, samplesFile, pathsFile} {
-			if !bytes.Equal(got[name], want[name]) {
-				t.Errorf("loadable=%v: %s differs from the encoding/csv reference:\n got %q\nwant %q", loadable, name, got[name], want[name])
-			}
-		}
-		if !bytes.Contains(got[sitesFile], []byte(`"quo""te.example"`)) || !bytes.Contains(got[dnsFile], []byte("\n\" lead\",")) {
-			t.Fatal("awkward fields were not quoted: the test database lost its point")
-		}
-	}
-
-	db := awkwardDB(identity, true)
-	dir := t.TempDir()
-	if err := db.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkLoadAgrees(t, dir, t.TempDir())
-	lf := awkwardDB(func(s string) string { return strings.ReplaceAll(s, "\r\n", "\n") }, true)
-	gotBack, wantBack := saveCSVBytes(t, back), saveCSVBytes(t, lf)
-	for _, name := range []string{sitesFile, dnsFile, samplesFile, pathsFile} {
-		if !bytes.Equal(gotBack[name], wantBack[name]) {
-			t.Errorf("%s did not round-trip through Load:\n got %q\nwant %q", name, gotBack[name], wantBack[name])
-		}
-	}
-	s1, d1, sa1, p1 := back.Counts()
-	s2, d2, sa2, p2 := db.Counts()
-	if s1 != s2 || d1 != d2 || sa1 != sa2 || p1 != p2 {
-		t.Fatalf("loaded counts (%d %d %d %d), saved (%d %d %d %d)", s1, d1, sa1, p1, s2, d2, sa2, p2)
-	}
-}
-
-// writeFiles writes files into dir, a database directory.
+// writeFiles writes files into dir, an export directory.
 func writeFiles(t testing.TB, dir string, files map[string][]byte) {
 	t.Helper()
 	for name, data := range files {
@@ -434,31 +394,27 @@ func withFile(files map[string][]byte, name string, data []byte) map[string][]by
 	return out
 }
 
-// checkLoadAgrees loads the database directory in with Load and with
-// referenceLoad: both must fail with the same error, or both succeed
-// with databases whose Saves, written under saveDir, are byte-equal.
-// A database Load accepts must also come back from a binary snapshot
-// (SaveBinary, then LoadBinary) saving the same bytes.
+// checkLoadAgrees reads the CSV directory in with referenceLoad and
+// returns its error. A database the reference accepts is saved as the
+// product saves one (SaveBinary, compressed) under saveDir and read
+// back with Load: the snapshot must load, and the database Load
+// returns must export (Save) the same bytes as the one the reference
+// read.
 func checkLoadAgrees(t testing.TB, in, saveDir string) error {
 	t.Helper()
-	got, err := Load(in)
-	want, refErr := referenceLoad(in)
-	if (err == nil) != (refErr == nil) || (err != nil && err.Error() != refErr.Error()) {
-		t.Fatalf("Load and the csv.Reader reference disagree:\n  Load: %v\n   ref: %v", err, refErr)
-	}
+	want, err := referenceLoad(in)
 	if err != nil {
 		return err
 	}
-	snapPath := filepath.Join(saveDir, "main"+BinaryExt)
-	if err := got.SaveBinary(snapPath, BinaryOptions{}); err != nil {
-		t.Fatalf("SaveBinary of a database Load accepted: %v", err)
+	base := filepath.Join(saveDir, SnapMain)
+	if err := want.SaveBinary(base+BinaryExt, BinaryOptions{Compress: true}); err != nil {
+		t.Fatalf("SaveBinary of a database within a snapshot's bounds: %v", err)
 	}
-	back, err := LoadBinary(snapPath)
+	got, err := Load(base)
 	if err != nil {
-		t.Fatalf("LoadBinary of a database Load accepted: %v", err)
+		t.Fatalf("Load of a snapshot SaveBinary wrote: %v", err)
 	}
-	dirs := map[string]*DB{"got": got, "want": want, "binary": back}
-	for name, db := range dirs {
+	for name, db := range map[string]*DB{"got": got, "want": want} {
 		if err := db.Save(filepath.Join(saveDir, name)); err != nil {
 			t.Fatal(err)
 		}
@@ -466,15 +422,11 @@ func checkLoadAgrees(t testing.TB, in, saveDir string) error {
 	for _, name := range []string{sitesFile, dnsFile, samplesFile, pathsFile} {
 		g, err1 := os.ReadFile(filepath.Join(saveDir, "got", name))
 		w, err2 := os.ReadFile(filepath.Join(saveDir, "want", name))
-		b, err3 := os.ReadFile(filepath.Join(saveDir, "binary", name))
-		if err := errors.Join(err1, err2, err3); err != nil {
+		if err := errors.Join(err1, err2); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(g, w) {
-			t.Fatalf("%s: databases loaded by Load and the reference save differently:\n got %q\nwant %q", name, g, w)
-		}
-		if !bytes.Equal(g, b) {
-			t.Fatalf("%s: the loaded database saves differently after a binary round trip:\n got %q\nback %q", name, g, b)
+			t.Fatalf("%s: the database Load read from the snapshot exports differently from the one saved:\n got %q\nwant %q", name, g, w)
 		}
 	}
 	return nil
@@ -488,67 +440,10 @@ func loadAgrees(t *testing.T, files map[string][]byte) error {
 	return checkLoadAgrees(t, dir, t.TempDir())
 }
 
-// editField rewrites one field of a saved CSV file: row counts
-// records after the header, col counts fields.
-func editField(t *testing.T, data []byte, row, col int, value string) []byte {
-	t.Helper()
-	lines := strings.Split(string(data), "\n")
-	fields := strings.Split(lines[row], ",")
-	fields[col] = value
-	lines[row] = strings.Join(fields, ",")
-	return []byte(strings.Join(lines, "\n"))
-}
-
-// TestLoadRejectsNonCanonicalBooleans: Save writes booleans as true
-// and false, and Load takes nothing else — no TRUE, 1, prefix or empty
-// field silently reading as false.
-func TestLoadRejectsNonCanonicalBooleans(t *testing.T) {
-	files := saveCSVBytes(t, binarySampleDB())
-	for _, tc := range []struct {
-		file     string
-		row, col int
-		value    string
-	}{
-		{dnsFile, 2, 3, "TRUE"},
-		{dnsFile, 5, 4, "1"},
-		{dnsFile, 7, 5, "tru"},
-		{dnsFile, 3, 3, ""},
-		{samplesFile, 4, 8, "True"},
-		{samplesFile, 1, 8, "f"},
-	} {
-		err := loadAgrees(t, withFile(files, tc.file, editField(t, files[tc.file], tc.row, tc.col, tc.value)))
-		want := fmt.Sprintf("store: %s row %d: ", tc.file, tc.row)
-		if err == nil || !strings.HasPrefix(err.Error(), want) || !strings.Contains(err.Error(), strconv.Quote(tc.value)) {
-			t.Errorf("%s row %d field %d = %q: error %v, want one starting %q and quoting the field", tc.file, tc.row, tc.col, tc.value, err, want)
-		}
-	}
-}
-
-// TestLoadRequiresSaveHeaders: each file's header must be the one Save
-// writes — renamed or reordered columns would load misaligned — and a
-// file without one is an error too.
-func TestLoadRequiresSaveHeaders(t *testing.T) {
-	files := saveCSVBytes(t, binarySampleDB())
-	for name, header := range map[string]string{
-		sitesFile:   "site,hostname,first_rank,v4_as,v6_as",
-		dnsFile:     "vantage,site,round,has_aaaa,has_a,identical",
-		samplesFile: "vantage,site,family,round,date,page_bytes,downloads,mean_speed",
-		pathsFile:   "vantage,dst,family,round,path",
-	} {
-		data := files[name]
-		edited := append([]byte(header), data[bytes.IndexByte(data, '\n'):]...)
-		for _, bad := range [][]byte{edited, nil} {
-			err := loadAgrees(t, withFile(files, name, bad))
-			if err == nil || !strings.HasPrefix(err.Error(), "store: "+name+": ") || !strings.Contains(err.Error(), "header") {
-				t.Errorf("%s with header %q: error %v, want a header error naming the file", name, bytes.SplitN(bad, []byte("\n"), 2)[0], err)
-			}
-		}
-	}
-}
-
-// csvLoadCase is hand-written contents for one file of a saved
+// csvLoadCase is hand-written contents for one file of an exported
 // database (the others stay valid). want, when set, is the field error
-// Load must reject the file with, after the file and row.
+// the reference loader must reject the file with, after the file and
+// row: the value lies just past one of its bounds.
 type csvLoadCase struct {
 	name string
 	file string
@@ -556,9 +451,9 @@ type csvLoadCase struct {
 	want string
 }
 
-// csvLoadCases cover each way a line leaves the byte scanner's fast
-// path and the row errors around it, and each field bound: a value
-// past one would not survive memory or a binary checkpoint.
+// csvLoadCases cover awkward CSV syntax — quoted fields mid-file, CRLF
+// line ends, bare quotes, overlong lines — and the row errors around
+// it, and each field bound.
 func csvLoadCases(files map[string][]byte) []csvLoadCase {
 	sites := string(files[sitesFile])
 	dns := string(files[dnsFile])
@@ -621,11 +516,11 @@ func csvLoadCases(files map[string][]byte) []csvLoadCase {
 	}
 }
 
-// TestLoadAgreesWithCSVReader: on inputs that take every exit from the
-// byte scanner — quoted fields mid-file, CRLF line ends, bare quotes,
-// overlong lines — and on malformed or out-of-bounds rows, Load and
-// the csv.Reader reference fail with the same error or load databases
-// that save byte-equal. A case with a field error must fail with it.
+// TestLoadAgreesWithCSVReader: for every exported database the
+// csv.Reader reference reads from awkward or malformed CSV, Load of its
+// snapshot returns a database that exports byte-equal. A case with a
+// field error must be refused with it: the round trip is held to every
+// value up to the reference's bounds.
 func TestLoadAgreesWithCSVReader(t *testing.T) {
 	files := saveCSVBytes(t, binarySampleDB())
 	for _, tc := range csvLoadCases(files) {
@@ -664,9 +559,10 @@ func csvFuzzSeeds(files map[string][]byte) []csvFuzzSeed {
 	return seeds
 }
 
-// FuzzLoadCSV feeds arbitrary bytes to Load as one of the four files,
-// the other three valid: Load must agree with the csv.Reader reference
-// loader — the same error, or databases that save byte-equal.
+// FuzzLoadCSV feeds arbitrary bytes to the csv.Reader reference loader
+// as one of the four exported files, the other three valid: whatever
+// database it reads must come back from Load of its snapshot exporting
+// byte-equal.
 func FuzzLoadCSV(f *testing.F) {
 	files := saveCSVBytes(f, binarySampleDB())
 	for _, s := range csvFuzzSeeds(files) {

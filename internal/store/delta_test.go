@@ -11,7 +11,6 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -212,12 +211,10 @@ func panicOf(fn func()) (msg string) {
 
 // TestDNSOutOfOrderAndDuplicates: a DNS row that does not extend its
 // site's history — a duplicate of its last round or an earlier round,
-// at a dense id and at an overflow id — is a caller bug for the
-// writers and bad input for Load. AddDNS and Flush panic naming the
-// vantage, the site, the round and where the history ends, and record
-// nothing; Load fails naming dns.csv and the row, whether the row sits
-// in its site's run of rows or comes back to the site after another.
-// (The binary decoders' rejections are in the corruption tests.)
+// at a dense id and at an overflow id — is a caller bug. AddDNS and
+// Flush panic naming the vantage, the site, the round and where the
+// history ends, and record nothing. (The binary decoders' rejections
+// are in the corruption tests.)
 func TestDNSOutOfOrderAndDuplicates(t *testing.T) {
 	for _, c := range orderCases() {
 		t.Run(c.name, func(t *testing.T) {
@@ -247,26 +244,69 @@ func TestDNSOutOfOrderAndDuplicates(t *testing.T) {
 			if got := panicOf(func() { fresh.Flush("penn", &hist) }); got != "store: Flush: "+c.message() {
 				t.Errorf("Flush of one batch panicked with %q, want %q", got, "store: Flush: "+c.message())
 			}
-
-			files := saveCSVBytes(t, orderTestDB())
-			lines := strings.SplitAfter(string(files[dnsFile]), "\n")
-			bad := fmt.Sprintf("penn,%d,%d,true,false,false\n", c.row.Site, c.row.Round)
-			lastOfSite := 0
-			for i, ln := range lines {
-				if strings.HasPrefix(ln, fmt.Sprintf("penn,%d,", c.row.Site)) {
-					lastOfSite = i
-				}
-			}
-			for _, at := range []int{lastOfSite + 1, len(lines) - 1} {
-				edited := slices.Insert(slices.Clone(lines), at, bad)
-				dir := t.TempDir()
-				writeFiles(t, dir, withFile(files, dnsFile, []byte(strings.Join(edited, ""))))
-				want := fmt.Sprintf("store: %s row %d: %s", dnsFile, at, c.message())
-				if _, err := Load(dir); err == nil || err.Error() != want {
-					t.Errorf("Load with the row at line %d: %v, want %q", at, err, want)
-				}
-			}
 		})
+	}
+}
+
+// TestWritersRefuseRoundsOutsideCodec: the section codec carries rounds
+// in [0, maxRound), so a row outside them could be saved but not
+// loaded back. Each writer panics on one, naming the vantage, the site
+// (or path key) and the round, and records nothing; the last round
+// inside the bound round-trips through SaveBinary and Load, and a
+// checkpoint segment continuing it, at mark round maxRound, loads.
+func TestWritersRefuseRoundsOutsideCodec(t *testing.T) {
+	date := time.Unix(0, 0).UTC()
+	writers := []struct {
+		name  string
+		what  string
+		write func(db *DB, round int)
+	}{
+		{"AddDNS", "site 3", func(db *DB, round int) { db.AddDNS("penn", DNSRow{Site: 3, Round: round, HasA: true}) }},
+		{"Flush", "site 3", func(db *DB, round int) {
+			var b Batch
+			b.AddDNS(DNSRow{Site: 3, Round: round, HasA: true})
+			db.Flush("penn", &b)
+		}},
+		{"AddSample", "site 3 family 1", func(db *DB, round int) {
+			db.AddSample("penn", 3, topo.V6, Sample{Round: round, Date: date, PageBytes: 10, Downloads: 3})
+		}},
+		{"AddPath", "path key (1,9)", func(db *DB, round int) { db.AddPath("penn", topo.V6, 9, round, []int{2, 9}) }},
+	}
+	for _, w := range writers {
+		for _, round := range []int{-1, maxRound, maxRound + 1} {
+			db := NewDB()
+			db.Reserve(64, 1<<20, 32)
+			want := fmt.Sprintf(`store: %s: vantage "penn" %s round %d outside [0, %d), the rounds a snapshot carries`, w.name, w.what, round, maxRound)
+			if got := panicOf(func() { w.write(db, round) }); got != want {
+				t.Errorf("%s at round %d panicked with %q, want %q", w.name, round, got, want)
+			}
+			if s, d, sa, p := db.Counts(); s+d+sa+p != 0 {
+				t.Errorf("%s at round %d recorded rows: %v", w.name, round, db)
+			}
+		}
+		db := NewDB()
+		w.write(db, maxRound-1)
+		base := filepath.Join(t.TempDir(), "last")
+		if err := db.SaveBinary(base+BinaryExt, BinaryOptions{}); err != nil {
+			t.Fatalf("%s at the last round: SaveBinary: %v", w.name, err)
+		}
+		back, err := Load(base)
+		if err != nil {
+			t.Fatalf("%s at the last round: Load: %v", w.name, err)
+		}
+		requireSameCSV(t, back, db)
+		dir := t.TempDir()
+		b := NewCheckpointBackend(dir)
+		for _, site := range []alexa.SiteID{3, 4} {
+			db.PutSite(SiteRow{Site: site, Host: alexa.HostName(site), FirstRank: 1, V4AS: 1, V6AS: -1})
+			if err := commit(b, db, 1); err != nil {
+				t.Fatalf("%s at the last round: checkpoint: %v", w.name, err)
+			}
+		}
+		if newestIsBase(t, b) {
+			t.Fatalf("%s at the last round: the second checkpoint is not a segment", w.name)
+		}
+		requireLoadsAs(t, dir, db)
 	}
 }
 

@@ -40,9 +40,13 @@ const (
 	ShardSamples byte = 3
 )
 
-// maxRound bounds decoded round numbers and run lengths: far above
-// any real campaign, small enough that a corrupt payload cannot
-// overflow the int32 round arithmetic the tables use.
+// maxRound bounds round numbers and run lengths: far above any real
+// campaign, small enough that a corrupt payload cannot overflow the
+// int32 round arithmetic the tables use. The writers refuse a round at
+// or past it (errRound) and the section decoders refuse the same
+// rounds, so whatever the writers store a snapshot carries, and what a
+// snapshot carries the writers accept. A mark round is one past the
+// newest stored round, so it may equal maxRound.
 const maxRound = 1 << 30
 
 // mergeKey / mergeRange track what MergeShard has already landed.
@@ -55,13 +59,54 @@ type mergeRange struct {
 	lo, hi alexa.SiteID
 }
 
-// wbuf is a tiny append-only encoder over a byte slice.
+// wbuf is a tiny append-only encoder over a byte slice. It doubles the
+// slice when full: a section payload grows to megabytes, where
+// append's own policy, a quarter more at a time, would allocate
+// several times the payload on the way.
 type wbuf struct{ b []byte }
 
-func (w *wbuf) uvarint(x uint64) { w.b = binary.AppendUvarint(w.b, x) }
-func (w *wbuf) byteVal(x byte)   { w.b = append(w.b, x) }
-func (w *wbuf) u64(x uint64)     { w.b = binary.LittleEndian.AppendUint64(w.b, x) }
-func (w *wbuf) bytes(s []byte)   { w.b = append(w.b, s...) }
+// room makes space for n more bytes.
+func (w *wbuf) room(n int) {
+	if cap(w.b)-len(w.b) < n {
+		w.b = slices.Grow(w.b, max(n, cap(w.b)))
+	}
+}
+
+func (w *wbuf) uvarint(x uint64) {
+	w.room(binary.MaxVarintLen64)
+	w.b = binary.AppendUvarint(w.b, x)
+}
+
+func (w *wbuf) byteVal(x byte) {
+	w.room(1)
+	w.b = append(w.b, x)
+}
+
+func (w *wbuf) u64(x uint64) {
+	w.room(8)
+	w.b = binary.LittleEndian.AppendUint64(w.b, x)
+}
+
+func (w *wbuf) bytes(s []byte) {
+	w.room(len(s))
+	w.b = append(w.b, s...)
+}
+
+// countSlot reserves room for the uvarint count of the rows appended
+// after it and returns where it goes; fillCount writes the count there
+// and closes the gap it leaves, so the rows need no buffer of their
+// own.
+func (w *wbuf) countSlot() int {
+	slot := len(w.b)
+	w.room(binary.MaxVarintLen64)
+	w.b = w.b[:slot+binary.MaxVarintLen64]
+	return slot
+}
+
+func (w *wbuf) fillCount(slot, n int) {
+	k := binary.PutUvarint(w.b[slot:], uint64(n))
+	w.b = w.b[:slot+k+copy(w.b[slot+k:], w.b[slot+binary.MaxVarintLen64:])]
+}
 
 // rbuf is the matching decoder; errors latch.
 type rbuf struct {
@@ -166,19 +211,15 @@ func (db *DB) AppendShardSection(buf []byte, section byte, v Vantage, lo, hi ale
 	}
 	w := &wbuf{b: buf}
 	var n int
-	var err error
 	switch section {
 	case ShardSites:
 		n = db.appendShardSites(w, lo, hi)
 	case ShardDNS:
-		n, err = db.appendDNS(w, v, lo, hi, 0, 0, nil)
+		n = db.appendDNS(w, v, lo, hi, 0, 0, nil)
 	case ShardSamples:
-		n, err = db.appendSamples(w, v, lo, hi, 0, 0)
+		n = db.appendSamples(w, v, lo, hi, 0, 0)
 	default:
 		return buf, 0, fmt.Errorf("store: unknown shard section %d", section)
-	}
-	if err != nil {
-		return buf, 0, err
 	}
 	return w.b, n, nil
 }
@@ -238,20 +279,14 @@ func (g *idRuns) flush() {
 // keeps and is always 0 (a history only ever extends). It is a direct
 // dump of the delta encoding, O(state changes). A site whose newest
 // run began before from and ends at round to goes to grown instead of
-// the list; at from 0 none can. A run before round 0, which only the
-// write API can plant, is an error.
-func (db *DB) appendDNS(w *wbuf, v Vantage, lo, hi alexa.SiteID, from, to int32, grown *idRuns) (int, error) {
-	var rows wbuf
+// the list; at from 0 none can.
+func (db *DB) appendDNS(w *wbuf, v Vantage, lo, hi alexa.SiteID, from, to int32, grown *idRuns) int {
+	slot := w.countSlot()
 	n := 0
-	var err error
 	db.lockedDNSView(v, func(view *dnsView) {
 		prev := lo - 1
 		view.walkRuns(func(site alexa.SiteID, runs []dnsRun) {
-			if site < lo || site >= hi || err != nil {
-				return
-			}
-			if runs[0].start < 0 {
-				err = fmt.Errorf("store: dns encode: site %d has a run at round %d, before round 0", site, runs[0].start)
+			if site < lo || site >= hi {
 				return
 			}
 			last := runs[len(runs)-1]
@@ -266,27 +301,23 @@ func (db *DB) appendDNS(w *wbuf, v Vantage, lo, hi alexa.SiteID, from, to int32,
 			for k > 0 && runs[k-1].start+runs[k-1].count > from {
 				k--
 			}
-			rows.uvarint(uint64(site - prev))
+			w.uvarint(uint64(site - prev))
 			prev = site
-			rows.uvarint(uint64(len(runs) - k))
+			w.uvarint(uint64(len(runs) - k))
 			end := from
 			for _, run := range runs[k:] {
 				start := max(run.start, from)
-				rows.uvarint(uint64(start - end))
-				rows.uvarint(uint64(run.start + run.count - start))
-				rows.byteVal(run.state & dnsStateMask)
+				w.uvarint(uint64(start - end))
+				w.uvarint(uint64(run.start + run.count - start))
+				w.byteVal(run.state & dnsStateMask)
 				end = run.start + run.count
 			}
-			rows.uvarint(0) // out-of-order rows
+			w.uvarint(0) // out-of-order rows
 			n++
 		})
 	})
-	if err != nil {
-		return 0, err
-	}
-	w.uvarint(uint64(n))
-	w.bytes(rows.b)
-	return n, nil
+	w.fillCount(slot, n)
+	return n
 }
 
 // appendSamples encodes vantage v's samples at rounds >= from for the
@@ -297,12 +328,11 @@ func (db *DB) appendDNS(w *wbuf, v Vantage, lo, hi alexa.SiteID, from, to int32,
 // only the family advances; the first against lo), family byte, and
 // the series' trailing samples at rounds >= from (see samples). The
 // series come from each stripe's series owners, so a section costs
-// O(sampled series), not O(reserved ids). A sample before round 0,
-// which only the write API can plant, is an error.
-func (db *DB) appendSamples(w *wbuf, v Vantage, lo, hi alexa.SiteID, from int32, datesFrom int) (int, error) {
+// O(sampled series), not O(reserved ids).
+func (db *DB) appendSamples(w *wbuf, v Vantage, lo, hi alexa.SiteID, from int32, datesFrom int) int {
 	t := db.lookup(v)
 	if t == nil {
-		return 0, nil
+		return 0
 	}
 	type entry struct {
 		key    siteFamKey
@@ -321,10 +351,6 @@ func (db *DB) appendSamples(w *wbuf, v Vantage, lo, hi alexa.SiteID, from int32,
 			for k > 0 && series[k-1].round >= from {
 				k--
 			}
-			if k > 0 && series[k-1].round < 0 {
-				sh.mu.Unlock()
-				return 0, fmt.Errorf("store: samples encode: site %d family %d has a sample at round %d, before round 0", o.site, o.fam, series[k-1].round)
-			}
 			if k < len(series) {
 				list = append(list, entry{o, series[k:]})
 			}
@@ -337,22 +363,20 @@ func (db *DB) appendSamples(w *wbuf, v Vantage, lo, hi alexa.SiteID, from int32,
 		}
 		return cmp.Compare(a.key.fam, b.key.fam)
 	})
-	var rows wbuf
-	prev := lo
-	for _, e := range list {
-		rows.uvarint(uint64(e.key.site - prev))
-		prev = e.key.site
-		rows.byteVal(byte(e.key.fam))
-		rows.samples(e.series)
-	}
 	dates := t.dateTable()[datesFrom:]
 	w.uvarint(uint64(len(dates)))
 	for _, d := range dates {
 		w.u64(uint64(d.UnixNano()))
 	}
 	w.uvarint(uint64(len(list)))
-	w.bytes(rows.b)
-	return len(list), nil
+	prev := lo
+	for _, e := range list {
+		w.uvarint(uint64(e.key.site - prev))
+		prev = e.key.site
+		w.byteVal(byte(e.key.fam))
+		w.samples(e.series)
+	}
+	return len(list)
 }
 
 // samples encodes a packed series: its length, then per sample the
@@ -372,18 +396,16 @@ func (w *wbuf) samples(packed []packedSample) {
 // appendPaths encodes vantage v's path table at rounds >= from: per
 // (family, dst) key with snapshots at rounds >= from, keys ascending,
 // the family byte, the destination and those snapshots (see
-// pathSnaps). A snapshot before round 0, which only the write API can
-// plant, is an error.
-func (db *DB) appendPaths(w *wbuf, v Vantage, from int32) (int, error) {
+// pathSnaps).
+func (db *DB) appendPaths(w *wbuf, v Vantage, from int32) int {
 	t := db.lookup(v)
 	if t == nil {
 		w.uvarint(0)
-		return 0, nil
+		return 0
 	}
 	type entry struct {
-		key    famDstKey
-		snaps  []PathSnapshot // from the first at a round >= from
-		before int            // the round of the snapshot before, when one is negative
+		key   famDstKey
+		snaps []PathSnapshot // from the first at a round >= from
 	}
 	t.pathMu.Lock()
 	defer t.pathMu.Unlock()
@@ -393,12 +415,8 @@ func (db *DB) appendPaths(w *wbuf, v Vantage, from int32) (int, error) {
 		for j > 0 && snaps[j-1].Round >= int(from) {
 			j--
 		}
-		e := entry{key: k, snaps: snaps[j:]}
-		if j > 0 && snaps[j-1].Round < 0 {
-			e.before = snaps[j-1].Round
-		}
-		if len(e.snaps) > 0 || e.before < 0 {
-			keys = append(keys, e)
+		if j < len(snaps) {
+			keys = append(keys, entry{k, snaps[j:]})
 		}
 	}
 	slices.SortFunc(keys, func(a, b entry) int {
@@ -409,14 +427,11 @@ func (db *DB) appendPaths(w *wbuf, v Vantage, from int32) (int, error) {
 	})
 	w.uvarint(uint64(len(keys)))
 	for _, e := range keys {
-		if e.before < 0 {
-			return 0, fmt.Errorf("store: paths encode: key (%d,%d) has a snapshot at round %d, before round 0", e.key.fam, e.key.dst, e.before)
-		}
 		w.byteVal(byte(e.key.fam))
 		w.uvarint(uint64(e.key.dst))
 		w.pathSnaps(e.snaps)
 	}
-	return len(keys), nil
+	return len(keys)
 }
 
 // pathSnaps encodes a snapshot list: its length, then per snapshot
@@ -666,7 +681,7 @@ func (db *DB) applySamples(r *rbuf, v Vantage, lo, hi alexa.SiteID, from int32, 
 					date = -1
 				}
 			}
-			if round < uint64(from) || round > maxRound || date < 0 || page > math.MaxInt32 || dlCI > math.MaxUint32 {
+			if round < uint64(from) || round >= maxRound || date < 0 || page > math.MaxInt32 || dlCI > math.MaxUint32 {
 				r.fail("store: samples: site %d has out-of-range sample fields", site)
 				break
 			}
@@ -718,8 +733,8 @@ func (db *DB) applyPaths(r *rbuf, v Vantage, from int32) error {
 		for k := uint64(0); k < nSnaps && r.err == nil; k++ {
 			round := r.uvarint()
 			plen := r.count()
-			if r.err == nil && (round < uint64(from) || round > maxRound) {
-				r.fail("store: paths: round %d outside [%d, %d]", round, from, maxRound)
+			if r.err == nil && (round < uint64(from) || round >= maxRound) {
+				r.fail("store: paths: round %d outside [%d, %d)", round, from, maxRound)
 			}
 			path = path[:0]
 			for j := uint64(0); j < plen && r.err == nil; j++ {

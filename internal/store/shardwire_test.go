@@ -191,10 +191,9 @@ func TestMergeShardOverlapRejected(t *testing.T) {
 // row count, always 0, is not (wire ranges are dense, so only the
 // dense-id cases apply). The landing rule holds without any claim in
 // the way: a DNS history or sample series the write API put in place
-// refuses a merge onto it, naming the site. And the encoders refuse a
-// row before round 0, which only the write API can plant:
-// AppendShardSection and SaveBinary fail naming the site (or path key)
-// and the round.
+// refuses a merge onto it, naming the site. (The writers refuse rows
+// at rounds the codec cannot carry; see
+// TestWritersRefuseRoundsOutsideCodec.)
 func TestMergeShardRejectsBadInput(t *testing.T) {
 	src := buildWireDB()
 	dst := NewDB()
@@ -254,27 +253,5 @@ func TestMergeShardRejectsBadInput(t *testing.T) {
 	samples := encodeSection(t, src, ShardSamples, "Penn", 0, 48)
 	if err := held.MergeShard(0, 48, ShardSamples, "Penn", samples); err == nil || !strings.Contains(err.Error(), `site 6 family 1 vantage "Penn" already has a sample`) {
 		t.Errorf("samples onto a held series: %v, want a refusal naming site 6", err)
-	}
-
-	for name, c := range map[string]struct {
-		section byte
-		plant   func(db *DB)
-		want    string
-	}{
-		"dns":     {ShardDNS, func(db *DB) { db.AddDNS("Penn", DNSRow{Site: 5, Round: -1, HasA: true}) }, "site 5 has a run at round -1"},
-		"samples": {ShardSamples, func(db *DB) { db.AddSample("Penn", 5, topo.V4, Sample{Round: -1, Date: time.Unix(0, 0).UTC()}) }, "site 5 family 0 has a sample at round -1"},
-		"paths":   {0, func(db *DB) { db.AddPath("Penn", topo.V6, 9, -1, []int{2, 9}) }, "key (1,9) has a snapshot at round -1"},
-	} {
-		db := NewDB()
-		db.Reserve(96, testExtBase, 48)
-		c.plant(db)
-		if c.section != 0 {
-			if _, _, err := db.AppendShardSection(nil, c.section, "Penn", 0, 48); err == nil || !strings.Contains(err.Error(), c.want) {
-				t.Errorf("%s: AppendShardSection of a round before 0: %v, want %q", name, err, c.want)
-			}
-		}
-		if err := db.SaveBinary(filepath.Join(t.TempDir(), "neg"+BinaryExt), BinaryOptions{}); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: SaveBinary of a round before 0: %v, want %q", name, err, c.want)
-		}
 	}
 }

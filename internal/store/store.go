@@ -1,8 +1,11 @@
 // Package store is the measurement result database standing in for
 // the paper's MySQL backend: per-vantage tables of DNS results,
 // per-round download samples, AS-path snapshots, and site metadata,
-// with query helpers the analysis pipeline scans and CSV persistence
-// for the common repository ("aggregated at Penn") role.
+// with query helpers the analysis pipeline scans. For the common
+// repository ("aggregated at Penn") role it persists as one file per
+// database, the binary snapshot (SaveBinary, read back by Load), which
+// checkpoints and finished campaigns share; CSV (Save) is only an
+// export.
 //
 // Writes are the monitoring hot path: 25 workers per vantage append
 // samples and DNS rows concurrently for every site of every round.
@@ -20,8 +23,8 @@
 //     sequentially from zero, the extended population is a second
 //     dense range at a fixed base — and Reserve turns those ranges
 //     into index-addressed tables. Ids outside the reserved ranges
-//     (direct API use, databases loaded from CSV without a
-//     reservation) fall back to per-shard overflow maps.
+//     (direct API use, a snapshot whose claimed ranges its bytes
+//     cannot back) fall back to per-shard overflow maps.
 //   - DNS history is delta-encoded: each site stores runs of
 //     consecutive rounds sharing one (HasA, HasAAAA, Identical)
 //     outcome, so storage is O(state changes), not O(sites*rounds).
@@ -362,9 +365,18 @@ func (s *dnsShard) addRun(h *dnsHist, site alexa.SiteID, round, n int32, state u
 // its site's history, which ends before round end: its round is a
 // duplicate of the history's last or earlier. The monitor appends each
 // site's rounds in order, so a writer handed such a row panics with
-// it, and Load fails with it.
+// it.
 func errDNSOrder(v Vantage, site alexa.SiteID, round, end int32) error {
 	return fmt.Errorf("vantage %q site %d round %d does not extend the site's DNS history, which ends at round %d", v, site, round, end-1)
+}
+
+// errRound describes a row at vantage v, for what (a site, a path
+// key), whose round lies outside [0, maxRound): the rounds the section
+// codec carries, so the rounds a snapshot can hold. Monitors number
+// rounds from 0, so a writer handed such a row panics with it instead
+// of storing what no saved snapshot would load.
+func errRound(v Vantage, what string, round int) error {
+	return fmt.Errorf("vantage %q %s round %d outside [0, %d), the rounds a snapshot carries", v, what, round, maxRound)
 }
 
 // --- packed samples --------------------------------------------------
@@ -878,8 +890,9 @@ func (b *Batch) AddDNS(r DNSRow) {
 // that is three integer compares, and no host string is ever built for
 // dense-range sites. DNS rows for one site must extend its history, in
 // round order within and across Flushes (the monitor's rounds are
-// sequential): Flush panics on a row that does not, naming it, as
-// AddDNS does. A batch without DNS rows does not create v's table.
+// sequential): Flush panics on a row that does not, or whose round
+// lies outside [0, maxRound), naming it, as AddDNS does. A batch
+// without DNS rows does not create v's table.
 func (db *DB) Flush(v Vantage, b *Batch) {
 	res := db.res
 	for i := range b.sites {
@@ -907,6 +920,10 @@ func (db *DB) Flush(v Vantage, b *Batch) {
 		sh := &t.dns[i]
 		sh.mu.Lock()
 		for _, row := range rows {
+			if uint(row.Round) >= maxRound {
+				sh.mu.Unlock()
+				panic("store: Flush: " + errRound(v, fmt.Sprintf("site %d", row.Site), row.Round).Error())
+			}
 			if end, ok := sh.add(res, row); !ok {
 				sh.mu.Unlock()
 				panic("store: Flush: " + errDNSOrder(v, row.Site, int32(row.Round), end).Error())
@@ -1049,8 +1066,13 @@ func (db *DB) Sites() []SiteRow {
 // AddDNS appends a DNS phase result, which must extend the site's
 // history: a round after the last one stored for the site at v. It
 // panics on a row that does not (an earlier or a duplicate round),
-// naming the vantage, the site, the round and where the history ends.
+// naming the vantage, the site, the round and where the history ends,
+// and on a round outside [0, maxRound), naming the vantage, the site
+// and the round.
 func (db *DB) AddDNS(v Vantage, row DNSRow) {
+	if uint(row.Round) >= maxRound {
+		panic("store: AddDNS: " + errRound(v, fmt.Sprintf("site %d", row.Site), row.Round).Error())
+	}
 	sh := &db.table(v).dns[uint64(row.Site)&(shards-1)]
 	sh.mu.Lock()
 	end, ok := sh.add(db.res, row)
@@ -1109,8 +1131,12 @@ func (db *DB) DNSStats(v Vantage) (rows, runs, sites int) {
 	return rows, runs, sites
 }
 
-// AddSample appends a download sample.
+// AddSample appends a download sample. It panics on a round outside
+// [0, maxRound), naming the vantage, the site and the round.
 func (db *DB) AddSample(v Vantage, site alexa.SiteID, fam topo.Family, s Sample) {
+	if uint(s.Round) >= maxRound {
+		panic("store: AddSample: " + errRound(v, fmt.Sprintf("site %d family %d", site, fam), s.Round).Error())
+	}
 	t := db.table(v)
 	p := packSample(s, t.dateRef(s.Date))
 	sh := &t.samples[uint64(site)&(shards-1)]
@@ -1162,8 +1188,13 @@ func (db *DB) sampledSites(v Vantage) []alexa.SiteID {
 }
 
 // AddPath records the AS path to dst observed after a round. Only
-// changes are stored: identical consecutive snapshots collapse.
+// changes are stored: identical consecutive snapshots collapse. It
+// panics on a round outside [0, maxRound), naming the vantage, the
+// path key and the round.
 func (db *DB) AddPath(v Vantage, fam topo.Family, dst, round int, path []int) {
+	if uint(round) >= maxRound {
+		panic("store: AddPath: " + errRound(v, fmt.Sprintf("path key (%d,%d)", fam, dst), round).Error())
+	}
 	t := db.table(v)
 	k := famDstKey{fam, dst}
 	t.pathMu.Lock()

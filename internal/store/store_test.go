@@ -1,7 +1,9 @@
 package store
 
 import (
+	"bytes"
 	"math/rand"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -142,13 +144,15 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	db.AddPath("penn", topo.V6, 4, 1, []int{0, 8, 4})
 	db.AddPath("penn", topo.V6, 4, 6, []int{0, 7, 4})
 
-	if err := db.Save(dir); err != nil {
-		t.Fatalf("Save: %v", err)
+	base := filepath.Join(dir, "main")
+	if err := db.SaveBinary(base+BinaryExt, BinaryOptions{Compress: true}); err != nil {
+		t.Fatalf("SaveBinary: %v", err)
 	}
-	got, err := Load(dir)
+	got, err := Load(base)
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
+	requireSameCSV(t, got, db)
 	if s, d, sa, p := got.Counts(); s != 2 || d != 2 || sa != 2 || p != 3 {
 		t.Fatalf("loaded counts: %d %d %d %d", s, d, sa, p)
 	}
@@ -166,12 +170,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if !snap.PathChanged("penn", topo.V6, 4) {
 		t.Fatal("path change lost")
-	}
-}
-
-func TestLoadMissingDir(t *testing.T) {
-	if _, err := Load(t.TempDir()); err == nil {
-		t.Fatal("loading empty dir succeeded")
 	}
 }
 
@@ -197,8 +195,8 @@ func TestConcurrentWrites(t *testing.T) {
 }
 
 func TestSaveLoadPropertyRandomDBs(t *testing.T) {
-	// Property: Save→Load preserves counts and spot-checked content
-	// for randomly generated databases.
+	// Property: SaveBinary→Load preserves counts, spot-checked content
+	// and the CSV export's bytes for randomly generated databases.
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 10; trial++ {
 		db := NewDB()
@@ -218,14 +216,15 @@ func TestSaveLoadPropertyRandomDBs(t *testing.T) {
 			path := []int{0, rng.Intn(50), rng.Intn(50) + 50}
 			db.AddPath(v, topo.V4, path[2], 0, path)
 		}
-		dir := t.TempDir()
-		if err := db.Save(dir); err != nil {
+		base := filepath.Join(t.TempDir(), "main")
+		if err := db.SaveBinary(base+BinaryExt, BinaryOptions{}); err != nil {
 			t.Fatalf("trial %d save: %v", trial, err)
 		}
-		got, err := Load(dir)
+		got, err := Load(base)
 		if err != nil {
 			t.Fatalf("trial %d load: %v", trial, err)
 		}
+		requireSameCSV(t, got, db)
 		s1, d1, sa1, p1 := db.Counts()
 		s2, d2, sa2, p2 := got.Counts()
 		if s1 != s2 || d1 != d2 || sa1 != sa2 || p1 != p2 {
@@ -237,6 +236,18 @@ func TestSaveLoadPropertyRandomDBs(t *testing.T) {
 			if !ok || g != site {
 				t.Fatalf("trial %d site %d mismatch: %+v vs %+v", trial, site.Site, site, g)
 			}
+		}
+	}
+}
+
+// requireSameCSV fails t unless got and want export byte-identical
+// CSV files.
+func requireSameCSV(t *testing.T, got, want *DB) {
+	t.Helper()
+	g, w := saveCSVBytes(t, got), saveCSVBytes(t, want)
+	for name, data := range w {
+		if !bytes.Equal(g[name], data) {
+			t.Fatalf("%s differs after the round trip:\n got %q\nwant %q", name, g[name], data)
 		}
 	}
 }
