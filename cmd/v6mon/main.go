@@ -12,15 +12,19 @@
 // -checkpoint-every rounds, on SIGINT/SIGTERM and at -stop-after
 // (unless that round is already committed), and once the main study
 // is finished, so a graceful interrupt loses at most the round in
-// flight and a hard kill at most the cadence. Restarting with -resume
-// picks up from the last checkpoint and produces databases whose CSV
-// exports are byte-identical to a never-interrupted run's. Each checkpoint directory holds the
-// main database either whole (main.v6db, a base) or as a chain: the
-// last base as main.base.v6db plus main.seg-NNNNNN.v6seg segments of
-// what changed since, the older files hard-linked from the previous
-// checkpoint so every directory loads on its own. A checkpoint in a
-// format this build does not write (CSV, or an earlier build's
-// segments) does not resume: the campaign is rerun.
+// flight and a hard kill at most the cadence. Every run opens the
+// checkpoint log under -out through core.Open, so rerunning the same
+// command continues from the last checkpoint and produces databases
+// whose CSV exports are byte-identical to a never-interrupted run's.
+// A log another configuration wrote is an error naming the
+// fingerprint mismatch: remove <out>/checkpoints or pick another -out.
+// Each checkpoint directory holds the main database either whole
+// (main.v6db, a base) or as a chain: the last base as main.base.v6db
+// plus main.seg-NNNNNN.v6seg segments of what changed since, the older
+// files hard-linked from the previous checkpoint so every directory
+// loads on its own. A checkpoint in a format this build does not write
+// (CSV, or an earlier build's segments) does not resume: remove it and
+// rerun the campaign.
 //
 // The campaign's world can come from a declarative scenario pack
 // (-scenario, internal/scenario) instead of the shape flags: a
@@ -33,7 +37,7 @@
 //	      [-checkpoint-every 5] [-q]
 //	v6mon -out data/ -scenario world-ipv6-day              # a built-in pack
 //	v6mon -out data/ -scenario my.json -set topo.ases=500  # a pack file, scaled
-//	v6mon -out data/ -resume          # continue a killed campaign (same flags)
+//	v6mon -out data/                  # rerun: continue a killed campaign
 //	v6mon -out data/ -stop-after 10   # checkpoint and exit after round 10
 //	v6mon -out data/ -shards 4        # split across 4 local worker processes
 //
@@ -82,7 +86,6 @@ func main() {
 		rounds    = flag.Int("rounds", 35, "weekly monitoring rounds")
 		pack      = flag.String("scenario", "", "scenario pack: a built-in name, a pack file, or \"list\" to print the catalog (replaces -seed/-ases/-sites/-rounds; combining them is an error)")
 		quiet     = flag.Bool("q", false, "suppress progress output")
-		resume    = flag.Bool("resume", false, "resume the campaign from the last checkpoint under -out")
 		every     = flag.Int("checkpoint-every", 5, "checkpoint after this many completed rounds (0 disables checkpointing; SIGINT checkpoints regardless)")
 		stopAfter = flag.Int("stop-after", 0, "checkpoint and exit after this round completes (0 runs to the end)")
 		shards    = flag.Int("shards", 1, "split the campaign across this many local worker processes (1 runs in-process)")
@@ -123,8 +126,8 @@ func main() {
 	ctx, stop := cli.SignalContext()
 	defer stop()
 	if *shards > 1 {
-		if *resume || *stopAfter > 0 {
-			fatal(fmt.Errorf("-shards does not combine with -resume or -stop-after; workers resume from their own shard checkpoints, so just rerun the same command"))
+		if *stopAfter > 0 {
+			fatal(fmt.Errorf("-shards does not combine with -stop-after; workers resume from their own shard checkpoints, so just rerun the same command"))
 		}
 		opt := shard.Options{Workers: *shards, CheckpointEvery: *every, Faults: fc, Retry: fault.RetryPolicy{Timeout: *frameTime}}
 		if err := cli.RunSharded(ctx, "v6mon", cfg, *out, opt, *quiet); err != nil {
@@ -148,21 +151,14 @@ func main() {
 		ckpt.Hook = fault.New(*fc, cfg.Fingerprint()).FSHook()
 	}
 
-	var s *core.Scenario
-	if *resume {
-		s, err = core.Resume(cfg, ckpt)
-		if err != nil {
-			fatal(err)
-		}
-		if !*quiet {
+	s, resumed, err := core.Open(cfg, ckpt)
+	if err != nil {
+		fatal(err)
+	}
+	if !*quiet {
+		if resumed {
 			fmt.Printf("resuming from checkpoint: round %d/%d\n", s.RoundsDone(), cfg.Rounds)
-		}
-	} else {
-		s, err = core.NewScenario(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		if !*quiet {
+		} else {
 			fmt.Printf("topology: %d ASes (%d v6-capable), list: %d sites, rounds: %d\n",
 				s.Graph.N(), s.Graph.CountV6(), cfg.ListSize, cfg.Rounds)
 		}
@@ -181,13 +177,10 @@ func main() {
 				ev.Stats.Measured, ev.Elapsed.Round(time.Millisecond))
 		}))
 	}
-	var (
-		ck      store.Backend // nil: no checkpoint log to commit to or remove
-		scratch string
-	)
+	var ck store.Backend // nil: no checkpoint log to commit to
 	if *every > 0 {
-		ck, scratch = ckpt, filepath.Join(*out, "checkpoints")
-		opts = append(opts, core.WithBackend(ckpt), core.WithCheckpoint(*every))
+		ck = ckpt
+		opts = append(opts, core.WithCheckpoint(ckpt, *every))
 	}
 	// -stop-after cancels the rounds' own context at the boundary after
 	// round N (at once if the cursor is already there): the runner
@@ -212,14 +205,14 @@ func main() {
 	}
 	if s.RoundsDone() < cfg.Rounds {
 		if !*quiet {
-			fmt.Printf("stopped after round %d/%d; checkpoint saved — rerun with -resume to continue\n",
+			fmt.Printf("stopped after round %d/%d; checkpoint saved — rerun the same command to continue\n",
 				s.RoundsDone(), cfg.Rounds)
 		}
 		return
 	}
 	// A drain in the completion tail finds the main study committed;
 	// the short side experiment simply reruns on resume.
-	if err := cli.Finish(ctx, s, *out, ck, scratch); err != nil {
+	if err := cli.Finish(ctx, s, *out, ck, filepath.Join(*out, "checkpoints")); err != nil {
 		fail(err, s, *every)
 	}
 	if !*quiet {
@@ -236,7 +229,7 @@ func fail(err error, s *core.Scenario, every int) {
 	if errors.Is(err, context.Canceled) {
 		at := fmt.Sprintf("interrupted at round %d/%d; ", s.RoundsDone(), s.Cfg.Rounds)
 		if every > 0 {
-			cli.Drained("v6mon", at+"checkpoint saved — rerun with -resume to continue", true)
+			cli.Drained("v6mon", at+"checkpoint saved — rerun the same command to continue", true)
 		}
 		cli.Drained("v6mon", at+"checkpointing disabled, progress lost", false)
 	}

@@ -2,8 +2,9 @@ package main
 
 // End-to-end tests of v6mon's stop/resume contract at the binary
 // level: a campaign stopped by -stop-after or by SIGINT exits 0 with a
-// checkpoint on disk, and -resume continues it to a product whose CSV
-// export is byte-identical to a run that was never interrupted.
+// checkpoint on disk, and rerunning the same command continues it to a
+// product whose CSV export is byte-identical to a run that was never
+// interrupted; a rerun under another configuration is an error.
 
 import (
 	"bytes"
@@ -90,11 +91,36 @@ func TestStopAfterThenResumeByteIdentical(t *testing.T) {
 	if !strings.Contains(out, "stopped after round 3/8") {
 		t.Errorf("-stop-after 3 did not report the stop:\n%s", out)
 	}
-	out = v6mon(t, bin, append(shapeArgs(data, "8"), "-resume")...)
+	out = v6mon(t, bin, shapeArgs(data, "8")...)
 	if !strings.Contains(out, "resuming from checkpoint: round 3/8") {
-		t.Errorf("resume did not start at round 3:\n%s", out)
+		t.Errorf("the rerun did not resume at round 3:\n%s", out)
 	}
 	assertSameCSVs(t, ref, data)
+}
+
+// TestForeignCheckpointLogIsAnError: a run whose configuration differs
+// from the one that wrote the checkpoint log under -out fails naming
+// the fingerprint mismatch, instead of starting over and deleting the
+// log; the log stays, and the original command still continues it.
+func TestForeignCheckpointLogIsAnError(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the v6mon binary")
+	}
+	bin := buildV6Mon(t)
+	data := filepath.Join(t.TempDir(), "data")
+	v6mon(t, bin, append(shapeArgs(data, "8"), "-checkpoint-every", "2", "-stop-after", "3", "-q")...)
+	foreign := append(shapeArgs(data, "8"), "-seed", "8", "-q")
+	out, err := exec.Command(bin, foreign...).CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "fingerprint") {
+		t.Fatalf("-seed 8 over -seed 7's log: err %v, want a fingerprint error:\n%s", err, out)
+	}
+	if _, err := os.Stat(filepath.Join(data, "main.v6db")); !os.IsNotExist(err) {
+		t.Errorf("the refused run wrote a product: %v", err)
+	}
+	out2 := v6mon(t, bin, shapeArgs(data, "8")...)
+	if !strings.Contains(out2, "resuming from checkpoint: round 3/8") {
+		t.Errorf("the original command did not continue the log:\n%s", out2)
+	}
 }
 
 // lineWatcher collects the child's output and closes seen once the
@@ -153,11 +179,11 @@ func TestSigintDrainsAndResumesByteIdentical(t *testing.T) {
 	if err := cmd.Wait(); err != nil {
 		t.Fatalf("SIGINT drain must exit 0, got %v\n%s", err, watch.String())
 	}
-	if !strings.Contains(watch.String(), "checkpoint saved — rerun with -resume to continue") {
+	if !strings.Contains(watch.String(), "checkpoint saved — rerun the same command to continue") {
 		t.Fatalf("no drain notice (did the campaign finish before the signal?):\n%s", watch.String())
 	}
 
-	out := v6mon(t, bin, append(shapeArgs(data, rounds), "-checkpoint-every", "5", "-resume")...)
+	out := v6mon(t, bin, append(shapeArgs(data, rounds), "-checkpoint-every", "5")...)
 	if !regexp.MustCompile(`resuming from checkpoint: round ([1-9]|[1-3][0-9])/40`).MatchString(out) {
 		t.Errorf("resume did not start mid-campaign:\n%s", out)
 	}

@@ -1,7 +1,7 @@
 // Command v6report regenerates every table and figure of the paper's
 // evaluation. With -db it analyzes the databases a finished campaign
 // saved (v6mon, v6shard coordinate or v6mond, including a campaign
-// finished via checkpoints and -resume): the binary snapshots
+// finished by rerunning it from its checkpoints): the binary snapshots
 // main.v6db and v6day.v6db, both of which must load. With -db and
 // -csv it renders nothing and instead exports those databases as CSV,
 // the one way a saved campaign becomes CSV. Without -db, it runs a

@@ -30,9 +30,11 @@
 // to observers (core.WithObserver), and checkpoints completed rounds
 // (core.WithCheckpoint) to a storage backend (store.Backend,
 // implemented by the crash-safe, append-only log of binary snapshots,
-// store.CheckpointBackend). A campaign killed at any round resumes
-// via core.Resume with final results byte-identical to a
-// never-interrupted run. A finished campaign is saved in the same
+// store.CheckpointBackend; one Save per checkpoint). Every tool opens
+// its campaign through core.Open, which resumes the newest committed
+// checkpoint or starts fresh, so a campaign killed at any round
+// continues with final results byte-identical to a never-interrupted
+// run. A finished campaign is saved in the same
 // binary snapshot format (cli.Finish writes main.v6db and v6day.v6db;
 // store.Load reads them back); CSV is only an export, `v6report -db
 // DIR -csv OUT`. The round is also the parallel unit:
@@ -56,17 +58,17 @@
 // replaced, and any spec field takes dotted-path overrides
 // ("topo.ases=2000") from the CLIs.
 //
-// The cmd tools expose the same machinery: v6mon runs (and with
-// -resume, continues) a checkpointed campaign with SIGINT-graceful
-// shutdown — or, with -shards N, splits it across worker processes
-// with a deterministic merge (cmd/v6shard is the multi-machine
-// form) — v6report regenerates every table and figure from a saved
-// or fresh campaign (and exports a saved one as CSV), v6sweep runs what-if parameter sweeps
-// concurrently (including -over sweeps across any scenario-spec
-// field), and v6topo inspects the synthetic substrate. All the
-// campaign tools accept -scenario <name|file>. examples/resume
-// demonstrates the checkpoint → crash → resume cycle end to end;
-// bench_test.go regenerates every exhibit.
+// The cmd tools expose the same machinery: v6mon runs (and, rerun
+// with the same flags, continues) a checkpointed campaign with
+// SIGINT-graceful shutdown — or, with -shards N, splits it across
+// worker processes with a deterministic merge (cmd/v6shard is the
+// multi-machine form) — v6report regenerates every table and figure
+// from a saved or fresh campaign (and exports a saved one as CSV),
+// v6sweep runs what-if parameter sweeps concurrently (including -over
+// sweeps across any scenario-spec field), and v6topo inspects the
+// synthetic substrate. All the campaign tools accept -scenario
+// <name|file>. examples/resume demonstrates the checkpoint → crash →
+// resume cycle end to end; bench_test.go regenerates every exhibit.
 //
 // See README.md for a tour, DESIGN.md for the system inventory and
 // per-experiment index, and EXPERIMENTS.md for paper-vs-measured

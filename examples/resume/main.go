@@ -3,10 +3,11 @@
 // loses nine months of measurements to one crash is not a monitor.
 // This example runs a small campaign with per-round checkpointing,
 // "kills" it by cancelling its context once round 3 completes (the
-// same path a SIGINT takes in v6mon), resumes from the last committed
-// checkpoint in a fresh Scenario — exactly what a restarted process
-// would do — and then proves the resumed campaign's databases, exported
-// as CSV, are byte-identical to a campaign that was never interrupted.
+// same path a SIGINT takes in v6mon), reopens the campaign from its
+// checkpoint log with core.Open in a fresh Scenario — exactly what a
+// restarted process does — and then proves the resumed campaign's
+// databases, exported as CSV, are byte-identical to a campaign that
+// was never interrupted.
 //
 //	go run ./examples/resume
 package main
@@ -70,16 +71,16 @@ func main() {
 	fmt.Printf("uninterrupted campaign: %d rounds, %v\n", ref.RoundsDone(), ref.DB)
 
 	// The doomed campaign: checkpoint every round, crash after round 3.
+	// Its log is empty, so Open starts it fresh.
 	backend := store.NewCheckpointBackend(filepath.Join(root, "campaign"))
-	doomed, err := core.NewScenario(cfg)
+	doomed, _, err := core.Open(cfg, backend)
 	if err != nil {
 		log.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	err = doomed.RunContext(ctx,
-		core.WithBackend(backend),
-		core.WithCheckpoint(1),
+		core.WithCheckpoint(backend, 1),
 		core.WithObserver(func(ev core.RoundEvent) {
 			if ev.Vantage == "Penn" {
 				fmt.Printf("  round %d  %-6s  %4d sites monitored (%v)\n",
@@ -96,12 +97,13 @@ func main() {
 		doomed.RoundsDone(), cfg.Rounds)
 
 	// A new process: same config, same backend, none of the old state.
-	resumed, err := core.Resume(cfg, backend)
-	if err != nil {
-		log.Fatal(err)
+	// Open finds the committed checkpoint and resumes it.
+	resumed, ok, err := core.Open(cfg, backend)
+	if err != nil || !ok {
+		log.Fatalf("reopening the campaign: resumed=%v err=%v", ok, err)
 	}
 	fmt.Printf("resumed at round %d/%d\n", resumed.RoundsDone(), cfg.Rounds)
-	if err := resumed.RunContext(context.Background(), core.WithBackend(backend), core.WithCheckpoint(1)); err != nil {
+	if err := resumed.RunContext(context.Background(), core.WithCheckpoint(backend, 1)); err != nil {
 		log.Fatal(err)
 	}
 	if err := cli.Finish(context.Background(), resumed, filepath.Join(root, "resumed"), backend, ""); err != nil {

@@ -9,6 +9,10 @@ import (
 	"v6web/internal/topo"
 )
 
+// sampleDate dates the samples of tests that do not care about dates:
+// a sample needs a date a snapshot carries, which the zero time is not.
+var sampleDate = time.Unix(0, 0).UTC()
+
 // addSeries inserts paired per-round samples with the given speeds.
 func addSeries(db *store.DB, v store.Vantage, id alexa.SiteID, v4, v6 []float64) {
 	for i := range v4 {
@@ -16,7 +20,7 @@ func addSeries(db *store.DB, v store.Vantage, id alexa.SiteID, v4, v6 []float64)
 			Round: i, Date: time.Date(2011, 1, 1, 0, 0, 0, 0, time.UTC).AddDate(0, 0, 7*i),
 			PageBytes: 30000, Downloads: 5, MeanSpeed: v4[i], CIOK: true,
 		})
-		db.AddSample(v, id, topo.V6, store.Sample{
+		db.AddSample(v, id, topo.V6, store.Sample{Date: sampleDate,
 			Round: i, PageBytes: 30000, Downloads: 5, MeanSpeed: v6[i], CIOK: true,
 		})
 	}
@@ -427,7 +431,7 @@ func TestTable8NegativeCrossCheck(t *testing.T) {
 
 func TestClassUnknownWhenPathsMissing(t *testing.T) {
 	db := store.NewDB()
-	db.PutSite(store.SiteRow{Site: 1, FirstRank: 1, V4AS: 100, V6AS: 100})
+	db.PutSite(store.SiteRow{Site: 1, Host: alexa.HostName(1), FirstRank: 1, V4AS: 100, V6AS: 100})
 	addSeries(db, "penn", 1, flat(24, 50), flat(24, 50))
 	// No paths recorded at all.
 	va := AnalyzeSnapshot(db.Freeze(), "penn", DefaultThresholds())
@@ -444,14 +448,14 @@ func TestClassUnknownWhenPathsMissing(t *testing.T) {
 
 func TestUnpairedRoundsIgnored(t *testing.T) {
 	db := store.NewDB()
-	db.PutSite(store.SiteRow{Site: 1, FirstRank: 1, V4AS: 100, V6AS: 100})
+	db.PutSite(store.SiteRow{Site: 1, Host: alexa.HostName(1), FirstRank: 1, V4AS: 100, V6AS: 100})
 	db.AddPath("penn", topo.V4, 100, 0, []int{0, 100})
 	db.AddPath("penn", topo.V6, 100, 0, []int{0, 100})
 	// v4 has rounds 0..23, v6 only even rounds; only pairs count.
 	for r := 0; r < 24; r++ {
-		db.AddSample("penn", 1, topo.V4, store.Sample{Round: r, MeanSpeed: 50, CIOK: true})
+		db.AddSample("penn", 1, topo.V4, store.Sample{Date: sampleDate, Round: r, MeanSpeed: 50, CIOK: true})
 		if r%2 == 0 {
-			db.AddSample("penn", 1, topo.V6, store.Sample{Round: r, MeanSpeed: 49, CIOK: true})
+			db.AddSample("penn", 1, topo.V6, store.Sample{Date: sampleDate, Round: r, MeanSpeed: 49, CIOK: true})
 		}
 	}
 	va := AnalyzeSnapshot(db.Freeze(), "penn", DefaultThresholds())
@@ -462,13 +466,13 @@ func TestUnpairedRoundsIgnored(t *testing.T) {
 
 func TestCIFailedRoundsExcluded(t *testing.T) {
 	db := store.NewDB()
-	db.PutSite(store.SiteRow{Site: 1, FirstRank: 1, V4AS: 100, V6AS: 100})
+	db.PutSite(store.SiteRow{Site: 1, Host: alexa.HostName(1), FirstRank: 1, V4AS: 100, V6AS: 100})
 	db.AddPath("penn", topo.V4, 100, 0, []int{0, 100})
 	db.AddPath("penn", topo.V6, 100, 0, []int{0, 100})
 	for r := 0; r < 24; r++ {
 		ok := r >= 4 // first four rounds failed the within-round CI
-		db.AddSample("penn", 1, topo.V4, store.Sample{Round: r, MeanSpeed: 50, CIOK: ok})
-		db.AddSample("penn", 1, topo.V6, store.Sample{Round: r, MeanSpeed: 49, CIOK: ok})
+		db.AddSample("penn", 1, topo.V4, store.Sample{Date: sampleDate, Round: r, MeanSpeed: 50, CIOK: ok})
+		db.AddSample("penn", 1, topo.V6, store.Sample{Date: sampleDate, Round: r, MeanSpeed: 49, CIOK: ok})
 	}
 	va := AnalyzeSnapshot(db.Freeze(), "penn", DefaultThresholds())
 	if va.Sites[0].Rounds != 20 {

@@ -21,10 +21,10 @@ func betterDB() *store.DB {
 	db.AddPath(v, topo.V6, 301, 0, []int{0, 301})
 
 	add := func(id alexa.SiteID, v4AS, v6AS int, speedV4, speedV6 float64) {
-		db.PutSite(store.SiteRow{Site: id, FirstRank: int(id), V4AS: v4AS, V6AS: v6AS})
+		db.PutSite(store.SiteRow{Site: id, Host: alexa.HostName(id), FirstRank: int(id), V4AS: v4AS, V6AS: v6AS})
 		for r := 0; r < 24; r++ {
-			db.AddSample(v, id, topo.V4, store.Sample{Round: r, MeanSpeed: speedV4, CIOK: true})
-			db.AddSample(v, id, topo.V6, store.Sample{Round: r, MeanSpeed: speedV6, CIOK: true})
+			db.AddSample(v, id, topo.V4, store.Sample{Date: sampleDate, Round: r, MeanSpeed: speedV4, CIOK: true})
+			db.AddSample(v, id, topo.V6, store.Sample{Date: sampleDate, Round: r, MeanSpeed: speedV6, CIOK: true})
 		}
 	}
 	add(1, 100, 100, 50, 52) // SP better

@@ -10,7 +10,7 @@ import (
 func TestV6FasterRoundOdds(t *testing.T) {
 	db := store.NewDB()
 	const v = "penn"
-	db.PutSite(store.SiteRow{Site: 1, FirstRank: 1, V4AS: 100, V6AS: 100})
+	db.PutSite(store.SiteRow{Site: 1, Host: "site1.test", FirstRank: 1, V4AS: 100, V6AS: 100})
 	db.AddPath(v, topo.V4, 100, 0, []int{0, 100})
 	db.AddPath(v, topo.V6, 100, 0, []int{0, 100})
 	// 24 rounds: v6 faster in exactly 6 of them.
@@ -19,8 +19,8 @@ func TestV6FasterRoundOdds(t *testing.T) {
 		if r < 6 {
 			v6 = 52.0
 		}
-		db.AddSample(v, 1, topo.V4, store.Sample{Round: r, MeanSpeed: 50, CIOK: true})
-		db.AddSample(v, 1, topo.V6, store.Sample{Round: r, MeanSpeed: v6, CIOK: true})
+		db.AddSample(v, 1, topo.V4, store.Sample{Date: sampleDate, Round: r, MeanSpeed: 50, CIOK: true})
+		db.AddSample(v, 1, topo.V6, store.Sample{Date: sampleDate, Round: r, MeanSpeed: v6, CIOK: true})
 	}
 	va := AnalyzeSnapshot(db.Freeze(), v, DefaultThresholds())
 	if len(va.KeptSites()) != 1 {

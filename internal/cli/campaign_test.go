@@ -26,7 +26,7 @@ func finishedScenario(t *testing.T, dir string) (*core.Scenario, *store.Checkpoi
 		t.Fatal(err)
 	}
 	ck := store.NewCheckpointBackend(dir)
-	if err := s.RunContext(context.Background(), core.WithBackend(ck), core.WithCheckpoint(1)); err != nil {
+	if err := s.RunContext(context.Background(), core.WithCheckpoint(ck, 1)); err != nil {
 		t.Fatal(err)
 	}
 	return s, ck
@@ -108,9 +108,9 @@ type countingBackend struct {
 	commits int
 }
 
-func (b *countingBackend) SaveMeta(m store.Meta) error {
+func (b *countingBackend) Save(db *store.DB, m store.Meta) error {
 	b.commits++
-	return b.Backend.SaveMeta(m)
+	return b.Backend.Save(db, m)
 }
 
 // csvFiles reads every file under dir, keyed by its path relative to

@@ -29,8 +29,8 @@ type chainCheckBackend struct {
 	segments int // commits whose directory holds a chain, not a whole base
 }
 
-func (b *chainCheckBackend) SaveMeta(m store.Meta) error {
-	if err := b.CheckpointBackend.SaveMeta(m); err != nil {
+func (b *chainCheckBackend) Save(db *store.DB, m store.Meta) error {
+	if err := b.CheckpointBackend.Save(db, m); err != nil {
 		return err
 	}
 	b.commits++
@@ -38,7 +38,7 @@ func (b *chainCheckBackend) SaveMeta(m store.Meta) error {
 		b.segments++
 	}
 	fresh := store.NewCheckpointBackend(b.Dir)
-	loaded, err := fresh.LoadSnapshot(store.SnapMain)
+	loaded, err := fresh.Load()
 	if err != nil {
 		b.t.Fatalf("commit %d: chain does not load: %v", b.commits, err)
 	}
@@ -88,10 +88,7 @@ func requireSameDB(t *testing.T, loaded, live *store.DB, fingerprint string) {
 	dir := t.TempDir()
 	b := store.NewCheckpointBackend(dir)
 	b.Fingerprint = fingerprint
-	if err := b.SaveSnapshot(store.SnapMain, loaded); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.SaveMeta(store.Meta{}); err != nil {
+	if err := b.Save(loaded, store.Meta{}); err != nil {
 		t.Fatal(err)
 	}
 	forced, err := os.ReadFile(filepath.Join(newestCheckpoint(t, dir), store.SnapMain+store.BinaryExt))
@@ -124,9 +121,8 @@ func TestChainEqualsLiveDBEveryRound(t *testing.T) {
 					t.Fatal(err)
 				}
 				b := &chainCheckBackend{CheckpointBackend: store.NewCheckpointBackend(t.TempDir()), t: t, live: func() *store.DB { return s.DB }}
-				b.Keep = 1
 				b.Fingerprint = comp.Config.Fingerprint()
-				if err := s.RunContext(context.Background(), core.WithBackend(b), core.WithCheckpoint(every)); err != nil {
+				if err := s.RunContext(context.Background(), core.WithCheckpoint(b, every)); err != nil {
 					t.Fatal(err)
 				}
 				t.Logf("%d commits, %d as segments", b.commits, b.segments)

@@ -10,9 +10,9 @@ import (
 
 // A campaign is a resumable round cursor driven under a context: the
 // observer sees every (round, vantage) completion as it happens, and
-// the cursor reports progress. Checkpointing (core.WithBackend +
-// core.WithCheckpoint) and core.Resume extend the same call into a
-// crash-safe long-lived campaign.
+// the cursor reports progress. Checkpointing (core.WithCheckpoint) and
+// core.Open extend the same call into a crash-safe long-lived
+// campaign.
 func ExampleScenario_RunContext() {
 	cfg := core.DefaultConfig(1)
 	cfg.NASes = 150

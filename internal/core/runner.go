@@ -20,7 +20,7 @@ import (
 // blocking batch call. RunContext drives the cursor under a context,
 // streams RoundEvents to observers, and checkpoints completed rounds
 // to a store.Backend so a killed campaign resumes — round for round
-// bit-identical to an uninterrupted run — via Resume.
+// bit-identical to an uninterrupted run — via Open.
 
 // RoundEvent is one entry of the campaign's event stream: a vantage
 // finished monitoring its site population for a round.
@@ -59,16 +59,12 @@ func WithObserver(fn Observer) RunOption {
 	return func(o *runOptions) { o.observers = append(o.observers, fn) }
 }
 
-// WithBackend attaches the storage backend that receives checkpoints.
-func WithBackend(b store.Backend) RunOption {
-	return func(o *runOptions) { o.backend = b }
-}
-
-// WithCheckpoint checkpoints the campaign to the attached backend
-// every `every` completed rounds before the last, and on an early
-// stop (see RunContext). Requires WithBackend.
-func WithCheckpoint(every int) RunOption {
-	return func(o *runOptions) { o.every = every }
+// WithCheckpoint checkpoints the campaign to b every `every`
+// completed rounds before the last, and on an early stop (see
+// RunContext). every <= 0 checkpoints nothing; a nil b with every > 0
+// is an error.
+func WithCheckpoint(b store.Backend, every int) RunOption {
+	return func(o *runOptions) { o.backend, o.every = b, every }
 }
 
 // WithRoundHook runs fn at every round boundary, after the round's
@@ -116,7 +112,7 @@ func (s *Scenario) RunContext(ctx context.Context, opts ...RunOption) error {
 		opt(&o)
 	}
 	if o.every > 0 && o.backend == nil {
-		return fmt.Errorf("core: WithCheckpoint requires WithBackend")
+		return fmt.Errorf("core: WithCheckpoint every %d rounds without a backend", o.every)
 	}
 	for s.next < s.Cfg.Rounds {
 		if err := ctx.Err(); err != nil {
@@ -350,13 +346,11 @@ func (s *Scenario) Commit(b store.Backend) error {
 	return s.Checkpoint(b)
 }
 
-// Checkpoint persists the campaign's completed rounds to b: the main
-// measurement database plus round-cursor metadata. SaveMeta commits.
+// Checkpoint persists the campaign's completed rounds to b as one
+// checkpoint: the main measurement database plus round-cursor
+// metadata.
 func (s *Scenario) Checkpoint(b store.Backend) error {
-	if err := b.SaveSnapshot(store.SnapMain, s.DB); err != nil {
-		return fmt.Errorf("core: checkpoint: %w", err)
-	}
-	err := b.SaveMeta(store.Meta{
+	err := b.Save(s.DB, store.Meta{
 		NextRound:  s.next,
 		Rounds:     s.Cfg.Rounds,
 		ConfigHash: s.Cfg.Fingerprint(),
@@ -431,7 +425,7 @@ func Resume(cfg Config, b store.Backend) (*Scenario, error) {
 	if meta.NextRound < 0 || meta.NextRound > cfg.Rounds {
 		return nil, fmt.Errorf("core: resume: checkpoint round %d outside [0,%d]", meta.NextRound, cfg.Rounds)
 	}
-	db, err := b.LoadSnapshot(store.SnapMain)
+	db, err := b.Load()
 	if err != nil {
 		return nil, fmt.Errorf("core: resume: %w", err)
 	}
@@ -444,6 +438,21 @@ func Resume(cfg Config, b store.Backend) (*Scenario, error) {
 	}
 	s.fastForward(meta.NextRound)
 	return s, nil
+}
+
+// Open continues the campaign cfg describes from b, the one place a
+// tool chooses: it resumes b's newest committed checkpoint (Resume) and
+// reports resumed, or starts fresh when b holds none. A checkpoint it
+// cannot resume, another configuration's or a corrupt one, is an error.
+func Open(cfg Config, b store.Backend) (s *Scenario, resumed bool, err error) {
+	if _, ok, err := b.LoadMeta(); err != nil {
+		return nil, false, fmt.Errorf("core: open: %w", err)
+	} else if !ok {
+		s, err := NewScenario(cfg)
+		return s, false, err
+	}
+	s, err = Resume(cfg, b)
+	return s, err == nil, err
 }
 
 // RunWorldV6DayContext executes the World IPv6 Day side experiment:

@@ -104,7 +104,7 @@ func TestKillResumeByteIdentical(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			err = s1.RunContext(ctx,
-				WithBackend(backend), WithCheckpoint(1),
+				WithCheckpoint(backend, 1),
 				WithObserver(func(ev RoundEvent) {
 					if ev.Round == killAt {
 						cancel()
@@ -126,7 +126,7 @@ func TestKillResumeByteIdentical(t *testing.T) {
 			if s2.RoundsDone() != killAt+1 {
 				t.Fatalf("resumed at round %d, want %d", s2.RoundsDone(), killAt+1)
 			}
-			if err := s2.RunContext(context.Background(), WithBackend(backend), WithCheckpoint(2)); err != nil {
+			if err := s2.RunContext(context.Background(), WithCheckpoint(backend, 2)); err != nil {
 				t.Fatal(err)
 			}
 			if err := s2.RunWorldV6DayContext(context.Background()); err != nil {
@@ -198,9 +198,9 @@ type commitLog struct {
 	commits []int
 }
 
-func (b *commitLog) SaveMeta(m store.Meta) error {
+func (b *commitLog) Save(db *store.DB, m store.Meta) error {
 	b.commits = append(b.commits, m.NextRound)
-	return b.CheckpointBackend.SaveMeta(m)
+	return b.CheckpointBackend.Save(db, m)
 }
 
 // TestRunContextCheckpointRule pins the one checkpoint rule: commit on
@@ -219,7 +219,7 @@ func TestRunContextCheckpointRule(t *testing.T) {
 			t.Fatal(err)
 		}
 		var hooked, seen []int
-		if err := s.RunContext(context.Background(), WithBackend(b), WithCheckpoint(2),
+		if err := s.RunContext(context.Background(), WithCheckpoint(b, 2),
 			WithRoundHook(func(done int, commit func() error) error {
 				if first {
 					if err := commit(); err != nil {
@@ -252,7 +252,7 @@ func TestRunContextCheckpointRule(t *testing.T) {
 	}
 	ctx, stop := context.WithCancel(context.Background())
 	defer stop()
-	err = s.RunContext(ctx, WithBackend(b), WithCheckpoint(2), WithRoundHook(func(done int, _ func() error) error {
+	err = s.RunContext(ctx, WithCheckpoint(b, 2), WithRoundHook(func(done int, _ func() error) error {
 		if done == 4 {
 			stop()
 		}
@@ -267,13 +267,13 @@ func TestRunContextCheckpointRule(t *testing.T) {
 	if s, err = Resume(cfg, b); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.RunContext(ctx, WithBackend(b), WithCheckpoint(2)); !errors.Is(err, context.Canceled) || len(b.commits) != 0 {
+	if err := s.RunContext(ctx, WithCheckpoint(b, 2)); !errors.Is(err, context.Canceled) || len(b.commits) != 0 {
 		t.Errorf("resumed and stopped at once: err %v, commits %v, want Canceled and none", err, b.commits)
 	}
 
 	// A hook error ends the run without a shutdown checkpoint.
 	boom := errors.New("boom")
-	err = s.RunContext(context.Background(), WithBackend(b), WithCheckpoint(2), WithRoundHook(func(int, func() error) error { return boom }))
+	err = s.RunContext(context.Background(), WithCheckpoint(b, 2), WithRoundHook(func(int, func() error) error { return boom }))
 	if !errors.Is(err, boom) || s.RoundsDone() != 5 || len(b.commits) != 0 {
 		t.Errorf("hook error: err %v at round %d, commits %v, want boom at 5 and none", err, s.RoundsDone(), b.commits)
 	}
@@ -345,15 +345,15 @@ func TestRunContextOptionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.RunContext(context.Background(), WithCheckpoint(1)); err == nil {
-		t.Fatal("WithCheckpoint without WithBackend accepted")
+	if err := s.RunContext(context.Background(), WithCheckpoint(nil, 1)); err == nil {
+		t.Fatal("WithCheckpoint with a nil backend accepted")
 	}
 	// A pre-cancelled context stops before any work, but still
 	// checkpoints the (empty) progress when checkpointing is on.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	b := store.NewCheckpointBackend(t.TempDir())
-	if err := s.RunContext(ctx, WithBackend(b), WithCheckpoint(1)); !errors.Is(err, context.Canceled) {
+	if err := s.RunContext(ctx, WithCheckpoint(b, 1)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled run: %v", err)
 	}
 	meta, ok, err := b.LoadMeta()
@@ -373,7 +373,7 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 	}
 	ctx, stop := context.WithCancel(context.Background())
 	defer stop()
-	if err := s.RunContext(ctx, WithBackend(b), WithCheckpoint(1), WithObserver(func(RoundEvent) { stop() })); !errors.Is(err, context.Canceled) {
+	if err := s.RunContext(ctx, WithCheckpoint(b, 1), WithObserver(func(RoundEvent) { stop() })); !errors.Is(err, context.Canceled) {
 		t.Fatal(err)
 	}
 	other := cfg
@@ -400,9 +400,44 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 	}
 }
 
+// TestOpenResumesOrStartsFresh: Open starts a fresh campaign at round
+// 0 from a backend without a committed checkpoint, resumes a committed
+// checkpoint at its round with the database it holds, and refuses
+// another configuration's checkpoint with Resume's fingerprint error
+// instead of starting over.
+func TestOpenResumesOrStartsFresh(t *testing.T) {
+	cfg := runnerCfg(6)
+	cfg.Rounds = 3
+	cfg.Vantages = ScaledVantages(cfg.Rounds)
+	b := store.NewCheckpointBackend(t.TempDir())
+	s, resumed, err := Open(cfg, b)
+	if err != nil || resumed || s.RoundsDone() != 0 {
+		t.Fatalf("empty backend: resumed=%v err=%v", resumed, err)
+	}
+	for r := 0; r < 2; r++ {
+		if err := s.NextRound(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Checkpoint(b); err != nil {
+		t.Fatal(err)
+	}
+	s2, resumed, err := Open(cfg, store.NewCheckpointBackend(b.Dir))
+	if err != nil || !resumed || s2.RoundsDone() != 2 {
+		t.Fatalf("committed checkpoint: resumed=%v err=%v", resumed, err)
+	}
+	if s2.DB.String() != s.DB.String() {
+		t.Fatalf("resumed database %v, checkpointed %v", s2.DB, s.DB)
+	}
+	other := cfg
+	other.Seed++
+	if _, _, err := Open(other, b); err == nil || !strings.Contains(err.Error(), "fingerprint") {
+		t.Fatalf("another configuration's checkpoint: %v, want the fingerprint error", err)
+	}
+}
+
 // heldBackend holds one checkpoint in memory: the metadata LoadMeta
-// returns and the main database LoadSnapshot hands out. It takes no
-// saves.
+// returns and the main database Load hands out. It takes no saves.
 type heldBackend struct {
 	meta store.Meta
 	db   *store.DB
@@ -410,15 +445,9 @@ type heldBackend struct {
 
 var errHeld = errors.New("held backend takes no saves")
 
-func (b *heldBackend) SaveSnapshot(string, *store.DB) error { return errHeld }
-func (b *heldBackend) SaveMeta(store.Meta) error            { return errHeld }
-func (b *heldBackend) LoadMeta() (store.Meta, bool, error)  { return b.meta, true, nil }
-func (b *heldBackend) LoadSnapshot(name string) (*store.DB, error) {
-	if name != store.SnapMain {
-		return nil, fmt.Errorf("held backend has no %q snapshot", name)
-	}
-	return b.db, nil
-}
+func (b *heldBackend) Save(*store.DB, store.Meta) error    { return errHeld }
+func (b *heldBackend) LoadMeta() (store.Meta, bool, error) { return b.meta, true, nil }
+func (b *heldBackend) Load() (*store.DB, error)            { return b.db, nil }
 
 // TestResumeAdoptsLoadedDB: Resume keeps the database its backend
 // loaded as the scenario's DB instead of copying its rows into a fresh
@@ -436,7 +465,7 @@ func TestResumeAdoptsLoadedDB(t *testing.T) {
 		t.Fatal(err)
 	}
 	if s.DB != db {
-		t.Fatal("Resume did not adopt the database LoadSnapshot returned")
+		t.Fatal("Resume did not adopt the database Load returned")
 	}
 	if s.RoundsDone() != 1 {
 		t.Fatalf("resumed cursor %d, want 1", s.RoundsDone())

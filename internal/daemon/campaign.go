@@ -180,12 +180,13 @@ func (d *Daemon) attempt(ctx context.Context, c *Campaign, a *fault.Attempt) err
 
 	// Acquire the attempt's fenced write handle on the campaign's
 	// checkpoint log. This revokes any handle a previous (possibly
-	// still-running, watchdog-abandoned) attempt holds: its late
-	// checkpoint writes fail with store.ErrStaleWriter instead of
-	// clobbering this attempt's staged snapshots or sequence numbers.
+	// still-running, watchdog-abandoned) attempt holds: its late saves
+	// fail with store.ErrStaleWriter. A corrupt or mismatched checkpoint
+	// is an error the supervisor surfaces and retries (only committed
+	// checkpoints are served, so a torn newest directory never lands here).
 	ck := fencedBackend{c.ck.Acquire(), a}
 
-	s, resumed, err := openScenario(c.comp.Config, ck)
+	s, resumed, err := core.Open(c.comp.Config, ck)
 	if err != nil {
 		return err
 	}
@@ -225,26 +226,20 @@ func (d *Daemon) attempt(ctx context.Context, c *Campaign, a *fault.Attempt) err
 }
 
 // fencedBackend is an attempt's checkpoint backend: the attempt's
-// CheckpointWriter, refusing every write once the watchdog has
+// CheckpointWriter, refusing every save once the watchdog has
 // abandoned the attempt. The writer itself refuses once a replacement
-// attempt has acquired its own; this refuses from the abandonment on.
+// attempt has acquired its own, checked under the backend lock for the
+// whole save; this refuses from the abandonment on.
 type fencedBackend struct {
 	*store.CheckpointWriter
 	a *fault.Attempt
 }
 
-func (b fencedBackend) SaveSnapshot(name string, db *store.DB) error {
+func (b fencedBackend) Save(db *store.DB, m store.Meta) error {
 	if b.a.Fenced() {
 		return errFenced
 	}
-	return b.CheckpointWriter.SaveSnapshot(name, db)
-}
-
-func (b fencedBackend) SaveMeta(m store.Meta) error {
-	if b.a.Fenced() {
-		return errFenced
-	}
-	return b.CheckpointWriter.SaveMeta(m)
+	return b.CheckpointWriter.Save(db, m)
 }
 
 // recovering runs fn with panics converted to errors, so a panicking
@@ -256,25 +251,6 @@ func recovering(fn func() error) (err error) {
 		}
 	}()
 	return fn()
-}
-
-// openScenario resumes from the checkpoint log when one exists, else
-// starts fresh. Only "no checkpoint found" falls back to a fresh
-// scenario; a corrupt or mismatched checkpoint is a real error the
-// supervisor surfaces (and retries — the backend serves the newest
-// *committed* checkpoint, so a torn newest directory never lands here).
-func openScenario(cfg core.Config, ck store.Backend) (*core.Scenario, bool, error) {
-	if _, ok, err := ck.LoadMeta(); err != nil {
-		return nil, false, err
-	} else if !ok {
-		s, err := core.NewScenario(cfg)
-		return s, false, err
-	}
-	s, err := core.Resume(cfg, ck)
-	if err != nil {
-		return nil, false, err
-	}
-	return s, true, nil
 }
 
 // errFenced classifies an attempt the watchdog abandoned: the attempt's
@@ -308,7 +284,7 @@ func (d *Daemon) runRounds(ctx context.Context, c *Campaign, a *fault.Attempt, s
 			c.events.send(roundEvent(c.Name, kind, ev))
 		})
 	}
-	err := s.RunContext(ctx, core.WithBackend(ck), core.WithCheckpoint(d.opt.CheckpointEvery), events("round"),
+	err := s.RunContext(ctx, core.WithCheckpoint(ck, d.opt.CheckpointEvery), events("round"),
 		core.WithRoundHook(func(done int, commit func() error) error {
 			// Publish after the round's cadence checkpoint: at the
 			// default cadence every round but the last is committed

@@ -454,10 +454,7 @@ func TestManifestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := newCampaign(csvDir, readBack(csvDir))
-	if err := c.ck.SaveSnapshot(store.SnapMain, store.NewDB()); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.ck.SaveMeta(store.Meta{Rounds: comp.Config.Rounds, ConfigHash: comp.Config.Fingerprint()}); err != nil {
+	if err := c.ck.Save(store.NewDB(), store.Meta{Rounds: comp.Config.Rounds, ConfigHash: comp.Config.Fingerprint()}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(csvDir, "checkpoints", "ck-000000", store.SnapMain+store.BinaryExt)); err != nil {

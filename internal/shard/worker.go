@@ -137,14 +137,21 @@ func runSpec(ctx context.Context, spec Spec, emit func(typ byte, payload []byte)
 	var (
 		s    *core.Scenario
 		opts []core.RunOption
+		err  error
 	)
 	if spec.CheckpointDir != "" {
 		backend := checkpointBackend(spec, inj)
-		s = loadCheckpoint(cfg, spec, backend)
-		opts = append(opts, core.WithBackend(backend), core.WithCheckpoint(spec.CheckpointEvery))
+		// State Open cannot continue (a foreign campaign's leftovers, a
+		// corrupt checkpoint) is wiped and the shard starts fresh: the
+		// directory is its private scratch space.
+		if s, _, err = core.Open(cfg, backend); err != nil {
+			fmt.Fprintf(os.Stderr, "shard %d: discarding unusable checkpoint state in %s: %v\n",
+				spec.Index, spec.CheckpointDir, err)
+			os.RemoveAll(spec.CheckpointDir)
+		}
+		opts = append(opts, core.WithCheckpoint(backend, spec.CheckpointEvery))
 	}
 	if s == nil {
-		var err error
 		if s, err = core.NewScenario(cfg); err != nil {
 			return err
 		}
@@ -197,25 +204,6 @@ func checkpointBackend(spec Spec, inj *fault.Injector) *store.CheckpointBackend 
 		b.Hook = hook
 	}
 	return b
-}
-
-// loadCheckpoint tries to resume the shard from its checkpoint
-// directory. Any unusable state — a foreign campaign's leftovers, a
-// corrupt checkpoint — falls back to a wiped directory and a fresh
-// start; the directory is the shard's private scratch space, so that
-// is always safe.
-func loadCheckpoint(cfg core.Config, spec Spec, backend *store.CheckpointBackend) *core.Scenario {
-	if _, ok, err := backend.LoadMeta(); err == nil && !ok {
-		return nil // pristine directory
-	}
-	s, err := core.Resume(cfg, backend)
-	if err == nil {
-		return s
-	}
-	fmt.Fprintf(os.Stderr, "shard %d: discarding unusable checkpoint state in %s: %v\n",
-		spec.Index, spec.CheckpointDir, err)
-	os.RemoveAll(spec.CheckpointDir)
-	return nil
 }
 
 // sendSections streams the shard's results, one frame per section,

@@ -12,16 +12,17 @@ import (
 	"time"
 )
 
-// Snapshot names used by the campaign runner: the main weekly study
-// and the World IPv6 Day side experiment.
+// Snapshot names: the main weekly study and the World IPv6 Day side
+// experiment, the base names of a finished campaign's two files. A
+// checkpoint holds the main database only.
 const (
 	SnapMain  = "main"
 	SnapV6Day = "v6day"
 )
 
-// Meta is the round-cursor metadata persisted next to snapshots. It
+// Meta is the round-cursor metadata saved with each checkpoint. It
 // is what lets a killed campaign resume: NextRound is the first round
-// NOT yet reflected in the saved snapshots, and ConfigHash guards
+// NOT yet reflected in the saved database, and ConfigHash guards
 // against resuming under a different configuration.
 type Meta struct {
 	NextRound  int       `json:"next_round"`
@@ -31,17 +32,14 @@ type Meta struct {
 	SavedAt    time.Time `json:"saved_at"`
 }
 
-// Backend abstracts where campaign snapshots and their round-cursor
-// metadata live. The campaign runner writes a checkpoint as one or
-// more SaveSnapshot calls followed by exactly one SaveMeta call;
-// SaveMeta is the commit point, and backends may stage snapshots
-// until it lands. LoadMeta reports ok=false when the backend holds no
-// committed checkpoint at all.
+// Backend abstracts where a campaign's checkpoints live. Save commits
+// the main measurement database and its round-cursor metadata as one
+// checkpoint; LoadMeta and Load read the newest committed one, and
+// LoadMeta reports ok=false when the backend holds none at all.
 type Backend interface {
-	SaveSnapshot(name string, db *DB) error
-	LoadSnapshot(name string) (*DB, error)
-	SaveMeta(m Meta) error
+	Save(db *DB, m Meta) error
 	LoadMeta() (Meta, bool, error)
+	Load() (*DB, error)
 }
 
 // FaultHook, when non-nil, is consulted at a backend's
@@ -128,43 +126,27 @@ func ReadMeta(dir string) (Meta, bool, error) {
 	return m, true, nil
 }
 
-// loadSnapshotAuto loads base from a committed checkpoint: its chain
-// (a base plus segments, see chain.go) when present, else the whole
-// binary snapshot, ErrNoDatabase when that is missing too. A
-// checkpoint in a format this build does not write — a CSV directory,
-// a segment an earlier build wrote — does not load; its campaign is
-// rerun.
-func loadSnapshotAuto(base string) (*DB, error) {
-	if _, err := os.Stat(base + chainBaseSuffix); err == nil {
-		return loadChain(base)
-	} else if !errors.Is(err, fs.ErrNotExist) {
-		return nil, err
-	}
-	return Load(base)
-}
-
 // CheckpointBackend stores each committed checkpoint as its own
 // immutable directory under Dir/checkpoints — an append-only log of
-// campaign states. A checkpoint is staged in a hidden directory and
-// atomically renamed into place when SaveMeta commits it, so a crash
-// at any point (including mid-checkpoint) never corrupts the last
-// committed state. LoadMeta/LoadSnapshot always serve the newest
-// committed checkpoint.
+// campaign states. Save stages a checkpoint in a hidden directory and
+// atomically renames it into place, so a crash at any point (including
+// mid-checkpoint) never corrupts the last committed state.
+// LoadMeta/Load always serve the newest committed checkpoint, and a
+// commit prunes all but the newest keepCheckpoints.
 //
-// A checkpoint stores each snapshot either whole, as name.v6db (a
+// A checkpoint stores the main database either whole, as main.v6db (a
 // base, SaveBinary's bytes), or as a chain: the last base as
-// name.base.v6db plus segments name.seg-NNNNNN.v6seg, each holding
+// main.base.v6db plus segments main.seg-NNNNNN.v6seg, each holding
 // what changed since the checkpoint before (chain.go). The chain's
 // older files are hard links to the previous checkpoint's, so every
 // committed directory loads on its own and pruning never breaks one.
 // A base is written on the first save, for a database the backend's
 // last commit did not save (a resumed one, say), after Acquire or a
-// failed cycle, when a hard link fails, when the database took an
+// failed save, when a hard link fails, when the database took an
 // append below its mark round, and once a chain's segments outweigh
 // its base in stored bytes.
 type CheckpointBackend struct {
-	Dir  string // campaign root; checkpoints live under Dir/checkpoints
-	Keep int    // committed checkpoints to retain after a commit; <=0 keeps all
+	Dir string // campaign root; checkpoints live under Dir/checkpoints
 
 	// Fingerprint, when set, is stamped into the snapshot headers.
 	Fingerprint string
@@ -173,20 +155,18 @@ type CheckpointBackend struct {
 	Hook FaultHook
 
 	mu        sync.Mutex
-	pending   string // staging directory of the in-progress checkpoint
-	scanned   bool
-	nextSeq   int
 	writerGen uint64 // bumped by Acquire; fences stale CheckpointWriters
-	// chains holds, per snapshot name, the newest committed save;
-	// staged the saves of the in-progress checkpoint.
-	chains map[string]*chain
-	staged map[string]*chain
+	// last is the newest committed save; nil before the first, after
+	// a failed save and after Acquire, so that the next save is a base.
+	last *chain
 }
 
-// NewCheckpointBackend returns a backend rooted at dir, retaining the
-// three newest checkpoints.
+// keepCheckpoints is how many committed checkpoints a commit retains.
+const keepCheckpoints = 3
+
+// NewCheckpointBackend returns a backend rooted at dir.
 func NewCheckpointBackend(dir string) *CheckpointBackend {
-	return &CheckpointBackend{Dir: dir, Keep: 3}
+	return &CheckpointBackend{Dir: dir}
 }
 
 func (b *CheckpointBackend) root() string { return filepath.Join(b.Dir, "checkpoints") }
@@ -221,155 +201,108 @@ func (b *CheckpointBackend) committed() ([]string, error) {
 	return out, nil
 }
 
-// stage returns the staging directory, creating it (and discarding
-// any leftovers from a crashed checkpoint) at the start of a cycle.
-func (b *CheckpointBackend) stage() (string, error) {
-	if b.pending != "" {
-		return b.pending, nil
+// Save commits db and m as the next checkpoint: it clears the staging
+// directory, writes db into it as a base or a segment (saveChained) and
+// then the metadata, fsynced, renames it to its sequence-numbered name,
+// fsyncs the rename and prunes. A failed Save leaves the committed log
+// intact (or, failing after the rename, committed) and makes the next
+// Save a base.
+func (b *CheckpointBackend) Save(db *DB, m Meta) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.saveLocked(db, m)
+}
+
+func (b *CheckpointBackend) saveLocked(db *DB, m Meta) error {
+	c, err := b.commit(db, m)
+	if b.last = c; err == nil {
+		b.prune()
 	}
+	return err
+}
+
+// commit stages and commits one checkpoint, returning what it saved;
+// a nil chain with the error on failure.
+func (b *CheckpointBackend) commit(db *DB, m Meta) (*chain, error) {
 	dir := filepath.Join(b.root(), stagingName)
 	if err := os.RemoveAll(dir); err != nil {
-		return "", err
+		return nil, err
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
+		return nil, err
 	}
-	b.pending = dir
-	return dir, nil
-}
-
-// SaveSnapshot stages db under the in-progress checkpoint as a
-// binary snapshot, name.v6db.
-func (b *CheckpointBackend) SaveSnapshot(name string, db *DB) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.saveSnapshotLocked(name, db)
-}
-
-func (b *CheckpointBackend) saveSnapshotLocked(name string, db *DB) error {
-	dir, err := b.stage()
+	c, err := b.saveChained(dir, db)
 	if err != nil {
-		return err
-	}
-	c, err := b.saveChained(dir, name, db)
-	if err != nil {
-		b.discard()
-		return err
-	}
-	if b.staged == nil {
-		b.staged = make(map[string]*chain)
-	}
-	b.staged[name] = c
-	return nil
-}
-
-// discard drops the in-progress checkpoint and what the backend knows
-// of committed chains: the next cycle restages from scratch and
-// writes bases.
-func (b *CheckpointBackend) discard() {
-	b.pending = ""
-	b.chains, b.staged = nil, nil
-}
-
-// SaveMeta commits the staged checkpoint: the metadata is written
-// and fsynced into the staging directory, which is then atomically
-// renamed to its sequence-numbered final name, and the rename is
-// fsynced. Older checkpoints beyond Keep are pruned afterwards.
-func (b *CheckpointBackend) SaveMeta(m Meta) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.saveMetaLocked(m)
-}
-
-func (b *CheckpointBackend) saveMetaLocked(m Meta) error {
-	if err := b.commitLocked(m); err != nil {
-		b.discard()
-		return err
-	}
-	return nil
-}
-
-func (b *CheckpointBackend) commitLocked(m Meta) error {
-	dir, err := b.stage()
-	if err != nil {
-		return err
+		return nil, err
 	}
 	if b.Hook != nil {
 		if err := b.Hook("write", filepath.Join(dir, metaFile)); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if err := writeMeta(dir, m, b.Hook); err != nil {
-		return err
+		return nil, err
 	}
-	if !b.scanned {
-		names, err := b.committed()
-		if err != nil {
-			return err
-		}
-		for _, n := range names {
-			var seq int
-			fmt.Sscanf(n, "ck-%06d", &seq)
-			if seq >= b.nextSeq {
-				b.nextSeq = seq + 1
-			}
-		}
-		b.scanned = true
+	names, err := b.committed()
+	if err != nil {
+		return nil, err
 	}
-	final := filepath.Join(b.root(), fmt.Sprintf("ck-%06d", b.nextSeq))
+	seq := 0
+	if len(names) > 0 {
+		fmt.Sscanf(names[len(names)-1], "ck-%06d", &seq)
+		seq++
+	}
+	final := filepath.Join(b.root(), fmt.Sprintf("ck-%06d", seq))
 	if b.Hook != nil {
 		if err := b.Hook("rename", final); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if err := os.Rename(dir, final); err != nil {
-		return err
+		return nil, err
 	}
-	b.nextSeq++
-	b.pending = ""
-	for _, c := range b.staged {
-		c.dir = final
-	}
-	b.chains, b.staged = b.staged, nil
+	c.dir = final
 	if err := syncDir(b.root()); err != nil {
-		return err
+		return nil, err
 	}
 	if b.Hook != nil {
 		// "crash" fires after the commit landed: the new checkpoint is
 		// the one LoadMeta now serves, but the caller hears failure — a
 		// process that died between rename and acknowledgment.
 		if err := b.Hook("crash", final); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	// The rename above was the commit point: the checkpoint is durable
-	// regardless of what follows. Pruning obsolete checkpoints is
-	// housekeeping — a failure here (a held-open file, a permission
-	// oddity on an old directory) must not abort the campaign, so it
-	// is reported on stderr and otherwise ignored; the stale directory
-	// is retried on the next checkpoint.
-	if b.Keep > 0 {
-		names, err := b.committed()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "store: checkpoint prune: %v\n", err)
-			return nil
-		}
-		for len(names) > b.Keep {
-			victim := filepath.Join(b.root(), names[0])
-			if b.Hook != nil {
-				if err := b.Hook("prune", victim); err != nil {
-					fmt.Fprintf(os.Stderr, "store: checkpoint prune: %v\n", err)
-					break
-				}
-			}
-			if err := os.RemoveAll(victim); err != nil {
+	return c, nil
+}
+
+// prune removes the committed checkpoints older than the newest
+// keepCheckpoints. The commit rename was the commit point: the
+// checkpoint is durable regardless of what follows. Pruning obsolete
+// checkpoints is housekeeping — a failure here (a held-open file, a
+// permission oddity on an old directory) must not abort the campaign,
+// so it is reported on stderr and otherwise ignored; the stale
+// directory is retried on the next checkpoint.
+func (b *CheckpointBackend) prune() {
+	names, err := b.committed()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "store: checkpoint prune: %v\n", err)
+		return
+	}
+	for len(names) > keepCheckpoints {
+		victim := filepath.Join(b.root(), names[0])
+		if b.Hook != nil {
+			if err := b.Hook("prune", victim); err != nil {
 				fmt.Fprintf(os.Stderr, "store: checkpoint prune: %v\n", err)
-				break
+				return
 			}
-			names = names[1:]
 		}
+		if err := os.RemoveAll(victim); err != nil {
+			fmt.Fprintf(os.Stderr, "store: checkpoint prune: %v\n", err)
+			return
+		}
+		names = names[1:]
 	}
-	return nil
 }
 
 // latest returns the newest committed checkpoint directory, or "".
@@ -392,9 +325,11 @@ func (b *CheckpointBackend) LoadMeta() (Meta, bool, error) {
 	return ReadMeta(dir)
 }
 
-// LoadSnapshot reads a snapshot from the newest committed checkpoint
-// (see loadSnapshotAuto).
-func (b *CheckpointBackend) LoadSnapshot(name string) (*DB, error) {
+// Load reads the newest committed checkpoint's database: its chain (a
+// base plus segments, see chain.go) when present, else the whole
+// snapshot; ErrNoDatabase when there is none. A checkpoint in a format
+// this build does not write does not load; its campaign is rerun.
+func (b *CheckpointBackend) Load() (*DB, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	dir, err := b.latest()
@@ -404,7 +339,13 @@ func (b *CheckpointBackend) LoadSnapshot(name string) (*DB, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("store: %w: no committed checkpoint under %s", ErrNoDatabase, b.root())
 	}
-	return loadSnapshotAuto(filepath.Join(dir, name))
+	base := filepath.Join(dir, SnapMain)
+	if _, err := os.Stat(base + chainBaseSuffix); err == nil {
+		return loadChain(base)
+	} else if !errors.Is(err, fs.ErrNotExist) {
+		return nil, err
+	}
+	return Load(base)
 }
 
 // ErrStaleWriter is returned by a CheckpointWriter whose backend has
@@ -420,49 +361,38 @@ type CheckpointWriter struct {
 }
 
 // Acquire returns a write handle bound to the backend and revokes
-// every handle returned earlier: a write through a stale handle fails
+// every handle returned earlier: a Save through a stale handle fails
 // with ErrStaleWriter, and the check happens under the backend lock,
-// atomically with the write it gates — a revoked writer can never
+// atomically with the whole save it gates — a revoked writer can never
 // touch the staging area or the committed sequence again, not even in
-// a race. Any checkpoint a revoked writer left half-staged is
-// discarded, so the new holder always stages from scratch. This is
-// what lets a supervisor abandon a wedged attempt and start a
-// replacement against the same checkpoint log without the two writers
-// interleaving staged snapshots or colliding on sequence numbers.
-// Loads are not fenced: a stale holder reading the newest committed
-// checkpoint is harmless.
+// a race, and Acquire itself waits for a save in flight. The new
+// holder's first save is a base. This is what lets a supervisor
+// abandon a wedged attempt and start a replacement against the same
+// checkpoint log without the two writers interleaving their saves or
+// colliding on sequence numbers. Loads are not fenced: a stale holder
+// reading the newest committed checkpoint is harmless.
 func (b *CheckpointBackend) Acquire() *CheckpointWriter {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.writerGen++
-	b.discard() // stage() restages, discarding a revoked writer's leftovers
+	b.last = nil
 	return &CheckpointWriter{b: b, gen: b.writerGen}
 }
 
-// SaveSnapshot stages db through the handle; ErrStaleWriter once a
-// newer writer has acquired the backend.
-func (w *CheckpointWriter) SaveSnapshot(name string, db *DB) error {
+// Save commits a checkpoint through the handle (see
+// CheckpointBackend.Save); ErrStaleWriter once a newer writer has
+// acquired the backend.
+func (w *CheckpointWriter) Save(db *DB, m Meta) error {
 	w.b.mu.Lock()
 	defer w.b.mu.Unlock()
 	if w.gen != w.b.writerGen {
 		return ErrStaleWriter
 	}
-	return w.b.saveSnapshotLocked(name, db)
-}
-
-// SaveMeta commits the staged checkpoint through the handle;
-// ErrStaleWriter once a newer writer has acquired the backend.
-func (w *CheckpointWriter) SaveMeta(m Meta) error {
-	w.b.mu.Lock()
-	defer w.b.mu.Unlock()
-	if w.gen != w.b.writerGen {
-		return ErrStaleWriter
-	}
-	return w.b.saveMetaLocked(m)
+	return w.b.saveLocked(db, m)
 }
 
 // LoadMeta reads the newest committed checkpoint's metadata.
 func (w *CheckpointWriter) LoadMeta() (Meta, bool, error) { return w.b.LoadMeta() }
 
-// LoadSnapshot reads a snapshot from the newest committed checkpoint.
-func (w *CheckpointWriter) LoadSnapshot(name string) (*DB, error) { return w.b.LoadSnapshot(name) }
+// Load reads the newest committed checkpoint's database.
+func (w *CheckpointWriter) Load() (*DB, error) { return w.b.Load() }

@@ -46,7 +46,7 @@ func TestCheckpointBackendCommitAndLatest(t *testing.T) {
 	if _, ok, err := b.LoadMeta(); err != nil || ok {
 		t.Fatalf("empty backend meta: ok=%v err=%v", ok, err)
 	}
-	if _, err := b.LoadSnapshot(SnapMain); !errors.Is(err, ErrNoDatabase) {
+	if _, err := b.Load(); !errors.Is(err, ErrNoDatabase) {
 		t.Fatalf("LoadSnapshot on empty backend: %v", err)
 	}
 
@@ -55,10 +55,7 @@ func TestCheckpointBackendCommitAndLatest(t *testing.T) {
 		if round == 3 {
 			db.AddDNS("penn", DNSRow{Site: 2, Round: 2, HasA: true})
 		}
-		if err := b.SaveSnapshot(SnapMain, db); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.SaveMeta(Meta{NextRound: round, Rounds: 3, ConfigHash: "x"}); err != nil {
+		if err := b.Save(db, Meta{NextRound: round, Rounds: 3, ConfigHash: "x"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -66,7 +63,7 @@ func TestCheckpointBackendCommitAndLatest(t *testing.T) {
 	if err != nil || !ok || meta.NextRound != 3 {
 		t.Fatalf("latest meta: %+v ok=%v err=%v", meta, ok, err)
 	}
-	loaded, err := b.LoadSnapshot(SnapMain)
+	loaded, err := b.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,10 +75,7 @@ func TestCheckpointBackendCommitAndLatest(t *testing.T) {
 func TestCheckpointBackendIgnoresCrashedStaging(t *testing.T) {
 	dir := t.TempDir()
 	b := NewCheckpointBackend(dir)
-	if err := b.SaveSnapshot(SnapMain, backendSampleDB()); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.SaveMeta(Meta{NextRound: 1, Rounds: 5}); err != nil {
+	if err := b.Save(backendSampleDB(), Meta{NextRound: 1, Rounds: 5}); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate a crash mid-checkpoint: a fresh backend (new process)
@@ -98,14 +92,11 @@ func TestCheckpointBackendIgnoresCrashedStaging(t *testing.T) {
 	if err != nil || !ok || meta.NextRound != 1 {
 		t.Fatalf("recovered meta: %+v ok=%v err=%v", meta, ok, err)
 	}
-	if _, err := b2.LoadSnapshot(SnapMain); err != nil {
+	if _, err := b2.Load(); err != nil {
 		t.Fatalf("recovered snapshot: %v", err)
 	}
 	// The next commit must not collide with the junk ck-000099 name.
-	if err := b2.SaveSnapshot(SnapMain, backendSampleDB()); err != nil {
-		t.Fatal(err)
-	}
-	if err := b2.SaveMeta(Meta{NextRound: 2, Rounds: 5}); err != nil {
+	if err := b2.Save(backendSampleDB(), Meta{NextRound: 2, Rounds: 5}); err != nil {
 		t.Fatal(err)
 	}
 	if meta, _, _ := b2.LoadMeta(); meta.NextRound != 2 {
@@ -113,15 +104,13 @@ func TestCheckpointBackendIgnoresCrashedStaging(t *testing.T) {
 	}
 }
 
+// TestCheckpointBackendPrunes: a commit keeps the newest three
+// checkpoints.
 func TestCheckpointBackendPrunes(t *testing.T) {
 	b := NewCheckpointBackend(t.TempDir())
-	b.Keep = 2
 	db := backendSampleDB()
 	for round := 1; round <= 5; round++ {
-		if err := b.SaveSnapshot(SnapMain, db); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.SaveMeta(Meta{NextRound: round, Rounds: 5}); err != nil {
+		if err := b.Save(db, Meta{NextRound: round, Rounds: 5}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -129,8 +118,8 @@ func TestCheckpointBackendPrunes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(names) != 2 {
-		t.Fatalf("pruning kept %d checkpoints: %v", len(names), names)
+	if len(names) != 3 || names[0] != "ck-000002" {
+		t.Fatalf("pruning kept %v, want the newest three", names)
 	}
 	if meta, _, _ := b.LoadMeta(); meta.NextRound != 5 {
 		t.Fatalf("pruning lost the newest checkpoint: %+v", meta)
@@ -187,42 +176,35 @@ func TestSaveDNSCanonicalOrder(t *testing.T) {
 
 // TestCheckpointWriterFencing: Acquire revokes every earlier write
 // handle — a stale writer (an abandoned campaign attempt) gets
-// ErrStaleWriter instead of clobbering the active writer's staging
-// directory or colliding on checkpoint sequence numbers, and anything
-// it half-staged before revocation is discarded.
+// ErrStaleWriter from Save and commits nothing, instead of clobbering
+// the active writer's staging directory or colliding on checkpoint
+// sequence numbers.
 func TestCheckpointWriterFencing(t *testing.T) {
 	b := NewCheckpointBackend(t.TempDir())
 	w1 := b.Acquire()
-
-	// w1 stages a snapshot but is abandoned before committing.
-	if err := w1.SaveSnapshot(SnapMain, backendSampleDB()); err != nil {
+	if err := w1.Save(backendSampleDB(), Meta{NextRound: 1, Rounds: 5}); err != nil {
 		t.Fatal(err)
 	}
 
 	// The replacement attempt acquires its own handle: w1 is revoked.
 	w2 := b.Acquire()
-	if err := w1.SaveSnapshot(SnapMain, backendSampleDB()); !errors.Is(err, ErrStaleWriter) {
-		t.Fatalf("stale SaveSnapshot: %v, want ErrStaleWriter", err)
+	if err := w1.Save(backendSampleDB(), Meta{NextRound: 99, Rounds: 99}); !errors.Is(err, ErrStaleWriter) {
+		t.Fatalf("stale Save: %v, want ErrStaleWriter", err)
 	}
-	if err := w1.SaveMeta(Meta{NextRound: 99, Rounds: 99}); !errors.Is(err, ErrStaleWriter) {
-		t.Fatalf("stale SaveMeta: %v, want ErrStaleWriter", err)
+	if meta, _, err := b.LoadMeta(); err != nil || meta.NextRound != 1 {
+		t.Fatalf("a stale Save committed: %+v err=%v", meta, err)
 	}
 
-	// w2 commits a full checkpoint of its own; the stale writer's
-	// leftovers and late writes must not be part of it.
 	db := backendSampleDB()
 	db.AddDNS("penn", DNSRow{Site: 2, Round: 1, HasA: true})
-	if err := w2.SaveSnapshot(SnapMain, db); err != nil {
-		t.Fatal(err)
-	}
-	if err := w2.SaveMeta(Meta{NextRound: 2, Rounds: 5}); err != nil {
+	if err := w2.Save(db, Meta{NextRound: 2, Rounds: 5}); err != nil {
 		t.Fatal(err)
 	}
 	meta, ok, err := b.LoadMeta()
 	if err != nil || !ok || meta.NextRound != 2 {
 		t.Fatalf("committed meta: %+v ok=%v err=%v", meta, ok, err)
 	}
-	loaded, err := w1.LoadSnapshot(SnapMain) // loads are not fenced
+	loaded, err := w1.Load() // loads are not fenced
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,13 +212,18 @@ func TestCheckpointWriterFencing(t *testing.T) {
 		t.Fatalf("committed snapshot has %d dns rows, want w2's 2", d)
 	}
 	names, err := b.committed()
-	if err != nil || len(names) != 1 {
-		t.Fatalf("committed checkpoints: %v err=%v, want exactly one", names, err)
+	if err != nil || len(names) != 2 {
+		t.Fatalf("committed checkpoints: %v err=%v, want w1's and w2's", names, err)
 	}
 
 	// Both writers revoked by a third: neither can commit anymore.
 	b.Acquire()
-	if err := w2.SaveMeta(Meta{NextRound: 3, Rounds: 5}); !errors.Is(err, ErrStaleWriter) {
-		t.Fatalf("revoked w2 SaveMeta: %v, want ErrStaleWriter", err)
+	for i, w := range []*CheckpointWriter{w1, w2} {
+		if err := w.Save(db, Meta{NextRound: 3, Rounds: 5}); !errors.Is(err, ErrStaleWriter) {
+			t.Fatalf("revoked w%d Save: %v, want ErrStaleWriter", i+1, err)
+		}
+	}
+	if names, _ := b.committed(); len(names) != 2 {
+		t.Fatalf("revoked writers committed: %v", names)
 	}
 }

@@ -54,7 +54,7 @@ func TestFlushMatchesRowByRow(t *testing.T) {
 			// applied over it.
 			for k := 0; k < 3; k++ {
 				id := ids[rng.Intn(len(ids))]
-				row := SiteRow{Site: id, Host: "direct.example", FirstRank: -1 - round, V4AS: 99, V6AS: 99}
+				row := SiteRow{Site: id, Host: "direct.example", FirstRank: 5000 + round, V4AS: 99, V6AS: 99}
 				want.PutSite(row)
 				got.PutSite(row)
 			}

@@ -110,11 +110,16 @@ func TestBinarySaveDeterministic(t *testing.T) {
 	// encoding the save dumped. (Across different insertion histories
 	// the canonical representation is the re-saved CSV, which expands
 	// runs — see TestBinaryRoundTripCSVIdentical — while the binary
-	// file deliberately preserves the physical encoding.)
+	// file deliberately preserves the physical encoding.) A snapshot
+	// stamped with a fingerprint, as checkpoints and products are, is
+	// as stable when the re-save carries the same stamp; the stamp is
+	// the only difference from an unstamped save, which is shorter by
+	// the fingerprint's length.
+	const fingerprint = "0123456789abcdef"
 	db := binarySampleDB()
-	save := func(d *DB) []byte {
+	save := func(d *DB, fp string) []byte {
 		path := filepath.Join(t.TempDir(), "snap"+BinaryExt)
-		if err := d.SaveBinary(path, BinaryOptions{Compress: true}); err != nil {
+		if err := d.SaveBinary(path, BinaryOptions{Compress: true, Fingerprint: fp}); err != nil {
 			t.Fatal(err)
 		}
 		data, err := os.ReadFile(path)
@@ -123,21 +128,25 @@ func TestBinarySaveDeterministic(t *testing.T) {
 		}
 		return data
 	}
-	first := save(db)
-	if !bytes.Equal(first, save(db)) {
-		t.Fatal("saving the same database twice produced different bytes")
+	for _, fp := range []string{"", fingerprint} {
+		first := save(db, fp)
+		if !bytes.Equal(first, save(db, fp)) {
+			t.Fatalf("stamp %q: saving the same database twice produced different bytes", fp)
+		}
+		base := filepath.Join(t.TempDir(), "snap")
+		if err := os.WriteFile(base+BinaryExt, first, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := Load(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first, save(loaded, fp)) {
+			t.Fatalf("stamp %q: save -> load -> save is not byte-stable", fp)
+		}
 	}
-	base := filepath.Join(t.TempDir(), "snap")
-	path := base + BinaryExt
-	if err := os.WriteFile(path, first, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(first, save(loaded)) {
-		t.Fatal("save -> load -> save is not byte-stable")
+	if d := len(save(db, fingerprint)) - len(save(db, "")); d != len(fingerprint) {
+		t.Fatalf("the stamped snapshot is %d bytes longer than the unstamped one, want %d", d, len(fingerprint))
 	}
 }
 
@@ -147,10 +156,7 @@ func TestBinarySaveDeterministic(t *testing.T) {
 func TestCheckpointBinaryInfo(t *testing.T) {
 	b := NewCheckpointBackend(t.TempDir())
 	b.Fingerprint = "cafebabe"
-	if err := b.SaveSnapshot(SnapMain, binarySampleDB()); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.SaveMeta(Meta{NextRound: 7, Rounds: 35, ConfigHash: "cafebabe"}); err != nil {
+	if err := b.Save(binarySampleDB(), Meta{NextRound: 7, Rounds: 35, ConfigHash: "cafebabe"}); err != nil {
 		t.Fatal(err)
 	}
 	ck, err := b.latest()

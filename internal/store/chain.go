@@ -511,9 +511,9 @@ func loadChain(base string) (*DB, error) {
 	return db, nil
 }
 
-// chain is what a CheckpointBackend knows of one snapshot name's
-// newest saved checkpoint: the database it holds, the mark its save
-// took, and the files that make it up.
+// chain is what a CheckpointBackend knows of its newest saved
+// checkpoint: the database it holds, the mark its save took, and the
+// files that make it up.
 type chain struct {
 	db        *DB
 	gen       uint64 // db's mark generation after the save
@@ -525,13 +525,14 @@ type chain struct {
 	segBytes  int64
 }
 
-// saveChained saves db as name into the staging directory dir: as a
+// saveChained saves db as main into the staging directory dir: as a
 // segment continuing the last committed checkpoint when that is
 // provably exact and its segments do not yet outweigh its base, and
 // as a base otherwise.
-func (b *CheckpointBackend) saveChained(dir, name string, db *DB) (*chain, error) {
+func (b *CheckpointBackend) saveChained(dir string, db *DB) (*chain, error) {
+	const name = SnapMain
 	opt := BinaryOptions{Compress: true, Fingerprint: b.Fingerprint, Hook: b.Hook}
-	if prev := b.chains[name]; prev != nil && prev.db == db && prev.segBytes < prev.baseBytes &&
+	if prev := b.last; prev != nil && prev.db == db && prev.segBytes < prev.baseBytes &&
 		db.markGen.Load() == prev.gen && db.continues(prev.mark) {
 		if c, err := b.saveSegment(dir, name, db, prev, opt); c != nil || err != nil {
 			return c, err

@@ -78,7 +78,7 @@ func loadNewest(t *testing.T, dir string) (*DB, Meta) {
 	if err != nil || !ok {
 		t.Fatalf("newest meta: ok=%v err=%v", ok, err)
 	}
-	db, err := b.LoadSnapshot(SnapMain)
+	db, err := b.Load()
 	if err != nil {
 		t.Fatalf("newest checkpoint does not load: %v", err)
 	}
@@ -113,7 +113,6 @@ func TestChainSegmentsEqualLiveDB(t *testing.T) {
 	for _, every := range []int{1, 2} {
 		dir := t.TempDir()
 		b := NewCheckpointBackend(dir)
-		b.Keep = 2
 		db := binarySampleDB()
 		commits, segments := 0, 0
 		for r := 10; r < 30; r++ {
@@ -185,25 +184,23 @@ func TestChainOlderRoundForcesBase(t *testing.T) {
 	}
 }
 
-// TestChainSurvivesPruningAndFallsBack: with Keep 1 the newest chain
-// loads through its hard links once the base's own directory is gone;
-// a chain directory has no whole main.v6db, so Load, which knows only
-// whole snapshots, reports ErrNoDatabase; and
-// once the predecessor directory is removed, the next checkpoint is a
-// base.
+// TestChainSurvivesPruningAndFallsBack: the newest chain loads through
+// its hard links once pruning has removed the base's own directory; a
+// chain directory has no whole main.v6db, so Load, which knows only
+// whole snapshots, reports ErrNoDatabase; and once the predecessor
+// directory is removed, the next checkpoint is a base.
 func TestChainSurvivesPruningAndFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	b := NewCheckpointBackend(dir)
-	b.Keep = 1
 	db := binarySampleDB()
-	for r := 10; r < 13; r++ {
+	for r := 10; r < 15; r++ {
 		chainRound(db, r)
 		if err := commit(b, db, r); err != nil {
 			t.Fatal(err)
 		}
 	}
 	names, err := b.committed()
-	if err != nil || len(names) != 1 || names[0] == "ck-000000" {
+	if err != nil || len(names) != 3 || names[0] != "ck-000002" {
 		t.Fatalf("committed after pruning: %v err=%v", names, err)
 	}
 	if newestIsBase(t, b) {
@@ -211,7 +208,7 @@ func TestChainSurvivesPruningAndFallsBack(t *testing.T) {
 	}
 	requireLoadsAs(t, dir, db)
 
-	ck := filepath.Join(b.root(), names[0])
+	ck := filepath.Join(b.root(), names[len(names)-1])
 	if _, err := Load(filepath.Join(ck, SnapMain)); !errors.Is(err, ErrNoDatabase) {
 		t.Fatalf("whole-snapshot load of a chain directory: %v, want ErrNoDatabase", err)
 	}
@@ -219,8 +216,8 @@ func TestChainSurvivesPruningAndFallsBack(t *testing.T) {
 	if err := os.RemoveAll(ck); err != nil {
 		t.Fatal(err)
 	}
-	chainRound(db, 13)
-	if err := commit(b, db, 13); err != nil {
+	chainRound(db, 15)
+	if err := commit(b, db, 15); err != nil {
 		t.Fatal(err)
 	}
 	if !newestIsBase(t, b) {
@@ -242,7 +239,6 @@ func TestChainSurvivesPruningAndFallsBack(t *testing.T) {
 func TestChainMismatchIsCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	b := NewCheckpointBackend(dir)
-	b.Keep = 0
 	db := binarySampleDB()
 	for r := 10; r < 13; r++ {
 		chainRound(db, r)
@@ -275,13 +271,13 @@ func TestChainMismatchIsCorrupt(t *testing.T) {
 	if err := os.WriteFile(seg2, v1, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.LoadSnapshot(SnapMain); !errors.As(err, &ce) || ce.Section != "header" || ce.Path != seg2 {
+	if _, err := b.Load(); !errors.As(err, &ce) || ce.Section != "header" || ce.Path != seg2 {
 		t.Fatalf("a chain holding a version-1 segment: %v, want a header *CorruptSnapshotError naming %s", err, seg2)
 	}
 	if err := os.Remove(filepath.Join(ck, segName(SnapMain, 1))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.LoadSnapshot(SnapMain); !errors.As(err, &ce) {
+	if _, err := b.Load(); !errors.As(err, &ce) {
 		t.Fatalf("chain missing segment 1: %v, want *CorruptSnapshotError", err)
 	}
 

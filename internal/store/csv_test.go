@@ -29,32 +29,34 @@ import (
 
 // awkwardText holds strings that exercise encoding/csv's quoting rule:
 // commas, quotes, CR, LF, CRLF, leading Unicode spaces, Postgres's
-// `\.`, the empty string and non-ASCII text.
+// `\.` and non-ASCII text. (A host is never empty; the empty vantage
+// name below covers the empty field.)
 var awkwardText = []string{
 	"plain.example", "com,ma.example", `quo"te.example`, `"`, `""`,
 	"cr\rcr", "lf\nlf", "crlf\r\ncrlf", "trailing-cr\r", " leading-space", "\ttab",
-	"\u00a0nbsp", "\u0085nel", "inner space", `\.`, `\.x`, "",
+	"\u00a0nbsp", "\u0085nel", "inner space", `\.`, `\.x`,
 	"bücher.example", "例え.テスト", ",", "\n",
 }
 
-// awkwardVantages are vantage names drawn from the same classes.
+// awkwardVantages are vantage names drawn from the same classes,
+// the empty string among them.
 var awkwardVantages = []Vantage{"penn", "se,attle", `q"uote`, "cr\r\nlf", " lead", "\u0085nel", `\.`, "", "例え"}
 
 // awkwardDB builds a database whose hosts and vantage names are
 // awkward text, on dense main and extended ids and overflow ids
-// outside the dense ranges. It also holds values at the edges of what
-// the write API accepts: an empty host, negative overflow ids, origin
-// ASes below -1, a negative page size and a negative path AS.
+// between and past the dense ranges. It also holds values at the low
+// edges of what the writers take: first rank 0, the unknown origin AS
+// -1, page size and downloads 0.
 func awkwardDB() *DB {
 	const extBase = alexa.SiteID(1 << 20)
 	db := NewDB()
 	db.Reserve(64, extBase, 32)
 	ids := func(i int) []alexa.SiteID {
-		return []alexa.SiteID{alexa.SiteID(i), extBase + alexa.SiteID(i), 5_000_000 + alexa.SiteID(i), alexa.SiteID(-1 - i)}
+		return []alexa.SiteID{alexa.SiteID(i), extBase + alexa.SiteID(i), 5_000_000 + alexa.SiteID(i), alexa.SiteID(1000 + i)}
 	}
 	for i, host := range awkwardText {
 		for k, id := range ids(i) {
-			db.PutSite(SiteRow{Site: id, Host: host, FirstRank: i * k, V4AS: -1 - k, V6AS: 64500 - i})
+			db.PutSite(SiteRow{Site: id, Host: host, FirstRank: i * k, V4AS: k - 1, V6AS: 64500 - i})
 		}
 	}
 	for i := 40; i < 44; i++ { // canonical hosts, as the monitor writes them
@@ -69,11 +71,11 @@ func awkwardDB() *DB {
 				}
 				db.AddDNS(v, DNSRow{Site: id, Round: 7, HasA: true}) // after a gap
 				db.AddSample(v, id, topo.V6, Sample{Round: 1, Date: date.AddDate(0, 0, vi), PageBytes: 1000 + i, Downloads: 3, MeanSpeed: 1.0 / 3, CIOK: i%2 == 0})
-				db.AddSample(v, id, topo.V4, Sample{Round: 1, Date: date, PageBytes: -1, Downloads: 0, MeanSpeed: 12345.678, CIOK: true})
+				db.AddSample(v, id, topo.V4, Sample{Round: 1, Date: date, PageBytes: 0, Downloads: 0, MeanSpeed: 12345.678, CIOK: true})
 			}
 		}
 		db.AddPath(v, topo.V4, 9, 0, []int{2, 5, 9})
-		db.AddPath(v, topo.V4, 9, 3, []int{2, -7, 9})
+		db.AddPath(v, topo.V4, 9, 3, []int{2, 7, 9})
 		db.AddPath(v, topo.V6, 4, 1, nil)
 		db.AddPath(v, topo.V6, 4, 2, []int{4})
 	}

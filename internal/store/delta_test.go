@@ -11,6 +11,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -310,6 +311,162 @@ func TestWritersRefuseRoundsOutsideCodec(t *testing.T) {
 	}
 }
 
+// TestWritersRefuseValuesOutsideCodec: a snapshot carries site ids in
+// [0, 2^62), non-empty hosts, first ranks, page sizes, download counts,
+// path destinations and path ASes in [0, 2^31-1], origin ASes in [-1,
+// 2^31-2], the families V4 and V6, and sample dates Unix nanoseconds
+// cover. Each writer panics on one bound crossed, naming the vantage
+// (where the row has one), the site or path key, the field and the
+// value, and records nothing. The extreme legal values round-trip
+// through SaveBinary and Load unchanged, and one instant written in two
+// zones is one sample date.
+func TestWritersRefuseValuesOutsideCodec(t *testing.T) {
+	const top = alexa.SiteID(snapAllSites - 1)
+	date := time.Unix(0, 0).UTC()
+	msg := func(writer, what, field string, value, lo, hi int64) string {
+		return fmt.Sprintf("store: %s: %s %s %d outside [%d, %d], the values a snapshot carries", writer, what, field, value, lo, hi)
+	}
+	const topID = int64(top)
+	putSite := func(row SiteRow) func(*DB) { return func(db *DB) { db.PutSite(row) } }
+	flushSite := func(view CanonicalSite) func(*DB) {
+		return func(db *DB) {
+			var b Batch
+			b.AddSite(view)
+			db.Flush("penn", &b)
+		}
+	}
+	flushDNS := func(id alexa.SiteID) func(*DB) {
+		return func(db *DB) {
+			var b Batch
+			b.AddDNS(DNSRow{Site: id, Round: 0, HasA: true})
+			db.Flush("penn", &b)
+		}
+	}
+	addDNS := func(id alexa.SiteID) func(*DB) {
+		return func(db *DB) { db.AddDNS("penn", DNSRow{Site: id, Round: 0, HasA: true}) }
+	}
+	addSample := func(id alexa.SiteID, fam topo.Family, s Sample) func(*DB) {
+		return func(db *DB) { db.AddSample("penn", id, fam, s) }
+	}
+	addPath := func(fam topo.Family, dst int, path ...int) func(*DB) {
+		return func(db *DB) { db.AddPath("penn", fam, dst, 0, path) }
+	}
+	sample := Sample{Round: 0, Date: date, PageBytes: 10, Downloads: 3}
+	with := func(edit func(*Sample)) Sample { s := sample; edit(&s); return s }
+	site := SiteRow{Site: 3, Host: "h.example", FirstRank: 1, V4AS: 1, V6AS: -1}
+	siteWith := func(edit func(*SiteRow)) SiteRow { r := site; edit(&r); return r }
+	view := CanonicalSite{Site: 3, FirstRank: 1, V4AS: 1, V6AS: -1}
+	viewWith := func(edit func(*CanonicalSite)) CanonicalSite { v := view; edit(&v); return v }
+	const pennSite3 = `vantage "penn" site 3`
+	pennSample := func(id int64, fam int) string { return fmt.Sprintf(`vantage "penn" site %d family %d`, id, fam) }
+	pennPath := func(fam, dst int64) string { return fmt.Sprintf(`vantage "penn" path key (%d,%d)`, fam, dst) }
+	cases := []struct {
+		name  string
+		write func(*DB)
+		want  string
+	}{
+		{"PutSite id -1", putSite(siteWith(func(r *SiteRow) { r.Site = -1 })), msg("PutSite", "site -1", "id", -1, 0, topID)},
+		{"PutSite id 2^62", putSite(siteWith(func(r *SiteRow) { r.Site = top + 1 })), msg("PutSite", fmt.Sprintf("site %d", topID+1), "id", topID+1, 0, topID)},
+		{"PutSite empty host", putSite(siteWith(func(r *SiteRow) { r.Host = "" })), "store: PutSite: site 3 host empty, which a snapshot reads back as the canonical one"},
+		{"PutSite first rank -1", putSite(siteWith(func(r *SiteRow) { r.FirstRank = -1 })), msg("PutSite", "site 3", "first_rank", -1, 0, maxField)},
+		{"PutSite first rank 2^31", putSite(siteWith(func(r *SiteRow) { r.FirstRank = maxField + 1 })), msg("PutSite", "site 3", "first_rank", maxField+1, 0, maxField)},
+		{"PutSite v4 AS -2", putSite(siteWith(func(r *SiteRow) { r.V4AS = -2 })), msg("PutSite", "site 3", "v4_as", -2, -1, maxField-1)},
+		{"PutSite v4 AS 2^31-1", putSite(siteWith(func(r *SiteRow) { r.V4AS = maxField })), msg("PutSite", "site 3", "v4_as", maxField, -1, maxField-1)},
+		{"PutSite v6 AS -2", putSite(siteWith(func(r *SiteRow) { r.V6AS = -2 })), msg("PutSite", "site 3", "v6_as", -2, -1, maxField-1)},
+		{"PutSite v6 AS 2^31-1", putSite(siteWith(func(r *SiteRow) { r.V6AS = maxField })), msg("PutSite", "site 3", "v6_as", maxField, -1, maxField-1)},
+		{"Flush site id -1", flushSite(viewWith(func(v *CanonicalSite) { v.Site = -1 })), msg("Flush", `vantage "penn" site -1`, "id", -1, 0, topID)},
+		{"Flush site id 2^62", flushSite(viewWith(func(v *CanonicalSite) { v.Site = top + 1 })), msg("Flush", fmt.Sprintf(`vantage "penn" site %d`, topID+1), "id", topID+1, 0, topID)},
+		{"Flush first rank -1", flushSite(viewWith(func(v *CanonicalSite) { v.FirstRank = -1 })), msg("Flush", pennSite3, "first_rank", -1, 0, maxField)},
+		{"Flush first rank 2^31", flushSite(viewWith(func(v *CanonicalSite) { v.FirstRank = maxField + 1 })), msg("Flush", pennSite3, "first_rank", maxField+1, 0, maxField)},
+		{"Flush v4 AS -2", flushSite(viewWith(func(v *CanonicalSite) { v.V4AS = -2 })), msg("Flush", pennSite3, "v4_as", -2, -1, maxField-1)},
+		{"Flush v4 AS 2^31-1", flushSite(viewWith(func(v *CanonicalSite) { v.V4AS = maxField })), msg("Flush", pennSite3, "v4_as", maxField, -1, maxField-1)},
+		{"Flush v6 AS -2", flushSite(viewWith(func(v *CanonicalSite) { v.V6AS = -2 })), msg("Flush", pennSite3, "v6_as", -2, -1, maxField-1)},
+		{"Flush v6 AS 2^31-1", flushSite(viewWith(func(v *CanonicalSite) { v.V6AS = maxField })), msg("Flush", pennSite3, "v6_as", maxField, -1, maxField-1)},
+		{"Flush overflow first rank -1", flushSite(viewWith(func(v *CanonicalSite) { v.Site, v.FirstRank = 500, -1 })), msg("Flush", `vantage "penn" site 500`, "first_rank", -1, 0, maxField)},
+		{"Flush DNS id -1", flushDNS(-1), msg("Flush", `vantage "penn" site -1`, "id", -1, 0, topID)},
+		{"Flush DNS id 2^62", flushDNS(top + 1), msg("Flush", fmt.Sprintf(`vantage "penn" site %d`, topID+1), "id", topID+1, 0, topID)},
+		{"AddDNS id -1", addDNS(-1), msg("AddDNS", `vantage "penn" site -1`, "id", -1, 0, topID)},
+		{"AddDNS id 2^62", addDNS(top + 1), msg("AddDNS", fmt.Sprintf(`vantage "penn" site %d`, topID+1), "id", topID+1, 0, topID)},
+		{"AddSample id -1", addSample(-1, topo.V4, sample), msg("AddSample", pennSample(-1, 0), "id", -1, 0, topID)},
+		{"AddSample id 2^62", addSample(top+1, topo.V4, sample), msg("AddSample", pennSample(topID+1, 0), "id", topID+1, 0, topID)},
+		{"AddSample family 2", addSample(3, 2, sample), msg("AddSample", pennSample(3, 2), "family", 2, 0, 1)},
+		{"AddSample page bytes -1", addSample(3, topo.V6, with(func(s *Sample) { s.PageBytes = -1 })), msg("AddSample", pennSample(3, 1), "page_bytes", -1, 0, maxField)},
+		{"AddSample page bytes 2^31", addSample(3, topo.V6, with(func(s *Sample) { s.PageBytes = maxField + 1 })), msg("AddSample", pennSample(3, 1), "page_bytes", maxField+1, 0, maxField)},
+		{"AddSample downloads -1", addSample(3, topo.V6, with(func(s *Sample) { s.Downloads = -1 })), msg("AddSample", pennSample(3, 1), "downloads", -1, 0, maxField)},
+		{"AddSample downloads 2^31", addSample(3, topo.V6, with(func(s *Sample) { s.Downloads = maxField + 1 })), msg("AddSample", pennSample(3, 1), "downloads", maxField+1, 0, maxField)},
+		{"AddSample date before 1678", addSample(3, topo.V6, with(func(s *Sample) { s.Date = minDate.Add(-1) })), ""},
+		{"AddSample date after 2262", addSample(3, topo.V6, with(func(s *Sample) { s.Date = maxDate.Add(1) })), ""},
+		{"AddPath family 2", addPath(2, 9, 2, 9), msg("AddPath", pennPath(2, 9), "family", 2, 0, 1)},
+		{"AddPath dst -1", addPath(topo.V6, -1, 2), msg("AddPath", pennPath(1, -1), "dst", -1, 0, maxField)},
+		{"AddPath dst 2^31", addPath(topo.V6, maxField+1, 2), msg("AddPath", pennPath(1, maxField+1), "dst", maxField+1, 0, maxField)},
+		{"AddPath AS -1", addPath(topo.V6, 9, 2, -1, 9), msg("AddPath", pennPath(1, 9), "path AS", -1, 0, maxField)},
+		{"AddPath AS 2^31", addPath(topo.V6, 9, 2, maxField+1), msg("AddPath", pennPath(1, 9), "path AS", maxField+1, 0, maxField)},
+	}
+	for _, c := range cases {
+		db := NewDB()
+		db.Reserve(64, 1<<20, 32)
+		got := panicOf(func() { c.write(db) })
+		if c.want == "" { // a date: the message names the date and the span
+			c.want = "store: AddSample: " + pennSample(3, 1) + " date "
+			if !strings.HasPrefix(got, c.want) || !strings.HasSuffix(got, "the dates a snapshot carries") {
+				t.Errorf("%s panicked with %q, want %q… naming the span", c.name, got, c.want)
+				continue
+			}
+		} else if got != c.want {
+			// A writer that failed past its checks may hold a lock.
+			t.Errorf("%s panicked with %q, want %q", c.name, got, c.want)
+			continue
+		}
+		if s, d, sa, p := db.Counts(); s+d+sa+p != 0 {
+			t.Errorf("%s recorded rows: %v", c.name, db)
+		}
+	}
+
+	// The extreme legal values, and one instant in two zones.
+	db := NewDB()
+	db.Reserve(64, 1<<20, 32)
+	db.PutSite(SiteRow{Site: top, Host: "top.example", FirstRank: maxField, V4AS: maxField - 1, V6AS: -1})
+	db.PutSite(SiteRow{Site: 0, Host: "zero.example", FirstRank: 0, V4AS: -1, V6AS: maxField - 1})
+	var b Batch
+	b.AddSite(CanonicalSite{Site: 5, FirstRank: maxField, V4AS: maxField - 1, V6AS: maxField - 1})
+	b.AddSite(CanonicalSite{Site: top - 1, FirstRank: 0, V4AS: -1, V6AS: -1})
+	b.AddDNS(DNSRow{Site: top - 1, Round: 0, HasA: true})
+	db.Flush("penn", &b)
+	db.AddDNS("penn", DNSRow{Site: top, Round: 0, HasA: true, HasAAAA: true})
+	at := time.Date(2011, 6, 8, 12, 0, 0, 0, time.UTC)
+	want := []Sample{
+		{Round: 0, Date: maxDate.UTC(), PageBytes: maxField, Downloads: maxField, MeanSpeed: 1, CIOK: true},
+		{Round: 1, Date: minDate.UTC(), PageBytes: 0, Downloads: 0, MeanSpeed: 2},
+		{Round: 2, Date: at, PageBytes: 1, Downloads: maxField, MeanSpeed: 3},
+		{Round: 3, Date: at, PageBytes: 1, Downloads: 1, MeanSpeed: 4, CIOK: true},
+	}
+	for i, s := range want {
+		if i == 3 {
+			s.Date = at.In(time.FixedZone("CEST", 2*3600))
+		}
+		db.AddSample("penn", top, topo.V6, s)
+	}
+	db.AddPath("penn", topo.V6, maxField, 0, []int{0, maxField})
+	base := filepath.Join(t.TempDir(), "extremes")
+	if err := db.SaveBinary(base+BinaryExt, BinaryOptions{Compress: true}); err != nil {
+		t.Fatal(err)
+	}
+	back, err := Load(base)
+	if err != nil {
+		t.Fatalf("the extreme legal values do not load: %v", err)
+	}
+	requireSameCSV(t, back, db)
+	if !bytes.Equal(snapshotBytes(t, back), snapshotBytes(t, db)) {
+		t.Fatal("the extreme legal values do not round-trip")
+	}
+	if got := back.Freeze().Series(nil, "penn", top, topo.V6); !reflect.DeepEqual(got, want) {
+		t.Fatalf("samples after the round trip:\n got %+v\nwant %+v", got, want)
+	}
+	if n := len(back.lookup("penn").dateTable()); n != 3 {
+		t.Fatalf("%d sample dates, want 3: one instant in two zones is one date", n)
+	}
+}
+
 // TestDNSStats sanity-checks the compression surface: a site with one
 // transition stores two runs regardless of round count.
 func TestDNSStats(t *testing.T) {
@@ -334,7 +491,7 @@ func TestReserveMigratesOverflow(t *testing.T) {
 		db.PutSite(SiteRow{Site: id, Host: alexa.HostName(id), FirstRank: int(id%1000) + 1, V4AS: 3, V6AS: -1})
 		for r := 0; r < 5; r++ {
 			db.AddDNS("penn", DNSRow{Site: id, Round: r, HasA: true, HasAAAA: r >= 3})
-			db.AddSample("penn", id, topo.V4, Sample{Round: r, MeanSpeed: float64(r) + 1, CIOK: true})
+			db.AddSample("penn", id, topo.V4, Sample{Date: sampleDate, Round: r, MeanSpeed: float64(r) + 1, CIOK: true})
 		}
 	}
 	before := db.DNS("penn")
@@ -532,8 +689,8 @@ func TestColumnarConcurrentAppends(t *testing.T) {
 				for k := alexa.SiteID(0); k < 200; k += 50 {
 					id := base + k
 					batch.AddSite(CanonicalSite{Site: id, FirstRank: int(id) + 1, V4AS: 3, V6AS: -1})
-					db.AddSample("penn", id, topo.V4, Sample{Round: r, MeanSpeed: 12, CIOK: true})
-					db.AddSample("penn", 1<<20+id%512, topo.V6, Sample{Round: r, MeanSpeed: 9, CIOK: true})
+					db.AddSample("penn", id, topo.V4, Sample{Date: sampleDate, Round: r, MeanSpeed: 12, CIOK: true})
+					db.AddSample("penn", 1<<20+id%512, topo.V6, Sample{Date: sampleDate, Round: r, MeanSpeed: 9, CIOK: true})
 				}
 				db.Flush("penn", &batch)
 				if r%10 == 0 {

@@ -8,11 +8,11 @@ import (
 	"v6web/internal/store"
 )
 
-// A checkpoint is one or more snapshots staged by SaveSnapshot and
-// committed atomically by SaveMeta; a crash between the two leaves
-// the previous checkpoint intact. The campaign runner drives this
-// through core.WithBackend/WithCheckpoint, and core.Resume restores
-// from whatever checkpoint last committed.
+// A checkpoint is the main database and its round cursor, committed
+// atomically by one Save; a crash mid-save leaves the previous
+// checkpoint intact. The campaign runner drives this through
+// core.WithCheckpoint, and core.Open resumes from whatever checkpoint
+// last committed.
 func ExampleCheckpointBackend() {
 	dir, err := os.MkdirTemp("", "v6web-ckpt-*")
 	if err != nil {
@@ -27,10 +27,7 @@ func ExampleCheckpointBackend() {
 
 	db := store.NewDB()
 	db.PutSite(store.SiteRow{Site: 1, Host: "site1.v6web.test", FirstRank: 1, V4AS: 3, V6AS: 7})
-	if err := b.SaveSnapshot(store.SnapMain, db); err != nil {
-		log.Fatal(err)
-	}
-	if err := b.SaveMeta(store.Meta{NextRound: 5, Rounds: 35, ConfigHash: "abc"}); err != nil {
+	if err := b.Save(db, store.Meta{NextRound: 5, Rounds: 35, ConfigHash: "abc"}); err != nil {
 		log.Fatal(err)
 	}
 
@@ -40,7 +37,7 @@ func ExampleCheckpointBackend() {
 	}
 	fmt.Println(ok, meta.NextRound, meta.Rounds)
 
-	restored, err := b.LoadSnapshot(store.SnapMain)
+	restored, err := b.Load()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -34,10 +34,7 @@ func failOps(ops ...string) FaultHook {
 
 // commit runs one full checkpoint cycle on b.
 func commit(b *CheckpointBackend, db *DB, round int) error {
-	if err := b.SaveSnapshot(SnapMain, db); err != nil {
-		return err
-	}
-	return b.SaveMeta(Meta{NextRound: round, Rounds: 9, ConfigHash: "fp"})
+	return b.Save(db, Meta{NextRound: round, Rounds: 9, ConfigHash: "fp"})
 }
 
 func TestCheckpointCommitFaultLeavesPreviousLoadable(t *testing.T) {
@@ -78,7 +75,7 @@ func TestCheckpointCommitFaultLeavesPreviousLoadable(t *testing.T) {
 			if err != nil || !ok || meta.NextRound != 1 {
 				t.Fatalf("after faulted commit: meta=%+v ok=%v err=%v", meta, ok, err)
 			}
-			loaded, err := b2.LoadSnapshot(SnapMain)
+			loaded, err := b2.Load()
 			if err != nil {
 				t.Fatalf("previous checkpoint unloadable: %v", err)
 			}
@@ -106,7 +103,7 @@ func TestCheckpointCrashAfterCommitIsDurable(t *testing.T) {
 	if err := commit(b, backendSampleDB(), 1); err != nil {
 		t.Fatal(err)
 	}
-	// Fail only the commit-point crash consultation (SaveMeta's, whose
+	// Fail only the commit-point crash consultation (the one whose
 	// path is the final ck- directory) — a "crash" while staging the
 	// snapshot would abort the cycle before the commit rename, which
 	// the previous test already covers.
@@ -126,7 +123,7 @@ func TestCheckpointCrashAfterCommitIsDurable(t *testing.T) {
 	if err != nil || !ok || meta.NextRound != 2 {
 		t.Fatalf("post-crash meta: %+v ok=%v err=%v", meta, ok, err)
 	}
-	if _, err := b2.LoadSnapshot(SnapMain); err != nil {
+	if _, err := b2.Load(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -134,10 +131,9 @@ func TestCheckpointCrashAfterCommitIsDurable(t *testing.T) {
 func TestCheckpointPruneFaultIsNonFatal(t *testing.T) {
 	dir := t.TempDir()
 	b := NewCheckpointBackend(dir)
-	b.Keep = 1
 	b.Hook = failOps("prune")
 	db := backendSampleDB()
-	for round := 1; round <= 4; round++ {
+	for round := 1; round <= 6; round++ {
 		if err := commit(b, db, round); err != nil {
 			t.Fatalf("round %d: prune fault aborted the commit: %v", round, err)
 		}
@@ -146,19 +142,19 @@ func TestCheckpointPruneFaultIsNonFatal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(names) != 4 {
-		t.Fatalf("blocked pruning retained %d checkpoints, want all 4", len(names))
+	if len(names) != 6 {
+		t.Fatalf("blocked pruning retained %d checkpoints, want all 6", len(names))
 	}
-	if meta, _, _ := b.LoadMeta(); meta.NextRound != 4 {
+	if meta, _, _ := b.LoadMeta(); meta.NextRound != 6 {
 		t.Fatalf("newest checkpoint lost: %+v", meta)
 	}
-	// Once pruning works again the backlog drains.
+	// Once pruning works again the backlog drains to the newest three.
 	b.Hook = nil
-	if err := commit(b, db, 5); err != nil {
+	if err := commit(b, db, 7); err != nil {
 		t.Fatal(err)
 	}
-	if names, _ = b.committed(); len(names) != 1 {
-		t.Fatalf("prune backlog not drained: %v", names)
+	if names, _ = b.committed(); len(names) != 3 || names[0] != "ck-000004" {
+		t.Fatalf("prune backlog not drained to the newest three: %v", names)
 	}
 }
 
@@ -176,7 +172,6 @@ func TestCheckpointBackendUnderInjectedFaults(t *testing.T) {
 	}, "fp")
 	dir := t.TempDir()
 	b := NewCheckpointBackend(dir)
-	b.Keep = 2
 	b.Hook = FaultHook(in.FSHook(0))
 
 	db := backendSampleDB()
@@ -202,7 +197,7 @@ func TestCheckpointBackendUnderInjectedFaults(t *testing.T) {
 				t.Fatalf("round %d: committed cursor %d behind acknowledged %d",
 					round, meta.NextRound, acked)
 			}
-			if _, err := fresh.LoadSnapshot(SnapMain); err != nil {
+			if _, err := fresh.Load(); err != nil {
 				t.Fatalf("round %d: committed snapshot unloadable: %v", round, err)
 			}
 		}
@@ -282,4 +277,61 @@ func TestSegmentCycleFaultKeepsPreviousChain(t *testing.T) {
 			requireLoadsAs(t, dir, db)
 		})
 	}
+}
+
+// TestCheckpointHookSequence pins where a checkpoint cycle consults
+// the fault hook, in order, for one base cycle and two segment cycles
+// over a log that already holds two checkpoints: the staged file's
+// write, sync, rename and post-rename crash points, the metadata's
+// write and sync, the commit rename and crash, then one prune per
+// checkpoint beyond the newest three. A deterministic fault schedule
+// draws at these points, so moving one moves every chaos run.
+func TestCheckpointHookSequence(t *testing.T) {
+	dir := t.TempDir()
+	db := binarySampleDB()
+	old := NewCheckpointBackend(dir)
+	for r := 10; r < 12; r++ {
+		chainRound(db, r)
+		if err := commit(old, db, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	root := filepath.Join(dir, "checkpoints")
+	var got []string
+	b := NewCheckpointBackend(dir)
+	b.Hook = func(op, path string) error {
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, op+" "+rel)
+		return nil
+	}
+	for r := 12; r < 15; r++ {
+		chainRound(db, r)
+		if err := commit(b, db, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle := func(file, ck string, prune ...string) []string {
+		staged := filepath.Join(stagingName, file)
+		meta := filepath.Join(stagingName, metaFile)
+		seq := []string{
+			"write " + staged + ".tmp", "sync " + staged + ".tmp", "rename " + staged, "crash " + staged,
+			"write " + meta, "sync " + meta,
+			"rename " + ck, "crash " + ck,
+		}
+		for _, p := range prune {
+			seq = append(seq, "prune "+p)
+		}
+		return seq
+	}
+	var want []string
+	want = append(want, cycle(SnapMain+BinaryExt, "ck-000002")...)
+	want = append(want, cycle(segName(SnapMain, 1), "ck-000003", "ck-000000")...)
+	want = append(want, cycle(segName(SnapMain, 2), "ck-000004", "ck-000001")...)
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("hook sequence:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	requireLoadsAs(t, dir, db)
 }

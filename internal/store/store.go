@@ -41,6 +41,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -377,6 +378,56 @@ func errDNSOrder(v Vantage, site alexa.SiteID, round, end int32) error {
 // of storing what no saved snapshot would load.
 func errRound(v Vantage, what string, round int) error {
 	return fmt.Errorf("vantage %q %s round %d outside [0, %d), the rounds a snapshot carries", v, what, round, maxRound)
+}
+
+// dnsErr describes a DNS row at vantage v whose round or site id a
+// snapshot cannot carry.
+func dnsErr(v Vantage, row DNSRow) error {
+	if uint(row.Round) >= maxRound {
+		return errRound(v, fmt.Sprintf("site %d", row.Site), row.Round)
+	}
+	return fmt.Errorf("vantage %q site %d %w", v, row.Site, outside("id", int64(row.Site), 0, int64(snapAllSites-1)))
+}
+
+// maxField bounds the 32-bit fields a snapshot carries: origin ASes lie
+// in [-1, maxField-1] (stored plus one), the others in [0, maxField].
+const maxField = math.MaxInt32
+
+// The sample dates Unix nanoseconds cover.
+var minDate, maxDate = time.Unix(0, math.MinInt64), time.Unix(0, math.MaxInt64)
+
+// outside reports field's value outside [lo, hi], or nil. The section
+// codec carries back only values inside, so a writer handed one
+// outside panics with it, as with errRound, instead of storing what a
+// saved snapshot would not load, or would load changed.
+func outside(field string, value, lo, hi int64) error {
+	if lo <= value && value <= hi {
+		return nil
+	}
+	return fmt.Errorf("%s %d outside [%d, %d], the values a snapshot carries", field, value, lo, hi)
+}
+
+// siteErr reports the fields of a site row a snapshot cannot carry.
+func siteErr(id alexa.SiteID, firstRank, v4, v6 int) error {
+	if uint64(id) < uint64(snapAllSites) && uint(firstRank) <= maxField && uint(v4+1) <= maxField && uint(v6+1) <= maxField {
+		return nil
+	}
+	return errors.Join(outside("id", int64(id), 0, int64(snapAllSites-1)), outside("first_rank", int64(firstRank), 0, maxField),
+		outside("v4_as", int64(v4), -1, maxField-1), outside("v6_as", int64(v6), -1, maxField-1))
+}
+
+// sampleErr reports the fields of a sample a snapshot cannot carry.
+func sampleErr(site alexa.SiteID, fam topo.Family, s Sample) error {
+	dateOK := !s.Date.Before(minDate) && !s.Date.After(maxDate)
+	if uint64(site) < uint64(snapAllSites) && uint(fam) <= 1 && uint(s.PageBytes) <= maxField && uint(s.Downloads) <= maxField && dateOK {
+		return nil
+	}
+	err := errors.Join(outside("id", int64(site), 0, int64(snapAllSites-1)), outside("family", int64(fam), 0, 1),
+		outside("page_bytes", int64(s.PageBytes), 0, maxField), outside("downloads", int64(s.Downloads), 0, maxField))
+	if !dateOK {
+		err = errors.Join(err, fmt.Errorf("date %v outside [%v, %v], the dates a snapshot carries", s.Date, minDate.UTC(), maxDate.UTC()))
+	}
+	return err
 }
 
 // --- packed samples --------------------------------------------------
@@ -818,8 +869,16 @@ func withHost(row SiteRow, derived bool) SiteRow {
 	return row
 }
 
-// PutSite inserts or updates a site row.
+// PutSite inserts or updates a site row. It panics on a row a snapshot
+// cannot carry back (siteErr, or an empty host), naming the field.
 func (db *DB) PutSite(row SiteRow) {
+	err := siteErr(row.Site, row.FirstRank, row.V4AS, row.V6AS)
+	if row.Host == "" {
+		err = errors.Join(err, errors.New("host empty, which a snapshot reads back as the canonical one"))
+	}
+	if err != nil {
+		panic(fmt.Sprintf("store: PutSite: site %d %v", row.Site, err))
+	}
 	sh := db.siteShard(row.Site)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -890,8 +949,8 @@ func (b *Batch) AddDNS(r DNSRow) {
 // that is three integer compares, and no host string is ever built for
 // dense-range sites. DNS rows for one site must extend its history, in
 // round order within and across Flushes (the monitor's rounds are
-// sequential): Flush panics on a row that does not, or whose round
-// lies outside [0, maxRound), naming it, as AddDNS does. A batch
+// sequential): Flush panics, as AddDNS and PutSite do, on a row that
+// does not, or that a snapshot cannot carry back, naming it. A batch
 // without DNS rows does not create v's table.
 func (db *DB) Flush(v Vantage, b *Batch) {
 	res := db.res
@@ -903,7 +962,10 @@ func (db *DB) Flush(v Vantage, b *Batch) {
 		sh := &db.sites[i]
 		sh.mu.Lock()
 		for k := range rows {
-			sh.ensure(res, &rows[k])
+			if err := sh.ensure(res, &rows[k]); err != nil {
+				sh.mu.Unlock()
+				panic(fmt.Sprintf("store: Flush: vantage %q site %d %v", v, rows[k].Site, err))
+			}
 		}
 		sh.mu.Unlock()
 		b.sites[i] = rows[:0]
@@ -920,9 +982,9 @@ func (db *DB) Flush(v Vantage, b *Batch) {
 		sh := &t.dns[i]
 		sh.mu.Lock()
 		for _, row := range rows {
-			if uint(row.Round) >= maxRound {
+			if uint(row.Round) >= maxRound || uint64(row.Site) >= uint64(snapAllSites) {
 				sh.mu.Unlock()
-				panic("store: Flush: " + errRound(v, fmt.Sprintf("site %d", row.Site), row.Round).Error())
+				panic("store: Flush: " + dnsErr(v, row).Error())
 			}
 			if end, ok := sh.add(res, row); !ok {
 				sh.mu.Unlock()
@@ -935,19 +997,22 @@ func (db *DB) Flush(v Vantage, b *Batch) {
 }
 
 // ensure writes r's row unless the stored row already carries its
-// values (an existing non-canonical host then stays). Caller holds
-// sh.mu.
-func (sh *siteShard) ensure(res reservation, r *CanonicalSite) {
+// values (an existing non-canonical host then stays), or returns siteErr
+// for a row it would write, writing nothing. Caller holds sh.mu.
+func (sh *siteShard) ensure(res reservation, r *CanonicalSite) error {
 	table, slot := res.locate(r.Site)
 	if table < 0 {
 		if prev, ok := sh.over[r.Site]; ok && prev.FirstRank == r.FirstRank && prev.V4AS == r.V4AS && prev.V6AS == r.V6AS {
-			return
+			return nil
+		}
+		if err := siteErr(r.Site, r.FirstRank, r.V4AS, r.V6AS); err != nil {
+			return err
 		}
 		if sh.over == nil {
 			sh.over = make(map[alexa.SiteID]SiteRow)
 		}
 		sh.over[r.Site] = SiteRow{Site: r.Site, Host: alexa.HostName(r.Site), FirstRank: r.FirstRank, V4AS: r.V4AS, V6AS: r.V6AS}
-		return
+		return nil
 	}
 	cols := &sh.main
 	if table == 1 {
@@ -957,7 +1022,10 @@ func (sh *siteShard) ensure(res reservation, r *CanonicalSite) {
 		cols.firstRank[slot] == int32(r.FirstRank) &&
 		cols.v4[slot] == int32(r.V4AS) &&
 		cols.v6[slot] == int32(r.V6AS) {
-		return
+		return nil
+	}
+	if err := siteErr(r.Site, r.FirstRank, r.V4AS, r.V6AS); err != nil {
+		return err
 	}
 	if !cols.present[slot] {
 		cols.present[slot] = true
@@ -968,6 +1036,7 @@ func (sh *siteShard) ensure(res reservation, r *CanonicalSite) {
 	cols.v6[slot] = int32(r.V6AS)
 	cols.touch(slot)
 	delete(sh.hostOver, r.Site)
+	return nil
 }
 
 // Site returns a site row.
@@ -1067,11 +1136,11 @@ func (db *DB) Sites() []SiteRow {
 // history: a round after the last one stored for the site at v. It
 // panics on a row that does not (an earlier or a duplicate round),
 // naming the vantage, the site, the round and where the history ends,
-// and on a round outside [0, maxRound), naming the vantage, the site
-// and the round.
+// on a round outside [0, maxRound), naming the vantage, the site and
+// the round, and on a site id outside [0, 2^62).
 func (db *DB) AddDNS(v Vantage, row DNSRow) {
-	if uint(row.Round) >= maxRound {
-		panic("store: AddDNS: " + errRound(v, fmt.Sprintf("site %d", row.Site), row.Round).Error())
+	if uint(row.Round) >= maxRound || uint64(row.Site) >= uint64(snapAllSites) {
+		panic("store: AddDNS: " + dnsErr(v, row).Error())
 	}
 	sh := &db.table(v).dns[uint64(row.Site)&(shards-1)]
 	sh.mu.Lock()
@@ -1131,14 +1200,19 @@ func (db *DB) DNSStats(v Vantage) (rows, runs, sites int) {
 	return rows, runs, sites
 }
 
-// AddSample appends a download sample. It panics on a round outside
-// [0, maxRound), naming the vantage, the site and the round.
+// AddSample appends a download sample, its date in UTC so that one
+// instant is one date whatever its zone. It panics on a round outside
+// [0, maxRound) and on a sample a snapshot cannot carry back
+// (sampleErr), naming the vantage, the site, the field and the value.
 func (db *DB) AddSample(v Vantage, site alexa.SiteID, fam topo.Family, s Sample) {
 	if uint(s.Round) >= maxRound {
 		panic("store: AddSample: " + errRound(v, fmt.Sprintf("site %d family %d", site, fam), s.Round).Error())
 	}
+	if err := sampleErr(site, fam, s); err != nil {
+		panic(fmt.Sprintf("store: AddSample: vantage %q site %d family %d %v", v, site, fam, err))
+	}
 	t := db.table(v)
-	p := packSample(s, t.dateRef(s.Date))
+	p := packSample(s, t.dateRef(s.Date.UTC()))
 	sh := &t.samples[uint64(site)&(shards-1)]
 	sh.mu.Lock()
 	sh.add(db.res, site, fam, p)
@@ -1189,11 +1263,19 @@ func (db *DB) sampledSites(v Vantage) []alexa.SiteID {
 
 // AddPath records the AS path to dst observed after a round. Only
 // changes are stored: identical consecutive snapshots collapse. It
-// panics on a round outside [0, maxRound), naming the vantage, the
-// path key and the round.
+// panics on a round outside [0, maxRound), a family other than V4 and
+// V6, or a destination or AS outside [0, 2^31-1], naming the vantage,
+// the path key, the field and the value.
 func (db *DB) AddPath(v Vantage, fam topo.Family, dst, round int, path []int) {
 	if uint(round) >= maxRound {
 		panic("store: AddPath: " + errRound(v, fmt.Sprintf("path key (%d,%d)", fam, dst), round).Error())
+	}
+	err := errors.Join(outside("family", int64(fam), 0, 1), outside("dst", int64(dst), 0, maxField))
+	for _, as := range path {
+		err = errors.Join(err, outside("path AS", int64(as), 0, maxField))
+	}
+	if err != nil {
+		panic(fmt.Sprintf("store: AddPath: vantage %q path key (%d,%d) %v", v, fam, dst, err))
 	}
 	t := db.table(v)
 	k := famDstKey{fam, dst}

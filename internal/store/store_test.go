@@ -11,6 +11,10 @@ import (
 	"v6web/internal/topo"
 )
 
+// sampleDate dates the samples of tests that do not care about dates:
+// a sample needs a date a snapshot carries, which the zero time is not.
+var sampleDate = time.Unix(0, 0).UTC()
+
 func TestSites(t *testing.T) {
 	db := NewDB()
 	db.PutSite(SiteRow{Site: 5, Host: "five.test", FirstRank: 5, V4AS: 10, V6AS: 11})
@@ -36,11 +40,11 @@ func TestSites(t *testing.T) {
 
 func TestSamplesOrdering(t *testing.T) {
 	db := NewDB()
-	db.AddSample("penn", 1, topo.V4, Sample{Round: 3, MeanSpeed: 30})
-	db.AddSample("penn", 1, topo.V4, Sample{Round: 1, MeanSpeed: 10})
-	db.AddSample("penn", 1, topo.V4, Sample{Round: 2, MeanSpeed: 20})
-	db.AddSample("penn", 1, topo.V6, Sample{Round: 1, MeanSpeed: 99})
-	db.AddSample("comcast", 1, topo.V4, Sample{Round: 1, MeanSpeed: 88})
+	db.AddSample("penn", 1, topo.V4, Sample{Date: sampleDate, Round: 3, MeanSpeed: 30})
+	db.AddSample("penn", 1, topo.V4, Sample{Date: sampleDate, Round: 1, MeanSpeed: 10})
+	db.AddSample("penn", 1, topo.V4, Sample{Date: sampleDate, Round: 2, MeanSpeed: 20})
+	db.AddSample("penn", 1, topo.V6, Sample{Date: sampleDate, Round: 1, MeanSpeed: 99})
+	db.AddSample("comcast", 1, topo.V4, Sample{Date: sampleDate, Round: 1, MeanSpeed: 88})
 	snap := db.Freeze()
 	got := snap.Series(nil, "penn", 1, topo.V4)
 	if len(got) != 3 {
@@ -61,9 +65,9 @@ func TestSamplesOrdering(t *testing.T) {
 
 func TestSampledSites(t *testing.T) {
 	db := NewDB()
-	db.AddSample("penn", 7, topo.V4, Sample{Round: 1})
-	db.AddSample("penn", 3, topo.V6, Sample{Round: 1})
-	db.AddSample("lu", 9, topo.V4, Sample{Round: 1})
+	db.AddSample("penn", 7, topo.V4, Sample{Date: sampleDate, Round: 1})
+	db.AddSample("penn", 3, topo.V6, Sample{Date: sampleDate, Round: 1})
+	db.AddSample("lu", 9, topo.V4, Sample{Date: sampleDate, Round: 1})
 	got := db.Freeze().SampledSites("penn")
 	if len(got) != 2 || got[0] != 3 || got[1] != 7 {
 		t.Fatalf("sampled sites: %v", got)
@@ -115,7 +119,7 @@ func TestASesCrossed(t *testing.T) {
 func TestVantagesAndCounts(t *testing.T) {
 	db := NewDB()
 	db.AddDNS("penn", DNSRow{Site: 1, Round: 1, HasA: true})
-	db.AddSample("comcast", 2, topo.V4, Sample{Round: 1})
+	db.AddSample("comcast", 2, topo.V4, Sample{Date: sampleDate, Round: 1})
 	db.AddPath("lu", topo.V6, 3, 1, []int{0, 3})
 	vs := db.Vantages()
 	if len(vs) != 3 || vs[0] != "comcast" || vs[1] != "lu" || vs[2] != "penn" {
@@ -179,7 +183,7 @@ func TestConcurrentWrites(t *testing.T) {
 	for w := 0; w < 20; w++ {
 		go func(w int) {
 			for i := 0; i < 100; i++ {
-				db.AddSample("penn", 1, topo.V4, Sample{Round: i})
+				db.AddSample("penn", 1, topo.V4, Sample{Date: sampleDate, Round: i})
 				db.AddPath("penn", topo.V4, w, i, []int{0, w})
 				db.Freeze().Series(nil, "penn", 1, topo.V4)
 			}

@@ -27,12 +27,12 @@ func viewDB() *DB {
 	}
 	// Out-of-order series: rounds 3, 1, 2 through the raw API.
 	for _, r := range []int{3, 1, 2} {
-		db.AddSample("penn", 2, topo.V4, Sample{Round: r, MeanSpeed: float64(r), CIOK: true})
+		db.AddSample("penn", 2, topo.V4, Sample{Date: sampleDate, Round: r, MeanSpeed: float64(r), CIOK: true})
 	}
 	db.AddPath("penn", topo.V6, 3, 0, []int{9, 7, 3})
 	db.AddPath("penn", topo.V6, 3, 2, []int{9, 8, 3})
 	db.AddPath("penn", topo.V4, 3, 0, []int{9, 3})
-	db.AddSample("lu", 1, topo.V4, Sample{Round: 0, MeanSpeed: 1, CIOK: true})
+	db.AddSample("lu", 1, topo.V4, Sample{Date: sampleDate, Round: 0, MeanSpeed: 1, CIOK: true})
 	return db
 }
 
@@ -139,7 +139,7 @@ func TestSnapshotUnaffectedByLaterWrites(t *testing.T) {
 	beforeSamples := len(snap.Series(nil, "penn", 1, topo.V4))
 
 	for r := 5; r < 40; r++ {
-		db.AddSample("penn", 1, topo.V4, Sample{Round: r, MeanSpeed: 99, CIOK: true})
+		db.AddSample("penn", 1, topo.V4, Sample{Date: sampleDate, Round: r, MeanSpeed: 99, CIOK: true})
 	}
 	db.AddPath("penn", topo.V6, 3, 9, []int{9, 3})
 
@@ -235,7 +235,7 @@ func TestFreezeMatchesLiveSeries(t *testing.T) {
 		add(120) // appends to frozen series, and may create new ones
 		for _, site := range []alexa.SiteID{200, extBase + 100, 1 << 21} {
 			for _, v := range vantages {
-				db.AddSample(v, site, topo.V6, Sample{Round: 3, MeanSpeed: 99, CIOK: true})
+				db.AddSample(v, site, topo.V6, Sample{Date: sampleDate, Round: 3, MeanSpeed: 99, CIOK: true})
 			}
 		}
 		db.Reserve(256, extBase, 128) // migrates site 200's new series
