@@ -153,6 +153,9 @@ func main() {
 
 	s, resumed, err := core.Open(cfg, ckpt)
 	if err != nil {
+		if _, ok, _ := ckpt.LoadMeta(); ok {
+			err = fmt.Errorf("%w (checkpoint log %s: remove it to start over, or pick another -out)", err, filepath.Join(*out, "checkpoints"))
+		}
 		fatal(err)
 	}
 	if !*quiet {

@@ -100,8 +100,10 @@ func TestStopAfterThenResumeByteIdentical(t *testing.T) {
 
 // TestForeignCheckpointLogIsAnError: a run whose configuration differs
 // from the one that wrote the checkpoint log under -out fails naming
-// the fingerprint mismatch, instead of starting over and deleting the
-// log; the log stays, and the original command still continues it.
+// the fingerprint mismatch, the log's path and the two ways out
+// (remove the log, or pick another -out), instead of starting over and
+// deleting the log; the log stays, and the original command still
+// continues it.
 func TestForeignCheckpointLogIsAnError(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the v6mon binary")
@@ -113,6 +115,11 @@ func TestForeignCheckpointLogIsAnError(t *testing.T) {
 	out, err := exec.Command(bin, foreign...).CombinedOutput()
 	if err == nil || !strings.Contains(string(out), "fingerprint") {
 		t.Fatalf("-seed 8 over -seed 7's log: err %v, want a fingerprint error:\n%s", err, out)
+	}
+	for _, want := range []string{filepath.Join(data, "checkpoints"), "remove it", "-out"} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("the fingerprint error does not name %q:\n%s", want, out)
+		}
 	}
 	if _, err := os.Stat(filepath.Join(data, "main.v6db")); !os.IsNotExist(err) {
 		t.Errorf("the refused run wrote a product: %v", err)

@@ -509,6 +509,38 @@ func TestWorldV6DayCancelLeavesDBUntouched(t *testing.T) {
 	}
 }
 
+// TestWorldV6DayDBReservesNoRange: World IPv6 Day's database reserves
+// no dense id range, so its few participants live in the overflow maps,
+// while the main database reserves the ranked list. The snapshot
+// headers say so.
+func TestWorldV6DayDBReservesNoRange(t *testing.T) {
+	s, err := NewScenario(runnerCfg(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunWorldV6DayContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if sites, dns, samples, _ := s.V6DayDB.Counts(); sites == 0 || dns == 0 || samples == 0 {
+		t.Fatalf("World IPv6 Day wrote no rows: %v", s.V6DayDB)
+	}
+	dir := t.TempDir()
+	for name, db := range map[string]*store.DB{store.SnapMain: s.DB, store.SnapV6Day: s.V6DayDB} {
+		path := filepath.Join(dir, name+store.BinaryExt)
+		if err := db.SaveBinary(path, store.BinaryOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		info, err := store.ReadBinaryInfo(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reserved := info.MainIDs > 0 || info.ExtIDs > 0
+		if reserved != (name == store.SnapMain) {
+			t.Errorf("%s reserves main %d, extended %d ids", name, info.MainIDs, info.ExtIDs)
+		}
+	}
+}
+
 // TestRestrictedScenarioRecordsNoPaths: a restricted scenario monitors
 // exactly its slice of the sites, at every vantage and round, but takes
 // no path snapshots; a shard coordinator derives the campaign's table

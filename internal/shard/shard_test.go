@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -514,6 +515,44 @@ func TestWireCodecs(t *testing.T) {
 		t.Errorf("frame round-trip: %d %q %v", typ, payload, err)
 	}
 }
+
+// TestServeMarksSentError: a worker whose run fails sends the error as
+// a frame, and Serve marks the error as sent, so MaybeWorker does not
+// print it again on the stderr it shares with the coordinator. An error
+// whose frame could not be written is not marked.
+func TestServeMarksSentError(t *testing.T) {
+	specs, err := Split(testCfg(3), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := specs[0]
+	spec.Fingerprint = "not-the-config"
+	var in bytes.Buffer
+	if err := writeSpec(&in, spec); err != nil {
+		t.Fatal(err)
+	}
+	handshake := in.Bytes()
+
+	var out bytes.Buffer
+	err = Serve(bytes.NewReader(handshake), &out)
+	if err == nil || !errors.As(err, new(sentError)) {
+		t.Fatalf("Serve: %v, want an error marked sent", err)
+	}
+	typ, payload, ferr := readFrame(&out)
+	if ferr != nil || typ != frameError || string(payload) != err.Error() {
+		t.Fatalf("frame %d %q (%v), want the error frame %q", typ, payload, ferr, err)
+	}
+
+	err = Serve(bytes.NewReader(handshake), failingWriter{})
+	if err == nil || errors.As(err, new(sentError)) {
+		t.Fatalf("Serve into a failing writer: %v, want an error not marked sent", err)
+	}
+}
+
+// failingWriter refuses every write.
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, io.ErrClosedPipe }
 
 // TestCoordinatorRefusesUnassignedSections: a worker's sections are
 // merged only as the spec assigned them. A DNS section for a vantage

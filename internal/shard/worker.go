@@ -24,17 +24,28 @@ const WorkerEnv = "V6WEB_SHARD_WORKER"
 
 // MaybeWorker turns the process into a shard worker when WorkerEnv is
 // set: it serves one spec over stdin/stdout and exits. Call it first
-// thing in main; it returns immediately in ordinary processes.
+// thing in main; it returns immediately in ordinary processes. The
+// worker shares the coordinator's stderr, and the coordinator's retry
+// line already carries an error the worker sent as a frame, so only an
+// error that could not be sent is printed.
 func MaybeWorker() {
 	if os.Getenv(WorkerEnv) == "" {
 		return
 	}
 	if err := Serve(os.Stdin, os.Stdout); err != nil {
-		fmt.Fprintf(os.Stderr, "shard worker: %v\n", err)
+		if !errors.As(err, new(sentError)) {
+			fmt.Fprintf(os.Stderr, "shard worker: %v\n", err)
+		}
 		os.Exit(1)
 	}
 	os.Exit(0)
 }
+
+// sentError is an error Serve also sent to the coordinator as an error
+// frame.
+type sentError struct{ error }
+
+func (e sentError) Unwrap() error { return e.error }
 
 // ServeAddrRetry dials a coordinator running with Options.Listen and
 // serves shards until the coordinator goes away; each connection
@@ -90,7 +101,9 @@ func dialCoordinator(addr string, p fault.RetryPolicy, servedBefore bool) (net.C
 // Serve runs one shard: it reads the spec handshake from in, runs the
 // spec's site range through the round machinery, and streams heartbeat
 // and result frames to out. SIGINT/SIGTERM between rounds checkpoints
-// and exits cleanly; a later worker for the same spec resumes there.
+// and exits cleanly; a later worker for the same spec resumes there. A
+// failed run's error is also sent to out as an error frame when it
+// can be.
 func Serve(in io.Reader, out io.Writer) error {
 	spec, err := readSpec(in)
 	if err != nil {
@@ -107,8 +120,8 @@ func Serve(in io.Reader, out io.Writer) error {
 	}
 	if err := runSpec(ctx, spec, emit); err != nil {
 		// Best effort: tell the coordinator why before exiting non-zero.
-		if werr := writeFrame(bw, frameError, []byte(err.Error())); werr == nil {
-			bw.Flush()
+		if writeFrame(bw, frameError, []byte(err.Error())) == nil && bw.Flush() == nil {
+			return sentError{err}
 		}
 		return err
 	}

@@ -528,8 +528,9 @@ func TestReserveMigratesOverflow(t *testing.T) {
 // columns, small steps that fit in their spare capacity, and steps that
 // cover overflow entries, which must migrate in. Every DNS history,
 // sample series and site row must survive each step, every column must
-// match the reservation, and every slot not holding a stored site must
-// be empty (no site row, no DNS history, no sample series).
+// follow checkReservedColumns' rule, and every slot not holding a
+// stored site must be empty (no site row, no DNS history, no sample
+// series).
 func TestReserveGrowsInSteps(t *testing.T) {
 	const extBase alexa.SiteID = 1 << 20
 	vantages := []Vantage{"penn", "seattle"}
@@ -594,9 +595,13 @@ func TestReserveGrowsInSteps(t *testing.T) {
 	}
 }
 
-// checkReservedColumns asserts that every dense column of db spans
-// exactly its reservation, that no overflow entry lies inside it, and
-// that every slot whose id is not in stored is empty.
+// checkReservedColumns asserts that every site column of db spans
+// exactly its reservation, that a vantage's DNS and sample column over
+// a range is empty until its stripe's first write into the range and
+// exactly the reserved length after it, that no in-range id sits in an
+// overflow map, and that every slot whose id is not in stored is
+// empty. Every id in stored was written at every vantage, with DNS rows
+// and samples of both families.
 func checkReservedColumns(t *testing.T, name string, db *DB, stored map[alexa.SiteID]bool) {
 	t.Helper()
 	res := db.res
@@ -605,6 +610,12 @@ func checkReservedColumns(t *testing.T, name string, db *DB, stored map[alexa.Si
 		n    int
 	}{{0, res.main}, {res.extBase, res.ext}}
 	inRange := func(id alexa.SiteID) bool { table, _ := res.locate(id); return table >= 0 }
+	var written [2][shards]bool // a stored id lies in the range and stripe
+	for id := range stored {
+		if table, _ := res.locate(id); table >= 0 {
+			written[table][uint64(id)&(shards-1)] = true
+		}
+	}
 	for i := range db.sites {
 		sh := &db.sites[i]
 		for id := range sh.over {
@@ -646,10 +657,13 @@ func checkReservedColumns(t *testing.T, name string, db *DB, stored map[alexa.Si
 				if table == 1 {
 					slots = [2]famSlots{s.ext[0], s.ext[1]}
 				}
-				n := slotsFor(ranges[table].n)
+				n := 0
+				if written[table][i] {
+					n = slotsFor(ranges[table].n)
+				}
 				if len(hist) != n || len(slots[0]) != n || len(slots[1]) != n {
-					t.Fatalf("%s: %s shard %d table %d columns %d/%d/%d long, want %d", name, v, i, table,
-						len(hist), len(slots[0]), len(slots[1]), n)
+					t.Fatalf("%s: %s shard %d table %d columns %d/%d/%d long, want %d (written: %v)", name, v, i, table,
+						len(hist), len(slots[0]), len(slots[1]), n, written[table][i])
 				}
 				for slot := 0; slot < n; slot++ {
 					id := ranges[table].base + alexa.SiteID(slot<<shardBits+i)
@@ -660,6 +674,247 @@ func checkReservedColumns(t *testing.T, name string, db *DB, stored map[alexa.Si
 						t.Fatalf("%s: %s empty slot of id %d holds data", name, v, id)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestVantageColumnsAllocatedOnFirstWrite pins the allocation rule for
+// a vantage's dense columns. Penn writes DNS rows and v6 samples in both
+// ranges, seattle in the main range only, and no id lies in stripe 0.
+// Seattle holds no extended DNS or sample column in any stripe; penn
+// holds exactly the reserved length in each stripe it wrote and nothing
+// in the others, and neither holds a v4 sample column. The rows, all in
+// stripes other than 0, survive ForEachDNS, SaveBinary then Load, a
+// checkpoint chain and MergeShard.
+func TestVantageColumnsAllocatedOnFirstWrite(t *testing.T) {
+	const extBase alexa.SiteID = 1 << 20
+	const mainIDs, extIDs = 200, 100
+	mainSites := []alexa.SiteID{3, 21, 37, 150, 199}
+	extSites := []alexa.SiteID{extBase + 5, extBase + 22, extBase + 99}
+	writes := map[Vantage][]alexa.SiteID{
+		"penn":    append(slices.Clone(mainSites), extSites...),
+		"seattle": mainSites,
+	}
+	db := NewDB()
+	db.Reserve(mainIDs, extBase, extIDs)
+	wantDNS := make(map[Vantage][]DNSRow)
+	wantSeries := make(map[Vantage]map[alexa.SiteID][]Sample)
+	write := func(rounds ...int) {
+		for _, v := range []Vantage{"penn", "seattle"} {
+			if wantSeries[v] == nil {
+				wantSeries[v] = make(map[alexa.SiteID][]Sample)
+			}
+			for _, id := range writes[v] {
+				db.PutSite(SiteRow{Site: id, Host: alexa.HostName(id), FirstRank: int(id%1000) + 1, V4AS: 1, V6AS: 2})
+				for _, r := range rounds {
+					row := DNSRow{Site: id, Round: r, HasA: true, HasAAAA: r >= 2, Identical: r%3 == 0}
+					db.AddDNS(v, row)
+					wantDNS[v] = append(wantDNS[v], row)
+					s := Sample{Round: r, Date: sampleDate.AddDate(0, 0, 7*r), PageBytes: 900 + r, Downloads: 3, MeanSpeed: float64(id%50) + 0.5, CIOK: true}
+					db.AddSample(v, id, topo.V6, s)
+					wantSeries[v][id] = append(wantSeries[v][id], s)
+				}
+			}
+			sort.SliceStable(wantDNS[v], func(i, j int) bool { return wantDNS[v][i].Site < wantDNS[v][j].Site })
+		}
+	}
+	requireRows := func(what string, got *DB) {
+		t.Helper()
+		for v, want := range wantDNS {
+			if rows := got.DNS(v); !reflect.DeepEqual(rows, want) {
+				t.Fatalf("%s: %s DNS rows\n%+v\nwant\n%+v", what, v, rows, want)
+			}
+			n := 0
+			got.ForEachSeries(v, func(site alexa.SiteID, fam topo.Family, series []Sample) {
+				n++
+				if fam != topo.V6 || !reflect.DeepEqual(series, wantSeries[v][site]) {
+					t.Fatalf("%s: %s series (%d, %d) = %+v, want %+v", what, v, site, fam, series, wantSeries[v][site])
+				}
+			})
+			if n != len(wantSeries[v]) {
+				t.Fatalf("%s: %s has %d series, want %d", what, v, n, len(wantSeries[v]))
+			}
+		}
+	}
+	requireColumns := func(what string, got *DB) {
+		t.Helper()
+		for v, ids := range writes {
+			var wrote [2][shards]bool
+			for _, id := range ids {
+				table, _ := got.res.locate(id)
+				wrote[table][uint64(id)&(shards-1)] = true
+			}
+			vt := got.lookup(v)
+			for i := range vt.dns {
+				d, s := &vt.dns[i], &vt.samples[i]
+				for table, cols := range [2]struct {
+					hist   []dnsHist
+					v4, v6 famSlots
+				}{{d.main, s.main[topo.V4], s.main[topo.V6]}, {d.ext, s.ext[topo.V4], s.ext[topo.V6]}} {
+					n := 0
+					if wrote[table][i] {
+						n = slotsFor([]int{mainIDs, extIDs}[table])
+					}
+					if len(cols.hist) != n || len(cols.v6) != n || len(cols.v4) != 0 {
+						t.Fatalf("%s: %s stripe %d table %d: DNS/v4/v6 columns %d/%d/%d long, want %d/0/%d",
+							what, v, i, table, len(cols.hist), len(cols.v4), len(cols.v6), n, n)
+					}
+				}
+				if len(d.over) != 0 || len(s.over[0]) != 0 || len(s.over[1]) != 0 {
+					t.Fatalf("%s: %s stripe %d holds in-range ids in its overflow maps", what, v, i)
+				}
+			}
+		}
+	}
+
+	dir := t.TempDir()
+	b := NewCheckpointBackend(dir)
+	write(0, 1)
+	if err := commit(b, db, 1); err != nil {
+		t.Fatal(err)
+	}
+	write(2, 3, 4)
+	if err := commit(b, db, 4); err != nil {
+		t.Fatal(err)
+	}
+	if newestIsBase(t, b) {
+		t.Fatal("the second checkpoint is a base, want a segment")
+	}
+	requireColumns("live", db)
+	requireRows("live", db)
+	var expanded []DNSRow
+	db.ForEachDNSRun("penn", func(row DNSRow, n int) {
+		for k := 0; k < n; k++ {
+			expanded = append(expanded, row)
+			row.Round++
+		}
+	})
+	if !reflect.DeepEqual(expanded, wantDNS["penn"]) {
+		t.Fatalf("ForEachDNSRun's penn runs expand to\n%+v\nwant\n%+v", expanded, wantDNS["penn"])
+	}
+
+	path := filepath.Join(t.TempDir(), "db"+BinaryExt)
+	if err := db.SaveBinary(path, BinaryOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(strings.TrimSuffix(path, BinaryExt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireColumns("SaveBinary, Load", loaded)
+	requireRows("SaveBinary, Load", loaded)
+	chained, _ := loadNewest(t, dir)
+	requireColumns("checkpoint chain", chained)
+	requireRows("checkpoint chain", chained)
+
+	merged := NewDB()
+	merged.Reserve(mainIDs, extBase, extIDs)
+	for _, rg := range [][2]alexa.SiteID{{0, mainIDs}, {extBase, extBase + extIDs}} {
+		payload := encodeSection(t, db, ShardSites, "", rg[0], rg[1])
+		if err := merged.MergeShard(rg[0], rg[1], ShardSites, "", payload); err != nil {
+			t.Fatal(err)
+		}
+		for v := range writes {
+			for _, section := range []byte{ShardDNS, ShardSamples} {
+				payload := encodeSection(t, db, section, v, rg[0], rg[1])
+				if err := merged.MergeShard(rg[0], rg[1], section, v, payload); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	requireColumns("MergeShard", merged)
+	requireRows("MergeShard", merged)
+}
+
+// TestConcurrentFirstWritesAllocateColumns races the first writes into
+// unallocated columns: each goroutine owns one slot in every stripe of
+// both ranges, so all of them contend to allocate each stripe's DNS and
+// sample columns, through Flush, AddDNS and AddSample, while readers
+// walk the tables. Every row must land in a dense column of the full
+// reserved length. Run under -race (CI's -cpu 1,4 line matches
+// Concurrent).
+func TestConcurrentFirstWritesAllocateColumns(t *testing.T) {
+	const extBase alexa.SiteID = 1 << 20
+	const workers, rounds = 12, 3
+	db := NewDB()
+	db.Reserve(workers*shards, extBase, workers*shards)
+	vantages := []Vantage{"penn", "seattle"}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			var ids []alexa.SiteID
+			for i := alexa.SiteID(0); i < shards; i++ {
+				slot := alexa.SiteID(w) * shards
+				ids = append(ids, slot+i, extBase+slot+i)
+			}
+			batch := NewBatch(len(ids))
+			for r := 0; r < rounds; r++ {
+				for _, v := range vantages {
+					for _, id := range ids {
+						row := DNSRow{Site: id, Round: r, HasA: true, HasAAAA: r > 0}
+						if w%2 == 0 {
+							batch.AddSite(CanonicalSite{Site: id, FirstRank: int(id%1000) + 1, V4AS: 1, V6AS: -1})
+							batch.AddDNS(row)
+						} else {
+							db.AddDNS(v, row)
+						}
+						db.AddSample(v, id, topo.Family(w%2), Sample{Round: r, Date: sampleDate, PageBytes: 10, Downloads: 2, MeanSpeed: 1, CIOK: true})
+					}
+					db.Flush(v, batch)
+				}
+			}
+		}(w)
+	}
+	var readers sync.WaitGroup
+	stop := make(chan struct{})
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			db.DNSStats("penn")
+			db.ForEachDNSRun("seattle", func(DNSRow, int) {})
+			db.Freeze()
+		}
+	}()
+	close(start)
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+
+	want := workers * shards * 2 * rounds
+	for _, v := range vantages {
+		if rows, _, sites := db.DNSStats(v); rows != want || sites != workers*shards*2 {
+			t.Fatalf("%s: %d DNS rows over %d sites, want %d over %d", v, rows, sites, want, workers*shards*2)
+		}
+		if got := len(db.DNS(v)); got != want {
+			t.Fatalf("%s: %d expanded DNS rows, want %d", v, got, want)
+		}
+		n := 0
+		db.ForEachSeries(v, func(alexa.SiteID, topo.Family, []Sample) { n++ })
+		if n != workers*shards*2 {
+			t.Fatalf("%s: %d sample series, want %d", v, n, workers*shards*2)
+		}
+		vt := db.lookup(v)
+		for i := range vt.dns {
+			d, s := &vt.dns[i], &vt.samples[i]
+			for _, n := range []int{len(d.main), len(d.ext), len(s.main[0]), len(s.main[1]), len(s.ext[0]), len(s.ext[1])} {
+				if n != workers {
+					t.Fatalf("%s stripe %d: a column is %d long, want %d", v, i, n, workers)
+				}
+			}
+			if len(d.over) != 0 || len(s.over[0]) != 0 || len(s.over[1]) != 0 {
+				t.Fatalf("%s stripe %d holds in-range ids in its overflow maps", v, i)
 			}
 		}
 	}

@@ -22,9 +22,13 @@
 //   - Site ids are dense in two ranges — the ranked list mints them
 //     sequentially from zero, the extended population is a second
 //     dense range at a fixed base — and Reserve turns those ranges
-//     into index-addressed tables. Ids outside the reserved ranges
-//     (direct API use, a snapshot whose claimed ranges its bytes
-//     cannot back) fall back to per-shard overflow maps.
+//     into index-addressed tables. A vantage's DNS and sample columns
+//     over a range are allocated by each lock stripe's first write
+//     into it, so a vantage that never measures the extended
+//     population holds no column for it. Ids outside the reserved
+//     ranges (direct API use, a database that reserves none, a
+//     snapshot whose claimed ranges its bytes cannot back) fall back
+//     to per-shard overflow maps.
 //   - DNS history is delta-encoded: each site stores runs of
 //     consecutive rounds sharing one (HasA, HasAAAA, Identical)
 //     outcome, so storage is O(state changes), not O(sites*rounds).
@@ -287,18 +291,30 @@ func watermark(lo, hi *int32, from, to int32) {
 	}
 }
 
-// hist returns the site's history slot, creating overflow entries on
-// demand when create is set. Caller holds s.mu.
+// denseAt returns slot's entry in col, a stripe's dense column over a
+// reserved range of n ids. The stripe's first write into the range
+// (create set) allocates the column at the range's full length, the
+// entries set to fill; before it, the column is empty and denseAt
+// returns nil. Reserve keeps every allocated column at full length.
+func denseAt[S ~[]T, T any](col *S, n, slot int, fill T, create bool) *T {
+	if len(*col) == 0 {
+		if !create {
+			return nil
+		}
+		*col = extend(*col, slotsFor(n), fill)
+	}
+	return &(*col)[slot]
+}
+
+// hist returns the site's history slot, allocating its dense column or
+// creating its overflow entry on demand when create is set, and nil
+// when the site has none and create is unset. Caller holds s.mu.
 func (s *dnsShard) hist(res reservation, id alexa.SiteID, create bool) *dnsHist {
 	switch table, slot := res.locate(id); table {
 	case 0:
-		if slot < len(s.main) {
-			return &s.main[slot]
-		}
+		return denseAt(&s.main, res.main, slot, dnsHist{}, create)
 	case 1:
-		if slot < len(s.ext) {
-			return &s.ext[slot]
-		}
+		return denseAt(&s.ext, res.ext, slot, dnsHist{}, create)
 	}
 	if h, ok := s.over[id]; ok {
 		return h
@@ -473,8 +489,6 @@ func (p packedSample) sample(dates []time.Time) Sample {
 // famSlots maps dense site slots to series indices; -1 = no series.
 type famSlots []int32
 
-func (f *famSlots) grow(n int) { *f = extend(*f, n, -1) }
-
 // sampleShard is one stripe of a vantage's sample table: per family,
 // a dense slot column over each reserved range (plus an overflow map)
 // pointing into the shard-local series storage.
@@ -493,23 +507,29 @@ type sampleShard struct {
 	// the sample rounds' watermarks (see watermark).
 }
 
+// denseSlot returns (id, fam)'s entry in the stripe's dense slot
+// column, allocating the column when create is set (see denseAt), and
+// whether id lies in a reserved range at all. Caller holds s.mu.
+func (s *sampleShard) denseSlot(res reservation, id alexa.SiteID, fam topo.Family, create bool) (entry *int32, dense bool) {
+	switch table, slot := res.locate(id); table {
+	case 0:
+		return denseAt(&s.main[fam], res.main, slot, -1, create), true
+	case 1:
+		return denseAt(&s.ext[fam], res.ext, slot, -1, create), true
+	}
+	return nil, false
+}
+
 // seriesIdx returns the series index stored for (id, fam), or -1.
 // Caller holds s.mu.
 func (s *sampleShard) seriesIdx(res reservation, id alexa.SiteID, fam topo.Family) int32 {
-	f := int(fam)
-	switch table, slot := res.locate(id); table {
-	case 0:
-		if slot < len(s.main[f]) {
-			return s.main[f][slot]
+	if entry, dense := s.denseSlot(res, id, fam, false); dense {
+		if entry == nil {
+			return -1
 		}
-		return -1
-	case 1:
-		if slot < len(s.ext[f]) {
-			return s.ext[f][slot]
-		}
-		return -1
+		return *entry
 	}
-	if idx, ok := s.over[f][id]; ok {
+	if idx, ok := s.over[fam][id]; ok {
 		return idx
 	}
 	return -1
@@ -518,31 +538,12 @@ func (s *sampleShard) seriesIdx(res reservation, id alexa.SiteID, fam topo.Famil
 // add appends one packed sample to the site's series, minting the
 // series slot on first use. Caller holds s.mu.
 func (s *sampleShard) add(res reservation, id alexa.SiteID, fam topo.Family, p packedSample) {
-	f := int(fam)
+	entry, dense := s.denseSlot(res, id, fam, true)
 	idx := int32(-1)
-	table, slot := res.locate(id)
-	switch table {
-	case 0:
-		if slot < len(s.main[f]) {
-			idx = s.main[f][slot]
-		} else {
-			table = -1
-		}
-	case 1:
-		if slot < len(s.ext[f]) {
-			idx = s.ext[f][slot]
-		} else {
-			table = -1
-		}
-	}
-	if table < 0 {
-		if s.over[f] == nil {
-			s.over[f] = make(map[alexa.SiteID]int32)
-		}
-		var ok bool
-		if idx, ok = s.over[f][id]; !ok {
-			idx = -1
-		}
+	if dense {
+		idx = *entry
+	} else if i, ok := s.over[fam][id]; ok {
+		idx = i
 	}
 	if idx < 0 {
 		idx = int32(len(s.series))
@@ -550,13 +551,13 @@ func (s *sampleShard) add(res reservation, id alexa.SiteID, fam topo.Family, p p
 		// preallocate a study's worth to avoid repeated regrowth.
 		s.series = append(s.series, make([]packedSample, 0, 40))
 		s.owner = append(s.owner, siteFamKey{id, fam})
-		switch table {
-		case 0:
-			s.main[f][slot] = idx
-		case 1:
-			s.ext[f][slot] = idx
-		default:
-			s.over[f][id] = idx
+		if dense {
+			*entry = idx
+		} else {
+			if s.over[fam] == nil {
+				s.over[fam] = make(map[alexa.SiteID]int32)
+			}
+			s.over[fam][id] = idx
 		}
 	}
 	s.series[idx] = append(s.series[idx], p)
@@ -649,7 +650,11 @@ type famDstKey struct {
 	dst int
 }
 
-func newVantageTable(res reservation) *vantageTable {
+// newVantageTable returns an empty table. It allocates no dense
+// column: each stripe's column over a reserved range comes from its
+// first write there (denseAt), so a vantage that never writes a range,
+// or a stripe of it, holds nothing for it.
+func newVantageTable() *vantageTable {
 	t := &vantageTable{
 		paths:   make(map[famDstKey][]PathSnapshot),
 		dateIdx: make(map[time.Time]int32),
@@ -660,23 +665,31 @@ func newVantageTable(res reservation) *vantageTable {
 		t.dns[i].lo, t.dns[i].hi = noLow, -1         //v6lint:locked the table is not yet shared
 		t.samples[i].lo, t.samples[i].hi = noLow, -1 //v6lint:locked the table is not yet shared
 	}
-	t.grow(res)
 	return t
 }
 
-// grow sizes the dense columns to the reservation. Callers must hold
-// the shard locks or be otherwise exclusive (Reserve's contract).
+// grow extends the allocated dense columns to the reservation; a
+// column not yet allocated stays empty. Callers must hold the shard
+// locks or be otherwise exclusive (Reserve's contract).
 func (t *vantageTable) grow(res reservation) {
 	nMain, nExt := slotsFor(res.main), slotsFor(res.ext)
 	for i := range t.dns {
 		d := &t.dns[i]
-		d.main = extend(d.main, nMain, dnsHist{})
-		d.ext = extend(d.ext, nExt, dnsHist{})
+		growAllocated(&d.main, nMain, dnsHist{})
+		growAllocated(&d.ext, nExt, dnsHist{})
 		s := &t.samples[i]
 		for f := 0; f < 2; f++ {
-			s.main[f].grow(nMain)
-			s.ext[f].grow(nExt)
+			growAllocated(&s.main[f], nMain, -1)
+			growAllocated(&s.ext[f], nExt, -1)
 		}
+	}
+}
+
+// growAllocated extends col to n entries set to fill, unless col is
+// not yet allocated (see denseAt).
+func growAllocated[S ~[]T, T any](col *S, n int, fill T) {
+	if len(*col) > 0 {
+		*col = extend(*col, n, fill)
 	}
 }
 
@@ -713,12 +726,16 @@ func NewDB() *DB {
 
 // Reserve declares the dense site-id ranges: ids in [0, mainIDs) and
 // [extBase, extBase+extIDs) get index-addressed columnar storage in
-// every table. Growing preserves stored data (overflow entries now
-// covered by a range are migrated); the extended base cannot change
-// once set and must be a multiple of the shard count. Reserve must
-// not run concurrently with any other call — the campaign reserves
-// between rounds — and relies on that exclusivity instead of holding
-// the shard locks while it rebuilds the dense tables.
+// every table. The site table's columns span the ranges at once; a
+// vantage table's DNS and sample columns over a range are allocated
+// per stripe by its first write there, and Reserve grows only those
+// already allocated. Growing preserves stored data (overflow entries
+// now covered by a range are migrated, which is such a first write);
+// the extended base cannot change once set and must be a multiple of
+// the shard count. Reserve must not run concurrently with any other
+// call — the campaign reserves between rounds — and relies on that
+// exclusivity instead of holding the shard locks while it rebuilds
+// the dense tables.
 func (db *DB) Reserve(mainIDs int, extBase alexa.SiteID, extIDs int) {
 	if extIDs > 0 {
 		if db.res.ext > 0 && extBase != db.res.extBase {
@@ -760,15 +777,11 @@ func (db *DB) Reserve(mainIDs int, extBase alexa.SiteID, extIDs int) {
 				}
 			}
 			s := &t.samples[i]
-			for f := 0; f < 2; f++ {
-				for id, idx := range s.over[f] {
-					if table, slot := res.locate(id); table >= 0 {
-						delete(s.over[f], id)
-						if table == 0 {
-							s.main[f][slot] = idx
-						} else {
-							s.ext[f][slot] = idx
-						}
+			for _, fam := range famBoth {
+				for id, idx := range s.over[fam] {
+					if entry, dense := s.denseSlot(res, id, fam, true); dense {
+						delete(s.over[fam], id)
+						*entry = idx
 					}
 				}
 			}
@@ -792,7 +805,7 @@ func (db *DB) table(v Vantage) *vantageTable {
 	db.vmu.Lock()
 	defer db.vmu.Unlock()
 	if t = db.vantages[v]; t == nil {
-		t = newVantageTable(db.res)
+		t = newVantageTable()
 		db.vantages[v] = t
 	}
 	return t

@@ -77,7 +77,12 @@ func (v *dnsView) walkRuns(fn func(site alexa.SiteID, runs []dnsRun)) {
 		}
 	}
 	emitRange := func(base alexa.SiteID, pick func(s *dnsViewShard) []dnsHist) {
-		n := len(pick(&v.shards[0]))
+		// A stripe's column is empty until its first write into the
+		// range, so stripe 0's may be the empty one.
+		n := 0
+		for i := range v.shards {
+			n = max(n, len(pick(&v.shards[i])))
+		}
 		for slot := 0; slot < n; slot++ {
 			for i := 0; i < shards; i++ {
 				s := &v.shards[i]
