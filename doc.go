@@ -16,11 +16,9 @@
 // relationships and a sparser IPv6 sub-topology (internal/topo),
 // Gao–Rexford route computation (internal/bgp), a calibrated data
 // plane (internal/netsim), site and server models (internal/websim,
-// internal/alexa), DNS and HTTP substrates that also run over real
-// loopback sockets (internal/dnswire, internal/dnssim,
-// internal/httpsim), and the paper's monitoring tool
-// (internal/measure) feeding the full Section 4/5 analysis pipeline
-// (internal/analysis, internal/report).
+// internal/alexa), and the paper's monitoring tool (internal/measure)
+// feeding the full Section 4/5 analysis pipeline (internal/analysis,
+// internal/report).
 //
 // internal/core ties it together as a long-lived measurement
 // *campaign*, the shape the paper's 22-month Penn deployment actually
@@ -48,15 +46,16 @@
 //
 // Worlds are declared, not hard-coded: internal/scenario defines
 // versioned scenario packs — small JSON specs covering topology
-// shape, adoption and peering curves, client behavior (Happy-Eyeballs
-// variants, the tool's retry policy), campaign schedule, and report
+// shape, adoption and peering curves, client behavior (the tool's
+// worker pool and retry policy), campaign schedule, and report
 // selection — that compile to the exact core.Config a campaign runs.
 // A built-in registry ships the paper's catalog of worlds
 // (baseline-2011, world-ipv6-day, peering-parity, broken-tunnels,
-// cdn-rollout, happy-eyeballs-off, impatient-client), each
-// golden-tested byte-identical to the hard-coded construction it
-// replaced, and any spec field takes dotted-path overrides
-// ("topo.ases=2000") from the CLIs.
+// cdn-rollout, impatient-client, vantage-outages, and paper-scale
+// with its CI slice paper-scale-mini; `v6mon -scenario list` prints
+// them), each golden-tested byte-identical to the hard-coded
+// construction it replaced, and any spec field takes dotted-path
+// overrides ("topo.ases=2000") from the CLIs.
 //
 // The cmd tools expose the same machinery: v6mon runs (and, rerun
 // with the same flags, continues) a checkpointed campaign with

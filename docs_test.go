@@ -4,8 +4,11 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
+
+	"v6web/internal/scenario"
 )
 
 // The documentation suite references files and directories by path;
@@ -87,5 +90,31 @@ func TestDocGoLinksTheSuite(t *testing.T) {
 		if !strings.Contains(string(data), doc) {
 			t.Errorf("doc.go does not link %s", doc)
 		}
+	}
+}
+
+// README's pack table names every built-in pack and nothing else, so
+// a pack added to or retired from the registry cannot leave it stale.
+func TestDocPackTableMatchesRegistry(t *testing.T) {
+	data, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(data), "| pack | world |\n|---|---|\n")
+	if !ok {
+		t.Fatal("README.md has no pack table (| pack | world |)")
+	}
+	var names []string
+	for _, line := range strings.Split(table, "\n") {
+		rest, ok := strings.CutPrefix(line, "| `")
+		if !ok {
+			break
+		}
+		name, _, _ := strings.Cut(rest, "`")
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	if want := scenario.Names(); !slices.Equal(names, want) {
+		t.Errorf("README's pack table lists %v, the registry ships %v", names, want)
 	}
 }

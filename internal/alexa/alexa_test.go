@@ -35,6 +35,15 @@ func TestNewList(t *testing.T) {
 	}
 }
 
+// HostName is the canonical host the store interns site rows against:
+// a row whose host equals it is stored and snapshotted without the
+// string, so its spelling is part of the snapshot format.
+func TestHostName(t *testing.T) {
+	if got := HostName(42); got != "site42.v6web.test" {
+		t.Fatalf("HostName(42) = %q", got)
+	}
+}
+
 func TestValidateRejectsBadConfigs(t *testing.T) {
 	bad := []Config{
 		{Size: 0},

@@ -534,8 +534,38 @@ func TestDiscoverQuarantinesBadManifest(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(bad, "campaign.json"), []byte("{tor"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// good's manifest as an older build could write it, with a spec
+	// field this build does not know: it stops parsing.
+	data, err := os.ReadFile(filepath.Join(dir, "campaigns", "good", manifestFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m manifest
+	var spec map[string]any
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(m.Spec, &spec); err != nil {
+		t.Fatal(err)
+	}
+	spec["client"] = map[string]any{"happy_eyeballs": "off"}
+	if m.Spec, err = json.Marshal(spec); err != nil {
+		t.Fatal(err)
+	}
+	m.Name = "retired-field"
+	if data, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	retired := filepath.Join(dir, "campaigns", m.Name)
+	if err := os.MkdirAll(retired, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(retired, manifestFile), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
-	d2 := newTestDaemon(t, Options{Dir: dir})
+	var log bytes.Buffer
+	d2 := newTestDaemon(t, Options{Dir: dir, Log: &log})
 	if err := d2.Discover(); err != nil {
 		t.Fatalf("Discover with a bad manifest present: %v", err)
 	}
@@ -545,5 +575,8 @@ func TestDiscoverQuarantinesBadManifest(t *testing.T) {
 	}
 	if len(names) != 1 || names[0] != "good" {
 		t.Fatalf("discovered %v, want just [good]", names)
+	}
+	if !strings.Contains(log.String(), "quarantining campaign retired-field") || !strings.Contains(log.String(), "happy_eyeballs") {
+		t.Errorf("the retired field's parse error is not logged:\n%s", log.String())
 	}
 }

@@ -15,10 +15,10 @@ import (
 // so that serial, parallel, sharded, and resumed runs produce
 // byte-identical CSVs.
 //
-// Legitimate wall-clock uses — live-wire socket deadlines and
-// transfer timing, CLI progress timers, heartbeat bookkeeping,
-// store.Meta.SavedAt — are annotated at the use site with
-// //v6lint:wallclock <reason>, which is the reviewable escape hatch.
+// Legitimate wall-clock uses — CLI progress timers, heartbeat
+// bookkeeping, store.Meta.SavedAt — are annotated at the use site
+// with //v6lint:wallclock <reason>, which is the reviewable escape
+// hatch.
 // Test files are exempt: tests do not feed campaign output.
 var DetRand = &Analyzer{
 	Name: "detrand",
@@ -34,10 +34,10 @@ var DetRand = &Analyzer{
 // clock freely.
 var simPackages = map[string]bool{
 	"topo": true, "alexa": true, "websim": true, "measure": true,
-	"core": true, "dnssim": true, "netsim": true, "httpsim": true,
-	"bgp": true, "store": true, "analysis": true, "shard": true,
-	"sweep": true, "scenario": true, "report": true, "stats": true,
-	"ipam": true, "dnswire": true, "traceroute": true, "fault": true,
+	"core": true, "netsim": true, "bgp": true, "store": true,
+	"analysis": true, "shard": true, "sweep": true, "scenario": true,
+	"report": true, "stats": true, "ipam": true, "traceroute": true,
+	"fault": true,
 }
 
 func runDetRand(pass *Pass) error {

@@ -3,6 +3,7 @@ package lint
 import (
 	"bytes"
 	"errors"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
@@ -88,6 +89,16 @@ func TestMapOrderFixture(t *testing.T) {
 
 func TestDetRandFixture(t *testing.T) {
 	runFixture(t, DetRand, "detrand/websim", "detrand/websim")
+}
+
+// TestSimPackagesExist keeps detrand's package list from going stale:
+// every entry must name a package directory under internal/.
+func TestSimPackagesExist(t *testing.T) {
+	for name := range simPackages {
+		if fi, err := os.Stat(filepath.Join(repoRoot(t), "internal", name)); err != nil || !fi.IsDir() {
+			t.Errorf("simPackages names %q, which is no directory under internal/", name)
+		}
+	}
 }
 
 func TestFingerprintFixture(t *testing.T) {

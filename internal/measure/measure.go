@@ -18,8 +18,7 @@
 // one batch per block.
 //
 // The engine is generic over a Fetcher: the simulation fetcher drives
-// netsim over BGP paths; the livenet fetcher speaks real DNS and HTTP
-// over loopback sockets.
+// netsim over BGP paths, and tests substitute their own.
 package measure
 
 import (
@@ -43,10 +42,6 @@ type SiteRef struct {
 	FirstRank int
 }
 
-// HostName maps a site id to its synthetic DNS name — the canonical
-// alexa.HostName derivation the store interns site hosts against.
-func HostName(id alexa.SiteID) string { return alexa.HostName(id) }
-
 // famBoth avoids a fresh slice per site when iterating both families.
 var famBoth = [2]topo.Family{topo.V4, topo.V6}
 
@@ -54,15 +49,6 @@ var famBoth = [2]topo.Family{topo.V4, topo.V6}
 type FetchResult struct {
 	PageBytes int
 	Elapsed   time.Duration
-}
-
-// Speed returns the observed download speed in kbytes/sec, the
-// paper's performance metric.
-func (f FetchResult) Speed() float64 {
-	if f.Elapsed <= 0 {
-		return 0
-	}
-	return float64(f.PageBytes) / 1000 / f.Elapsed.Seconds()
 }
 
 // Fetcher abstracts the network side of monitoring from one vantage.

@@ -3,7 +3,6 @@ package measure
 import (
 	"slices"
 	"testing"
-	"time"
 
 	"v6web/internal/alexa"
 	"v6web/internal/netsim"
@@ -96,22 +95,6 @@ func TestConfigValidate(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
-	}
-}
-
-func TestHostName(t *testing.T) {
-	if HostName(42) != "site42.v6web.test" {
-		t.Fatalf("HostName: %s", HostName(42))
-	}
-}
-
-func TestFetchResultSpeed(t *testing.T) {
-	r := FetchResult{PageBytes: 50000, Elapsed: time.Second}
-	if got := r.Speed(); got != 50 {
-		t.Fatalf("speed %v, want 50", got)
-	}
-	if (FetchResult{PageBytes: 1}).Speed() != 0 {
-		t.Fatal("zero elapsed should yield zero speed")
 	}
 }
 

@@ -167,7 +167,7 @@ func TestEnsureSiteMatchesPutSite(t *testing.T) {
 		}
 		var batch store.Batch
 		for _, v := range views {
-			a.PutSite(store.SiteRow{Site: v.Site, Host: HostName(v.Site), FirstRank: v.FirstRank, V4AS: v.V4AS, V6AS: v.V6AS})
+			a.PutSite(store.SiteRow{Site: v.Site, Host: alexa.HostName(v.Site), FirstRank: v.FirstRank, V4AS: v.V4AS, V6AS: v.V6AS})
 			batch.AddSite(v)
 		}
 		b.Flush("test", &batch)

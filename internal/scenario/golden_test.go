@@ -116,12 +116,6 @@ var goldenPacks = []struct {
 		},
 	},
 	{
-		// The paper's tool measures families in isolation; the pack
-		// only makes that explicit, so it is the baseline campaign.
-		name: "happy-eyeballs-off",
-		hard: func() core.Config { return core.DefaultConfig(42) },
-	},
-	{
 		// A Measure override as a hand construction.
 		name: "impatient-client",
 		hard: func() core.Config {

@@ -4,9 +4,8 @@
 // behavior, campaign schedule, and report selection — that compiles
 // to the core.Config the campaign runner executes. The paper's value
 // is its catalog of worlds (the 2011 dual-stack baseline, World IPv6
-// Day, peering remediation, Happy-Eyeballs clients); packs make those
-// worlds data instead of hard-coded Go, so a new what-if is a file,
-// not a source edit.
+// Day, peering remediation); packs make those worlds data instead of
+// hard-coded Go, so a new what-if is a file, not a source edit.
 //
 // A pack sets only the fields where its world differs from the
 // calibrated defaults: every spec field is optional, and Compile
@@ -30,7 +29,6 @@ import (
 	"time"
 
 	"v6web/internal/core"
-	"v6web/internal/httpsim"
 	"v6web/internal/measure"
 	"v6web/internal/netsim"
 	"v6web/internal/store"
@@ -141,9 +139,8 @@ type NetSpec struct {
 
 // ClientSpec sets client behavior: the monitoring tool's worker pool
 // and retry policy (measure.Config — CI stop rule and download
-// budget), and the connection strategy for live-wire clients
-// (Happy Eyeballs racing vs the paper's per-family isolation).
-// Setting any of the measure fields compiles to a core Measure
+// budget). The tool measures each address family in isolation, as
+// the paper's did. Setting any field compiles to a core Measure
 // override built from measure.DefaultConfig.
 type ClientSpec struct {
 	Workers      *int     `json:"workers,omitempty"`
@@ -151,9 +148,6 @@ type ClientSpec struct {
 	CIFrac       *float64 `json:"ci_frac,omitempty"`
 	CIMinN       *int     `json:"ci_min_n,omitempty"`
 	MaxDownloads *int     `json:"max_downloads,omitempty"`
-
-	HappyEyeballs *string  `json:"happy_eyeballs,omitempty"` // "off" (paper's tool) or "racing" (RFC 6555)
-	HeadStartMS   *float64 `json:"head_start_ms,omitempty"`
 }
 
 // FaultsSpec schedules campaign-level degradation as part of the
@@ -217,38 +211,11 @@ type ReportSpec struct {
 	Exhibits []string `json:"exhibits,omitempty"`
 }
 
-// ClientPolicy is the compiled client-side connection strategy. The
-// simulation's monitoring tool always measures each address family in
-// isolation (the paper's method); the policy governs live-wire
-// clients (examples/livenet, httpsim).
-type ClientPolicy struct {
-	// HappyEyeballs reports whether dual-stack dials race IPv6
-	// against a delayed IPv4 attempt (RFC 6555) instead of measuring
-	// the families separately.
-	HappyEyeballs bool
-	// HeadStart is how long IPv6 runs alone before IPv4 starts, when
-	// racing. Compile defaults it to the RFC 6555 recommended value;
-	// an explicit head_start_ms of 0 races both families immediately.
-	HeadStart time.Duration
-}
-
-// Dialer returns the RFC 6555 dialer the policy prescribes, or nil
-// when Happy Eyeballs is off and each family is dialed in isolation.
-func (p ClientPolicy) Dialer() *httpsim.HappyEyeballs {
-	if !p.HappyEyeballs {
-		return nil
-	}
-	he := httpsim.NewHappyEyeballs()
-	he.HeadStart = p.HeadStart
-	return he
-}
-
 // Compiled is a fully resolved scenario pack.
 type Compiled struct {
 	Name     string
 	Doc      string
 	Config   core.Config
-	Client   ClientPolicy
 	Exhibits []string // nil means every exhibit
 }
 
@@ -311,22 +278,12 @@ func LoadCompiled(nameOrPath string, sets Overrides) (Compiled, error) {
 	return sp.Compile()
 }
 
-// Validate reports structural spec errors: version, enum fields, and
-// exhibit names. Numeric ranges are checked by Compile through the
+// Validate reports structural spec errors: version, outage windows,
+// and exhibit names. Numeric ranges are checked by Compile through the
 // underlying config validators.
 func (sp *Spec) Validate() error {
 	if sp.Version != Version {
 		return fmt.Errorf("scenario: spec version %d unsupported (want %d)", sp.Version, Version)
-	}
-	if he := sp.Client.HappyEyeballs; he != nil {
-		switch *he {
-		case "off", "racing":
-		default:
-			return fmt.Errorf("scenario: client.happy_eyeballs %q (want \"off\" or \"racing\")", *he)
-		}
-	}
-	if hs := sp.Client.HeadStartMS; hs != nil && *hs < 0 {
-		return fmt.Errorf("scenario: client.head_start_ms %v negative", *hs)
 	}
 	if err := sp.Faults.validate(); err != nil {
 		return err
@@ -384,16 +341,6 @@ func (sp *Spec) Compile() (Compiled, error) {
 		return Compiled{}, fmt.Errorf("scenario: %w", err)
 	}
 
-	// The head start defaults to the RFC 6555 recommendation; an
-	// explicit head_start_ms (including 0) replaces it.
-	client := ClientPolicy{HeadStart: httpsim.NewHappyEyeballs().HeadStart}
-	if sp.Client.HappyEyeballs != nil && *sp.Client.HappyEyeballs == "racing" {
-		client.HappyEyeballs = true
-	}
-	if sp.Client.HeadStartMS != nil {
-		client.HeadStart = time.Duration(*sp.Client.HeadStartMS * float64(time.Millisecond))
-	}
-
 	exhibits := sp.Report.Exhibits
 	for _, ex := range exhibits {
 		if ex == "all" {
@@ -401,7 +348,7 @@ func (sp *Spec) Compile() (Compiled, error) {
 			break
 		}
 	}
-	return Compiled{Name: sp.Name, Doc: sp.Doc, Config: cfg, Client: client, Exhibits: exhibits}, nil
+	return Compiled{Name: sp.Name, Doc: sp.Doc, Config: cfg, Exhibits: exhibits}, nil
 }
 
 // Encode serializes a validated spec to indented JSON that Parse

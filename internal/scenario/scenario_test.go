@@ -21,9 +21,6 @@ func TestEmptySpecCompilesToDefaultConfig(t *testing.T) {
 	if !reflect.DeepEqual(comp.Config, want) {
 		t.Errorf("empty spec compiled to %+v, want DefaultConfig(42)", comp.Config)
 	}
-	if comp.Client.HappyEyeballs {
-		t.Error("default client policy should be Happy Eyeballs off (the paper's tool)")
-	}
 	if comp.Exhibits != nil {
 		t.Errorf("default exhibits = %v, want nil (all)", comp.Exhibits)
 	}
@@ -39,15 +36,15 @@ func TestParseRejectsUnknownFieldsAndBadVersion(t *testing.T) {
 	if _, err := Parse([]byte(`{"version": 99}`)); err == nil {
 		t.Error("future version accepted")
 	}
+	// client.happy_eyeballs is not a pack field: a pack naming it fails
+	// like any typo.
+	if _, err := Parse([]byte(`{"version":1,"client":{"happy_eyeballs":"off"}}`)); err == nil || !strings.Contains(err.Error(), "happy_eyeballs") {
+		t.Errorf("unknown field client.happy_eyeballs accepted (err=%v)", err)
+	}
 }
 
 func TestValidateEnums(t *testing.T) {
-	bad := "sequential"
-	sp := &Spec{Version: 1, Client: ClientSpec{HappyEyeballs: &bad}}
-	if err := sp.Validate(); err == nil {
-		t.Error("bad happy_eyeballs mode accepted")
-	}
-	sp = &Spec{Version: 1, Report: ReportSpec{Exhibits: []string{"table99"}}}
+	sp := &Spec{Version: 1, Report: ReportSpec{Exhibits: []string{"table99"}}}
 	if err := sp.Validate(); err == nil {
 		t.Error("unknown exhibit accepted")
 	}
@@ -68,7 +65,6 @@ func TestSetDottedPaths(t *testing.T) {
 		"seed=7",
 		"list.extended=0",
 		"schedule.rounds=12",
-		"client.happy_eyeballs=racing",
 		"client.max_downloads=9",
 		"report.exhibits=table2, table8",
 	} {
@@ -101,26 +97,18 @@ func TestSetDottedPaths(t *testing.T) {
 	if comp.Config.Measure == nil || comp.Config.Measure.MaxDownloads != 9 {
 		t.Errorf("Measure = %+v", comp.Config.Measure)
 	}
-	if !comp.Client.HappyEyeballs {
-		t.Error("client.happy_eyeballs=racing did not enable the policy")
-	}
-	if comp.Client.Dialer() == nil {
-		t.Error("racing policy returned a nil dialer")
-	}
-	if (ClientPolicy{}).Dialer() != nil {
-		t.Error("off policy returned a dialer")
-	}
 }
 
 func TestSetErrors(t *testing.T) {
 	sp := &Spec{Version: 1}
 	for _, kv := range []string{
-		"topo.asez=100",    // unknown field
-		"nope.ases=100",    // unknown section
-		"topo.ases=ten",    // unparsable value
-		"topo=100",         // section, not a field
-		"topo.ases.x=1",    // descends past a leaf
-		"justapathnovalue", // no '='
+		"topo.asez=100",                // unknown field
+		"nope.ases=100",                // unknown section
+		"topo.ases=ten",                // unparsable value
+		"topo=100",                     // section, not a field
+		"topo.ases.x=1",                // descends past a leaf
+		"justapathnovalue",             // no '='
+		"client.happy_eyeballs=racing", // not a pack field
 	} {
 		if err := sp.SetKV(kv); err == nil {
 			t.Errorf("SetKV(%q) accepted", kv)

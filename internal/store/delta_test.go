@@ -1015,3 +1015,88 @@ func ExampleDB_DNSStats() {
 	fmt.Printf("rows=%d runs=%d sites=%d\n", rows, runs, sites)
 	// Output: rows=35 runs=2 sites=1
 }
+
+// TestDecodedSeriesSizedAtLength: a series the section decoder mints
+// (Load, a checkpoint segment's new series, MergeShard) is allocated at
+// exactly the samples it decodes, while a series AddSample starts keeps
+// the monitor's preallocation for the rounds to come.
+func TestDecodedSeriesSizedAtLength(t *testing.T) {
+	const extBase alexa.SiteID = 1 << 20
+	const mainIDs, extIDs = 200, 100
+	early := []alexa.SiteID{3, 21, 150, extBase + 5, 5000} // 5000 lies in no range: an overflow series
+	late := []alexa.SiteID{37, 199, extBase + 22}
+	all := append(slices.Clone(early), late...)
+	dense := slices.DeleteFunc(slices.Clone(all), func(id alexa.SiteID) bool { return id == 5000 })
+	db := NewDB()
+	db.Reserve(mainIDs, extBase, extIDs)
+	write := func(ids []alexa.SiteID, rounds ...int) {
+		for _, id := range ids {
+			for _, r := range rounds {
+				s := Sample{Round: r, Date: sampleDate.AddDate(0, 0, 7*r), PageBytes: 900 + r, Downloads: 3, MeanSpeed: float64(id%50) + 0.5, CIOK: true}
+				db.AddSample("penn", id, topo.V4, s)
+				db.AddSample("penn", id, topo.V6, s)
+			}
+		}
+	}
+	requireSized := func(what string, got *DB, ids []alexa.SiteID, exact bool) {
+		t.Helper()
+		want := make(map[siteFamKey]bool)
+		for _, id := range ids {
+			want[siteFamKey{id, topo.V4}], want[siteFamKey{id, topo.V6}] = true, true
+		}
+		n := 0
+		vt := got.lookup("penn")
+		for i := range vt.samples {
+			sh := &vt.samples[i]
+			for k, s := range sh.series {
+				if !want[sh.owner[k]] {
+					continue
+				}
+				n++
+				if (cap(s) == len(s)) != exact {
+					t.Errorf("%s: series %+v holds %d samples in %d slots", what, sh.owner[k], len(s), cap(s))
+				}
+			}
+		}
+		if n != len(want) {
+			t.Fatalf("%s: found %d of %d series", what, n, len(want))
+		}
+	}
+
+	dir := t.TempDir()
+	b := NewCheckpointBackend(dir)
+	write(early, 0, 1)
+	if err := commit(b, db, 1); err != nil {
+		t.Fatal(err)
+	}
+	write(early, 2, 3)
+	write(late, 2, 3)
+	if err := commit(b, db, 3); err != nil {
+		t.Fatal(err)
+	}
+	if newestIsBase(t, b) {
+		t.Fatal("the second checkpoint is a base, want a segment")
+	}
+	requireSized("AddSample", db, all, false)
+
+	path := filepath.Join(t.TempDir(), "db"+BinaryExt)
+	if err := db.SaveBinary(path, BinaryOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(strings.TrimSuffix(path, BinaryExt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSized("Load", loaded, all, true)
+	chained, _ := loadNewest(t, dir)
+	requireSized("segment", chained, late, true)
+
+	merged := NewDB()
+	merged.Reserve(mainIDs, extBase, extIDs)
+	for _, rg := range [][2]alexa.SiteID{{0, mainIDs}, {extBase, extBase + extIDs}} {
+		if err := merged.MergeShard(rg[0], rg[1], ShardSamples, "penn", encodeSection(t, db, ShardSamples, "penn", rg[0], rg[1])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	requireSized("MergeShard", merged, dense, true)
+}

@@ -651,7 +651,9 @@ func (db *DB) applySamples(r *rbuf, v Vantage, lo, hi alexa.SiteID, from int32, 
 		if r.err != nil {
 			break
 		}
-		if site < lo || site >= hi || (fam != topo.V4 && fam != topo.V6) || cnt == 0 {
+		// A sample is four uvarints and a u64, at least 12 bytes, so
+		// the series (allocated at cnt) must fit in what is left.
+		if site < lo || site >= hi || (fam != topo.V4 && fam != topo.V6) || cnt == 0 || cnt > uint64(len(r.b))/12 {
 			r.fail("store: samples: bad series (%d, %d) of %d samples in range [%d,%d)", site, fam, cnt, lo, hi)
 			break
 		}
@@ -688,7 +690,7 @@ func (db *DB) applySamples(r *rbuf, v Vantage, lo, hi alexa.SiteID, from int32, 
 			sh.add(db.res, site, fam, packedSample{
 				round: int32(round), dateIdx: date,
 				page: int32(page), dlCI: uint32(dlCI), speed: math.Float64frombits(bits),
-			})
+			}, int(cnt))
 		}
 		sh.mu.Unlock()
 	}

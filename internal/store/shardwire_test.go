@@ -243,6 +243,22 @@ func TestMergeShardRejectsBadInput(t *testing.T) {
 		}
 	}
 
+	// A series is allocated at its sample count, so a count its bytes
+	// cannot hold (12 per sample at least) is refused before any sample.
+	var w wbuf
+	w.uvarint(0) // no dates
+	w.uvarint(1) // one series
+	w.uvarint(3) // at site 3, family v6,
+	w.byteVal(byte(topo.V6))
+	w.uvarint(5) // claims five samples and holds the bytes of one
+	for _, x := range []uint64{0, 0, 9, 0} {
+		w.uvarint(x)
+	}
+	w.u64(0)
+	if err := dst2.MergeShard(0, 48, ShardSamples, "Penn", w.b); err == nil || !strings.Contains(err.Error(), "bad series (3, 1) of 5 samples") {
+		t.Errorf("a series longer than its bytes: %v, want a bad-series refusal", err)
+	}
+
 	held := NewDB()
 	held.Reserve(96, testExtBase, 48)
 	held.AddDNS("Penn", DNSRow{Site: 3, Round: 0, HasA: true})

@@ -536,8 +536,9 @@ func (s *sampleShard) seriesIdx(res reservation, id alexa.SiteID, fam topo.Famil
 }
 
 // add appends one packed sample to the site's series, minting the
-// series slot on first use. Caller holds s.mu.
-func (s *sampleShard) add(res reservation, id alexa.SiteID, fam topo.Family, p packedSample) {
+// series slot on first use with room for newCap samples. Caller holds
+// s.mu.
+func (s *sampleShard) add(res reservation, id alexa.SiteID, fam topo.Family, p packedSample, newCap int) {
 	entry, dense := s.denseSlot(res, id, fam, true)
 	idx := int32(-1)
 	if dense {
@@ -547,9 +548,7 @@ func (s *sampleShard) add(res reservation, id alexa.SiteID, fam topo.Family, p p
 	}
 	if idx < 0 {
 		idx = int32(len(s.series))
-		// A site's series grows one sample per monitored round;
-		// preallocate a study's worth to avoid repeated regrowth.
-		s.series = append(s.series, make([]packedSample, 0, 40))
+		s.series = append(s.series, make([]packedSample, 0, newCap))
 		s.owner = append(s.owner, siteFamKey{id, fam})
 		if dense {
 			*entry = idx
@@ -1228,7 +1227,9 @@ func (db *DB) AddSample(v Vantage, site alexa.SiteID, fam topo.Family, s Sample)
 	p := packSample(s, t.dateRef(s.Date.UTC()))
 	sh := &t.samples[uint64(site)&(shards-1)]
 	sh.mu.Lock()
-	sh.add(db.res, site, fam, p)
+	// A site's series grows one sample per monitored round;
+	// preallocate a study's worth to avoid repeated regrowth.
+	sh.add(db.res, site, fam, p, 40)
 	sh.mu.Unlock()
 }
 
