@@ -34,26 +34,30 @@ func (f *scriptFetcher) Resolve(SiteRef, time.Time) (bool, bool, int, int, error
 	return f.hasA, f.hasAAAA, -1, -1, f.resolveErr
 }
 
-func (f *scriptFetcher) Fetch(_ SiteRef, fam topo.Family, _ int, _ float64, rng *rand.Rand) (FetchResult, error) {
-	n := f.calls.Add(1)
-	if f.failFrom > 0 && n >= f.failFrom && n <= f.failTo {
-		return FetchResult{}, errors.New("transient failure")
-	}
-	if fam == topo.V4 && f.fetchErrV4 != nil {
-		return FetchResult{}, f.fetchErrV4
-	}
-	if fam == topo.V6 && f.fetchErrV6 != nil {
-		return FetchResult{}, f.fetchErrV6
-	}
+func (f *scriptFetcher) Prepare(ref SiteRef, fam topo.Family, _ int, _ float64) (Download, error) {
 	page := f.pageV4
 	if fam == topo.V6 {
 		page = f.pageV6
 	}
-	d := 500 * time.Millisecond
-	if f.noisy {
-		d = time.Duration(1+rng.Intn(5000)) * time.Millisecond
+	return Download{Ref: ref, Fam: fam, PageBytes: page}, nil
+}
+
+func (f *scriptFetcher) Fetch(d Download, rng *rand.Rand) (FetchResult, error) {
+	n := f.calls.Add(1)
+	if f.failFrom > 0 && n >= f.failFrom && n <= f.failTo {
+		return FetchResult{}, errors.New("transient failure")
 	}
-	return FetchResult{PageBytes: page, Elapsed: d}, nil
+	if d.Fam == topo.V4 && f.fetchErrV4 != nil {
+		return FetchResult{}, f.fetchErrV4
+	}
+	if d.Fam == topo.V6 && f.fetchErrV6 != nil {
+		return FetchResult{}, f.fetchErrV6
+	}
+	elapsed := 500 * time.Millisecond
+	if f.noisy {
+		elapsed = time.Duration(1+rng.Intn(5000)) * time.Millisecond
+	}
+	return FetchResult{PageBytes: d.PageBytes, Elapsed: elapsed}, nil
 }
 
 func newTestMonitor(t *testing.T, f Fetcher) (*Monitor, *store.DB) {
@@ -206,8 +210,12 @@ func (minimalFetcher) Resolve(SiteRef, time.Time) (bool, bool, int, int, error) 
 	return true, true, -1, -1, nil
 }
 
-func (minimalFetcher) Fetch(_ SiteRef, _ topo.Family, _ int, _ float64, _ *rand.Rand) (FetchResult, error) {
-	return FetchResult{PageBytes: 1000, Elapsed: 200 * time.Millisecond}, nil
+func (minimalFetcher) Prepare(ref SiteRef, fam topo.Family, _ int, _ float64) (Download, error) {
+	return Download{Ref: ref, Fam: fam, PageBytes: 1000}, nil
+}
+
+func (minimalFetcher) Fetch(d Download, _ *rand.Rand) (FetchResult, error) {
+	return FetchResult{PageBytes: d.PageBytes, Elapsed: 200 * time.Millisecond}, nil
 }
 
 func TestMonitorWithoutOptionalInterfaces(t *testing.T) {

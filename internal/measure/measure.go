@@ -4,7 +4,10 @@
 // downloads the main page over both families for dual-stack sites,
 // declares the pages identical when byte counts are within 6%, and
 // then repeats downloads per family until the average download time's
-// 95% confidence interval is within 10% of the mean. Converged
+// 95% confidence interval is within 10% of the mean. A dual-stack
+// visit prepares each family's download once (Fetcher.Prepare: what
+// every download of the site over that family shares within the
+// round) and draws each download from it (Fetcher.Fetch). Converged
 // results and DNS outcomes land in a store.DB. Each round also returns
 // its destination ASes, the origins of its dual-stack sites; the AS
 // paths toward them come from the BGP tables read after the round,
@@ -14,8 +17,9 @@
 // workers claim contiguous blocks of the list in a per-round shuffled
 // order and walk each block in list order, so for a list in site-id
 // order neighbouring visits share cache lines in every per-site table;
-// each worker writes a block's site rows and DNS rows to the store in
-// one batch per block.
+// each worker writes a block's site rows, DNS rows and samples to the
+// store in one batch per block, and the batches are recycled across
+// rounds.
 //
 // The engine is generic over a Fetcher: the simulation fetcher drives
 // netsim over BGP paths, and tests substitute their own.
@@ -51,16 +55,34 @@ type FetchResult struct {
 	Elapsed   time.Duration
 }
 
+// Download is a site's main page over one family as it stands for one
+// round: what Fetcher.Prepare fixes once per (site, family, round) and
+// every Fetch of that round draws from. It is passed by value.
+type Download struct {
+	Ref       SiteRef
+	Fam       topo.Family
+	PageBytes int
+	Speed     float64       // the round's mean speed, kbytes/sec
+	Setup     time.Duration // per-request setup latency
+}
+
 // Fetcher abstracts the network side of monitoring from one vantage.
+// A dual-stack visit prepares each family's download once and fetches
+// it as often as the stop rule asks, so Prepare holds the per-round
+// work (for SimFetcher: the catalogue lookup, the route and the
+// round's speed) and Fetch only the per-download noise.
 type Fetcher interface {
 	// Resolve performs the A/AAAA query phase for a site at a date and
 	// attributes its records to origin ASes (as the paper derives them
 	// from BGP data); -1 means an unknown or absent origin.
 	Resolve(ref SiteRef, date time.Time) (hasA, hasAAAA bool, v4AS, v6AS int, err error)
-	// Fetch downloads the site's main page once over fam. round and
-	// tFrac position the download in the study; rng supplies the
-	// sampling randomness owned by the monitor.
-	Fetch(ref SiteRef, fam topo.Family, round int, tFrac float64, rng *rand.Rand) (FetchResult, error)
+	// Prepare fixes the site's main-page download over fam for a round;
+	// round and tFrac position it in the study. It fails, drawing no
+	// randomness, when no download over fam can succeed in the round.
+	Prepare(ref SiteRef, fam topo.Family, round int, tFrac float64) (Download, error)
+	// Fetch downloads d's page once; rng supplies the sampling
+	// randomness owned by the monitor. One download may fail alone.
+	Fetch(d Download, rng *rand.Rand) (FetchResult, error)
 }
 
 // Config parameterizes a Monitor.
@@ -185,8 +207,8 @@ type roundAcc struct {
 // pointers, the store's site-row columns and DNS runs) instead of
 // landing on a random cache line each. minBlock amortizes a block's
 // fixed cost: one claim and one store.Flush, which takes a lock per
-// site stripe and per DNS stripe the block's rows fall in (sixteen of
-// each for a run of sixteen or more contiguous ids).
+// site stripe, DNS stripe and sample stripe the block's rows fall in
+// (sixteen of each for a run of sixteen or more contiguous ids).
 const (
 	minBlock = 64
 	maxBlock = 1024
@@ -207,8 +229,8 @@ func blockSize(sites, workers int) int {
 // time-of-day biases") at block granularity: sites is cut into
 // contiguous blocks (see blockSize), the blocks are dispatched to the
 // workers in a per-(seed, round) random order, and each block is
-// walked in slice order. A worker flushes a block's site rows and DNS
-// rows to the store once, at the block's end.
+// walked in slice order. A worker flushes a block's site rows, DNS
+// rows and samples to the store once, at the block's end.
 //
 // Visit order is not observable in the results: every random draw is
 // derived per (seed, round, site), so results do not depend on which
@@ -251,43 +273,24 @@ func (m *Monitor) RunRound(round int, date time.Time, tFrac float64, sites []Sit
 			// run-length counters immediately. It is the worker's own:
 			// core runs one monitor's rounds for several site lists at
 			// once, so a batch on the Monitor would be shared.
-			batch := store.NewBatch(bs)
+			batch, _ := batchPool.Get().(*store.Batch)
+			if batch == nil {
+				batch = store.NewBatch(bs)
+			}
 			for {
 				k := int(next.Add(1) - 1)
 				if k >= len(order) {
-					return
+					break
 				}
 				lo := order[k] * bs
 				for _, ref := range sites[lo:min(lo+bs, len(sites))] {
-					res := m.monitorSite(ref, round, date, tFrac, src, rng)
-					if res.hasDNS {
-						batch.AddDNS(res.dns)
-						batch.AddSite(store.CanonicalSite{Site: ref.ID, FirstRank: ref.FirstRank, V4AS: res.v4AS, V6AS: res.v6AS})
-					}
-					if res.dual {
-						acc.st.Dual++
-					}
-					if res.identical {
-						acc.st.Identical++
-					}
-					if res.measured {
-						acc.st.Measured++
-					}
-					if res.fetchFail {
-						acc.st.FetchFails++
-					}
-					// Only dual-stack sites count as monitored
-					// destinations (Table 2's AS coverage is about the
-					// dual-monitored population).
-					if res.dual && res.v4AS >= 0 {
-						acc.dest.add(res.v4AS)
-					}
-					if res.dual && res.v6AS >= 0 {
-						acc.dest.add(res.v6AS)
-					}
+					m.monitorSite(ref, round, date, tFrac, batch, acc, src, rng)
 				}
 				m.db.Flush(m.cfg.Vantage, batch)
 			}
+			// Only an empty batch goes back: a Flush that panicked
+			// leaves its rows behind, and that batch is dropped.
+			batchPool.Put(batch)
 		}(&accs[w])
 	}
 	wg.Wait()
@@ -304,77 +307,95 @@ func (m *Monitor) RunRound(round int, date time.Time, tFrac float64, sites []Sit
 	return st, destASes.ascending()
 }
 
-type siteResult struct {
-	dual      bool
-	identical bool
-	measured  bool
-	fetchFail bool
-	v4AS      int
-	v6AS      int
-	dns       store.DNSRow
-	hasDNS    bool // dns holds this round's row; the site row is due too (workers batch-insert both)
-}
+// batchPool recycles the workers' block batches across rounds and
+// monitors. A batch returns empty, after its worker's last Flush, and
+// keeps the capacity its buckets grew to, so the sample buckets, which
+// start empty, stop growing once they have carried a busy block.
+var batchPool sync.Pool
 
 // reseeder is the worker's reusable det source behind rng.
 type reseeder interface{ Reseed(parts ...uint64) }
 
-// monitorSite runs the Fig 2 phases for one site. The DNS row and the
-// site's origins are returned in the result rather than written here
-// so workers can batch their inserts. Only the download phases draw
-// from rng, so src is reseeded per (seed, round, site) once the site
-// is known to be dual-stack, sparing the single-stack majority.
-func (m *Monitor) monitorSite(ref SiteRef, round int, date time.Time, tFrac float64, src reseeder, rng *rand.Rand) siteResult {
+// monitorSite runs the Fig 2 phases for one site, writing its site
+// view, DNS row and samples into batch and its counts into acc. Only
+// the download phases draw from rng, so src is reseeded per (seed,
+// round, site) once the site is known to be dual-stack, sparing the
+// single-stack majority.
+func (m *Monitor) monitorSite(ref SiteRef, round int, date time.Time, tFrac float64, batch *store.Batch, acc *roundAcc, src reseeder, rng *rand.Rand) {
 	hasA, hasAAAA, v4AS, v6AS, err := m.fetch.Resolve(ref, date)
 	if err != nil {
-		return siteResult{fetchFail: true}
+		acc.st.FetchFails++
+		return
 	}
-	out := siteResult{v4AS: v4AS, v6AS: v6AS}
-	out.dns = store.DNSRow{Site: ref.ID, Round: round, HasA: hasA, HasAAAA: hasAAAA}
-	out.hasDNS = true
-	if !hasA || !hasAAAA {
-		return out
+	batch.AddSite(store.CanonicalSite{Site: ref.ID, FirstRank: ref.FirstRank, V4AS: v4AS, V6AS: v6AS})
+	dns := store.DNSRow{Site: ref.ID, Round: round, HasA: hasA, HasAAAA: hasAAAA}
+	if hasA && hasAAAA {
+		acc.st.Dual++
+		// Only dual-stack sites count as monitored destinations
+		// (Table 2's AS coverage is about the dual-monitored
+		// population).
+		if v4AS >= 0 {
+			acc.dest.add(v4AS)
+		}
+		if v6AS >= 0 {
+			acc.dest.add(v6AS)
+		}
+		src.Reseed(uint64(m.cfg.Seed), uint64(round), uint64(ref.ID), 0xF00D)
+		dns.Identical = m.download(ref, round, date, tFrac, batch, acc, rng)
 	}
-	out.dual = true
-	src.Reseed(uint64(m.cfg.Seed), uint64(round), uint64(ref.ID), 0xF00D)
+	batch.AddDNS(dns)
+}
 
+// download runs the download phases for a dual-stack site and reports
+// whether its pages passed the identity check. Each family's download
+// is prepared once and then fetched once for the check and as often
+// as the stop rule asks.
+func (m *Monitor) download(ref SiteRef, round int, date time.Time, tFrac float64, batch *store.Batch, acc *roundAcc, rng *rand.Rand) (identical bool) {
 	// Phase 2: single download per family; compare byte counts.
-	first4, err4 := m.fetch.Fetch(ref, topo.V4, round, tFrac, rng)
-	first6, err6 := m.fetch.Fetch(ref, topo.V6, round, tFrac, rng)
+	d4, err4 := m.fetch.Prepare(ref, topo.V4, round, tFrac)
+	d6, err6 := m.fetch.Prepare(ref, topo.V6, round, tFrac)
 	if err4 != nil || err6 != nil {
-		out.fetchFail = true
-		return out
+		acc.st.FetchFails++
+		return false
+	}
+	first4, err4 := m.fetch.Fetch(d4, rng)
+	first6, err6 := m.fetch.Fetch(d6, rng)
+	if err4 != nil || err6 != nil {
+		acc.st.FetchFails++
+		return false
 	}
 	diff := first4.PageBytes - first6.PageBytes
 	if diff < 0 {
 		diff = -diff
 	}
-	out.dns.Identical = float64(diff) <= m.cfg.IdentityFrac*float64(first4.PageBytes)
-	if !out.dns.Identical {
-		return out
+	if float64(diff) > m.cfg.IdentityFrac*float64(first4.PageBytes) {
+		return false
 	}
-	out.identical = true
+	acc.st.Identical++
 
 	// Phase 3: repeat downloads until the CI stop rule, per family
 	// ("first for IPv4 and then IPv6, each after proper resetting").
 	okBoth := true
-	for _, fam := range famBoth {
-		sample, ok := m.converge(ref, fam, round, tFrac, rng)
+	for i, d := range [...]Download{d4, d6} {
+		sample, ok := m.converge(d, rng)
 		sample.Round = round
 		sample.Date = date
-		m.db.AddSample(m.cfg.Vantage, ref.ID, fam, sample)
+		batch.AddSample(ref.ID, famBoth[i], sample)
 		okBoth = okBoth && ok
 	}
-	out.measured = okBoth
-	return out
+	if okBoth {
+		acc.st.Measured++
+	}
+	return true
 }
 
-// converge downloads until the CI stop rule is met or the budget runs
-// out, returning the round sample.
-func (m *Monitor) converge(ref SiteRef, fam topo.Family, round int, tFrac float64, rng *rand.Rand) (store.Sample, bool) {
+// converge downloads d until the CI stop rule is met or the budget
+// runs out, returning the round sample.
+func (m *Monitor) converge(d Download, rng *rand.Rand) (store.Sample, bool) {
 	var times stats.Welford
 	page := 0
 	for i := 0; i < m.cfg.MaxDownloads; i++ {
-		res, err := m.fetch.Fetch(ref, fam, round, tFrac, rng)
+		res, err := m.fetch.Fetch(d, rng)
 		if err != nil {
 			continue
 		}

@@ -27,13 +27,14 @@ import (
 // Section 5.1's "in some of those cases, this transition was the
 // result of a path change".
 //
-// Everything derivable at construction is precomputed so Fetch — the
-// innermost call of the measurement campaign — does no route
+// Everything derivable at construction is precomputed so Prepare —
+// run for each family of every dual-stack visit — does no route
 // computation, no path walking, and no locking on the primary-route
 // path: RIBs are built by the single-source fast path, per-path
 // netsim characteristics and per-destination change rounds are
 // tabulated up front, and only lazily-computed alternative paths take
-// a mutex.
+// a mutex. Fetch, the innermost call of the campaign, only draws one
+// download's noise around the round speed Prepare computed.
 type SimFetcher struct {
 	VantageAS int
 	Cat       *websim.Catalog
@@ -226,8 +227,10 @@ func (f *SimFetcher) Resolve(ref SiteRef, date time.Time) (hasA, hasAAAA bool, v
 	return true, true, v4, v6Full, nil
 }
 
-// Fetch implements Fetcher: one simulated page download.
-func (f *SimFetcher) Fetch(ref SiteRef, fam topo.Family, round int, tFrac float64, rng *rand.Rand) (FetchResult, error) {
+// Prepare implements Fetcher: the catalogue lookup, the route in
+// effect at round and netsim's round speed over it, which every
+// download of the site over fam in the round shares.
+func (f *SimFetcher) Prepare(ref SiteRef, fam topo.Family, round int, tFrac float64) (Download, error) {
 	site := f.Cat.Site(ref.ID, ref.FirstRank)
 	dst := site.V4AS
 	page := site.PageV4
@@ -235,18 +238,26 @@ func (f *SimFetcher) Fetch(ref SiteRef, fam topo.Family, round int, tFrac float6
 		dst = site.V6AS
 		page = site.PageV6
 		if dst < 0 {
-			return FetchResult{}, fmt.Errorf("measure: site %d has no AAAA", ref.ID)
+			return Download{}, fmt.Errorf("measure: site %d has no AAAA", ref.ID)
 		}
 	}
 	path, pp := f.route(dst, fam, round)
 	if path == nil {
-		return FetchResult{}, fmt.Errorf("measure: AS %d unreachable over %v", dst, fam)
+		return Download{}, fmt.Errorf("measure: AS %d unreachable over %v", dst, fam)
 	}
-	roundSpeed := f.Model.RoundSpeedPerf(f.vantageQual, site, pp, fam, tFrac, round)
-	speed := f.Model.SampleSpeed(roundSpeed, rng)
+	speed := f.Model.RoundSpeedPerf(f.vantageQual, site, pp, fam, tFrac, round)
 	if speed <= 0 {
-		return FetchResult{}, fmt.Errorf("measure: zero speed to site %d over %v", ref.ID, fam)
+		return Download{}, fmt.Errorf("measure: zero speed to site %d over %v", ref.ID, fam)
 	}
-	setup := f.Model.SetupTime(pp)
-	return FetchResult{PageBytes: page, Elapsed: netsim.DownloadTimeSetup(page, speed, setup)}, nil
+	return Download{Ref: ref, Fam: fam, PageBytes: page, Speed: speed, Setup: f.Model.SetupTime(pp)}, nil
+}
+
+// Fetch implements Fetcher: one simulated page download, its speed
+// drawn around the round's.
+func (f *SimFetcher) Fetch(d Download, rng *rand.Rand) (FetchResult, error) {
+	speed := f.Model.SampleSpeed(d.Speed, rng)
+	if speed <= 0 {
+		return FetchResult{}, fmt.Errorf("measure: zero speed to site %d over %v", d.Ref.ID, d.Fam)
+	}
+	return FetchResult{PageBytes: d.PageBytes, Elapsed: netsim.DownloadTimeSetup(d.PageBytes, speed, d.Setup)}, nil
 }

@@ -202,18 +202,14 @@ func (m *Model) hopFactor(hops int) float64 {
 	return 1 / (1 + m.cfg.HopAlpha*extra)
 }
 
-// RoundSpeed returns the mean download speed (kbytes/sec) for a site
-// fetched from a vantage over the given path and family during one
+// RoundSpeedPerf returns the mean download speed (kbytes/sec) for a
+// site fetched over a path with characteristics pp and family fam,
+// from a vantage of quality vantageQ (VantageQuality), during one
 // monitoring round. tFrac is the round's position in the study, in
-// [0,1]; round indexes the per-round noise.
-func (m *Model) RoundSpeed(vantage int, site *websim.Site, p bgp.Path, fam topo.Family, tFrac float64, round int) float64 {
-	return m.RoundSpeedPerf(m.VantageQuality(vantage), site, m.PathPerf(p, fam), fam, tFrac, round)
-}
-
-// RoundSpeedPerf is RoundSpeed with the vantage quality and path
-// characteristics precomputed — the monitoring hot path evaluates the
-// same (vantage, path) pair for every download of a round, so callers
-// cache both and skip the per-call path walk.
+// [0,1]; round indexes the per-round noise. The monitor evaluates it
+// once per (site, family, round), with the vantage quality and the
+// path's PathPerf cached, and draws each download of the round around
+// it (SampleSpeed).
 func (m *Model) RoundSpeedPerf(vantageQ float64, site *websim.Site, pp PathPerf, fam topo.Family, tFrac float64, round int) float64 {
 	if pp.PathFactor == 0 {
 		return 0
@@ -259,21 +255,4 @@ func DownloadTimeSetup(pageBytes int, speedKBps float64, setup time.Duration) ti
 	}
 	secs := float64(pageBytes) / 1000 / speedKBps
 	return setup + time.Duration(secs*float64(time.Second))
-}
-
-// DownloadTime is DownloadTimeSetup with the default fixed setup,
-// kept for callers without path context.
-func DownloadTime(pageBytes int, speedKBps float64) time.Duration {
-	return DownloadTimeSetup(pageBytes, speedKBps, 60*time.Millisecond)
-}
-
-// SpeedFrom inverts DownloadTime: the speed in kbytes/sec implied by
-// downloading pageBytes in d. This is what the monitoring tool
-// records.
-func SpeedFrom(pageBytes int, d time.Duration) float64 {
-	const setup = 60 * time.Millisecond
-	if d <= setup {
-		return 0
-	}
-	return float64(pageBytes) / 1000 / (d - setup).Seconds()
 }

@@ -3,7 +3,6 @@ package netsim
 import (
 	"math/rand"
 	"testing"
-	"time"
 
 	"v6web/internal/alexa"
 	"v6web/internal/bgp"
@@ -202,11 +201,18 @@ func TestPathPerfMissingEdge(t *testing.T) {
 	t.Skip("AS 0 adjacent to all")
 }
 
+// roundSpeed evaluates RoundSpeedPerf from vantage AS 0 over p, as
+// the monitor does with its cached vantage quality and path
+// characteristics.
+func (f *fixture) roundSpeed(site *websim.Site, p bgp.Path, fam topo.Family, tFrac float64, round int) float64 {
+	return f.m.RoundSpeedPerf(f.m.VantageQuality(0), site, f.m.PathPerf(p, fam), fam, tFrac, round)
+}
+
 func TestRoundSpeedPlausibleRange(t *testing.T) {
 	f := newFixture(t, 600, 8)
 	p := f.pathTo(t, 300, topo.V4)
 	site := f.cat.Site(1, 100)
-	sp := f.m.RoundSpeed(0, site, p, topo.V4, 0.5, 3)
+	sp := f.roundSpeed(site, p, topo.V4, 0.5, 3)
 	if sp <= 1 || sp > 500 {
 		t.Fatalf("round speed %v kB/s implausible", sp)
 	}
@@ -216,12 +222,12 @@ func TestRoundSpeedDeterministic(t *testing.T) {
 	f := newFixture(t, 400, 9)
 	p := f.pathTo(t, 200, topo.V4)
 	site := f.cat.Site(2, 50)
-	a := f.m.RoundSpeed(0, site, p, topo.V4, 0.3, 7)
-	b := f.m.RoundSpeed(0, site, p, topo.V4, 0.3, 7)
+	a := f.roundSpeed(site, p, topo.V4, 0.3, 7)
+	b := f.roundSpeed(site, p, topo.V4, 0.3, 7)
 	if a != b {
 		t.Fatal("round speed not deterministic")
 	}
-	c := f.m.RoundSpeed(0, site, p, topo.V4, 0.3, 8)
+	c := f.roundSpeed(site, p, topo.V4, 0.3, 8)
 	if a == c {
 		t.Fatal("round noise absent")
 	}
@@ -242,8 +248,8 @@ func TestRoundSpeedBadV6Server(t *testing.T) {
 		// Average over rounds to wash noise out.
 		var v4sum, v6sum float64
 		for r := 0; r < 40; r++ {
-			v4sum += f.m.RoundSpeed(0, s, p, topo.V4, 0.5, r)
-			v6sum += f.m.RoundSpeed(0, s, p, topo.V6, 0.5, r)
+			v4sum += f.roundSpeed(s, p, topo.V4, 0.5, r)
+			v6sum += f.roundSpeed(s, p, topo.V6, 0.5, r)
 		}
 		if v6sum >= v4sum*0.9 {
 			t.Fatalf("bad v6 server not slower: v6=%v v4=%v", v6sum/40, v4sum/40)
@@ -271,25 +277,6 @@ func TestSampleSpeedNoise(t *testing.T) {
 	}
 	if f.m.SampleSpeed(0, rng) != 0 {
 		t.Fatal("zero round speed should sample to 0")
-	}
-}
-
-func TestDownloadTimeRoundTrip(t *testing.T) {
-	page := 30000
-	speed := 45.0
-	d := DownloadTime(page, speed)
-	if d <= 0 {
-		t.Fatal("non-positive download time")
-	}
-	got := SpeedFrom(page, d)
-	if got < speed*0.999 || got > speed*1.001 {
-		t.Fatalf("speed round trip: %v -> %v", speed, got)
-	}
-	if DownloadTime(page, 0) != 0 {
-		t.Fatal("zero speed should give zero duration")
-	}
-	if SpeedFrom(page, 10*time.Millisecond) != 0 {
-		t.Fatal("sub-setup duration should give zero speed")
 	}
 }
 

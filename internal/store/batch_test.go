@@ -8,8 +8,10 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"time"
 
 	"v6web/internal/alexa"
+	"v6web/internal/topo"
 )
 
 // flushTestSites returns the ids a randomized flush test draws from:
@@ -30,13 +32,16 @@ func flushTestSites(extBase alexa.SiteID) []alexa.SiteID {
 }
 
 // TestFlushMatchesRowByRow: DB.Flush over one reused Batch leaves the
-// same site rows, DNS rows and SaveBinary bytes as applying the same
-// rows one at a time through PutSite (canonical host) and AddDNS, in
-// the order Flush promises: site views in batch order, DNS rows by
-// lock stripe, then batch order. The batches mix dense main and
-// extended ids with overflow ids, repeat a site's view within one
-// batch on both sides of the adoption flip, and skip rounds for some
-// sites; direct PutSite writes land between flushes.
+// same site rows, DNS rows, sample series and SaveBinary bytes as
+// applying the same rows one at a time through PutSite (canonical
+// host), AddDNS and AddSample, in the order Flush promises: site views
+// and samples in batch order, DNS rows by lock stripe, then batch
+// order. The batches mix dense main and extended ids with overflow
+// ids, repeat a site's view within one batch on both sides of the
+// adoption flip, and skip rounds for some sites; direct PutSite writes
+// land between flushes. Each batch's samples carry two dates, in
+// random order and one of them sometimes in another zone, so the date
+// dictionary's order is that of the dates' first adds.
 func TestFlushMatchesRowByRow(t *testing.T) {
 	const extBase = alexa.SiteID(1 << 20)
 	ids := flushTestSites(extBase)
@@ -48,7 +53,10 @@ func TestFlushMatchesRowByRow(t *testing.T) {
 		}
 		adopted := make(map[alexa.SiteID]bool)
 		var batch Batch
+		cest := time.FixedZone("CEST", 2*3600)
 		for round := 0; round < 12; round++ {
+			day := time.Date(2011, 1, 5, 0, 0, 0, 0, time.UTC).AddDate(0, 0, 7*round)
+			dates := [2]time.Time{day, day.Add(30 * time.Minute)}
 			// A direct write between flushes, with values no view
 			// carries: the flush must not replay views it has already
 			// applied over it.
@@ -102,6 +110,21 @@ func TestFlushMatchesRowByRow(t *testing.T) {
 			for _, r := range rows {
 				batch.AddDNS(r)
 			}
+			for _, r := range rows {
+				for _, fam := range [...]topo.Family{topo.V4, topo.V6} {
+					if rng.Intn(3) > 0 {
+						continue
+					}
+					date := dates[rng.Intn(2)]
+					if rng.Intn(2) == 0 {
+						date = date.In(cest)
+					}
+					s := Sample{Round: round, Date: date, PageBytes: rng.Intn(100000), Downloads: 3 + rng.Intn(8),
+						MeanSpeed: 100 * rng.Float64(), CIOK: rng.Intn(4) > 0}
+					want.AddSample("penn", r.Site, fam, s)
+					batch.AddSample(r.Site, fam, s)
+				}
+			}
 			got.Flush("penn", &batch)
 		}
 		if w, g := want.Sites(), got.Sites(); !reflect.DeepEqual(w, g) {
@@ -109,6 +132,14 @@ func TestFlushMatchesRowByRow(t *testing.T) {
 		}
 		if w, g := want.DNS("penn"), got.DNS("penn"); !reflect.DeepEqual(w, g) {
 			t.Fatalf("seed %d: DNS rows differ (%d vs %d rows)", seed, len(g), len(w))
+		}
+		ws, gs := want.Freeze(), got.Freeze()
+		for _, id := range ids {
+			for _, fam := range [...]topo.Family{topo.V4, topo.V6} {
+				if w, g := ws.Series(nil, "penn", id, fam), gs.Series(nil, "penn", id, fam); !reflect.DeepEqual(w, g) {
+					t.Fatalf("seed %d: site %d family %v samples differ:\n got %+v\nwant %+v", seed, id, fam, g, w)
+				}
+			}
 		}
 		dir := t.TempDir()
 		var saved [2][]byte
@@ -130,7 +161,7 @@ func TestFlushMatchesRowByRow(t *testing.T) {
 }
 
 // TestFlushWithoutDNSCreatesNoVantage: a batch of site views alone
-// leaves the vantage set untouched.
+// (no DNS rows, no samples) leaves the vantage set untouched.
 func TestFlushWithoutDNSCreatesNoVantage(t *testing.T) {
 	db := NewDB()
 	var batch Batch
@@ -146,19 +177,27 @@ func TestFlushWithoutDNSCreatesNoVantage(t *testing.T) {
 
 // TestFlushWarmAllocsZero: NewBatch sizes its buckets for a block of
 // contiguous ids, and once the batch has carried a block the monitor's
-// per-block cycle — add every site's view and DNS row, then Flush —
-// allocates nothing for dense sites whose rows are unchanged and whose
-// DNS runs extend.
+// per-block cycle — add every site's view and DNS row and a sample per
+// family for every sixteenth site, then Flush — allocates nothing for
+// dense sites whose rows are unchanged, whose DNS runs extend, and
+// whose sample series exist, dated with a date the vantage's
+// dictionary already holds.
 func TestFlushWarmAllocsZero(t *testing.T) {
 	const block = 1024
 	db := NewDB()
 	db.Reserve(block, 0, 0)
 	batch := NewBatch(block)
+	date := time.Date(2011, 6, 8, 0, 0, 0, 0, time.UTC)
 	round := 0
 	cycle := func() {
 		for id := alexa.SiteID(0); id < block; id++ {
 			batch.AddSite(CanonicalSite{Site: id, FirstRank: int(id) + 1, V4AS: 7, V6AS: -1})
 			batch.AddDNS(DNSRow{Site: id, Round: round, HasA: true})
+			if id%16 == 0 {
+				for _, fam := range [...]topo.Family{topo.V4, topo.V6} {
+					batch.AddSample(id, fam, Sample{Round: round, Date: date, PageBytes: 1000, Downloads: 3, MeanSpeed: 50, CIOK: true})
+				}
+			}
 		}
 		db.Flush("penn", batch)
 		round++
@@ -174,5 +213,8 @@ func TestFlushWarmAllocsZero(t *testing.T) {
 	}
 	if rows, runs, sites := db.DNSStats("penn"); rows != block*round || runs != block || sites != block {
 		t.Fatalf("DNSStats = %d rows, %d runs, %d sites; want %d, %d, %d", rows, runs, sites, block*round, block, block)
+	}
+	if _, _, samples, _ := db.Counts(); samples != 2*block/16*round {
+		t.Fatalf("%d samples, want %d", samples, 2*block/16*round)
 	}
 }

@@ -271,6 +271,11 @@ func TestWritersRefuseRoundsOutsideCodec(t *testing.T) {
 		{"AddSample", "site 3 family 1", func(db *DB, round int) {
 			db.AddSample("penn", 3, topo.V6, Sample{Round: round, Date: date, PageBytes: 10, Downloads: 3})
 		}},
+		{"Flush", "site 3 family 1", func(db *DB, round int) {
+			var b Batch
+			b.AddSample(3, topo.V6, Sample{Round: round, Date: date, PageBytes: 10, Downloads: 3})
+			db.Flush("penn", &b)
+		}},
 		{"AddPath", "path key (1,9)", func(db *DB, round int) { db.AddPath("penn", topo.V6, 9, round, []int{2, 9}) }},
 	}
 	for _, w := range writers {
@@ -348,6 +353,13 @@ func TestWritersRefuseValuesOutsideCodec(t *testing.T) {
 	addSample := func(id alexa.SiteID, fam topo.Family, s Sample) func(*DB) {
 		return func(db *DB) { db.AddSample("penn", id, fam, s) }
 	}
+	flushSample := func(id alexa.SiteID, fam topo.Family, s Sample) func(*DB) {
+		return func(db *DB) {
+			var b Batch
+			b.AddSample(id, fam, s)
+			db.Flush("penn", &b)
+		}
+	}
 	addPath := func(fam topo.Family, dst int, path ...int) func(*DB) {
 		return func(db *DB) { db.AddPath("penn", fam, dst, 0, path) }
 	}
@@ -396,6 +408,11 @@ func TestWritersRefuseValuesOutsideCodec(t *testing.T) {
 		{"AddSample downloads 2^31", addSample(3, topo.V6, with(func(s *Sample) { s.Downloads = maxField + 1 })), msg("AddSample", pennSample(3, 1), "downloads", maxField+1, 0, maxField)},
 		{"AddSample date before 1678", addSample(3, topo.V6, with(func(s *Sample) { s.Date = minDate.Add(-1) })), ""},
 		{"AddSample date after 2262", addSample(3, topo.V6, with(func(s *Sample) { s.Date = maxDate.Add(1) })), ""},
+		{"Flush sample id -1", flushSample(-1, topo.V4, sample), msg("Flush", pennSample(-1, 0), "id", -1, 0, topID)},
+		{"Flush sample family 2", flushSample(3, 2, sample), msg("Flush", pennSample(3, 2), "family", 2, 0, 1)},
+		{"Flush sample page bytes 2^31", flushSample(3, topo.V6, with(func(s *Sample) { s.PageBytes = maxField + 1 })), msg("Flush", pennSample(3, 1), "page_bytes", maxField+1, 0, maxField)},
+		{"Flush sample downloads -1", flushSample(3, topo.V6, with(func(s *Sample) { s.Downloads = -1 })), msg("Flush", pennSample(3, 1), "downloads", -1, 0, maxField)},
+		{"Flush sample date before 1678", flushSample(3, topo.V6, with(func(s *Sample) { s.Date = minDate.Add(-1) })), ""},
 		{"AddPath family 2", addPath(2, 9, 2, 9), msg("AddPath", pennPath(2, 9), "family", 2, 0, 1)},
 		{"AddPath dst -1", addPath(topo.V6, -1, 2), msg("AddPath", pennPath(1, -1), "dst", -1, 0, maxField)},
 		{"AddPath dst 2^31", addPath(topo.V6, maxField+1, 2), msg("AddPath", pennPath(1, maxField+1), "dst", maxField+1, 0, maxField)},
@@ -407,7 +424,7 @@ func TestWritersRefuseValuesOutsideCodec(t *testing.T) {
 		db.Reserve(64, 1<<20, 32)
 		got := panicOf(func() { c.write(db) })
 		if c.want == "" { // a date: the message names the date and the span
-			c.want = "store: AddSample: " + pennSample(3, 1) + " date "
+			c.want = "store: " + strings.Fields(c.name)[0] + ": " + pennSample(3, 1) + " date "
 			if !strings.HasPrefix(got, c.want) || !strings.HasSuffix(got, "the dates a snapshot carries") {
 				t.Errorf("%s panicked with %q, want %q… naming the span", c.name, got, c.want)
 				continue

@@ -7,10 +7,12 @@
 // checkpoints and finished campaigns share; CSV (Save) is only an
 // export.
 //
-// Writes are the monitoring hot path: 25 workers per vantage append
-// samples and DNS rows concurrently for every site of every round.
-// The database therefore shards its locks by site id instead of
-// funneling every worker through one RWMutex.
+// Writes are the monitoring hot path: 25 workers per vantage write
+// site rows, DNS rows and samples concurrently for every site of every
+// round, each worker buffering a block of sites in a Batch that one
+// Flush applies. The database therefore shards its locks by site id
+// instead of funneling every worker through one RWMutex, and a Flush
+// takes each stripe's lock once per block.
 //
 // # Memory layout
 //
@@ -444,6 +446,19 @@ func sampleErr(site alexa.SiteID, fam topo.Family, s Sample) error {
 		err = errors.Join(err, fmt.Errorf("date %v outside [%v, %v], the dates a snapshot carries", s.Date, minDate.UTC(), maxDate.UTC()))
 	}
 	return err
+}
+
+// sampleRowErr reports why a snapshot cannot carry sample s of (site,
+// fam) at vantage v: a round outside [0, maxRound), or sampleErr. It
+// returns nil for a sample a writer may store.
+func sampleRowErr(v Vantage, site alexa.SiteID, fam topo.Family, s Sample) error {
+	if uint(s.Round) >= maxRound {
+		return errRound(v, fmt.Sprintf("site %d family %d", site, fam), s.Round)
+	}
+	if err := sampleErr(site, fam, s); err != nil {
+		return fmt.Errorf("vantage %q site %d family %d %w", v, site, fam, err)
+	}
+	return nil
 }
 
 // --- packed samples --------------------------------------------------
@@ -913,23 +928,40 @@ type CanonicalSite struct {
 	V6AS      int
 }
 
-// Batch buffers a monitor worker's site views and DNS rows for one
-// Flush — the monitoring hot path, flushed once per dispatch block.
-// The adders bucket each row by its lock stripe as it arrives, so
-// Flush touches every row once instead of rescanning the batch per
-// stripe. The zero Batch is ready to use; Flush empties it and keeps
-// its buckets' capacity, so a reused Batch stops allocating once it
-// has seen a full block. A Batch is not safe for concurrent use.
+// Batch buffers a monitor worker's site views, DNS rows and download
+// samples for one Flush — the monitoring hot path, flushed once per
+// dispatch block. The adders bucket each row by its lock stripe as it
+// arrives, so Flush touches every row once instead of rescanning the
+// batch per stripe. The zero Batch is ready to use; Flush empties it
+// and keeps its buckets' capacity, so a reused Batch stops allocating
+// once it has seen a full block. A Batch is not safe for concurrent
+// use.
 type Batch struct {
-	sites [shards][]CanonicalSite
-	dns   [shards][]DNSRow
+	sites   [shards][]CanonicalSite
+	dns     [shards][]DNSRow
+	samples [shards][]batchSample
+	// dates holds the samples' distinct dates (UTC) in the order they
+	// were first added; dateRefs is Flush's scratch for their indices
+	// in the vantage's date dictionary.
+	dates    []time.Time
+	dateRefs []int32
+}
+
+// batchSample is a buffered sample; date indexes its Batch's dates.
+type batchSample struct {
+	site alexa.SiteID
+	fam  topo.Family
+	date int32
+	s    Sample
 }
 
 // NewBatch returns an empty Batch sized for a block of rows contiguous
 // site ids: each bucket holds its stripe's share of the block's site
 // views and DNS rows without growing. Buckets grown from empty instead
 // leave small arrays of many size classes behind every worker of every
-// round, which showed as higher peak RSS.
+// round, which showed as higher peak RSS. The sample buckets start
+// empty: only a block's dual-stack sites add samples, so they grow to
+// what the blocks a reused Batch carries need.
 func NewBatch(rows int) *Batch {
 	b := new(Batch)
 	n := (rows + shards - 1) / shards
@@ -952,18 +984,39 @@ func (b *Batch) AddDNS(r DNSRow) {
 	b.dns[i] = append(b.dns[i], r)
 }
 
-// Flush records b's rows and empties it, taking each site-stripe and
-// DNS-stripe lock at most once. Every table ends up as if the rows were
-// applied one by one in the order they were added: site views as
-// PutSite with the canonical host (last write wins), DNS rows at
-// vantage v as AddDNS. A site view is written only where it differs
-// from the stored row: for the (overwhelmingly common) unchanged row
-// that is three integer compares, and no host string is ever built for
-// dense-range sites. DNS rows for one site must extend its history, in
-// round order within and across Flushes (the monitor's rounds are
-// sequential): Flush panics, as AddDNS and PutSite do, on a row that
-// does not, or that a snapshot cannot carry back, naming it. A batch
-// without DNS rows does not create v's table.
+// AddSample buffers a download sample of site over fam for the next
+// Flush.
+func (b *Batch) AddSample(site alexa.SiteID, fam topo.Family, s Sample) {
+	// A batch's samples share one date in practice (the round's), so
+	// the newest date is checked first.
+	d := s.Date.UTC()
+	k := len(b.dates) - 1
+	for k >= 0 && b.dates[k] != d {
+		k--
+	}
+	if k < 0 {
+		k = len(b.dates)
+		b.dates = append(b.dates, d)
+	}
+	i := uint64(site) & (shards - 1)
+	b.samples[i] = append(b.samples[i], batchSample{site: site, fam: fam, date: int32(k), s: s})
+}
+
+// Flush records b's rows and empties it, taking each site-stripe,
+// DNS-stripe and sample-stripe lock at most once. Every table ends up
+// as if the rows were applied one by one in the order they were added:
+// site views as PutSite with the canonical host (last write wins), DNS
+// rows and samples at vantage v as AddDNS and AddSample. A site view
+// is written only where it differs from the stored row: for the
+// (overwhelmingly common) unchanged row that is three integer
+// compares, and no host string is ever built for dense-range sites.
+// DNS rows for one site must extend its history, in round order within
+// and across Flushes (the monitor's rounds are sequential). Flush
+// panics, as AddDNS, AddSample and PutSite do, on a row that does not,
+// or that a snapshot cannot carry back, naming it; it checks all the
+// batch's samples before it records one. The samples' dates enter v's
+// date dictionary once per distinct date, outside the stripe locks. A
+// batch without DNS rows or samples does not create v's table.
 func (db *DB) Flush(v Vantage, b *Batch) {
 	res := db.res
 	for i := range b.sites {
@@ -1006,6 +1059,39 @@ func (db *DB) Flush(v Vantage, b *Batch) {
 		sh.mu.Unlock()
 		b.dns[i] = rows[:0]
 	}
+	if len(b.dates) == 0 {
+		return
+	}
+	for i := range b.samples {
+		for k := range b.samples[i] {
+			r := &b.samples[i][k]
+			if err := sampleRowErr(v, r.site, r.fam, r.s); err != nil {
+				panic("store: Flush: " + err.Error())
+			}
+		}
+	}
+	if t == nil {
+		t = db.table(v)
+	}
+	b.dateRefs = b.dateRefs[:0]
+	for _, d := range b.dates {
+		b.dateRefs = append(b.dateRefs, t.dateRef(d))
+	}
+	for i := range b.samples {
+		rows := b.samples[i]
+		if len(rows) == 0 {
+			continue
+		}
+		sh := &t.samples[i]
+		sh.mu.Lock()
+		for k := range rows {
+			r := &rows[k]
+			sh.add(res, r.site, r.fam, packSample(r.s, b.dateRefs[r.date]), seriesCap)
+		}
+		sh.mu.Unlock()
+		b.samples[i] = rows[:0]
+	}
+	b.dates = b.dates[:0]
 }
 
 // ensure writes r's row unless the stored row already carries its
@@ -1212,24 +1298,26 @@ func (db *DB) DNSStats(v Vantage) (rows, runs, sites int) {
 	return rows, runs, sites
 }
 
+// seriesCap is the capacity of a series that a written sample mints: a
+// site's series grows one sample per monitored round, so it starts
+// with a study's worth to avoid repeated regrowth.
+const seriesCap = 40
+
 // AddSample appends a download sample, its date in UTC so that one
 // instant is one date whatever its zone. It panics on a round outside
 // [0, maxRound) and on a sample a snapshot cannot carry back
 // (sampleErr), naming the vantage, the site, the field and the value.
+// The monitor writes its samples through Batch and Flush; AddSample is
+// their row-by-row reference.
 func (db *DB) AddSample(v Vantage, site alexa.SiteID, fam topo.Family, s Sample) {
-	if uint(s.Round) >= maxRound {
-		panic("store: AddSample: " + errRound(v, fmt.Sprintf("site %d family %d", site, fam), s.Round).Error())
-	}
-	if err := sampleErr(site, fam, s); err != nil {
-		panic(fmt.Sprintf("store: AddSample: vantage %q site %d family %d %v", v, site, fam, err))
+	if err := sampleRowErr(v, site, fam, s); err != nil {
+		panic("store: AddSample: " + err.Error())
 	}
 	t := db.table(v)
 	p := packSample(s, t.dateRef(s.Date.UTC()))
 	sh := &t.samples[uint64(site)&(shards-1)]
 	sh.mu.Lock()
-	// A site's series grows one sample per monitored round;
-	// preallocate a study's worth to avoid repeated regrowth.
-	sh.add(db.res, site, fam, p, 40)
+	sh.add(db.res, site, fam, p, seriesCap)
 	sh.mu.Unlock()
 }
 
