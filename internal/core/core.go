@@ -247,6 +247,10 @@ type Scenario struct {
 	tracked  []measure.SiteRef
 	absorbed int
 
+	// filled and extFilled count the tracked and extended refs
+	// fillUntil has passed over.
+	filled, extFilled int
+
 	// next is the campaign's round cursor: the first main-study round
 	// not yet executed (or fast-forwarded past). See runner.go.
 	next   int
@@ -359,7 +363,7 @@ func newScenario(cfg Config, db *store.DB) (*Scenario, error) {
 	for i := 0; i < cfg.Extended; i++ {
 		id := ExtendedBase + alexa.SiteID(i)
 		rank := 1 + det.IntN(cfg.ListSize*5, uint64(cfg.Seed), uint64(id), 0xE57)
-		s.extRefs = append(s.extRefs, measure.SiteRef{ID: id, FirstRank: rank})
+		s.extRefs = append(s.extRefs, measure.SiteRef{ID: id, FirstRank: int32(rank)})
 	}
 	return s, nil
 }
@@ -472,7 +476,7 @@ func (s *Scenario) V6DayParticipants() []measure.SiteRef {
 	s.List.ForEachRanked(func(_ int, id alexa.SiteID) {
 		rank := s.List.FirstSeenRank(id)
 		if when, ok := s.Adopt.Adopts(id, rank); ok && when.Equal(v6day) {
-			out = append(out, measure.SiteRef{ID: id, FirstRank: rank})
+			out = append(out, measure.SiteRef{ID: id, FirstRank: int32(rank)})
 		}
 	})
 	return out

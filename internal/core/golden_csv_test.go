@@ -14,7 +14,8 @@ import (
 )
 
 // The golden CSV fixture pins the exact bytes the store serializes for
-// small campaigns at three seeds. The measurement database is free to
+// small campaigns at three seeds, and for one of them with an outage
+// at Penn. The measurement database is free to
 // change its in-memory representation (PR 5 moved it to columnar
 // tables with run-length-encoded DNS history), but the CSV files a
 // campaign saves — the durable interchange format checkpoints, resume,
@@ -38,11 +39,27 @@ func goldenConfig(seed int64) Config {
 	return cfg
 }
 
-// hashCampaignCSVs runs the campaign for one seed, saves both
+// goldenCampaigns names the campaigns the fixture pins: goldenConfig
+// at three seeds, and seed 3 with Penn offline for rounds [3, 5).
+// Penn monitors both the ranked list and the extended population, so
+// in the outage campaign both restart their DNS runs at round 5 after
+// a gap in their histories.
+func goldenCampaigns() map[string]Config {
+	out := make(map[string]Config)
+	for _, seed := range []int64{3, 5, 9} {
+		out[fmt.Sprintf("seed%d", seed)] = goldenConfig(seed)
+	}
+	gap := goldenConfig(3)
+	gap.Outages = []VantageOutage{{Vantage: "Penn", From: 3, To: 5}}
+	out["seed3-penn-outage-3-5"] = gap
+	return out
+}
+
+// hashCampaignCSVs runs the campaign cfg describes, saves both
 // databases, and returns file -> sha256 for every CSV written.
-func hashCampaignCSVs(t *testing.T, seed int64) map[string]string {
+func hashCampaignCSVs(t *testing.T, cfg Config) map[string]string {
 	t.Helper()
-	s, err := NewScenario(goldenConfig(seed))
+	s, err := NewScenario(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,15 +96,18 @@ func hashCampaignCSVs(t *testing.T, seed int64) map[string]string {
 
 // TestCampaignCSVGolden proves the delta-encoded DNS history and the
 // columnar sample/site tables expand to CSVs byte-identical to the
-// row-per-round, map-backed store this fixture was generated under,
-// across three seeds (the satellite equivalence requirement).
+// row-per-round, map-backed store the seed entries were generated
+// under, across three seeds; the outage entry was generated by the
+// monitor that queried every site every round, before a round carried
+// unchanged DNS runs forward, and pins that carrying restarts the runs
+// a gap ends exactly as querying did.
 func TestCampaignCSVGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full campaigns at three seeds")
 	}
 	got := make(map[string]map[string]string)
-	for _, seed := range []int64{3, 5, 9} {
-		got[fmt.Sprintf("seed%d", seed)] = hashCampaignCSVs(t, seed)
+	for name, cfg := range goldenCampaigns() {
+		got[name] = hashCampaignCSVs(t, cfg)
 	}
 	if *updateGolden {
 		data, err := json.MarshalIndent(got, "", "  ")

@@ -140,7 +140,7 @@ func TestAbsorbEquivalentToMapBasedWalk(t *testing.T) {
 			// New algorithm: walk only the entrants past the mint cursor.
 			batchStart := len(gotTracked)
 			mNew.ForEachEntrant(alexa.SiteID(absorbed), func(rank int, id alexa.SiteID) {
-				gotTracked = append(gotTracked, measure.SiteRef{ID: id, FirstRank: rank})
+				gotTracked = append(gotTracked, measure.SiteRef{ID: id, FirstRank: int32(rank)})
 			})
 			absorbed = mNew.TotalSeen()
 			// Reference algorithm (pre-PR): seen-set probe per rank.
@@ -148,7 +148,7 @@ func TestAbsorbEquivalentToMapBasedWalk(t *testing.T) {
 			for _, id := range mRef.Ranked() {
 				if !seen[id] {
 					seen[id] = true
-					wantTracked = append(wantTracked, measure.SiteRef{ID: id, FirstRank: mRef.FirstSeenRank(id)})
+					wantTracked = append(wantTracked, measure.SiteRef{ID: id, FirstRank: int32(mRef.FirstSeenRank(id))})
 				}
 			}
 			if len(gotTracked) != len(wantTracked) {

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"runtime"
+	"sort"
 	"sync"
 	"time"
 
@@ -216,6 +218,7 @@ func (s *Scenario) NextRound(observers ...Observer) error {
 	date := s.dates[r]
 	tf := s.tFrac(date)
 	s.absorbRanked()
+	s.fillUntil()
 
 	var tasks []roundTask
 	offline := make([]bool, len(s.Cfg.Vantages))
@@ -280,6 +283,7 @@ func (s *Scenario) NextRound(observers ...Observer) error {
 			st.Identical += ext.Identical
 			st.Measured += ext.Measured
 			st.FetchFails += ext.FetchFails
+			st.Carried += ext.Carried
 			el += elapsed[k+1]
 			k++
 		}
@@ -315,12 +319,60 @@ func (s *Scenario) absorbRanked() {
 			s.tracked = make([]measure.SiteRef, 0, total+total/4)
 		}
 		s.List.ForEachEntrant(alexa.SiteID(s.absorbed), func(rank int, id alexa.SiteID) {
-			s.tracked = append(s.tracked, measure.SiteRef{ID: id, FirstRank: rank})
+			s.tracked = append(s.tracked, measure.SiteRef{ID: id, FirstRank: int32(rank)})
 		})
 		s.absorbed = total
 	}
 	s.Catalog.Reserve(total, 0, 0)
 	s.DB.Reserve(total, ExtendedBase, s.Cfg.Extended)
+}
+
+// fillUntil sets Until on the refs a round is about to monitor that
+// no earlier round has: the tracked entries absorbed since the last
+// fill and, at the first fill, the extended population, each only
+// inside a restricted scenario's slice. It runs in NextRound alone, so
+// a fast-forward (Resume's, the coordinator's) fills nothing, and the
+// first round after a resume fills every entry once. Only a ref whose
+// Until is set is carried (measure.Monitor.RunRound), and the store
+// hands a carried visit back when its history cannot vouch for the
+// round before, so a resumed or restricted campaign needs no record of
+// which rounds ran.
+func (s *Scenario) fillUntil() {
+	var r SiteRange
+	if s.restrict != nil {
+		r = *s.restrict
+	}
+	s.filled = s.fillFrom(s.tracked, s.filled, r.MainLo, r.MainHi)
+	s.extFilled = s.fillFrom(s.extRefs, s.extFilled, r.ExtLo, r.ExtHi)
+}
+
+// fillFrom fills Until on refs[from:], only on ids in [lo, hi) when
+// the scenario is restricted, and returns len(refs), the next fill's
+// from.
+func (s *Scenario) fillFrom(refs []measure.SiteRef, from int, lo, hi alexa.SiteID) int {
+	fresh := refs[from:]
+	if s.restrict != nil {
+		fresh = within(fresh, lo, hi)
+	}
+	for i := range fresh {
+		fresh[i].Until = s.untilOf(fresh[i])
+	}
+	return len(refs)
+}
+
+// untilOf returns the first round at which ref's DNS answer may differ
+// from the round before, as SimFetcher.Resolve gives it: the first
+// round whose date is at or past the site's adoption instant, or
+// math.MaxInt32 when the site never adopts or adopts after the last
+// round. Before that round the site resolves to its A record alone in
+// its hosting AS, every round the same.
+func (s *Scenario) untilOf(ref measure.SiteRef) int32 {
+	h := s.Catalog.HostingOf(ref.ID, int(ref.FirstRank))
+	r := sort.Search(len(s.dates), func(i int) bool { return h.DualAtUnix(s.dates[i].UnixNano()) })
+	if r == len(s.dates) {
+		return math.MaxInt32
+	}
+	return int32(r)
 }
 
 // fastForward advances the cursor to round `to` without monitoring:

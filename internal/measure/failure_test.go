@@ -247,7 +247,7 @@ func TestOriginsViaLPM(t *testing.T) {
 	tl := e.tl
 	for id := int64(0); id < 2000; id++ {
 		ref := SiteRef{ID: alexa.SiteID(id), FirstRank: 50}
-		site := e.cat.Site(ref.ID, ref.FirstRank)
+		site := e.cat.Site(ref.ID, int(ref.FirstRank))
 		_, _, v4, v6, err := e.fetch.Resolve(ref, tl.End)
 		if err != nil {
 			t.Fatal(err)

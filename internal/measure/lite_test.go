@@ -50,7 +50,7 @@ func TestResolveLiteEquivalence(t *testing.T) {
 	for id := alexa.SiteID(0); id < 1500; id++ {
 		rank := int(id%9000) + 1
 		for _, date := range dates {
-			gotA, gotAAAA, gotV4, gotV6, err := f.Resolve(SiteRef{ID: id, FirstRank: rank}, date)
+			gotA, gotAAAA, gotV4, gotV6, err := f.Resolve(SiteRef{ID: id, FirstRank: int32(rank)}, date)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -18,8 +18,20 @@
 // order and walk each block in list order, so for a list in site-id
 // order neighbouring visits share cache lines in every per-site table;
 // each worker writes a block's site rows, DNS rows and samples to the
-// store in one batch per block, and the batches are recycled across
-// rounds.
+// store through a batch it takes from a pool for the block and puts
+// back after it.
+//
+// Not every visit queries. A site's simulated DNS answer changes at
+// most once, at its IPv6 adoption instant, so a site visited before
+// its adoption round (SiteRef.Until) is carried: its id goes into the
+// block's batch, and the store grows its open DNS run by the round,
+// with no Resolve, no site-row compare and no row append. The store
+// hands a carried visit back, for the worker to query as any other,
+// when its history at the vantage does not end right before the round
+// (the site's first visit there, the vantage's first round, the round
+// after an outage), so a carried visit records exactly what a query
+// would have. Dual-stack sites, a site's adoption round and every ref
+// whose Until is unset query every round.
 //
 // The engine is generic over a Fetcher: the simulation fetcher drives
 // netsim over BGP paths, and tests substitute their own.
@@ -40,10 +52,18 @@ import (
 	"v6web/internal/topo"
 )
 
-// SiteRef identifies a site to monitor.
+// SiteRef identifies a site to monitor. It is 16 bytes: core holds
+// one per tracked site, a million and more at paper scale.
 type SiteRef struct {
 	ID        alexa.SiteID
-	FirstRank int
+	FirstRank int32
+	// Until is the first round at which the site's DNS answer may
+	// differ from its answer the round before: its IPv6 adoption round,
+	// or math.MaxInt32 when it does not adopt within the study. A visit
+	// at a round below Until is carried instead of queried (see
+	// Monitor.RunRound). The zero value promises nothing, so every
+	// visit queries.
+	Until int32
 }
 
 // famBoth avoids a fresh slice per site when iterating both families.
@@ -132,6 +152,9 @@ type RoundStats struct {
 	Identical  int // dual sites passing the page identity check
 	Measured   int // dual sites with converged samples in both families
 	FetchFails int
+	// Carried counts the visits recorded by growing the site's open
+	// DNS run without a query; they are among Sites and never dual.
+	Carried int
 }
 
 // Monitor runs monitoring rounds from one vantage point.
@@ -229,8 +252,17 @@ func blockSize(sites, workers int) int {
 // time-of-day biases") at block granularity: sites is cut into
 // contiguous blocks (see blockSize), the blocks are dispatched to the
 // workers in a per-(seed, round) random order, and each block is
-// walked in slice order. A worker flushes a block's site rows, DNS
-// rows and samples to the store once, at the block's end.
+// walked in slice order through a batch taken from batchPool for it.
+//
+// A site whose ref has round < Until is carried, not queried: its DNS
+// answer and site view at round are the ones it had at round-1 (for
+// SimFetcher, both are fixed on each side of the adoption instant,
+// and Until is the adoption round), so the store grows the open DNS
+// run the round before left. A worker flushes the block's carried
+// visits together with the rows of the sites it queried; the store
+// hands back each carried visit whose history at the vantage does not
+// end right before round, and the worker queries those and flushes
+// again. Carried visits are counted in Stats.Carried.
 //
 // Visit order is not observable in the results: every random draw is
 // derived per (seed, round, site), so results do not depend on which
@@ -242,9 +274,9 @@ func blockSize(sites, workers int) int {
 // RunRound returns the round's stats and its destination ASes,
 // ascending: the non-negative origins Resolve reported for the round's
 // dual-stack sites, which are the sites whose DNS row is dual-stack,
-// and the origins their site rows hold. The paper read BGP paths
-// toward exactly these ASes after each round; core records that
-// snapshot.
+// and the origins their site rows hold. A carried site is never
+// dual-stack. The paper read BGP paths toward exactly these ASes after
+// each round; core records that snapshot.
 func (m *Monitor) RunRound(round int, date time.Time, tFrac float64, sites []SiteRef) (RoundStats, []int) {
 	bs := blockSize(len(sites), m.cfg.Workers)
 	order := make([]int, (len(sites)+bs-1)/bs)
@@ -267,30 +299,14 @@ func (m *Monitor) RunRound(round int, date time.Time, tFrac float64, sites []Sit
 			// worker picks a site up or in what order.
 			src := det.NewSource(0)
 			rng := rand.New(src)
-			// The batch holds at most one block and is flushed into the
-			// store per block, so the worker never accumulates a round's
-			// worth of rows: the single-stack majority collapses into
-			// run-length counters immediately. It is the worker's own:
-			// core runs one monitor's rounds for several site lists at
-			// once, so a batch on the Monitor would be shared.
-			batch, _ := batchPool.Get().(*store.Batch)
-			if batch == nil {
-				batch = store.NewBatch(bs)
-			}
 			for {
 				k := int(next.Add(1) - 1)
 				if k >= len(order) {
 					break
 				}
 				lo := order[k] * bs
-				for _, ref := range sites[lo:min(lo+bs, len(sites))] {
-					m.monitorSite(ref, round, date, tFrac, batch, acc, src, rng)
-				}
-				m.db.Flush(m.cfg.Vantage, batch)
+				m.visitBlock(sites[lo:min(lo+bs, len(sites))], bs, round, date, tFrac, acc, src, rng)
 			}
-			// Only an empty batch goes back: a Flush that panicked
-			// leaves its rows behind, and that batch is dropped.
-			batchPool.Put(batch)
 		}(&accs[w])
 	}
 	wg.Wait()
@@ -302,13 +318,52 @@ func (m *Monitor) RunRound(round int, date time.Time, tFrac float64, sites []Sit
 		st.Identical += accs[w].st.Identical
 		st.Measured += accs[w].st.Measured
 		st.FetchFails += accs[w].st.FetchFails
+		st.Carried += accs[w].st.Carried
 		destASes.merge(&accs[w].dest)
 	}
 	return st, destASes.ascending()
 }
 
-// batchPool recycles the workers' block batches across rounds and
-// monitors. A batch returns empty, after its worker's last Flush, and
+// visitBlock visits one dispatch block of a round (blocks of at most
+// bs refs) through a batch it takes from batchPool: it carries the
+// refs whose round is below Until and queries the others, flushes, then
+// queries the carried visits the store handed back and flushes again.
+// The batch goes back to the pool empty after the block's last Flush,
+// so the batches alive at once follow the blocks in flight, not the
+// workers: core runs one monitor's rounds for several site lists at
+// once, so a batch on the Monitor would be shared, and one per worker
+// for the round would keep them all live.
+func (m *Monitor) visitBlock(block []SiteRef, bs, round int, date time.Time, tFrac float64, acc *roundAcc, src reseeder, rng *rand.Rand) {
+	batch, _ := batchPool.Get().(*store.Batch)
+	if batch == nil {
+		batch = store.NewBatch(bs)
+	}
+	carried := 0
+	for _, ref := range block {
+		if round < int(ref.Until) {
+			batch.Carry(ref.ID, round)
+			carried++
+			continue
+		}
+		m.monitorSite(ref, round, date, tFrac, batch, acc, src, rng)
+	}
+	back := m.db.Flush(m.cfg.Vantage, batch)
+	acc.st.Carried += carried - back
+	if back > 0 {
+		for _, ref := range block {
+			if round < int(ref.Until) && batch.Returned(ref.ID) {
+				m.monitorSite(ref, round, date, tFrac, batch, acc, src, rng)
+			}
+		}
+		m.db.Flush(m.cfg.Vantage, batch)
+	}
+	// Only an empty batch goes back: a Flush that panicked leaves its
+	// rows behind, and that batch is dropped.
+	batchPool.Put(batch)
+}
+
+// batchPool recycles the block batches across blocks, rounds and
+// monitors. A batch returns empty, after its block's last Flush, and
 // keeps the capacity its buckets grew to, so the sample buckets, which
 // start empty, stop growing once they have carried a busy block.
 var batchPool sync.Pool
@@ -327,7 +382,7 @@ func (m *Monitor) monitorSite(ref SiteRef, round int, date time.Time, tFrac floa
 		acc.st.FetchFails++
 		return
 	}
-	batch.AddSite(store.CanonicalSite{Site: ref.ID, FirstRank: ref.FirstRank, V4AS: v4AS, V6AS: v6AS})
+	batch.AddSite(store.CanonicalSite{Site: ref.ID, FirstRank: int(ref.FirstRank), V4AS: v4AS, V6AS: v6AS})
 	dns := store.DNSRow{Site: ref.ID, Round: round, HasA: hasA, HasAAAA: hasAAAA}
 	if hasA && hasAAAA {
 		acc.st.Dual++

@@ -18,7 +18,7 @@ import (
 // catalogue lookup, the route, the round speed, one sampled speed and
 // the download time, all recomputed for every call.
 func perDownload(f *SimFetcher, ref SiteRef, fam topo.Family, round int, tFrac float64, rng *rand.Rand) (time.Duration, error) {
-	site := f.Cat.Site(ref.ID, ref.FirstRank)
+	site := f.Cat.Site(ref.ID, int(ref.FirstRank))
 	dst, page := site.V4AS, site.PageV4
 	if fam == topo.V6 {
 		dst, page = site.V6AS, site.PageV6
@@ -74,8 +74,8 @@ func TestConcurrentPrepareFetchMatchesPerDownload(t *testing.T) {
 	changes, noAAAA, unreachable := 0, 0, 0
 	pick := rand.New(rand.NewSource(21))
 	for id := alexa.SiteID(0); id < 3000; id++ {
-		ref := SiteRef{ID: id, FirstRank: 1 + pick.Intn(100000)}
-		site := e.cat.Site(ref.ID, ref.FirstRank)
+		ref := SiteRef{ID: id, FirstRank: int32(1 + pick.Intn(100000))}
+		site := e.cat.Site(ref.ID, int(ref.FirstRank))
 		for _, fam := range famBoth {
 			dst := site.V4AS
 			if fam == topo.V6 {
@@ -195,7 +195,7 @@ func TestRunRoundPreparesEachFamilyOnce(t *testing.T) {
 	}
 	refs := make([]SiteRef, 0, 400)
 	for id := alexa.SiteID(0); id < 400; id++ {
-		refs = append(refs, SiteRef{ID: id, FirstRank: int(id) + 1})
+		refs = append(refs, SiteRef{ID: id, FirstRank: int32(id) + 1})
 	}
 	var single, dual, identical int
 	for round := 0; round < 3; round++ {

@@ -21,7 +21,7 @@ func TestConcurrentRoundsRace(t *testing.T) {
 
 	refs := make([]SiteRef, 0, 3000)
 	for id := alexa.SiteID(0); id < 3000; id++ {
-		refs = append(refs, SiteRef{ID: id, FirstRank: int(id) + 1})
+		refs = append(refs, SiteRef{ID: id, FirstRank: int32(id) + 1})
 	}
 
 	newMon := func(v store.Vantage) *Monitor {
@@ -73,7 +73,7 @@ func TestRunRoundDeterministicAcrossWorkerCounts(t *testing.T) {
 	byID := make([]SiteRef, n)
 	byRank := make([]SiteRef, n)
 	for id := range byID {
-		ref := SiteRef{ID: alexa.SiteID(id), FirstRank: perm[id] + 1}
+		ref := SiteRef{ID: alexa.SiteID(id), FirstRank: int32(perm[id] + 1)}
 		byID[id] = ref
 		byRank[perm[id]] = ref
 	}

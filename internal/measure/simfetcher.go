@@ -218,11 +218,11 @@ func (f *SimFetcher) origins(site *websim.Site, id int64) (v4, v6Full int) {
 // full path: the Site is needed for the download phase anyway, and
 // its memoized LPM attribution also yields the v6 origin.
 func (f *SimFetcher) Resolve(ref SiteRef, date time.Time) (hasA, hasAAAA bool, v4AS, v6AS int, err error) {
-	h := f.Cat.HostingOf(ref.ID, ref.FirstRank)
+	h := f.Cat.HostingOf(ref.ID, int(ref.FirstRank))
 	if !h.DualAtUnix(date.UnixNano()) {
 		return true, false, h.V4AS, -1, nil
 	}
-	site := f.Cat.Site(ref.ID, ref.FirstRank)
+	site := f.Cat.Site(ref.ID, int(ref.FirstRank))
 	v4, v6Full := f.origins(site, int64(ref.ID))
 	return true, true, v4, v6Full, nil
 }
@@ -231,7 +231,7 @@ func (f *SimFetcher) Resolve(ref SiteRef, date time.Time) (hasA, hasAAAA bool, v
 // effect at round and netsim's round speed over it, which every
 // download of the site over fam in the round shares.
 func (f *SimFetcher) Prepare(ref SiteRef, fam topo.Family, round int, tFrac float64) (Download, error) {
-	site := f.Cat.Site(ref.ID, ref.FirstRank)
+	site := f.Cat.Site(ref.ID, int(ref.FirstRank))
 	dst := site.V4AS
 	page := site.PageV4
 	if fam == topo.V6 {

@@ -9,10 +9,11 @@
 //
 // Writes are the monitoring hot path: 25 workers per vantage write
 // site rows, DNS rows and samples concurrently for every site of every
-// round, each worker buffering a block of sites in a Batch that one
-// Flush applies. The database therefore shards its locks by site id
-// instead of funneling every worker through one RWMutex, and a Flush
-// takes each stripe's lock once per block.
+// round, or carry a site's open DNS run forward by the round, each
+// worker buffering a block of sites in a Batch that one Flush applies.
+// The database therefore shards its locks by site id instead of
+// funneling every worker through one RWMutex, and a Flush takes each
+// stripe's lock once per block.
 //
 // # Memory layout
 //
@@ -203,16 +204,11 @@ type dnsHist struct {
 // extend the history (round precedes its end, a duplicate round
 // included) and nothing was recorded.
 func (h *dnsHist) append(spillRuns []dnsRun, round, n int32, state uint8) (newRun dnsRun, spill, ok bool) {
-	last := &h.run[0]
-	switch {
-	case h.run[0].count == 0:
+	if h.run[0].count == 0 {
 		h.run[0] = dnsRun{start: round, count: n, state: state}
 		return dnsRun{}, false, true
-	case h.run[1].state&dnsSpilled != 0 && len(spillRuns) > 0:
-		last = &spillRuns[len(spillRuns)-1]
-	case h.run[1].count != 0:
-		last = &h.run[1]
 	}
+	last := h.newest(spillRuns)
 	end := last.start + last.count
 	switch {
 	case round == end && state == last.state&dnsStateMask:
@@ -231,18 +227,25 @@ func (h *dnsHist) append(spillRuns []dnsRun, round, n int32, state uint8) (newRu
 	}
 }
 
+// newest returns the site's newest run where it is stored, for append
+// and carry to grow it in place: its state may hold the spill flag.
+// spill is the site's spill list. The history must be non-empty.
+func (h *dnsHist) newest(spill []dnsRun) *dnsRun {
+	switch {
+	case h.run[1].state&dnsSpilled != 0 && len(spill) > 0:
+		return &spill[len(spill)-1]
+	case h.run[1].count != 0:
+		return &h.run[1]
+	}
+	return &h.run[0]
+}
+
 // last returns the site's newest run (state without the spill flag);
 // spill is the site's spill list. The history must be non-empty.
 func (h *dnsHist) last(spill []dnsRun) dnsRun {
-	switch {
-	case h.run[1].state&dnsSpilled != 0 && len(spill) > 0:
-		return spill[len(spill)-1]
-	case h.run[1].count != 0:
-		r := h.run[1]
-		r.state &= dnsStateMask
-		return r
-	}
-	return h.run[0]
+	r := *h.newest(spill)
+	r.state &= dnsStateMask
+	return r
 }
 
 // runs appends the site's full run list (inline plus spill) to buf.
@@ -378,6 +381,97 @@ func (s *dnsShard) addRun(h *dnsHist, site alexa.SiteID, round, n int32, state u
 	}
 	s.rows += int(n)
 	return 0, true
+}
+
+// inStripe returns the first id of c in stripe (the stripe's index)
+// and how many of c's ids the stripe holds, one every shards ids.
+func (c idRun) inStripe(stripe uint64) (first alexa.SiteID, count int) {
+	k, n := (stripe-uint64(c.lo))&(shards-1), uint64(c.end-c.lo)
+	if k >= n {
+		return 0, 0
+	}
+	return c.lo + alexa.SiteID(k), int((n - k + shards - 1) / shards)
+}
+
+// carryRun records the carried visits at round of the ids of c in
+// this stripe (stripe is its index), appending those it hands back to
+// back in id order. A carried visit is recorded as one more
+// observation of the site's newest run's state, exactly what add
+// records for a row equal to the site's last one at round, when the
+// site's history ends right before round; otherwise (no history, a gap
+// before round, or a history that already reaches round) nothing is
+// recorded and the id is handed back. Caller holds s.mu.
+func (s *dnsShard) carryRun(res reservation, stripe uint64, c idRun, round int32, back []alexa.SiteID) []alexa.SiteID {
+	first, count := c.inStripe(stripe)
+	// The stripe's ids of a run inside one dense range sit in
+	// consecutive slots of its column.
+	var dense []dnsHist
+	if table, slot := res.locate(first); count > 0 && table >= 0 {
+		if last, _ := res.locate(first + alexa.SiteID(count-1)*shards); last == table {
+			col := s.main
+			if table == 1 {
+				col = s.ext
+			}
+			if len(col) > 0 {
+				dense = col[slot : slot+count]
+			}
+		}
+	}
+	applied := 0
+	for j := 0; j < count; j++ {
+		id := first + alexa.SiteID(j)*shards
+		var h *dnsHist
+		if dense != nil {
+			h = &dense[j]
+		} else {
+			h = s.hist(res, id, false)
+		}
+		var grown bool
+		switch {
+		case h == nil:
+		case h.run[1].state&dnsSpilled == 0:
+			grown = h.extend(round) // inlined: the common history spills nothing
+		default:
+			grown = s.extendSpilled(h, id, round)
+		}
+		if grown {
+			applied++
+		} else {
+			back = append(back, id)
+		}
+	}
+	if applied > 0 {
+		watermark(&s.lo, &s.hi, round, round)
+		s.rows += applied
+	}
+	return back
+}
+
+// extend adds one observation at round to the newest run of a history
+// whose runs all live inline when the history ends right before round,
+// and reports whether it did. Caller holds the stripe's lock and counts
+// the observation.
+func (h *dnsHist) extend(round int32) bool {
+	last := &h.run[1]
+	if last.count == 0 {
+		last = &h.run[0]
+	}
+	if last.count == 0 || last.start+last.count != round {
+		return false
+	}
+	last.count++
+	return true
+}
+
+// extendSpilled is extend for id's history h, whose newest runs live in
+// the stripe's spill map. Caller holds s.mu.
+func (s *dnsShard) extendSpilled(h *dnsHist, id alexa.SiteID, round int32) bool {
+	last := h.newest(s.spill[id])
+	if last.start+last.count != round {
+		return false
+	}
+	last.count++
+	return true
 }
 
 // errDNSOrder describes a DNS row at vantage v that does not extend
@@ -928,24 +1022,44 @@ type CanonicalSite struct {
 	V6AS      int
 }
 
-// Batch buffers a monitor worker's site views, DNS rows and download
-// samples for one Flush — the monitoring hot path, flushed once per
-// dispatch block. The adders bucket each row by its lock stripe as it
-// arrives, so Flush touches every row once instead of rescanning the
-// batch per stripe. The zero Batch is ready to use; Flush empties it
-// and keeps its buckets' capacity, so a reused Batch stops allocating
-// once it has seen a full block. A Batch is not safe for concurrent
-// use.
+// Batch buffers a monitor worker's site views, DNS rows, carried
+// visits and download samples for one Flush — the monitoring hot path,
+// flushed once per dispatch block. The adders bucket each row by its
+// lock stripe as it arrives, so Flush touches every row once instead of
+// rescanning the batch per stripe. The zero Batch is ready to use;
+// Flush empties it and keeps its buckets' capacity, so a reused Batch
+// stops allocating once it has seen a full block. A Batch is not safe
+// for concurrent use.
+//
+// A carried visit (Carry) is a visit the monitor did not query: it
+// stands for a site whose DNS answer and site view at the round are
+// the ones it had the round before. Flush records it by growing the
+// site's open DNS run, or hands it back unrecorded (Returned) when the
+// store's history cannot vouch for the round before.
 type Batch struct {
 	sites   [shards][]CanonicalSite
 	dns     [shards][]DNSRow
 	samples [shards][]batchSample
+	// carry holds the pending carried visits, all at carryRound, as
+	// runs of consecutive ids in the order they were carried; the
+	// newest run is open, the ones before it in carry.
+	carry      []idRun
+	open       idRun
+	carryRound int
+	// back holds, per stripe in carry order, the carried visits the
+	// last Flush handed back; backAt is Returned's read cursor into it.
+	back   [shards][]alexa.SiteID
+	backAt [shards]int
 	// dates holds the samples' distinct dates (UTC) in the order they
 	// were first added; dateRefs is Flush's scratch for their indices
 	// in the vantage's date dictionary.
 	dates    []time.Time
 	dateRefs []int32
 }
+
+// idRun is the consecutive site ids from lo up to end, exclusive; its
+// length is end-lo in two's complement, so no id makes it overflow.
+type idRun struct{ lo, end alexa.SiteID }
 
 // batchSample is a buffered sample; date indexes its Batch's dates.
 type batchSample struct {
@@ -959,9 +1073,12 @@ type batchSample struct {
 // site ids: each bucket holds its stripe's share of the block's site
 // views and DNS rows without growing. Buckets grown from empty instead
 // leave small arrays of many size classes behind every worker of every
-// round, which showed as higher peak RSS. The sample buckets start
-// empty: only a block's dual-stack sites add samples, so they grow to
-// what the blocks a reused Batch carries need.
+// round, which showed as higher peak RSS. The sample buckets, the
+// carried runs and the hand-back lists start empty: only a block's
+// dual-stack sites add samples, a block of contiguous ids carries a
+// few runs, and only the carried visits the store cannot vouch for
+// come back, so they grow to what the blocks a reused Batch carries
+// need.
 func NewBatch(rows int) *Batch {
 	b := new(Batch)
 	n := (rows + shards - 1) / shards
@@ -982,6 +1099,49 @@ func (b *Batch) AddSite(r CanonicalSite) {
 func (b *Batch) AddDNS(r DNSRow) {
 	i := uint64(r.Site) & (shards - 1)
 	b.dns[i] = append(b.dns[i], r)
+}
+
+// Carry buffers a carried visit of site at round for the next Flush:
+// the caller's promise that a query of site at round would give the
+// DNS row and the site view it gave at round-1. For the simulated DNS
+// that holds before a site's adoption round (measure.SiteRef.Until).
+// A visit of the id after the last one carried extends that visit's
+// run, so a block of contiguous ids costs two compares and an
+// increment per visit. Every carried visit of one Flush shares its
+// round; Carry panics on a second round while visits of another are
+// pending.
+func (b *Batch) Carry(site alexa.SiteID, round int) {
+	if site == b.open.end && round == b.carryRound {
+		b.open.end++
+		return
+	}
+	b.carryFrom(site, round)
+}
+
+// carryFrom closes the open run of carried visits and opens one at
+// site.
+func (b *Batch) carryFrom(site alexa.SiteID, round int) {
+	if b.open != (idRun{}) {
+		if round != b.carryRound {
+			panic(fmt.Sprintf("store: Batch.Carry: site %d at round %d while carried visits at round %d are pending", site, round, b.carryRound))
+		}
+		b.carry = append(b.carry, b.open)
+	}
+	b.carryRound = round
+	b.open = idRun{site, site + 1}
+}
+
+// Returned reports whether the last Flush handed site's carried visit
+// back unrecorded, for the caller to query the site instead. The
+// caller asks about the sites it carried in the order it carried them,
+// each once, before its next Carry; Flush returned how many came back.
+func (b *Batch) Returned(site alexa.SiteID) bool {
+	i := uint64(site) & (shards - 1)
+	if k := b.backAt[i]; k < len(b.back[i]) && b.back[i][k] == site {
+		b.backAt[i] = k + 1
+		return true
+	}
+	return false
 }
 
 // AddSample buffers a download sample of site over fam for the next
@@ -1011,13 +1171,26 @@ func (b *Batch) AddSample(site alexa.SiteID, fam topo.Family, s Sample) {
 // (overwhelmingly common) unchanged row that is three integer
 // compares, and no host string is ever built for dense-range sites.
 // DNS rows for one site must extend its history, in round order within
-// and across Flushes (the monitor's rounds are sequential). Flush
-// panics, as AddDNS, AddSample and PutSite do, on a row that does not,
-// or that a snapshot cannot carry back, naming it; it checks all the
-// batch's samples before it records one. The samples' dates enter v's
-// date dictionary once per distinct date, outside the stripe locks. A
-// batch without DNS rows or samples does not create v's table.
-func (db *DB) Flush(v Vantage, b *Batch) {
+// and across Flushes (the monitor's rounds are sequential).
+//
+// A carried visit is applied after its stripe's DNS rows. When its
+// site's history at v ends right before the round, Flush records it
+// exactly as AddDNS of a row equal to the site's last one at the round
+// — its newest run grows by one round — and writes no site row: the
+// stored row is the view the visit promises. Otherwise (no history at
+// v, a gap before the round, or a history that already reaches it) it
+// records and counts nothing and hands the visit back: Flush returns
+// how many it handed back, and Returned names them. So the store's own
+// history decides what may be carried, and a caller needs no record of
+// which rounds a site was visited in.
+//
+// Flush panics, as AddDNS, AddSample and PutSite do, on a row that does
+// not extend its history, or that a snapshot cannot carry back, naming
+// it; it checks all the batch's samples before it records one. The
+// samples' dates enter v's date dictionary once per distinct date,
+// outside the stripe locks. A batch without DNS rows or samples does
+// not create v's table.
+func (db *DB) Flush(v Vantage, b *Batch) (returned int) {
 	res := db.res
 	for i := range b.sites {
 		rows := b.sites[i]
@@ -1035,32 +1208,57 @@ func (db *DB) Flush(v Vantage, b *Batch) {
 		sh.mu.Unlock()
 		b.sites[i] = rows[:0]
 	}
+	// A carried visit can only grow a history v's table already holds.
 	var t *vantageTable
-	for i := range b.dns {
-		rows := b.dns[i]
-		if len(rows) == 0 {
-			continue
+	round := int32(b.carryRound)
+	if b.open != (idRun{}) {
+		b.carry = append(b.carry, b.open)
+		b.open = idRun{}
+	}
+	if len(b.carry) > 0 {
+		if uint(b.carryRound) >= maxRound {
+			panic("store: Flush: " + errRound(v, "carried visits'", b.carryRound).Error())
 		}
-		if t == nil {
+		t = db.lookup(v)
+	}
+	for i := range b.dns {
+		rows, back := b.dns[i], b.back[i][:0]
+		if t == nil && len(rows) > 0 {
 			t = db.table(v)
 		}
-		sh := &t.dns[i]
-		sh.mu.Lock()
-		for _, row := range rows {
-			if uint(row.Round) >= maxRound || uint64(row.Site) >= uint64(snapAllSites) {
-				sh.mu.Unlock()
-				panic("store: Flush: " + dnsErr(v, row).Error())
+		switch {
+		case t != nil && len(rows)+len(b.carry) > 0:
+			sh := &t.dns[i]
+			sh.mu.Lock()
+			for _, row := range rows {
+				if uint(row.Round) >= maxRound || uint64(row.Site) >= uint64(snapAllSites) {
+					sh.mu.Unlock()
+					panic("store: Flush: " + dnsErr(v, row).Error())
+				}
+				if end, ok := sh.add(res, row); !ok {
+					sh.mu.Unlock()
+					panic("store: Flush: " + errDNSOrder(v, row.Site, int32(row.Round), end).Error())
+				}
 			}
-			if end, ok := sh.add(res, row); !ok {
-				sh.mu.Unlock()
-				panic("store: Flush: " + errDNSOrder(v, row.Site, int32(row.Round), end).Error())
+			for _, c := range b.carry {
+				back = sh.carryRun(res, uint64(i), c, round, back)
+			}
+			sh.mu.Unlock()
+		case t == nil:
+			// v has no table, so no history for a carried visit to grow.
+			for _, c := range b.carry {
+				first, count := c.inStripe(uint64(i))
+				for j := 0; j < count; j++ {
+					back = append(back, first+alexa.SiteID(j)*shards)
+				}
 			}
 		}
-		sh.mu.Unlock()
-		b.dns[i] = rows[:0]
+		b.dns[i], b.back[i], b.backAt[i] = rows[:0], back, 0
+		returned += len(back)
 	}
+	b.carry = b.carry[:0]
 	if len(b.dates) == 0 {
-		return
+		return returned
 	}
 	for i := range b.samples {
 		for k := range b.samples[i] {
@@ -1092,6 +1290,7 @@ func (db *DB) Flush(v Vantage, b *Batch) {
 		b.samples[i] = rows[:0]
 	}
 	b.dates = b.dates[:0]
+	return returned
 }
 
 // ensure writes r's row unless the stored row already carries its

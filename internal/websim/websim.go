@@ -514,7 +514,8 @@ func (h Hosting) DualAtUnix(ns int64) bool {
 // HostingOf returns the hosting summary of a site without
 // materializing a Site for it. This is the DNS query phase's fast
 // path: the vast single-stack majority of a paper-scale population
-// never needs a Site built at all, yet is queried every round.
+// never needs a Site built at all, yet is queried at each vantage's
+// first visit.
 //
 // A site already in the cache is read from it. Otherwise a
 // never-adopting site (V6AS -1) in a reserved range is read from the
