@@ -348,15 +348,22 @@ func (s *Scenario) fillUntil() {
 
 // fillFrom fills Until on refs[from:], only on ids in [lo, hi) when
 // the scenario is restricted, and returns len(refs), the next fill's
-// from.
+// from. A ref's Until depends on the ref alone, and the catalogue's
+// hosting memo is safe for concurrent use, so contiguous slices of the
+// fresh refs fill on the round pool: round 0's million refs spread
+// over the cores, and a round's few entrants stay one serial slice.
 func (s *Scenario) fillFrom(refs []measure.SiteRef, from int, lo, hi alexa.SiteID) int {
 	fresh := refs[from:]
 	if s.restrict != nil {
 		fresh = within(fresh, lo, hi)
 	}
-	for i := range fresh {
-		fresh[i].Until = s.untilOf(fresh[i])
-	}
+	const slice = 1 << 14
+	runTasks(s.roundWorkers(), (len(fresh)+slice-1)/slice, func(k int) {
+		part := fresh[k*slice : min((k+1)*slice, len(fresh))]
+		for i := range part {
+			part[i].Until = s.untilOf(part[i])
+		}
+	})
 	return len(refs)
 }
 

@@ -479,6 +479,12 @@ func TestResplitStartsShardsFresh(t *testing.T) {
 	assertCampaignsIdentical(t, refDir, saveCampaign(t, s, "resplit"), "4-shard rerun over 3-shard checkpoints")
 }
 
+// encodeSectionFrame builds a section frame as sendSections does: its
+// header, then the payload.
+func encodeSectionFrame(m sectionMsg) []byte {
+	return append(appendSectionHeader(nil, m.section, m.rng, m.vantage), m.payload...)
+}
+
 func TestWireCodecs(t *testing.T) {
 	if idx, fp, err := decodeHello(encodeHello(3, "abc")); err != nil || idx != 3 || fp != "abc" {
 		t.Errorf("hello round-trip: %d %q %v", idx, fp, err)

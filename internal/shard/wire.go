@@ -194,9 +194,10 @@ type sectionMsg struct {
 	payload []byte
 }
 
-func encodeSectionFrame(m sectionMsg) []byte {
-	b := appendString([]byte{m.section, m.rng}, m.vantage)
-	return append(b, m.payload...)
+// appendSectionHeader appends a section frame's header (section, spec
+// range index, vantage) to b; the frame's payload follows it.
+func appendSectionHeader(b []byte, section, rng byte, vantage string) []byte {
+	return appendString(append(b, section, rng), vantage)
 }
 
 func decodeSectionFrame(b []byte) (sectionMsg, error) {

@@ -222,21 +222,27 @@ func checkpointBackend(spec Spec, inj *fault.Injector) *store.CheckpointBackend 
 // sendSections streams the shard's results, one frame per section,
 // vantage and non-empty spec range: the wire format IS the store's
 // columnar encoding (delta-encoded DNS runs, packed samples). A range
-// that holds no entries for a (section, vantage) sends no frame.
+// that holds no entries for a (section, vantage) sends no frame. Every
+// frame is built in one reused buffer, its header first and the store
+// appending the payload after it, so emit must not keep the slice
+// after it returns (Serve's emit writes the frame out before it
+// returns).
 func sendSections(db *store.DB, spec Spec, emit func(typ byte, payload []byte) error) error {
+	var frame []byte
 	send := func(section byte, v store.Vantage) error {
 		for i, rg := range spec.ranges() {
 			if rg[0] >= rg[1] {
 				continue
 			}
-			payload, n, err := db.AppendShardSection(nil, section, v, rg[0], rg[1])
-			if err != nil {
+			var n int
+			var err error
+			frame = appendSectionHeader(frame[:0], section, byte(i), string(v))
+			if frame, n, err = db.AppendShardSection(frame, section, v, rg[0], rg[1]); err != nil {
 				return err
 			}
 			if n == 0 {
 				continue
 			}
-			frame := encodeSectionFrame(sectionMsg{section: section, rng: byte(i), vantage: string(v), payload: payload})
 			if err := emit(frameSection, frame); err != nil {
 				return err
 			}

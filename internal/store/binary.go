@@ -160,11 +160,8 @@ func (w *wbuf) u32(x uint32) {
 }
 
 func (r *rbuf) u32() uint32 {
-	if r.err != nil {
-		return 0
-	}
 	if len(r.b) < 4 {
-		r.fail("store: shard payload: truncated u32")
+		r.latch(errTruncU32)
 		return 0
 	}
 	x := binary.LittleEndian.Uint32(r.b)
@@ -430,7 +427,7 @@ func (db *DB) writeBinary(f *os.File, opt BinaryOptions) error {
 	if err != nil {
 		return err
 	}
-	if err := fw.encode(ShardSites, "", db.appendSnapSites); err != nil {
+	if err := fw.encode(ShardSites, "", func(w *wbuf) int { return db.appendShardSites(w, 0, snapAllSites) }); err != nil {
 		return err
 	}
 	for _, v := range db.Vantages() {
@@ -695,25 +692,6 @@ func inflateSection(stored []byte, ulen uint64) ([]byte, error) {
 		return nil, fmt.Errorf("inflate: stream yields %d bytes, index claims %d", n, ulen)
 	}
 	return out.Bytes(), nil
-}
-
-// appendSnapSites encodes every site row — dense ranges and overflow
-// ids alike — in ascending id order, using the shard-wire row format
-// with id deltas against the previous row (base -1). Decoded by
-// applySites over the full id range. Canonical hosts encode as
-// length zero straight from the columns; only hostOver exceptions and
-// overflow rows are compared against the derived name.
-func (db *DB) appendSnapSites(w *wbuf) int {
-	slot := w.countSlot()
-	n := 0
-	prev := alexa.SiteID(-1)
-	db.forEachStoredSite(func(r SiteRow, derived bool) {
-		w.siteRow(prev, r, derived)
-		prev = r.Site
-		n++
-	})
-	w.fillCount(slot, n)
-	return n
 }
 
 // siteRow encodes one stored site row (see storedRow) in the

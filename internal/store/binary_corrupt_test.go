@@ -201,7 +201,7 @@ func TestBinaryOutOfOrderCountIsCorrupt(t *testing.T) {
 				return err
 			}
 			var w wbuf
-			n := db.appendSnapSites(&w)
+			n := db.appendShardSites(&w, 0, snapAllSites)
 			if err := fw.section(ShardSites, "", w.b, n); err != nil {
 				return err
 			}

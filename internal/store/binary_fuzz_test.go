@@ -122,7 +122,7 @@ func fuzzSectionSeeds(tb testing.TB) []sectionSeed {
 		seeds = append(seeds, sectionSeed{name: name, section: section, payload: b})
 	}
 	var w wbuf
-	db.appendSnapSites(&w)
+	db.appendShardSites(&w, 0, snapAllSites)
 	add("golden-sites", ShardSites, w.b)
 	for _, s := range []struct {
 		name    string

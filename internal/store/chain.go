@@ -37,6 +37,7 @@ import (
 	"math/bits"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -308,11 +309,14 @@ func decodeState(r *rbuf) dbMark {
 
 // appendSegSites encodes the dirty dense rows and every overflow row
 // in the snapshot sites format (ascending ids, decoded by applySites).
+// The pass holds every site stripe lock, taken in ascending order
+// (lockSites), for the whole section.
 func (db *DB) appendSegSites(w *wbuf) int {
+	db.lockSites()
+	defer db.unlockSites()
 	var ids []alexa.SiteID
 	for i := range db.sites {
 		sh := &db.sites[i]
-		sh.mu.Lock()
 		for table, c := range [2]*siteCols{&sh.main, &sh.ext} {
 			base := alexa.SiteID(0)
 			if table == 1 {
@@ -329,26 +333,19 @@ func (db *DB) appendSegSites(w *wbuf) int {
 		for id := range sh.over {
 			ids = append(ids, id)
 		}
-		sh.mu.Unlock()
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	w.uvarint(uint64(len(ids)))
 	prev := alexa.SiteID(-1)
 	for _, id := range ids {
-		sh := db.siteShard(id)
-		sh.mu.Lock()
+		sh := &db.sites[uint64(id)&(shards-1)]
 		var row SiteRow
 		derived := false
 		if table, slot := db.res.locate(id); table >= 0 {
-			cols := &sh.main
-			if table == 1 {
-				cols = &sh.ext
-			}
-			row, derived = sh.storedRow(cols, slot, id)
+			row, derived = sh.storedRow(sh.cols(table), slot, id)
 		} else {
 			row = sh.over[id]
 		}
-		sh.mu.Unlock()
 		w.siteRow(prev, row, derived)
 		prev = id
 	}
@@ -421,7 +418,10 @@ func applySegment(db *DB, path string, data []byte) error {
 	return nil
 }
 
-// applySegDNS decodes appendSegDNS's payload for mark round from.
+// applySegDNS decodes appendSegDNS's payload for mark round from: the
+// grown id runs, then the site list (landDNS), both under every DNS
+// stripe lock of the vantage, taken in ascending order, once for the
+// whole section.
 func (db *DB) applySegDNS(r *rbuf, v Vantage, from int32) error {
 	t := db.table(v)
 	to64 := r.uvarint()
@@ -429,6 +429,8 @@ func (db *DB) applySegDNS(r *rbuf, v Vantage, from int32) error {
 		r.fail("store: segment dns: round %d before the mark %d or out of range", to64, from)
 	}
 	to := int32(to64)
+	t.lockDNS()
+	defer t.unlockDNS()
 	nGrown := r.count()
 	for k := uint64(0); k < nGrown && r.err == nil; k++ {
 		start, n := r.uvarint(), r.uvarint()
@@ -446,15 +448,15 @@ func (db *DB) applySegDNS(r *rbuf, v Vantage, from int32) error {
 	if r.err != nil {
 		return r.err
 	}
-	return db.applyDNS(r, v, 0, snapAllSites, from)
+	return t.landDNS(r, db.res, v, 0, snapAllSites, from)
 }
 
 // growRun extends site id's open run, which must end at mark round
-// from, to round to.
+// from, to round to, as addRun of the run's state at [from, to) would,
+// looking the site's history slot up once. Caller holds every DNS
+// stripe lock of t (lockDNS).
 func (t *vantageTable) growRun(r *rbuf, res reservation, id alexa.SiteID, from, to int32) {
 	sh := &t.dns[uint64(id)&(shards-1)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	h := sh.hist(res, id, false)
 	if h == nil || h.run[0].count == 0 {
 		r.fail("store: segment dns: site %d has no history to extend", id)
@@ -464,12 +466,14 @@ func (t *vantageTable) growRun(r *rbuf, res reservation, id alexa.SiteID, from, 
 	if h.run[1].state&dnsSpilled != 0 {
 		spill = sh.spill[id]
 	}
-	last := h.last(spill)
+	last := h.newest(spill)
 	if end := last.start + last.count; end != from {
 		r.fail("store: segment dns: site %d history ends at round %d, not the mark %d", id, end, from)
 		return
 	}
-	sh.addRun(h, id, from, to-from, last.state)
+	last.count += to - from
+	watermark(&sh.lo, &sh.hi, from, to-1)
+	sh.rows += int(to - from)
 }
 
 // loadChain loads base's chain from a checkpoint directory: the base

@@ -10,7 +10,13 @@ package store
 // The encoding is the in-memory columnar layout — delta-encoded DNS
 // runs, packed samples, interned site rows — so a section costs
 // O(state changes), not O(sites × rounds), and decoding re-lands rows
-// in the dense tables without re-deriving any encoding.
+// in the dense tables without re-deriving any encoding: a site row
+// whose host is the canonical one lands in its slot without the name
+// ever being formatted, and a DNS history's runs extend its slot,
+// looked up once. An encoder walks only its id range (walkRuns,
+// forEachStoredSite). Every pass takes a table stripe's lock once, not
+// once per row, and one that holds several takes them in ascending
+// order.
 //
 // All sections share the conventions: site ids are ascending and
 // varint-delta encoded against the range base, counts and small ints
@@ -24,6 +30,7 @@ package store
 import (
 	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -72,7 +79,18 @@ func (w *wbuf) room(n int) {
 	}
 }
 
+// uvarint appends x as a uvarint. Most of a section's integers (id
+// deltas, counts, run lengths) fit one byte, which the fast path
+// appends as it is.
 func (w *wbuf) uvarint(x uint64) {
+	if x >= 0x80 || len(w.b) == cap(w.b) {
+		w.uvarintSlow(x)
+		return
+	}
+	w.b = append(w.b, byte(x))
+}
+
+func (w *wbuf) uvarintSlow(x uint64) {
 	w.room(binary.MaxVarintLen64)
 	w.b = binary.AppendUvarint(w.b, x)
 }
@@ -108,7 +126,8 @@ func (w *wbuf) fillCount(slot, n int) {
 	w.b = w.b[:slot+k+copy(w.b[slot+k:], w.b[slot+binary.MaxVarintLen64:])]
 }
 
-// rbuf is the matching decoder; errors latch.
+// rbuf is the matching decoder. Errors latch, and a latched error
+// empties the buffer, so every read after it fails too.
 type rbuf struct {
 	b   []byte
 	err error
@@ -118,15 +137,23 @@ func (r *rbuf) fail(format string, args ...any) {
 	if r.err == nil {
 		r.err = fmt.Errorf(format, args...)
 	}
+	r.b = nil
 }
 
+// uvarint reads a uvarint; a one-byte one, the common case, on the
+// fast path.
 func (r *rbuf) uvarint() uint64 {
-	if r.err != nil {
-		return 0
+	if b := r.b; len(b) > 0 && b[0] < 0x80 {
+		r.b = b[1:]
+		return uint64(b[0])
 	}
+	return r.uvarintSlow()
+}
+
+func (r *rbuf) uvarintSlow() uint64 {
 	x, n := binary.Uvarint(r.b)
 	if n <= 0 {
-		r.fail("store: shard payload: truncated varint")
+		r.latch(errTruncVarint)
 		return 0
 	}
 	r.b = r.b[n:]
@@ -134,24 +161,33 @@ func (r *rbuf) uvarint() uint64 {
 }
 
 func (r *rbuf) byteVal() byte {
-	if r.err != nil {
-		return 0
+	if b := r.b; len(b) > 0 {
+		r.b = b[1:]
+		return b[0]
 	}
-	if len(r.b) == 0 {
-		r.fail("store: shard payload: truncated byte")
-		return 0
+	r.latch(errTruncByte)
+	return 0
+}
+
+// The errors of a read past a payload's end.
+var (
+	errTruncVarint = errors.New("store: shard payload: truncated varint")
+	errTruncByte   = errors.New("store: shard payload: truncated byte")
+	errTruncU32    = errors.New("store: shard payload: truncated u32")
+	errTruncU64    = errors.New("store: shard payload: truncated u64")
+)
+
+// latch latches err unless an error is latched already.
+func (r *rbuf) latch(err error) {
+	if r.err == nil {
+		r.err = err
 	}
-	x := r.b[0]
-	r.b = r.b[1:]
-	return x
+	r.b = nil
 }
 
 func (r *rbuf) u64() uint64 {
-	if r.err != nil {
-		return 0
-	}
 	if len(r.b) < 8 {
-		r.fail("store: shard payload: truncated u64")
+		r.latch(errTruncU64)
 		return 0
 	}
 	x := binary.LittleEndian.Uint64(r.b)
@@ -224,25 +260,24 @@ func (db *DB) AppendShardSection(buf []byte, section byte, v Vantage, lo, hi ale
 	return w.b, n, nil
 }
 
-// appendShardSites encodes: count, then per present site ascending,
-// in the snapshot sites format (siteRow): id delta (against lo-1, so
-// strictly positive), first rank, origin ASes biased by one (-1 is the
-// unknown marker), and the host — length zero meaning the canonical
-// alexa.HostName derivation, which is the interned common case and
-// costs one byte.
+// appendShardSites encodes the site rows in [lo, hi): count, then per
+// present site ascending (the walk of forEachStoredSite), in the
+// snapshot sites format (siteRow): id delta (against lo-1, so strictly
+// positive), first rank, origin ASes biased by one (-1 is the unknown
+// marker), and the host — length zero meaning the canonical
+// alexa.HostName derivation, which is the interned common case, costs
+// one byte and is encoded straight from the columns. A whole snapshot
+// is the range [0, snapAllSites).
 func (db *DB) appendShardSites(w *wbuf, lo, hi alexa.SiteID) int {
-	var rows wbuf
+	slot := w.countSlot()
 	n := 0
 	prev := lo - 1
-	for id := lo; id < hi; id++ {
-		if row, derived, ok := db.storedSite(id); ok {
-			rows.siteRow(prev, row, derived)
-			prev = id
-			n++
-		}
-	}
-	w.uvarint(uint64(n))
-	w.bytes(rows.b)
+	db.forEachStoredSite(lo, hi, func(r SiteRow, derived bool) {
+		w.siteRow(prev, r, derived)
+		prev = r.Site
+		n++
+	})
+	w.fillCount(slot, n)
 	return n
 }
 
@@ -279,16 +314,14 @@ func (g *idRuns) flush() {
 // keeps and is always 0 (a history only ever extends). It is a direct
 // dump of the delta encoding, O(state changes). A site whose newest
 // run began before from and ends at round to goes to grown instead of
-// the list; at from 0 none can.
+// the list; at from 0 none can. The walk (walkRuns) visits only
+// [lo, hi).
 func (db *DB) appendDNS(w *wbuf, v Vantage, lo, hi alexa.SiteID, from, to int32, grown *idRuns) int {
 	slot := w.countSlot()
 	n := 0
 	db.lockedDNSView(v, func(view *dnsView) {
 		prev := lo - 1
-		view.walkRuns(func(site alexa.SiteID, runs []dnsRun) {
-			if site < lo || site >= hi {
-				return
-			}
+		view.walkRuns(lo, hi, func(site alexa.SiteID, runs []dnsRun) {
 			last := runs[len(runs)-1]
 			if last.start+last.count <= from {
 				return
@@ -523,10 +556,20 @@ func (db *DB) decodeSection(r *rbuf, section byte, v Vantage, lo, hi alexa.SiteI
 	return fmt.Errorf("unknown section id %d", section)
 }
 
-// applySites decodes a sites section for [lo, hi) (appendShardSites,
-// appendSnapSites or appendSegSites) through PutSite.
+// applySites lands a sites section for [lo, hi) (appendShardSites or
+// appendSegSites) straight in the site columns, leaving each row as
+// PutSite would: present, dirty, and its host interned. A host the
+// section derives (length zero) is never formatted: the row lands in
+// its dense slot as derived. An explicit host is compared with the
+// canonical name and kept only where it differs, so one equal to it
+// lands derived too, and an overflow id's row keeps its name. The pass
+// holds every site stripe lock, taken in ascending order, for the
+// whole section.
 func (db *DB) applySites(r *rbuf, lo, hi alexa.SiteID) error {
 	n := r.count()
+	res := db.res
+	db.lockSites()
+	defer db.unlockSites()
 	prev := lo - 1
 	for i := uint64(0); i < n && r.err == nil; i++ {
 		delta := r.uvarint()
@@ -547,28 +590,50 @@ func (db *DB) applySites(r *rbuf, lo, hi alexa.SiteID) error {
 			r.fail("store: shard sites: site %d has out-of-range fields", id)
 			break
 		}
-		hostLen := r.count()
-		host := ""
-		if hostLen > 0 {
-			if uint64(len(r.b)) < hostLen {
-				r.fail("store: shard sites: truncated host")
-				break
-			}
-			host = string(r.b[:hostLen])
-			r.b = r.b[hostLen:]
-		} else {
-			host = alexa.HostName(id)
+		hostLen := r.count() // at most the bytes left
+		if r.err != nil {
+			break
 		}
-		db.PutSite(SiteRow{Site: id, Host: host, FirstRank: int(firstRank), V4AS: int(v4) - 1, V6AS: int(v6) - 1})
+		host := r.b[:hostLen]
+		r.b = r.b[hostLen:]
+		row := SiteRow{Site: id, FirstRank: int(firstRank), V4AS: int(v4) - 1, V6AS: int(v6) - 1}
+		sh := &db.sites[uint64(id)&(shards-1)]
+		if table, slot := res.locate(id); table >= 0 {
+			sh.setDense(sh.cols(table), slot, row)
+			derived := hostLen == 0 || string(host) == alexa.HostName(id)
+			if !derived {
+				row.Host = string(host)
+			}
+			sh.keepHost(id, row.Host, derived)
+			continue
+		}
+		if row.Host = string(host); hostLen == 0 {
+			row.Host = alexa.HostName(id)
+		}
+		if sh.over == nil {
+			sh.over = make(map[alexa.SiteID]SiteRow)
+		}
+		sh.over[id] = row
 	}
 	return r.err
 }
 
 // applyDNS decodes appendDNS's site list for [lo, hi) and rounds >=
-// from. A site's history must hold nothing at a round >= from; its
-// runs extend it through addRun.
+// from under every DNS stripe lock of the vantage, taken in ascending
+// order, once for the whole section (see landDNS).
 func (db *DB) applyDNS(r *rbuf, v Vantage, lo, hi alexa.SiteID, from int32) error {
 	t := db.table(v)
+	t.lockDNS()
+	defer t.unlockDNS()
+	return t.landDNS(r, db.res, v, lo, hi, from)
+}
+
+// landDNS decodes appendDNS's site list for [lo, hi) and rounds >=
+// from into t. Each site's history slot is looked up once; it must
+// hold nothing at a round >= from, and the site's runs extend it as
+// addRun would, the stripe's row count and watermarks counted once per
+// site. Caller holds every DNS stripe lock of t (lockDNS).
+func (t *vantageTable) landDNS(r *rbuf, res reservation, v Vantage, lo, hi alexa.SiteID, from int32) error {
 	n := r.count()
 	prev := lo - 1
 	for i := uint64(0); i < n && r.err == nil; i++ {
@@ -584,14 +649,13 @@ func (db *DB) applyDNS(r *rbuf, v Vantage, lo, hi alexa.SiteID, from int32) erro
 		}
 		prev = site
 		sh := &t.dns[uint64(site)&(shards-1)]
-		sh.mu.Lock()
-		h := sh.hist(db.res, site, true)
-		if end := sh.end(db.res, site); end > from {
-			sh.mu.Unlock()
+		h := sh.hist(res, site, true)
+		if end := sh.end(h, site); end > from {
 			r.fail("store: dns: site %d vantage %q already has history at round %d, at or after round %d", site, v, end-1, from)
 			break
 		}
-		end := uint64(from)
+		end, first := uint64(from), uint64(0)
+		rows := int32(0)
 		for k := uint64(0); k < nRuns && r.err == nil; k++ {
 			gap, cnt, state := r.uvarint(), r.uvarint(), r.byteVal()
 			if r.err != nil {
@@ -602,12 +666,20 @@ func (db *DB) applyDNS(r *rbuf, v Vantage, lo, hi alexa.SiteID, from int32) erro
 				break
 			}
 			start := end + gap
-			end = start + cnt
-			if _, ok := sh.addRun(h, site, int32(start), int32(cnt), state&dnsStateMask); !ok {
+			if _, ok := sh.growHist(h, site, int32(start), int32(cnt), state&dnsStateMask); !ok {
 				r.fail("store: dns: site %d run at round %d precedes its history's end", site, start)
+				break
 			}
+			if rows == 0 {
+				first = start
+			}
+			end = start + cnt
+			rows += int32(cnt)
 		}
-		sh.mu.Unlock()
+		if rows > 0 {
+			watermark(&sh.lo, &sh.hi, int32(first), int32(end)-1)
+			sh.rows += int(rows)
+		}
 		if nOoo := r.uvarint(); r.err == nil && nOoo != 0 {
 			r.fail("store: dns: site %d has %d out-of-order rows; the count must be 0", site, nOoo)
 		}

@@ -3,6 +3,7 @@ package store
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -117,18 +118,37 @@ func assertDirsEqual(t *testing.T, want, got string) {
 	}
 }
 
+// wireOverflowRows writes rows for overflow ids around both dense
+// ranges of buildWireDB: no shard range carries them.
+func wireOverflowRows(db *DB) {
+	for _, id := range []alexa.SiteID{100, 500, testExtBase - 3, testExtBase + 60} {
+		db.PutSite(SiteRow{Site: id, Host: alexa.HostName(id), FirstRank: 9, V4AS: 2, V6AS: -1})
+		db.AddDNS("Penn", DNSRow{Site: id, Round: 2, HasA: true})
+		db.AddSample("Penn", id, topo.V4, Sample{Round: 2, Date: time.Unix(0, 0).UTC(), PageBytes: 5, Downloads: 1, MeanSpeed: 2})
+	}
+}
+
 // TestShardWireRoundTrip encodes every section over chunked sub-ranges
 // of both dense ranges and merges them into a fresh database; the CSVs
-// of the two databases must be byte-identical.
+// of the two databases must be byte-identical. The chunk bounds fall
+// inside 16-id slot groups, each on a site with a row, DNS history and
+// samples, so a range walk that starts past lo drops that site and one
+// that reaches hi hands the merge a site outside its range. The
+// overflow ids around the ranges, which no chunk carries, are written
+// to both databases row by row. The walkers themselves are then held
+// to ranges holding overflow ids too: each visits exactly the full
+// walk's sites inside its range.
 func TestShardWireRoundTrip(t *testing.T) {
 	src := buildWireDB()
+	wireOverflowRows(src)
 	dst := NewDB()
 	dst.Reserve(96, testExtBase, 48)
+	wireOverflowRows(dst)
 
 	// Deliberately uneven chunk boundaries, sent out of order.
 	ranges := [][2]alexa.SiteID{
-		{37, 96}, {0, 37},
-		{testExtBase + 11, testExtBase + 48}, {testExtBase, testExtBase + 11},
+		{42, 96}, {0, 21}, {21, 42},
+		{testExtBase + 25, testExtBase + 48}, {testExtBase, testExtBase + 5}, {testExtBase + 5, testExtBase + 25},
 	}
 	for _, rg := range ranges {
 		payload := encodeSection(t, src, ShardSites, "", rg[0], rg[1])
@@ -152,6 +172,35 @@ func TestShardWireRoundTrip(t *testing.T) {
 			wantSites, wantDNS, wantSamples, gotSites, gotDNS, gotSamples)
 	}
 	assertDirsEqual(t, saveDir(t, src, "src"), saveDir(t, dst, "dst"))
+
+	var allSites, allDNS []alexa.SiteID
+	src.forEachStoredSite(0, snapAllSites, func(r SiteRow, _ bool) { allSites = append(allSites, r.Site) })
+	src.lockedDNSView("Penn", func(view *dnsView) {
+		view.walkRuns(0, snapAllSites, func(site alexa.SiteID, _ []dnsRun) { allDNS = append(allDNS, site) })
+	})
+	inside := func(ids []alexa.SiteID, lo, hi alexa.SiteID) (out []alexa.SiteID) {
+		for _, id := range ids {
+			if lo <= id && id < hi {
+				out = append(out, id)
+			}
+		}
+		return out
+	}
+	for _, rg := range append(ranges, [][2]alexa.SiteID{
+		{90, 510}, {3, 100}, {100, 101}, {testExtBase - 3, testExtBase + 61}, {testExtBase + 45, testExtBase + 60},
+	}...) {
+		var sites, dns []alexa.SiteID
+		src.forEachStoredSite(rg[0], rg[1], func(r SiteRow, _ bool) { sites = append(sites, r.Site) })
+		src.lockedDNSView("Penn", func(view *dnsView) {
+			view.walkRuns(rg[0], rg[1], func(site alexa.SiteID, _ []dnsRun) { dns = append(dns, site) })
+		})
+		if want := inside(allSites, rg[0], rg[1]); !slices.Equal(sites, want) {
+			t.Errorf("site walk of [%d,%d) visits %v, want %v", rg[0], rg[1], sites, want)
+		}
+		if want := inside(allDNS, rg[0], rg[1]); !slices.Equal(dns, want) {
+			t.Errorf("DNS walk of [%d,%d) visits %v, want %v", rg[0], rg[1], dns, want)
+		}
+	}
 }
 
 // TestMergeShardOverlapRejected covers the non-overlap assertion: a

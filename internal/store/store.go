@@ -133,15 +133,19 @@ func slotsFor(n int) int { return (n + shards - 1) >> shardBits }
 // extend returns col grown to n entries, the new tail set to fill, in
 // one allocation step. Capacity grows as append's does, so a range
 // that grows a little every round (the main list's) stays amortized,
-// while a first reservation is allocated at its exact size.
-func extend[T any](col []T, n int, fill T) []T {
+// while a first reservation is allocated at its exact size. The grown
+// tail arrives zeroed, so a zero fill writes nothing more.
+func extend[T comparable](col []T, n int, fill T) []T {
 	old := len(col)
 	if n <= old {
 		return col
 	}
 	col = slices.Grow(col, n-old)[:n]
-	for i := old; i < n; i++ {
-		col[i] = fill
+	var zero T
+	if fill != zero {
+		for i := old; i < n; i++ {
+			col[i] = fill
+		}
 	}
 	return col
 }
@@ -301,7 +305,7 @@ func watermark(lo, hi *int32, from, to int32) {
 // (create set) allocates the column at the range's full length, the
 // entries set to fill; before it, the column is empty and denseAt
 // returns nil. Reserve keeps every allocated column at full length.
-func denseAt[S ~[]T, T any](col *S, n, slot int, fill T, create bool) *T {
+func denseAt[S ~[]T, T comparable](col *S, n, slot int, fill T, create bool) *T {
 	if len(*col) == 0 {
 		if !create {
 			return nil
@@ -335,12 +339,11 @@ func (s *dnsShard) hist(res reservation, id alexa.SiteID, create bool) *dnsHist 
 	return h
 }
 
-// end returns the round id's history ends before: one past its last
-// stored round, or math.MinInt32 (before every round) when it has
-// none. Caller holds s.mu.
-func (s *dnsShard) end(res reservation, id alexa.SiteID) int32 {
-	h := s.hist(res, id, false)
-	if h == nil || h.run[0].count == 0 {
+// end returns the round site id's history h ends before: one past its
+// last stored round, or math.MinInt32 (before every round) when it
+// holds none. Caller holds s.mu.
+func (s *dnsShard) end(h *dnsHist, id alexa.SiteID) int32 {
+	if h.run[0].count == 0 {
 		return math.MinInt32
 	}
 	var spill []dnsRun
@@ -363,6 +366,17 @@ func (s *dnsShard) add(res reservation, row DNSRow) (end int32, ok bool) {
 // the history are not recorded: ok is false and end is the round the
 // history ends before. Caller holds s.mu.
 func (s *dnsShard) addRun(h *dnsHist, site alexa.SiteID, round, n int32, state uint8) (end int32, ok bool) {
+	if end, ok = s.growHist(h, site, round, n, state); ok {
+		watermark(&s.lo, &s.hi, round, round+n-1)
+		s.rows += int(n)
+	}
+	return end, ok
+}
+
+// growHist is addRun without the stripe's row count and watermarks,
+// which the caller keeps: the section decoder counts a site's runs
+// once. Caller holds s.mu.
+func (s *dnsShard) growHist(h *dnsHist, site alexa.SiteID, round, n int32, state uint8) (end int32, ok bool) {
 	var spillRuns []dnsRun
 	if h.run[1].state&dnsSpilled != 0 {
 		spillRuns = s.spill[site]
@@ -372,14 +386,12 @@ func (s *dnsShard) addRun(h *dnsHist, site alexa.SiteID, round, n int32, state u
 		last := h.last(spillRuns)
 		return last.start + last.count, false
 	}
-	watermark(&s.lo, &s.hi, round, round+n-1)
 	if spill {
 		if s.spill == nil {
 			s.spill = make(map[alexa.SiteID][]dnsRun)
 		}
 		s.spill[site] = append(s.spill[site], nr)
 	}
-	s.rows += int(n)
 	return 0, true
 }
 
@@ -795,7 +807,7 @@ func (t *vantageTable) grow(res reservation) {
 
 // growAllocated extends col to n entries set to fill, unless col is
 // not yet allocated (see denseAt).
-func growAllocated[S ~[]T, T any](col *S, n int, fill T) {
+func growAllocated[S ~[]T, T comparable](col *S, n int, fill T) {
 	if len(*col) > 0 {
 		*col = extend(*col, n, fill)
 	}
@@ -945,10 +957,23 @@ func (db *DB) siteShard(id alexa.SiteID) *siteShard {
 // is exclusive) and has verified the id is in range.
 func (sh *siteShard) putDense(res reservation, row SiteRow) {
 	table, slot := res.locate(row.Site)
-	cols := &sh.main
+	sh.setDense(sh.cols(table), slot, row)
+	sh.keepHost(row.Site, row.Host, row.Host == alexa.HostName(row.Site))
+}
+
+// cols returns the stripe's columns over dense table (0 main, 1
+// extended). Caller holds sh.mu (or is exclusive).
+func (sh *siteShard) cols(table int) *siteCols {
 	if table == 1 {
-		cols = &sh.ext
+		return &sh.ext
 	}
+	return &sh.main
+}
+
+// setDense writes row's first rank and origin ASes into slot of cols,
+// marking the slot present and dirty; the host is keepHost's. Caller
+// holds sh.mu (or is exclusive).
+func (sh *siteShard) setDense(cols *siteCols, slot int, row SiteRow) {
 	if !cols.present[slot] {
 		cols.present[slot] = true
 		sh.n++
@@ -957,14 +982,20 @@ func (sh *siteShard) putDense(res reservation, row SiteRow) {
 	cols.v4[slot] = int32(row.V4AS)
 	cols.v6[slot] = int32(row.V6AS)
 	cols.touch(slot)
-	if row.Host == alexa.HostName(row.Site) {
-		delete(sh.hostOver, row.Site)
-	} else {
-		if sh.hostOver == nil {
-			sh.hostOver = make(map[alexa.SiteID]string)
-		}
-		sh.hostOver[row.Site] = row.Host
+}
+
+// keepHost records dense site id's host: nothing when it is the
+// canonical one (derived), an exception otherwise. Caller holds sh.mu
+// (or is exclusive).
+func (sh *siteShard) keepHost(id alexa.SiteID, host string, derived bool) {
+	if derived {
+		delete(sh.hostOver, id)
+		return
 	}
+	if sh.hostOver == nil {
+		sh.hostOver = make(map[alexa.SiteID]string)
+	}
+	sh.hostOver[id] = host
 }
 
 // storedRow returns the dense row at (cols, slot) for site id as the
@@ -1311,10 +1342,7 @@ func (sh *siteShard) ensure(res reservation, r *CanonicalSite) error {
 		sh.over[r.Site] = SiteRow{Site: r.Site, Host: alexa.HostName(r.Site), FirstRank: r.FirstRank, V4AS: r.V4AS, V6AS: r.V6AS}
 		return nil
 	}
-	cols := &sh.main
-	if table == 1 {
-		cols = &sh.ext
-	}
+	cols := sh.cols(table)
 	if cols.present[slot] &&
 		cols.firstRank[slot] == int32(r.FirstRank) &&
 		cols.v4[slot] == int32(r.V4AS) &&
@@ -1324,14 +1352,7 @@ func (sh *siteShard) ensure(res reservation, r *CanonicalSite) error {
 	if err := siteErr(r.Site, r.FirstRank, r.V4AS, r.V6AS); err != nil {
 		return err
 	}
-	if !cols.present[slot] {
-		cols.present[slot] = true
-		sh.n++
-	}
-	cols.firstRank[slot] = int32(r.FirstRank)
-	cols.v4[slot] = int32(r.V4AS)
-	cols.v6[slot] = int32(r.V6AS)
-	cols.touch(slot)
+	sh.setDense(cols, slot, SiteRow{FirstRank: r.FirstRank, V4AS: r.V4AS, V6AS: r.V6AS})
 	delete(sh.hostOver, r.Site)
 	return nil
 }
@@ -1348,10 +1369,7 @@ func (db *DB) storedSite(id alexa.SiteID) (row SiteRow, derived, ok bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if table, slot := db.res.locate(id); table >= 0 {
-		cols := &sh.main
-		if table == 1 {
-			cols = &sh.ext
-		}
+		cols := sh.cols(table)
 		if !cols.present[slot] {
 			return SiteRow{}, false, false
 		}
@@ -1363,63 +1381,73 @@ func (db *DB) storedSite(id alexa.SiteID) (row SiteRow, derived, ok bool) {
 }
 
 // forEachSite visits every site row in ascending id order, streaming
-// from the columnar tables without materializing the whole set. It
-// takes each shard lock once per visited site.
+// from the columnar tables without materializing the whole set, under
+// forEachStoredSite's locks.
 func (db *DB) forEachSite(fn func(SiteRow)) {
-	db.forEachStoredSite(func(row SiteRow, derived bool) { fn(withHost(row, derived)) })
+	db.forEachStoredSite(0, snapAllSites, func(row SiteRow, derived bool) { fn(withHost(row, derived)) })
 }
 
-// forEachStoredSite is forEachSite over rows as stored (see
-// storedRow): a dense row with the canonical host arrives with derived
-// set and no Host, so a walker that can encode that case without the
-// string never builds it. Overflow rows carry their host.
-func (db *DB) forEachStoredSite(fn func(row SiteRow, derived bool)) {
+// forEachStoredSite visits the site rows in [lo, hi) in ascending id
+// order as stored (see storedRow): a dense row with the canonical host
+// arrives with derived set and no Host, so a walker that can encode
+// that case without the string never builds it. Overflow rows carry
+// their host. It visits only the dense slots of [lo, hi) and the
+// overflow ids inside it, and holds every site stripe lock, taken in
+// ascending order, for the whole pass: fn must not write to the same
+// database, nor read its site rows through the locking getters.
+func (db *DB) forEachStoredSite(lo, hi alexa.SiteID, fn func(row SiteRow, derived bool)) {
+	db.lockSites()
+	defer db.unlockSites()
 	// Overflow ids can interleave anywhere; gather and sort them once.
 	var over []alexa.SiteID
 	for i := range db.sites {
-		sh := &db.sites[i]
-		sh.mu.Lock()
-		for id := range sh.over {
-			over = append(over, id)
+		for id := range db.sites[i].over {
+			if lo <= id && id < hi {
+				over = append(over, id)
+			}
 		}
-		sh.mu.Unlock()
 	}
-	sort.Slice(over, func(i, j int) bool { return over[i] < over[j] })
+	slices.Sort(over)
 	oi := 0
-	emitOverBelow := func(limit alexa.SiteID, all bool) {
-		for oi < len(over) && (all || over[oi] < limit) {
-			id := over[oi]
-			sh := db.siteShard(id)
-			sh.mu.Lock()
-			row, ok := sh.over[id]
-			sh.mu.Unlock()
-			if ok {
-				fn(row, false)
-			}
-			oi++
+	emitOver := func(limit alexa.SiteID) {
+		for ; oi < len(over) && over[oi] < limit; oi++ {
+			fn(db.sites[uint64(over[oi])&(shards-1)].over[over[oi]], false)
 		}
 	}
-	emitRange := func(base alexa.SiteID, n int, pick func(sh *siteShard) *siteCols) {
-		for id := base; id < base+alexa.SiteID(n); id++ {
-			emitOverBelow(id, false)
-			sh := db.siteShard(id)
-			slot := int(id-base) >> shardBits
-			sh.mu.Lock()
-			cols := pick(sh)
-			if slot < len(cols.present) && cols.present[slot] {
-				row, derived := sh.storedRow(cols, slot, id)
-				sh.mu.Unlock()
+	emitRange := func(base alexa.SiteID, n int, table int) {
+		var cols [shards]*siteCols
+		for i := range db.sites {
+			cols[i] = db.sites[i].cols(table)
+		}
+		for id := max(lo, base); id < min(hi, base+alexa.SiteID(n)); id++ {
+			i := uint64(id) & (shards - 1)
+			if slot := int(id-base) >> shardBits; cols[i].present[slot] {
+				emitOver(id)
+				row, derived := db.sites[i].storedRow(cols[i], slot, id)
 				fn(row, derived)
-			} else {
-				sh.mu.Unlock()
 			}
 		}
 	}
-	emitRange(0, db.res.main, func(sh *siteShard) *siteCols { return &sh.main })
+	emitRange(0, db.res.main, 0)
 	if db.res.ext > 0 {
-		emitRange(db.res.extBase, db.res.ext, func(sh *siteShard) *siteCols { return &sh.ext })
+		emitRange(db.res.extBase, db.res.ext, 1)
 	}
-	emitOverBelow(0, true)
+	emitOver(hi)
+}
+
+// lockSites takes every site stripe lock in ascending order, as
+// lockedDNSView takes the DNS ones: the one order in which a pass
+// holds several. unlockSites releases them.
+func (db *DB) lockSites() {
+	for i := range db.sites {
+		db.sites[i].mu.Lock()
+	}
+}
+
+func (db *DB) unlockSites() {
+	for i := range db.sites {
+		db.sites[i].mu.Unlock()
+	}
 }
 
 // Sites returns all site rows sorted by id.

@@ -34,7 +34,7 @@ type dnsViewShard struct {
 // walkDNS expands the view to per-round rows in canonical (site,
 // round) order.
 func (v *dnsView) walkDNS(fn func(DNSRow)) {
-	v.walkRuns(func(site alexa.SiteID, runs []dnsRun) {
+	v.walkRuns(0, snapAllSites, func(site alexa.SiteID, runs []dnsRun) {
 		for _, r := range runs {
 			for k := int32(0); k < r.count; k++ {
 				fn(r.row(site, k))
@@ -43,68 +43,73 @@ func (v *dnsView) walkDNS(fn func(DNSRow)) {
 	})
 }
 
-// runs appends site id's run list to buf, reading the spill map only
-// for a history flagged spilled.
-func (s *dnsViewShard) runs(id alexa.SiteID, h *dnsHist, buf []dnsRun) []dnsRun {
-	var spill []dnsRun
-	if h.run[1].state&dnsSpilled != 0 {
-		spill = s.spill[id]
-	}
-	return h.runs(spill, buf)
-}
-
-// walkRuns visits every site with DNS history in ascending id order,
-// handing fn the site's run list (shared scratch — do not retain).
-func (v *dnsView) walkRuns(fn func(site alexa.SiteID, runs []dnsRun)) {
+// walkRuns visits the sites in [lo, hi) with DNS history in ascending
+// id order, handing fn each site's run list. It visits only the dense
+// slots of [lo, hi) and the overflow ids inside it, so a shard frame's
+// walk costs its own range, not the vantage's. An inline history is
+// handed over as stored, without a copy, and a spilled one assembled
+// in a scratch buffer the next site reuses: fn must neither retain nor
+// modify runs. The view is lockedDNSView's, read under every DNS stripe
+// lock of the vantage, so fn must not write to the same database.
+func (v *dnsView) walkRuns(lo, hi alexa.SiteID, fn func(site alexa.SiteID, runs []dnsRun)) {
 	var over []alexa.SiteID
 	for i := range v.shards {
 		for id := range v.shards[i].over {
-			over = append(over, id)
+			if lo <= id && id < hi {
+				over = append(over, id)
+			}
 		}
 	}
-	sort.Slice(over, func(i, j int) bool { return over[i] < over[j] })
+	slices.Sort(over)
 
 	var buf []dnsRun
+	emit := func(id alexa.SiteID, s *dnsViewShard, h *dnsHist) {
+		switch {
+		case h.run[1].state&dnsSpilled != 0:
+			buf = h.runs(s.spill[id], buf[:0])
+			fn(id, buf)
+		case h.run[1].count != 0:
+			fn(id, h.run[:])
+		default:
+			fn(id, h.run[:1])
+		}
+	}
 	vi := 0
-	emitOver := func(limit alexa.SiteID, all bool) {
-		for vi < len(over) && (all || over[vi] < limit) {
-			id := over[vi]
-			s := &v.shards[uint64(id)&(shards-1)]
-			if buf = s.runs(id, s.over[id], buf[:0]); len(buf) > 0 {
-				fn(id, buf)
+	emitOver := func(limit alexa.SiteID) {
+		for ; vi < len(over) && over[vi] < limit; vi++ {
+			s := &v.shards[uint64(over[vi])&(shards-1)]
+			if h := s.over[over[vi]]; h.run[0].count != 0 {
+				emit(over[vi], s, h)
 			}
-			vi++
 		}
 	}
 	emitRange := func(base alexa.SiteID, pick func(s *dnsViewShard) []dnsHist) {
 		// A stripe's column is empty until its first write into the
-		// range, so stripe 0's may be the empty one.
+		// range, so the longest one bounds the range's slots.
+		var cols [shards][]dnsHist
 		n := 0
 		for i := range v.shards {
-			n = max(n, len(pick(&v.shards[i])))
+			cols[i] = pick(&v.shards[i])
+			n = max(n, len(cols[i]))
 		}
-		for slot := 0; slot < n; slot++ {
-			for i := 0; i < shards; i++ {
-				s := &v.shards[i]
-				hists := pick(s)
-				if slot >= len(hists) || hists[slot].run[0].count == 0 {
-					continue
-				}
-				id := base + alexa.SiteID(slot<<shardBits|i)
-				emitOver(id, false)
-				buf = s.runs(id, &hists[slot], buf[:0])
-				fn(id, buf)
+		for id := max(lo, base); id < min(hi, base+alexa.SiteID(n)<<shardBits); id++ {
+			i := uint64(id) & (shards - 1)
+			slot := int(id-base) >> shardBits
+			if slot >= len(cols[i]) || cols[i][slot].run[0].count == 0 {
+				continue
 			}
+			emitOver(id)
+			emit(id, &v.shards[i], &cols[i][slot])
 		}
 	}
 	emitRange(0, func(s *dnsViewShard) []dnsHist { return s.main })
 	emitRange(v.extBase, func(s *dnsViewShard) []dnsHist { return s.ext })
-	emitOver(0, true)
+	emitOver(hi)
 }
 
-// lockedDNSView captures a live view under every DNS shard lock and
-// runs fn over it; writers to other shards stay blocked for the
-// duration, matching the old single-log lock semantics.
+// lockedDNSView captures a live view under every DNS stripe lock of
+// the vantage, taken in ascending order, and runs fn over it; writers
+// to the vantage stay blocked for the duration.
 func (db *DB) lockedDNSView(v Vantage, fn func(*dnsView)) {
 	t := db.lookup(v)
 	if t == nil {
@@ -126,6 +131,21 @@ func (db *DB) lockedDNSView(v Vantage, fn func(*dnsView)) {
 	fn(view)
 }
 
+// lockDNS takes every DNS stripe lock of the vantage in ascending
+// order, as lockedDNSView does: the one order in which a pass holds
+// several. unlockDNS releases them.
+func (t *vantageTable) lockDNS() {
+	for i := range t.dns {
+		t.dns[i].mu.Lock()
+	}
+}
+
+func (t *vantageTable) unlockDNS() {
+	for i := range t.dns {
+		t.dns[i].mu.Unlock()
+	}
+}
+
 // ForEachDNS visits every DNS row stored for a vantage in canonical
 // (site, round) order, expanding the delta-encoded history row by
 // row. fn runs under the DNS table locks: it must be quick and must
@@ -142,7 +162,7 @@ func (db *DB) ForEachDNS(v Vantage, fn func(DNSRow)) {
 // it must be quick and must not write to the same database.
 func (db *DB) ForEachDNSRun(v Vantage, fn func(row DNSRow, n int)) {
 	db.lockedDNSView(v, func(view *dnsView) {
-		view.walkRuns(func(site alexa.SiteID, runs []dnsRun) {
+		view.walkRuns(0, snapAllSites, func(site alexa.SiteID, runs []dnsRun) {
 			for _, r := range runs {
 				fn(r.row(site, 0), int(r.count))
 			}
