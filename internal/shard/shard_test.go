@@ -625,3 +625,84 @@ func TestCoordinatorRefusesUnassignedSections(t *testing.T) {
 		})
 	}
 }
+
+// snapshotBytes is SaveBinary's product encoding of db.
+func snapshotBytes(t *testing.T, db *store.DB) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "db"+store.BinaryExt)
+	if err := db.SaveBinary(path, store.BinaryOptions{Compress: true}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// gatedConn holds a worker's stream until gate closes, and closes next
+// once the coordinator, done merging the shard, waits for the worker.
+type gatedConn struct {
+	workerConn
+	gate <-chan struct{}
+	next chan struct{}
+	once sync.Once
+}
+
+func (g *gatedConn) Read(b []byte) (int, error) {
+	<-g.gate
+	return g.workerConn.Read(b)
+}
+
+func (g *gatedConn) wait() error {
+	err := g.workerConn.wait()
+	g.once.Do(func() { close(g.next) })
+	return err
+}
+
+// TestShardedSnapshotBytesEqualSingleProcess: a sparse campaign (seed
+// 11, 300 ASes, 400 sites, 12 rounds) over six shards on the in-process
+// transport, its shards merged in reverse order, lands databases whose
+// SaveBinary bytes equal the single-process run's, not only their CSV
+// exports.
+func TestShardedSnapshotBytesEqualSingleProcess(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sharded campaign in -short mode")
+	}
+	cfg := core.DefaultConfig(11)
+	cfg.NASes, cfg.ListSize, cfg.Rounds = 300, 400, 12
+	cfg.Vantages = core.ScaledVantages(cfg.Rounds)
+	ref, err := core.NewScenario(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.RunContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.RunWorldV6DayContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	// The shards merge in reverse order, as when the highest range
+	// finishes first: shard i streams once shard i+1 has merged.
+	gates := make([]chan struct{}, 7)
+	for i := range gates {
+		gates[i] = make(chan struct{})
+	}
+	close(gates[6])
+	spawn := func(ctx context.Context, spec Spec) (workerConn, error) {
+		conn, err := inprocSpawner(ctx, spec)
+		return &gatedConn{workerConn: conn, gate: gates[spec.Index+1], next: gates[spec.Index]}, err
+	}
+	s, _, err := Run(context.Background(), cfg, Options{Workers: 6, Dir: t.TempDir(), spawn: spawn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunWorldV6DayContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for name, dbs := range map[string][2]*store.DB{store.SnapMain: {ref.DB, s.DB}, store.SnapV6Day: {ref.V6DayDB, s.V6DayDB}} {
+		if want, got := snapshotBytes(t, dbs[0]), snapshotBytes(t, dbs[1]); !bytes.Equal(want, got) {
+			t.Errorf("%s: the six-shard product saves %d bytes unequal to the single-process run's %d", name, len(got), len(want))
+		}
+	}
+}

@@ -14,7 +14,7 @@ package store
 //
 //	header (52 bytes, fixed)
 //	  [0:8)   magic "v6webDB\0" (a segment: "v6webSG\0")
-//	  [8:12)  u32 format version (a snapshot: 1, a segment: 2)
+//	  [8:12)  u32 format version (a snapshot: 1, a segment: 3)
 //	  [12:16) u32 flags (bit 0: some section is flate-compressed)
 //	  [16:24) u64 reserved main ids
 //	  [24:32) u64 reserved extended base
@@ -82,10 +82,10 @@ type container struct {
 
 // The container kinds: whole snapshots, and checkpoint segments
 // (chain.go). A segment that an earlier build wrote carries version 1
-// and is refused, not misparsed.
+// or 2 and is refused, not misparsed.
 var (
 	snapshotFile = container{[8]byte{'v', '6', 'w', 'e', 'b', 'D', 'B', 0}, 1}
-	segmentFile  = container{[8]byte{'v', '6', 'w', 'e', 'b', 'S', 'G', 0}, 2}
+	segmentFile  = container{[8]byte{'v', '6', 'w', 'e', 'b', 'S', 'G', 0}, 3}
 )
 
 const (
@@ -434,7 +434,7 @@ func (db *DB) writeBinary(f *os.File, opt BinaryOptions) error {
 		if err := fw.encode(ShardDNS, v, func(w *wbuf) int { return db.appendDNS(w, v, 0, snapAllSites, 0, 0, nil) }); err != nil {
 			return err
 		}
-		if err := fw.encode(ShardSamples, v, func(w *wbuf) int { return db.appendSamples(w, v, 0, snapAllSites, 0, 0) }); err != nil {
+		if err := fw.encode(ShardSamples, v, func(w *wbuf) int { return db.appendSamples(w, v, 0, snapAllSites, 0) }); err != nil {
 			return err
 		}
 		if err := fw.encode(snapPaths, v, func(w *wbuf) int { return db.appendPaths(w, v, 0) }); err != nil {
@@ -516,7 +516,7 @@ func decodeBinarySnapshot(path string, data []byte) (*DB, error) {
 			return nil, err
 		}
 		r := &rbuf{b: payload}
-		if err := r.done(db.decodeSection(r, s.section, s.vantage, 0, snapAllSites, 0, 0)); err != nil {
+		if err := r.done(db.decodeSection(r, s.section, s.vantage, 0, snapAllSites, 0)); err != nil {
 			return nil, corrupt(path, sectionName(s.section, s.vantage), err)
 		}
 	}

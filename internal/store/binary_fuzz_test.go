@@ -130,7 +130,7 @@ func fuzzSectionSeeds(tb testing.TB) []sectionSeed {
 		encode  func(w *wbuf) int
 	}{
 		{"golden-dns", ShardDNS, func(w *wbuf) int { return db.appendDNS(w, "penn", 0, snapAllSites, 0, 0, nil) }},
-		{"golden-samples", ShardSamples, func(w *wbuf) int { return db.appendSamples(w, "penn", 0, snapAllSites, 0, 0) }},
+		{"golden-samples", ShardSamples, func(w *wbuf) int { return db.appendSamples(w, "penn", 0, snapAllSites, 0) }},
 		{"golden-paths", snapPaths, func(w *wbuf) int { return db.appendPaths(w, "penn", 0) }},
 	} {
 		w = wbuf{}
@@ -151,7 +151,7 @@ func pastLastRoundSections() []sectionSeed {
 	samples.uvarint(1) // one series: site 3, IPv6
 	samples.uvarint(3)
 	samples.byteVal(byte(topo.V6))
-	samples.samples([]packedSample{{round: maxRound, page: 10, speed: 1}})
+	samples.samples([]packedSample{{round: maxRound, page: 10, speed: 1}}, []int64{0})
 	var paths wbuf
 	paths.uvarint(1) // one key: IPv6 to AS 9
 	paths.byteVal(byte(topo.V6))
@@ -172,7 +172,7 @@ func FuzzDecodeSection(f *testing.F) {
 		fresh := NewDB()
 		fresh.Reserve(64, 1<<20, 32)
 		r := &rbuf{b: payload}
-		if err := r.done(fresh.decodeSection(r, section, "penn", 0, snapAllSites, 0, 0)); err != nil {
+		if err := r.done(fresh.decodeSection(r, section, "penn", 0, snapAllSites, 0)); err != nil {
 			return
 		}
 		fresh.Counts()

@@ -108,9 +108,8 @@ func TestBinarySaveDeterministic(t *testing.T) {
 	// Saving the same database twice must be byte-identical, and so
 	// must save → load → save: the load path lands the exact delta
 	// encoding the save dumped. (Across different insertion histories
-	// the canonical representation is the re-saved CSV, which expands
-	// runs — see TestBinaryRoundTripCSVIdentical — while the binary
-	// file deliberately preserves the physical encoding.) A snapshot
+	// with equal reservations the bytes are equal too:
+	// TestSaveBytesIndependentOfInsertionOrder.) A snapshot
 	// stamped with a fingerprint, as checkpoints and products are, is
 	// as stable when the re-save carries the same stamp; the stamp is
 	// the only difference from an unstamped save, which is shorter by

@@ -16,21 +16,21 @@ package store
 //   - per site, its DNS runs clipped to rounds >= M. A site whose open
 //     run just grew to the newest round is one id in a run-length
 //     encoded id list instead (its state is the base's);
-//   - the sample dates past the mark's dictionary length, and per
-//     series the samples at rounds >= M;
+//   - per series, the samples at rounds >= M, behind the distinct
+//     dates they carry;
 //   - per path key, the snapshots at rounds >= M;
 //   - the site rows whose dirty bit is set, plus every overflow row.
 //
 // An append below M (a new site's first DNS row, a MergeShard of old
 // rounds) makes the next checkpoint a base. A segment file is the
 // snapshot container (binary.go) with its own magic and format
-// version 2: a state section recording the mark it continues (per
-// vantage: mark round, DNS row, sample row, date and path snapshot
-// counts; the site row count), then sites, and per vantage dns (the
-// round it runs to, the grown id runs, then the shared DNS list),
-// samples and paths. Applying a segment to a database in any other
-// state fails as a *CorruptSnapshotError, and so does a segment an
-// earlier build wrote in version 1.
+// version 3: a state section recording the mark it continues (per
+// vantage: mark round, DNS row, sample row and path snapshot counts;
+// the site row count), then sites, and per vantage dns (the round it
+// runs to, the grown id runs, then the shared DNS list), samples and
+// paths. Applying a segment to a database in any other state fails as
+// a *CorruptSnapshotError, and so does a segment an earlier build
+// wrote in version 1 or 2.
 
 import (
 	"fmt"
@@ -67,7 +67,6 @@ type vantageMark struct {
 	round      int32 // one past the newest round stored; 0 when none
 	dnsRows    int   // delta-encoded DNS observations
 	sampleRows int
-	dates      int // date dictionary length
 	paths      int // stored path snapshots
 }
 
@@ -148,7 +147,6 @@ func (t *vantageTable) state(v Vantage, reset bool) vantageMark {
 		}
 		sh.mu.Unlock()
 	}
-	vm.dates = len(t.dateTable())
 	t.pathMu.Lock()
 	for _, snaps := range t.paths {
 		vm.paths += len(snaps)
@@ -239,11 +237,7 @@ func (db *DB) writeSegment(f *os.File, opt BinaryOptions, from dbMark) error {
 		if err := fw.encode(ShardDNS, v, func(w *wbuf) int { return db.appendSegDNS(w, v, vm.round, now.round) }); err != nil {
 			return err
 		}
-		// New dates come with new samples, but count them so that a
-		// section holding only dates is still written.
-		if err := fw.encode(ShardSamples, v, func(w *wbuf) int {
-			return db.appendSamples(w, v, 0, snapAllSites, vm.round, vm.dates) + now.dates - vm.dates
-		}); err != nil {
+		if err := fw.encode(ShardSamples, v, func(w *wbuf) int { return db.appendSamples(w, v, 0, snapAllSites, vm.round) }); err != nil {
 			return err
 		}
 		if err := fw.encode(snapPaths, v, func(w *wbuf) int { return db.appendPaths(w, v, vm.round) }); err != nil {
@@ -261,7 +255,7 @@ func (m *dbMark) appendState(w *wbuf) int {
 	for _, vm := range m.vantages {
 		w.uvarint(uint64(len(vm.v)))
 		w.bytes([]byte(vm.v))
-		for _, x := range [...]int{int(vm.round), vm.dnsRows, vm.sampleRows, vm.dates, vm.paths} {
+		for _, x := range [...]int{int(vm.round), vm.dnsRows, vm.sampleRows, vm.paths} {
 			w.uvarint(uint64(x))
 		}
 	}
@@ -287,7 +281,7 @@ func decodeState(r *rbuf) dbMark {
 			r.fail("store: segment state: vantages out of order at %q", vm.v)
 			break
 		}
-		var x [5]uint64
+		var x [4]uint64
 		for k := range x {
 			x[k] = r.uvarint()
 		}
@@ -301,7 +295,7 @@ func decodeState(r *rbuf) dbMark {
 			}
 		}
 		vm.round = int32(x[0])
-		vm.dnsRows, vm.sampleRows, vm.dates, vm.paths = int(x[1]), int(x[2]), int(x[3]), int(x[4])
+		vm.dnsRows, vm.sampleRows, vm.paths = int(x[1]), int(x[2]), int(x[3])
 		m.vantages = append(m.vantages, vm)
 	}
 	return m
@@ -409,7 +403,7 @@ func applySegment(db *DB, path string, data []byte) error {
 		case ShardDNS:
 			err = db.applySegDNS(r, s.vantage, vm.round)
 		default:
-			err = db.decodeSection(r, s.section, s.vantage, 0, snapAllSites, vm.round, vm.dates)
+			err = db.decodeSection(r, s.section, s.vantage, 0, snapAllSites, vm.round)
 		}
 		if err = r.done(err); err != nil {
 			return corrupt(path, sectionName(s.section, s.vantage), err)

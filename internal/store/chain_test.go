@@ -2,12 +2,14 @@ package store
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -227,15 +229,17 @@ func TestChainSurvivesPruningAndFallsBack(t *testing.T) {
 }
 
 // TestChainMismatchIsCorrupt: a segment applied to a database in any
-// state but the one it continues, a segment in the container version
-// an earlier build wrote, a chain with a segment missing, and crafted
-// segments that break the section codec's rules fail as a
+// state but the one it continues, a segment in version 2 (the container
+// version whose state counted each vantage's dictionary dates; its
+// error names the version), a chain with a segment missing, and
+// crafted segments that break the section codec's rules fail as a
 // *CorruptSnapshotError blaming that part: a site entry whose
 // out-of-order row count (always 0) is not, at a dense id or an
 // overflow id; a listed site whose history already runs past the mark
 // (it grew in the same section); path keys that repeat or descend; and
-// a sample date the base already holds. The same crafted site entries
-// with a zero count apply.
+// a sample whose date index falls past its section's date list. The
+// same crafted site entries with a zero count apply, and so does the
+// sample with an index inside the list.
 func TestChainMismatchIsCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	b := NewCheckpointBackend(dir)
@@ -259,20 +263,20 @@ func TestChainMismatchIsCorrupt(t *testing.T) {
 	if err := applySegment(binarySampleDB(), seg2, data); !errors.As(err, &ce) || ce.Section != "state" {
 		t.Fatalf("segment 2 on the wrong base: %v, want a state *CorruptSnapshotError", err)
 	}
-	v1 := append([]byte(nil), data...)
-	binary.LittleEndian.PutUint32(v1[8:], 1)
-	rehashBinHeader(v1)
-	if err := applySegment(binarySampleDB(), seg2, v1); !errors.As(err, &ce) || ce.Section != "header" {
-		t.Fatalf("a version-1 segment: %v, want a header *CorruptSnapshotError", err)
+	v2 := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint32(v2[8:], 2)
+	rehashBinHeader(v2)
+	if err := applySegment(binarySampleDB(), seg2, v2); !errors.As(err, &ce) || ce.Section != "header" || !strings.Contains(err.Error(), "version 2") {
+		t.Fatalf("a version-2 segment: %v, want a header *CorruptSnapshotError naming version 2", err)
 	}
 	if err := os.Remove(seg2); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(seg2, v1, 0o644); err != nil {
+	if err := os.WriteFile(seg2, v2, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Load(); !errors.As(err, &ce) || ce.Section != "header" || ce.Path != seg2 {
-		t.Fatalf("a chain holding a version-1 segment: %v, want a header *CorruptSnapshotError naming %s", err, seg2)
+	if _, err := b.Load(); !errors.As(err, &ce) || ce.Section != "header" || ce.Path != seg2 || !strings.Contains(err.Error(), "version 2") {
+		t.Fatalf("a chain holding a version-2 segment: %v, want a header *CorruptSnapshotError naming %s and version 2", err, seg2)
 	}
 	if err := os.Remove(filepath.Join(ck, segName(SnapMain, 1))); err != nil {
 		t.Fatal(err)
@@ -377,82 +381,107 @@ func TestChainMismatchIsCorrupt(t *testing.T) {
 	apply("repeated path key", segment(map[byte][]byte{snapPaths: paths(famDstKey{topo.V4, 50}, famDstKey{topo.V4, 50})}), "paths/penn", "keys out of order")
 	apply("descending path keys", segment(map[byte][]byte{snapPaths: paths(famDstKey{topo.V6, 50}, famDstKey{topo.V4, 50})}), "paths/penn", "keys out of order")
 
-	var held wbuf
-	held.uvarint(1)
-	held.u64(uint64(time.Date(2011, 6, 8, 0, 0, 0, 0, time.UTC).UnixNano()))
-	held.uvarint(0)
-	apply("a date the base holds", segment(map[byte][]byte{ShardSamples: held.b}), "samples/penn", "already in the dictionary")
+	// samples is a one-sample section for site 3 at round from, its
+	// date the index'th of a one-date list.
+	samples := func(index uint64) []byte {
+		var w wbuf
+		w.uvarint(1)
+		w.u64(uint64(time.Date(2011, 6, 8, 0, 0, 0, 0, time.UTC).UnixNano()))
+		w.uvarint(1)
+		w.uvarint(3)
+		w.byteVal(byte(topo.V6))
+		w.uvarint(1)
+		for _, x := range []uint64{uint64(from), index, 10, 3} {
+			w.uvarint(x)
+		}
+		w.u64(0)
+		return w.b
+	}
+	if err := applySegment(orderTestDB(), "crafted"+segExt, segment(map[byte][]byte{ShardSamples: samples(0)})); err != nil {
+		t.Fatalf("a sample dated inside its section's list: %v", err)
+	}
+	apply("a date index past the section's list", segment(map[byte][]byte{ShardSamples: samples(1)}), "samples/penn", "date 1 of a 1-date list")
 }
 
-// referenceSamples is the sample encoder as a walk of every reserved
-// slot: per stripe and family the main slots, the ext slots and the
-// overflow ids, each series' samples at rounds >= from, sorted by
-// (site, family) and written with id deltas after the dates past
-// datesFrom.
-func (t *vantageTable) referenceSamples(w *wbuf, res reservation, from int32, datesFrom int) int {
-	type entry struct {
-		id     alexa.SiteID
-		fam    topo.Family
-		series []packedSample
+// sampleRows is what a test wrote to one vantage's sample table: per
+// (site, family), the samples in the order written.
+type sampleRows map[siteFamKey][]Sample
+
+// tail returns key's samples from the first of its trailing run at
+// rounds >= from: the samples a section from round from carries.
+func (rows sampleRows) tail(key siteFamKey, from int32) []Sample {
+	ss := rows[key]
+	k := len(ss)
+	for k > 0 && ss[k-1].Round >= int(from) {
+		k--
 	}
-	var list []entry
-	for i := range t.samples {
-		sh := &t.samples[i]
-		sh.mu.Lock()
-		emit := func(id alexa.SiteID, fam topo.Family, idx int32) {
-			if idx < 0 {
-				return
-			}
-			series := sh.series[idx]
-			k := len(series)
-			for k > 0 && series[k-1].round >= from {
-				k--
-			}
-			if k < len(series) {
-				list = append(list, entry{id, fam, series[k:]})
+	return ss[k:]
+}
+
+// dates returns the distinct dates of the samples a section from round
+// from carries, ascending.
+func (rows sampleRows) dates(from int32) []time.Time {
+	var out []time.Time
+	for key := range rows {
+		for _, s := range rows.tail(key, from) {
+			if !slices.ContainsFunc(out, s.Date.Equal) {
+				out = append(out, s.Date)
 			}
 		}
-		for f, fam := range famBoth {
-			for slot, idx := range sh.main[f] {
-				emit(alexa.SiteID(slot<<shardBits|i), fam, idx)
-			}
-			for slot, idx := range sh.ext[f] {
-				emit(res.extBase+alexa.SiteID(slot<<shardBits|i), fam, idx)
-			}
-			for id, idx := range sh.over[f] {
-				emit(id, fam, idx)
-			}
-		}
-		sh.mu.Unlock()
 	}
-	sort.Slice(list, func(a, b int) bool {
-		if list[a].id != list[b].id {
-			return list[a].id < list[b].id
+	slices.SortFunc(out, func(a, b time.Time) int { return a.Compare(b) })
+	return out
+}
+
+// encode is the samples section for the rows at rounds >= from, built
+// from the rows themselves: the list of dates in the order given, then
+// each series with samples at rounds >= from in (site, family) order,
+// each sample's date as its index in that list.
+func (rows sampleRows) encode(w *wbuf, from int32, dates []time.Time) int {
+	var keys []siteFamKey
+	for key := range rows {
+		if len(rows.tail(key, from)) > 0 {
+			keys = append(keys, key)
 		}
-		return list[a].fam < list[b].fam
+	}
+	slices.SortFunc(keys, func(a, b siteFamKey) int {
+		if a.site != b.site {
+			return cmp.Compare(a.site, b.site)
+		}
+		return cmp.Compare(a.fam, b.fam)
 	})
-	dates := t.dateTable()[datesFrom:]
 	w.uvarint(uint64(len(dates)))
 	for _, d := range dates {
 		w.u64(uint64(d.UnixNano()))
 	}
-	w.uvarint(uint64(len(list)))
+	w.uvarint(uint64(len(keys)))
 	prev := alexa.SiteID(0)
-	for _, e := range list {
-		w.uvarint(uint64(e.id - prev))
-		prev = e.id
-		w.byteVal(byte(e.fam))
-		w.samples(e.series)
+	for _, key := range keys {
+		w.uvarint(uint64(key.site - prev))
+		prev = key.site
+		w.byteVal(byte(key.fam))
+		tail := rows.tail(key, from)
+		w.uvarint(uint64(len(tail)))
+		for _, s := range tail {
+			p := packSample(s)
+			w.uvarint(uint64(p.round))
+			w.uvarint(uint64(slices.IndexFunc(dates, s.Date.Equal)))
+			w.uvarint(uint64(p.page))
+			w.uvarint(uint64(p.dlCI))
+			w.u64(math.Float64bits(p.speed))
+		}
 	}
-	return len(list)
+	return len(keys)
 }
 
-// TestSegSamplesMatchReferenceEncoder: the owner-driven sample encoder
-// writes the bytes of a walk over every reserved slot, for databases
-// with dense main and extended series, overflow series on both sides
-// of each range, series a later Reserve migrates into the dense
-// ranges, late samples below the newest round, and every round a
-// segment may start from.
+// TestSegSamplesMatchReferenceEncoder: the sample encoder writes, for
+// every round a segment may start from, the section built from the
+// rows the test wrote: the series at rounds >= from in (site, family)
+// order behind the ascending list of their dates. The databases hold
+// dense main and extended series, overflow series on both sides of
+// each range, series whose ids a later Reserve covers, late samples
+// below the newest round, and samples whose dates do not ascend with
+// their rounds.
 func TestSegSamplesMatchReferenceEncoder(t *testing.T) {
 	const extBase = alexa.SiteID(1 << 20)
 	var ids []alexa.SiteID
@@ -467,12 +496,15 @@ func TestSegSamplesMatchReferenceEncoder(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		db := NewDB()
 		db.Reserve(48, extBase, 16)
+		wrote := map[Vantage]sampleRows{}
 		for r := 0; r < 16; r++ {
 			if r == 8 {
 				db.Reserve(96, extBase, 48)
 			}
-			date := time.Date(2011, 9, 1, 0, 0, 0, 0, time.UTC).AddDate(0, 0, 7*r)
 			for _, v := range []Vantage{"penn", "tokyo"} {
+				if wrote[v] == nil {
+					wrote[v] = sampleRows{}
+				}
 				for _, id := range ids {
 					if rng.Intn(3) == 0 {
 						continue
@@ -482,16 +514,18 @@ func TestSegSamplesMatchReferenceEncoder(t *testing.T) {
 					if r > 2 && rng.Intn(10) == 0 {
 						round = r - 1 - rng.Intn(3) // a late sample
 					}
-					db.AddSample(v, id, fam, Sample{Round: round, Date: date, PageBytes: int(id%97) + r, Downloads: 3, MeanSpeed: float64(r), CIOK: r%3 != 0})
+					date := time.Date(2011, 9, 1, 0, 0, 0, 0, time.UTC).AddDate(0, 0, 7*(r+rng.Intn(3)-1))
+					s := Sample{Round: round, Date: date, PageBytes: int(id%97) + r, Downloads: 3, MeanSpeed: float64(r), CIOK: r%3 != 0}
+					db.AddSample(v, id, fam, s)
+					key := siteFamKey{id, fam}
+					wrote[v][key] = append(wrote[v][key], s)
 				}
 			}
 			for _, v := range db.Vantages() {
-				tab := db.lookup(v)
 				for from := int32(0); from <= int32(r)+1; from++ {
-					datesFrom := rng.Intn(len(tab.dateTable()) + 1)
 					var got, want wbuf
-					ng := db.appendSamples(&got, v, 0, snapAllSites, from, datesFrom)
-					nw := tab.referenceSamples(&want, db.res, from, datesFrom)
+					ng := db.appendSamples(&got, v, 0, snapAllSites, from)
+					nw := wrote[v].encode(&want, from, wrote[v].dates(from))
 					if ng != nw || !bytes.Equal(got.b, want.b) {
 						t.Fatalf("seed %d round %d %s from %d: %d entries %x, reference %d entries %x", seed, r, v, from, ng, got.b, nw, want.b)
 					}

@@ -204,9 +204,10 @@ func (db *DB) saveSamples(path string) error {
 	if err != nil {
 		return err
 	}
-	for _, v := range db.Vantages() {
+	snap := db.Freeze()
+	for _, v := range snap.Vantages() {
 		vf := vantageField(v)
-		db.ForEachSeries(v, func(site alexa.SiteID, fam topo.Family, ss []Sample) {
+		snap.ForEachSeries(v, func(site alexa.SiteID, fam topo.Family, ss []Sample) {
 			for _, smp := range ss {
 				o.line = append(o.line, vf...)
 				o.line = append(strconv.AppendInt(o.line, int64(site), 10), ',')

@@ -119,7 +119,7 @@ func referenceSave(t *testing.T, db *DB) map[string][]byte {
 	})
 	write(samplesFile, []string{"vantage", "site", "family", "round", "date", "page_bytes", "downloads", "mean_speed", "ci_ok"}, func(emit func(...string)) {
 		for _, v := range db.Vantages() {
-			db.ForEachSeries(v, func(site alexa.SiteID, fam topo.Family, ss []Sample) {
+			db.Freeze().ForEachSeries(v, func(site alexa.SiteID, fam topo.Family, ss []Sample) {
 				for _, smp := range ss {
 					emit(string(v), strconv.FormatInt(int64(site), 10), strconv.Itoa(int(fam)),
 						strconv.Itoa(smp.Round), smp.Date.UTC().Format(time.RFC3339),

@@ -255,7 +255,7 @@ func requireDecodeCoverage(t *testing.T, db *DB) {
 		ends[row.Site] = row.Round + n
 	})
 	fams := map[topo.Family]bool{}
-	db.ForEachSeries("penn", func(_ alexa.SiteID, fam topo.Family, _ []Sample) { fams[fam] = true })
+	db.Freeze().ForEachSeries("penn", func(_ alexa.SiteID, fam topo.Family, _ []Sample) { fams[fam] = true })
 	if hosts == 0 || over == 0 || ext == 0 || spilled == 0 || gaps == 0 || len(fams) != 2 {
 		t.Fatalf("generated database lacks a case: %d host exceptions, %d overflow rows, %d extended rows, %d spilled and %d gapped histories, families %v",
 			hosts, over, ext, spilled, gaps, fams)
@@ -499,5 +499,44 @@ func TestConcurrentMergeShard(t *testing.T) {
 	wg.Wait()
 	if !bytes.Equal(snapshotBytes(t, serial), snapshotBytes(t, conc)) {
 		t.Fatal("concurrent merges differ from the serial merge")
+	}
+}
+
+// TestDecodeUnorderedDateList: a samples section whose date list does
+// not ascend, as earlier builds wrote one for a vantage whose dates had
+// landed out of order (a merged shard's), loads the rows the ascending
+// list loads: an unchanged export, and the canonical bytes once saved.
+func TestDecodeUnorderedDateList(t *testing.T) {
+	db := NewDB()
+	rows := sampleRows{}
+	start := time.Date(2011, 2, 3, 0, 0, 0, 0, time.UTC)
+	for k, id := range []alexa.SiteID{3, 9, 40, 1 << 20} {
+		key := siteFamKey{id, famBoth[k%2]}
+		for r := 0; r < 5; r++ {
+			s := Sample{Round: r, Date: start.AddDate(0, 0, 7*((r+2*k)%6)), PageBytes: 100 + r, Downloads: 3, MeanSpeed: float64(k) + 0.5, CIOK: r%2 == 0}
+			db.AddSample("penn", id, key.fam, s)
+			rows[key] = append(rows[key], s)
+		}
+	}
+	ascending := rows.dates(0)
+	unordered := slices.Clone(ascending)
+	slices.Reverse(unordered)
+	unordered[0], unordered[2] = unordered[2], unordered[0]
+	var w wbuf
+	rows.encode(&w, 0, unordered)
+	back := NewDB()
+	r := &rbuf{b: w.b}
+	if err := r.done(back.decodeSection(r, ShardSamples, "penn", 0, snapAllSites, 0)); err != nil {
+		t.Fatalf("a section listing its dates %v does not load: %v", unordered, err)
+	}
+	requireSameCSV(t, back, db)
+	var got, want wbuf
+	back.appendSamples(&got, "penn", 0, snapAllSites, 0)
+	rows.encode(&want, 0, ascending)
+	if !bytes.Equal(got.b, want.b) {
+		t.Fatalf("re-encoded section %x, want the ascending list's %x", got.b, want.b)
+	}
+	if !bytes.Equal(snapshotBytes(t, back), snapshotBytes(t, db)) {
+		t.Fatal("the loaded database saves other bytes than the one written")
 	}
 }

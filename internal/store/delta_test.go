@@ -479,8 +479,10 @@ func TestWritersRefuseValuesOutsideCodec(t *testing.T) {
 	if got := back.Freeze().Series(nil, "penn", top, topo.V6); !reflect.DeepEqual(got, want) {
 		t.Fatalf("samples after the round trip:\n got %+v\nwant %+v", got, want)
 	}
-	if n := len(back.lookup("penn").dateTable()); n != 3 {
-		t.Fatalf("%d sample dates, want 3: one instant in two zones is one date", n)
+	var section wbuf
+	back.appendSamples(&section, "penn", 0, snapAllSites, 0)
+	if n := section.b[0]; n != 3 {
+		t.Fatalf("the samples section lists %d dates, want 3: one instant in two zones is one date", n)
 	}
 }
 
@@ -613,12 +615,12 @@ func TestReserveGrowsInSteps(t *testing.T) {
 }
 
 // checkReservedColumns asserts that every site column of db spans
-// exactly its reservation, that a vantage's DNS and sample column over
-// a range is empty until its stripe's first write into the range and
-// exactly the reserved length after it, that no in-range id sits in an
-// overflow map, and that every slot whose id is not in stored is
-// empty. Every id in stored was written at every vantage, with DNS rows
-// and samples of both families.
+// exactly its reservation, that a vantage's DNS column over a range is
+// empty until its stripe's first write into the range and exactly the
+// reserved length after it, that no in-range id sits in an overflow
+// map, and that every slot whose id is not in stored is empty. Every
+// id in stored was written at every vantage, with DNS rows and samples
+// of both families.
 func checkReservedColumns(t *testing.T, name string, db *DB, stored map[alexa.SiteID]bool) {
 	t.Helper()
 	res := db.res
@@ -656,38 +658,24 @@ func checkReservedColumns(t *testing.T, name string, db *DB, stored map[alexa.Si
 	}
 	for v, vt := range db.vantages {
 		for i := range vt.dns {
-			d, s := &vt.dns[i], &vt.samples[i]
+			d := &vt.dns[i]
 			for id := range d.over {
 				if inRange(id) {
 					t.Fatalf("%s: %s DNS history of %d left in the overflow map", name, v, id)
 				}
 			}
-			for f := 0; f < 2; f++ {
-				for id := range s.over[f] {
-					if inRange(id) {
-						t.Fatalf("%s: %s series of %d left in the overflow map", name, v, id)
-					}
-				}
-			}
 			for table, hist := range [][]dnsHist{d.main, d.ext} {
-				slots := [2]famSlots{s.main[0], s.main[1]}
-				if table == 1 {
-					slots = [2]famSlots{s.ext[0], s.ext[1]}
-				}
 				n := 0
 				if written[table][i] {
 					n = slotsFor(ranges[table].n)
 				}
-				if len(hist) != n || len(slots[0]) != n || len(slots[1]) != n {
-					t.Fatalf("%s: %s shard %d table %d columns %d/%d/%d long, want %d (written: %v)", name, v, i, table,
-						len(hist), len(slots[0]), len(slots[1]), n, written[table][i])
+				if len(hist) != n {
+					t.Fatalf("%s: %s shard %d table %d DNS column %d long, want %d (written: %v)", name, v, i, table,
+						len(hist), n, written[table][i])
 				}
 				for slot := 0; slot < n; slot++ {
 					id := ranges[table].base + alexa.SiteID(slot<<shardBits+i)
-					if stored[id] {
-						continue
-					}
-					if hist[slot] != (dnsHist{}) || slots[0][slot] != -1 || slots[1][slot] != -1 {
+					if !stored[id] && hist[slot] != (dnsHist{}) {
 						t.Fatalf("%s: %s empty slot of id %d holds data", name, v, id)
 					}
 				}
@@ -697,13 +685,13 @@ func checkReservedColumns(t *testing.T, name string, db *DB, stored map[alexa.Si
 }
 
 // TestVantageColumnsAllocatedOnFirstWrite pins the allocation rule for
-// a vantage's dense columns. Penn writes DNS rows and v6 samples in both
-// ranges, seattle in the main range only, and no id lies in stripe 0.
-// Seattle holds no extended DNS or sample column in any stripe; penn
+// a vantage's dense DNS columns. Penn writes DNS rows and v6 samples in
+// both ranges, seattle in the main range only, and no id lies in
+// stripe 0. Seattle holds no extended DNS column in any stripe; penn
 // holds exactly the reserved length in each stripe it wrote and nothing
-// in the others, and neither holds a v4 sample column. The rows, all in
-// stripes other than 0, survive ForEachDNS, SaveBinary then Load, a
-// checkpoint chain and MergeShard.
+// in the others. A sample stripe holds exactly the series written to
+// it. The rows, all in stripes other than 0, survive ForEachDNS,
+// SaveBinary then Load, a checkpoint chain and MergeShard.
 func TestVantageColumnsAllocatedOnFirstWrite(t *testing.T) {
 	const extBase alexa.SiteID = 1 << 20
 	const mainIDs, extIDs = 200, 100
@@ -743,7 +731,7 @@ func TestVantageColumnsAllocatedOnFirstWrite(t *testing.T) {
 				t.Fatalf("%s: %s DNS rows\n%+v\nwant\n%+v", what, v, rows, want)
 			}
 			n := 0
-			got.ForEachSeries(v, func(site alexa.SiteID, fam topo.Family, series []Sample) {
+			got.Freeze().ForEachSeries(v, func(site alexa.SiteID, fam topo.Family, series []Sample) {
 				n++
 				if fam != topo.V6 || !reflect.DeepEqual(series, wantSeries[v][site]) {
 					t.Fatalf("%s: %s series (%d, %d) = %+v, want %+v", what, v, site, fam, series, wantSeries[v][site])
@@ -765,21 +753,24 @@ func TestVantageColumnsAllocatedOnFirstWrite(t *testing.T) {
 			vt := got.lookup(v)
 			for i := range vt.dns {
 				d, s := &vt.dns[i], &vt.samples[i]
-				for table, cols := range [2]struct {
-					hist   []dnsHist
-					v4, v6 famSlots
-				}{{d.main, s.main[topo.V4], s.main[topo.V6]}, {d.ext, s.ext[topo.V4], s.ext[topo.V6]}} {
+				series := 0
+				for table, hist := range [][]dnsHist{d.main, d.ext} {
 					n := 0
 					if wrote[table][i] {
 						n = slotsFor([]int{mainIDs, extIDs}[table])
 					}
-					if len(cols.hist) != n || len(cols.v6) != n || len(cols.v4) != 0 {
-						t.Fatalf("%s: %s stripe %d table %d: DNS/v4/v6 columns %d/%d/%d long, want %d/0/%d",
-							what, v, i, table, len(cols.hist), len(cols.v4), len(cols.v6), n, n)
+					if len(hist) != n {
+						t.Fatalf("%s: %s stripe %d table %d: DNS column %d long, want %d", what, v, i, table, len(hist), n)
 					}
 				}
-				if len(d.over) != 0 || len(s.over[0]) != 0 || len(s.over[1]) != 0 {
-					t.Fatalf("%s: %s stripe %d holds in-range ids in its overflow maps", what, v, i)
+				for _, id := range ids {
+					if uint64(id)&(shards-1) == uint64(i) {
+						series++
+					}
+				}
+				if len(d.over) != 0 || len(s.series) != series || len(s.index) != series {
+					t.Fatalf("%s: %s stripe %d holds %d DNS overflow histories and %d series (%d indexed), want 0 and %d",
+						what, v, i, len(d.over), len(s.series), len(s.index), series)
 				}
 			}
 		}
@@ -847,11 +838,11 @@ func TestVantageColumnsAllocatedOnFirstWrite(t *testing.T) {
 
 // TestConcurrentFirstWritesAllocateColumns races the first writes into
 // unallocated columns: each goroutine owns one slot in every stripe of
-// both ranges, so all of them contend to allocate each stripe's DNS and
-// sample columns, through Flush, AddDNS and AddSample, while readers
-// walk the tables. Every row must land in a dense column of the full
-// reserved length. Run under -race (CI's -cpu 1,4 line matches
-// Concurrent).
+// both ranges, so all of them contend to allocate each stripe's DNS
+// columns and to mint its sample series, through Flush, AddDNS and
+// AddSample, while readers walk the tables. Every DNS row must land in
+// a dense column of the full reserved length, and every series once.
+// Run under -race (CI's -cpu 1,4 line matches Concurrent).
 func TestConcurrentFirstWritesAllocateColumns(t *testing.T) {
 	const extBase alexa.SiteID = 1 << 20
 	const workers, rounds = 12, 3
@@ -918,20 +909,18 @@ func TestConcurrentFirstWritesAllocateColumns(t *testing.T) {
 			t.Fatalf("%s: %d expanded DNS rows, want %d", v, got, want)
 		}
 		n := 0
-		db.ForEachSeries(v, func(alexa.SiteID, topo.Family, []Sample) { n++ })
+		db.Freeze().ForEachSeries(v, func(alexa.SiteID, topo.Family, []Sample) { n++ })
 		if n != workers*shards*2 {
 			t.Fatalf("%s: %d sample series, want %d", v, n, workers*shards*2)
 		}
 		vt := db.lookup(v)
 		for i := range vt.dns {
-			d, s := &vt.dns[i], &vt.samples[i]
-			for _, n := range []int{len(d.main), len(d.ext), len(s.main[0]), len(s.main[1]), len(s.ext[0]), len(s.ext[1])} {
-				if n != workers {
-					t.Fatalf("%s stripe %d: a column is %d long, want %d", v, i, n, workers)
-				}
+			d := &vt.dns[i]
+			if len(d.main) != workers || len(d.ext) != workers {
+				t.Fatalf("%s stripe %d: DNS columns %d and %d long, want %d", v, i, len(d.main), len(d.ext), workers)
 			}
-			if len(d.over) != 0 || len(s.over[0]) != 0 || len(s.over[1]) != 0 {
-				t.Fatalf("%s stripe %d holds in-range ids in its overflow maps", v, i)
+			if len(d.over) != 0 {
+				t.Fatalf("%s stripe %d holds in-range ids in its overflow map", v, i)
 			}
 		}
 	}
@@ -1035,8 +1024,8 @@ func ExampleDB_DNSStats() {
 
 // TestDecodedSeriesSizedAtLength: a series the section decoder mints
 // (Load, a checkpoint segment's new series, MergeShard) is allocated at
-// exactly the samples it decodes, while a series AddSample starts keeps
-// the monitor's preallocation for the rounds to come.
+// exactly the samples it decodes, and a series the monitor's Flush
+// mints grows by append, holding at most twice its samples in slots.
 func TestDecodedSeriesSizedAtLength(t *testing.T) {
 	const extBase alexa.SiteID = 1 << 20
 	const mainIDs, extIDs = 200, 100
@@ -1047,15 +1036,18 @@ func TestDecodedSeriesSizedAtLength(t *testing.T) {
 	db := NewDB()
 	db.Reserve(mainIDs, extBase, extIDs)
 	write := func(ids []alexa.SiteID, rounds ...int) {
-		for _, id := range ids {
-			for _, r := range rounds {
+		for _, r := range rounds {
+			var b Batch
+			for _, id := range ids {
 				s := Sample{Round: r, Date: sampleDate.AddDate(0, 0, 7*r), PageBytes: 900 + r, Downloads: 3, MeanSpeed: float64(id%50) + 0.5, CIOK: true}
-				db.AddSample("penn", id, topo.V4, s)
-				db.AddSample("penn", id, topo.V6, s)
+				b.AddSample(id, topo.V4, s)
+				b.AddSample(id, topo.V6, s)
 			}
+			db.Flush("penn", &b)
 		}
 	}
-	requireSized := func(what string, got *DB, ids []alexa.SiteID, exact bool) {
+	exactly := func(n, slots int) bool { return slots == n }
+	requireSized := func(what string, got *DB, ids []alexa.SiteID, fits func(n, slots int) bool) {
 		t.Helper()
 		want := make(map[siteFamKey]bool)
 		for _, id := range ids {
@@ -1070,7 +1062,7 @@ func TestDecodedSeriesSizedAtLength(t *testing.T) {
 					continue
 				}
 				n++
-				if (cap(s) == len(s)) != exact {
+				if !fits(len(s), cap(s)) {
 					t.Errorf("%s: series %+v holds %d samples in %d slots", what, sh.owner[k], len(s), cap(s))
 				}
 			}
@@ -1094,7 +1086,8 @@ func TestDecodedSeriesSizedAtLength(t *testing.T) {
 	if newestIsBase(t, b) {
 		t.Fatal("the second checkpoint is a base, want a segment")
 	}
-	requireSized("AddSample", db, all, false)
+	write(all, 4, 5, 6)
+	requireSized("Flush", db, all, func(n, slots int) bool { return slots <= 2*n })
 
 	path := filepath.Join(t.TempDir(), "db"+BinaryExt)
 	if err := db.SaveBinary(path, BinaryOptions{}); err != nil {
@@ -1104,9 +1097,9 @@ func TestDecodedSeriesSizedAtLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSized("Load", loaded, all, true)
+	requireSized("Load", loaded, all, exactly)
 	chained, _ := loadNewest(t, dir)
-	requireSized("segment", chained, late, true)
+	requireSized("segment", chained, late, exactly)
 
 	merged := NewDB()
 	merged.Reserve(mainIDs, extBase, extIDs)
@@ -1115,5 +1108,5 @@ func TestDecodedSeriesSizedAtLength(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	requireSized("MergeShard", merged, dense, true)
+	requireSized("MergeShard", merged, dense, exactly)
 }

@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"time"
 
 	"v6web/internal/alexa"
 	"v6web/internal/topo"
@@ -253,7 +252,7 @@ func (db *DB) AppendShardSection(buf []byte, section byte, v Vantage, lo, hi ale
 	case ShardDNS:
 		n = db.appendDNS(w, v, lo, hi, 0, 0, nil)
 	case ShardSamples:
-		n = db.appendSamples(w, v, lo, hi, 0, 0)
+		n = db.appendSamples(w, v, lo, hi, 0)
 	default:
 		return buf, 0, fmt.Errorf("store: unknown shard section %d", section)
 	}
@@ -354,15 +353,17 @@ func (db *DB) appendDNS(w *wbuf, v Vantage, lo, hi alexa.SiteID, from, to int32,
 }
 
 // appendSamples encodes vantage v's samples at rounds >= from for the
-// sites in [lo, hi): the date dictionary past its first datesFrom
-// entries (count + fixed 8-byte unix nanos), series count, then per
-// (site, family) series with samples at rounds >= from, in ascending
-// (site, family) order: id delta against the previous site (zero when
-// only the family advances; the first against lo), family byte, and
-// the series' trailing samples at rounds >= from (see samples). The
-// series come from each stripe's series owners, so a section costs
-// O(sampled series), not O(reserved ids).
-func (db *DB) appendSamples(w *wbuf, v Vantage, lo, hi alexa.SiteID, from int32, datesFrom int) int {
+// sites in [lo, hi): the distinct dates those samples carry, ascending
+// (count + fixed 8-byte unix nanos), series count, then per (site,
+// family) series with samples at rounds >= from, in ascending (site,
+// family) order: id delta against the previous site (zero when only
+// the family advances; the first against lo), family byte, and the
+// series' trailing samples at rounds >= from, each date an index into
+// the section's list (see samples). So a section depends only on the
+// samples it carries, not on the order they landed in. The series come
+// from each stripe's series owners, so a section costs O(sampled
+// series), not O(reserved ids).
+func (db *DB) appendSamples(w *wbuf, v Vantage, lo, hi alexa.SiteID, from int32) int {
 	t := db.lookup(v)
 	if t == nil {
 		return 0
@@ -372,6 +373,7 @@ func (db *DB) appendSamples(w *wbuf, v Vantage, lo, hi alexa.SiteID, from int32,
 		series []packedSample // from its first sample at a round >= from
 	}
 	var list []entry
+	var dates []int64
 	for i := range t.samples {
 		sh := &t.samples[i]
 		sh.mu.Lock()
@@ -384,8 +386,17 @@ func (db *DB) appendSamples(w *wbuf, v Vantage, lo, hi alexa.SiteID, from int32,
 			for k > 0 && series[k-1].round >= from {
 				k--
 			}
-			if k < len(series) {
-				list = append(list, entry{o, series[k:]})
+			if k == len(series) {
+				continue
+			}
+			list = append(list, entry{o, series[k:]})
+			j := 0
+			for _, p := range series[k:] {
+				var found bool
+				if j, found = dateIndex(dates, p.date, j); !found {
+					dates = slices.Insert(dates, j, p.date)
+				}
+				j++
 			}
 		}
 		sh.mu.Unlock()
@@ -396,10 +407,9 @@ func (db *DB) appendSamples(w *wbuf, v Vantage, lo, hi alexa.SiteID, from int32,
 		}
 		return cmp.Compare(a.key.fam, b.key.fam)
 	})
-	dates := t.dateTable()[datesFrom:]
 	w.uvarint(uint64(len(dates)))
 	for _, d := range dates {
-		w.u64(uint64(d.UnixNano()))
+		w.u64(uint64(d))
 	}
 	w.uvarint(uint64(len(list)))
 	prev := lo
@@ -407,23 +417,38 @@ func (db *DB) appendSamples(w *wbuf, v Vantage, lo, hi alexa.SiteID, from int32,
 		w.uvarint(uint64(e.key.site - prev))
 		prev = e.key.site
 		w.byteVal(byte(e.key.fam))
-		w.samples(e.series)
+		w.samples(e.series, dates)
 	}
 	return len(list)
 }
 
 // samples encodes a packed series: its length, then per sample the
-// round, date index, page bytes and download/CI word as uvarints and
-// the speed as raw float bits.
-func (w *wbuf) samples(packed []packedSample) {
+// round, the index of its date in dates (ascending, holding every
+// sample's date), page bytes and download/CI word as uvarints and the
+// speed as raw float bits.
+func (w *wbuf) samples(packed []packedSample, dates []int64) {
 	w.uvarint(uint64(len(packed)))
+	j := 0
 	for _, p := range packed {
+		j, _ = dateIndex(dates, p.date, j)
 		w.uvarint(uint64(p.round))
-		w.uvarint(uint64(p.dateIdx))
+		w.uvarint(uint64(j))
+		j++
 		w.uvarint(uint64(p.page))
 		w.uvarint(uint64(p.dlCI))
 		w.u64(math.Float64bits(p.speed))
 	}
+}
+
+// dateIndex returns where date sits, or would sit, in the ascending
+// dates, and whether it is there. It tries hint first: a series' dates
+// mostly follow its rounds, so a sample's date is usually the one after
+// its predecessor's.
+func dateIndex(dates []int64, date int64, hint int) (int, bool) {
+	if hint < len(dates) && dates[hint] == date {
+		return hint, true
+	}
+	return slices.BinarySearch(dates, date)
 }
 
 // appendPaths encodes vantage v's path table at rounds >= from: per
@@ -501,7 +526,7 @@ func (db *DB) MergeShard(lo, hi alexa.SiteID, section byte, v Vantage, payload [
 		return err
 	}
 	r := &rbuf{b: payload}
-	return r.done(db.decodeSection(r, section, v, lo, hi, 0, 0))
+	return r.done(db.decodeSection(r, section, v, lo, hi, 0))
 }
 
 // claimShardRange records [lo, hi) as merged for (section, v),
@@ -539,17 +564,16 @@ func (db *DB) claimShardRange(section byte, v Vantage, lo, hi alexa.SiteID) erro
 }
 
 // decodeSection lands one section payload of vantage v: the rows of
-// the sites in [lo, hi) at rounds >= from, with the vantage's first
-// datesFrom dates already held (see applySamples). Site rows are
+// the sites in [lo, hi) at rounds >= from. Site rows are
 // vantage-independent, and paths cover every site.
-func (db *DB) decodeSection(r *rbuf, section byte, v Vantage, lo, hi alexa.SiteID, from int32, datesFrom int) error {
+func (db *DB) decodeSection(r *rbuf, section byte, v Vantage, lo, hi alexa.SiteID, from int32) error {
 	switch section {
 	case ShardSites:
 		return db.applySites(r, lo, hi)
 	case ShardDNS:
 		return db.applyDNS(r, v, lo, hi, from)
 	case ShardSamples:
-		return db.applySamples(r, v, lo, hi, from, datesFrom)
+		return db.applySamples(r, v, lo, hi, from)
 	case snapPaths:
 		return db.applyPaths(r, v, from)
 	}
@@ -687,32 +711,18 @@ func (t *vantageTable) landDNS(r *rbuf, res reservation, v Vantage, lo, hi alexa
 	return r.err
 }
 
-// applySamples decodes appendSamples's payload for [lo, hi), rounds >=
-// from and a date dictionary whose first datesFrom entries the vantage
-// holds already. A section date the vantage holds among those is
-// refused, as is one the section lists twice; the rest land through
-// dateRef, shared with what the vantage holds past them. A sample's
-// date index below datesFrom names a held date; one at or past it maps
-// through the section's dates. A series must hold nothing at a round
-// >= from, and every sample must be at one.
-func (db *DB) applySamples(r *rbuf, v Vantage, lo, hi alexa.SiteID, from int32, datesFrom int) error {
+// applySamples decodes appendSamples's payload for [lo, hi) and
+// rounds >= from. The section's date list may come in any order (an
+// earlier encoder listed dates as they had landed); a sample's date
+// index must fall inside it. A series must hold nothing at a round >=
+// from, and every sample must be at one. Each series is looked up once,
+// and one the section mints is allocated at the samples it carries.
+func (db *DB) applySamples(r *rbuf, v Vantage, lo, hi alexa.SiteID, from int32) error {
 	t := db.table(v)
 	nDates := r.count()
-	idxMap := make([]int32, 0, nDates)
-	listed := make(map[int64]bool)
+	dates := make([]int64, 0, nDates)
 	for i := uint64(0); i < nDates && r.err == nil; i++ {
-		nanos := int64(r.u64())
-		if r.err != nil {
-			break
-		}
-		d := time.Unix(0, nanos).UTC()
-		idx := t.dateRef(d)
-		if int(idx) < datesFrom || listed[nanos] {
-			r.fail("store: samples: date %v already in the dictionary", d)
-			break
-		}
-		listed[nanos] = true
-		idxMap = append(idxMap, idx)
+		dates = append(dates, int64(r.u64()))
 	}
 	n := r.count()
 	prev := lo
@@ -732,13 +742,12 @@ func (db *DB) applySamples(r *rbuf, v Vantage, lo, hi alexa.SiteID, from int32, 
 		prev = site
 		sh := &t.samples[uint64(site)&(shards-1)]
 		sh.mu.Lock()
-		if idx := sh.seriesIdx(db.res, site, fam); idx >= 0 {
-			for _, p := range sh.series[idx] {
-				if p.round >= from {
-					sh.mu.Unlock()
-					r.fail("store: samples: site %d family %d vantage %q already has a sample at round %d, at or after round %d", site, fam, v, p.round, from)
-					return r.err
-				}
+		ss := sh.seriesOf(siteFamKey{site, fam}, int(cnt))
+		for _, p := range *ss {
+			if p.round >= from {
+				sh.mu.Unlock()
+				r.fail("store: samples: site %d family %d vantage %q already has a sample at round %d, at or after round %d", site, fam, v, p.round, from)
+				return r.err
 			}
 		}
 		for k := uint64(0); k < cnt && r.err == nil; k++ {
@@ -747,22 +756,20 @@ func (db *DB) applySamples(r *rbuf, v Vantage, lo, hi alexa.SiteID, from int32, 
 			if r.err != nil {
 				break
 			}
-			date := int32(dateIdx)
-			if dateIdx >= uint64(datesFrom) {
-				if j := dateIdx - uint64(datesFrom); j < uint64(len(idxMap)) {
-					date = idxMap[j]
-				} else {
-					date = -1
-				}
+			if dateIdx >= uint64(len(dates)) {
+				r.fail("store: samples: site %d sample at round %d names date %d of a %d-date list", site, round, dateIdx, len(dates))
+				break
 			}
-			if round < uint64(from) || round >= maxRound || date < 0 || page > math.MaxInt32 || dlCI > math.MaxUint32 {
+			if round < uint64(from) || round >= maxRound || page > math.MaxInt32 || dlCI > math.MaxUint32 {
 				r.fail("store: samples: site %d has out-of-range sample fields", site)
 				break
 			}
-			sh.add(db.res, site, fam, packedSample{
-				round: int32(round), dateIdx: date,
-				page: int32(page), dlCI: uint32(dlCI), speed: math.Float64frombits(bits),
-			}, int(cnt))
+			*ss = append(*ss, packedSample{
+				round: int32(round), page: int32(page), dlCI: uint32(dlCI),
+				date: dates[dateIdx], speed: math.Float64frombits(bits),
+			})
+			sh.rows++
+			watermark(&sh.lo, &sh.hi, int32(round), int32(round))
 		}
 		sh.mu.Unlock()
 	}

@@ -25,13 +25,12 @@
 //   - Site ids are dense in two ranges — the ranked list mints them
 //     sequentially from zero, the extended population is a second
 //     dense range at a fixed base — and Reserve turns those ranges
-//     into index-addressed tables. A vantage's DNS and sample columns
-//     over a range are allocated by each lock stripe's first write
-//     into it, so a vantage that never measures the extended
-//     population holds no column for it. Ids outside the reserved
-//     ranges (direct API use, a database that reserves none, a
-//     snapshot whose claimed ranges its bytes cannot back) fall back
-//     to per-shard overflow maps.
+//     into index-addressed tables. A vantage's DNS columns over a range
+//     are allocated by each lock stripe's first write into it, so a
+//     vantage that never measures the extended population holds no
+//     column for it. Ids outside the reserved ranges (direct API use,
+//     a database that reserves none, a snapshot whose claimed ranges
+//     its bytes cannot back) fall back to per-shard overflow maps.
 //   - DNS history is delta-encoded: each site stores runs of
 //     consecutive rounds sharing one (HasA, HasAAAA, Identical)
 //     outcome, so storage is O(state changes), not O(sites*rounds).
@@ -39,9 +38,11 @@
 //     almost every site ever has); rarer histories spill to a side
 //     map. The iterators expand runs back to per-round rows, so CSV
 //     output is byte-identical to the old row-per-round log.
-//   - Samples are packed 24-byte records; the sample date — shared by
-//     every sample of a round — lives once in a per-vantage date
-//     dictionary instead of as a per-sample time.Time.
+//   - Samples are sparse: only dual-stack sites have any, so a sample
+//     stripe finds a (site, family) series through one map, and a
+//     series grows by append. A sample is a packed 32-byte record
+//     carrying its date as UTC Unix nanoseconds, so a series depends
+//     on nothing but its own samples, whatever order they landed in.
 //   - Site rows store three int32 columns per site; the Host column
 //     is interned against the canonical alexa.HostName derivation and
 //     materialized only for sites whose host actually differs.
@@ -569,118 +570,74 @@ func sampleRowErr(v Vantage, site alexa.SiteID, fam topo.Family, s Sample) error
 
 // --- packed samples --------------------------------------------------
 
-// packedSample is the 24-byte stored form of a Sample: the date is an
-// index into the vantage's date dictionary, and the CI flag rides the
-// top bit of the download count.
+// packedSample is the 32-byte stored form of a Sample: the date is its
+// UTC Unix nanoseconds, and the CI flag rides the top bit of the
+// download count.
 type packedSample struct {
-	round   int32
-	dateIdx int32
-	page    int32
-	dlCI    uint32
-	speed   float64
+	round int32
+	page  int32
+	dlCI  uint32
+	date  int64
+	speed float64
 }
 
 const ciOKBit = 1 << 31
 
-func packSample(s Sample, dateIdx int32) packedSample {
+func packSample(s Sample) packedSample {
 	dl := uint32(s.Downloads)
 	if s.CIOK {
 		dl |= ciOKBit
 	}
 	return packedSample{
-		round:   int32(s.Round),
-		dateIdx: dateIdx,
-		page:    int32(s.PageBytes),
-		dlCI:    dl,
-		speed:   s.MeanSpeed,
+		round: int32(s.Round),
+		page:  int32(s.PageBytes),
+		dlCI:  dl,
+		date:  s.Date.UnixNano(),
+		speed: s.MeanSpeed,
 	}
 }
 
-func (p packedSample) sample(dates []time.Time) Sample {
-	return Sample{
-		Round:     int(p.round),
-		Date:      dates[p.dateIdx],
-		PageBytes: int(p.page),
-		Downloads: int(p.dlCI &^ ciOKBit),
-		MeanSpeed: p.speed,
-		CIOK:      p.dlCI&ciOKBit != 0,
-	}
-}
-
-// famSlots maps dense site slots to series indices; -1 = no series.
-type famSlots []int32
-
-// sampleShard is one stripe of a vantage's sample table: per family,
-// a dense slot column over each reserved range (plus an overflow map)
-// pointing into the shard-local series storage.
+// sampleShard is one stripe of a vantage's sample table: the stripe's
+// series in the order they were minted, found by (site, family)
+// through index, keyed by seriesKey.
 type sampleShard struct {
-	mu     sync.Mutex                //v6lint:shardlock one stripe of the site-id striped sample table
-	main   [2]famSlots               //v6lint:guardedby mu
-	ext    [2]famSlots               //v6lint:guardedby mu
-	over   [2]map[alexa.SiteID]int32 //v6lint:guardedby mu
-	series [][]packedSample          //v6lint:guardedby mu
-	owner  []siteFamKey              //v6lint:guardedby mu
-	rows   int                       //v6lint:guardedby mu
-	lo     int32                     //v6lint:guardedby mu
-	hi     int32                     //v6lint:guardedby mu
+	mu     sync.Mutex       //v6lint:shardlock one stripe of the site-id striped sample table
+	index  map[uint64]int32 //v6lint:guardedby mu
+	series [][]packedSample //v6lint:guardedby mu
+	owner  []siteFamKey     //v6lint:guardedby mu
+	rows   int              //v6lint:guardedby mu
+	lo     int32            //v6lint:guardedby mu
+	hi     int32            //v6lint:guardedby mu
 	// owner[i] is the (site, family) series[i] belongs to, so readers
-	// walk the series instead of every reserved slot. lo and hi are
-	// the sample rounds' watermarks (see watermark).
+	// walk the series instead of the index. lo and hi are the sample
+	// rounds' watermarks (see watermark).
 }
 
-// denseSlot returns (id, fam)'s entry in the stripe's dense slot
-// column, allocating the column when create is set (see denseAt), and
-// whether id lies in a reserved range at all. Caller holds s.mu.
-func (s *sampleShard) denseSlot(res reservation, id alexa.SiteID, fam topo.Family, create bool) (entry *int32, dense bool) {
-	switch table, slot := res.locate(id); table {
-	case 0:
-		return denseAt(&s.main[fam], res.main, slot, -1, create), true
-	case 1:
-		return denseAt(&s.ext[fam], res.ext, slot, -1, create), true
-	}
-	return nil, false
-}
+// seriesKey packs (site, family) into one integer key: site ids lie
+// below 2^62, so the family fits the low bit.
+func seriesKey(key siteFamKey) uint64 { return uint64(key.site)<<1 | uint64(key.fam) }
 
-// seriesIdx returns the series index stored for (id, fam), or -1.
-// Caller holds s.mu.
-func (s *sampleShard) seriesIdx(res reservation, id alexa.SiteID, fam topo.Family) int32 {
-	if entry, dense := s.denseSlot(res, id, fam, false); dense {
-		if entry == nil {
-			return -1
+// seriesOf returns key's series, minting it on first use with room for
+// newCap samples; a series grows by append after that. Caller holds
+// s.mu, and counts and watermarks what it appends.
+func (s *sampleShard) seriesOf(key siteFamKey, newCap int) *[]packedSample {
+	idx, ok := s.index[seriesKey(key)]
+	if !ok {
+		if s.index == nil {
+			s.index = make(map[uint64]int32)
 		}
-		return *entry
-	}
-	if idx, ok := s.over[fam][id]; ok {
-		return idx
-	}
-	return -1
-}
-
-// add appends one packed sample to the site's series, minting the
-// series slot on first use with room for newCap samples. Caller holds
-// s.mu.
-func (s *sampleShard) add(res reservation, id alexa.SiteID, fam topo.Family, p packedSample, newCap int) {
-	entry, dense := s.denseSlot(res, id, fam, true)
-	idx := int32(-1)
-	if dense {
-		idx = *entry
-	} else if i, ok := s.over[fam][id]; ok {
-		idx = i
-	}
-	if idx < 0 {
 		idx = int32(len(s.series))
+		s.index[seriesKey(key)] = idx
 		s.series = append(s.series, make([]packedSample, 0, newCap))
-		s.owner = append(s.owner, siteFamKey{id, fam})
-		if dense {
-			*entry = idx
-		} else {
-			if s.over[fam] == nil {
-				s.over[fam] = make(map[alexa.SiteID]int32)
-			}
-			s.over[fam][id] = idx
-		}
+		s.owner = append(s.owner, key)
 	}
-	s.series[idx] = append(s.series[idx], p)
+	return &s.series[idx]
+}
+
+// add appends one packed sample to key's series. Caller holds s.mu.
+func (s *sampleShard) add(key siteFamKey, p packedSample) {
+	ss := s.seriesOf(key, 0)
+	*ss = append(*ss, p)
 	s.rows++
 	watermark(&s.lo, &s.hi, p.round, p.round)
 }
@@ -757,12 +714,6 @@ type vantageTable struct {
 	pathHi int32                        //v6lint:guardedby pathMu
 	// pathLo and pathHi are the stored snapshots' round watermarks (see
 	// watermark).
-
-	// Date dictionary: the distinct sample dates, typically one per
-	// round.
-	dateMu  sync.RWMutex
-	dates   []time.Time         //v6lint:guardedby dateMu
-	dateIdx map[time.Time]int32 //v6lint:guardedby dateMu
 }
 
 type famDstKey struct {
@@ -770,16 +721,15 @@ type famDstKey struct {
 	dst int
 }
 
-// newVantageTable returns an empty table. It allocates no dense
+// newVantageTable returns an empty table. It allocates no dense DNS
 // column: each stripe's column over a reserved range comes from its
 // first write there (denseAt), so a vantage that never writes a range,
 // or a stripe of it, holds nothing for it.
 func newVantageTable() *vantageTable {
 	t := &vantageTable{
-		paths:   make(map[famDstKey][]PathSnapshot),
-		dateIdx: make(map[time.Time]int32),
-		pathLo:  noLow,
-		pathHi:  -1,
+		paths:  make(map[famDstKey][]PathSnapshot),
+		pathLo: noLow,
+		pathHi: -1,
 	}
 	for i := range t.dns {
 		t.dns[i].lo, t.dns[i].hi = noLow, -1         //v6lint:locked the table is not yet shared
@@ -788,55 +738,19 @@ func newVantageTable() *vantageTable {
 	return t
 }
 
-// grow extends the allocated dense columns to the reservation; a
-// column not yet allocated stays empty. Callers must hold the shard
-// locks or be otherwise exclusive (Reserve's contract).
+// grow extends the allocated dense DNS columns to the reservation; a
+// column not yet allocated (see denseAt) stays empty. Callers must
+// hold the shard locks or be otherwise exclusive (Reserve's contract).
 func (t *vantageTable) grow(res reservation) {
-	nMain, nExt := slotsFor(res.main), slotsFor(res.ext)
 	for i := range t.dns {
 		d := &t.dns[i]
-		growAllocated(&d.main, nMain, dnsHist{})
-		growAllocated(&d.ext, nExt, dnsHist{})
-		s := &t.samples[i]
-		for f := 0; f < 2; f++ {
-			growAllocated(&s.main[f], nMain, -1)
-			growAllocated(&s.ext[f], nExt, -1)
+		if len(d.main) > 0 {
+			d.main = extend(d.main, slotsFor(res.main), dnsHist{})
+		}
+		if len(d.ext) > 0 {
+			d.ext = extend(d.ext, slotsFor(res.ext), dnsHist{})
 		}
 	}
-}
-
-// growAllocated extends col to n entries set to fill, unless col is
-// not yet allocated (see denseAt).
-func growAllocated[S ~[]T, T comparable](col *S, n int, fill T) {
-	if len(*col) > 0 {
-		*col = extend(*col, n, fill)
-	}
-}
-
-func (t *vantageTable) dateRef(d time.Time) int32 {
-	t.dateMu.RLock()
-	idx, ok := t.dateIdx[d]
-	t.dateMu.RUnlock()
-	if ok {
-		return idx
-	}
-	t.dateMu.Lock()
-	defer t.dateMu.Unlock()
-	if idx, ok = t.dateIdx[d]; ok {
-		return idx
-	}
-	idx = int32(len(t.dates))
-	t.dates = append(t.dates, d)
-	t.dateIdx[d] = idx
-	return idx
-}
-
-// dateTable returns the current date dictionary; elements below its
-// length are immutable.
-func (t *vantageTable) dateTable() []time.Time {
-	t.dateMu.RLock()
-	defer t.dateMu.RUnlock()
-	return t.dates
 }
 
 // NewDB returns an empty database.
@@ -846,9 +760,10 @@ func NewDB() *DB {
 
 // Reserve declares the dense site-id ranges: ids in [0, mainIDs) and
 // [extBase, extBase+extIDs) get index-addressed columnar storage in
-// every table. The site table's columns span the ranges at once; a
-// vantage table's DNS and sample columns over a range are allocated
-// per stripe by its first write there, and Reserve grows only those
+// the site and DNS tables (sample series are found by (site, family)
+// whatever the ranges). The site table's columns span the ranges at
+// once; a vantage table's DNS columns over a range are allocated per
+// stripe by its first write there, and Reserve grows only those
 // already allocated. Growing preserves stored data (overflow entries
 // now covered by a range are migrated, which is such a first write);
 // the extended base cannot change once set and must be a multiple of
@@ -894,15 +809,6 @@ func (db *DB) Reserve(mainIDs int, extBase alexa.SiteID, extIDs int) {
 				if table, _ := res.locate(id); table >= 0 {
 					delete(d.over, id)
 					*d.hist(res, id, true) = *h
-				}
-			}
-			s := &t.samples[i]
-			for _, fam := range famBoth {
-				for id, idx := range s.over[fam] {
-					if entry, dense := s.denseSlot(res, id, fam, true); dense {
-						delete(s.over[fam], id)
-						*entry = idx
-					}
 				}
 			}
 		}
@@ -1081,22 +987,16 @@ type Batch struct {
 	// last Flush handed back; backAt is Returned's read cursor into it.
 	back   [shards][]alexa.SiteID
 	backAt [shards]int
-	// dates holds the samples' distinct dates (UTC) in the order they
-	// were first added; dateRefs is Flush's scratch for their indices
-	// in the vantage's date dictionary.
-	dates    []time.Time
-	dateRefs []int32
 }
 
 // idRun is the consecutive site ids from lo up to end, exclusive; its
 // length is end-lo in two's complement, so no id makes it overflow.
 type idRun struct{ lo, end alexa.SiteID }
 
-// batchSample is a buffered sample; date indexes its Batch's dates.
+// batchSample is a buffered sample.
 type batchSample struct {
 	site alexa.SiteID
 	fam  topo.Family
-	date int32
 	s    Sample
 }
 
@@ -1178,19 +1078,8 @@ func (b *Batch) Returned(site alexa.SiteID) bool {
 // AddSample buffers a download sample of site over fam for the next
 // Flush.
 func (b *Batch) AddSample(site alexa.SiteID, fam topo.Family, s Sample) {
-	// A batch's samples share one date in practice (the round's), so
-	// the newest date is checked first.
-	d := s.Date.UTC()
-	k := len(b.dates) - 1
-	for k >= 0 && b.dates[k] != d {
-		k--
-	}
-	if k < 0 {
-		k = len(b.dates)
-		b.dates = append(b.dates, d)
-	}
 	i := uint64(site) & (shards - 1)
-	b.samples[i] = append(b.samples[i], batchSample{site: site, fam: fam, date: int32(k), s: s})
+	b.samples[i] = append(b.samples[i], batchSample{site: site, fam: fam, s: s})
 }
 
 // Flush records b's rows and empties it, taking each site-stripe,
@@ -1217,10 +1106,8 @@ func (b *Batch) AddSample(site alexa.SiteID, fam topo.Family, s Sample) {
 //
 // Flush panics, as AddDNS, AddSample and PutSite do, on a row that does
 // not extend its history, or that a snapshot cannot carry back, naming
-// it; it checks all the batch's samples before it records one. The
-// samples' dates enter v's date dictionary once per distinct date,
-// outside the stripe locks. A batch without DNS rows or samples does
-// not create v's table.
+// it; it checks all the batch's samples before it records one. A batch
+// without DNS rows or samples does not create v's table.
 func (db *DB) Flush(v Vantage, b *Batch) (returned int) {
 	res := db.res
 	for i := range b.sites {
@@ -1288,9 +1175,7 @@ func (db *DB) Flush(v Vantage, b *Batch) (returned int) {
 		returned += len(back)
 	}
 	b.carry = b.carry[:0]
-	if len(b.dates) == 0 {
-		return returned
-	}
+	samples := 0
 	for i := range b.samples {
 		for k := range b.samples[i] {
 			r := &b.samples[i][k]
@@ -1298,13 +1183,13 @@ func (db *DB) Flush(v Vantage, b *Batch) (returned int) {
 				panic("store: Flush: " + err.Error())
 			}
 		}
+		samples += len(b.samples[i])
+	}
+	if samples == 0 {
+		return returned
 	}
 	if t == nil {
 		t = db.table(v)
-	}
-	b.dateRefs = b.dateRefs[:0]
-	for _, d := range b.dates {
-		b.dateRefs = append(b.dateRefs, t.dateRef(d))
 	}
 	for i := range b.samples {
 		rows := b.samples[i]
@@ -1315,12 +1200,11 @@ func (db *DB) Flush(v Vantage, b *Batch) (returned int) {
 		sh.mu.Lock()
 		for k := range rows {
 			r := &rows[k]
-			sh.add(res, r.site, r.fam, packSample(r.s, b.dateRefs[r.date]), seriesCap)
+			sh.add(siteFamKey{r.site, r.fam}, packSample(r.s))
 		}
 		sh.mu.Unlock()
 		b.samples[i] = rows[:0]
 	}
-	b.dates = b.dates[:0]
 	return returned
 }
 
@@ -1525,11 +1409,6 @@ func (db *DB) DNSStats(v Vantage) (rows, runs, sites int) {
 	return rows, runs, sites
 }
 
-// seriesCap is the capacity of a series that a written sample mints: a
-// site's series grows one sample per monitored round, so it starts
-// with a study's worth to avoid repeated regrowth.
-const seriesCap = 40
-
 // AddSample appends a download sample, its date in UTC so that one
 // instant is one date whatever its zone. It panics on a round outside
 // [0, maxRound) and on a sample a snapshot cannot carry back
@@ -1540,11 +1419,9 @@ func (db *DB) AddSample(v Vantage, site alexa.SiteID, fam topo.Family, s Sample)
 	if err := sampleRowErr(v, site, fam, s); err != nil {
 		panic("store: AddSample: " + err.Error())
 	}
-	t := db.table(v)
-	p := packSample(s, t.dateRef(s.Date.UTC()))
-	sh := &t.samples[uint64(site)&(shards-1)]
+	sh := &db.table(v).samples[uint64(site)&(shards-1)]
 	sh.mu.Lock()
-	sh.add(db.res, site, fam, p, seriesCap)
+	sh.add(siteFamKey{site, fam}, packSample(s))
 	sh.mu.Unlock()
 }
 
@@ -1552,42 +1429,27 @@ func (db *DB) AddSample(v Vantage, site alexa.SiteID, fam topo.Family, s Sample)
 // Samples. Monitors append in round order, so the expansion is
 // normally a straight copy; only series populated out of order
 // through the public API pay the stable sort.
-func appendSeries(dst []Sample, packed []packedSample, dates []time.Time) []Sample {
+func appendSeries(dst []Sample, packed []packedSample) []Sample {
 	start := len(dst)
 	dst = slices.Grow(dst, len(packed))
-	sorted := true
+	sorted, prev := true, int32(math.MinInt32)
 	for _, p := range packed {
-		s := p.sample(dates)
-		if len(dst) > start && s.Round < dst[len(dst)-1].Round {
-			sorted = false
-		}
-		dst = append(dst, s)
+		sorted = sorted && p.round >= prev
+		prev = p.round
+		dst = append(dst, Sample{
+			Round:     int(p.round),
+			Date:      time.Unix(0, p.date).UTC(),
+			PageBytes: int(p.page),
+			Downloads: int(p.dlCI &^ ciOKBit),
+			MeanSpeed: p.speed,
+			CIOK:      p.dlCI&ciOKBit != 0,
+		})
 	}
 	if !sorted {
 		out := dst[start:]
 		sort.SliceStable(out, func(i, j int) bool { return out[i].Round < out[j].Round })
 	}
 	return dst
-}
-
-// sampledSites returns the distinct site ids with samples at vantage
-// v, sorted.
-func (db *DB) sampledSites(v Vantage) []alexa.SiteID {
-	t := db.lookup(v)
-	if t == nil {
-		return nil
-	}
-	var out []alexa.SiteID
-	for i := range t.samples {
-		sh := &t.samples[i]
-		sh.mu.Lock()
-		for _, o := range sh.owner {
-			out = append(out, o.site)
-		}
-		sh.mu.Unlock()
-	}
-	slices.Sort(out)
-	return slices.Compact(out)
 }
 
 // AddPath records the AS path to dst observed after a round. Only

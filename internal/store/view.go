@@ -3,7 +3,6 @@ package store
 import (
 	"slices"
 	"sort"
-	"time"
 
 	"v6web/internal/alexa"
 	"v6web/internal/topo"
@@ -170,39 +169,15 @@ func (db *DB) ForEachDNSRun(v Vantage, fn func(row DNSRow, n int)) {
 	})
 }
 
-// ForEachSeries visits every (site, family) sample series stored for
-// a vantage in ascending (site, family) order. The series passed to
-// fn is expanded from the packed storage — a fresh copy fn may keep.
-// fn must not write to the same database.
-func (db *DB) ForEachSeries(v Vantage, fn func(site alexa.SiteID, fam topo.Family, series []Sample)) {
-	t := db.lookup(v)
-	if t == nil {
-		return
-	}
-	dates := t.dateTable()
-	for _, site := range db.sampledSites(v) {
-		sh := &t.samples[uint64(site)&(shards-1)]
-		for _, fam := range famBoth {
-			sh.mu.Lock()
-			var packed []packedSample
-			if idx := sh.seriesIdx(db.res, site, fam); idx >= 0 {
-				packed = append(packed, sh.series[idx]...)
-			}
-			sh.mu.Unlock()
-			if len(packed) > 0 {
-				fn(site, fam, appendSeries(nil, packed, dates))
-			}
-		}
-	}
-}
-
 var famBoth = [2]topo.Family{topo.V4, topo.V6}
 
 // Snapshot is an immutable read view of a database, taken once with
-// Freeze and then queried without further coordination. It holds the
-// sample series and AS paths present at Freeze time, capacity-clamped
-// so rows appended afterwards stay invisible; DNS history is not part
-// of it (the live DB's iterators serve that). Site rows read through
+// Freeze and then queried without further coordination: the one reader
+// of the sample series. It holds the series and AS paths present at
+// Freeze time, capacity-clamped so rows appended afterwards stay
+// invisible; a packed sample carries its own date, so the view needs
+// nothing else to expand one. DNS history is not part of it (the live
+// DB's iterators serve that). Site rows read through
 // to the live columnar table (they are overwritten in place, not
 // appended), so the contract callers should rely on is the simple
 // one: freeze when no writer is active — for a campaign, between
@@ -220,14 +195,13 @@ type siteFamKey struct {
 type frozenVantage struct {
 	sampled []alexa.SiteID
 	series  map[alexa.SiteID][2][]packedSample // indexed by family
-	datesT  []time.Time                        // date dictionary at freeze; read-only below len
 	paths   map[famDstKey][]PathSnapshot
 }
 
 // Freeze captures a Snapshot of the database: short locked passes per
-// table, after which reads need no locks. It walks the stored series,
-// not the reserved id ranges, so it costs O(series). Expanded sample
-// series come back round-sorted, as DB.ForEachSeries returns them.
+// table, after which reads need no locks. It walks each stripe's
+// series, so it costs O(series). Expanded sample series come back
+// round-sorted.
 func (db *DB) Freeze() *Snapshot {
 	snap := &Snapshot{db: db, vantages: make(map[Vantage]*frozenVantage)}
 	for v, t := range db.tables() {
@@ -256,8 +230,6 @@ func (db *DB) Freeze() *Snapshot {
 		}
 		slices.Sort(ids)
 		fv.sampled = ids
-		// Read after the series: every captured sample's date is in it.
-		fv.datesT = t.dateTable()
 
 		t.pathMu.Lock()
 		fv.paths = make(map[famDstKey][]PathSnapshot, len(t.paths))
@@ -311,7 +283,7 @@ func (s *Snapshot) Series(dst []Sample, v Vantage, site alexa.SiteID, fam topo.F
 	if view == nil {
 		return dst
 	}
-	return appendSeries(dst, view.series[site][fam], view.datesT)
+	return appendSeries(dst, view.series[site][fam])
 }
 
 // ForEachSeries visits every (site, family) series for a vantage in
@@ -324,7 +296,7 @@ func (s *Snapshot) ForEachSeries(v Vantage, fn func(site alexa.SiteID, fam topo.
 	for _, site := range view.sampled {
 		for _, fam := range famBoth {
 			if packed := view.series[site][fam]; len(packed) > 0 {
-				fn(site, fam, appendSeries(nil, packed, view.datesT))
+				fn(site, fam, appendSeries(nil, packed))
 			}
 		}
 	}

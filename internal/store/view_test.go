@@ -1,9 +1,11 @@
 package store
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -15,45 +17,86 @@ import (
 // API, with deliberately out-of-order sample inserts at one site so
 // the snapshot's sort-on-capture arm is exercised.
 func viewDB() *DB {
+	db, _ := viewDBRows()
+	return db
+}
+
+// viewDBRows is viewDB with the samples it wrote, per vantage.
+func viewDBRows() (*DB, map[Vantage]sampleRows) {
 	db := NewDB()
+	wrote := map[Vantage]sampleRows{"penn": {}, "lu": {}}
+	addSample := func(v Vantage, site alexa.SiteID, fam topo.Family, s Sample) {
+		db.AddSample(v, site, fam, s)
+		key := siteFamKey{site, fam}
+		wrote[v][key] = append(wrote[v][key], s)
+	}
 	db.PutSite(SiteRow{Site: 1, Host: "a", FirstRank: 10, V4AS: 3, V6AS: 3})
 	db.PutSite(SiteRow{Site: 2, Host: "b", FirstRank: 20, V4AS: 4, V6AS: 5})
 	for r := 0; r < 5; r++ {
 		db.AddDNS("penn", DNSRow{Site: 1, Round: r, HasA: true, HasAAAA: true})
 		db.AddDNS("penn", DNSRow{Site: 2, Round: r, HasA: true, HasAAAA: r > 1})
 		for _, fam := range []topo.Family{topo.V4, topo.V6} {
-			db.AddSample("penn", 1, fam, Sample{Round: r, Date: time.Unix(int64(r), 0), MeanSpeed: float64(10 + r), CIOK: true})
+			addSample("penn", 1, fam, Sample{Round: r, Date: time.Unix(int64(r), 0), MeanSpeed: float64(10 + r), CIOK: true})
 		}
 	}
 	// Out-of-order series: rounds 3, 1, 2 through the raw API.
 	for _, r := range []int{3, 1, 2} {
-		db.AddSample("penn", 2, topo.V4, Sample{Date: sampleDate, Round: r, MeanSpeed: float64(r), CIOK: true})
+		addSample("penn", 2, topo.V4, Sample{Date: sampleDate, Round: r, MeanSpeed: float64(r), CIOK: true})
 	}
 	db.AddPath("penn", topo.V6, 3, 0, []int{9, 7, 3})
 	db.AddPath("penn", topo.V6, 3, 2, []int{9, 8, 3})
 	db.AddPath("penn", topo.V4, 3, 0, []int{9, 3})
-	db.AddSample("lu", 1, topo.V4, Sample{Date: sampleDate, Round: 0, MeanSpeed: 1, CIOK: true})
-	return db
+	addSample("lu", 1, topo.V4, Sample{Date: sampleDate, Round: 0, MeanSpeed: 1, CIOK: true})
+	return db, wrote
 }
 
-// TestSnapshotMatchesCopyingGetters: a frozen view reads the series
-// the live copying iterator, DB.ForEachSeries, returns.
-func TestSnapshotMatchesCopyingGetters(t *testing.T) {
-	db := viewDB()
+// dump lists the rows' series as a snapshot reads them: in (site,
+// family) order, each round-sorted (stable) with its dates in UTC.
+func (rows sampleRows) dump() []string {
+	keys := make([]siteFamKey, 0, len(rows))
+	for key := range rows {
+		keys = append(keys, key)
+	}
+	slices.SortFunc(keys, func(a, b siteFamKey) int {
+		if a.site != b.site {
+			return cmp.Compare(a.site, b.site)
+		}
+		return cmp.Compare(a.fam, b.fam)
+	})
+	var out []string
+	for _, key := range keys {
+		ss := slices.Clone(rows[key])
+		for i := range ss {
+			ss[i].Date = ss[i].Date.UTC()
+		}
+		slices.SortStableFunc(ss, func(a, b Sample) int { return cmp.Compare(a.Round, b.Round) })
+		out = append(out, fmt.Sprintf("%d/%v:%v", key.site, key.fam, ss))
+	}
+	return out
+}
+
+// sites returns the rows' distinct sites, ascending.
+func (rows sampleRows) sites() []alexa.SiteID {
+	var out []alexa.SiteID
+	for key := range rows {
+		out = append(out, key.site)
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// TestSnapshotMatchesWrittenRows: a frozen view reads the series the
+// writes made, and answers the path and site queries.
+func TestSnapshotMatchesWrittenRows(t *testing.T) {
+	db, wrote := viewDBRows()
 	snap := db.Freeze()
 
 	for _, v := range []Vantage{"penn", "lu"} {
-		var sites []alexa.SiteID
-		db.ForEachSeries(v, func(site alexa.SiteID, fam topo.Family, want []Sample) {
-			if len(sites) == 0 || sites[len(sites)-1] != site {
-				sites = append(sites, site)
-			}
-			if got := snap.Series(nil, v, site, fam); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s site %d fam %v: %+v vs %+v", v, site, fam, got, want)
-			}
-		})
-		if got := snap.SampledSites(v); !reflect.DeepEqual(got, sites) {
-			t.Fatalf("%s SampledSites: %v vs %v", v, got, sites)
+		if got, want := seriesDump(snap.ForEachSeries, v), wrote[v].dump(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s series:\n%v\nwant\n%v", v, got, want)
+		}
+		if got := snap.SampledSites(v); !reflect.DeepEqual(got, wrote[v].sites()) {
+			t.Fatalf("%s SampledSites: %v vs %v", v, got, wrote[v].sites())
 		}
 	}
 	if got := snap.LatestPath("penn", topo.V6, 3); !reflect.DeepEqual(got, []int{9, 8, 3}) {
@@ -90,17 +133,10 @@ func TestForEachIterators(t *testing.T) {
 		t.Fatalf("ForEachDNS: %d rows vs %d", len(gotDNS), len(want))
 	}
 
-	seriesRows := 0
-	db.ForEachSeries("penn", func(site alexa.SiteID, fam topo.Family, ss []Sample) {
-		seriesRows += len(ss)
-	})
+	// The snapshot's site-ordered series walk visits every penn sample.
 	_, _, sampleRows, _ := db.Counts()
 	snap := db.Freeze()
-	if luRows := len(snap.Series(nil, "lu", 1, topo.V4)); seriesRows != sampleRows-luRows {
-		t.Fatalf("ForEachSeries visited %d sample rows, want %d", seriesRows, sampleRows-luRows)
-	}
-
-	// The snapshot's site-ordered variant visits the same rows.
+	seriesRows := sampleRows - len(snap.Series(nil, "lu", 1, topo.V4))
 	snapRows, lastSite := 0, alexa.SiteID(-1)
 	snap.ForEachSeries("penn", func(site alexa.SiteID, fam topo.Family, ss []Sample) {
 		snapRows += len(ss)
@@ -168,11 +204,11 @@ func seriesDump(each func(Vantage, func(alexa.SiteID, topo.Family, []Sample)), v
 }
 
 // TestFreezeMatchesLiveSeries: Freeze walks the series each sample
-// stripe has created rather than the reserved slots, so it must read
-// what DB.ForEachSeries reads over dense ids of both ranges, overflow
-// ids, and overflow ids a later Reserve migrates into dense slots —
-// and samples or series added after Freeze, even across a further
-// migrating Reserve, must stay invisible.
+// stripe has minted, so it must read the series the writes made, over
+// dense ids of both ranges, overflow ids, and ids a later Reserve
+// covers, with rounds written out of order and dates that do not
+// follow them — and samples or series added after Freeze, even across
+// a further Reserve, must stay invisible.
 func TestFreezeMatchesLiveSeries(t *testing.T) {
 	const extBase = 1 << 12
 	vantages := []Vantage{"penn", "lu"}
@@ -180,6 +216,7 @@ func TestFreezeMatchesLiveSeries(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		db := NewDB()
 		db.Reserve(64, extBase, 64)
+		wrote := map[Vantage]sampleRows{"penn": {}, "lu": {}}
 		add := func(n int) {
 			for k := 0; k < n; k++ {
 				site := alexa.SiteID(rng.Intn(64)) // dense main
@@ -191,24 +228,27 @@ func TestFreezeMatchesLiveSeries(t *testing.T) {
 				case 3:
 					site += 1 << 20 // overflow throughout
 				}
-				db.AddSample(vantages[rng.Intn(2)], site, famBoth[rng.Intn(2)], Sample{
+				v, key := vantages[rng.Intn(2)], siteFamKey{site, famBoth[rng.Intn(2)]}
+				s := Sample{
 					Round:     rng.Intn(12), // out of order at times
 					Date:      time.Unix(int64(rng.Intn(6)), 0),
 					PageBytes: rng.Intn(5000),
 					Downloads: 1 + rng.Intn(5),
 					MeanSpeed: rng.Float64(),
 					CIOK:      rng.Intn(3) > 0,
-				})
+				}
+				db.AddSample(v, key.site, key.fam, s)
+				wrote[v][key] = append(wrote[v][key], s)
 			}
 		}
 		add(120)
-		db.Reserve(128, extBase, 64) // migrates ids [64, 128) to dense slots
+		db.Reserve(128, extBase, 64) // covers ids [64, 128)
 		add(120)
 
 		snap := db.Freeze()
 		want := map[Vantage][]string{}
 		for _, v := range vantages {
-			want[v] = seriesDump(db.ForEachSeries, v)
+			want[v] = wrote[v].dump()
 		}
 		check := func(when string) {
 			t.Helper()
@@ -223,7 +263,7 @@ func TestFreezeMatchesLiveSeries(t *testing.T) {
 					}
 				}
 				if !reflect.DeepEqual(got, want[v]) {
-					t.Fatalf("seed %d %s, %s: snapshot reads\n%v\nlive reads\n%v", seed, when, v, got, want[v])
+					t.Fatalf("seed %d %s, %s: snapshot reads\n%v\nthe writes made\n%v", seed, when, v, got, want[v])
 				}
 				if dump := seriesDump(snap.ForEachSeries, v); !reflect.DeepEqual(dump, want[v]) {
 					t.Fatalf("seed %d %s, %s: Snapshot.ForEachSeries reads\n%v", seed, when, v, dump)
@@ -238,7 +278,7 @@ func TestFreezeMatchesLiveSeries(t *testing.T) {
 				db.AddSample(v, site, topo.V6, Sample{Date: sampleDate, Round: 3, MeanSpeed: 99, CIOK: true})
 			}
 		}
-		db.Reserve(256, extBase, 128) // migrates site 200's new series
+		db.Reserve(256, extBase, 128) // covers site 200
 		check("after later writes")
 	}
 }
